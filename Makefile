@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet bench bench-go fuzz tenancy tiering smallops serve netchaos
+.PHONY: check build test race vet bench bench-go benchmark loc fuzz tenancy tiering smallops serve netchaos
 
 # The full gate: vet + build + tests + race detector + fuzz smoke.
 # CI runs this.
@@ -93,3 +93,13 @@ netchaos:
 # datapath families (testing.B form of the harness above).
 bench-go:
 	$(GO) test -bench=. -benchmem
+
+# The repository's benchmark (BENCHMARK.json): four workloads with
+# end-to-end and per-layer metrics. See benchmark/README.md.
+benchmark:
+	bash benchmark/run.sh
+
+# Non-test Go lines per package and in total — the number every PR
+# reports (ROADMAP, quality aim).
+loc:
+	sh scripts/loc.sh

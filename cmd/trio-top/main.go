@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -189,18 +190,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srvDir, _, err := wconn.Mkdir(wsrv.Root(), "srv", 0o755)
+	wctx := context.Background()
+	srvDir, _, err := wconn.Mkdir(wctx, wsrv.Root(), "srv", 0o755)
 	if err != nil {
 		fatal(err)
 	}
 	var srvFiles []fsapi.Handle
 	srvBlk := make([]byte, 8192)
 	for i := 0; i < 4; i++ {
-		h, _, err := wconn.Create(srvDir, fmt.Sprintf("s%d", i), 0o644)
+		h, _, err := wconn.Create(wctx, srvDir, fmt.Sprintf("s%d", i), 0o644)
 		if err != nil {
 			fatal(err)
 		}
-		if _, err := wconn.Write(h, 0, srvBlk); err != nil {
+		if _, err := wconn.Write(wctx, h, 0, srvBlk); err != nil {
 			fatal(err)
 		}
 		srvFiles = append(srvFiles, h)
@@ -215,9 +217,9 @@ func main() {
 				h := srvFiles[rng.Intn(len(srvFiles))]
 				var err error
 				if rng.Intn(4) == 0 {
-					_, err = wconn.Write(h, 0, buf)
+					_, err = wconn.Write(wctx, h, 0, buf)
 				} else {
-					_, err = wconn.Read(h, 0, buf)
+					_, err = wconn.Read(wctx, h, 0, buf)
 				}
 				if err != nil {
 					return

@@ -365,9 +365,6 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		c.shards[i].admit.init(opts.AdmitPerShard)
 		c.shards[i].admit.waitCtr = c.stats.shard(i).AdmitWaits
 	}
-	if DebugPageTracing && !telemetry.TracingOn() {
-		telemetry.EnableTracing(0)
-	}
 	if _, err := core.ReadSuperblock(c.mem); err != nil {
 		if ferr := core.Format(dev); ferr != nil {
 			return nil, ferr
@@ -520,7 +517,7 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 // tracePage records one page-accounting transition as a telemetry
 // instant event (Arg = page number, so a trace can be filtered down to
 // one page's life). No-op — not even the message is formatted — unless
-// tracing is armed, via DebugPageTracing or telemetry.EnableTracing.
+// tracing is armed (telemetry.EnableTracing).
 func (c *Controller) tracePage(p nvm.PageID, format string, args ...any) {
 	if !telemetry.TracingOn() {
 		return

@@ -215,6 +215,17 @@ func TestCreateShareReadAcrossLibFSes(t *testing.T) {
 	if _, err := b.MapFile(ino, loc, true); !errors.Is(err, ErrPermission) {
 		t.Fatalf("B write map err = %v, want ErrPermission", err)
 	}
+	// The denied upgrade decided before it released anything: B's read
+	// mapping is intact — still readable, still B's to unmap.
+	if err := b.AddressSpace().Read(dataPage, 0, buf); err != nil {
+		t.Fatalf("B read after denied upgrade: %v", err)
+	}
+	if string(buf) != string(content) {
+		t.Fatalf("B read %q after denied upgrade", buf)
+	}
+	if err := b.UnmapFile(ino); err != nil {
+		t.Fatalf("B unmap after denied upgrade: %v", err)
+	}
 }
 
 func TestVerificationRejectsCorruptIndexChain(t *testing.T) {

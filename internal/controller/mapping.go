@@ -101,24 +101,28 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	}
 
 	// Idempotent re-map: an existing mapping that already satisfies the
-	// request is returned as-is; an upgrade (read→write) releases the
-	// old grant first.
-	if m := s.ls.mapped[fs.ino]; m != nil {
-		if m.write || !write {
-			in, rerr := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
-			if rerr != nil {
-				return MapInfo{}, rerr
-			}
-			return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: m.write}, nil
+	// request is returned as-is.
+	m := s.ls.mapped[fs.ino]
+	if m != nil && (m.write || !write) {
+		in, rerr := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
+		if rerr != nil {
+			return MapInfo{}, rerr
 		}
+		return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: m.write}, nil
+	}
+
+	// Permission check against the shadow table (ground truth, I4). It
+	// comes before anything is released — the fast path's rule, "mutates
+	// nothing before deciding" — so a denied read→write upgrade leaves the
+	// caller's read mapping exactly as it was.
+	if !c.permitted(s.ls, fs.ino, write) {
+		return MapInfo{}, fmt.Errorf("%w: ino %d write=%v for uid %d", ErrPermission, ino, write, s.ls.uid)
+	}
+	if m != nil {
+		// A permitted upgrade (read→write) releases the old grant first.
 		if err := c.unmapLocked(s.ls, fs.ino, acc); err != nil {
 			return MapInfo{}, err
 		}
-	}
-
-	// Permission check against the shadow table (ground truth, I4).
-	if !c.permitted(s.ls, fs.ino, write) {
-		return MapInfo{}, fmt.Errorf("%w: ino %d write=%v for uid %d", ErrPermission, ino, write, s.ls.uid)
 	}
 
 	// Enforce concurrent-reads-or-exclusive-write across trust groups.
@@ -150,16 +154,33 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 		}
 	}
 
-	// Collect the page set to map: the dirent page plus the file's
-	// current index/data pages.
+	pages, err := c.grantPages(fs, &in)
+	if err != nil {
+		return MapInfo{}, err
+	}
+	return s.grantLocked(fs, &in, pages, write), nil
+}
+
+// grantPages collects the page set a grant of fs maps: the dirent page
+// plus the file's current index and data pages.
+func (c *Controller) grantPages(fs *fileState, in *core.Inode) ([]nvm.PageID, error) {
 	pages := []nvm.PageID{fs.loc.Page}
-	err = core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()),
+	err := core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()),
 		func(p nvm.PageID) bool { pages = append(pages, p); return true },
 		func(_ uint64, p nvm.PageID) bool { pages = append(pages, p); return true })
 	if err != nil {
-		return MapInfo{}, fmt.Errorf("controller: walking file %d: %w", ino, err)
+		return nil, fmt.Errorf("controller: walking file %d: %w", fs.ino, err)
 	}
+	return pages, nil
+}
 
+// grantLocked installs a grant every check has already allowed: it maps
+// pages into the session, records the mapping, and registers the
+// session as the file's writer (checkpointing the file) or as a reader.
+// The caller holds the locks covering the session, the file and — for
+// a write grant — every page's checksum record.
+func (s *Session) grantLocked(fs *fileState, in *core.Inode, pages []nvm.PageID, write bool) MapInfo {
+	c := s.c
 	perm := mmu.PermRead
 	if write {
 		perm = mmu.PermWrite
@@ -180,11 +201,11 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 		fs.writer = s.ls.id
 		fs.writerGroup = s.ls.group
 		fs.writerSince = time.Now()
-		c.checkpointLocked(fs, &in)
+		c.checkpointLocked(fs, in)
 	} else {
 		fs.addReaderLocked(s.ls.id)
 	}
-	return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: write}, nil
+	return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: *in, Write: write}
 }
 
 // mapFileFast is MapFile's common case under only the involved shards'
@@ -294,12 +315,9 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 	if err != nil {
 		return MapInfo{}, 0, err
 	}
-	pages := []nvm.PageID{fs.loc.Page}
-	err = core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()),
-		func(p nvm.PageID) bool { pages = append(pages, p); return true },
-		func(_ uint64, p nvm.PageID) bool { pages = append(pages, p); return true })
+	pages, err := c.grantPages(fs, &in)
 	if err != nil {
-		return MapInfo{}, 0, fmt.Errorf("controller: walking file %d: %w", fs.ino, err)
+		return MapInfo{}, 0, err
 	}
 	if write {
 		// The grant opens checksum records: every page must be owned by
@@ -311,28 +329,7 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 	} else if !c.pagesOwnedWithin(pages, fs.ino, fs.parent) {
 		return MapInfo{}, 0, errEscalate
 	}
-
-	perm := mmu.PermRead
-	if write {
-		perm = mmu.PermWrite
-		// Pre-ref, like mapSlowLocked: openGrantedLocked must see the
-		// pre-grant writeRefs table to skip already-open records.
-		c.openGrantedLocked(pages)
-	}
-	for _, p := range pages {
-		s.ls.refPageLocked(p, perm)
-	}
-	s.ls.mapped[fs.ino] = &mapping{ino: fs.ino, write: write, pages: pages}
-	delete(s.ls.revoked, fs.ino)
-	if write {
-		fs.writer = s.ls.id
-		fs.writerGroup = s.ls.group
-		fs.writerSince = time.Now()
-		c.checkpointLocked(fs, &in)
-	} else {
-		fs.addReaderLocked(s.ls.id)
-	}
-	return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: write}, 0, nil
+	return s.grantLocked(fs, &in, pages, write), 0, nil
 }
 
 // writeGrantPagesOK requires every page of a write grant to be owned by
@@ -696,20 +693,10 @@ func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *ma
 
 // runVerifierLocked invokes the trusted verifier process on one file.
 // The controller→verifier round trip costs one IPC (§6.5: verification
-// dominated by this for small files).
-// DebugVerifyFailure, when non-nil, receives a description of every
-// failed verification. It is an alias over the telemetry fold: every
-// failed verification is also emitted as a "verify.failure" trace event
-// (Arg = ino) whenever tracing is armed.
-var DebugVerifyFailure func(msg string)
-
-// DebugPageTracing, when set before New, arms telemetry tracing so the
-// per-page accounting transitions land in the trace ring as "page"
-// events (Arg = page number); see Controller.tracePage. It is an alias
-// kept for the bespoke page-log switch it replaced — calling
-// telemetry.EnableTracing directly is equivalent.
-var DebugPageTracing bool
-
+// dominated by this for small files). A failed verification is
+// emitted as a "verify.failure" trace event (Arg = ino) whenever
+// tracing is armed.
+//
 // acc, when non-nil, is a ring drainer's verify accumulator: instead of
 // paying the IPC round trip inline, the call is counted and the drainer
 // charges one batched IPCN for the whole drained batch (satellite of
@@ -746,9 +733,6 @@ func (c *Controller) runVerifierLocked(fs *fileState, ls *libfsState, acc *int) 
 		if telemetry.TracingOn() {
 			telemetry.Emit(0, "verify.failure", "controller", int64(fs.ino),
 				fmt.Sprintf("libfs %d: %v", ls.id, rep.Violations))
-		}
-		if DebugVerifyFailure != nil {
-			DebugVerifyFailure(fmt.Sprintf("ino %d (libfs %d): %v", fs.ino, ls.id, rep.Violations))
 		}
 	}
 	return rep, err

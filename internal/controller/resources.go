@@ -582,24 +582,19 @@ func (c *Controller) VerifyAll() (checked, bad int, firstProblem string) {
 		rep, err := c.verifier.VerifyFile(env, fs.ino, fs.loc, fs.ino == core.RootIno)
 		checked++
 		if err != nil || !rep.OK() {
-			if DebugVerifyFailure != nil || telemetry.TracingOn() {
+			if telemetry.TracingOn() {
 				got, _ := core.DirentIno(c.mem, fs.loc.Page, fs.loc.Slot)
 				msg := fmt.Sprintf(
 					"VerifyAll ino=%d loc=%v type=%v parent=%d writer=%d readers=%d reaped=%v allocBy=%d quarantined=%d direntNow=%d err=%v viol=%v",
 					fs.ino, fs.loc, fs.ftype, fs.parent, fs.writer, len(fs.readers),
 					c.reaped.has(fs.ino), holderOf(c, fs.ino), fs.quarantined, got, err, rep.Violations)
-				if telemetry.TracingOn() {
-					for _, v := range rep.Violations {
-						var pg uint64
-						if _, serr := fmt.Sscanf(pageNumIn(v.String()), "%d", &pg); serr == nil {
-							msg += fmt.Sprintf("\n  page %d trace: %v", pg, pageTraceOf(nvm.PageID(pg)))
-						}
+				for _, v := range rep.Violations {
+					var pg uint64
+					if _, serr := fmt.Sscanf(pageNumIn(v.String()), "%d", &pg); serr == nil {
+						msg += fmt.Sprintf("\n  page %d trace: %v", pg, pageTraceOf(nvm.PageID(pg)))
 					}
 				}
 				telemetry.Emit(0, "verify.failure", "controller", int64(fs.ino), msg)
-				if DebugVerifyFailure != nil {
-					DebugVerifyFailure(msg)
-				}
 			}
 			bad++
 			if firstProblem == "" {

@@ -4,6 +4,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"trio/internal/core"
+	"trio/internal/telemetry"
 )
 
 // TestStatsSnapshotConcurrent hammers the stats counters from many
@@ -201,14 +204,48 @@ func TestStatsPerShardTelemetryNames(t *testing.T) {
 	}
 }
 
-// TestPageTracingFoldsIntoTelemetry: the DebugPageTracing switch is an
-// alias over telemetry tracing — page accounting transitions become
-// filterable "page" trace events instead of a bespoke in-controller log.
+// TestPageTracingFoldsIntoTelemetry: arming telemetry tracing is the
+// one switch — page accounting transitions become filterable "page"
+// trace events and failed verifications "verify.failure" events,
+// instead of a bespoke in-controller log and a callback hook.
 func TestPageTracingFoldsIntoTelemetry(t *testing.T) {
 	c := &Controller{stats: newStats(4)}
 	// Without tracing armed, tracePage is a no-op.
 	c.tracePage(7, "grant ls=%d", 1)
 	if got := pageTraceOf(7); len(got) != 0 {
 		t.Fatalf("trace recorded while disarmed: %v", got)
+	}
+
+	telemetry.EnableTracing(4096)
+	defer telemetry.DisableTracing()
+	c.tracePage(7, "grant ls=%d", 1)
+	if got := pageTraceOf(7); len(got) != 1 || got[0] != "grant ls=1" {
+		t.Fatalf("page trace = %v, want one %q event", got, "grant ls=1")
+	}
+
+	// A verification that fails (index chain pointed at a reserved page,
+	// caught at unmap) lands in the same ring, keyed by ino.
+	ctl, _ := newCtl(t, smallCfg())
+	a := ctl.Register(1000, 1000, 0, 0)
+	ino, loc := mkFile(t, a, "victim", []byte("data"))
+	a.UnmapFile(core.RootIno)
+	info, err := a.MapFile(ino, loc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.SetIndexEntry(a.AddressSpace(), info.Inode.Head, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.UnmapFile(ino); err != nil {
+		t.Fatalf("unmap: %v", err)
+	}
+	found := false
+	for _, rec := range telemetry.TraceSnapshot() {
+		if rec.Name == "verify.failure" && rec.Layer == "controller" && rec.Arg == int64(ino) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("failed verification emitted no verify.failure trace event")
 	}
 }

@@ -1,25 +1,21 @@
-// The wire client: a pipelined connection multiplexer plus an
-// fsapi.Client adapter over it.
+// The fsapi adapter over the wire client.
 //
-// Conn is the transport half: every typed call allocates an xid,
-// registers a completion slot, writes one frame, and parks until the
-// demux goroutine delivers the matching reply — so ANY number of
-// goroutines naturally share one connection with many requests in
-// flight, which is how the load generator drives pipelining depth.
+// Session (session.go) is the one implementation of the client side of
+// the protocol; Client/wireFile put fsapi's path-and-file surface on
+// it: path-addressed calls walk the path one LOOKUP per component from
+// the root handle, and File methods map straight onto handle-addressed
+// READ/WRITE/APPEND. This adapter is what the loopback conformance run
+// pushes through internal/fstest — so the suite that proves the wire
+// preserves in-process semantics runs over the client that reconnects
+// and retransmits, not over a simpler sibling of it.
 //
-// Client/wireFile are the fsapi half: path-addressed calls walk the
-// path one LOOKUP per component from the root handle, and File methods
-// map straight onto handle-addressed READ/WRITE/APPEND. This adapter is
-// what the loopback conformance run pushes through internal/fstest to
-// prove the wire preserves in-process semantics.
+// fsapi calls carry no context, so every RPC here passes
+// context.Background(): the session's CallTimeout bounds it.
 package serve
 
 import (
-	"crypto/rand"
-	"encoding/binary"
-	"errors"
+	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"trio/internal/fsapi"
@@ -29,280 +25,23 @@ import (
 // every frame under MaxFrame with headroom for headers.
 const maxIO = 1 << 20
 
-// Conn is one pipelined client connection.
-type Conn struct {
-	rw       io.ReadWriteCloser
-	clientID uint64
-
-	root     fsapi.Handle
-	rootAttr Attr
-
-	wmu sync.Mutex // serializes frame writes
-
-	mu      sync.Mutex
-	nextXid uint32
-	pending map[uint32]chan reply
-	broken  error // demux exit reason; fails all future calls
-
-	closer sync.Once
-}
-
-type reply struct {
-	status Status
-	body   []byte // copied out of the demux read buffer
-}
-
-// Dial performs the HELLO handshake over rw and starts the demux.
-// clientID must be non-zero and stable across reconnects of the same
-// logical client (it keys the server's duplicate-request cache).
-func Dial(rw io.ReadWriteCloser, clientID uint64) (*Conn, error) {
-	if clientID == 0 {
-		return nil, fmt.Errorf("%w: zero client id", fsapi.ErrInval)
-	}
-	c := &Conn{rw: rw, clientID: clientID, pending: make(map[uint32]chan reply)}
-	// Seed the xid space randomly. The server's duplicate-request cache
-	// is keyed (clientID, xid) and outlives connections, so restarting
-	// at 0 on every Dial would collide a reconnect's new requests with
-	// the previous connection's cached replies. The DRC fingerprints
-	// requests so a collision degrades to a cache miss, never a wrong
-	// replay — the seed keeps collisions rare, the fingerprint keeps
-	// them harmless.
-	var seed [4]byte
-	if _, err := rand.Read(seed[:]); err == nil {
-		c.nextXid = binary.LittleEndian.Uint32(seed[:])
-	}
-	go c.demux()
-	rep, err := c.call(ProcHello, encHello(clientID))
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	d := NewDec(rep.body)
-	c.root = d.Handle()
-	c.rootAttr = d.Attr()
-	if d.Err() != nil {
-		c.Close()
-		return nil, d.Err()
-	}
-	return c, nil
-}
-
-// Root reports the root handle from the handshake.
-func (c *Conn) Root() fsapi.Handle { return c.root }
-
-// Close tears the connection down; in-flight calls fail.
-func (c *Conn) Close() error {
-	c.closer.Do(func() { c.rw.Close() })
-	return nil
-}
-
-// demux reads reply frames and completes the matching pending calls,
-// in whatever order the server finished them.
-func (c *Conn) demux() {
-	var buf []byte
-	var exit error
-	for {
-		fr, nbuf, err := ReadFrame(c.rw, buf)
-		buf = nbuf
-		if err != nil {
-			exit = err
-			break
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[fr.Xid]
-		delete(c.pending, fr.Xid)
-		c.mu.Unlock()
-		if !ok {
-			continue // late reply for an abandoned call
-		}
-		ch <- reply{status: Status(fr.Op), body: append([]byte(nil), fr.Body...)}
-	}
-	if exit == nil || errors.Is(exit, io.EOF) {
-		exit = fmt.Errorf("%w: connection closed", fsapi.ErrIO)
-	}
-	c.mu.Lock()
-	c.broken = exit
-	for xid, ch := range c.pending {
-		delete(c.pending, xid)
-		close(ch)
-	}
-	c.mu.Unlock()
-}
-
-// call sends one frame and waits for its reply. A non-OK status comes
-// back as the canonical fsapi error.
-func (c *Conn) call(proc Proc, body []byte) (reply, error) {
-	ch := make(chan reply, 1)
-	c.mu.Lock()
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
-		return reply{}, err
-	}
-	c.nextXid++
-	xid := c.nextXid
-	c.pending[xid] = ch
-	c.mu.Unlock()
-
-	frame := getBuf()
-	frame = BeginFrame(frame, xid, uint8(proc))
-	frame = append(frame, body...)
-	frame = EndFrame(frame, 0)
-	c.wmu.Lock()
-	_, werr := c.rw.Write(frame)
-	c.wmu.Unlock()
-	putBuf(frame)
-	if werr != nil {
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
-		return reply{}, fmt.Errorf("%w: %v", fsapi.ErrIO, werr)
-	}
-
-	rep, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.broken
-		c.mu.Unlock()
-		return reply{}, err
-	}
-	if rep.status != StatusOK {
-		return reply{}, rep.status.Err()
-	}
-	return rep, nil
-}
-
-// ---------------------------------------------------------------------
-// typed RPCs
-// ---------------------------------------------------------------------
-
-// Getattr stats a handle.
-func (c *Conn) Getattr(h fsapi.Handle) (Attr, error) {
-	rep, err := c.call(ProcGetattr, encHandle(h))
-	if err != nil {
-		return Attr{}, err
-	}
-	return decAttr(rep)
-}
-
-// Lookup resolves name under dir.
-func (c *Conn) Lookup(dir fsapi.Handle, name string) (fsapi.Handle, Attr, error) {
-	rep, err := c.call(ProcLookup, encLookup(dir, name))
-	if err != nil {
-		return fsapi.Handle{}, Attr{}, err
-	}
-	return decHandleAttr(rep)
-}
-
-// Read reads up to n bytes at off into p (len(p) ≥ n).
-func (c *Conn) Read(h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := c.call(ProcRead, encRead(h, off, len(p)))
-	if err != nil {
-		return 0, err
-	}
-	return decReadInto(rep, p)
-}
-
-// Write writes p at off.
-func (c *Conn) Write(h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := c.call(ProcWrite, encWrite(h, off, p))
-	if err != nil {
-		return 0, err
-	}
-	return decWrote(rep)
-}
-
-// Append appends p, returning the offset it landed at.
-func (c *Conn) Append(h fsapi.Handle, p []byte) (int64, error) {
-	rep, err := c.call(ProcAppend, encAppend(h, p))
-	if err != nil {
-		return 0, err
-	}
-	return decAppendedAt(rep)
-}
-
-// Create creates (or truncates) name under dir.
-func (c *Conn) Create(dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	return c.makeNode(ProcCreate, dir, name, mode)
-}
-
-// Mkdir creates a directory under dir.
-func (c *Conn) Mkdir(dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	return c.makeNode(ProcMkdir, dir, name, mode)
-}
-
-func (c *Conn) makeNode(p Proc, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := c.call(p, encMakeNode(dir, mode, name))
-	if err != nil {
-		return fsapi.Handle{}, Attr{}, err
-	}
-	return decHandleAttr(rep)
-}
-
-// Remove unlinks a file name under dir.
-func (c *Conn) Remove(dir fsapi.Handle, name string) error {
-	return c.removeNode(ProcRemove, dir, name)
-}
-
-// Rmdir removes an empty directory name under dir.
-func (c *Conn) Rmdir(dir fsapi.Handle, name string) error {
-	return c.removeNode(ProcRmdir, dir, name)
-}
-
-func (c *Conn) removeNode(p Proc, dir fsapi.Handle, name string) error {
-	_, err := c.call(p, encRemoveNode(dir, name))
-	return err
-}
-
-// Rename moves fromName under fromDir to toName under toDir.
-func (c *Conn) Rename(fromDir fsapi.Handle, fromName string, toDir fsapi.Handle, toName string) error {
-	_, err := c.call(ProcRename, encRename(fromDir, toDir, fromName, toName))
-	return err
-}
-
-// Readdir lists the names under a directory handle, following the
-// server's continuation cookie until the listing completes — each page
-// is one bounded reply frame, so arbitrarily large directories list
-// without ever exceeding MaxFrame.
-func (c *Conn) Readdir(h fsapi.Handle) ([]string, error) {
-	return readdirPages(h, func(body []byte) (reply, error) {
-		return c.call(ProcReaddir, body)
-	})
-}
-
-// Setattr truncates the file a handle names.
-func (c *Conn) Setattr(h fsapi.Handle, size int64) error {
-	_, err := c.call(ProcSetattr, encSetattr(h, size))
-	return err
-}
-
-// Commit syncs the file a handle names.
-func (c *Conn) Commit(h fsapi.Handle) error {
-	_, err := c.call(ProcCommit, encHandle(h))
-	return err
-}
-
-// ---------------------------------------------------------------------
-// fsapi adapter
-// ---------------------------------------------------------------------
-
-// Client adapts a Conn to fsapi.Client: path calls walk component by
+// Client adapts a Session to fsapi.Client: path calls walk component by
 // component from the root handle, exactly the walk an NFS client's
 // lookup cache would amortize.
 type Client struct {
-	conn *Conn
+	sess *Session
 }
 
-// NewClient returns an fsapi.Client over conn.
-func NewClient(conn *Conn) *Client { return &Client{conn: conn} }
+// NewClient returns an fsapi.Client over sess.
+func NewClient(sess *Session) *Client { return &Client{sess: sess} }
 
 var _ fsapi.Client = (*Client)(nil)
 
 // walk resolves dir components from the root.
 func (c *Client) walk(parts []string) (fsapi.Handle, error) {
-	h := c.conn.root
+	h := c.sess.Root()
 	for _, p := range parts {
-		nh, _, err := c.conn.Lookup(h, p)
+		nh, _, err := c.sess.Lookup(context.Background(), h, p)
 		if err != nil {
 			return fsapi.Handle{}, err
 		}
@@ -326,84 +65,76 @@ func splitForWire(path string) (dir []string, name string, err error) {
 	return parts[:len(parts)-1], parts[len(parts)-1], nil
 }
 
-// Create implements fsapi.Client.
-func (c *Client) Create(path string, mode uint16) (fsapi.File, error) {
+// parent vets path and resolves its directory: the handle the final
+// component is looked up, made or removed under.
+func (c *Client) parent(path string) (fsapi.Handle, string, error) {
 	dir, name, err := splitForWire(path)
 	if err != nil {
-		return nil, err
+		return fsapi.Handle{}, "", err
 	}
 	dh, err := c.walk(dir)
+	return dh, name, err
+}
+
+// Create implements fsapi.Client.
+func (c *Client) Create(path string, mode uint16) (fsapi.File, error) {
+	dh, name, err := c.parent(path)
 	if err != nil {
 		return nil, err
 	}
-	h, a, err := c.conn.Create(dh, name, mode)
+	h, a, err := c.sess.Create(context.Background(), dh, name, mode)
 	if err != nil {
 		return nil, err
 	}
-	return &wireFile{conn: c.conn, h: h, size: a.Size, writable: true}, nil
+	return &wireFile{sess: c.sess, h: h, size: a.Size, writable: true}, nil
 }
 
 // Open implements fsapi.Client.
 func (c *Client) Open(path string, write bool) (fsapi.File, error) {
-	dir, name, err := splitForWire(path)
+	dh, name, err := c.parent(path)
 	if err != nil {
 		return nil, err
 	}
-	dh, err := c.walk(dir)
-	if err != nil {
-		return nil, err
-	}
-	h, a, err := c.conn.Lookup(dh, name)
+	h, a, err := c.sess.Lookup(context.Background(), dh, name)
 	if err != nil {
 		return nil, err
 	}
 	if a.IsDir {
 		return nil, fsapi.ErrIsDir
 	}
-	return &wireFile{conn: c.conn, h: h, size: a.Size, writable: write}, nil
+	return &wireFile{sess: c.sess, h: h, size: a.Size, writable: write}, nil
 }
 
 // Mkdir implements fsapi.Client.
 func (c *Client) Mkdir(path string, mode uint16) error {
-	dir, name, err := splitForWire(path)
+	dh, name, err := c.parent(path)
 	if err != nil {
 		return err
 	}
-	dh, err := c.walk(dir)
-	if err != nil {
-		return err
-	}
-	_, _, err = c.conn.Mkdir(dh, name, mode)
+	_, _, err = c.sess.Mkdir(context.Background(), dh, name, mode)
 	return err
 }
 
 // Unlink implements fsapi.Client.
 func (c *Client) Unlink(path string) error {
-	dir, name, err := splitForWire(path)
+	dh, name, err := c.parent(path)
 	if err != nil {
 		return err
 	}
-	dh, err := c.walk(dir)
-	if err != nil {
-		return err
-	}
-	return c.conn.Remove(dh, name)
+	return c.sess.Remove(context.Background(), dh, name)
 }
 
 // Rmdir implements fsapi.Client.
 func (c *Client) Rmdir(path string) error {
-	dir, name, err := splitForWire(path)
+	dh, name, err := c.parent(path)
 	if err != nil {
 		return err
 	}
-	dh, err := c.walk(dir)
-	if err != nil {
-		return err
-	}
-	return c.conn.Rmdir(dh, name)
+	return c.sess.Rmdir(context.Background(), dh, name)
 }
 
-// Rename implements fsapi.Client.
+// Rename implements fsapi.Client. Both paths are vetted before either
+// is walked, so a hostile destination costs no RPC.
 func (c *Client) Rename(oldPath, newPath string) error {
 	fromDir, fromName, err := splitForWire(oldPath)
 	if err != nil {
@@ -421,26 +152,20 @@ func (c *Client) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	return c.conn.Rename(fh, fromName, th, toName)
+	return c.sess.Rename(context.Background(), fh, fromName, th, toName)
 }
 
-// Stat implements fsapi.Client.
+// Stat implements fsapi.Client. The root answers from the handshake.
 func (c *Client) Stat(path string) (fsapi.FileInfo, error) {
-	parts := fsapi.SplitPath(path)
-	if len(parts) == 0 {
-		return c.conn.rootAttr.Info("/", c.conn.root), nil
+	if len(fsapi.SplitPath(path)) == 0 {
+		root, attr := c.sess.rootInfo()
+		return attr.Info("/", root), nil
 	}
-	for _, p := range parts {
-		if err := CheckName([]byte(p)); err != nil {
-			return fsapi.FileInfo{}, err
-		}
-	}
-	dh, err := c.walk(parts[:len(parts)-1])
+	dh, name, err := c.parent(path)
 	if err != nil {
 		return fsapi.FileInfo{}, err
 	}
-	name := parts[len(parts)-1]
-	h, a, err := c.conn.Lookup(dh, name)
+	h, a, err := c.sess.Lookup(context.Background(), dh, name)
 	if err != nil {
 		return fsapi.FileInfo{}, err
 	}
@@ -459,14 +184,14 @@ func (c *Client) ReadDir(path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.conn.Readdir(h)
+	return c.sess.Readdir(context.Background(), h)
 }
 
 // wireFile is an fsapi.File over a handle. The server keeps no open
 // state for it: every method is a stateless handle-addressed RPC, and
 // Close is purely local.
 type wireFile struct {
-	conn     *Conn
+	sess     *Session
 	h        fsapi.Handle
 	writable bool
 
@@ -492,7 +217,7 @@ func (f *wireFile) ReadAt(b []byte, off int64) (int, error) {
 		if n > maxIO {
 			n = maxIO
 		}
-		cnt, err := f.conn.Read(f.h, off+int64(total), b[total:total+n])
+		cnt, err := f.sess.Read(context.Background(), f.h, off+int64(total), b[total:total+n])
 		if err != nil {
 			return total, err
 		}
@@ -515,7 +240,7 @@ func (f *wireFile) WriteAt(b []byte, off int64) (int, error) {
 		if n > maxIO {
 			n = maxIO
 		}
-		cnt, err := f.conn.Write(f.h, off+int64(total), b[total:total+n])
+		cnt, err := f.sess.Write(context.Background(), f.h, off+int64(total), b[total:total+n])
 		total += cnt
 		if err != nil {
 			return total, err
@@ -537,7 +262,7 @@ func (f *wireFile) Append(b []byte) (int64, error) {
 	if len(b) > maxIO {
 		return 0, fmt.Errorf("%w: append larger than %d", fsapi.ErrInval, maxIO)
 	}
-	at, err := f.conn.Append(f.h, b)
+	at, err := f.sess.Append(context.Background(), f.h, b)
 	if err != nil {
 		return 0, err
 	}
@@ -550,7 +275,7 @@ func (f *wireFile) Truncate(size int64) error {
 	if !f.writable {
 		return fsapi.ErrPerm
 	}
-	if err := f.conn.Setattr(f.h, size); err != nil {
+	if err := f.sess.Setattr(context.Background(), f.h, size); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -563,7 +288,7 @@ func (f *wireFile) Truncate(size int64) error {
 // (another client may have grown the file), so ask; fall back to the
 // local shadow only if the wire fails (Size has no error to return).
 func (f *wireFile) Size() int64 {
-	if a, err := f.conn.Getattr(f.h); err == nil {
+	if a, err := f.sess.Getattr(context.Background(), f.h); err == nil {
 		f.mu.Lock()
 		f.size = a.Size
 		f.mu.Unlock()
@@ -579,7 +304,7 @@ func (f *wireFile) Sync() error {
 	if !f.writable {
 		return nil
 	}
-	return f.conn.Commit(f.h)
+	return f.sess.Commit(context.Background(), f.h)
 }
 
 // Close implements fsapi.File. Stateless protocol: nothing to release

@@ -4,6 +4,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -121,18 +122,18 @@ func TestReaddirPagination(t *testing.T) {
 
 	lb := mountLoopback(t, "arckfs", Options{})
 	defer lb.Close()
-	conn := lb.conn
+	conn, ctx := lb.sess, context.Background()
 
 	const entries = 40
 	want := make(map[string]bool, entries)
 	for i := 0; i < entries; i++ {
 		name := fmt.Sprintf("entry-%02d", i)
-		if _, _, err := conn.Create(conn.Root(), name, 0o644); err != nil {
+		if _, _, err := conn.Create(ctx, conn.Root(), name, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		want[name] = true
 	}
-	names, err := conn.Readdir(conn.Root())
+	names, err := conn.Readdir(ctx, conn.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +156,14 @@ func TestHandleTabBounded(t *testing.T) {
 	const cap = 8
 	lb := mountLoopback(t, "nova", Options{HandleCap: cap})
 	defer lb.Close()
-	conn := lb.conn
+	conn, ctx := lb.sess, context.Background()
 
-	first, _, err := conn.Create(conn.Root(), "first", 0o644)
+	first, _, err := conn.Create(ctx, conn.Root(), "first", 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4*cap; i++ {
-		if _, _, err := conn.Create(conn.Root(), fmt.Sprintf("churn-%02d", i), 0o644); err != nil {
+		if _, _, err := conn.Create(ctx, conn.Root(), fmt.Sprintf("churn-%02d", i), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,15 +175,15 @@ func TestHandleTabBounded(t *testing.T) {
 	if n > cap {
 		t.Fatalf("table holds %d entries, cap %d", n, cap)
 	}
-	if _, err := conn.Getattr(first); !errors.Is(err, fsapi.ErrStale) {
+	if _, err := conn.Getattr(ctx, first); !errors.Is(err, fsapi.ErrStale) {
 		t.Fatalf("evicted handle: %v, want ErrStale", err)
 	}
 	// The pinned root survived the churn.
-	if _, err := conn.Readdir(conn.Root()); err != nil {
+	if _, err := conn.Readdir(ctx, conn.Root()); err != nil {
 		t.Fatalf("root after churn: %v", err)
 	}
 	// And a re-LOOKUP recovers the evicted file, as NFS clients do.
-	if _, _, err := conn.Lookup(conn.Root(), "first"); err != nil {
+	if _, _, err := conn.Lookup(ctx, conn.Root(), "first"); err != nil {
 		t.Fatalf("re-lookup after eviction: %v", err)
 	}
 }
@@ -195,46 +196,46 @@ func TestRenameDirKeepsDescendants(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			lb := mountLoopback(t, name, Options{})
 			defer lb.Close()
-			conn := lb.conn
+			conn, ctx := lb.sess, context.Background()
 
-			dirH, _, err := conn.Mkdir(conn.Root(), "olddir", 0o755)
+			dirH, _, err := conn.Mkdir(ctx, conn.Root(), "olddir", 0o755)
 			if err != nil {
 				t.Fatal(err)
 			}
-			subH, _, err := conn.Mkdir(dirH, "sub", 0o755)
+			subH, _, err := conn.Mkdir(ctx, dirH, "sub", 0o755)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fileH, _, err := conn.Create(subH, "f", 0o644)
+			fileH, _, err := conn.Create(ctx, subH, "f", 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := conn.Write(fileH, 0, []byte("deep")); err != nil {
+			if _, err := conn.Write(ctx, fileH, 0, []byte("deep")); err != nil {
 				t.Fatal(err)
 			}
 
-			if err := conn.Rename(conn.Root(), "olddir", conn.Root(), "newdir"); err != nil {
+			if err := conn.Rename(ctx, conn.Root(), "olddir", conn.Root(), "newdir"); err != nil {
 				t.Fatal(err)
 			}
 
 			// Descendant directory handle still serves namespace ops.
-			if _, _, err := conn.Lookup(subH, "f"); err != nil {
+			if _, _, err := conn.Lookup(ctx, subH, "f"); err != nil {
 				t.Fatalf("lookup through descendant dir handle: %v", err)
 			}
-			names, err := conn.Readdir(dirH)
+			names, err := conn.Readdir(ctx, dirH)
 			if err != nil || len(names) != 1 || names[0] != "sub" {
 				t.Fatalf("readdir renamed dir handle: %v %v", names, err)
 			}
 			// Descendant file handle still reads.
 			got := make([]byte, 4)
-			if _, err := conn.Read(fileH, 0, got); err != nil {
+			if _, err := conn.Read(ctx, fileH, 0, got); err != nil {
 				t.Fatalf("read through descendant file handle: %v", err)
 			}
 			if string(got) != "deep" {
 				t.Fatalf("content %q, want %q", got, "deep")
 			}
 			// And new entries still land under the descendant handle.
-			if _, _, err := conn.Create(subH, "g", 0o644); err != nil {
+			if _, _, err := conn.Create(ctx, subH, "g", 0o644); err != nil {
 				t.Fatalf("create under descendant dir handle: %v", err)
 			}
 		})

@@ -250,13 +250,27 @@ func NewDuplexOpts(o DuplexOptions) (a, b io.ReadWriteCloser) {
 // few data frames.
 const loopbackBuf = 1 << 20
 
-// Loopback opens one extra in-process connection to the server,
-// returning the dialed client end. Used by the load generator to run
-// many client connections against one in-process server.
-func (s *Server) Loopback(clientID uint64) (*Conn, error) {
-	a, b := NewDuplex(loopbackBuf)
-	go s.ServeConn(a)
-	return Dial(b, clientID)
+// Loopback opens one more in-process client of the server. Every
+// transport its session dials is a fresh NewDuplex served by ServeConn,
+// so a killed connection heals like any other; what it must not do is
+// back off 64 times against a server that is gone — so the budget is
+// one attempt, and the redial refuses outright once the server is
+// closed or draining: calls then fail with an ErrIO-wrapped error at
+// once. Used by the load generators to run many clients against one
+// in-process server.
+func (s *Server) Loopback(clientID uint64) (*Session, error) {
+	redial := func() (io.ReadWriteCloser, error) {
+		s.mu.Lock()
+		down := s.closed || s.draining.Load()
+		s.mu.Unlock()
+		if down {
+			return nil, errServerClosed
+		}
+		a, b := NewDuplex(loopbackBuf)
+		go s.ServeConn(a)
+		return b, nil
+	}
+	return NewSession(redial, SessionOptions{ClientID: clientID, RedialBudget: 1})
 }
 
 // LoopbackFS mounts inner behind an in-process server and presents the
@@ -265,48 +279,43 @@ func (s *Server) Loopback(clientID uint64) (*Conn, error) {
 type LoopbackFS struct {
 	inner fsapi.FS
 	srv   *Server
-	conn  *Conn
-	done  chan struct{}
+	sess  *Session
 }
 
 var _ fsapi.FS = (*LoopbackFS)(nil)
 
 // NewLoopbackFS wraps inner. The wrapper owns inner: Close tears down
-// the connection, the server, and then inner itself.
+// the session, the server, and then inner itself.
 func NewLoopbackFS(inner fsapi.FS, opts Options) (*LoopbackFS, error) {
 	srv, err := NewServer(inner, opts)
 	if err != nil {
 		return nil, err
 	}
-	a, b := NewDuplex(loopbackBuf)
-	done := make(chan struct{})
-	go func() {
-		srv.ServeConn(a)
-		close(done)
-	}()
-	conn, err := Dial(b, 1)
+	sess, err := srv.Loopback(1)
 	if err != nil {
 		srv.Close()
 		return nil, err
 	}
-	return &LoopbackFS{inner: inner, srv: srv, conn: conn, done: done}, nil
+	return &LoopbackFS{inner: inner, srv: srv, sess: sess}, nil
 }
 
 // Name implements fsapi.FS.
 func (l *LoopbackFS) Name() string { return l.inner.Name() + "+serve" }
 
 // NewClient implements fsapi.FS. Every client shares the one pipelined
-// connection — concurrent clients are exactly what exercises the
+// session — concurrent clients are exactly what exercises the
 // out-of-order completion path.
-func (l *LoopbackFS) NewClient(cpu int) fsapi.Client { return NewClient(l.conn) }
+func (l *LoopbackFS) NewClient(cpu int) fsapi.Client { return NewClient(l.sess) }
 
-// Server exposes the in-process server (for extra Loopback conns).
+// Server exposes the in-process server (for extra Loopback sessions).
 func (l *LoopbackFS) Server() *Server { return l.srv }
 
-// Close implements fsapi.FS.
+// Close implements fsapi.FS. inner is closed only after every
+// connection the session ever dialed has finished serving: a worker's
+// exit closes its cached files, which must not outlive the FS.
 func (l *LoopbackFS) Close() error {
-	l.conn.Close()
-	<-l.done
+	l.sess.Close()
 	l.srv.Close()
+	l.srv.connWG.Wait()
 	return l.inner.Close()
 }

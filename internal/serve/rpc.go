@@ -1,15 +1,11 @@
-// Typed-RPC encode/decode helpers shared by the two client flavors:
-// Conn (one transport, fails on disconnect) and Session (persistent,
-// reconnecting). Keeping the wire shapes here means a retransmitted
-// Session request is byte-identical to the original — which is exactly
-// what the server's duplicate-request cache fingerprints.
+// Request and reply body shapes of the typed RPCs, one helper per shape.
+// Every enc* helper returns a slice it allocated for that one request;
+// Session.call keeps it as the retransmit unit, so a retransmission is
+// byte-identical to the original — which is exactly what the server's
+// duplicate-request cache fingerprints.
 package serve
 
-import (
-	"fmt"
-
-	"trio/internal/fsapi"
-)
+import "trio/internal/fsapi"
 
 // ---------------------------------------------------------------------
 // request bodies
@@ -122,31 +118,14 @@ func decAppendedAt(rep reply) (int64, error) {
 	return at, d.Err()
 }
 
-// readdirPages follows the server's continuation cookie until the
-// listing completes; page issues one READDIR for the given cookie.
-func readdirPages(h fsapi.Handle, page func(body []byte) (reply, error)) ([]string, error) {
-	var names []string
-	cookie := uint32(0)
-	for {
-		rep, err := page(encReaddir(h, cookie))
-		if err != nil {
-			return nil, err
-		}
-		d := NewDec(rep.body)
-		n := int(d.U32())
-		for i := 0; i < n && d.Err() == nil; i++ {
-			names = append(names, string(d.Name()))
-		}
-		next := d.U32()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if next == 0 {
-			return names, nil
-		}
-		if next <= cookie {
-			return nil, fmt.Errorf("%w: readdir cookie did not advance", fsapi.ErrIO)
-		}
-		cookie = next
+// decDirPage appends one READDIR page's names to names and returns the
+// continuation cookie (0 = listing complete).
+func decDirPage(rep reply, names []string) ([]string, uint32, error) {
+	d := NewDec(rep.body)
+	n := int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		names = append(names, string(d.Name()))
 	}
+	next := d.U32()
+	return names, next, d.Err()
 }

@@ -2,25 +2,37 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"trio/internal/fsapi"
 	"trio/internal/fsfactory"
 	"trio/internal/fstest"
+	"trio/internal/netsim"
 )
 
-// mountLoopback builds a fresh FS of the named flavor behind an
-// in-process wire server.
-func mountLoopback(t testing.TB, name string, opts Options) *LoopbackFS {
+// newInner builds a fresh FS of the named flavor to put behind a wire
+// server.
+func newInner(t testing.TB, name string) fsapi.FS {
 	t.Helper()
 	inst, err := fsfactory.New(name, fsfactory.Config{Nodes: 2, PagesPerNode: 8192, CPUs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return inst
+}
+
+// mountLoopback builds a fresh FS of the named flavor behind an
+// in-process wire server.
+func mountLoopback(t testing.TB, name string, opts Options) *LoopbackFS {
+	t.Helper()
+	inst := newInner(t, name)
 	lb, err := NewLoopbackFS(inst, opts)
 	if err != nil {
 		inst.Close()
@@ -29,18 +41,126 @@ func mountLoopback(t testing.TB, name string, opts Options) *LoopbackFS {
 	return lb
 }
 
+// faultedFS is a LoopbackFS whose session dials a hostile wire: every
+// transport is chunked at arbitrary byte boundaries, jittered, and
+// killed mid-conversation on a seeded schedule, the kill truncating
+// whatever frame is in flight. The default redial budget (not
+// Loopback's fail-fast one) lets the session ride the storm out. Close
+// adds the mount's reconnect count to a tally, so the suite can prove
+// the faults fired.
+type faultedFS struct {
+	*LoopbackFS
+	reconnects *atomic.Int64
+}
+
+func (f faultedFS) Close() error {
+	f.reconnects.Add(f.sess.Stats().Reconnects)
+	return f.LoopbackFS.Close()
+}
+
+func mountFaulted(t testing.TB, name string, reconnects *atomic.Int64) fsapi.FS {
+	t.Helper()
+	inst := newInner(t, name)
+	srv, err := NewServer(inst, Options{})
+	if err != nil {
+		inst.Close()
+		t.Fatal(err)
+	}
+	// One seed per transport: a failing run replays from the mount's
+	// dial sequence. MaxChunk and KillAfterOps are sized so the suite's
+	// largest frame (64 KiB, ~32 chunks each way) fits inside one
+	// transport's life — a frame that cannot fit would never complete.
+	var seed atomic.Int64
+	redial := func() (io.ReadWriteCloser, error) {
+		a, b := NewDuplex(loopbackBuf)
+		go srv.ServeConn(a)
+		return netsim.Wrap(b, &netsim.Plan{
+			Seed:           seed.Add(1),
+			MaxChunk:       4096,
+			Jitter:         20 * time.Microsecond,
+			KillAfterOps:   150,
+			TruncateOnKill: true,
+		}), nil
+	}
+	sess, err := NewSession(redial, SessionOptions{
+		ClientID:    1,
+		CallTimeout: 10 * time.Second,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  10 * time.Millisecond,
+	})
+	if err != nil {
+		srv.Close()
+		inst.Close()
+		t.Fatal(err)
+	}
+	return faultedFS{&LoopbackFS{inner: inst, srv: srv, sess: sess}, reconnects}
+}
+
 // TestLoopbackConformance runs the full fstest suite through the wire:
-// client adapter → codec → pipelined server → fsapi. ArckFS exercises
-// the native HandleClient path, NOVA the path-walk fallback. This is
-// the acceptance criterion's "loopback conformance passes race-clean".
+// client adapter → Session → codec → pipelined server → fsapi. ArckFS
+// exercises the native HandleClient path, NOVA the path-walk fallback.
+// The faulted transport runs the same suite while connections die
+// under it: in-process semantics must survive reconnect and same-xid
+// retransmission, not just a perfect pipe.
 func TestLoopbackConformance(t *testing.T) {
-	for _, name := range []string{"arckfs", "nova"} {
-		name := name
+	for _, tc := range []struct {
+		fs      string
+		faulted bool
+	}{
+		{"arckfs", false},
+		{"nova", false},
+		{"arckfs", true},
+	} {
+		tc := tc
+		name := tc.fs + "/clean"
+		if tc.faulted {
+			name = tc.fs + "/faulted"
+		}
 		t.Run(name, func(t *testing.T) {
+			var reconnects atomic.Int64
 			fstest.Run(t, func(t *testing.T) fsapi.FS {
-				return mountLoopback(t, name, Options{})
+				if tc.faulted {
+					return mountFaulted(t, tc.fs, &reconnects)
+				}
+				return mountLoopback(t, tc.fs, Options{})
 			})
+			if tc.faulted && reconnects.Load() == 0 {
+				t.Fatal("no session reconnected: the fault plan never fired, the run proved nothing")
+			}
 		})
+	}
+}
+
+// TestLoopbackFailsFast: a Server.Loopback session is the client with a
+// redial budget of one, so a server that is gone surfaces as ErrIO at
+// once — to raw RPCs and through the fsapi adapter — instead of after a
+// full backoff schedule.
+func TestLoopbackFailsFast(t *testing.T) {
+	lb := mountLoopback(t, "arckfs", Options{})
+	defer lb.Close()
+	sess, err := lb.Server().Loopback(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	if _, err := sess.Getattr(ctx, sess.Root()); err != nil {
+		t.Fatalf("getattr against a live server: %v", err)
+	}
+
+	lb.Server().Close()
+	start := time.Now()
+	if _, err := sess.Getattr(ctx, sess.Root()); !errors.Is(err, fsapi.ErrIO) {
+		t.Fatalf("getattr against a closed server = %v, want ErrIO", err)
+	}
+	if _, err := NewClient(sess).Stat("/x"); !errors.Is(err, fsapi.ErrIO) {
+		t.Fatalf("adapter stat against a closed server = %v, want ErrIO", err)
+	}
+	if _, err := lb.Server().Loopback(8); !errors.Is(err, fsapi.ErrIO) {
+		t.Fatalf("loopback to a closed server = %v, want ErrIO", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("a dead server took %v to surface", d)
 	}
 }
 
@@ -64,25 +184,25 @@ func TestStaleHandle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			lb := mountLoopback(t, name, Options{})
 			defer lb.Close()
-			conn := lb.conn
+			conn, ctx := lb.sess, context.Background()
 
-			if _, _, err := conn.Create(conn.Root(), "victim", 0o644); err != nil {
+			if _, _, err := conn.Create(ctx, conn.Root(), "victim", 0o644); err != nil {
 				t.Fatal(err)
 			}
-			h, _, err := conn.Lookup(conn.Root(), "victim")
+			h, _, err := conn.Lookup(ctx, conn.Root(), "victim")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := conn.Getattr(h); err != nil {
+			if _, err := conn.Getattr(ctx, h); err != nil {
 				t.Fatalf("getattr live handle: %v", err)
 			}
-			if err := conn.Remove(conn.Root(), "victim"); err != nil {
+			if err := conn.Remove(ctx, conn.Root(), "victim"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := conn.Getattr(h); !errors.Is(err, fsapi.ErrStale) {
+			if _, err := conn.Getattr(ctx, h); !errors.Is(err, fsapi.ErrStale) {
 				t.Fatalf("getattr after unlink = %v, want ErrStale", err)
 			}
-			if _, err := conn.Read(h, 0, make([]byte, 16)); !errors.Is(err, fsapi.ErrStale) {
+			if _, err := conn.Read(ctx, h, 0, make([]byte, 16)); !errors.Is(err, fsapi.ErrStale) {
 				t.Fatalf("read after unlink = %v, want ErrStale", err)
 			}
 		})
@@ -96,20 +216,20 @@ func TestRenameKeepsHandle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			lb := mountLoopback(t, name, Options{})
 			defer lb.Close()
-			conn := lb.conn
+			conn, ctx := lb.sess, context.Background()
 
-			h, _, err := conn.Create(conn.Root(), "before", 0o644)
+			h, _, err := conn.Create(ctx, conn.Root(), "before", 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := conn.Write(h, 0, []byte("payload")); err != nil {
+			if _, err := conn.Write(ctx, h, 0, []byte("payload")); err != nil {
 				t.Fatal(err)
 			}
-			if err := conn.Rename(conn.Root(), "before", conn.Root(), "after"); err != nil {
+			if err := conn.Rename(ctx, conn.Root(), "before", conn.Root(), "after"); err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, 7)
-			if _, err := conn.Read(h, 0, got); err != nil {
+			if _, err := conn.Read(ctx, h, 0, got); err != nil {
 				t.Fatalf("read via pre-rename handle: %v", err)
 			}
 			if string(got) != "payload" {
@@ -124,20 +244,20 @@ func TestRenameKeepsHandle(t *testing.T) {
 func TestWireTraversalRejected(t *testing.T) {
 	lb := mountLoopback(t, "arckfs", Options{})
 	defer lb.Close()
-	conn := lb.conn
+	conn, ctx := lb.sess, context.Background()
 
 	for _, bad := range []string{"..", ".", "", "a/b", "x\x00y"} {
-		if _, _, err := conn.Lookup(conn.Root(), bad); !errors.Is(err, fsapi.ErrInval) {
+		if _, _, err := conn.Lookup(ctx, conn.Root(), bad); !errors.Is(err, fsapi.ErrInval) {
 			t.Errorf("lookup %q = %v, want ErrInval", bad, err)
 		}
-		if _, _, err := conn.Create(conn.Root(), bad, 0o644); !errors.Is(err, fsapi.ErrInval) {
+		if _, _, err := conn.Create(ctx, conn.Root(), bad, 0o644); !errors.Is(err, fsapi.ErrInval) {
 			t.Errorf("create %q = %v, want ErrInval", bad, err)
 		}
-		if err := conn.Remove(conn.Root(), bad); !errors.Is(err, fsapi.ErrInval) {
+		if err := conn.Remove(ctx, conn.Root(), bad); !errors.Is(err, fsapi.ErrInval) {
 			t.Errorf("remove %q = %v, want ErrInval", bad, err)
 		}
 	}
-	names, err := conn.Readdir(conn.Root())
+	names, err := conn.Readdir(ctx, conn.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +273,9 @@ func TestWireTraversalRejected(t *testing.T) {
 func TestPipelinedOutOfOrder(t *testing.T) {
 	lb := mountLoopback(t, "arckfs", Options{Workers: 4, MaxInflight: 16})
 	defer lb.Close()
-	conn := lb.conn
+	conn, ctx := lb.sess, context.Background()
 
-	h, _, err := conn.Create(conn.Root(), "shared", 0o644)
+	h, _, err := conn.Create(ctx, conn.Root(), "shared", 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +291,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 			pat := bytes.Repeat([]byte{byte('A' + g)}, 64)
 			for i := 0; i < stripes; i++ {
 				off := int64((g*stripes + i) * 64)
-				if _, err := conn.Write(h, off, pat); err != nil {
+				if _, err := conn.Write(ctx, h, off, pat); err != nil {
 					errs <- fmt.Errorf("write g%d: %w", g, err)
 					return
 				}
@@ -179,7 +299,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 			got := make([]byte, 64)
 			for i := 0; i < stripes; i++ {
 				off := int64((g*stripes + i) * 64)
-				if _, err := conn.Read(h, off, got); err != nil {
+				if _, err := conn.Read(ctx, h, off, got); err != nil {
 					errs <- fmt.Errorf("read g%d: %w", g, err)
 					return
 				}
@@ -195,14 +315,14 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if a, err := conn.Getattr(h); err != nil || a.Size != gs*stripes*64 {
+	if a, err := conn.Getattr(ctx, h); err != nil || a.Size != gs*stripes*64 {
 		t.Fatalf("final size %+v %v", a, err)
 	}
 }
 
 // ---------------------------------------------------------------------
-// raw-frame machinery for retry tests (a client that can resend the
-// same xid, which the typed Conn deliberately cannot)
+// raw-frame machinery for retry tests (a client that picks its own xids
+// and resends them at will, which Session never lets a caller do)
 // ---------------------------------------------------------------------
 
 type rawClient struct {

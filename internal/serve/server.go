@@ -125,7 +125,12 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[*srvConn]struct{}
 	closed bool
+	// connWG counts running ServeConn calls. Add happens under mu while
+	// !closed, so a Wait after Close sees every connection there was.
+	connWG sync.WaitGroup
 }
+
+var errServerClosed = errors.New("serve: server closed")
 
 // admit claims one slot of the server-wide in-flight budget; callers
 // that get false must shed the request with StatusBusy.
@@ -288,7 +293,7 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 	if s.closed || s.draining.Load() {
 		s.mu.Unlock()
 		rw.Close()
-		return errors.New("serve: server closed")
+		return errServerClosed
 	}
 	c := &srvConn{
 		srv:     s,
@@ -304,7 +309,9 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		c.wd, _ = rw.(interface{ SetWriteDeadline(time.Time) error })
 	}
 	s.conns[c] = struct{}{}
+	s.connWG.Add(1)
 	s.mu.Unlock()
+	defer s.connWG.Done()
 	mConns.Inc()
 	mConnsTotal.Inc()
 

@@ -1,10 +1,16 @@
-// Session: the reconnecting client (ISSUE 10).
+// Session: the wire client — the one implementation of the client side
+// of the protocol.
 //
-// Conn fails permanently when its transport dies. Session wraps the
-// same pipelined call machinery around a redial function and survives:
-// when the transport breaks it redials with capped exponential backoff
-// plus jitter, re-runs the HELLO handshake, and retransmits every
-// in-flight request with its ORIGINAL xid. The server's duplicate-
+// Every typed call allocates an xid, registers a completion slot,
+// writes one frame, and parks until the demux goroutine delivers the
+// matching reply — so ANY number of goroutines share one transport with
+// many requests in flight, which is how the load generators drive
+// pipelining depth.
+//
+// The transport comes from a redial function, and the session outlives
+// it: when the transport breaks it redials with capped exponential
+// backoff plus jitter, re-runs the HELLO handshake, and retransmits
+// every in-flight request with its ORIGINAL xid. The server's duplicate-
 // request cache is keyed (clientID, xid) and outlives connections, so
 // a retransmitted mutation either replays the cached reply or executes
 // for the first time — never twice. That is the exactly-once contract
@@ -25,6 +31,11 @@
 // StatusBusy replies are retried internally with backoff and the same
 // xid: the server sheds load before executing or recording anything,
 // so the retry cannot double-apply.
+//
+// How hard to try is data, not a second client type: RedialBudget 1
+// gives the fail-on-first-refused-connection client (Server.Loopback
+// uses it so a dead in-process server surfaces at once), the default 64
+// the one that rides out a fault storm.
 package serve
 
 import (
@@ -100,18 +111,26 @@ type SessionStats struct {
 	Deadlines   int64 // calls failed by their context deadline
 }
 
-// scall is one in-flight session call. body is the Session's own copy:
-// retransmission happens after the caller's buffer may have been
-// reused, and the bytes must be identical for the DRC fingerprint.
+// scall is one in-flight session call. body is the retransmit unit: the
+// slice an enc* helper (rpc.go) built for this call and nobody else
+// holds. It is GC-owned, never pooled — a reconnect snapshot may still
+// reference it after the call has returned — and never written again,
+// so every transmission carries the bytes the DRC fingerprinted first.
 type scall struct {
 	proc Proc
 	body []byte
 	ch   chan reply // buffered 1; closed only on terminal session death
 }
 
+// reply is one demuxed reply frame.
+type reply struct {
+	status Status
+	body   []byte // copied out of the demux read buffer
+}
+
 // Session is a persistent, reconnecting client connection. All methods
 // are safe for concurrent use; any number of goroutines share the one
-// transport with many requests in flight, exactly like Conn.
+// transport with many requests in flight.
 type Session struct {
 	redial Redial
 	opts   SessionOptions
@@ -155,9 +174,13 @@ func NewSession(redial Redial, o SessionOptions) (*Session, error) {
 		rng:        mrand.New(mrand.NewSource(o.Seed)),
 		closeCh:    make(chan struct{}),
 	}
-	// Random xid seed, same rationale as Dial: the DRC outlives
-	// sessions, so fresh sessions of a reused clientID must not collide
-	// xids with their predecessor's cached verdicts.
+	// Seed the xid space randomly. The server's duplicate-request cache
+	// is keyed (clientID, xid) and outlives sessions, so restarting at 0
+	// would collide a fresh session's requests with the cached verdicts
+	// of a predecessor that used the same clientID. The DRC fingerprints
+	// requests so a collision degrades to a cache miss, never a wrong
+	// replay — the seed keeps collisions rare, the fingerprint keeps
+	// them harmless.
 	var seed [4]byte
 	if _, err := rand.Read(seed[:]); err == nil {
 		s.nextXid = binary.LittleEndian.Uint32(seed[:])
@@ -174,9 +197,16 @@ func NewSession(redial Redial, o SessionOptions) (*Session, error) {
 
 // Root reports the root handle from the most recent handshake.
 func (s *Session) Root() fsapi.Handle {
+	h, _ := s.rootInfo()
+	return h
+}
+
+// rootInfo reports the root handle and attributes the most recent
+// handshake returned.
+func (s *Session) rootInfo() (fsapi.Handle, Attr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.root
+	return s.root, s.rootAttr
 }
 
 // Stats snapshots the resilience counters.
@@ -393,13 +423,7 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 	timer := time.AfterFunc(s.opts.CallTimeout, func() { rw.Close() })
 	defer timer.Stop()
 
-	frame := getBuf()
-	frame = BeginFrame(frame, xid, uint8(ProcHello))
-	frame = append(frame, encHello(s.opts.ClientID)...)
-	frame = EndFrame(frame, 0)
-	_, werr := rw.Write(frame)
-	putBuf(frame)
-	if werr != nil {
+	if werr := s.send(rw, xid, ProcHello, encHello(s.opts.ClientID)); werr != nil {
 		return fsapi.Handle{}, Attr{}, fmt.Errorf("%w: hello write: %v", fsapi.ErrIO, werr)
 	}
 	fr, _, err := ReadFrame(rw, nil)
@@ -417,9 +441,11 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 	return h, a, d.Err()
 }
 
-// send writes one request frame. Errors are deliberately soft: a failed
-// write means the transport is dying, and the demux error path will
-// reconnect and retransmit the still-pending call.
+// send writes one request frame: the one place a request is framed,
+// for first transmissions, retransmissions and HELLO alike. Errors are
+// deliberately soft for calls: a failed write means the transport is
+// dying, and the demux error path will reconnect and retransmit the
+// still-pending call.
 func (s *Session) send(rw io.ReadWriteCloser, xid uint32, proc Proc, body []byte) error {
 	frame := getBuf()
 	frame = BeginFrame(frame, xid, uint8(proc))
@@ -459,6 +485,9 @@ func (s *Session) demux(rw io.ReadWriteCloser, gen int) {
 }
 
 // call runs one request to completion across any number of transports.
+// It keeps body (see scall), so callers hand over a slice they built
+// for this call and do not touch again — which is what every enc*
+// helper returns.
 func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -468,7 +497,7 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 		ctx, cancel = context.WithTimeout(ctx, s.opts.CallTimeout)
 		defer cancel()
 	}
-	sc := &scall{proc: proc, body: append([]byte(nil), body...), ch: make(chan reply, 1)}
+	sc := &scall{proc: proc, body: body, ch: make(chan reply, 1)}
 
 	s.mu.Lock()
 	if err := s.deadLocked(); err != nil {
@@ -570,7 +599,7 @@ func (s *Session) deadLocked() error {
 }
 
 // ---------------------------------------------------------------------
-// typed RPCs (context-aware mirrors of Conn's)
+// typed RPCs
 // ---------------------------------------------------------------------
 
 // Getattr stats a handle.
@@ -654,12 +683,30 @@ func (s *Session) Rename(ctx context.Context, fromDir fsapi.Handle, fromName str
 	return err
 }
 
-// Readdir lists the names under a directory handle, paging on the
-// server's continuation cookie.
+// Readdir lists the names under a directory handle, following the
+// server's continuation cookie until the listing completes — each page
+// is one bounded reply frame, so arbitrarily large directories list
+// without ever exceeding MaxFrame.
 func (s *Session) Readdir(ctx context.Context, h fsapi.Handle) ([]string, error) {
-	return readdirPages(h, func(body []byte) (reply, error) {
-		return s.call(ctx, ProcReaddir, body)
-	})
+	var names []string
+	cookie := uint32(0)
+	for {
+		rep, err := s.call(ctx, ProcReaddir, encReaddir(h, cookie))
+		if err != nil {
+			return nil, err
+		}
+		var next uint32
+		if names, next, err = decDirPage(rep, names); err != nil {
+			return nil, err
+		}
+		if next == 0 {
+			return names, nil
+		}
+		if next <= cookie {
+			return nil, fmt.Errorf("%w: readdir cookie did not advance", fsapi.ErrIO)
+		}
+		cookie = next
+	}
 }
 
 // Setattr truncates the file a handle names.

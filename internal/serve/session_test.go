@@ -319,8 +319,8 @@ func TestSessionBusyBackoff(t *testing.T) {
 	const perLane = 6
 	const recLen = 16
 
-	// Prepare the file over the default (non-shedding-sensitive) conn.
-	if _, _, err := lb.conn.Create(lb.conn.Root(), "busy", 0o644); err != nil {
+	// Prepare the file over the mount's own session, before the storm.
+	if _, _, err := lb.sess.Create(context.Background(), lb.sess.Root(), "busy", 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -497,7 +497,7 @@ func TestServerDrainNoAckedLoss(t *testing.T) {
 	defer lb.Close()
 	srv := lb.Server()
 
-	if _, _, err := lb.conn.Create(lb.conn.Root(), "drainlog", 0o644); err != nil {
+	if _, _, err := lb.sess.Create(context.Background(), lb.sess.Root(), "drainlog", 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -675,7 +675,7 @@ func TestLoopbackLatencyReplyBatching(t *testing.T) {
 	})
 	cw := &countWriteRWC{ReadWriteCloser: a}
 	go srv.ServeConn(cw)
-	conn, err := Dial(b, 601)
+	conn, err := NewSession(func() (io.ReadWriteCloser, error) { return b, nil }, testSessionOptions(601))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +687,7 @@ func TestLoopbackLatencyReplyBatching(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := conn.Getattr(conn.Root()); err != nil {
+			if _, err := conn.Getattr(context.Background(), conn.Root()); err != nil {
 				t.Error(err)
 			}
 		}()

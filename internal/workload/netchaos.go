@@ -194,20 +194,21 @@ func netChaosRecord(recLen, client, seq int) string {
 // files against the acked/maybe oracle over a clean connection.
 func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 	spec.fill()
+	ctx := context.Background()
 
-	// Layout phase (not timed, clean conn): /chaos/f%02d, empty.
+	// Layout phase (not timed, clean transport): /chaos/f%02d, empty.
 	setup, err := srv.Loopback(^uint64(0))
 	if err != nil {
 		return NetChaosResult{}, fmt.Errorf("netchaos setup dial: %w", err)
 	}
 	defer setup.Close()
-	dirH, _, err := setup.Mkdir(setup.Root(), "chaos", 0o755)
+	dirH, _, err := setup.Mkdir(ctx, setup.Root(), "chaos", 0o755)
 	if err != nil {
 		return NetChaosResult{}, fmt.Errorf("netchaos mkdir: %w", err)
 	}
 	handles := make([]fsapi.Handle, spec.Files)
 	for i := range handles {
-		h, _, err := setup.Create(dirH, fmt.Sprintf("f%02d", i), 0o644)
+		h, _, err := setup.Create(ctx, dirH, fmt.Sprintf("f%02d", i), 0o644)
 		if err != nil {
 			return NetChaosResult{}, fmt.Errorf("netchaos create %d: %w", i, err)
 		}
@@ -326,7 +327,6 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 			}()
 			rng := rand.New(rand.NewSource(spec.Seed + int64(ci)*7919))
 			zipf := rand.NewZipf(rng, spec.ZipfS, 1.0, uint64(spec.Files-1))
-			ctx := context.Background()
 			for op := 0; op < spec.OpsPerClient; op++ {
 				rec := netChaosRecord(spec.RecLen, ci, op)
 				h := handles[int(zipf.Uint64())]
@@ -396,7 +396,7 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 		res.Partitions += p
 	}
 
-	// Audit phase: read every file over a fresh clean connection and
+	// Audit phase: read every file over a fresh clean session and
 	// check the bytes against the oracle.
 	counts := make(map[string]int, len(acked))
 	audit, err := srv.Loopback(^uint64(0) - 1)
@@ -406,7 +406,7 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 	defer audit.Close()
 	buf := make([]byte, 64<<10)
 	for i, h := range handles {
-		attr, err := audit.Getattr(h)
+		attr, err := audit.Getattr(ctx, h)
 		if err != nil {
 			return NetChaosResult{}, fmt.Errorf("netchaos audit getattr f%02d: %w", i, err)
 		}
@@ -415,7 +415,7 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 		}
 		var tail []byte
 		for off := int64(0); off < attr.Size; {
-			n, err := audit.Read(h, off, buf)
+			n, err := audit.Read(ctx, h, off, buf)
 			if err != nil {
 				return NetChaosResult{}, fmt.Errorf("netchaos audit read f%02d: %w", i, err)
 			}

@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -110,10 +111,11 @@ func (r NetLoadResult) String() string {
 		r.Conns, r.Depth, r.Ops, r.RPCsPerSec(), r.P50, r.P99)
 }
 
-// RunNetLoad prefills the file population through one setup connection,
-// then drives Conns pipelined connections against the server.
+// RunNetLoad prefills the file population through one setup session,
+// then drives Conns pipelined sessions against the server.
 func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
 	spec.fill()
+	ctx := context.Background()
 
 	// Layout phase (not timed): the shared population under /net.
 	setup, err := srv.Loopback(^uint64(0))
@@ -121,7 +123,7 @@ func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
 		return NetLoadResult{}, fmt.Errorf("netload setup dial: %w", err)
 	}
 	defer setup.Close()
-	dirH, _, err := setup.Mkdir(setup.Root(), "net", 0o755)
+	dirH, _, err := setup.Mkdir(ctx, setup.Root(), "net", 0o755)
 	if err != nil {
 		return NetLoadResult{}, fmt.Errorf("netload mkdir: %w", err)
 	}
@@ -131,7 +133,7 @@ func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
 		block[i] = byte(i % 253)
 	}
 	for i := 0; i < spec.Files; i++ {
-		h, _, err := setup.Create(dirH, fmt.Sprintf("f%04d", i), 0o644)
+		h, _, err := setup.Create(ctx, dirH, fmt.Sprintf("f%04d", i), 0o644)
 		if err != nil {
 			return NetLoadResult{}, fmt.Errorf("netload create %d: %w", i, err)
 		}
@@ -140,7 +142,7 @@ func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
 			if off+n > spec.FileSize {
 				n = spec.FileSize - off
 			}
-			if _, err := setup.Write(h, off, block[:n]); err != nil {
+			if _, err := setup.Write(ctx, h, off, block[:n]); err != nil {
 				return NetLoadResult{}, fmt.Errorf("netload prefill %d: %w", i, err)
 			}
 		}
@@ -150,7 +152,7 @@ func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
 	// Measured phase: Conns connections, Depth issuing goroutines each.
 	// Every goroutine records its request latencies for the aggregate
 	// percentiles.
-	conns := make([]*serve.Conn, spec.Conns)
+	conns := make([]*serve.Session, spec.Conns)
 	for i := range conns {
 		c, err := srv.Loopback(uint64(i) + 2)
 		if err != nil {
@@ -194,9 +196,9 @@ func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
 					t0 := time.Now()
 					var err error
 					if rng.Intn(100) < spec.WritePct {
-						_, err = conn.Write(h, off, buf)
+						_, err = conn.Write(ctx, h, off, buf)
 					} else {
-						_, err = conn.Read(h, off, buf)
+						_, err = conn.Read(ctx, h, off, buf)
 					}
 					if err != nil {
 						l.err = err

@@ -57,6 +57,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# gate_zero_allocs <pkg> <bench-regex> <message>: every benchmark in pkg
+# matching the regex must report 0 allocs/op under -benchmem. A run
+# that matches no benchmark fails too — a renamed benchmark must not
+# turn the gate into a silent pass.
+gate_zero_allocs() {
+	bad=$(go test -run='^$' -bench="$2" -benchtime=100x -benchmem "$1" \
+		| awk '/^Benchmark/ { n++; if ($(NF-1) + 0 != 0) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
+	if [ "$bad" != "0" ]; then
+		echo "FAIL: $3 (see benchmarks above)" >&2
+		exit 1
+	fi
+}
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -93,12 +106,7 @@ go run ./cmd/trio-bench -experiment datapath -quick -json /dev/null > /dev/null
 echo "== telemetry overhead smoke (disabled instruments must not allocate)"
 # The disabled-path micro-benchmarks report allocs/op with -benchmem;
 # any allocation on the disabled path is a regression.
-disabled_allocs=$(go test -run='^$' -bench='^BenchmarkTelemetryDisabled' -benchtime=100x -benchmem ./internal/telemetry/ \
-	| awk '/^BenchmarkTelemetryDisabled/ { n++; if ($(NF-1) + 0 != 0) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
-if [ "$disabled_allocs" != "0" ]; then
-	echo "FAIL: disabled telemetry path allocates (see benchmarks above)" >&2
-	exit 1
-fi
+gate_zero_allocs ./internal/telemetry/ '^BenchmarkTelemetryDisabled' 'disabled telemetry path allocates'
 # Gate the quick datapath run's allocs/op against the checked-in
 # baseline: new allocations on the hot paths fail here, loudly.
 go run ./cmd/trio-bench -experiment datapath -quick -baseline BENCH_trio.json > /dev/null
@@ -119,12 +127,7 @@ go run ./cmd/trio-bench -experiment tiering -quick > /dev/null
 echo "== smallops smoke (ring submit allocs; sync-vs-ring speedup gates)"
 # The submission fast path must stay allocation-free: an alloc per
 # submit would dwarf the trap amortization the rings exist to buy.
-ring_allocs=$(go test -run='^$' -bench='^BenchmarkRingSubmit' -benchtime=100x -benchmem ./internal/ring/ \
-	| awk '/^BenchmarkRingSubmit/ { n++; if ($(NF-1) + 0 != 0) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
-if [ "$ring_allocs" != "0" ]; then
-	echo "FAIL: ring submit path allocates (see benchmarks above)" >&2
-	exit 1
-fi
+gate_zero_allocs ./internal/ring/ '^BenchmarkRingSubmit' 'ring submit path allocates'
 # The quick sweep's gates live in trio-bench itself (see
 # experiments.CheckSmallOpsGate): ringed submission below the quick
 # speedup floor on both metadata modes prints the violations and
@@ -135,12 +138,7 @@ echo "== serving smoke (wire codec allocs; serial-vs-pipelined speedup gate)"
 # The steady-state codec (frame encode + ReadFrame + decode) must stay
 # allocation-free: an alloc per RPC would show up on every wire op of
 # every connection.
-codec_allocs=$(go test -run='^$' -bench='^BenchmarkServeCodec' -benchtime=100x -benchmem ./internal/serve/ \
-	| awk '/^BenchmarkServeCodec/ { n++; if ($(NF-1) + 0 != 0) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
-if [ "$codec_allocs" != "0" ]; then
-	echo "FAIL: serve codec steady state allocates (see benchmarks above)" >&2
-	exit 1
-fi
+gate_zero_allocs ./internal/serve/ '^BenchmarkServeCodec' 'serve codec steady state allocates'
 # The quick run's gate lives in trio-bench itself (see
 # experiments.CheckServingGate): pipelined throughput below the quick
 # speedup floor over serial RPC prints the violation and exits 1.
@@ -150,12 +148,7 @@ echo "== netchaos smoke (disabled-faults wrapper allocs; exactly-once storm gate
 # A netsim wrapper with no fault plan must be invisible: the codec
 # round trip through it has to stay at 0 allocs/op, or every transport
 # that keeps the wrapper for later fault injection pays on every RPC.
-netsim_allocs=$(go test -run='^$' -bench='^BenchmarkNetsimCodec' -benchtime=100x -benchmem ./internal/netsim/ \
-	| awk '/^BenchmarkNetsimCodec/ { n++; if ($(NF-1) + 0 != 0) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
-if [ "$netsim_allocs" != "0" ]; then
-	echo "FAIL: disabled netsim wrapper allocates on the codec path (see benchmarks above)" >&2
-	exit 1
-fi
+gate_zero_allocs ./internal/netsim/ '^BenchmarkNetsimCodec' 'disabled netsim wrapper allocates on the codec path'
 # The quick storm's gates live in trio-bench itself (see
 # experiments.CheckNetChaosGate): acked-op loss, double-apply,
 # unexplained bytes, missing faults, or an availability collapse
