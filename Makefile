@@ -20,7 +20,7 @@ test:
 # front-end (pipelined connections, out-of-order workers) with its
 # multi-client load generator.
 race:
-	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
+	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
 	$(GO) test -race -run '^TestNet' ./internal/workload/
 
 vet:

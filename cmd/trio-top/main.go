@@ -301,15 +301,16 @@ func main() {
 		ts := ttr.Stats()
 		destaged := ts.Destaged
 		if tick%20 == 0 {
-			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %6s %6s %9s %9s %7s %7s %7s %7s %8s %6s %5s %7s %5s\n",
+			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %6s %6s %9s %9s %7s %7s %7s %9s %9s %7s %8s %6s %5s %7s %5s\n",
 				"read/s", "write/s", "rd p99ns", "wr p99ns",
 				"nvm wr/s", "persist/s", "alloc pg/s", "deleg/s", "mmu chk/s",
 				"sq-d", "cq-d", "drains/s",
 				"scrub/s", "detect", "repair", "quar",
+				"sl-cln/s", "sl-strm/s",
 				"t-dirty", "destg/s", "brkr",
 				"conns", "rpc/s", "infl")
 		}
-		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %6d %6d %9.0f %9.0f %7d %7d %7d %7d %8.0f %6s %5d %7.0f %5d\n",
+		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %6d %6d %9.0f %9.0f %7d %7d %7d %9.0f %9.0f %7d %8.0f %6s %5d %7.0f %5d\n",
 			rate("libfs.read_ops"), rate("libfs.write_ops"),
 			d.Hist("libfs.read_ns").Quantile(0.99),
 			d.Hist("libfs.write_ns").Quantile(0.99),
@@ -322,6 +323,7 @@ func main() {
 			rate("ring.drains"),
 			csRate(dcs.ScrubPages),
 			cs.ScrubDetected, cs.ScrubRepaired, cs.ScrubQuarantined,
+			csRate(dcs.SealCleanPages), csRate(dcs.SealStreamedPages),
 			ts.Dirty, csRate(destaged-prevDestaged), ts.BreakerState,
 			cur.Get("serve.conns"), rate("serve.rpcs"), cur.Get("serve.inflight"))
 		prevDestaged = destaged

@@ -8,14 +8,15 @@
 //
 // The helpers here work on maximal runs of consecutive page ids:
 //
-//   - openRun RMWs the run's record span (the records of consecutive
+//   - openSegment RMWs the run's record span (the records of consecutive
 //     pages are themselves consecutive in the table) with one ReadRange
 //     and one WriteRange instead of 2 accesses per page;
-//   - sealRun streams the run's content with a single ReadRange — for a
-//     typical file grant that is a bandwidth-dominated access long
-//     enough to sleep rather than spin, so concurrent unmaps on
-//     different shards overlap their seal time — computes the per-page
-//     CRCs from the buffer, and publishes the records with one span RMW.
+//   - sealSegment closes the run's records with one span RMW. A record
+//     the controller opened itself and nobody stored to since (cleanOpen,
+//     fed by the MMU dirty bits) closes with the CRC it carried; only the
+//     rest — dirty, never-sealed or crashed-open — have their content
+//     streamed with a single ReadRange per sub-run and their CRCs
+//     recomputed, so a handover costs what was written, not the file.
 //
 // Correctness is unchanged from the per-page path: every record RMW on a
 // page still happens under the home shard of the page's owning file (or
@@ -29,59 +30,61 @@ package controller
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 
 	"trio/internal/core"
 	"trio/internal/nvm"
+	"trio/internal/telemetry"
 	"trio/internal/verifier"
 )
 
-// pageRun is a maximal run of consecutive page ids.
+// pageRun is a run of consecutive page ids.
 type pageRun struct {
 	start nvm.PageID
 	n     int
 }
 
-// pageRuns sorts (a copy of) pages, drops duplicates, and splits the
-// result into maximal consecutive runs.
-func pageRuns(pages []nvm.PageID) []pageRun {
-	if len(pages) == 0 {
-		return nil
+// quiescentSegments calls fn for each segment of the quiescent pages
+// among pages: those below the checksum table that no session
+// write-maps — one look at writeRefs under one tabMu hold, the same
+// table the scrubber trusts to skip busy pages — in ascending order,
+// duplicates dropped, as maximal consecutive runs cut where the run's
+// records would cross a table-page boundary (within a table page the
+// records of consecutive pages are contiguous). The caller's lock set
+// keeps the answer true while fn runs: a write grant of any of these
+// pages needs a shard the caller holds.
+func (c *Controller) quiescentSegments(pages []nvm.PageID, fn func(total nvm.PageID, seg pageRun)) {
+	total := c.dev.NumPages()
+	base := core.ChecksumBase(total)
+	var small [4]nvm.PageID // a small file's grant stays off the heap
+	ps := small[:0]
+	if len(pages) > len(small) {
+		ps = make([]nvm.PageID, 0, len(pages))
 	}
-	ps := make([]nvm.PageID, len(pages))
-	copy(ps, pages)
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	var runs []pageRun
-	cur := pageRun{start: ps[0], n: 1}
-	for _, p := range ps[1:] {
-		switch {
-		case p == cur.start+nvm.PageID(cur.n)-1:
-			// duplicate
-		case p == cur.start+nvm.PageID(cur.n):
-			cur.n++
-		default:
-			runs = append(runs, cur)
-			cur = pageRun{start: p, n: 1}
+	c.tabMu.Lock()
+	for _, p := range pages {
+		if p < base && c.writeRefs[p] == 0 {
+			ps = append(ps, p)
 		}
 	}
-	return append(runs, cur)
-}
-
-// recordSegments invokes fn for each slice of the run whose checksum
-// records live on a single table page (a run crossing a table-page
-// boundary splits; within a table page the records are contiguous).
-func recordSegments(total nvm.PageID, r pageRun, fn func(seg pageRun) bool) {
-	for seg := r; seg.n > 0; {
-		n := int(core.ChecksumRecordsPerPage - seg.start%core.ChecksumRecordsPerPage)
-		if n > seg.n {
-			n = seg.n
+	c.tabMu.Unlock()
+	if !slices.IsSorted(ps) { // a grant's page list usually is
+		slices.Sort(ps)
+	}
+	for i := 0; i < len(ps); {
+		seg := pageRun{start: ps[i], n: 1}
+		for i++; i < len(ps); i++ {
+			next := seg.start + nvm.PageID(seg.n)
+			if ps[i] == next-1 {
+				continue // duplicate
+			}
+			if ps[i] != next || next%core.ChecksumRecordsPerPage == 0 {
+				break
+			}
+			seg.n++
 		}
-		if !fn(pageRun{start: seg.start, n: n}) {
-			return
-		}
-		seg.start += nvm.PageID(n)
-		seg.n -= n
+		fn(total, seg)
 	}
 }
 
@@ -110,49 +113,22 @@ const maxSealRun = 256
 // write-mapped by the directory's owner the whole time, so this turns
 // the per-map record round trip into a table lookup.
 func (c *Controller) openGrantedLocked(pages []nvm.PageID) {
-	total := c.dev.NumPages()
-	base := core.ChecksumBase(total)
-	if len(pages) == 1 {
-		// Small-file hot path: a one-page grant (an empty file's dirent
-		// page) needs none of the copy/sort/run machinery — or its
-		// allocations, which otherwise dominate the map fast path.
-		if p := pages[0]; p < base && !c.pageWriteMappedLocked(p) {
-			fence := false
-			recordSegments(total, pageRun{start: p, n: 1}, func(seg pageRun) bool {
-				if c.openSegment(total, seg) {
-					fence = true
-				}
-				return true
-			})
-			if fence {
-				c.mem.Fence()
-			}
-		}
-		return
-	}
-	eligible := pages[:0:0]
-	for _, p := range pages {
-		if p < base && !c.pageWriteMappedLocked(p) {
-			eligible = append(eligible, p)
-		}
-	}
 	fence := false
-	for _, r := range pageRuns(eligible) {
-		recordSegments(total, r, func(seg pageRun) bool {
-			if c.openSegment(total, seg) {
-				fence = true
-			}
-			return true
-		})
-	}
+	c.quiescentSegments(pages, func(total nvm.PageID, seg pageRun) {
+		if c.openSegment(total, seg) {
+			fence = true
+		}
+	})
 	if fence {
 		c.mem.Fence()
 	}
 }
 
 // openSegment opens the records of one single-table-page segment with a
-// span RMW; it reports whether any record was written. On a device error
-// it falls back to per-page opens.
+// span RMW; it reports whether any record was written. A record that
+// goes sealed→open here is marked cleanOpen: its carried CRC describes
+// the content until somebody stores to the page. On a device error it
+// falls back to per-page opens.
 func (c *Controller) openSegment(total nvm.PageID, seg pageRun) bool {
 	tp, off := core.ChecksumLoc(total, seg.start)
 	var buf [core.ChecksumRecordsPerPage * core.ChecksumRecordSize]byte
@@ -161,15 +137,18 @@ func (c *Controller) openSegment(total nvm.PageID, seg pageRun) bool {
 		return c.openSegmentSlow(total, seg)
 	}
 	wrote := false
+	c.tabMu.Lock()
 	for i := 0; i < seg.n; i++ {
 		rec := binary.LittleEndian.Uint64(span[i*core.ChecksumRecordSize:])
 		if core.ChecksumIsOpen(rec) {
 			continue
 		}
+		c.cleanOpen[seg.start+nvm.PageID(i)] = core.ChecksumSealed(rec)
 		open := core.PackChecksum(core.ChecksumSeq(rec)+1, core.ChecksumCRC(rec))
 		binary.LittleEndian.PutUint64(span[i*core.ChecksumRecordSize:], open)
 		wrote = true
 	}
+	c.tabMu.Unlock()
 	if !wrote {
 		return false
 	}
@@ -182,53 +161,39 @@ func (c *Controller) openSegment(total nvm.PageID, seg pageRun) bool {
 	return true
 }
 
-// openSegmentSlow is the per-record fallback of openSegment.
+// openSegmentSlow is the per-record fallback of openSegment. It does not
+// learn which records were sealed, so none of them counts as clean.
 func (c *Controller) openSegmentSlow(total nvm.PageID, seg pageRun) bool {
 	wrote := false
 	for i := 0; i < seg.n; i++ {
-		if w, err := core.OpenChecksum(c.mem, total, seg.start+nvm.PageID(i)); err == nil && w {
+		p := seg.start + nvm.PageID(i)
+		c.markStored(p)
+		if w, err := core.OpenChecksum(c.mem, total, p); err == nil && w {
 			wrote = true
 		}
 	}
 	return wrote
 }
 
-// sealQuiescentLocked seals the records of the given pages with their
-// current (durable) content, skipping any page some session still
-// write-maps. Used when a writer unmaps: verification just ran, every
-// store is persisted, so the content is exactly what a scrub should
-// vouch for from here on.
-func (c *Controller) sealQuiescentLocked(pages []nvm.PageID) {
-	total := c.dev.NumPages()
-	base := core.ChecksumBase(total)
-	if len(pages) == 1 {
-		// Same one-page fast path as openGrantedLocked.
-		if p := pages[0]; p < base && !c.pageWriteMappedLocked(p) {
-			recordSegments(total, pageRun{start: p, n: 1}, func(seg pageRun) bool {
-				c.sealSegment(total, seg)
-				return true
-			})
-		}
-		return
-	}
-	eligible := pages[:0:0]
-	for _, p := range pages {
-		if p < base && !c.pageWriteMappedLocked(p) {
-			eligible = append(eligible, p)
-		}
-	}
-	for _, r := range pageRuns(eligible) {
-		recordSegments(total, r, func(seg pageRun) bool {
-			c.sealSegment(total, seg)
-			return true
-		})
-	}
+// sealQuiescentLocked seals the records of the given pages, skipping any
+// page some session still write-maps. Used when a writer unmaps:
+// verification just ran, every store is persisted, so the content is
+// exactly what a scrub should vouch for from here on. sp, when active,
+// is the unmap span the seal is booked under.
+func (c *Controller) sealQuiescentLocked(pages []nvm.PageID, sp telemetry.Span) {
+	sp = sp.Child("controller.seal", "controller")
+	defer sp.End()
+	c.quiescentSegments(pages, c.sealSegment)
 }
 
 // sealSegment seals the unsealed records of one single-table-page
-// segment: it loads the record span once to find the pages that still
-// need a seal (open or unknown records), then seals each maximal
-// consecutive sub-run with a streaming content read.
+// segment with one span RMW. A record still cleanOpen closes with the
+// CRC it carried into the grant — no content read, nothing to persist
+// but the record; the decision rests on the MMU dirty bits and the
+// controller's own table alone, nothing a LibFS wrote or passed in. The
+// other unsealed records (stored to, never sealed, or left open by a
+// crash, reap or revoke) have their content streamed and CRC'd per
+// maximal consecutive sub-run.
 func (c *Controller) sealSegment(total nvm.PageID, seg pageRun) {
 	tp, off := core.ChecksumLoc(total, seg.start)
 	var rbuf [core.ChecksumRecordsPerPage * core.ChecksumRecordSize]byte
@@ -237,81 +202,95 @@ func (c *Controller) sealSegment(total nvm.PageID, seg pageRun) {
 		c.sealSegmentSlow(seg)
 		return
 	}
-	// Collect the sub-runs of pages whose record is open/unknown; pages
-	// already sealed cost nothing beyond the span read above.
-	var need []pageRun
+	var stream []pageRun
+	clean := 0
+	c.tabMu.Lock()
 	for i := 0; i < seg.n; i++ {
 		rec := binary.LittleEndian.Uint64(span[i*core.ChecksumRecordSize:])
 		if core.ChecksumSealed(rec) {
 			continue
 		}
 		p := seg.start + nvm.PageID(i)
-		if len(need) > 0 && need[len(need)-1].start+nvm.PageID(need[len(need)-1].n) == p {
-			need[len(need)-1].n++
+		if c.cleanOpen[p] && core.ChecksumIsOpen(rec) {
+			c.cleanOpen[p] = false
+			binary.LittleEndian.PutUint64(span[i*core.ChecksumRecordSize:],
+				core.PackChecksum(core.ChecksumSealSeq(core.ChecksumSeq(rec)), core.ChecksumCRC(rec)))
+			clean++
+			continue
+		}
+		if n := len(stream); n > 0 && stream[n-1].start+nvm.PageID(stream[n-1].n) == p {
+			stream[n-1].n++
 		} else {
-			need = append(need, pageRun{start: p, n: 1})
+			stream = append(stream, pageRun{start: p, n: 1})
 		}
 	}
-	for _, sub := range need {
+	c.tabMu.Unlock()
+
+	streamed := 0
+	var failed []pageRun
+	for _, sub := range stream {
 		for sub.n > 0 {
 			chunk := sub
 			if chunk.n > maxSealRun {
 				chunk.n = maxSealRun
 			}
-			c.sealRun(total, chunk, span, seg.start)
+			if c.streamRun(chunk, span[int(chunk.start-seg.start)*core.ChecksumRecordSize:]) == nil {
+				streamed += chunk.n
+			} else {
+				failed = append(failed, chunk)
+			}
 			sub.start += nvm.PageID(chunk.n)
 			sub.n -= chunk.n
 		}
 	}
+	if clean+streamed > 0 {
+		if streamed > 0 {
+			c.mem.Fence() // content durable before the records vouching for it
+		}
+		if err := c.dev.WriteRange(0, tp, off, span); err != nil {
+			c.sealSegmentSlow(seg)
+			return
+		}
+		if err := c.dev.PersistRange(tp, off, len(span)); err != nil {
+			return
+		}
+		verifier.NoteSealedRun(streamed)
+		c.stats.ScrubSealed.Add(int64(clean + streamed))
+		c.stats.SealClean.Add(int64(clean))
+		c.stats.SealStreamed.Add(int64(streamed))
+	}
+	// Runs that failed to stream kept their record bytes untouched in the
+	// span just written back; the per-page path retries them.
+	for _, run := range failed {
+		c.sealSegmentSlow(run)
+	}
 }
 
-// sealRun streams one consecutive run's content, persists it, and
-// publishes the sealed records with a span RMW. span/segStart give the
-// already-loaded record bytes of the enclosing segment (the run's
-// records are span[(run.start-segStart)*8:]).
-func (c *Controller) sealRun(total nvm.PageID, run pageRun, span []byte, segStart nvm.PageID) {
+// streamRun streams one consecutive run's content, persists it, and puts
+// the sealed records into recs (the run's slice of the segment's record
+// span); the caller fences and publishes the span. On error recs is
+// untouched.
+func (c *Controller) streamRun(run pageRun, recs []byte) error {
 	bp := sealBufPool.Get().(*[]byte)
 	defer sealBufPool.Put(bp)
 	content := (*bp)[:run.n*nvm.PageSize]
 	if err := c.dev.ReadRange(0, run.start, 0, content); err != nil {
-		c.sealSegmentSlow(run)
-		return
+		return err
 	}
 	// SealChecksum requires the covered content be durable. A page left
 	// open by a writer that died between its stores and its Persist may
 	// still hold unpersisted lines; flush the whole run before sealing.
 	if err := c.dev.PersistRange(run.start, 0, len(content)); err != nil {
-		return
+		return err
 	}
-	c.mem.Fence()
-	rspan := span[int(run.start-segStart)*core.ChecksumRecordSize : (int(run.start-segStart)+run.n)*core.ChecksumRecordSize]
 	for i := 0; i < run.n; i++ {
-		rec := binary.LittleEndian.Uint64(rspan[i*core.ChecksumRecordSize:])
-		seq := core.ChecksumSeq(rec)
-		if seq%2 == 1 {
-			seq++ // close the open window
-		} else {
-			seq += 2 // first seal of an unknown record
-		}
-		if seq == 0 { // wrapped into "unknown": skip ahead to a sealed epoch
-			seq = 2
-		}
+		rec := binary.LittleEndian.Uint64(recs[i*core.ChecksumRecordSize:])
 		crc := core.PageCRC(content[i*nvm.PageSize : (i+1)*nvm.PageSize])
-		binary.LittleEndian.PutUint64(rspan[i*core.ChecksumRecordSize:], core.PackChecksum(seq, crc))
-	}
-	tp, off := core.ChecksumLoc(total, run.start)
-	if err := c.dev.WriteRange(0, tp, off, rspan); err != nil {
-		c.sealSegmentSlow(run)
-		return
-	}
-	if err := c.dev.PersistRange(tp, off, len(rspan)); err != nil {
-		return
-	}
-	verifier.NoteSealedRun(run.n)
-	c.stats.ScrubSealed.Add(int64(run.n))
-	for i := 0; i < run.n; i++ {
+		binary.LittleEndian.PutUint64(recs[i*core.ChecksumRecordSize:],
+			core.PackChecksum(core.ChecksumSealSeq(core.ChecksumSeq(rec)), crc))
 		c.tracePage(run.start+nvm.PageID(i), "seal-unmap")
 	}
+	return nil
 }
 
 // sealSegmentSlow is the per-page fallback: the original

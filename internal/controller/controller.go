@@ -260,12 +260,14 @@ type libfsState struct {
 	// controller runs without rings); see ringsvc.go.
 	rc *ringClient
 
-	// verifyRep and verifyEnv are per-session verification scratch for
-	// the ring drain path: every runVerifierLocked for a session runs
-	// under its home shard lock, so reusing one report and one env per
-	// session is race-free and saves four allocations per verification.
-	// The sync path must NOT use verifyRep — corruption handling nests a
-	// second verification while the outer report is still live.
+	// verifyRep and verifyEnv are the session's verification scratch:
+	// every runVerifierLocked for a session runs under its home shard
+	// lock, so one report and one env per session is race-free and saves
+	// four allocations per verification. One report means the next
+	// verification of the session overwrites the last: a caller copies
+	// out whatever it needs past that point (mapSlowLocked the adopted
+	// inode; handleCorruptionLocked re-verifies and keeps nothing of the
+	// failed report).
 	verifyRep verifier.Report
 	verifyEnv envImpl
 }
@@ -312,6 +314,16 @@ type Controller struct {
 	// writeRefs counts, per page, the sessions holding write permission
 	// (see Controller.writeMapped).
 	writeRefs []int32
+	// cleanOpen marks pages whose checksum record the controller itself
+	// moved sealed→open at a write grant and that nothing has stored to
+	// since: the record's carried CRC still describes the content, so the
+	// unmap-time seal may close it without reading the page. Cleared by
+	// every event that could change the content — a harvested MMU dirty
+	// bit (dropWriteRef), a session torn down without harvesting
+	// (dropWriteRefs), a store of the controller's own (markStored).
+	// Volatile: a fresh mount starts with every bit clear and open
+	// records reseal from content.
+	cleanOpen []bool
 
 	pageAlloc *alloc.PageAlloc
 	inoAlloc  *alloc.InoAlloc
@@ -354,6 +366,7 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		pageOwner: make([]core.Ino, dev.NumPages()),
 		libfses:   make(map[LibFSID]*libfsState),
 		writeRefs: make([]int32, dev.NumPages()),
+		cleanOpen: make([]bool, dev.NumPages()),
 		nextLibFS: 1,
 		nextGroup: 1 << 16, // private groups; user groups are small ints
 		stats:     newStats(opts.Shards),
@@ -698,7 +711,7 @@ func (ls *libfsState) refPageLocked(p nvm.PageID, perm mmu.Perm) {
 	}
 	if perm == mmu.PermWrite && ls.c != nil && !ls.wmapped[p] {
 		ls.wmapped[p] = true
-		ls.c.addWriteRef(p, 1)
+		ls.c.addWriteRef(p)
 	}
 }
 
@@ -713,9 +726,12 @@ func (ls *libfsState) unrefPageLocked(p nvm.PageID) {
 		return
 	}
 	delete(ls.pageRefs, p)
+	// The harvested dirty bit lands in the same tabMu hold that drops
+	// the write ref (only a write-mapped page can be dirty): a sealer
+	// that reads writeRefs zero already sees cleanOpen cleared.
+	stored := ls.as.Unmap(p, 1)
 	if ls.c != nil && ls.wmapped[p] {
 		delete(ls.wmapped, p)
-		ls.c.addWriteRef(p, -1)
+		ls.c.dropWriteRef(p, stored)
 	}
-	ls.as.Unmap(p, 1)
 }

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"trio/internal/core"
@@ -57,6 +58,8 @@ func (s *Session) mapFileSync(ino core.Ino, loc core.FileLoc, write bool) (MapIn
 	defer func() { s.c.stats.addMap(time.Since(start)) }()
 
 	c := s.c
+	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.map", "controller")
+	defer sp.End()
 	c.stats.shard(c.shardIdxIno(ino)).Maps.Add(1)
 	gate := c.admit(s.ls.id)
 	defer gate.exit(s.ls.id)
@@ -91,6 +94,14 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if err != nil {
 		return MapInfo{}, err
 	}
+	// Fresh adoption: the verifier read this inode an instant ago under
+	// these same locks — reuse it rather than paying another media
+	// access. Copied out now: it points into the creator's scratch
+	// report, which the next verification of that session overwrites.
+	var in core.Inode
+	if adopted != nil {
+		in = *adopted
+	}
 	if fs.quarantined != 0 && fs.quarantined != s.ls.id {
 		return MapInfo{}, ErrQuarantined
 	}
@@ -120,7 +131,7 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	}
 	if m != nil {
 		// A permitted upgrade (read→write) releases the old grant first.
-		if err := c.unmapLocked(s.ls, fs.ino, acc); err != nil {
+		if err := c.unmapLocked(s.ls, fs.ino, acc, telemetry.Span{}); err != nil {
 			return MapInfo{}, err
 		}
 	}
@@ -141,13 +152,7 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 		return MapInfo{}, err
 	}
 
-	var in core.Inode
-	if adopted != nil {
-		// Fresh adoption: the verifier read this inode an instant ago
-		// under these same locks — reuse it rather than paying another
-		// media access.
-		in = *adopted
-	} else {
+	if adopted == nil {
 		in, err = core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
 		if err != nil {
 			return MapInfo{}, err
@@ -547,11 +552,13 @@ func (s *Session) unmapFileSync(ino core.Ino) error {
 	defer func() { s.c.stats.addUnmap(time.Since(start)) }()
 
 	c := s.c
+	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.unmap", "controller")
+	defer sp.End()
 	c.stats.shard(c.shardIdxIno(ino)).Unmaps.Add(1)
 	gate := c.admit(s.ls.id)
 	defer gate.exit(s.ls.id)
 
-	err := s.unmapFast(ino, nil)
+	err := s.unmapFast(ino, nil, sp)
 	if err != errEscalate {
 		return err
 	}
@@ -560,14 +567,15 @@ func (s *Session) unmapFileSync(ino core.Ino) error {
 	if err := s.aliveLocked(); err != nil {
 		return err
 	}
-	return c.unmapLocked(s.ls, ino, nil)
+	return c.unmapLocked(s.ls, ino, nil, sp)
 }
 
 // unmapFast is UnmapFile under only the involved shards' locks. Reader
 // detaches always qualify; writer detaches qualify when the file is a
 // clean regular file whose pages are owned within the file and its
 // parent — corruption handling and directory child adoption escalate.
-func (s *Session) unmapFast(ino core.Ino, acc *int) error {
+// sp is the caller's unmap span (inert when tracing is off).
+func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	c := s.c
 	set, fs := c.lockForFile(c.shardIdxSession(s.ls.id), ino, true)
 	defer c.unlockShards(&set)
@@ -616,21 +624,23 @@ func (s *Session) unmapFast(ino core.Ino, acc *int) error {
 	// time, flattening the shard scaling this path exists for. The few
 	// pages owned elsewhere (the dirent page, owned by the parent) seal
 	// now, while the full set is still held.
-	var own, foreign []nvm.PageID
+	own, foreign := make([]nvm.PageID, 0, len(sealSet)), []nvm.PageID(nil)
+	c.tabMu.Lock()
 	for _, p := range sealSet {
-		if o, ok := c.ownerOf(p); ok && o == fs.ino {
+		if c.pageOwnerAt(p) == fs.ino {
 			own = append(own, p)
 		} else {
 			foreign = append(foreign, p)
 		}
 	}
-	c.sealQuiescentLocked(foreign)
+	c.tabMu.Unlock()
+	c.sealQuiescentLocked(foreign, sp)
 	c.downgradeToShard(&set, c.shardIdxIno(fs.ino))
-	c.sealQuiescentLocked(own)
+	c.sealQuiescentLocked(own, sp)
 	return nil
 }
 
-func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int) error {
+func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp telemetry.Span) error {
 	m := ls.mapped[ino]
 	if m == nil {
 		if ls.revoked[ino] {
@@ -656,15 +666,15 @@ func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int) error {
 		return err
 	}
 	if !rep.OK() {
-		rep = c.handleCorruptionLocked(fs, ls, rep)
+		rep = c.handleCorruptionLocked(fs, ls)
 	}
-	if rep.OK() {
+	if rep != nil {
 		// commitReportLocked transfers the pool references of newly
 		// absorbed pages onto this mapping, so the single unref below
 		// releases everything.
 		c.commitReportLocked(fs, ls, rep)
 	}
-	c.sealQuiescentLocked(c.finishWriteUnmapLocked(ls, fs, m))
+	c.sealQuiescentLocked(c.finishWriteUnmapLocked(ls, fs, m), sp)
 	return nil
 }
 
@@ -684,11 +694,20 @@ func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *ma
 	c.stats.observeRecall(fs.recallAt)
 	fs.recallAt = time.Time{} // the holder complied; recall resolved
 	delete(ls.mapped, fs.ino)
-	sealSet := make([]nvm.PageID, 0, len(fs.pages)+len(m.pages))
-	for p := range fs.pages {
-		sealSet = append(sealSet, p)
+	// The seal set is the released mapping's pages — usually ascending
+	// already, being a walk of a sequentially allocated file — plus any
+	// page of the file the mapping did not cover (a same-group writer's
+	// appends), each page once.
+	if !slices.IsSorted(m.pages) {
+		slices.Sort(m.pages)
 	}
-	return append(sealSet, m.pages...)
+	sealSet := m.pages
+	for p := range fs.pages {
+		if _, ok := slices.BinarySearch(m.pages, p); !ok {
+			sealSet = append(sealSet, p)
+		}
+	}
+	return sealSet
 }
 
 // runVerifierLocked invokes the trusted verifier process on one file.
@@ -718,17 +737,12 @@ func (c *Controller) runVerifierLocked(fs *fileState, ls *libfsState, acc *int) 
 	}
 	env := &ls.verifyEnv
 	*env = envImpl{c: c, fs: fs, ls: ls}
-	var rep *verifier.Report
-	var err error
-	if acc != nil {
-		// Ring drain path: reuse the session's scratch report
-		// (VerifyFileInto detaches Children, which commitReportLocked
-		// retains as the directory's verified child list).
-		rep = &ls.verifyRep
-		err = c.verifier.VerifyFileInto(rep, env, fs.ino, fs.loc, fs.ino == core.RootIno)
-	} else {
-		rep, err = c.verifier.VerifyFile(env, fs.ino, fs.loc, fs.ino == core.RootIno)
-	}
+	// The session's scratch report: VerifyFileInto detaches Children,
+	// which commitReportLocked retains as the directory's verified child
+	// list; everything else a caller wants past the session's next
+	// verification it copies out.
+	rep := &ls.verifyRep
+	err := c.verifier.VerifyFileInto(rep, env, fs.ino, fs.loc, fs.ino == core.RootIno)
 	if err == nil && !rep.OK() {
 		if telemetry.TracingOn() {
 			telemetry.Emit(0, "verify.failure", "controller", int64(fs.ino),
@@ -749,6 +763,22 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 		// runs twice per small-file cycle (adopt and write-unmap).
 		c.commitReportTailLocked(fs, ls, rep)
 		return
+	}
+	if len(rep.Pages) == len(fs.pages) {
+		// Unchanged page set (the overwrite handover): rep.Pages is
+		// duplicate-free by I2, so equal size and every page already the
+		// file's means there is nothing to bind, park or transfer.
+		same := true
+		for _, p := range rep.Pages {
+			if !fs.pages[p] {
+				same = false
+				break
+			}
+		}
+		if same {
+			c.commitReportTailLocked(fs, ls, rep)
+			return
+		}
 	}
 	// Page set: consume newly bound pages from the allocation pool;
 	// release pages that left the file back to the allocator. Pool
@@ -889,7 +919,7 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	for p := range cfs.pages {
 		sealSet = append(sealSet, p)
 	}
-	c.sealQuiescentLocked(sealSet)
+	c.sealQuiescentLocked(sealSet, telemetry.Span{})
 	c.registerFileLocked(cfs)
 	if !c.shadow.has(ch.Ino) {
 		// Credentials: the LibFS the ino was issued to (it may differ
@@ -970,8 +1000,12 @@ func (c *Controller) checkpointLocked(fs *fileState, in *core.Inode) {
 // handleCorruptionLocked implements the §4.3 policy: give the guilty
 // LibFS a bounded chance to fix the state; failing that, preserve the
 // corrupted bytes for the guilty LibFS (as its private data) and roll
-// the shared file back to the checkpoint.
-func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState, rep *verifier.Report) *verifier.Report {
+// the shared file back to the checkpoint. The failed report is gone by
+// the time it returns: every re-verification refills the session's one
+// scratch report. It returns that report when the state it describes —
+// fixed or rolled back — verified clean, nil when the file ends up
+// quarantined.
+func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState) *verifier.Report {
 	c.stats.Corruptions.Add(1)
 
 	if ls.fix != nil {
@@ -998,6 +1032,7 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState, rep *
 			for p := range fs.checkpoint.pages {
 				buf := make([]byte, nvm.PageSize)
 				if c.mem.Read(p, 0, buf) == nil {
+					c.markStored(copies[i])
 					c.mem.Write(copies[i], 0, buf)
 					c.mem.Persist(copies[i], 0, nvm.PageSize)
 				}
@@ -1021,7 +1056,7 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState, rep *
 	}
 	// Last resort: quarantine the file as private to the guilty LibFS.
 	fs.quarantined = ls.id
-	return rep
+	return nil
 }
 
 // restoreCheckpointLocked writes the checkpointed metadata pages and
@@ -1031,11 +1066,14 @@ func (c *Controller) restoreCheckpointLocked(fs *fileState) {
 	if cp == nil {
 		return
 	}
+	// The controller's own stores: none of these pages is clean any more.
 	for p, img := range cp.pages {
+		c.markStored(p)
 		c.mem.Write(p, 0, img)
 		c.mem.Persist(p, 0, nvm.PageSize)
 		c.tracePage(p, "restore ino=%d", fs.ino)
 	}
+	c.markStored(fs.loc.Page)
 	core.WriteInode(c.mem, fs.loc.Page, core.SlotOffset(fs.loc.Slot), &cp.inode)
 	// Restore the name alongside (corruption may have hit it).
 	c.mem.Fence()

@@ -258,11 +258,12 @@ func (s *Session) changePerm(ino core.Ino, patch func(*shadowPatch)) error {
 	if wrote, oerr := core.OpenChecksum(c.mem, c.dev.NumPages(), fs.loc.Page); oerr == nil && wrote {
 		c.mem.Fence()
 	}
+	c.markStored(fs.loc.Page)
 	if err := core.WriteInode(c.mem, fs.loc.Page, core.SlotOffset(fs.loc.Slot), &in); err != nil {
 		return err
 	}
 	c.mem.Fence()
-	c.sealQuiescentLocked([]nvm.PageID{fs.loc.Page})
+	c.sealQuiescentLocked([]nvm.PageID{fs.loc.Page}, telemetry.Span{})
 	// Keep the checkpoint's view coherent if one is outstanding.
 	if fs.checkpoint != nil {
 		fs.checkpoint.inode.Mode, fs.checkpoint.inode.UID, fs.checkpoint.inode.GID = sh.Mode, sh.UID, sh.GID
@@ -484,6 +485,9 @@ func (s *Session) Commit(ino core.Ino) error {
 func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked, rolledBack int) {
 	c.lockAll()
 	defer c.unlockAll()
+	// The clean bits are volatile: after a crash nothing is known clean
+	// and every open record reseals from content.
+	clear(c.cleanOpen)
 	for id, fn := range recoveryPrograms {
 		if c.libfses[id] != nil && fn != nil {
 			_ = fn()

@@ -411,6 +411,8 @@ func (c *Controller) ringExecBatch(entries []ring.Entry[ringReq]) {
 // (ringMapSlowLocked); anything that would sleep → retrySync.
 func (c *Controller) ringMapFast(s *Session, req ringReq) (cm ringCmpl, escalate bool) {
 	cm = ringCmpl{ticket: req.ticket}
+	sp := telemetry.StartSpan(c.shardIdxIno(req.ino), "controller.map", "controller")
+	defer sp.End()
 	set, fs := c.lockForFile(c.shardIdxSession(s.ls.id), req.ino, req.write)
 	info, wait, err := s.mapFileOnceLocked(fs, req.write)
 	c.unlockShards(&set)
@@ -430,6 +432,8 @@ func (c *Controller) ringMapFast(s *Session, req ringReq) (cm ringCmpl, escalate
 // already-held lockAll (taken once per batch by ringExecBatch).
 func (c *Controller) ringMapSlowLocked(s *Session, req ringReq, acc *int) ringCmpl {
 	cm := ringCmpl{ticket: req.ticket}
+	sp := telemetry.StartSpan(c.shardIdxIno(req.ino), "controller.map", "controller")
+	defer sp.End()
 	info, err := s.mapSlowLocked(req.ino, req.loc, req.write, nil, true, acc)
 	if err == errRetrySync {
 		cm.retrySync = true
@@ -444,7 +448,9 @@ func (c *Controller) ringMapSlowLocked(s *Session, req ringReq, acc *int) ringCm
 // escalated cases (corruption handling, directory adoption) retrySync.
 func (c *Controller) ringUnmapExec(s *Session, req ringReq, acc *int) ringCmpl {
 	cm := ringCmpl{ticket: req.ticket}
-	err := s.unmapFast(req.ino, acc)
+	sp := telemetry.StartSpan(c.shardIdxIno(req.ino), "controller.unmap", "controller")
+	defer sp.End()
+	err := s.unmapFast(req.ino, acc, sp)
 	if err == errEscalate {
 		cm.retrySync = true
 		return cm

@@ -169,7 +169,7 @@ func (c *Controller) scrubPassLocked(from, to nvm.PageID, budget int) scrubPassR
 				continue
 			}
 		}
-		if c.pageWriteMappedLocked(p) {
+		if c.writeMapped(p) {
 			rep.Skipped++
 			continue
 		}
@@ -200,16 +200,6 @@ func (c *Controller) scrubPassLocked(from, to nvm.PageID, budget int) scrubPassR
 		}
 	}
 	return rep
-}
-
-// pageWriteMappedLocked reports whether any session can store to page p
-// right now — O(1) against the global write-mapped refcounts instead of
-// a scan over every registered session (ISSUE 6: 10k sessions made the
-// scan the scrubber's bottleneck). Dead-but-unreaped sessions still
-// count, which is conservative: their pages stay unsealed until the
-// reaper settles the accounting.
-func (c *Controller) pageWriteMappedLocked(p nvm.PageID) bool {
-	return c.writeMapped(p)
 }
 
 // sealQuiescentLocked and openGrantedLocked live in bulkio.go: the
@@ -245,6 +235,7 @@ func (c *Controller) repairPageLocked(p nvm.PageID, want uint32) bool {
 	}
 
 	write := func() {
+		c.markStored(p)
 		c.mem.Write(p, 0, img)
 		c.mem.Persist(p, 0, nvm.PageSize)
 		c.mem.Fence()

@@ -318,17 +318,27 @@ func (c *Controller) allocHolderOf(ino core.Ino) (LibFSID, bool) {
 	return id, ok
 }
 
-// addWriteRef adjusts the count of sessions holding PermWrite on p.
-// The scrubber and the unmap-time sealers consult it (writeMapped) to
-// decide a page is quiescent — O(1) instead of a scan over every
+// addWriteRef counts one more session holding PermWrite on p. The
+// scrubber and the unmap-time sealers consult the count (writeMapped)
+// to decide a page is quiescent — O(1) instead of a scan over every
 // registered session.
-func (c *Controller) addWriteRef(p nvm.PageID, delta int) {
+func (c *Controller) addWriteRef(p nvm.PageID) {
 	c.tabMu.Lock()
-	n := int(c.writeRefs[p]) + delta
-	if n <= 0 {
-		n = 0
+	c.writeRefs[p]++
+	c.tabMu.Unlock()
+}
+
+// dropWriteRef is addWriteRef's inverse for a session whose unmap of p
+// returned the MMU dirty bit stored: a page stored to is no longer
+// cleanOpen.
+func (c *Controller) dropWriteRef(p nvm.PageID, stored bool) {
+	c.tabMu.Lock()
+	if stored {
+		c.cleanOpen[p] = false
 	}
-	c.writeRefs[p] = int32(n)
+	if c.writeRefs[p] > 0 {
+		c.writeRefs[p]--
+	}
 	c.tabMu.Unlock()
 }
 
@@ -343,12 +353,24 @@ func (c *Controller) writeMapped(p nvm.PageID) bool {
 	return n > 0
 }
 
+// markStored records that page p's content may have changed since its
+// checksum record was opened: the controller is about to store to the
+// page itself.
+func (c *Controller) markStored(p nvm.PageID) {
+	c.tabMu.Lock()
+	c.cleanOpen[p] = false
+	c.tabMu.Unlock()
+}
+
 // dropWriteRefs removes every write-mapped count the session holds —
 // called immediately before as.Revoke(), which clears the MMU
-// permissions without going through unrefPageLocked.
+// permissions (and with them the dirty bits) without going through
+// unrefPageLocked. Nothing was harvested, so every page the session
+// could store to counts as stored to.
 func (c *Controller) dropWriteRefs(ls *libfsState) {
 	c.tabMu.Lock()
 	for p := range ls.wmapped {
+		c.cleanOpen[p] = false
 		if n := c.writeRefs[p] - 1; n <= 0 {
 			c.writeRefs[p] = 0
 		} else {

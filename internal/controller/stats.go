@@ -52,6 +52,12 @@ type Stats struct {
 	ScrubQuarantined *telemetry.Counter // mismatches that poisoned a file
 	ScrubNS          *telemetry.Counter // time spent in background slices
 
+	// Unmap-time seal (ISSUE 15): records closed with the CRC they carried
+	// into the grant (MMU dirty bit clear) vs. records whose content was
+	// streamed and re-CRC'd.
+	SealClean    *telemetry.Counter
+	SealStreamed *telemetry.Counter
+
 	// RecallLat is the lease-recall latency distribution (ISSUE 6): the
 	// time from a cooperative recall request to the file becoming free —
 	// the holder complying, being forcibly revoked, or vanishing.
@@ -122,6 +128,9 @@ func newStats(shards int) *Stats {
 		ScrubRepaired:    reg.NewCounter("controller.scrub_repaired"),
 		ScrubQuarantined: reg.NewCounter("controller.scrub_quarantined"),
 		ScrubNS:          reg.NewCounter("controller.scrub_ns"),
+
+		SealClean:    reg.NewCounter("controller.seal_clean_pages"),
+		SealStreamed: reg.NewCounter("controller.seal_streamed_pages"),
 
 		RecallLat: reg.NewHistogram("controller.recall_ns"),
 	}
@@ -210,6 +219,7 @@ type Snapshot struct {
 	ScrubPasses, ScrubPages, ScrubSealed            int64
 	ScrubDetected, ScrubRepaired, ScrubQuarantined  int64
 	ScrubTime                                       time.Duration
+	SealCleanPages, SealStreamedPages               int64
 
 	// PerShard mirrors the lock-shard counters (ISSUE 6), one entry per
 	// shard, taken in the same registry pass as the global counters.
@@ -282,6 +292,9 @@ func (s *Stats) Snapshot() Snapshot {
 		ScrubRepaired:    snap.Get("controller.scrub_repaired"),
 		ScrubQuarantined: snap.Get("controller.scrub_quarantined"),
 		ScrubTime:        time.Duration(snap.Get("controller.scrub_ns")),
+
+		SealCleanPages:    snap.Get("controller.seal_clean_pages"),
+		SealStreamedPages: snap.Get("controller.seal_streamed_pages"),
 	}
 }
 
@@ -326,5 +339,8 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		ScrubRepaired:    s.ScrubRepaired - prev.ScrubRepaired,
 		ScrubQuarantined: s.ScrubQuarantined - prev.ScrubQuarantined,
 		ScrubTime:        s.ScrubTime - prev.ScrubTime,
+
+		SealCleanPages:    s.SealCleanPages - prev.SealCleanPages,
+		SealStreamedPages: s.SealStreamedPages - prev.SealStreamedPages,
 	}
 }

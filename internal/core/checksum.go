@@ -79,6 +79,20 @@ func ChecksumSealed(rec uint64) bool {
 // ChecksumIsOpen reports whether the record is in a write window.
 func ChecksumIsOpen(rec uint64) bool { return ChecksumSeq(rec)%2 == 1 }
 
+// ChecksumSealSeq is the sequence word that seals a record currently at
+// seq: the next even value, never 0.
+func ChecksumSealSeq(seq uint32) uint32 {
+	if seq%2 == 1 {
+		seq++ // close the open window
+	} else {
+		seq += 2 // re-seal (or first seal of an unknown record)
+	}
+	if seq == 0 { // wrapped into "unknown": skip ahead to a sealed epoch
+		seq = 2
+	}
+	return seq
+}
+
 // LoadChecksum reads the record of page p.
 func LoadChecksum(m Mem, total nvm.PageID, p nvm.PageID) (uint64, error) {
 	tp, off := ChecksumLoc(total, p)
@@ -118,16 +132,7 @@ func SealChecksum(m Mem, total nvm.PageID, p nvm.PageID, crc uint32) error {
 	if err != nil {
 		return err
 	}
-	seq := ChecksumSeq(rec)
-	if seq%2 == 1 {
-		seq++ // close the open window
-	} else {
-		seq += 2 // re-seal (or first seal of an unknown record)
-	}
-	if seq == 0 { // wrapped into "unknown": skip ahead to a sealed epoch
-		seq = 2
-	}
-	if err := m.WriteU64(tp, off, PackChecksum(seq, crc)); err != nil {
+	if err := m.WriteU64(tp, off, PackChecksum(ChecksumSealSeq(ChecksumSeq(rec)), crc)); err != nil {
 		return err
 	}
 	return m.Persist(tp, off, ChecksumRecordSize)

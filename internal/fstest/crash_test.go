@@ -1,10 +1,12 @@
 package fstest
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"trio/internal/controller"
+	"trio/internal/core"
 	"trio/internal/fpfs"
 	"trio/internal/fsapi"
 	"trio/internal/kvfs"
@@ -151,4 +153,160 @@ func TestCrashRecoveryKVFS(t *testing.T) {
 			Verify: r.verifyAll,
 		}
 	})
+}
+
+// handoverRig is two trust domains over one controller on a
+// persistence-tracking device, sharing one sealed file.
+type handoverRig struct {
+	dev  *nvm.Device
+	ctl  *controller.Controller
+	sess [2]*controller.Session
+	fs   [2]*libfs.FS
+	h    [2]fsapi.File
+	ino  core.Ino
+}
+
+const (
+	handoverPath  = "/shared"
+	handoverPages = 8
+)
+
+func handoverFill(page, version int) []byte {
+	return bytes.Repeat([]byte{byte(16*version + page + 1)}, nvm.PageSize)
+}
+
+func newHandoverRig(t *testing.T) *handoverRig {
+	t.Helper()
+	r := &handoverRig{dev: nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: 2048, TrackPersistence: true})}
+	var err error
+	if r.ctl, err = controller.New(r.dev, controller.Options{CPUs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for d := range r.fs {
+		r.sess[d] = r.ctl.Register(1000, 1000, 0, controller.GroupID(1+d))
+		if r.fs[d], err = libfs.New(r.sess[d], libfs.Config{CPUs: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.h[0], err = r.fs[0].NewClient(0).Create(handoverPath, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < handoverPages; p++ {
+		if _, err := r.h[0].Append(handoverFill(p, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := r.fs[0].NewClient(0).Stat(handoverPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ino = core.Ino(info.Ino)
+	// Giving the root back adopts the file and seals its pages; domain 1
+	// then opens it and hands it straight back.
+	if err := r.sess[0].UnmapFile(core.RootIno); err != nil {
+		t.Fatal(err)
+	}
+	if r.h[1], err = r.fs[1].NewClient(0).Open(handoverPath, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.sess[1].UnmapFile(r.ino); err != nil {
+		t.Fatal(err)
+	}
+	if rep := r.ctl.ScrubAll(); rep.Mismatches != 0 {
+		t.Fatalf("setup scrub: %+v", rep)
+	}
+	return r
+}
+
+// handoverScript is the crash-swept scenario: write access to the file
+// moves between the domains three times — write-map, store one page,
+// unmap (verify + seal), the other domain maps — and ends on a handover
+// that stores nothing. It returns how many stores completed.
+func (r *handoverRig) handoverScript(fp *nvm.FaultPlan) (done int) {
+	steps := []struct{ domain, page int }{{0, 2}, {1, 5}, {0, 5}, {1, -1}}
+	for i, st := range steps {
+		if st.page >= 0 {
+			if _, err := r.h[st.domain].WriteAt(handoverFill(st.page, i+1), int64(st.page)*nvm.PageSize); err != nil {
+				return done
+			}
+		} else if _, err := r.h[st.domain].ReadAt(make([]byte, 8), 0); err != nil {
+			return done
+		}
+		if err := r.sess[st.domain].UnmapFile(r.ino); err != nil || fp.Fired() {
+			return done
+		}
+		done++
+	}
+	return done
+}
+
+// TestCrashHandoverSweep crashes a cross-domain write handover at every
+// persist point. The clean close publishes a record without re-reading
+// its page, so the property at stake is the checksum-behind one: after
+// recovery — warm, and again after a cold remount — no sealed record
+// may disagree with the durable content, every file verifies, and the
+// stores of completed handovers are intact.
+func TestCrashHandoverSweep(t *testing.T) {
+	probe := newHandoverRig(t)
+	fp := nvm.NewFaultPlan()
+	probe.dev.SetFaultPlan(fp)
+	if done := probe.handoverScript(fp); done != 4 {
+		t.Fatalf("dry run completed %d of 4 handovers", done)
+	}
+	n := fp.PersistPoints()
+	t.Logf("handover scenario: %d persist points to sweep", n)
+
+	want := [][handoverPages]int{{}, {2: 1}, {2: 1, 5: 2}, {2: 1, 5: 3}, {2: 1, 5: 3}}
+	for k := int64(1); k <= n; k++ {
+		r := newHandoverRig(t)
+		fp := nvm.NewFaultPlan()
+		fp.ArmCrashPoint(k)
+		r.dev.SetFaultPlan(fp)
+		done := r.handoverScript(fp)
+		if !fp.Fired() {
+			t.Fatalf("k=%d: crash point never fired", k)
+		}
+		r.dev.Tracker().Crash()
+		r.dev.SetFaultPlan(nil)
+		progs := map[controller.LibFSID]func() error{}
+		for d, fs := range r.fs {
+			if err := fs.Recover(); err != nil {
+				t.Fatalf("k=%d: domain %d recover: %v", k, d, err)
+			}
+			progs[r.sess[d].ID()] = fs.Recover
+		}
+		r.ctl.Recover(progs)
+
+		if _, bad, first := r.ctl.VerifyAll(); bad != 0 {
+			t.Fatalf("k=%d (%d handovers done): %d files fail verification: %s", k, done, bad, first)
+		}
+		if rep := r.ctl.ScrubAll(); rep.Mismatches != 0 {
+			t.Fatalf("k=%d (%d handovers done): %d sealed-CRC mismatches after recovery", k, done, rep.Mismatches)
+		}
+		// Completed handovers are durable; the interrupted one's page may
+		// hold either version (or a torn mix), every other page is exact.
+		f, err := r.fs[0].NewClient(0).Open(handoverPath, false)
+		if err != nil {
+			t.Fatalf("k=%d: reopen: %v", k, err)
+		}
+		buf := make([]byte, nvm.PageSize)
+		for p := 0; p < handoverPages; p++ {
+			if _, err := f.ReadAt(buf, int64(p)*nvm.PageSize); err != nil {
+				t.Fatalf("k=%d: read page %d: %v", k, p, err)
+			}
+			if done < 4 && want[done][p] != want[done+1][p] {
+				continue
+			}
+			if !bytes.Equal(buf, handoverFill(p, want[done][p])) {
+				t.Fatalf("k=%d (%d handovers done): page %d holds %#x, want version %d", k, done, p, buf[0], want[done][p])
+			}
+		}
+		cold, err := controller.New(r.dev, controller.Options{CPUs: 2})
+		if err != nil {
+			t.Fatalf("k=%d: cold remount: %v", k, err)
+		}
+		if rep := cold.ScrubAll(); rep.Mismatches != 0 {
+			t.Fatalf("k=%d: %d sealed-CRC mismatches after cold remount", k, rep.Mismatches)
+		}
+	}
 }

@@ -48,6 +48,14 @@ func (p Perm) String() string {
 	return fmt.Sprintf("Perm(%d)", uint8(p))
 }
 
+// A page-table word holds the permission in its low bits and, next to
+// it, the hardware dirty bit: the MMU sets it on the first store through
+// the mapping and only the controller's unmap clears it.
+const (
+	ptePerm  = 0x3
+	pteDirty = 0x4
+)
+
 // ErrFault is the access violation "signal".
 var ErrFault = errors.New("mmu: access violation")
 
@@ -68,10 +76,11 @@ var ErrRevoked = fmt.Errorf("%w: address space revoked", ErrFault)
 type AddressSpace struct {
 	dev *nvm.Device
 
-	// perms is a flat page table: one permission word per device page,
-	// indexed by nvm.PageID — the same shape hardware gives real
-	// systems. Permission checks on every load/store are single atomic
-	// loads that proceed without serializing against each other, while
+	// perms is a flat page table: one word (permission + dirty bit) per
+	// device page, indexed by nvm.PageID — the same shape hardware gives
+	// real systems. Permission checks on every load/store are single
+	// atomic loads that proceed without serializing against each other
+	// (a store's first touch of a clean page adds one CAS), while
 	// map/unmap (the slow, controller-mediated path) swaps entries
 	// concurrently.
 	perms []atomic.Uint32
@@ -118,22 +127,37 @@ func (as *AddressSpace) Node() int { return as.node }
 // SetNode migrates the process to another NUMA node (test hook).
 func (as *AddressSpace) SetNode(n int) { as.node = n }
 
-// set installs perm for page p, maintaining the mapped count. Pages
-// beyond the device are ignored (they can never check as mapped).
-func (as *AddressSpace) set(p nvm.PageID, perm Perm) {
+// set installs perm for page p, maintaining the mapped count, and
+// reports whether the page was dirty. Changing the permission of a
+// mapped page keeps its dirty bit; unmapping clears it. Pages beyond
+// the device are ignored (they can never check as mapped).
+func (as *AddressSpace) set(p nvm.PageID, perm Perm) (dirty bool) {
 	if uint64(p) >= uint64(len(as.perms)) {
-		return
+		return false
 	}
-	old := Perm(as.perms[p].Swap(uint32(perm)))
-	switch {
-	case old == PermNone && perm != PermNone:
+	pte := &as.perms[p]
+	var old uint32
+	for {
+		old = pte.Load()
+		word := uint32(perm)
+		if perm != PermNone {
+			word |= old & pteDirty
+		}
+		if pte.CompareAndSwap(old, word) {
+			break
+		}
+	}
+	switch was := Perm(old & ptePerm); {
+	case was == PermNone && perm != PermNone:
 		as.mapped.Add(1)
-	case old != PermNone && perm == PermNone:
+	case was != PermNone && perm == PermNone:
 		as.mapped.Add(-1)
 	}
+	return old&pteDirty != 0
 }
 
-// Map installs pages [p, p+count) with permission perm.
+// Map installs pages [p, p+count) with permission perm. A page that is
+// already mapped keeps its dirty bit.
 func (as *AddressSpace) Map(p nvm.PageID, count int, perm Perm) {
 	for i := 0; i < count; i++ {
 		as.set(p+nvm.PageID(i), perm)
@@ -147,11 +171,17 @@ func (as *AddressSpace) MapPages(pages []nvm.PageID, perm Perm) {
 	}
 }
 
-// Unmap removes pages [p, p+count).
-func (as *AddressSpace) Unmap(p nvm.PageID, count int) {
+// Unmap removes pages [p, p+count), clearing their dirty bits, and
+// reports whether any of them had been stored to since it was mapped.
+// This is the only way a dirty bit is read or cleared, and like Map it
+// is the controller's alone.
+func (as *AddressSpace) Unmap(p nvm.PageID, count int) (dirty bool) {
 	for i := 0; i < count; i++ {
-		as.set(p+nvm.PageID(i), PermNone)
+		if as.set(p+nvm.PageID(i), PermNone) {
+			dirty = true
+		}
 	}
+	return dirty
 }
 
 // UnmapPages removes each page of the list.
@@ -183,7 +213,7 @@ func (as *AddressSpace) PermOf(p nvm.PageID) Perm {
 	if uint64(p) >= uint64(len(as.perms)) {
 		return PermNone
 	}
-	return Perm(as.perms[p].Load())
+	return Perm(as.perms[p].Load() & ptePerm)
 }
 
 // Mapped reports how many pages are currently mapped.
@@ -227,11 +257,32 @@ func (as *AddressSpace) check(p nvm.PageID, need Perm) error {
 		mFaults.IncOn(int(p))
 		return fmt.Errorf("%w (page %d)", ErrRevoked, p)
 	}
-	if got := as.PermOf(p); got < need {
+	if got, ok := as.touch(p, need); !ok {
 		mFaults.IncOn(int(p))
 		return fmt.Errorf("%w: page %d needs %v, mapped %v", ErrFault, p, need, got)
 	}
 	return nil
+}
+
+// touch is the page walk of one access: it checks page p's permission
+// and, for a store, sets the dirty bit with a CAS from the very word it
+// checked — an unmap that slipped in between makes the CAS fail and the
+// re-check fault, so no store passes whose bit the unmap did not
+// collect. Steady state is the one atomic load: the bit is already set.
+func (as *AddressSpace) touch(p nvm.PageID, need Perm) (Perm, bool) {
+	if uint64(p) >= uint64(len(as.perms)) {
+		return PermNone, false
+	}
+	pte := &as.perms[p]
+	for {
+		word := pte.Load()
+		if got := Perm(word & ptePerm); got < need {
+			return got, false
+		}
+		if need != PermWrite || word&pteDirty != 0 || pte.CompareAndSwap(word, word|pteDirty) {
+			return need, true
+		}
+	}
 }
 
 // Read copies from page p at off into buf.
@@ -273,10 +324,20 @@ func (as *AddressSpace) checkSpan(p nvm.PageID, off, n int, need Perm) error {
 		mFaults.IncOn(int(p))
 		return fmt.Errorf("%w: page %d beyond device", ErrFault, last)
 	}
+	// Two passes for a store: a span that faults on a later page must not
+	// have marked the earlier ones dirty.
 	for q := p; q <= last; q++ {
-		if Perm(as.perms[q].Load()) < need {
+		if got := as.PermOf(q); got < need {
 			mFaults.IncOn(int(q))
-			return fmt.Errorf("%w: page %d needs %v, mapped %v", ErrFault, q, need, Perm(as.perms[q].Load()))
+			return fmt.Errorf("%w: page %d needs %v, mapped %v", ErrFault, q, need, got)
+		}
+	}
+	if need == PermWrite {
+		for q := p; q <= last; q++ {
+			if got, ok := as.touch(q, need); !ok {
+				mFaults.IncOn(int(q))
+				return fmt.Errorf("%w: page %d needs %v, mapped %v", ErrFault, q, need, got)
+			}
 		}
 	}
 	return nil

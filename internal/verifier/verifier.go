@@ -124,6 +124,9 @@ type Report struct {
 	// in the report means the hot verification path does no per-call
 	// buffer allocation.
 	buf [core.DirentSize]byte
+	// seen is the walk's visited-page bitset (I2: no page referenced
+	// twice), one bit per device page, reused across verifications.
+	seen []uint64
 }
 
 // maxViolations bounds a report's violation list. One corrupt page can
@@ -229,7 +232,11 @@ func (v *Verifier) VerifyFileInto(r *Report, env Env, ino core.Ino, loc core.Fil
 	v.checkShadow(env, r, &in, "file")
 
 	// ---- I2: page validity of the index chain -------------------------
-	blocks := v.checkPages(env, r, in.Head)
+	var blocks map[uint64]nvm.PageID // only a directory's content checks read it
+	if in.Type == core.TypeDir {
+		blocks = make(map[uint64]nvm.PageID)
+	}
+	v.checkPages(env, r, in.Head, blocks)
 
 	// ---- directory content checks (I1 names, I2 inos, I3 tree) --------
 	if in.Type == core.TypeDir {
@@ -259,15 +266,20 @@ func (v *Verifier) checkShadow(env Env, r *Report, in *core.Inode, what string) 
 	}
 }
 
-// checkPages walks the index chain, enforcing I2, and returns the live
-// (block → data page) mapping for directory content checks.
-func (v *Verifier) checkPages(env Env, r *Report, head nvm.PageID) map[uint64]nvm.PageID {
+// checkPages walks the index chain, enforcing I2. For a directory it
+// also fills blocks, the live (block → data page) mapping the content
+// checks read; a regular file passes nil.
+func (v *Verifier) checkPages(env Env, r *Report, head nvm.PageID, blocks map[uint64]nvm.PageID) {
 	if head == nvm.NilPage {
-		return nil // empty file: no chain, no bookkeeping to allocate
+		return // empty file: no chain, no bookkeeping to touch
 	}
-	blocks := make(map[uint64]nvm.PageID)
-	seen := make(map[nvm.PageID]bool)
 	total := env.TotalPages()
+	if words := int((total + 63) / 64); len(r.seen) < words {
+		r.seen = make([]uint64, words)
+	} else {
+		clear(r.seen)
+	}
+	seen := r.seen
 
 	checkPage := func(p nvm.PageID, kind string) bool {
 		if uint64(p) >= total {
@@ -278,11 +290,11 @@ func (v *Verifier) checkPages(env Env, r *Report, head nvm.PageID) map[uint64]nv
 			r.addf("I2", "%s page %d points into reserved pages", kind, p)
 			return false
 		}
-		if seen[p] {
+		if seen[p/64]&(1<<(p%64)) != 0 {
 			r.addf("I2", "page %d referenced twice within the file", p)
 			return false
 		}
-		seen[p] = true
+		seen[p/64] |= 1 << (p % 64)
 		if !env.PageInFile(p) && !env.PageAllocated(p) {
 			if owner, ok := env.PageOwner(p); ok {
 				r.addf("I2", "%s page %d belongs to file %d", kind, p, owner)
@@ -299,7 +311,7 @@ func (v *Verifier) checkPages(env Env, r *Report, head nvm.PageID) map[uint64]nv
 	err := core.WalkFile(v.mem, head, maxPages,
 		func(p nvm.PageID) bool { return checkPage(p, "index") },
 		func(block uint64, p nvm.PageID) bool {
-			if checkPage(p, "data") {
+			if checkPage(p, "data") && blocks != nil {
 				blocks[block] = p
 			}
 			return true
@@ -307,7 +319,6 @@ func (v *Verifier) checkPages(env Env, r *Report, head nvm.PageID) map[uint64]nv
 	if err != nil {
 		r.addf("I2", "index chain walk failed: %v", err)
 	}
-	return blocks
 }
 
 // checkDirectory validates every live dirent slot (I1 names, I1/I4 child

@@ -2,8 +2,8 @@
 // the sharded controller. Unlike the other drivers in this package it
 // does not run over fsapi — its subject is the controller itself, so it
 // speaks the Session protocol directly: thousands of concurrent tenant
-// sessions, each its own trust group, doing map-write/store/unmap cycles
-// against a private file, with a zipfian sprinkle of contended accesses
+// sessions, each its own trust group, doing map-write/rewrite/unmap
+// cycles against a private file, with a zipfian sprinkle of contended accesses
 // to a small set of hot shared files (which drives the lease-recall
 // machinery) and random session death mid-run (which drives the
 // per-shard reapers).
@@ -26,8 +26,9 @@ type TenancySpec struct {
 	// distinct trust group with a private directory and file.
 	Sessions int
 	// OpsPerSession is how many measured cycles each session runs; a
-	// cycle is one MapFile + one UnmapFile (plus a store on private
-	// cycles), so a session contributes 2*OpsPerSession controller ops.
+	// cycle is one MapFile + one UnmapFile (plus a rewrite of the whole
+	// file on private cycles), so a session contributes 2*OpsPerSession
+	// controller ops.
 	OpsPerSession int
 	// FilePages is the data-page count of each tenant's private file.
 	FilePages int
@@ -200,16 +201,21 @@ func RunTenancy(c *controller.Controller, spec TenancySpec) (TenancyResult, erro
 				return 0, 0, fmt.Errorf("tenant %d: map private file: %w", tid, err)
 			}
 			ops++
-			p := t.pages[rng.Intn(len(t.pages))]
+			// Rewrite the whole file: the unmap-time seal re-reads what
+			// was stored to, so a full rewrite keeps the 32-page seal
+			// stream — the modeled device time shard locks overlap —
+			// that a one-page store no longer pays.
 			as := t.sess.AddressSpace()
-			if err := as.Write(p, 0, buf); err != nil {
-				return 0, 0, fmt.Errorf("tenant %d: store: %w", tid, err)
-			}
-			if err := as.Persist(p, 0, len(buf)); err != nil {
-				return 0, 0, fmt.Errorf("tenant %d: persist: %w", tid, err)
+			for _, p := range t.pages {
+				if err := as.Write(p, 0, buf); err != nil {
+					return 0, 0, fmt.Errorf("tenant %d: store: %w", tid, err)
+				}
+				if err := as.Persist(p, 0, len(buf)); err != nil {
+					return 0, 0, fmt.Errorf("tenant %d: persist: %w", tid, err)
+				}
+				bytes += int64(len(buf))
 			}
 			as.Fence()
-			bytes += int64(len(buf))
 			if err := t.sess.UnmapFile(t.fileIno); err != nil {
 				return 0, 0, fmt.Errorf("tenant %d: unmap private file: %w", tid, err)
 			}

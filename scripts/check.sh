@@ -6,7 +6,9 @@
 #   2. go build over every package
 #   3. the full test suite (includes the crash-point conformance sweeps)
 #   4. the race detector over the packages with real concurrency:
-#      the cross-FS conformance suite and the LibFS itself.
+#      the cross-FS conformance suite, the LibFS itself, the controller,
+#      and the page table and verifier under it (the store path's
+#      dirty-bit CAS races the controller's unmap).
 #   5. a fuzz smoke pass over the verifier's adversarial targets —
 #      ten seconds per target of randomly corrupted core state, which
 #      must always terminate in a Report, never a panic or a hang —
@@ -80,7 +82,7 @@ echo "== go test ./..."
 go test ./...
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
+go test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
 # The workload package's tenancy sweeps are too heavy for the race
 # detector's ~20x slowdown; race just the network generators it added
 # (the netload fleet and the netchaos fault storm).
@@ -100,6 +102,8 @@ echo "== bench smoke (benchmarks must build and run, never silently skip)"
 go test -run='^$' -bench='^$' ./... > /dev/null
 # One-shot run of the data-path families that back BENCH_trio.json.
 go test -run='^$' -bench='^BenchmarkDataPath' -benchtime=1x . > /dev/null
+# One cross-domain 2 MiB write handover (streamed-pages/op, allocs/op).
+go test -run='^$' -bench='^BenchmarkHandover2M$' -benchtime=1x ./internal/controller/ > /dev/null
 # And the regression harness itself, end to end in quick mode.
 go run ./cmd/trio-bench -experiment datapath -quick -json /dev/null > /dev/null
 
