@@ -30,7 +30,6 @@ package controller
 
 import (
 	"encoding/binary"
-	"slices"
 	"sync"
 
 	"trio/internal/core"
@@ -46,45 +45,34 @@ type pageRun struct {
 }
 
 // quiescentSegments calls fn for each segment of the quiescent pages
-// among pages: those below the checksum table that no session
-// write-maps — one look at writeRefs under one tabMu hold, the same
-// table the scrubber trusts to skip busy pages — in ascending order,
-// duplicates dropped, as maximal consecutive runs cut where the run's
-// records would cross a table-page boundary (within a table page the
-// records of consecutive pages are contiguous). The caller's lock set
-// keeps the answer true while fn runs: a write grant of any of these
-// pages needs a shard the caller holds.
-func (c *Controller) quiescentSegments(pages []nvm.PageID, fn func(total nvm.PageID, seg pageRun)) {
+// among the normal-form runs: those below the checksum table that no
+// session write-maps — writeRefs, the same table the scrubber trusts to
+// skip busy pages, read under one tabMu hold per segment — in ascending
+// order, as maximal consecutive runs cut where the run's records would
+// cross a table-page boundary (within a table page the records of
+// consecutive pages are contiguous). The caller's lock set keeps the
+// answer true while fn runs: a write grant of any of these pages needs
+// a shard the caller holds.
+func (c *Controller) quiescentSegments(runs []pageRun, fn func(total nvm.PageID, seg pageRun)) {
 	total := c.dev.NumPages()
 	base := core.ChecksumBase(total)
-	var small [4]nvm.PageID // a small file's grant stays off the heap
-	ps := small[:0]
-	if len(pages) > len(small) {
-		ps = make([]nvm.PageID, 0, len(pages))
-	}
-	c.tabMu.Lock()
-	for _, p := range pages {
-		if p < base && c.writeRefs[p] == 0 {
-			ps = append(ps, p)
-		}
-	}
-	c.tabMu.Unlock()
-	if !slices.IsSorted(ps) { // a grant's page list usually is
-		slices.Sort(ps)
-	}
-	for i := 0; i < len(ps); {
-		seg := pageRun{start: ps[i], n: 1}
-		for i++; i < len(ps); i++ {
-			next := seg.start + nvm.PageID(seg.n)
-			if ps[i] == next-1 {
-				continue // duplicate
+	for _, r := range runs {
+		end := min(r.end(), base)
+		for p := r.start; p < end; {
+			stop := min(end, (p/core.ChecksumRecordsPerPage+1)*core.ChecksumRecordsPerPage)
+			c.tabMu.Lock()
+			for p < stop && c.writeRefs[p] != 0 {
+				p++
 			}
-			if ps[i] != next || next%core.ChecksumRecordsPerPage == 0 {
-				break
+			seg := pageRun{start: p}
+			for p < stop && c.writeRefs[p] == 0 {
+				p++
 			}
-			seg.n++
+			c.tabMu.Unlock()
+			if seg.n = int(p - seg.start); seg.n > 0 {
+				fn(total, seg)
+			}
 		}
-		fn(total, seg)
 	}
 }
 
@@ -112,9 +100,9 @@ const maxSealRun = 256
 // skipped — on a create/unlink stream the dirent page is held
 // write-mapped by the directory's owner the whole time, so this turns
 // the per-map record round trip into a table lookup.
-func (c *Controller) openGrantedLocked(pages []nvm.PageID) {
+func (c *Controller) openGrantedLocked(runs []pageRun) {
 	fence := false
-	c.quiescentSegments(pages, func(total nvm.PageID, seg pageRun) {
+	c.quiescentSegments(runs, func(total nvm.PageID, seg pageRun) {
 		if c.openSegment(total, seg) {
 			fence = true
 		}
@@ -180,10 +168,13 @@ func (c *Controller) openSegmentSlow(total nvm.PageID, seg pageRun) bool {
 // verification just ran, every store is persisted, so the content is
 // exactly what a scrub should vouch for from here on. sp, when active,
 // is the unmap span the seal is booked under.
-func (c *Controller) sealQuiescentLocked(pages []nvm.PageID, sp telemetry.Span) {
+func (c *Controller) sealQuiescentLocked(runs []pageRun, sp telemetry.Span) {
+	if len(runs) == 0 {
+		return
+	}
 	sp = sp.Child("controller.seal", "controller")
 	defer sp.End()
-	c.quiescentSegments(pages, c.sealSegment)
+	c.quiescentSegments(runs, c.sealSegment)
 }
 
 // sealSegment seals the unsealed records of one single-table-page

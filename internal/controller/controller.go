@@ -196,8 +196,23 @@ func (fs *fileState) addReaderLocked(id LibFSID) {
 // directories, plus the inode and (for dirs) the children list.
 type checkpoint struct {
 	inode    core.Inode
-	pages    map[nvm.PageID][]byte
+	pages    map[nvm.PageID]*[nvm.PageSize]byte
 	children []verifier.ChildRef
+}
+
+// cpBufPool recycles checkpoint page buffers across grants. The
+// snapshot itself cannot be skipped or put off — §4.3's rollback needs
+// the image from before the grantee's first store.
+var cpBufPool = sync.Pool{New: func() any { return new([nvm.PageSize]byte) }}
+
+// dropCheckpoint ends the rollback window a write grant opened.
+func (fs *fileState) dropCheckpoint() {
+	if fs.checkpoint != nil {
+		for _, img := range fs.checkpoint.pages {
+			cpBufPool.Put(img)
+		}
+		fs.checkpoint = nil
+	}
 }
 
 // libfsState is the controller's record of one registered LibFS.
@@ -226,17 +241,6 @@ type libfsState struct {
 
 	// mapped tracks which files this LibFS currently has mapped.
 	mapped map[core.Ino]*mapping
-
-	// pageRefs reference-counts page mappings in the address space:
-	// sibling files share their parent directory's dirent pages, so a
-	// page is unmapped only when its last user unmaps.
-	pageRefs map[nvm.PageID]int
-
-	// wmapped tracks which pages this session's counted write mapping
-	// covers (the writeRefs table holds the cross-session sums). Kept
-	// separately from the MMU perms so Revoke — which clears perms
-	// wholesale — can settle the counts exactly once (dropWriteRefs).
-	wmapped map[nvm.PageID]bool
 
 	// fix, if set, is invoked when this LibFS's corruption is detected,
 	// giving it FixTimeout to repair the core state (§4.3).
@@ -275,7 +279,7 @@ type libfsState struct {
 type mapping struct {
 	ino   core.Ino
 	write bool
-	pages []nvm.PageID // pages granted for this file (incl. the dirent page)
+	runs  []pageRun // pages granted for this file (incl. the dirent page), normal form (runs.go)
 }
 
 // Controller is the trusted kernel component.
@@ -319,8 +323,8 @@ type Controller struct {
 	// since: the record's carried CRC still describes the content, so the
 	// unmap-time seal may close it without reading the page. Cleared by
 	// every event that could change the content — a harvested MMU dirty
-	// bit (dropWriteRef), a session torn down without harvesting
-	// (dropWriteRefs), a store of the controller's own (markStored).
+	// bit (unmappedLocked), a session torn down without harvesting
+	// (revokeSpaceLocked), a store of the controller's own (markStored).
 	// Volatile: a fresh mount starts with every bit clear and open
 	// records reseal from content.
 	cleanOpen []bool
@@ -585,8 +589,6 @@ func (c *Controller) Register(uid, gid uint32, node int, group GroupID) *Session
 		allocInos:  make(map[core.Ino]bool),
 		parked:     make(map[nvm.PageID]bool),
 		mapped:     make(map[core.Ino]*mapping),
-		pageRefs:   make(map[nvm.PageID]int),
-		wmapped:    make(map[nvm.PageID]bool),
 		revoked:    make(map[core.Ino]bool),
 	}
 	if c.sqs != nil {
@@ -669,13 +671,11 @@ func (s *Session) Close() error {
 	for p := range s.ls.allocPages {
 		pages = append(pages, p)
 		delete(s.ls.allocPages, p)
-		s.unrefPageLocked(p)
 		s.c.tracePage(p, "free-close-pool ls=%d", s.ls.id)
 	}
 	for p := range s.ls.parked {
 		pages = append(pages, p)
 		delete(s.ls.parked, p)
-		s.unrefPageLocked(p)
 		s.c.tracePage(p, "free-close-parked ls=%d", s.ls.id)
 	}
 	s.c.pageAlloc.FreePages(pages)
@@ -690,48 +690,85 @@ func (s *Session) Close() error {
 	s.c.unregisterSessionLocked(s.ls.id)
 	s.ls.dead = true
 	s.c.ringKillLocked(s.ls)
-	// Settle the global write-mapped table before Revoke clears the
-	// permission array (after Revoke the per-page perms are gone and the
-	// accounting could not be reconstructed).
-	s.c.dropWriteRefs(s.ls)
-	// Revoke rather than merely unmap: a delegation batch still in
-	// flight over this address space must fail deterministically
-	// (ErrRevoked, wrapping the MMU fault), not race the teardown.
-	s.ls.as.Revoke()
+	// Revoke rather than merely unmap (it also drops the freed pool and
+	// parked pages' references): a delegation batch still in flight over
+	// this address space must fail deterministically (ErrRevoked,
+	// wrapping the MMU fault), not race the teardown.
+	s.c.revokeSpaceLocked(s.ls)
 	return firstErr
 }
 
-// refPageLocked maps page p (or bumps its refcount) with at least perm.
-func (ls *libfsState) refPageLocked(p nvm.PageID, perm mmu.Perm) {
-	ls.pageRefs[p]++
-	if ls.as.PermOf(p) < perm {
-		ls.as.Map(p, 1, perm)
-	} else if ls.pageRefs[p] == 1 {
-		ls.as.Map(p, 1, perm)
+// A session's per-page reference counts live in the software bits of
+// its page-table words (mmu.Ref/Unref; ids beyond the device are
+// clipped there). A page holds write permission exactly while the
+// session counts in writeRefs for it, and a grant or release settles
+// writeRefs and cleanOpen under one tabMu hold — harvested dirty bits
+// included, so a sealer that reads writeRefs zero sees cleanOpen cleared.
+
+// refRunsLocked maps every page of runs with at least perm, taking one
+// reference on each.
+func (ls *libfsState) refRunsLocked(runs []pageRun, perm mmu.Perm) {
+	c := ls.c
+	var raised func(nvm.PageID)
+	if perm == mmu.PermWrite {
+		raised = func(p nvm.PageID) { c.writeRefs[p]++ }
 	}
-	if perm == mmu.PermWrite && ls.c != nil && !ls.wmapped[p] {
-		ls.wmapped[p] = true
-		ls.c.addWriteRef(p)
+	c.tabMu.Lock()
+	for _, r := range runs {
+		ls.as.Ref(r.start, r.n, perm, raised)
+	}
+	c.tabMu.Unlock()
+}
+
+// unrefRunsLocked drops one reference from every page of runs,
+// unmapping those whose last it was.
+func (ls *libfsState) unrefRunsLocked(runs []pageRun) {
+	c, settle := ls.c, ls.c.unmappedLocked
+	c.tabMu.Lock()
+	for _, r := range runs {
+		ls.as.Unref(r.start, r.n, settle)
+	}
+	c.tabMu.Unlock()
+}
+
+// unmappedLocked settles the global tables for a page a session just
+// lost (tabMu held): a write mapping no longer counts, and a page that
+// was stored to is no longer cleanOpen.
+func (c *Controller) unmappedLocked(p nvm.PageID, was mmu.Perm, stored bool) {
+	if was != mmu.PermWrite {
+		return
+	}
+	if stored {
+		c.cleanOpen[p] = false
+	}
+	if c.writeRefs[p] > 0 {
+		c.writeRefs[p]--
 	}
 }
 
-// unrefPageLocked drops one reference to page p, unmapping at zero.
-func (s *Session) unrefPageLocked(p nvm.PageID) {
-	s.ls.unrefPageLocked(p)
+// releaseLocked drops mapping m and its page references.
+func (ls *libfsState) releaseLocked(m *mapping) {
+	ls.unrefRunsLocked(m.runs)
+	delete(ls.mapped, m.ino)
+}
+
+// refPageLocked and unrefPageLocked are the one-page case, for pool and
+// parked pages.
+func (ls *libfsState) refPageLocked(p nvm.PageID, perm mmu.Perm) {
+	ls.refRunsLocked([]pageRun{{start: p, n: 1}}, perm)
 }
 
 func (ls *libfsState) unrefPageLocked(p nvm.PageID) {
-	if n := ls.pageRefs[p]; n > 1 {
-		ls.pageRefs[p] = n - 1
-		return
-	}
-	delete(ls.pageRefs, p)
-	// The harvested dirty bit lands in the same tabMu hold that drops
-	// the write ref (only a write-mapped page can be dirty): a sealer
-	// that reads writeRefs zero already sees cleanOpen cleared.
-	stored := ls.as.Unmap(p, 1)
-	if ls.c != nil && ls.wmapped[p] {
-		delete(ls.wmapped, p)
-		ls.c.dropWriteRef(p, stored)
-	}
+	ls.unrefRunsLocked([]pageRun{{start: p, n: 1}})
+}
+
+// revokeSpaceLocked tears down the session's whole address space. No
+// dirty bit is harvested — a torn-down session's stores may not even be
+// persisted — so every page it could store to counts as stored to.
+func (c *Controller) revokeSpaceLocked(ls *libfsState) {
+	ls.as.Revoke(func(p nvm.PageID, was mmu.Perm, _ bool) {
+		c.tabMu.Lock()
+		c.unmappedLocked(p, was, true)
+		c.tabMu.Unlock()
+	})
 }

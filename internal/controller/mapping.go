@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"trio/internal/core"
@@ -159,24 +158,33 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 		}
 	}
 
-	pages, err := c.grantPages(fs, &in)
+	runs, err := c.grantRuns(fs, &in)
 	if err != nil {
 		return MapInfo{}, err
 	}
-	return s.grantLocked(fs, &in, pages, write), nil
+	return s.grantLocked(fs, &in, runs, write), nil
 }
 
-// grantPages collects the page set a grant of fs maps: the dirent page
-// plus the file's current index and data pages.
-func (c *Controller) grantPages(fs *fileState, in *core.Inode) ([]nvm.PageID, error) {
-	pages := []nvm.PageID{fs.loc.Page}
-	err := core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()),
-		func(p nvm.PageID) bool { pages = append(pages, p); return true },
-		func(_ uint64, p nvm.PageID) bool { pages = append(pages, p); return true })
+// grantRuns collects the pages a grant of fs maps — the dirent page plus
+// the file's current index and data pages — as normal-form runs. The
+// walk reads untrusted core state: page ids beyond the device are
+// dropped here and never reach a table.
+func (c *Controller) grantRuns(fs *fileState, in *core.Inode) ([]pageRun, error) {
+	total := c.dev.NumPages()
+	runs := make([]pageRun, 0, 4)
+	add := func(p nvm.PageID) bool {
+		if p < total {
+			runs = appendPage(runs, p)
+		}
+		return true
+	}
+	add(fs.loc.Page)
+	err := core.WalkFile(c.mem, in.Head, int(total), add,
+		func(_ uint64, p nvm.PageID) bool { return add(p) })
 	if err != nil {
 		return nil, fmt.Errorf("controller: walking file %d: %w", fs.ino, err)
 	}
-	return pages, nil
+	return normalizeRuns(runs), nil
 }
 
 // grantLocked installs a grant every check has already allowed: it maps
@@ -184,7 +192,7 @@ func (c *Controller) grantPages(fs *fileState, in *core.Inode) ([]nvm.PageID, er
 // session as the file's writer (checkpointing the file) or as a reader.
 // The caller holds the locks covering the session, the file and — for
 // a write grant — every page's checksum record.
-func (s *Session) grantLocked(fs *fileState, in *core.Inode, pages []nvm.PageID, write bool) MapInfo {
+func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, write bool) MapInfo {
 	c := s.c
 	perm := mmu.PermRead
 	if write {
@@ -194,12 +202,10 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, pages []nvm.PageID,
 		// can be invalidated by a write the scrubber doesn't know about.
 		// Runs before our own refs so openGrantedLocked sees the
 		// pre-grant writeRefs table (see its doc comment).
-		c.openGrantedLocked(pages)
+		c.openGrantedLocked(runs)
 	}
-	for _, p := range pages {
-		s.ls.refPageLocked(p, perm)
-	}
-	s.ls.mapped[fs.ino] = &mapping{ino: fs.ino, write: write, pages: pages}
+	s.ls.refRunsLocked(runs, perm)
+	s.ls.mapped[fs.ino] = &mapping{ino: fs.ino, write: write, runs: runs}
 	delete(s.ls.revoked, fs.ino) // a successful re-map clears the revocation
 
 	if write {
@@ -320,7 +326,7 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 	if err != nil {
 		return MapInfo{}, 0, err
 	}
-	pages, err := c.grantPages(fs, &in)
+	runs, err := c.grantRuns(fs, &in)
 	if err != nil {
 		return MapInfo{}, 0, err
 	}
@@ -328,34 +334,31 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 		// The grant opens checksum records: every page must be owned by
 		// the file or its parent (whose shards are held), so no other
 		// shard's grant or scrub can race the record read-modify-writes.
-		if !c.writeGrantPagesOK(pages, fs) {
+		if !c.writeGrantRunsOK(runs, fs) {
 			return MapInfo{}, 0, errEscalate
 		}
-	} else if !c.pagesOwnedWithin(pages, fs.ino, fs.parent) {
+	} else if !c.runsOwnedWithin(runs, fs.ino, fs.parent) {
 		return MapInfo{}, 0, errEscalate
 	}
-	return s.grantLocked(fs, &in, pages, write), 0, nil
+	return s.grantLocked(fs, &in, runs, write), 0, nil
 }
 
-// writeGrantPagesOK requires every page of a write grant to be owned by
+// writeGrantRunsOK requires every page of a write grant to be owned by
 // the file (or, for the dirent page, its parent) — ownership is what
 // ties the checksum-record RMWs to the shard locks the caller holds.
-func (c *Controller) writeGrantPagesOK(pages []nvm.PageID, fs *fileState) bool {
+func (c *Controller) writeGrantRunsOK(runs []pageRun, fs *fileState) bool {
 	c.tabMu.Lock()
 	defer c.tabMu.Unlock()
-	for i, p := range pages {
-		// pageOwnerAt: the page list came from walking untrusted core
-		// state; an impossible id reads as unowned and rejects the grant.
-		own := c.pageOwnerAt(p)
-		ok := own != 0
-		if i == 0 { // the dirent page, owned by the parent directory
-			if (ok && own != fs.parent) || (!ok && p != core.RootInodePage) {
+	for _, r := range runs {
+		for p := r.start; p < r.end(); p++ {
+			own := c.pageOwner[p] // grantRuns dropped impossible ids
+			if p == fs.loc.Page { // the dirent page, owned by the parent directory
+				if (own != 0 && own != fs.parent) || (own == 0 && p != core.RootInodePage) {
+					return false
+				}
+			} else if own != fs.ino {
 				return false
 			}
-			continue
-		}
-		if !ok || own != fs.ino {
-			return false
 		}
 	}
 	return true
@@ -455,10 +458,7 @@ func (c *Controller) revokeLocked(ls *libfsState, ino core.Ino) {
 	if m == nil || m.write {
 		return
 	}
-	for _, p := range m.pages {
-		ls.unrefPageLocked(p)
-	}
-	delete(ls.mapped, ino)
+	ls.releaseLocked(m)
 	if fs, _ := c.files.get(ino); fs != nil {
 		delete(fs.readers, ls.id)
 	}
@@ -582,23 +582,9 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	if err := s.aliveLocked(); err != nil {
 		return err
 	}
-	m := s.ls.mapped[ino]
+	m, err := c.writerToUnmapLocked(s.ls, fs, ino)
 	if m == nil {
-		if s.ls.revoked[ino] {
-			return fmt.Errorf("%w: ino %d", ErrRevoked, ino)
-		}
-		return fmt.Errorf("%w: ino %d is not mapped", ErrBadRequest, ino)
-	}
-	if fs == nil {
-		return fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
-	}
-	if !m.write {
-		for _, p := range m.pages {
-			s.ls.unrefPageLocked(p)
-		}
-		delete(fs.readers, s.ls.id)
-		delete(s.ls.mapped, ino)
-		return nil
+		return err
 	}
 	if fs.ftype != core.TypeReg || fs.quarantined != 0 || fs.corrupt {
 		return errEscalate
@@ -611,11 +597,11 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 		return errEscalate // the fix/rollback machinery needs everything
 	}
 	if !c.pagesOwnedWithin(rep.Pages, fs.ino, fs.parent) ||
-		!c.pagesOwnedWithin(m.pages, fs.ino, fs.parent) {
+		!c.runsOwnedWithin(m.runs, fs.ino, fs.parent) {
 		return errEscalate
 	}
 	c.commitReportLocked(fs, s.ls, rep)
-	sealSet := c.finishWriteUnmapLocked(s.ls, fs, m)
+	own, foreign := c.finishWriteUnmapLocked(s.ls, fs, m)
 	// Seal under the narrowest lock that still serializes the record
 	// RMWs: pages owned by the file need only its home shard, so the
 	// session's and parent's shards are released first — the seal is the
@@ -624,41 +610,38 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	// time, flattening the shard scaling this path exists for. The few
 	// pages owned elsewhere (the dirent page, owned by the parent) seal
 	// now, while the full set is still held.
-	own, foreign := make([]nvm.PageID, 0, len(sealSet)), []nvm.PageID(nil)
-	c.tabMu.Lock()
-	for _, p := range sealSet {
-		if c.pageOwnerAt(p) == fs.ino {
-			own = append(own, p)
-		} else {
-			foreign = append(foreign, p)
-		}
-	}
-	c.tabMu.Unlock()
 	c.sealQuiescentLocked(foreign, sp)
 	c.downgradeToShard(&set, c.shardIdxIno(fs.ino))
 	c.sealQuiescentLocked(own, sp)
 	return nil
 }
 
-func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp telemetry.Span) error {
+// writerToUnmapLocked resolves the mapping an unmap of ino releases.
+// Only a write mapping comes back for the caller to verify: a read
+// mapping is released here (readers could not have written), and nil
+// with a nil error reports that done.
+func (c *Controller) writerToUnmapLocked(ls *libfsState, fs *fileState, ino core.Ino) (*mapping, error) {
 	m := ls.mapped[ino]
-	if m == nil {
-		if ls.revoked[ino] {
-			return fmt.Errorf("%w: ino %d", ErrRevoked, ino)
-		}
-		return fmt.Errorf("%w: ino %d is not mapped", ErrBadRequest, ino)
-	}
-	fs, _ := c.files.get(ino)
-	if fs == nil {
-		return fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
-	}
-	if !m.write {
-		for _, p := range m.pages {
-			ls.unrefPageLocked(p)
-		}
+	switch {
+	case m == nil && ls.revoked[ino]:
+		return nil, fmt.Errorf("%w: ino %d", ErrRevoked, ino)
+	case m == nil:
+		return nil, fmt.Errorf("%w: ino %d is not mapped", ErrBadRequest, ino)
+	case fs == nil:
+		return nil, fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
+	case !m.write:
+		ls.releaseLocked(m)
 		delete(fs.readers, ls.id)
-		delete(ls.mapped, ino)
-		return nil
+		return nil, nil
+	}
+	return m, nil
+}
+
+func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp telemetry.Span) error {
+	fs, _ := c.files.get(ino)
+	m, err := c.writerToUnmapLocked(ls, fs, ino)
+	if m == nil {
+		return err
 	}
 
 	rep, err := c.runVerifierLocked(fs, ls, acc)
@@ -674,7 +657,9 @@ func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp tele
 		// releases everything.
 		c.commitReportLocked(fs, ls, rep)
 	}
-	c.sealQuiescentLocked(c.finishWriteUnmapLocked(ls, fs, m), sp)
+	own, foreign := c.finishWriteUnmapLocked(ls, fs, m)
+	c.sealQuiescentLocked(foreign, sp)
+	c.sealQuiescentLocked(own, sp)
 	return nil
 }
 
@@ -683,31 +668,38 @@ func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp tele
 // It returns the now-quiescent pages for the caller to seal — the
 // writer is gone and its stores are durable (every LibFS write persists
 // before returning), so the content is exactly what a scrub should
-// vouch for. The seal is the caller's because the fast path seals under
-// a narrower lock set than it unmaps under (see unmapFast).
-func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *mapping) []nvm.PageID {
-	for _, p := range m.pages {
-		ls.unrefPageLocked(p)
-	}
+// vouch for — split into the runs the file owns and the rest (the
+// dirent page, owned by the parent), which unmapFast seals under
+// different lock sets.
+func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *mapping) (own, foreign []pageRun) {
+	ls.releaseLocked(m)
 	fs.writer = 0
-	fs.checkpoint = nil
+	fs.dropCheckpoint()
 	c.stats.observeRecall(fs.recallAt)
 	fs.recallAt = time.Time{} // the holder complied; recall resolved
-	delete(ls.mapped, fs.ino)
-	// The seal set is the released mapping's pages — usually ascending
-	// already, being a walk of a sequentially allocated file — plus any
-	// page of the file the mapping did not cover (a same-group writer's
-	// appends), each page once.
-	if !slices.IsSorted(m.pages) {
-		slices.Sort(m.pages)
-	}
-	sealSet := m.pages
-	for p := range fs.pages {
-		if _, ok := slices.BinarySearch(m.pages, p); !ok {
-			sealSet = append(sealSet, p)
+
+	own = make([]pageRun, 0, len(m.runs))
+	owned := 0
+	c.tabMu.Lock()
+	for _, r := range m.runs {
+		for p := r.start; p < r.end(); p++ {
+			if c.pageOwner[p] == fs.ino {
+				own = appendPage(own, p)
+				owned++
+			} else {
+				foreign = appendPage(foreign, p)
+			}
 		}
 	}
-	return sealSet
+	c.tabMu.Unlock()
+	// A file page is owned by the file, so when the mapping holds as many
+	// of those as the file has pages it covers the file. Otherwise the
+	// seal set also takes the pages the mapping missed (a same-group
+	// writer's appends), each page once.
+	if owned != len(fs.pages) {
+		own = normalizeRuns(append(own, runsOfSet(fs.pages)...))
+	}
+	return own, foreign
 }
 
 // runVerifierLocked invokes the trusted verifier process on one file.
@@ -785,12 +777,6 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 	// references of consumed pages either transfer onto the caller's
 	// still-open mapping of this file or are dropped.
 	m := ls.mapped[fs.ino]
-	inMapping := make(map[nvm.PageID]bool)
-	if m != nil {
-		for _, p := range m.pages {
-			inMapping[p] = true
-		}
-	}
 	newSet := make(map[nvm.PageID]bool, len(rep.Pages))
 	for _, p := range rep.Pages {
 		newSet[p] = true
@@ -799,9 +785,8 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 			if ls.allocPages[p] || ls.parked[p] {
 				delete(ls.allocPages, p)
 				delete(ls.parked, p)
-				if m != nil && !inMapping[p] {
-					m.pages = append(m.pages, p) // transfer the pool ref
-					inMapping[p] = true
+				if m != nil && runsFind(m.runs, p) < 0 {
+					m.runs = normalizeRuns(appendPage(m.runs, p)) // transfer the pool ref
 				} else {
 					// No open mapping to transfer to (adopt path), or the
 					// page was double-counted at grant time.
@@ -823,16 +808,11 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 	for p := range fs.pages {
 		if !newSet[p] {
 			c.clearPageOwner(p)
-			if inMapping[p] {
+			if m != nil && runsFind(m.runs, p) >= 0 {
 				// Move from the file mapping to the parked set; its
 				// reference becomes the parked reference, so an alive
 				// holder mid-append keeps its MMU access.
-				for i, q := range m.pages {
-					if q == p {
-						m.pages = append(m.pages[:i], m.pages[i+1:]...)
-						break
-					}
-				}
+				m.runs = runsRemove(m.runs, p)
 			} else {
 				ls.refPageLocked(p, mmu.PermWrite)
 			}
@@ -902,7 +882,7 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 		if ls.allocPages[p] {
 			delete(ls.allocPages, p)
 			if cm != nil {
-				cm.pages = append(cm.pages, p) // transfer the pool ref
+				cm.runs = normalizeRuns(appendPage(cm.runs, p)) // transfer the pool ref
 			} else {
 				// The creator loses its implicit pool mapping; its
 				// next access faults and it re-maps through MapFile.
@@ -915,11 +895,7 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	// ends: seal the child's now-quiescent pages so the scrubber (and
 	// VerifyReads readers) can vouch for them. Pages a session still
 	// write-maps are skipped inside sealQuiescentLocked.
-	sealSet := make([]nvm.PageID, 0, len(cfs.pages))
-	for p := range cfs.pages {
-		sealSet = append(sealSet, p)
-	}
-	c.sealQuiescentLocked(sealSet, telemetry.Span{})
+	c.sealQuiescentLocked(runsOfSet(cfs.pages), telemetry.Span{})
 	c.registerFileLocked(cfs)
 	if !c.shadow.has(ch.Ino) {
 		// Credentials: the LibFS the ino was issued to (it may differ
@@ -975,14 +951,17 @@ func (c *Controller) checkpointLocked(fs *fileState, in *core.Inode) {
 	// pages stays nil for empty files (nothing to snapshot, and this
 	// runs on every write map); the restore/preserve paths range over
 	// it, which a nil map supports.
+	fs.dropCheckpoint() // Commit re-baselines over a live one
 	cp := &checkpoint{inode: *in}
 	snap := func(p nvm.PageID) bool {
-		buf := make([]byte, nvm.PageSize)
-		if err := c.mem.Read(p, 0, buf); err == nil {
+		img := cpBufPool.Get().(*[nvm.PageSize]byte)
+		if err := c.mem.Read(p, 0, img[:]); err != nil {
+			cpBufPool.Put(img)
+		} else {
 			if cp.pages == nil {
-				cp.pages = make(map[nvm.PageID][]byte)
+				cp.pages = make(map[nvm.PageID]*[nvm.PageSize]byte)
 			}
-			cp.pages[p] = buf
+			cp.pages[p] = img
 		}
 		return true
 	}
@@ -1069,7 +1048,7 @@ func (c *Controller) restoreCheckpointLocked(fs *fileState) {
 	// The controller's own stores: none of these pages is clean any more.
 	for p, img := range cp.pages {
 		c.markStored(p)
-		c.mem.Write(p, 0, img)
+		c.mem.Write(p, 0, img[:])
 		c.mem.Persist(p, 0, nvm.PageSize)
 		c.tracePage(p, "restore ino=%d", fs.ino)
 	}

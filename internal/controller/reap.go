@@ -58,8 +58,6 @@ func (c *Controller) Reap(id LibFSID) error {
 
 func (c *Controller) reapLocked(ls *libfsState) {
 	ls.dead = true
-	c.stats.Reaps.Add(1)
-	c.stats.shard(c.shardIdxSession(ls.id)).Reaps.Add(1)
 
 	// Retire the session's ring client first: abort its claimed-but-
 	// unpublished submission slots (a process that died mid-enqueue
@@ -68,13 +66,12 @@ func (c *Controller) reapLocked(ls *libfsState) {
 	// dropped against the closed client.
 	c.ringKillLocked(ls)
 
-	// Settle the write-mapped accounting before the permission array is
-	// cleared; the unrefs below then find nothing left to double-count.
-	c.dropWriteRefs(ls)
 	// Revoke the MMU first: from this instant the dead process — and
 	// any delegation worker still acting on its behalf — faults on
-	// every access, so the verifier below examines a frozen state.
-	ls.as.Revoke()
+	// every access, so the verifier below examines a frozen state. The
+	// page table is empty afterwards: the releases below find nothing
+	// left to double-count, except a reference taken after this point.
+	c.revokeSpaceLocked(ls)
 
 	// Directories the session had write-mapped are remembered for the
 	// orphan sweep below: the session may have died between clearing a
@@ -103,11 +100,8 @@ func (c *Controller) reapLocked(ls *libfsState) {
 			}
 			if !m.write {
 				if pass == 0 {
-					for _, p := range m.pages {
-						ls.unrefPageLocked(p)
-					}
+					ls.releaseLocked(m)
 					delete(fs.readers, ls.id)
-					delete(ls.mapped, ino)
 				}
 				continue
 			}
@@ -135,6 +129,8 @@ func (c *Controller) reapLocked(ls *libfsState) {
 	for p := range ls.parked {
 		pages = append(pages, p)
 		delete(ls.parked, p)
+		// Not always a no-op: a commit above parks a page that left its
+		// file outside the dead session's mapping with a fresh reference.
 		ls.unrefPageLocked(p)
 		c.tracePage(p, "free-reap-parked ls=%d", ls.id)
 	}
@@ -149,6 +145,9 @@ func (c *Controller) reapLocked(ls *libfsState) {
 		}
 	}
 	c.unregisterSessionLocked(ls.id)
+	// Counted last: whoever sees the reap counted sees its frees landed.
+	c.stats.Reaps.Add(1)
+	c.stats.shard(c.shardIdxSession(ls.id)).Reaps.Add(1)
 }
 
 // reapOrphansLocked garbage-collects files a dead session unlinked but
@@ -193,20 +192,26 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 		return true
 	})
 	for _, fs := range orphans {
-		// Parked, not freed: the walk that bound these pages may have
-		// raced the dead session's last stores, so a surviving file of
-		// this session may reference one of them. The stray sweep that
-		// follows rebinds such pages; the pool release frees the rest.
-		for p := range fs.pages {
-			c.pageOwner[p] = 0
-			ls.parked[p] = true
-			c.tracePage(p, "park-orphan ino=%d ls=%d", fs.ino, ls.id)
-		}
-		c.unregisterFileLocked(fs.ino)
-		c.shadow.del(fs.ino)
-		c.allocBy.del(fs.ino)
+		// The stray sweep that follows rebinds the parked pages a
+		// surviving file references; the pool release frees the rest.
+		c.forgetFileLocked(ls, fs, "park-orphan ino=%d ls=%d")
 		c.reaped.set(fs.ino, true)
 	}
+}
+
+// forgetFileLocked drops a deleted file's record. Its pages are parked
+// on ls, not freed: the binding walk that attributed them may have
+// raced ls's own stores, so another of its files may reference one of
+// them (see libfsState.parked). Teardown settles the set.
+func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState, trace string) {
+	for p := range fs.pages {
+		c.pageOwner[p] = 0
+		ls.parked[p] = true
+		c.tracePage(p, trace, fs.ino, ls.id)
+	}
+	c.unregisterFileLocked(fs.ino)
+	c.shadow.del(fs.ino)
+	c.allocBy.del(fs.ino)
 }
 
 // direntGoneLocked reports whether the dirent recorded for fs no longer
@@ -263,14 +268,11 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 		}
 	}
 	if m := ls.mapped[fs.ino]; m != nil {
-		for _, p := range m.pages {
-			ls.unrefPageLocked(p)
-		}
-		delete(ls.mapped, fs.ino)
+		ls.releaseLocked(m)
 	}
 	ls.revoked[fs.ino] = true
 	fs.writer = 0
-	fs.checkpoint = nil
+	fs.dropCheckpoint()
 	c.stats.observeRecall(fs.recallAt)
 	fs.recallAt = time.Time{}
 }
@@ -282,22 +284,9 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 // sibling's — an idempotent no-op.
 func (c *Controller) retireFileLocked(ls *libfsState, fs *fileState) {
 	if m := ls.mapped[fs.ino]; m != nil {
-		for _, p := range m.pages {
-			ls.unrefPageLocked(p)
-		}
-		delete(ls.mapped, fs.ino)
+		ls.releaseLocked(m)
 	}
-	// Parked, not freed — a racy binding walk may have attributed a
-	// page here that one of the holder's surviving files references
-	// (see libfsState.parked). Teardown settles it.
-	for p := range fs.pages {
-		c.pageOwner[p] = 0
-		ls.parked[p] = true
-		c.tracePage(p, "park-retire ino=%d ls=%d", fs.ino, ls.id)
-	}
-	c.unregisterFileLocked(fs.ino)
-	c.shadow.del(fs.ino)
-	c.allocBy.del(fs.ino)
+	c.forgetFileLocked(ls, fs, "park-retire ino=%d ls=%d")
 	c.reaped.set(fs.ino, true)
 }
 

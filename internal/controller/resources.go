@@ -19,33 +19,20 @@ import (
 // race their checksum-record opens), and the accounting touched is the
 // session's own plus the tabMu tables.
 func (s *Session) AllocPages(cpu, n int) ([]nvm.PageID, error) {
-	s.c.trap()
-	c := s.c
-	gate := c.admit(s.ls.id)
-	defer gate.exit(s.ls.id)
-	sIdx := c.shardIdxSession(s.ls.id)
-	c.stats.shard(sIdx).Allocs.Add(1)
-	c.shards[sIdx].mu.Lock()
-	defer c.shards[sIdx].mu.Unlock()
-	if err := s.aliveLocked(); err != nil {
-		return nil, err
-	}
-	pages, err := c.pageAlloc.AllocPages(cpu, n)
-	if err != nil {
-		return nil, err
-	}
-	c.openGrantedLocked(pages)
-	for _, p := range pages {
-		s.ls.allocPages[p] = true
-		s.ls.refPageLocked(p, mmu.PermWrite)
-		c.tracePage(p, "grant ls=%d", s.ls.id)
-	}
-	return pages, nil
+	return s.allocPages("grant ls=%d", func() ([]nvm.PageID, error) {
+		return s.c.pageAlloc.AllocPages(cpu, n)
+	})
 }
 
 // AllocPagesOnNode is AllocPages with NUMA placement, used by the
 // striping datapath (§4.5).
 func (s *Session) AllocPagesOnNode(cpu, n, node int) ([]nvm.PageID, error) {
+	return s.allocPages("grant-node ls=%d", func() ([]nvm.PageID, error) {
+		return s.c.pageAlloc.AllocPagesOnNode(s.c.dev, cpu, n, node)
+	})
+}
+
+func (s *Session) allocPages(trace string, alloc func() ([]nvm.PageID, error)) ([]nvm.PageID, error) {
 	s.c.trap()
 	c := s.c
 	gate := c.admit(s.ls.id)
@@ -57,15 +44,21 @@ func (s *Session) AllocPagesOnNode(cpu, n, node int) ([]nvm.PageID, error) {
 	if err := s.aliveLocked(); err != nil {
 		return nil, err
 	}
-	pages, err := c.pageAlloc.AllocPagesOnNode(c.dev, cpu, n, node)
+	pages, err := alloc()
 	if err != nil {
 		return nil, err
 	}
-	c.openGrantedLocked(pages)
+	var buf [8]pageRun // a batch is a handful of runs: off the heap
+	runs := buf[:0]
+	for _, p := range pages {
+		runs = appendPage(runs, p)
+	}
+	runs = normalizeRuns(runs)
+	c.openGrantedLocked(runs)
+	s.ls.refRunsLocked(runs, mmu.PermWrite)
 	for _, p := range pages {
 		s.ls.allocPages[p] = true
-		s.ls.refPageLocked(p, mmu.PermWrite)
-		c.tracePage(p, "grant-node ls=%d", s.ls.id)
+		c.tracePage(p, trace, s.ls.id)
 	}
 	return pages, nil
 }
@@ -87,44 +80,7 @@ func (s *Session) FreePages(pages []nvm.PageID) error {
 	if err := s.aliveLocked(); err != nil {
 		return err
 	}
-	freeable := make([]nvm.PageID, 0, len(pages))
-	for _, p := range pages {
-		switch {
-		case s.ls.parked[p]:
-			// Already in post-departure limbo (see libfsState.parked);
-			// it settles at teardown. Accept the free as a no-op rather
-			// than risk releasing a page a racy walk unbound while the
-			// LibFS still references it.
-			c.tracePage(p, "free-noop-parked ls=%d", s.ls.id)
-			continue
-		case s.ls.allocPages[p]:
-			delete(s.ls.allocPages, p)
-			s.ls.unrefPageLocked(p)
-			c.tracePage(p, "free-pool ls=%d", s.ls.id)
-		case func() bool {
-			ino := c.pageOwner[p]
-			if ino == 0 {
-				return false
-			}
-			m := s.ls.mapped[ino]
-			if m == nil || !m.write {
-				return false
-			}
-			fs, _ := c.files.get(ino)
-			delete(fs.pages, p)
-			c.pageOwner[p] = 0
-			s.ls.unrefPageLocked(p)
-			c.tracePage(p, "free-bound ino=%d ls=%d", ino, s.ls.id)
-			return true
-		}():
-		default:
-			c.pageAlloc.FreePages(freeable)
-			return fmt.Errorf("%w: page %d is not freeable by this LibFS", ErrPermission, p)
-		}
-		freeable = append(freeable, p)
-	}
-	c.pageAlloc.FreePages(freeable)
-	return nil
+	return s.freePagesLocked(pages, true)
 }
 
 // freePagesFast handles frees that stay inside the caller's own pool
@@ -143,19 +99,51 @@ func (s *Session) freePagesFast(pages []nvm.PageID) error {
 			return errEscalate
 		}
 	}
+	return s.freePagesLocked(pages, false)
+}
+
+// freePagesLocked frees pool pages and, when bound is set (lockAll
+// held), pages of files the session write-maps; it stops at the first
+// page that is neither.
+func (s *Session) freePagesLocked(pages []nvm.PageID, bound bool) error {
+	c := s.c
 	freeable := make([]nvm.PageID, 0, len(pages))
+	defer func() { c.pageAlloc.FreePages(freeable) }()
 	for _, p := range pages {
-		if s.ls.parked[p] {
+		switch {
+		case s.ls.parked[p]:
+			// Already in post-departure limbo (see libfsState.parked);
+			// it settles at teardown. Accept the free as a no-op rather
+			// than risk releasing a page a racy walk unbound while the
+			// LibFS still references it.
 			c.tracePage(p, "free-noop-parked ls=%d", s.ls.id)
 			continue
+		case s.ls.allocPages[p]:
+			delete(s.ls.allocPages, p)
+			c.tracePage(p, "free-pool ls=%d", s.ls.id)
+		case bound && s.unbindLocked(p):
+		default:
+			return fmt.Errorf("%w: page %d is not freeable by this LibFS", ErrPermission, p)
 		}
-		delete(s.ls.allocPages, p)
 		s.ls.unrefPageLocked(p)
-		c.tracePage(p, "free-pool ls=%d", s.ls.id)
 		freeable = append(freeable, p)
 	}
-	c.pageAlloc.FreePages(freeable)
 	return nil
+}
+
+// unbindLocked takes page p out of the file that owns it, provided the
+// session write-maps that file (truncate).
+func (s *Session) unbindLocked(p nvm.PageID) bool {
+	c := s.c
+	ino := c.pageOwnerAt(p)
+	if m := s.ls.mapped[ino]; ino == 0 || m == nil || !m.write {
+		return false
+	}
+	fs, _ := c.files.get(ino)
+	delete(fs.pages, p)
+	c.pageOwner[p] = 0
+	c.tracePage(p, "free-bound ino=%d ls=%d", ino, s.ls.id)
+	return true
 }
 
 // AllocInos issues a batch of fresh inode numbers to the LibFS.
@@ -263,11 +251,11 @@ func (s *Session) changePerm(ino core.Ino, patch func(*shadowPatch)) error {
 		return err
 	}
 	c.mem.Fence()
-	c.sealQuiescentLocked([]nvm.PageID{fs.loc.Page}, telemetry.Span{})
+	c.sealQuiescentLocked([]pageRun{{start: fs.loc.Page, n: 1}}, telemetry.Span{})
 	// Keep the checkpoint's view coherent if one is outstanding.
 	if fs.checkpoint != nil {
 		fs.checkpoint.inode.Mode, fs.checkpoint.inode.UID, fs.checkpoint.inode.GID = sh.Mode, sh.UID, sh.GID
-		if img, ok := fs.checkpoint.pages[fs.loc.Page]; ok {
+		if img := fs.checkpoint.pages[fs.loc.Page]; img != nil {
 			core.EncodeInode(img[core.SlotOffset(fs.loc.Slot):], &in)
 		}
 	}
@@ -319,26 +307,20 @@ func (s *Session) RemoveFiles(items []Removal) (recycled []nvm.PageID, err error
 	}
 	for _, it := range items {
 		if !c.files.has(it.Ino) {
-			if c.reaped.has(it.Ino) {
-				// The reaper already retired this file on behalf of a
-				// dead session; the batched removal is a no-op, but the
-				// caller's own pool pages are still recyclable.
-				for _, p := range it.Pages {
-					if s.ls.allocPages[p] {
-						recycled = append(recycled, p)
-						c.tracePage(p, "recycle-reaped ino=%d ls=%d", it.Ino, s.ls.id)
+			// Not a verified file: one that still lives in the caller's
+			// pool, or one the reaper already retired on behalf of a dead
+			// session (the removal is then a no-op). Either way the
+			// caller's own pool pages are recyclable.
+			if !c.reaped.has(it.Ino) {
+				if holder, _ := c.allocBy.get(it.Ino); holder != s.ls.id {
+					if err == nil {
+						err = fmt.Errorf("%w: ino %d", ErrUnknownFile, it.Ino)
 					}
+					continue
 				}
-				continue
+				c.allocBy.del(it.Ino)
+				delete(s.ls.allocInos, it.Ino)
 			}
-			if holder, _ := c.allocBy.get(it.Ino); holder != s.ls.id {
-				if err == nil {
-					err = fmt.Errorf("%w: ino %d", ErrUnknownFile, it.Ino)
-				}
-				continue
-			}
-			c.allocBy.del(it.Ino)
-			delete(s.ls.allocInos, it.Ino)
 			for _, p := range it.Pages {
 				if s.ls.allocPages[p] {
 					recycled = append(recycled, p)
@@ -358,28 +340,18 @@ func (s *Session) removeLocked(ino core.Ino, poolPages []nvm.PageID) error {
 	c := s.c
 	fs, ok := c.files.get(ino)
 	if !ok {
-		if c.reaped.has(ino) {
-			// Already retired by the reaper (dead-session orphan GC);
-			// removal is idempotent. Free the caller's own pool pages.
-			var freed []nvm.PageID
-			for _, p := range poolPages {
-				if s.ls.allocPages[p] {
-					delete(s.ls.allocPages, p)
-					s.ls.unrefPageLocked(p)
-					freed = append(freed, p)
-					c.tracePage(p, "free-rm-reaped ino=%d ls=%d", ino, s.ls.id)
-				}
+		if !c.reaped.has(ino) {
+			// Never verified: the file lived entirely inside the
+			// creator's allocation pool.
+			if holder, _ := c.allocBy.get(ino); holder != s.ls.id {
+				return fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
 			}
-			c.pageAlloc.FreePages(freed)
-			return nil
+			c.allocBy.del(ino)
+			delete(s.ls.allocInos, ino)
 		}
-		// Never verified: the file lived entirely inside the creator's
-		// allocation pool.
-		if holder, _ := c.allocBy.get(ino); holder != s.ls.id {
-			return fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
-		}
-		c.allocBy.del(ino)
-		delete(s.ls.allocInos, ino)
+		// Otherwise the reaper already retired it (dead-session orphan
+		// GC) and removal is idempotent. Either way the caller's own
+		// pool pages are freed.
 		var freed []nvm.PageID
 		for _, p := range poolPages {
 			if s.ls.allocPages[p] {
@@ -412,12 +384,6 @@ func (s *Session) removeLocked(ino core.Ino, poolPages []nvm.PageID) error {
 		return fmt.Errorf("%w: dirent of ino %d still live", ErrBadRequest, ino)
 	}
 	if fs.ftype == core.TypeDir {
-		for _, ch := range fs.children {
-			if c.files.has(ch.Ino) {
-				// A recorded child still exists; confirm against the
-				// core state that the directory is really empty.
-			}
-		}
 		env := &envImpl{c: c, fs: fs, ls: s.ls}
 		if !env.DirDeletedOK(ino) {
 			return ErrNotEmpty
@@ -425,23 +391,9 @@ func (s *Session) removeLocked(ino core.Ino, poolPages []nvm.PageID) error {
 	}
 	// Release any of our own mappings of the victim.
 	if m := s.ls.mapped[ino]; m != nil {
-		for _, p := range m.pages {
-			s.ls.unrefPageLocked(p)
-		}
-		delete(s.ls.mapped, ino)
+		s.ls.releaseLocked(m)
 	}
-	// Park the victim's pages on the remover instead of freeing them:
-	// the binding walk that attributed them may have raced this LibFS's
-	// concurrent stores (see libfsState.parked), so another of its
-	// files may reference one of them. Teardown settles the set.
-	for p := range fs.pages {
-		c.pageOwner[p] = 0
-		s.ls.parked[p] = true
-		c.tracePage(p, "park-rm ino=%d ls=%d", ino, s.ls.id)
-	}
-	c.unregisterFileLocked(ino)
-	c.shadow.del(ino)
-	c.allocBy.del(ino)
+	c.forgetFileLocked(s.ls, fs, "park-rm ino=%d ls=%d")
 	return nil
 }
 
@@ -513,13 +465,10 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 		}
 		// Drop the mapping: the "process" died with the crash.
 		if m := ls.mapped[fs.ino]; m != nil {
-			for _, p := range m.pages {
-				ls.unrefPageLocked(p)
-			}
-			delete(ls.mapped, fs.ino)
+			ls.releaseLocked(m)
 		}
 		fs.writer = 0
-		fs.checkpoint = nil
+		fs.dropCheckpoint()
 		return true
 	})
 	return checked, rolledBack

@@ -223,8 +223,8 @@ func (c *Controller) repairPageLocked(p nvm.PageID, want uint32) bool {
 		// Hole re-zeroing: the page held zeros when sealed.
 		img = make([]byte, nvm.PageSize)
 	case fs != nil && fs.checkpoint != nil && fs.checkpoint.pages[p] != nil &&
-		core.PageCRC(fs.checkpoint.pages[p]) == want:
-		img = fs.checkpoint.pages[p]
+		core.PageCRC(fs.checkpoint.pages[p][:]) == want:
+		img = fs.checkpoint.pages[p][:]
 	case fs != nil && fs.ftype == core.TypeDir:
 		if buf := c.rebuildDirentPageLocked(fs, p); buf != nil && core.PageCRC(buf) == want {
 			img = buf

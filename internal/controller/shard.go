@@ -302,6 +302,21 @@ func (c *Controller) pagesOwnedWithin(pages []nvm.PageID, a, b core.Ino) bool {
 	return true
 }
 
+// runsOwnedWithin is pagesOwnedWithin for a mapping's runs, whose pages
+// grantRuns already bounded to the device.
+func (c *Controller) runsOwnedWithin(runs []pageRun, a, b core.Ino) bool {
+	c.tabMu.Lock()
+	defer c.tabMu.Unlock()
+	for _, r := range runs {
+		for _, own := range c.pageOwner[r.start:r.end()] {
+			if own != 0 && own != a && own != b {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // shadowOf reads the shadow entry for ino.
 func (c *Controller) shadowOf(ino core.Ino) (verifier.ShadowInfo, bool) {
 	c.tabMu.Lock()
@@ -316,30 +331,6 @@ func (c *Controller) allocHolderOf(ino core.Ino) (LibFSID, bool) {
 	id, ok := c.allocBy.get(ino)
 	c.tabMu.Unlock()
 	return id, ok
-}
-
-// addWriteRef counts one more session holding PermWrite on p. The
-// scrubber and the unmap-time sealers consult the count (writeMapped)
-// to decide a page is quiescent — O(1) instead of a scan over every
-// registered session.
-func (c *Controller) addWriteRef(p nvm.PageID) {
-	c.tabMu.Lock()
-	c.writeRefs[p]++
-	c.tabMu.Unlock()
-}
-
-// dropWriteRef is addWriteRef's inverse for a session whose unmap of p
-// returned the MMU dirty bit stored: a page stored to is no longer
-// cleanOpen.
-func (c *Controller) dropWriteRef(p nvm.PageID, stored bool) {
-	c.tabMu.Lock()
-	if stored {
-		c.cleanOpen[p] = false
-	}
-	if c.writeRefs[p] > 0 {
-		c.writeRefs[p]--
-	}
-	c.tabMu.Unlock()
 }
 
 // writeMapped reports whether any session currently holds write
@@ -359,25 +350,6 @@ func (c *Controller) writeMapped(p nvm.PageID) bool {
 func (c *Controller) markStored(p nvm.PageID) {
 	c.tabMu.Lock()
 	c.cleanOpen[p] = false
-	c.tabMu.Unlock()
-}
-
-// dropWriteRefs removes every write-mapped count the session holds —
-// called immediately before as.Revoke(), which clears the MMU
-// permissions (and with them the dirty bits) without going through
-// unrefPageLocked. Nothing was harvested, so every page the session
-// could store to counts as stored to.
-func (c *Controller) dropWriteRefs(ls *libfsState) {
-	c.tabMu.Lock()
-	for p := range ls.wmapped {
-		c.cleanOpen[p] = false
-		if n := c.writeRefs[p] - 1; n <= 0 {
-			c.writeRefs[p] = 0
-		} else {
-			c.writeRefs[p] = n
-		}
-		delete(ls.wmapped, p)
-	}
 	c.tabMu.Unlock()
 }
 

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"trio/internal/nvm"
 )
@@ -482,14 +483,16 @@ func WalkFile(m Mem, head nvm.PageID, maxPages int,
 	indexFn func(p nvm.PageID) bool,
 	dataFn func(block uint64, p nvm.PageID) bool) error {
 	if head == nvm.NilPage {
-		// Empty file: nothing to walk. Returning before the page buffer
-		// below keeps the (stack-zeroed) 4 KiB scratch off the small-op
-		// fast paths, which walk empty files constantly.
+		// Empty file: nothing to walk, and the small-op fast paths, which
+		// walk empty files constantly, never touch the buffer pool.
 		return nil
 	}
 	seen := 0
 	block := uint64(0)
-	var buf [nvm.PageSize]byte
+	// The page buffer escapes through m.Read; a handover walks its file
+	// four times, so the buffers are recycled rather than allocated.
+	buf := walkBufPool.Get().(*[nvm.PageSize]byte)
+	defer walkBufPool.Put(buf)
 	for p := head; p != nvm.NilPage; {
 		seen++
 		if seen > maxPages {
@@ -514,6 +517,8 @@ func WalkFile(m Mem, head nvm.PageID, maxPages int,
 	}
 	return nil
 }
+
+var walkBufPool = sync.Pool{New: func() any { return new([nvm.PageSize]byte) }}
 
 // DirPage is one whole directory data page read in a single access, with
 // slot decoders — the bulk-scan counterpart of the per-slot accessors,

@@ -245,17 +245,35 @@ func TestPropertyRadixModelEquivalence(t *testing.T) {
 	f := func(ops []uint32) bool {
 		r := NewRadix()
 		ref := map[uint64]uint64{}
+		maxKey := uint64(0)
 		for i, op := range ops {
 			k := uint64(op) % 4096
-			if op%5 == 0 {
+			switch {
+			case op%5 == 0:
 				r.Delete(k)
 				delete(ref, k)
-			} else {
+			case op%7 == 0:
+				// Bulk fill: a run of up to 700 values — so it crosses one
+				// leaf boundary or two — with holes (zeros, which delete),
+				// over whatever keys are already there.
+				vals := make([]uint64, 1+op>>12%700)
+				for j := range vals {
+					if (op>>8+uint32(j))%9 != 0 {
+						vals[j] = uint64(i)<<16 + uint64(j) + 1
+						ref[k+uint64(j)] = vals[j]
+						maxKey = max(maxKey, k+uint64(j))
+					} else {
+						delete(ref, k+uint64(j))
+					}
+				}
+				r.PutRun(k, vals)
+			default:
 				r.Put(k, uint64(i)+1)
 				ref[k] = uint64(i) + 1
+				maxKey = max(maxKey, k)
 			}
 		}
-		if r.Len() != len(ref) {
+		if r.Len() != len(ref) || r.MaxKey() != maxKey {
 			return false
 		}
 		for k, v := range ref {
@@ -263,9 +281,45 @@ func TestPropertyRadixModelEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		n := 0
+		r.Range(func(k, v uint64) bool { n++; return ref[k] == v })
+		return n == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRadixPutRunConcurrent: bulk fills of disjoint runs that share
+// leaves race each other and lookups; every value lands exactly once.
+func TestRadixPutRunConcurrent(t *testing.T) {
+	r := NewRadix()
+	const workers, perWorker, runLen = 4, 64, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			vals := make([]uint64, runLen)
+			for i := 0; i < perWorker; i++ {
+				start := uint64((i*workers + w) * runLen)
+				for j := range vals {
+					vals[j] = start + uint64(j) + 1
+				}
+				r.PutRun(start, vals)
+				if got := r.Get(start + runLen/2); got != start+runLen/2+1 {
+					t.Errorf("Get(%d) = %d right after its PutRun", start+runLen/2, got)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if want := workers * perWorker * runLen; r.Len() != want || r.MaxKey() != uint64(want-1) {
+		t.Fatalf("Len %d MaxKey %d, want %d and %d", r.Len(), r.MaxKey(), want, want-1)
+	}
+	for k := uint64(0); k < workers*perWorker*runLen; k++ {
+		if r.Get(k) != k+1 {
+			t.Fatalf("Get(%d) = %d", k, r.Get(k))
+		}
 	}
 }

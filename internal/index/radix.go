@@ -34,31 +34,34 @@ const MaxBlocks = 1 << (radixBits * radixLevels)
 // The root fan-out array (4 KiB) is allocated on first insert, so
 // empty files — the bulk of metadata-heavy workloads — pay nothing.
 type Radix struct {
-	root   atomic.Pointer[radixInner]
+	root   atomic.Pointer[radixRoot]
 	count  atomic.Int64
 	maxKey atomic.Uint64
 }
 
-func (r *Radix) rootNode() *radixInner {
+func (r *Radix) rootNode() *radixRoot {
 	if n := r.root.Load(); n != nil {
 		return n
 	}
-	fresh := &radixInner{}
-	if r.root.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
+	r.root.CompareAndSwap(nil, &radixRoot{})
 	return r.root.Load()
 }
 
-type radixInner struct {
-	children [radixFanout]atomic.Pointer[radixNode]
+// The three levels: child slots go from nil to a node once and never
+// back, so a load after a lost CompareAndSwap finds the winner's node.
+type radixRoot struct {
+	children [radixFanout]atomic.Pointer[radixMid]
 }
 
-// radixNode is either an interior node (inner used) or a leaf (vals used),
-// depending on depth.
-type radixNode struct {
-	inner radixInner
-	vals  [radixFanout]atomic.Uint64
+type radixMid struct {
+	children [radixFanout]atomic.Pointer[radixLeaf]
+}
+
+// radixLeaf holds the values: plain words accessed through the
+// sync/atomic functions rather than atomic.Uint64, so that PutRun can
+// fill a leaf nobody else can see yet with ordinary stores.
+type radixLeaf struct {
+	vals [radixFanout]uint64
 }
 
 // NewRadix returns an empty radix tree.
@@ -85,56 +88,78 @@ func (r *Radix) Get(key uint64) uint64 {
 	if root == nil {
 		return 0
 	}
-	n := root.children[radixIndex(key, 0)].Load()
-	if n == nil {
+	mid := root.children[radixIndex(key, 0)].Load()
+	if mid == nil {
 		return 0
 	}
-	n2 := n.inner.children[radixIndex(key, 1)].Load()
-	if n2 == nil {
+	leaf := mid.children[radixIndex(key, 1)].Load()
+	if leaf == nil {
 		return 0
 	}
-	return n2.vals[radixIndex(key, 2)].Load()
+	return atomic.LoadUint64(&leaf.vals[radixIndex(key, 2)])
+}
+
+// leafSlot returns the slot of the leaf covering key, creating the
+// interior nodes above it.
+func (r *Radix) leafSlot(key uint64) *atomic.Pointer[radixLeaf] {
+	slot := &r.rootNode().children[radixIndex(key, 0)]
+	mid := slot.Load()
+	if mid == nil {
+		slot.CompareAndSwap(nil, &radixMid{})
+		mid = slot.Load()
+	}
+	return &mid.children[radixIndex(key, 1)]
 }
 
 // Put stores val at key. Storing zero is equivalent to Delete.
 func (r *Radix) Put(key, val uint64) {
-	if key >= MaxBlocks {
+	r.PutRun(key, []uint64{val})
+}
+
+// PutRun stores vals[i] at key+i (a zero deletes). It descends once per
+// leaf and settles Len and MaxKey once per call; a leaf the run creates
+// is filled before it is published. Like Put it may run concurrently
+// with lookups and other inserts.
+func (r *Radix) PutRun(key uint64, vals []uint64) {
+	if key >= MaxBlocks || uint64(len(vals)) > MaxBlocks-key {
 		panic("index: radix key out of range")
 	}
-	slot0 := &r.rootNode().children[radixIndex(key, 0)]
-	n := slot0.Load()
-	if n == nil {
-		fresh := &radixNode{}
-		if !slot0.CompareAndSwap(nil, fresh) {
-			n = slot0.Load()
-		} else {
-			n = fresh
-		}
-	}
-	slot1 := &n.inner.children[radixIndex(key, 1)]
-	n2 := slot1.Load()
-	if n2 == nil {
-		fresh := &radixNode{}
-		if !slot1.CompareAndSwap(nil, fresh) {
-			n2 = slot1.Load()
-		} else {
-			n2 = fresh
-		}
-	}
-	old := n2.vals[radixIndex(key, 2)].Swap(val)
-	switch {
-	case old == 0 && val != 0:
-		r.count.Add(1)
-	case old != 0 && val == 0:
-		r.count.Add(-1)
-	}
-	if val != 0 {
-		for {
-			m := r.maxKey.Load()
-			if key <= m || r.maxKey.CompareAndSwap(m, key) {
-				break
+	delta, top := int64(0), uint64(0)
+	for len(vals) > 0 {
+		i := radixIndex(key, 2)
+		chunk := vals[:min(len(vals), radixFanout-i)]
+		slot := r.leafSlot(key)
+		leaf := slot.Load()
+		mine := false
+		if leaf == nil {
+			fresh := &radixLeaf{}
+			copy(fresh.vals[i:], chunk)
+			if mine = slot.CompareAndSwap(nil, fresh); !mine {
+				leaf = slot.Load()
 			}
 		}
+		for j, v := range chunk {
+			var old uint64
+			if !mine {
+				old = atomic.SwapUint64(&leaf.vals[i+j], v)
+			}
+			if v != 0 {
+				top = key + uint64(j)
+				if old == 0 {
+					delta++
+				}
+			} else if old != 0 {
+				delta--
+			}
+		}
+		key += uint64(len(chunk))
+		vals = vals[len(chunk):]
+	}
+	if delta != 0 {
+		r.count.Add(delta)
+	}
+	for m := r.maxKey.Load(); top > m && !r.maxKey.CompareAndSwap(m, top); {
+		m = r.maxKey.Load()
 	}
 }
 
@@ -168,7 +193,7 @@ type ExtentIter struct {
 	next uint64
 	end  uint64
 
-	leaf     *radixNode
+	leaf     *radixLeaf
 	leafBase uint64
 	// holeEnd is the exclusive end of a known-zero region when the
 	// descent found a missing interior node; skipping to it makes holes
@@ -206,13 +231,13 @@ func (it *ExtentIter) load(key uint64) uint64 {
 	if it.leaf == nil {
 		return 0
 	}
-	return it.leaf.vals[int(key)&radixMask].Load()
+	return atomic.LoadUint64(&it.leaf.vals[int(key)&radixMask])
 }
 
 // leafFor descends to the leaf holding key. When an interior node is
 // missing it returns nil and the exclusive end of the zero region the
 // absence proves.
-func (r *Radix) leafFor(key uint64) (*radixNode, uint64) {
+func (r *Radix) leafFor(key uint64) (*radixLeaf, uint64) {
 	root := r.root.Load()
 	if root == nil {
 		return nil, MaxBlocks
@@ -221,7 +246,7 @@ func (r *Radix) leafFor(key uint64) (*radixNode, uint64) {
 	if n == nil {
 		return nil, (key>>(2*radixBits) + 1) << (2 * radixBits)
 	}
-	leaf := n.inner.children[radixIndex(key, 1)].Load()
+	leaf := n.children[radixIndex(key, 1)].Load()
 	if leaf == nil {
 		return nil, (key>>radixBits + 1) << radixBits
 	}
@@ -294,12 +319,12 @@ func (r *Radix) Range(fn func(key, val uint64) bool) {
 			continue
 		}
 		for i1 := 0; i1 < radixFanout; i1++ {
-			n2 := n.inner.children[i1].Load()
+			n2 := n.children[i1].Load()
 			if n2 == nil {
 				continue
 			}
 			for i2 := 0; i2 < radixFanout; i2++ {
-				v := n2.vals[i2].Load()
+				v := atomic.LoadUint64(&n2.vals[i2])
 				if v == 0 {
 					continue
 				}

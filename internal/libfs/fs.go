@@ -416,12 +416,28 @@ func (fs *FS) buildAux(n *node, in *core.Inode) error {
 	case core.TypeReg:
 		radix := index.NewRadix()
 		var chain []nvm.PageID
+		// Consecutive blocks go into the radix a run at a time; a hole in
+		// the index or a full buffer flushes the run.
+		var run [core.IndexEntriesPerPage]uint64
+		first, k := uint64(0), 0
+		flush := func() { radix.PutRun(first, run[:k]); k = 0 }
 		err := core.WalkFile(fs.as, in.Head, int(fs.dev.NumPages()),
 			func(p nvm.PageID) bool { chain = append(chain, p); return true },
-			func(b uint64, p nvm.PageID) bool { radix.Put(b, uint64(p)); return true })
+			func(b uint64, p nvm.PageID) bool {
+				if k == len(run) || (k > 0 && b != first+uint64(k)) {
+					flush()
+				}
+				if k == 0 {
+					first = b
+				}
+				run[k] = uint64(p)
+				k++
+				return true
+			})
 		if err != nil {
 			return err
 		}
+		flush()
 		n.radix = radix
 		n.chain = chain
 		atomic.StoreInt64(&n.size, int64(in.Size))

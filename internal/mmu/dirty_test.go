@@ -3,6 +3,7 @@ package mmu
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,9 +12,22 @@ import (
 )
 
 // dirty reads page p's dirty bit straight from the page table — a test
-// privilege; the package exports no reader, only the controller's Unmap.
+// privilege; the package exports no reader, only the controller's
+// Unref and Revoke.
 func dirty(as *AddressSpace, p nvm.PageID) bool {
 	return as.perms[p].Load()&pteDirty != 0
+}
+
+// harvest releases pages [p, p+n) the way the controller does (Unref;
+// a page installed by Map holds no second reference) and returns the
+// ones reported stored to, ascending.
+func harvest(as *AddressSpace, p nvm.PageID, n int) (stored []nvm.PageID) {
+	as.Unref(p, n, func(q nvm.PageID, _ Perm, d bool) {
+		if d {
+			stored = append(stored, q)
+		}
+	})
+	return stored
 }
 
 // TestDirtyBitStoreEntryPoints: every store entry point sets the bit on
@@ -103,7 +117,8 @@ func TestDirtyBitLoadsAndFaultsLeaveClean(t *testing.T) {
 
 // TestDirtyBitSurvivesRemapAndUnmapCollects: re-Map of a mapped page
 // (read→write upgrade, same-permission remap, downgrade) keeps the bit;
-// Unmap returns it and clears it; a fresh mapping starts clean.
+// the release reports it and clears it, a plain Unmap just clears it; a
+// fresh mapping starts clean.
 func TestDirtyBitSurvivesRemapAndUnmapCollects(t *testing.T) {
 	as := newAS(t)
 	as.Map(4, 1, PermRead)
@@ -118,7 +133,7 @@ func TestDirtyBitSurvivesRemapAndUnmapCollects(t *testing.T) {
 	if !dirty(as, 4) {
 		t.Fatal("same-permission remap lost the dirty bit")
 	}
-	as.MapPages([]nvm.PageID{4}, PermRead) // downgrade
+	as.Map(4, 1, PermRead) // downgrade
 	if !dirty(as, 4) {
 		t.Fatal("downgrade lost the dirty bit")
 	}
@@ -130,26 +145,36 @@ func TestDirtyBitSurvivesRemapAndUnmapCollects(t *testing.T) {
 	}
 
 	as.Map(5, 1, PermWrite) // clean neighbour
-	if as.Unmap(5, 1) {
-		t.Fatal("Unmap of a never-stored page reported dirty")
+	if d := harvest(as, 5, 1); d != nil {
+		t.Fatalf("release of a never-stored page reported dirty: %v", d)
 	}
-	if !as.Unmap(4, 2) {
-		t.Fatal("Unmap did not return the dirty bit")
+	if d := harvest(as, 4, 2); !slices.Equal(d, []nvm.PageID{4}) {
+		t.Fatalf("release reported dirty pages %v, want [4]", d)
 	}
 	if dirty(as, 4) || as.PermOf(4) != PermNone || as.Mapped() != 0 {
-		t.Fatal("Unmap left state behind")
+		t.Fatal("release left state behind")
 	}
 	as.Map(4, 1, PermWrite)
-	if dirty(as, 4) || as.Unmap(4, 1) {
+	if dirty(as, 4) || harvest(as, 4, 1) != nil {
 		t.Fatal("fresh mapping of a previously dirty page is not clean")
+	}
+	as.Ref(4, 2, PermWrite, nil)
+	as.Ref(4, 1, PermRead, nil)
+	if err := as.WriteU64(4, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	as.Unmap(4, 2) // whatever the reference counts
+	if dirty(as, 4) || as.Mapped() != 0 || as.perms[4].Load() != 0 {
+		t.Fatal("Unmap left state behind")
 	}
 }
 
 // TestDirtyBitNoStoreEscapesUnmap hammers stores against concurrent
 // map/unmap windows: whenever a store passed its permission check inside
-// a window, that window's Unmap must have returned dirty. (A store is
-// attributed to a window when the round counter — bumped between one
-// Unmap and the next Map — reads the same before and after it.)
+// a window, the release that closed the window must have reported dirty.
+// (A store is attributed to a window when the round counter — bumped
+// between one release and the next Map — reads the same before and
+// after it.)
 func TestDirtyBitNoStoreEscapesUnmap(t *testing.T) {
 	const rounds = 100000
 	as := newAS(t)
@@ -192,7 +217,7 @@ func TestDirtyBitNoStoreEscapesUnmap(t *testing.T) {
 		for spin := 0; spin < (r%8)*40; spin++ {
 			as.PermOf(4)
 		}
-		collected[r] = as.Unmap(4, 2)
+		collected[r] = slices.Contains(harvest(as, 4, 2), 4) // every store form touches page 4
 		round.Add(1)
 		if r%64 == 0 {
 			runtime.Gosched() // a loaded host must not starve the writers
@@ -205,7 +230,7 @@ func TestDirtyBitNoStoreEscapesUnmap(t *testing.T) {
 		if stored[r].Load() {
 			hits++
 			if !collected[r] {
-				t.Fatalf("round %d: a store landed but Unmap reported the pages clean", r)
+				t.Fatalf("round %d: a store landed but the release reported the pages clean", r)
 			}
 		}
 	}
@@ -213,4 +238,164 @@ func TestDirtyBitNoStoreEscapesUnmap(t *testing.T) {
 		t.Skip("no store landed inside a window; nothing was exercised")
 	}
 	t.Logf("%d of %d windows saw a store", hits, rounds)
+}
+
+// TestRunUnmapReturnsExactlyStoredPages: releasing a run names the pages
+// that were stored to — no clean neighbour, no page outside the run —
+// each with the permission it had, and only once its last reference goes.
+func TestRunUnmapReturnsExactlyStoredPages(t *testing.T) {
+	as := newAS(t)
+	as.Map(8, 16, PermWrite)
+	as.Map(40, 2, PermWrite) // outside the run below, dirty, must not be reported
+	stored := []nvm.PageID{9, 12, 13, 23}
+	for _, p := range append([]nvm.PageID{40}, stored...) {
+		if err := as.WriteU64(p, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := harvest(as, 8, 16); !slices.Equal(got, stored) {
+		t.Fatalf("released run's dirty pages = %v, want %v", got, stored)
+	}
+	if as.Mapped() != 2 || !dirty(as, 40) {
+		t.Fatalf("the release reached outside its run: mapped %d", as.Mapped())
+	}
+	if got := harvest(as, 0, 1<<30); !slices.Equal(got, []nvm.PageID{40}) { // clipped at the device
+		t.Fatalf("clipped release's dirty pages = %v, want [40]", got)
+	}
+
+	as.Ref(8, 16, PermWrite, nil)
+	as.Ref(10, 2, PermRead, nil) // a second reference keeps 10 and 11 mapped, still rw
+	for _, p := range []nvm.PageID{10, 15} {
+		if err := as.WriteU64(p, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type rel struct {
+		p     nvm.PageID
+		was   Perm
+		dirty bool
+	}
+	var got []rel
+	collect := func(p nvm.PageID, was Perm, d bool) { got = append(got, rel{p, was, d}) }
+	as.Unref(8, 16, collect)
+	if len(got) != 14 || as.Mapped() != 2 || as.PermOf(10) != PermWrite {
+		t.Fatalf("Unref unmapped %d pages, %d left mapped, page 10 %v", len(got), as.Mapped(), as.PermOf(10))
+	}
+	for _, r := range got {
+		if r.p == 10 || r.p == 11 || r.was != PermWrite || r.dirty != (r.p == 15) {
+			t.Fatalf("Unref reported %+v", r)
+		}
+	}
+	got = got[:0]
+	as.Unref(10, 2, collect)
+	if want := []rel{{10, PermWrite, true}, {11, PermWrite, false}}; !slices.Equal(got, want) {
+		t.Fatalf("last Unref reported %+v, want %+v", got, want)
+	}
+	as.Unref(10, 2, collect) // no reference left: nothing to drop, nothing reported
+	if len(got) != 2 || as.Mapped() != 0 {
+		t.Fatalf("Unref of unreferenced pages reported %+v, mapped %d", got[2:], as.Mapped())
+	}
+}
+
+// TestRefRaisesAndCounts: Ref maps with at least the wanted permission,
+// reports the pages it raised, and the mapped count follows runs.
+func TestRefRaisesAndCounts(t *testing.T) {
+	as := newAS(t)
+	var raised []nvm.PageID
+	note := func(p nvm.PageID) { raised = append(raised, p) }
+	as.Ref(4, 4, PermRead, note)
+	as.Ref(6, 4, PermWrite, note) // 6,7 upgraded; 8,9 fresh
+	as.Ref(4, 6, PermRead, note)  // nothing raised: write stays write
+	if want := []nvm.PageID{4, 5, 6, 7, 6, 7, 8, 9}; !slices.Equal(raised, want) {
+		t.Fatalf("raised = %v, want %v", raised, want)
+	}
+	if as.Mapped() != 6 || as.PermOf(5) != PermRead || as.PermOf(7) != PermWrite || as.PermOf(9) != PermWrite {
+		t.Fatalf("mapped %d, perms %v %v %v", as.Mapped(), as.PermOf(5), as.PermOf(7), as.PermOf(9))
+	}
+	as.Ref(60, 100, PermWrite, note) // pages 60..63 exist, the rest is clipped
+	if as.Mapped() != 10 {
+		t.Fatalf("mapped after clipped Ref = %d, want 10", as.Mapped())
+	}
+	n := 0
+	as.Revoke(func(_ nvm.PageID, was Perm, _ bool) {
+		if was == PermWrite {
+			n++
+		}
+	})
+	if n != 8 || as.Mapped() != 0 {
+		t.Fatalf("Revoke reported %d write pages (want 8), %d left mapped", n, as.Mapped())
+	}
+}
+
+// TestRunUnrefHarvestsEveryStore is TestDirtyBitNoStoreEscapesUnmap for
+// the reference-counted run calls the controller uses: stores race
+// Ref/Unref windows over a 16-page run, and a store that passed its
+// check inside a window must show in what that window's Unref reported
+// for the page.
+func TestRunUnrefHarvestsEveryStore(t *testing.T) {
+	const (
+		rounds = 40000
+		first  = nvm.PageID(8)
+		pages  = 16
+	)
+	as := newAS(t)
+	var (
+		round  atomic.Int64
+		stored [rounds][pages]atomic.Bool
+		stop   atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, nvm.PageSize)
+			for i := w; !stop.Load(); i += 3 {
+				r := round.Load()
+				p := first + nvm.PageID(i%pages)
+				var err error
+				span := 1
+				if i%5 == 0 && p+1 < first+pages {
+					span = 2
+					err = as.WriteRange(p, nvm.PageSize/2, buf)
+				} else {
+					err = as.WriteU64(p, 8*w, uint64(i))
+				}
+				if err == nil && round.Load() == r && r < rounds {
+					for k := 0; k < span; k++ {
+						stored[r][int(p-first)+k].Store(true)
+					}
+				}
+			}
+		}(w)
+	}
+	harvested := make([][pages]bool, rounds)
+	for r := 0; r < rounds; r++ {
+		as.Ref(first, pages, PermWrite, nil)
+		for spin := 0; spin < (r%8)*40; spin++ {
+			as.PermOf(first)
+		}
+		as.Unref(first, pages, func(p nvm.PageID, _ Perm, d bool) { harvested[r][p-first] = d })
+		round.Add(1)
+		if r%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	hits := 0
+	for r := range harvested {
+		for i := range harvested[r] {
+			if stored[r][i].Load() {
+				hits++
+				if !harvested[r][i] {
+					t.Fatalf("round %d: a store to page %d landed but Unref reported it clean", r, first+nvm.PageID(i))
+				}
+			}
+		}
+	}
+	if hits == 0 {
+		t.Skip("no store landed inside a window; nothing was exercised")
+	}
+	t.Logf("%d page-stores landed inside %d windows", hits, rounds)
 }

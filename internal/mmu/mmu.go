@@ -50,10 +50,14 @@ func (p Perm) String() string {
 
 // A page-table word holds the permission in its low bits and, next to
 // it, the hardware dirty bit: the MMU sets it on the first store through
-// the mapping and only the controller's unmap clears it.
+// the mapping and only the controller's unmap clears it. The remaining
+// bits are software-available, as in a hardware PTE — the access checks
+// ignore them — and hold the page's reference count (Ref/Unref), so a
+// session's refcounts cost no memory beyond the page table itself.
 const (
 	ptePerm  = 0x3
 	pteDirty = 0x4
+	pteRef   = 0x8 // one reference; the count occupies the bits from here up
 )
 
 // ErrFault is the access violation "signal".
@@ -127,85 +131,143 @@ func (as *AddressSpace) Node() int { return as.node }
 // SetNode migrates the process to another NUMA node (test hook).
 func (as *AddressSpace) SetNode(n int) { as.node = n }
 
-// set installs perm for page p, maintaining the mapped count, and
-// reports whether the page was dirty. Changing the permission of a
-// mapped page keeps its dirty bit; unmapping clears it. Pages beyond
-// the device are ignored (they can never check as mapped).
-func (as *AddressSpace) set(p nvm.PageID, perm Perm) (dirty bool) {
-	if uint64(p) >= uint64(len(as.perms)) {
-		return false
+// clip bounds the run [p, p+count) to the device: pages beyond it are
+// ignored by every mapping call (they can never check as mapped).
+func (as *AddressSpace) clip(p nvm.PageID, count int) (lo, hi uint64) {
+	lo, n := uint64(p), uint64(len(as.perms))
+	if count <= 0 || lo >= n {
+		return 0, 0
 	}
-	pte := &as.perms[p]
-	var old uint32
-	for {
-		old = pte.Load()
-		word := uint32(perm)
-		if perm != PermNone {
-			word |= old & pteDirty
+	return lo, min(lo+uint64(count), n)
+}
+
+// Map installs pages [p, p+count) with exactly permission perm, read or
+// write (Unmap removes). A page that is already mapped keeps its dirty
+// bit and its reference count.
+func (as *AddressSpace) Map(p nvm.PageID, count int, perm Perm) {
+	lo, hi := as.clip(p, count)
+	fresh := 0
+	for i := lo; i < hi; i++ {
+		pte := &as.perms[i]
+		for {
+			old := pte.Load()
+			if old&ptePerm == uint32(perm) {
+				break
+			}
+			if pte.CompareAndSwap(old, old&^ptePerm|uint32(perm)) {
+				if old&ptePerm == 0 {
+					fresh++
+				}
+				break
+			}
 		}
-		if pte.CompareAndSwap(old, word) {
+	}
+	as.mapped.Add(int64(fresh))
+}
+
+// Unmap removes pages [p, p+count) whatever their reference counts and
+// forgets their dirty bits. The releases that harvest dirty bits — the
+// only way one is read — are Unref and Revoke; like Map, all of them are
+// the controller's alone.
+func (as *AddressSpace) Unmap(p nvm.PageID, count int) {
+	lo, hi := as.clip(p, count)
+	gone := 0
+	for i := lo; i < hi; i++ {
+		if as.perms[i].Swap(0)&ptePerm != 0 {
+			gone++
+		}
+	}
+	as.mapped.Add(int64(-gone))
+}
+
+// Ref takes one reference on each page of [p, p+count) and maps it with
+// at least perm: a page mapped with less is raised, a page mapped with
+// more keeps what it has. raised (may be nil) is called for every page
+// whose permission this call raised. One atomic swap per page table
+// word, one update of the mapped count per run.
+func (as *AddressSpace) Ref(p nvm.PageID, count int, perm Perm, raised func(nvm.PageID)) {
+	lo, hi := as.clip(p, count)
+	fresh := 0
+	for i := lo; i < hi; i++ {
+		pte := &as.perms[i]
+		for {
+			old := pte.Load()
+			word := old + pteRef
+			was := Perm(old & ptePerm)
+			if was < perm {
+				word = word&^ptePerm | uint32(perm)
+			}
+			if !pte.CompareAndSwap(old, word) {
+				continue // a store marked the page dirty under us
+			}
+			if was < perm {
+				if was == PermNone {
+					fresh++
+				}
+				if raised != nil {
+					raised(nvm.PageID(i))
+				}
+			}
 			break
 		}
 	}
-	switch was := Perm(old & ptePerm); {
-	case was == PermNone && perm != PermNone:
-		as.mapped.Add(1)
-	case was != PermNone && perm == PermNone:
-		as.mapped.Add(-1)
-	}
-	return old&pteDirty != 0
+	as.mapped.Add(int64(fresh))
 }
 
-// Map installs pages [p, p+count) with permission perm. A page that is
-// already mapped keeps its dirty bit.
-func (as *AddressSpace) Map(p nvm.PageID, count int, perm Perm) {
-	for i := 0; i < count; i++ {
-		as.set(p+nvm.PageID(i), perm)
-	}
-}
-
-// MapPages installs each page of the list with permission perm.
-func (as *AddressSpace) MapPages(pages []nvm.PageID, perm Perm) {
-	for _, p := range pages {
-		as.set(p, perm)
-	}
-}
-
-// Unmap removes pages [p, p+count), clearing their dirty bits, and
-// reports whether any of them had been stored to since it was mapped.
-// This is the only way a dirty bit is read or cleared, and like Map it
-// is the controller's alone.
-func (as *AddressSpace) Unmap(p nvm.PageID, count int) (dirty bool) {
-	for i := 0; i < count; i++ {
-		if as.set(p+nvm.PageID(i), PermNone) {
-			dirty = true
+// Unref drops one reference from each page of [p, p+count). A page
+// whose last reference this was is unmapped and reported to unmapped
+// (may be nil) with the permission it had and its dirty bit — the swap
+// that clears the word is the one that collects the bit, so no store
+// passes a check whose bit the controller does not see. A page other
+// references still hold keeps its permission, even one a dropped
+// reference had raised.
+func (as *AddressSpace) Unref(p nvm.PageID, count int, unmapped func(p nvm.PageID, was Perm, dirty bool)) {
+	lo, hi := as.clip(p, count)
+	gone := 0
+	for i := lo; i < hi; i++ {
+		pte := &as.perms[i]
+		for {
+			old, word := pte.Load(), uint32(0)
+			if old >= 2*pteRef {
+				word = old - pteRef // other references remain
+			}
+			if !pte.CompareAndSwap(old, word) {
+				continue // a store marked the page dirty under us
+			}
+			if was := Perm(old & ptePerm); word == 0 && was != PermNone {
+				gone++
+				if unmapped != nil {
+					unmapped(nvm.PageID(i), was, old&pteDirty != 0)
+				}
+			}
+			break
 		}
 	}
-	return dirty
+	as.mapped.Add(int64(-gone))
 }
 
-// UnmapPages removes each page of the list.
-func (as *AddressSpace) UnmapPages(pages []nvm.PageID) {
-	for _, p := range pages {
-		as.set(p, PermNone)
-	}
-}
-
-// UnmapAll clears the whole mapping table. The mapped count makes the
-// common teardown cheap: a process that already unmapped everything
-// (orderly close, or a reap at a syscall boundary) skips the table
-// walk entirely, and a partial walk stops at the last installed entry
-// — an atomic swap per device page on every teardown is what a flat
-// page table would otherwise cost.
-func (as *AddressSpace) UnmapAll() {
-	for p := range as.perms {
-		if as.mapped.Load() == 0 {
-			return
+// UnmapAll clears the whole mapping table, reporting every page it
+// unmaps to unmapped (may be nil) as Unref does. The mapped count makes
+// the common teardown cheap: a process that already unmapped everything
+// (orderly close, or a reap at a syscall boundary) skips the table walk
+// entirely, and a partial walk stops at the last installed entry — an
+// atomic swap per device page on every teardown is what a flat page
+// table would otherwise cost.
+func (as *AddressSpace) UnmapAll(unmapped func(p nvm.PageID, was Perm, dirty bool)) {
+	left, gone := as.mapped.Load(), int64(0)
+	for i := 0; i < len(as.perms) && gone < left; i++ {
+		if as.perms[i].Load() == 0 {
+			continue
 		}
-		if as.perms[p].Load() != uint32(PermNone) {
-			as.set(nvm.PageID(p), PermNone)
+		old := as.perms[i].Swap(0)
+		if was := Perm(old & ptePerm); was != PermNone {
+			gone++
+			if unmapped != nil {
+				unmapped(nvm.PageID(i), was, old&pteDirty != 0)
+			}
 		}
 	}
+	as.mapped.Add(-gone)
 }
 
 // PermOf reports the installed permission of page p.
@@ -224,12 +286,14 @@ func (as *AddressSpace) Mapped() int { return int(as.mapped.Load()) }
 // worker acting on its behalf — faults with ErrRevoked. Controller-only,
 // like Map/Unmap. Revoke returns only after every in-flight access has
 // either completed or will observe the revocation (the shootdown
-// barrier), so the caller sees a frozen state.
-func (as *AddressSpace) Revoke() {
+// barrier), so the caller sees a frozen state — and unmapped (may be
+// nil), called under the barrier for every page torn down, sees dirty
+// bits no store can still add to.
+func (as *AddressSpace) Revoke(unmapped func(p nvm.PageID, was Perm, dirty bool)) {
 	mShootdowns.Inc()
 	as.shoot.Lock()
 	as.revoked.Store(true)
-	as.UnmapAll()
+	as.UnmapAll(unmapped)
 	as.shoot.Unlock()
 }
 

@@ -64,15 +64,17 @@ func TestUnmapRevokesAccess(t *testing.T) {
 	if err := as.Read(5, 0, make([]byte, 1)); err != nil {
 		t.Errorf("page 5 still mapped, read failed: %v", err)
 	}
-	as.UnmapAll()
+	as.UnmapAll(nil)
 	if err := as.Read(5, 0, make([]byte, 1)); !errors.Is(err, ErrFault) {
 		t.Error("access after UnmapAll should fault")
 	}
 }
 
-func TestMapPagesAndPermOf(t *testing.T) {
+func TestMappedCountAndPermOf(t *testing.T) {
 	as := newAS(t)
-	as.MapPages([]nvm.PageID{7, 9, 11}, PermRead)
+	for _, p := range []nvm.PageID{7, 9, 11} {
+		as.Map(p, 1, PermRead)
+	}
 	if as.Mapped() != 3 {
 		t.Fatalf("Mapped = %d, want 3", as.Mapped())
 	}
@@ -82,9 +84,10 @@ func TestMapPagesAndPermOf(t *testing.T) {
 	if as.PermOf(8) != PermNone {
 		t.Fatalf("PermOf(8) = %v, want none", as.PermOf(8))
 	}
-	as.UnmapPages([]nvm.PageID{7, 11})
+	as.Unmap(7, 1)
+	as.Unmap(10, 4) // page 11, and a clip at nothing mapped
 	if as.Mapped() != 1 {
-		t.Fatalf("Mapped after UnmapPages = %d, want 1", as.Mapped())
+		t.Fatalf("Mapped after Unmap = %d, want 1", as.Mapped())
 	}
 }
 

@@ -74,7 +74,7 @@ func TestViewRangeRoundTrip(t *testing.T) {
 func TestRangeRevokedFaults(t *testing.T) {
 	as := newAS(t)
 	as.Map(0, 4, PermWrite)
-	as.Revoke()
+	as.Revoke(nil)
 	buf := make([]byte, 2*nvm.PageSize)
 	if err := as.ReadRange(0, 0, buf); !errors.Is(err, ErrFault) {
 		t.Fatalf("read range after revoke: err = %v, want ErrFault", err)

@@ -17,10 +17,11 @@
 #      scrub smoke: one injected flip in a cold file must be detected
 #      by a single pass and quarantined with a typed read error.
 #   6. a bench smoke: every Benchmark* target compiles and the
-#      data-path families run once, and the trio-bench regression
-#      harness completes a -quick pass. A bench that fails to build or
-#      errors at runtime fails the gate — perf coverage must not rot
-#      silently.
+#      data-path families run once, the cross-domain handover benchmark
+#      must stream one page per handover within its recorded allocs/op,
+#      and the trio-bench regression harness completes a -quick pass. A
+#      bench that fails to build or errors at runtime fails the gate —
+#      perf coverage must not rot silently.
 #   7. a telemetry-overhead smoke: the disabled-path micro-benchmarks
 #      must report 0 allocs/op (instrumentation on the hot paths must
 #      stay near-free when off), and a -quick datapath run is gated
@@ -72,6 +73,28 @@ gate_zero_allocs() {
 	fi
 }
 
+# gate_handover <max-allocs>: BenchmarkHandover2M must stream exactly
+# one page per handover (the seal costs the write set, not the file) and
+# report at most max-allocs allocs/op — the value recorded when grants
+# went run-native (ISSUE 16), so per-grant allocations cannot creep
+# back. A run that matches no benchmark, or one that stops reporting
+# either number, fails too.
+gate_handover() {
+	bad=$(go test -run='^$' -bench='^BenchmarkHandover2M$' -benchtime=200x -benchmem ./internal/controller/ \
+		| awk -v max="$1" '/^BenchmarkHandover2M/ {
+				n++
+				for (i = 2; i < NF; i++) {
+					if ($(i + 1) == "streamed-pages/op") { seen++; if ($i + 0 != 1) bad = 1 }
+					if ($(i + 1) == "allocs/op") { seen++; if ($i + 0 > max) bad = 1 }
+				}
+			}
+			END { if (n == 0 || seen != 2 * n) bad = 1; print bad + 0 }')
+	if [ "$bad" != "0" ]; then
+		echo "FAIL: BenchmarkHandover2M must report 1 streamed-pages/op and at most $1 allocs/op" >&2
+		exit 1
+	fi
+}
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -102,8 +125,9 @@ echo "== bench smoke (benchmarks must build and run, never silently skip)"
 go test -run='^$' -bench='^$' ./... > /dev/null
 # One-shot run of the data-path families that back BENCH_trio.json.
 go test -run='^$' -bench='^BenchmarkDataPath' -benchtime=1x . > /dev/null
-# One cross-domain 2 MiB write handover (streamed-pages/op, allocs/op).
-go test -run='^$' -bench='^BenchmarkHandover2M$' -benchtime=1x ./internal/controller/ > /dev/null
+# Cross-domain 2 MiB write handovers: streamed-pages/op and allocs/op
+# are gated, not just printed.
+gate_handover 11
 # And the regression harness itself, end to end in quick mode.
 go run ./cmd/trio-bench -experiment datapath -quick -json /dev/null > /dev/null
 
