@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -586,15 +587,15 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		if err != nil {
 			return errReply(buf, req.xid, err)
 		}
-		// Encode optimistically: reserve the count field, read straight
-		// into the reply buffer (no bounce copy), patch the count.
+		// Encode optimistically: reserve the count field and n payload
+		// bytes without filling them, read straight into the reply buffer
+		// (no bounce copy), patch the count. ReadAt overwrites [:cnt] and
+		// the frame is truncated to cnt, so whatever a recycled pool
+		// buffer held past that never leaves the process.
 		buf = BeginFrame(buf, req.xid, uint8(StatusOK))
 		pos := len(buf)
-		buf = appendU32(buf, 0)
-		for len(buf) < pos+4+n {
-			buf = append(buf, 0)
-		}
-		cnt, err := f.ReadAt(buf[pos+4:pos+4+n], off)
+		buf = slices.Grow(buf, 4+n)[:pos+4+n]
+		cnt, err := f.ReadAt(buf[pos+4:], off)
 		if err != nil {
 			fc.drop(h, false)
 			return errReply(buf, req.xid, err)
