@@ -1,84 +1,105 @@
 // Request and reply body shapes of the typed RPCs, one helper per shape.
-// Every enc* helper returns a slice it allocated for that one request;
-// Session.call keeps it as the retransmit unit, so a retransmission is
-// byte-identical to the original — which is exactly what the server's
-// duplicate-request cache fingerprints.
+//
+// Ownership of a request: every enc* helper returns a whole frame — the
+// reqHeader bytes Session.call patches once (length, xid, proc) followed
+// by the body — in a slice it allocated for that one call. Session.call
+// keeps it as the retransmit unit and every transmission is one Write of
+// that slice, so a retransmission is byte-identical to the original —
+// which is exactly what the server's duplicate-request cache
+// fingerprints — and a WRITE's payload is copied once on the client
+// (caller's p → the unit) before the transport takes it.
+//
+// Ownership of a reply: demux reads a body into space the call owns
+// (scall.recv), so the dec* helpers parse views nobody else writes; a
+// READ's payload never passes through here at all.
+//
+// Copies of a 16 KiB payload end to end over the loopback:
+//
+//	READ  (3): NVM → reply frame → transport ring → caller's p
+//	WRITE (4): caller's p → retransmit unit → transport ring →
+//	           server read buffer → NVM
 package serve
 
 import "trio/internal/fsapi"
 
 // ---------------------------------------------------------------------
-// request bodies
+// request frames
 // ---------------------------------------------------------------------
 
+// reqHeader is what precedes a body on the wire: length + xid + op.
+const reqHeader = 4 + frameHeader
+
+// newReq returns an empty request frame with room for n body bytes.
+func newReq(n int) []byte { return make([]byte, reqHeader, reqHeader+n) }
+
 func encHello(clientID uint64) []byte {
-	body := make([]byte, 0, 16)
-	body = appendU32(body, Magic)
-	body = appendU16(body, ProtoVersion)
-	return appendU64(body, clientID)
+	f := newReq(14)
+	f = appendU32(f, Magic)
+	f = appendU16(f, ProtoVersion)
+	return appendU64(f, clientID)
 }
 
 func encHandle(h fsapi.Handle) []byte {
-	return AppendHandle(make([]byte, 0, 8), h)
+	return AppendHandle(newReq(8), h)
 }
 
 func encLookup(dir fsapi.Handle, name string) []byte {
-	body := make([]byte, 0, 16+len(name))
-	body = AppendHandle(body, dir)
-	return AppendString(body, name)
+	f := newReq(10 + len(name))
+	f = AppendHandle(f, dir)
+	return AppendString(f, name)
 }
 
 func encRead(h fsapi.Handle, off int64, n int) []byte {
-	body := make([]byte, 0, 24)
-	body = AppendHandle(body, h)
-	body = appendU64(body, uint64(off))
-	return appendU32(body, uint32(n))
+	f := newReq(20)
+	f = AppendHandle(f, h)
+	f = appendU64(f, uint64(off))
+	return appendU32(f, uint32(n))
 }
 
 func encWrite(h fsapi.Handle, off int64, p []byte) []byte {
-	body := make([]byte, 0, 24+len(p))
-	body = AppendHandle(body, h)
-	body = appendU64(body, uint64(off))
-	return AppendBytes(body, p)
+	f := newReq(20 + len(p))
+	f = AppendHandle(f, h)
+	f = appendU64(f, uint64(off))
+	return AppendBytes(f, p)
 }
 
 func encAppend(h fsapi.Handle, p []byte) []byte {
-	body := make([]byte, 0, 16+len(p))
-	body = AppendHandle(body, h)
-	return AppendBytes(body, p)
+	f := newReq(12 + len(p))
+	f = AppendHandle(f, h)
+	return AppendBytes(f, p)
 }
 
 func encMakeNode(dir fsapi.Handle, mode uint16, name string) []byte {
-	body := make([]byte, 0, 16+len(name))
-	body = AppendHandle(body, dir)
-	body = appendU16(body, mode)
-	return AppendString(body, name)
+	f := newReq(12 + len(name))
+	f = AppendHandle(f, dir)
+	f = appendU16(f, mode)
+	return AppendString(f, name)
 }
 
 func encRemoveNode(dir fsapi.Handle, name string) []byte {
-	body := make([]byte, 0, 16+len(name))
-	body = AppendHandle(body, dir)
-	return AppendString(body, name)
+	f := newReq(10 + len(name))
+	f = AppendHandle(f, dir)
+	return AppendString(f, name)
 }
 
 func encRename(fromDir, toDir fsapi.Handle, fromName, toName string) []byte {
-	body := make([]byte, 0, 24+len(fromName)+len(toName))
-	body = AppendHandle(body, fromDir)
-	body = AppendHandle(body, toDir)
-	body = AppendString(body, fromName)
-	return AppendString(body, toName)
+	f := newReq(20 + len(fromName) + len(toName))
+	f = AppendHandle(f, fromDir)
+	f = AppendHandle(f, toDir)
+	f = AppendString(f, fromName)
+	return AppendString(f, toName)
 }
 
 func encReaddir(h fsapi.Handle, cookie uint32) []byte {
-	body := make([]byte, 0, 12)
-	body = AppendHandle(body, h)
-	return appendU32(body, cookie)
+	f := newReq(12)
+	f = AppendHandle(f, h)
+	return appendU32(f, cookie)
 }
 
 func encSetattr(h fsapi.Handle, size int64) []byte {
-	body := make([]byte, 0, 16)
-	body = AppendHandle(body, h)
-	return appendU64(body, uint64(size))
+	f := newReq(16)
+	f = AppendHandle(f, h)
+	return appendU64(f, uint64(size))
 }
 
 // ---------------------------------------------------------------------
@@ -95,15 +116,6 @@ func decHandleAttr(rep reply) (fsapi.Handle, Attr, error) {
 	d := NewDec(rep.body)
 	h, a := d.Handle(), d.Attr()
 	return h, a, d.Err()
-}
-
-func decReadInto(rep reply, p []byte) (int, error) {
-	d := NewDec(rep.body)
-	data := d.Bytes()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	return copy(p, data), nil
 }
 
 func decWrote(rep reply) (int, error) {

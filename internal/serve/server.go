@@ -242,13 +242,17 @@ func (s *Server) quiesced() bool {
 // per-connection machinery
 // ---------------------------------------------------------------------
 
-// request is one admitted frame, body copied out of the read buffer so
-// the reader can keep decoding while workers execute.
+// request is one admitted frame. buf is the pooled buffer the reader
+// read it into, handed over whole (the reader takes a fresh one): the
+// worker owns it until it has executed the request and returns it to
+// the pool. The body, still in place, follows the xid and op bytes.
 type request struct {
 	xid  uint32
 	proc Proc
-	body []byte
+	buf  []byte
 }
+
+func (r request) body() []byte { return r.buf[frameHeader:] }
 
 type srvConn struct {
 	srv *Server
@@ -269,6 +273,11 @@ type srvConn struct {
 	rd interface{ SetReadDeadline(time.Time) error }
 	wd interface{ SetWriteDeadline(time.Time) error }
 
+	// out (the coalescing buffer) and broken belong to whoever is
+	// flushing.
+	out    []byte
+	broken bool
+
 	workerWG sync.WaitGroup
 	writerWG sync.WaitGroup
 	closer   sync.Once
@@ -281,7 +290,7 @@ func (c *srvConn) sendReply(frame []byte) {
 	c.replies <- frame
 }
 
-// bufPool recycles request bodies and reply frames.
+// bufPool recycles request frames and reply frames.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 func getBuf() []byte  { return (*(bufPool.Get().(*[]byte)))[:0] }
@@ -344,7 +353,8 @@ func (c *srvConn) closeTransport() {
 
 // readLoop decodes and admits requests until the transport ends.
 func (c *srvConn) readLoop() error {
-	var buf []byte
+	buf := getBuf()
+	defer func() { putBuf(buf) }()
 	for {
 		if c.rd != nil {
 			c.rd.SetReadDeadline(time.Now().Add(c.srv.opts.ReadTimeout))
@@ -393,9 +403,8 @@ func (c *srvConn) readLoop() error {
 		}
 		c.sem <- struct{}{} // backpressure: cap in-flight
 		mInflight.Inc()
-		body := getBuf()
-		body = append(body, fr.Body...)
-		c.reqs <- request{xid: fr.Xid, proc: Proc(fr.Op), body: body}
+		c.reqs <- request{xid: fr.Xid, proc: Proc(fr.Op), buf: buf}
+		buf = getBuf()
 	}
 }
 
@@ -420,15 +429,13 @@ func (c *srvConn) hello(fr Frame) error {
 	return nil
 }
 
-// writeLoop batches completed replies into single transport writes.
+// writeLoop drains every completed reply it can see and flushes them
+// as one batch.
 func (c *srvConn) writeLoop() {
 	defer c.writerWG.Done()
-	var out []byte
-	broken := false
+	var batch [][]byte
 	for first := range c.replies {
-		out = append(out[:0], first...)
-		putBuf(first)
-		n := int64(1)
+		batch = append(batch[:0], first)
 	drain:
 		for {
 			select {
@@ -436,29 +443,63 @@ func (c *srvConn) writeLoop() {
 				if !ok {
 					break drain
 				}
-				out = append(out, f...)
-				putBuf(f)
-				n++
+				batch = append(batch, f)
 			default:
 				break drain
 			}
 		}
-		if !broken {
-			if c.wd != nil {
-				c.wd.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-			}
-			if _, err := c.rw.Write(out); err != nil {
-				broken = true
-				c.closeTransport() // unblocks the reader; keep draining
-			} else {
-				mReplyBatches.Inc()
-				mReplyFrames.Add(n)
-			}
-		}
-		// Flushed (or unflushable: the peer is gone and these replies
-		// can never be delivered — Drain must not wait on a dead conn).
-		c.unflushed.Add(-n)
+		c.flush(batch)
 	}
+}
+
+// coalesceMax is the largest reply frame copied into a batch buffer to
+// share a transport write with its neighbours. Anything bigger carries
+// a payload: it goes to the transport from the frame it was built in.
+const coalesceMax = 1024
+
+// flush hands a batch of reply frames to the transport in order and
+// returns them to the pool: small frames coalesced into one write, a
+// payload frame (or a lone frame) written as it is, never re-copied.
+func (c *srvConn) flush(batch [][]byte) {
+	out, held := c.out[:0], int64(0)
+	for _, f := range batch {
+		if len(batch) > 1 && len(f) <= coalesceMax {
+			out, held = append(out, f...), held+1
+		} else {
+			if held > 0 {
+				c.write(out, held)
+				out, held = out[:0], 0
+			}
+			c.write(f, 1)
+		}
+		putBuf(f)
+	}
+	if held > 0 {
+		c.write(out, held)
+	}
+	c.out = out
+	// Flushed (or unflushable: the peer is gone and these replies can
+	// never be delivered — Drain must not wait on a dead conn).
+	c.unflushed.Add(-int64(len(batch)))
+}
+
+// write is one transport write carrying frames reply frames. A failed
+// write breaks the connection for good: the transport is closed, which
+// unblocks the reader, and later replies are dropped, not written.
+func (c *srvConn) write(b []byte, frames int64) {
+	if c.broken {
+		return
+	}
+	if c.wd != nil {
+		c.wd.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
+	}
+	if _, err := c.rw.Write(b); err != nil {
+		c.broken = true
+		c.closeTransport()
+		return
+	}
+	mReplyBatches.Inc()
+	mReplyFrames.Add(frames)
 }
 
 // worker executes admitted requests out of order. Each worker owns a
@@ -482,7 +523,7 @@ func (c *srvConn) handle(client fsapi.Client, fc *fileCache, id int, req request
 	var reply []byte
 	if nonIdempotent(req.proc) {
 		key := drcKey{client: c.clientID.Load(), xid: req.xid}
-		entry, dup := c.srv.drc.claim(key, reqFingerprint(req.proc, req.body))
+		entry, dup := c.srv.drc.claim(key, reqFingerprint(req.proc, req.body()))
 		if dup {
 			<-entry.done
 			mDRCHits.Inc()
@@ -494,7 +535,7 @@ func (c *srvConn) handle(client fsapi.Client, fc *fileCache, id int, req request
 	} else {
 		reply = c.exec(client, fc, req)
 	}
-	putBuf(req.body)
+	putBuf(req.buf)
 	c.sendReply(reply)
 	<-c.sem
 	c.srv.release()
@@ -533,7 +574,7 @@ func errReply(buf []byte, xid uint32, err error) []byte {
 // pooled buffer the writer releases).
 func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 	s := c.srv
-	d := NewDec(req.body)
+	d := NewDec(req.body())
 	buf := getBuf()
 	ok := func() []byte { return EndFrame(buf, 0) }
 
@@ -911,6 +952,12 @@ func (fc *fileCache) drop(h fsapi.Handle, write bool) {
 	if f, ok := fc.m[key]; ok {
 		f.Close()
 		delete(fc.m, key)
+		// The key leaves the eviction order with its file: left behind,
+		// a re-open would queue it twice and evicting the stale slot
+		// would close the live file.
+		if i := slices.Index(fc.order, key); i >= 0 {
+			fc.order = slices.Delete(fc.order, i, i+1)
+		}
 	}
 }
 

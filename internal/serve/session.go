@@ -42,6 +42,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	mrand "math/rand"
@@ -111,22 +112,43 @@ type SessionStats struct {
 	Deadlines   int64 // calls failed by their context deadline
 }
 
-// scall is one in-flight session call. body is the retransmit unit: the
-// slice an enc* helper (rpc.go) built for this call and nobody else
-// holds. It is GC-owned, never pooled — a reconnect snapshot may still
-// reference it after the call has returned — and never written again,
-// so every transmission carries the bytes the DRC fingerprinted first.
+// scall is one in-flight session call. frame is the retransmit unit:
+// the whole request frame an enc* helper (rpc.go) built for this call,
+// header patched once by call before the first transmission. It is
+// GC-owned, never pooled — a reconnect snapshot may still reference it
+// after the call has returned — and never written again, so every
+// transmission is one Write of the bytes the DRC fingerprinted first.
+//
+// A call is in exactly one place at a time: in Session.pending (call,
+// Close, fail and the reconnect snapshot may reach it), or claimed by
+// the one demux that read its reply header (landing set; only that
+// demux touches dst/small, and it owes ch exactly one verdict). call
+// never returns while its scall is claimed, so demux never writes into
+// a buffer the caller has taken back.
 type scall struct {
-	proc Proc
-	body []byte
-	ch   chan reply // buffered 1; closed only on terminal session death
+	frame []byte
+	dst   []byte     // READ: the caller's p, where a StatusOK payload lands
+	ch    chan reply // buffered 1; closed only on terminal session death
+
+	// landing is true from the claim until demux has finished reading
+	// the reply body; a deadline that finds it set must close the
+	// transport, or a partition mid-body would hold the caller forever.
+	landing atomic.Bool
+	small   [24]byte // reply bodies up to handle+attr land here, not in garbage
 }
 
-// reply is one demuxed reply frame.
+// reply is one demuxed reply: what demux hands a call over scall.ch.
 type reply struct {
 	status Status
-	body   []byte // copied out of the demux read buffer
+	body   []byte // scall.small or a slice made for this reply; nil for a landed READ
+	n      int    // READ: payload bytes landed in scall.dst
+	err    error  // errTorn, or ErrBadFrame for a READ body that contradicts itself
 }
+
+// errTorn is demux's verdict for a reply whose transport died mid-body:
+// nothing was delivered, the call registers itself again and the
+// request is retransmitted under its xid.
+var errTorn = errors.New("serve: reply torn mid-frame")
 
 // Session is a persistent, reconnecting client connection. All methods
 // are safe for concurrent use; any number of goroutines share the one
@@ -283,9 +305,10 @@ func (s *Session) backoffDelay(attempt int) time.Duration {
 	return d + j
 }
 
-// sleep waits for d, Close, or ctx (nil ctx = only Close interrupts).
-// It reports false when the wait was interrupted.
-func (s *Session) sleep(ctx context.Context, d time.Duration) bool {
+// sleep waits for d, Close, ctx or the call's timeout (nil ctx and nil
+// timeout = only Close interrupts). It reports false when the wait was
+// interrupted.
+func (s *Session) sleep(ctx context.Context, timeout <-chan time.Time, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	var done <-chan struct{}
@@ -298,6 +321,8 @@ func (s *Session) sleep(ctx context.Context, d time.Duration) bool {
 	case <-s.closeCh:
 		return false
 	case <-done:
+		return false
+	case <-timeout:
 		return false
 	}
 }
@@ -372,25 +397,22 @@ func (s *Session) connectLoop() {
 				s.cur = rw
 				s.root, s.rootAttr = root, rattr
 				s.connecting = false
-				type retx struct {
-					xid  uint32
-					proc Proc
-					body []byte
-				}
-				snap := make([]retx, 0, len(s.pending))
-				for xid, sc := range s.pending {
-					snap = append(snap, retx{xid, sc.proc, sc.body})
+				snap := make([][]byte, 0, len(s.pending))
+				for _, sc := range s.pending {
+					snap = append(snap, sc.frame)
 				}
 				s.mu.Unlock()
 				if gen > 1 {
 					s.reconnects.Add(1)
 				}
 				go s.demux(rw, gen)
-				for _, r := range snap {
-					if s.send(rw, r.xid, r.proc, r.body) != nil {
+				for _, frame := range snap {
+					// Counted before the write: the reply may complete the
+					// call, and its caller read Stats, before send returns.
+					s.retransmits.Add(1)
+					if s.send(rw, frame) != nil {
 						break // demux's error path reconnects and re-snapshots
 					}
-					s.retransmits.Add(1)
 				}
 				return
 			}
@@ -402,7 +424,7 @@ func (s *Session) connectLoop() {
 			s.fail(fmt.Errorf("%w: session redial budget exhausted: %v", fsapi.ErrIO, lastErr))
 			return
 		}
-		if !s.sleep(nil, s.backoffDelay(fails-1)) {
+		if !s.sleep(nil, nil, s.backoffDelay(fails-1)) {
 			s.mu.Lock()
 			s.connecting = false
 			s.mu.Unlock()
@@ -423,7 +445,7 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 	timer := time.AfterFunc(s.opts.CallTimeout, func() { rw.Close() })
 	defer timer.Stop()
 
-	if werr := s.send(rw, xid, ProcHello, encHello(s.opts.ClientID)); werr != nil {
+	if werr := s.send(rw, sealReq(encHello(s.opts.ClientID), xid, ProcHello)); werr != nil {
 		return fsapi.Handle{}, Attr{}, fmt.Errorf("%w: hello write: %v", fsapi.ErrIO, werr)
 	}
 	fr, _, err := ReadFrame(rw, nil)
@@ -441,63 +463,168 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 	return h, a, d.Err()
 }
 
-// send writes one request frame: the one place a request is framed,
-// for first transmissions, retransmissions and HELLO alike. Errors are
-// deliberately soft for calls: a failed write means the transport is
-// dying, and the demux error path will reconnect and retransmit the
-// still-pending call.
-func (s *Session) send(rw io.ReadWriteCloser, xid uint32, proc Proc, body []byte) error {
-	frame := getBuf()
-	frame = BeginFrame(frame, xid, uint8(proc))
-	frame = append(frame, body...)
-	frame = EndFrame(frame, 0)
+// sealReq patches the header an enc* helper reserved in front of its
+// body. It runs once per frame, before the first transmission: a frame
+// that may be retransmitted from another goroutine is never written
+// again.
+func sealReq(frame []byte, xid uint32, proc Proc) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.LittleEndian.PutUint32(frame[4:], xid)
+	frame[8] = uint8(proc)
+	return frame
+}
+
+// send transmits one sealed request frame — first transmissions,
+// retransmissions and HELLO alike — as ONE transport write: header and
+// body in two writes would wake the server's reader for the header
+// only to park it again for the body. Errors are deliberately soft for
+// calls: a failed write means the transport is dying, and the demux
+// error path will reconnect and retransmit the still-pending call.
+func (s *Session) send(rw io.ReadWriteCloser, frame []byte) error {
 	s.wmu.Lock()
 	_, err := rw.Write(frame)
 	s.wmu.Unlock()
-	putBuf(frame)
 	return err
 }
 
 // demux reads reply frames from one transport generation and completes
-// the matching pending calls. Deleting from pending BEFORE delivering
-// guarantees at most one delivery per registration, so the buffered
-// channel send never blocks.
+// the matching pending calls. It parses the fixed header first, claims
+// the call (deleting it from pending BEFORE any body byte is read, so
+// there is at most one delivery per registration and the buffered
+// channel send never blocks), then reads the body straight into space
+// the call owns — a READ's payload into the caller's p. Every claim
+// ends in exactly one verdict on the call's channel: the reply, or
+// errTorn when the transport died under it. MaxFrame is checked before
+// anything is sized by the length field.
 func (s *Session) demux(rw io.ReadWriteCloser, gen int) {
-	var buf []byte
+	// The reconnect starts before a torn verdict is delivered, so the
+	// call that re-registers on it is retransmitted exactly once: by
+	// the install's snapshot, or by itself on the new transport.
+	defer s.transportBroken(gen)
+	hdr := make([]byte, reqHeader)
 	for {
-		fr, nbuf, err := ReadFrame(rw, buf)
-		buf = nbuf
-		if err != nil {
-			s.transportBroken(gen)
+		if _, err := io.ReadFull(rw, hdr); err != nil {
 			return
 		}
+		n := binary.LittleEndian.Uint32(hdr)
+		if n < frameHeader || n > MaxFrame {
+			return
+		}
+		xid, rest := binary.LittleEndian.Uint32(hdr[4:]), int(n)-frameHeader
+
 		s.mu.Lock()
-		sc, ok := s.pending[fr.Xid]
-		if ok {
-			delete(s.pending, fr.Xid)
+		sc := s.pending[xid]
+		if sc != nil {
+			delete(s.pending, xid)
+			sc.landing.Store(true)
 		}
 		s.mu.Unlock()
-		if !ok {
-			continue // late reply for an abandoned or superseded call
+		if sc == nil {
+			// Late reply for an abandoned or superseded call.
+			if discard(rw, rest) != nil {
+				return
+			}
+			continue
 		}
-		sc.ch <- reply{status: Status(fr.Op), body: append([]byte(nil), fr.Body...)}
+		rep, err := sc.recv(rw, Status(hdr[8]), rest)
+		sc.landing.Store(false)
+		if err != nil {
+			s.transportBroken(gen)
+			rep = reply{err: errTorn}
+		}
+		sc.ch <- rep
+		if err != nil {
+			return
+		}
 	}
 }
 
+// recv reads the rest bytes of a claimed call's reply body into space
+// the call owns. A StatusOK READ body is count:u32 then the payload,
+// which lands in dst and nowhere else: never more than len(dst) and
+// never more than the frame still holds — the excess of an over-long
+// payload is discarded, a count the frame cannot back is ErrBadFrame
+// with nothing landed. Any other body goes to the inline array or, past
+// it, to a slice sized by the MaxFrame-checked length. A non-nil error
+// is the transport's: the body was not fully read.
+func (sc *scall) recv(r io.Reader, st Status, rest int) (reply, error) {
+	rep := reply{status: st}
+	if sc.dst == nil || st != StatusOK {
+		if rest <= len(sc.small) {
+			rep.body = sc.small[:rest]
+		} else {
+			rep.body = make([]byte, rest)
+		}
+		_, err := io.ReadFull(r, rep.body)
+		return rep, err
+	}
+	if rest < 4 {
+		rep.err = ErrBadFrame
+		return rep, discard(r, rest)
+	}
+	if _, err := io.ReadFull(r, sc.small[:4]); err != nil {
+		return rep, err
+	}
+	cnt, rest := int(binary.LittleEndian.Uint32(sc.small[:4])), rest-4
+	if cnt > rest {
+		rep.err = ErrBadFrame
+		return rep, discard(r, rest)
+	}
+	rep.n = min(cnt, len(sc.dst))
+	if _, err := io.ReadFull(r, sc.dst[:rep.n]); err != nil {
+		return rep, err
+	}
+	return rep, discard(r, rest-rep.n)
+}
+
+// discard skips n bytes of r.
+func discard(r io.Reader, n int) error {
+	if n == 0 {
+		return nil
+	}
+	_, err := io.CopyN(io.Discard, r, int64(n))
+	return err
+}
+
+// callTimers recycles the timers that bound deadline-less calls.
+var callTimers sync.Pool
+
 // call runs one request to completion across any number of transports.
-// It keeps body (see scall), so callers hand over a slice they built
+// It keeps frame (see scall), so callers hand over a slice they built
 // for this call and do not touch again — which is what every enc*
-// helper returns.
-func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, error) {
+// helper returns. dst, when non-nil, is where a READ's payload lands.
+func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// CallTimeout bounds a call whose context carries no deadline.
+	var timeout <-chan time.Time
 	if _, has := ctx.Deadline(); !has {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.CallTimeout)
-		defer cancel()
+		t, _ := callTimers.Get().(*time.Timer)
+		if t == nil {
+			t = time.NewTimer(s.opts.CallTimeout)
+		} else {
+			t.Reset(s.opts.CallTimeout)
+		}
+		defer func() {
+			if !t.Stop() {
+				select {
+				case <-t.C:
+				default:
+				}
+			}
+			callTimers.Put(t)
+		}()
+		timeout = t.C
 	}
-	sc := &scall{proc: proc, body: body, ch: make(chan reply, 1)}
+	// cause names what ended the wait, for the Busy-at-deadline errors.
+	cause := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return context.DeadlineExceeded
+	}
+	sc := &scall{frame: frame, dst: dst, ch: make(chan reply, 1)}
 
 	s.mu.Lock()
 	if err := s.deadLocked(); err != nil {
@@ -507,7 +634,9 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 	s.nextXid++
 	xid := s.nextXid
 	s.mu.Unlock()
+	sealReq(frame, xid, proc)
 
+	torn := false
 	for attempt := 0; ; attempt++ {
 		// Register and capture the transport atomically (see
 		// connectLoop for why this pairing matters).
@@ -521,68 +650,87 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 		s.mu.Unlock()
 
 		if rw != nil {
+			if torn {
+				s.retransmits.Add(1)
+			}
 			// A write error is ignored on purpose: the call stays
 			// pending and the reconnect retransmits it.
-			_ = s.send(rw, xid, proc, sc.body)
+			_ = s.send(rw, frame)
+		}
+		torn = false
+
+		var rep reply
+		ok, expired := false, false
+		select {
+		case rep, ok = <-sc.ch:
+		case <-ctx.Done():
+			expired = true
+		case <-timeout:
+			expired = true
 		}
 
-		select {
-		case rep, ok := <-sc.ch:
-			if !ok {
-				return reply{}, s.terminalErr()
-			}
-			if rep.status == StatusBusy {
-				// Shed before execution, never cached: a same-xid
-				// retry after backoff is always safe.
-				s.busyRetries.Add(1)
-				if !s.sleep(ctx, s.backoffDelay(attempt)) {
-					select {
-					case <-s.closeCh:
-						return reply{}, s.terminalErr()
-					default:
-					}
-					// Deadline during Busy backoff: the server's last
-					// verdict was "not executed", so surface Busy (the
-					// caller knows the op definitely did not apply).
-					return reply{}, fmt.Errorf("%w: %v", ErrBusy, ctx.Err())
-				}
-				continue
-			}
-			if rep.status != StatusOK {
-				return reply{}, rep.status.Err()
-			}
-			return rep, nil
-
-		case <-ctx.Done():
+		if expired {
 			s.deadlines.Add(1)
 			s.mu.Lock()
 			_, still := s.pending[xid]
-			if still {
-				delete(s.pending, xid)
-			}
+			delete(s.pending, xid)
 			s.mu.Unlock()
-			if !still {
-				// The reply beat the deadline by a hair: demux already
-				// removed us, the buffered send is in flight. Take it.
-				if rep, ok := <-sc.ch; ok {
-					if rep.status == StatusOK {
-						return rep, nil
-					}
-					if rep.status != StatusBusy {
-						return reply{}, rep.status.Err()
-					}
-					// Busy at the deadline: definitely not applied.
-					return reply{}, fmt.Errorf("%w: %v", ErrBusy, ctx.Err())
-				}
+			if still {
+				// The request may have executed server-side; only a
+				// same-xid retransmit would be safe, and the caller's
+				// deadline said stop. Suspect the transport so a silent
+				// partition turns into a reconnect instead of wedging
+				// every subsequent call.
+				s.suspect()
+				return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, proc)
+			}
+			// A demux claimed us: its verdict is on the way and, until
+			// it arrives, dst is demux's to write. If it is still
+			// reading the body, only closing the transport bounds the
+			// wait — the peer may have gone silent mid-frame.
+			if sc.landing.Load() {
+				s.suspect()
+			}
+			if rep, ok = <-sc.ch; !ok {
 				return reply{}, s.terminalErr()
 			}
-			// The request may have executed server-side; only a
-			// same-xid retransmit would be safe, and the caller's
-			// deadline said stop. Suspect the transport so a silent
-			// partition turns into a reconnect instead of wedging
-			// every subsequent call.
-			s.suspect()
-			return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, proc)
+			switch {
+			case rep.err == errTorn:
+				return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, proc)
+			case rep.status == StatusBusy:
+				// Busy at the deadline: definitely not applied.
+				return reply{}, fmt.Errorf("%w: %v", ErrBusy, cause())
+			}
+			// The reply beat the deadline by a hair: take it.
+		}
+
+		switch {
+		case !ok:
+			return reply{}, s.terminalErr()
+		case rep.err == errTorn:
+			torn = true
+			continue
+		case rep.err != nil:
+			return reply{}, rep.err
+		case rep.status == StatusBusy:
+			// Shed before execution, never cached: a same-xid
+			// retry after backoff is always safe.
+			s.busyRetries.Add(1)
+			if !s.sleep(ctx, timeout, s.backoffDelay(attempt)) {
+				select {
+				case <-s.closeCh:
+					return reply{}, s.terminalErr()
+				default:
+				}
+				// Deadline during Busy backoff: the server's last
+				// verdict was "not executed", so surface Busy (the
+				// caller knows the op definitely did not apply).
+				return reply{}, fmt.Errorf("%w: %v", ErrBusy, cause())
+			}
+		case rep.status != StatusOK:
+			return reply{}, rep.status.Err()
+		default:
+			return rep, nil
 		}
 	}
 }
@@ -604,7 +752,7 @@ func (s *Session) deadLocked() error {
 
 // Getattr stats a handle.
 func (s *Session) Getattr(ctx context.Context, h fsapi.Handle) (Attr, error) {
-	rep, err := s.call(ctx, ProcGetattr, encHandle(h))
+	rep, err := s.call(ctx, ProcGetattr, encHandle(h), nil)
 	if err != nil {
 		return Attr{}, err
 	}
@@ -613,7 +761,7 @@ func (s *Session) Getattr(ctx context.Context, h fsapi.Handle) (Attr, error) {
 
 // Lookup resolves name under dir.
 func (s *Session) Lookup(ctx context.Context, dir fsapi.Handle, name string) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcLookup, encLookup(dir, name))
+	rep, err := s.call(ctx, ProcLookup, encLookup(dir, name), nil)
 	if err != nil {
 		return fsapi.Handle{}, Attr{}, err
 	}
@@ -622,16 +770,13 @@ func (s *Session) Lookup(ctx context.Context, dir fsapi.Handle, name string) (fs
 
 // Read reads up to len(p) bytes at off into p.
 func (s *Session) Read(ctx context.Context, h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := s.call(ctx, ProcRead, encRead(h, off, len(p)))
-	if err != nil {
-		return 0, err
-	}
-	return decReadInto(rep, p)
+	rep, err := s.call(ctx, ProcRead, encRead(h, off, len(p)), p)
+	return rep.n, err
 }
 
 // Write writes p at off.
 func (s *Session) Write(ctx context.Context, h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := s.call(ctx, ProcWrite, encWrite(h, off, p))
+	rep, err := s.call(ctx, ProcWrite, encWrite(h, off, p), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -640,7 +785,7 @@ func (s *Session) Write(ctx context.Context, h fsapi.Handle, off int64, p []byte
 
 // Append appends p, returning the offset it landed at.
 func (s *Session) Append(ctx context.Context, h fsapi.Handle, p []byte) (int64, error) {
-	rep, err := s.call(ctx, ProcAppend, encAppend(h, p))
+	rep, err := s.call(ctx, ProcAppend, encAppend(h, p), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -649,7 +794,7 @@ func (s *Session) Append(ctx context.Context, h fsapi.Handle, p []byte) (int64, 
 
 // Create creates (or truncates) name under dir.
 func (s *Session) Create(ctx context.Context, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcCreate, encMakeNode(dir, mode, name))
+	rep, err := s.call(ctx, ProcCreate, encMakeNode(dir, mode, name), nil)
 	if err != nil {
 		return fsapi.Handle{}, Attr{}, err
 	}
@@ -658,7 +803,7 @@ func (s *Session) Create(ctx context.Context, dir fsapi.Handle, name string, mod
 
 // Mkdir creates a directory under dir.
 func (s *Session) Mkdir(ctx context.Context, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcMkdir, encMakeNode(dir, mode, name))
+	rep, err := s.call(ctx, ProcMkdir, encMakeNode(dir, mode, name), nil)
 	if err != nil {
 		return fsapi.Handle{}, Attr{}, err
 	}
@@ -667,19 +812,19 @@ func (s *Session) Mkdir(ctx context.Context, dir fsapi.Handle, name string, mode
 
 // Remove unlinks a file name under dir.
 func (s *Session) Remove(ctx context.Context, dir fsapi.Handle, name string) error {
-	_, err := s.call(ctx, ProcRemove, encRemoveNode(dir, name))
+	_, err := s.call(ctx, ProcRemove, encRemoveNode(dir, name), nil)
 	return err
 }
 
 // Rmdir removes an empty directory name under dir.
 func (s *Session) Rmdir(ctx context.Context, dir fsapi.Handle, name string) error {
-	_, err := s.call(ctx, ProcRmdir, encRemoveNode(dir, name))
+	_, err := s.call(ctx, ProcRmdir, encRemoveNode(dir, name), nil)
 	return err
 }
 
 // Rename moves fromName under fromDir to toName under toDir.
 func (s *Session) Rename(ctx context.Context, fromDir fsapi.Handle, fromName string, toDir fsapi.Handle, toName string) error {
-	_, err := s.call(ctx, ProcRename, encRename(fromDir, toDir, fromName, toName))
+	_, err := s.call(ctx, ProcRename, encRename(fromDir, toDir, fromName, toName), nil)
 	return err
 }
 
@@ -691,7 +836,7 @@ func (s *Session) Readdir(ctx context.Context, h fsapi.Handle) ([]string, error)
 	var names []string
 	cookie := uint32(0)
 	for {
-		rep, err := s.call(ctx, ProcReaddir, encReaddir(h, cookie))
+		rep, err := s.call(ctx, ProcReaddir, encReaddir(h, cookie), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -711,12 +856,12 @@ func (s *Session) Readdir(ctx context.Context, h fsapi.Handle) ([]string, error)
 
 // Setattr truncates the file a handle names.
 func (s *Session) Setattr(ctx context.Context, h fsapi.Handle, size int64) error {
-	_, err := s.call(ctx, ProcSetattr, encSetattr(h, size))
+	_, err := s.call(ctx, ProcSetattr, encSetattr(h, size), nil)
 	return err
 }
 
 // Commit syncs the file a handle names.
 func (s *Session) Commit(ctx context.Context, h fsapi.Handle) error {
-	_, err := s.call(ctx, ProcCommit, encHandle(h))
+	_, err := s.call(ctx, ProcCommit, encHandle(h), nil)
 	return err
 }
