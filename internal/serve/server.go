@@ -1,19 +1,35 @@
 // The protocol server: per-connection pipelining machinery mapped onto
 // an fsapi.FS.
 //
-// Each connection runs three roles wired by channels:
+// Each connection runs a reader and a pool of workers; there is no
+// writer goroutine — a reply leaves from the worker that made it:
 //
-//	reader ──reqs──▶ workers(×N) ──replies──▶ writer
+//	reader ──reqs──▶ workers(×N) ──▶ transport
+//	                     │  ▲
+//	                     ▼  │  (queue: replies finished while another
+//	                    queue   worker is writing ride its next batch)
 //
 // The reader decodes frames and admits them under the per-connection
 // in-flight cap (the backpressure the tentpole asks for: a client that
 // pipelines past the cap blocks in the transport, it cannot balloon
 // server memory). Workers execute out of order — each owns its own
 // fsapi.Client and a small open-file cache — so a slow READ never
-// blocks the metadata traffic behind it. The writer drains every
-// completed reply it can see into one transport write (reply batching);
-// xids, not arrival order, tell the client which request each reply
-// answers.
+// blocks the metadata traffic behind it. A worker that finishes a reply
+// while nobody is flushing writes it itself; otherwise it queues it for
+// the current flusher, which coalesces every small reply it finds into
+// one transport write (reply batching); xids, not arrival order, tell
+// the client which request each reply answers.
+//
+// Buffer ownership, which is what keeps a payload to one copy per
+// boundary it crosses: the reader reads each frame into a pooled buffer
+// and hands THAT buffer to the worker (request.buf; the reader takes a
+// fresh one), the worker decodes views into it and lets the FS consume
+// a WRITE's payload from where it landed, then returns it to the pool.
+// A reply frame is built in a pooled buffer the worker owns until
+// sendReply, the flusher's from then on; a READ reads the file straight
+// into the frame, and a payload frame goes to the transport from that
+// buffer. So a 16 KiB READ is copied NVM → reply frame → transport, and
+// a WRITE transport → request buffer → NVM, on this side of the wire.
 //
 // The server holds no per-client open-file state the protocol depends
 // on: worker file caches are a pure performance cache, invalidated
@@ -260,11 +276,22 @@ type srvConn struct {
 
 	clientID atomic.Uint64 // set by HELLO; requests before it are fatal
 
-	sem     chan struct{} // in-flight cap
-	reqs    chan request
-	replies chan []byte // complete reply frames (pooled buffers)
+	sem  chan struct{} // in-flight cap
+	reqs chan request
 
-	// unflushed counts replies enqueued but not yet handed to the
+	// Reply hand-off. A finished reply frame (a pooled buffer) is queued
+	// under wmu; whoever queues one while nobody is flushing becomes the
+	// flusher and writes batches until the queue is empty, everybody
+	// else returns at once. A full queue makes its senders wait for
+	// room, which is what keeps a peer that stops reading from
+	// ballooning the server: workers stall, their in-flight slots stay
+	// taken, the reader stops admitting.
+	wmu      sync.Mutex
+	room     sync.Cond // signalled when the flusher takes the queue
+	queue    [][]byte
+	flushing bool
+
+	// unflushed counts replies queued but not yet handed to the
 	// transport; Drain waits for it to reach zero so an acked mutation's
 	// reply is actually on the wire before the server goes away.
 	unflushed atomic.Int64
@@ -273,21 +300,42 @@ type srvConn struct {
 	rd interface{ SetReadDeadline(time.Time) error }
 	wd interface{ SetWriteDeadline(time.Time) error }
 
-	// out (the coalescing buffer) and broken belong to whoever is
-	// flushing.
+	// The flusher's own: the queue slice it swaps in, the coalescing
+	// buffer, and whether a write has failed.
+	spare  [][]byte
 	out    []byte
 	broken bool
 
 	workerWG sync.WaitGroup
-	writerWG sync.WaitGroup
 	closer   sync.Once
 }
 
-// sendReply enqueues one complete reply frame, keeping the unflushed
-// count Drain polls in step. Every reply path must come through here.
+// sendReply queues one complete reply frame, keeping the unflushed
+// count Drain polls in step, and flushes the queue itself unless
+// somebody already is. Every reply path must come through here.
 func (c *srvConn) sendReply(frame []byte) {
 	c.unflushed.Add(1)
-	c.replies <- frame
+	c.wmu.Lock()
+	for c.flushing && len(c.queue) > c.srv.opts.MaxInflight {
+		c.room.Wait()
+	}
+	c.queue = append(c.queue, frame)
+	if c.flushing {
+		c.wmu.Unlock()
+		return
+	}
+	c.flushing = true
+	for len(c.queue) > 0 {
+		batch := c.queue
+		c.queue = c.spare[:0]
+		c.room.Broadcast()
+		c.wmu.Unlock()
+		c.flush(batch)
+		c.wmu.Lock()
+		c.spare = batch
+	}
+	c.flushing = false
+	c.wmu.Unlock()
 }
 
 // bufPool recycles request frames and reply frames.
@@ -306,12 +354,12 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		return errServerClosed
 	}
 	c := &srvConn{
-		srv:     s,
-		rw:      rw,
-		sem:     make(chan struct{}, s.opts.MaxInflight),
-		reqs:    make(chan request, s.opts.MaxInflight),
-		replies: make(chan []byte, s.opts.MaxInflight+1),
+		srv:  s,
+		rw:   rw,
+		sem:  make(chan struct{}, s.opts.MaxInflight),
+		reqs: make(chan request, s.opts.MaxInflight),
 	}
+	c.room.L = &c.wmu
 	if s.opts.ReadTimeout > 0 {
 		c.rd, _ = rw.(interface{ SetReadDeadline(time.Time) error })
 	}
@@ -325,8 +373,6 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 	mConns.Inc()
 	mConnsTotal.Inc()
 
-	c.writerWG.Add(1)
-	go c.writeLoop()
 	for i := 0; i < s.opts.Workers; i++ {
 		c.workerWG.Add(1)
 		go c.worker(i)
@@ -334,10 +380,10 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 
 	err := c.readLoop()
 
+	// Every flusher is a worker or was the reader: once the workers
+	// are gone the reply queue is empty and flushed.
 	close(c.reqs)
 	c.workerWG.Wait()
-	close(c.replies)
-	c.writerWG.Wait()
 	c.closeTransport()
 
 	s.mu.Lock()
@@ -427,29 +473,6 @@ func (c *srvConn) hello(fr Frame) error {
 	mRPCs.Inc()
 	mProcs[ProcHello].Inc()
 	return nil
-}
-
-// writeLoop drains every completed reply it can see and flushes them
-// as one batch.
-func (c *srvConn) writeLoop() {
-	defer c.writerWG.Done()
-	var batch [][]byte
-	for first := range c.replies {
-		batch = append(batch[:0], first)
-	drain:
-		for {
-			select {
-			case f, ok := <-c.replies:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, f)
-			default:
-				break drain
-			}
-		}
-		c.flush(batch)
-	}
 }
 
 // coalesceMax is the largest reply frame copied into a batch buffer to
