@@ -29,11 +29,15 @@ vet:
 # Adversarial fuzzing of the trusted verifier: random core-state
 # corruption must always terminate in a Report, never a panic/hang —
 # and of the scrubber: any nonzero bit flip in a sealed page must be
-# detected, and sealing must round-trip.
+# detected, and sealing must round-trip — and of the two parsers of
+# untrusted wire bytes: an arbitrary client stream into the server, an
+# arbitrary server stream into a session with a call pending.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRegular$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyDirectory$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzScrubPage$$' -fuzztime=10s ./internal/verifier/
+	$(GO) test -run='^$$' -fuzz='^FuzzServeFrame$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz='^FuzzSessionDemux$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
 
 # Data-path regression harness: per-op software overhead (cost model
 # off) across workloads × FS, rewritten into BENCH_trio.json so PRs

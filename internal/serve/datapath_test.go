@@ -316,14 +316,15 @@ func callLanding(s *Session) bool {
 // TestReadLandsOnlyWhatItShould: whatever the reply claims, a READ
 // writes p[:n] and nothing else — a short read leaves p's tail alone, a
 // payload longer than p is cut at len(p) and the excess skipped, a count
-// the frame cannot back lands nothing and fails the call — and the
-// stream stays frame-aligned for the next call every time.
+// the frame cannot back (or a body too short to hold a count) lands
+// nothing and fails the call, not the connection — and the stream stays
+// frame-aligned for the next call every time.
 func TestReadLandsOnlyWhatItShould(t *testing.T) {
 	const want = 4096
 	payload := stamped(2 * want)
 	cases := []struct {
 		name    string
-		count   int // the reply's count field
+		count   int // the reply's count field; -1: the body is just the carried bytes
 		carried int // payload bytes actually in the frame
 		n       int
 		err     error
@@ -335,12 +336,17 @@ func TestReadLandsOnlyWhatItShould(t *testing.T) {
 		{"trailing-bytes", 100, 300, 100, nil},
 		{"count-past-frame", want, 100, 0, ErrBadFrame},
 		{"count-huge", 0xFFFFFFFF, 8, 0, ErrBadFrame},
+		{"no-room-for-count", -1, 2, 0, ErrBadFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			redial, wait := scriptedRedial(t, func(srv io.ReadWriteCloser) {
 				xid, _, _ := nextReq(t, srv)
-				srv.Write(readReply(xid, tc.count, payload[:tc.carried]))
+				if tc.count >= 0 {
+					srv.Write(readReply(xid, tc.count, payload[:tc.carried]))
+				} else {
+					srv.Write(EndFrame(append(BeginFrame(nil, xid, uint8(StatusOK)), payload[:tc.carried]...), 0))
+				}
 				serveNulls(srv)
 			})
 			sess, err := NewSession(redial, testSessionOptions(813))
@@ -364,28 +370,6 @@ func TestReadLandsOnlyWhatItShould(t *testing.T) {
 			sess.Close()
 			wait()
 		})
-	}
-}
-
-// TestReadShortFrameIsBadFrame: an OK READ reply too short to hold its
-// own count field fails the call, not the connection.
-func TestReadShortFrameIsBadFrame(t *testing.T) {
-	redial, wait := scriptedRedial(t, func(srv io.ReadWriteCloser) {
-		xid, _, _ := nextReq(t, srv)
-		srv.Write(EndFrame(append(BeginFrame(nil, xid, uint8(StatusOK)), 1, 2), 0))
-		serveNulls(srv)
-	})
-	sess, err := NewSession(redial, testSessionOptions(814))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wait()
-	defer sess.Close()
-	if _, err := sess.Read(context.Background(), sess.Root(), 0, make([]byte, 64)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("read = %v, want ErrBadFrame", err)
-	}
-	if err := sess.Commit(context.Background(), sess.Root()); err != nil {
-		t.Fatalf("call after the short frame: %v", err)
 	}
 }
 

@@ -14,10 +14,12 @@
 //     flight on one connection; the server completes them out of order
 //     (each reply carries the request's xid) and enforces a
 //     per-connection in-flight cap as backpressure.
-//   - Replies are BATCHED: the connection writer drains every completed
-//     reply it can see into a single transport write, so a deep
-//     pipeline pays one wakeup per batch, the way the delegation rings
-//     amortize the trust boundary below.
+//   - Replies are BATCHED: whoever is writing a connection's replies
+//     takes every completed small reply it can see into a single
+//     transport write, so a deep pipeline pays one wakeup per batch, the
+//     way the delegation rings amortize the trust boundary below; a
+//     reply that carries a payload goes to the transport from the
+//     buffer it was built in.
 //   - Non-idempotent requests (create, remove, rename, append, ...)
 //     are guarded by a duplicate-request cache keyed by (client id,
 //     xid): a retry after a dropped reply replays the recorded verdict
@@ -32,7 +34,9 @@
 // u16-length-prefixed bytes; byte blobs are u32-length-prefixed;
 // handles are the packed 64-bit form. The steady-state encode/decode
 // path (READ/WRITE framing) is allocation-free — gated by
-// BenchmarkServeCodec in CI.
+// BenchmarkServeCodec in CI — and a payload is copied once per boundary
+// it crosses (rpc.go has the count, server.go and session.go the
+// ownership rules; BenchmarkWireRPC16K's B/op gate guards it).
 package serve
 
 import (

@@ -1,23 +1,19 @@
 // Request and reply body shapes of the typed RPCs, one helper per shape.
 //
-// Ownership of a request: every enc* helper returns a whole frame — the
-// reqHeader bytes Session.call patches once (length, xid, proc) followed
-// by the body — in a slice it allocated for that one call. Session.call
-// keeps it as the retransmit unit and every transmission is one Write of
-// that slice, so a retransmission is byte-identical to the original —
-// which is exactly what the server's duplicate-request cache
-// fingerprints — and a WRITE's payload is copied once on the client
-// (caller's p → the unit) before the transport takes it.
-//
-// Ownership of a reply: demux reads a body into space the call owns
-// (scall.recv), so the dec* helpers parse views nobody else writes; a
-// READ's payload never passes through here at all.
+// Every enc* helper returns a whole frame — reqHeader bytes Session.call
+// patches once (length, xid, proc), then the body — in a slice it
+// allocated for that one call. call keeps it as the retransmit unit and
+// every transmission is one Write of it, so a retransmission is
+// byte-identical to the original, which is exactly what the server's
+// duplicate-request cache fingerprints. Replies are read by demux into
+// space the call owns (scall.recv): the dec* helpers parse views nobody
+// else writes, and a READ's payload never passes through here.
 //
 // Copies of a 16 KiB payload end to end over the loopback:
 //
 //	READ  (3): NVM → reply frame → transport ring → caller's p
 //	WRITE (4): caller's p → retransmit unit → transport ring →
-//	           server read buffer → NVM
+//	           server request buffer → NVM
 package serve
 
 import "trio/internal/fsapi"

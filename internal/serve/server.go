@@ -1,13 +1,11 @@
 // The protocol server: per-connection pipelining machinery mapped onto
 // an fsapi.FS.
 //
-// Each connection runs a reader and a pool of workers; there is no
-// writer goroutine — a reply leaves from the worker that made it:
+// Each connection runs a reader and a pool of workers; a reply leaves
+// from the worker that made it, there is no writer goroutine:
 //
 //	reader ──reqs──▶ workers(×N) ──▶ transport
-//	                     │  ▲
-//	                     ▼  │  (queue: replies finished while another
-//	                    queue   worker is writing ride its next batch)
+//	                     └─▶ queue ─┘ (while another worker is writing)
 //
 // The reader decodes frames and admits them under the per-connection
 // in-flight cap (the backpressure the tentpole asks for: a client that
@@ -20,16 +18,15 @@
 // one transport write (reply batching); xids, not arrival order, tell
 // the client which request each reply answers.
 //
-// Buffer ownership, which is what keeps a payload to one copy per
-// boundary it crosses: the reader reads each frame into a pooled buffer
-// and hands THAT buffer to the worker (request.buf; the reader takes a
-// fresh one), the worker decodes views into it and lets the FS consume
-// a WRITE's payload from where it landed, then returns it to the pool.
-// A reply frame is built in a pooled buffer the worker owns until
-// sendReply, the flusher's from then on; a READ reads the file straight
-// into the frame, and a payload frame goes to the transport from that
-// buffer. So a 16 KiB READ is copied NVM → reply frame → transport, and
-// a WRITE transport → request buffer → NVM, on this side of the wire.
+// Buffers change owner instead of being copied. The reader hands the
+// pooled buffer it read a frame into to the worker and takes a fresh
+// one; the worker decodes views into it (the FS consumes a WRITE's
+// payload from where it landed) and returns it to the pool. A reply is
+// built in a pooled buffer — a READ reads the file straight into it —
+// that is the worker's until sendReply and the flusher's after, and a
+// payload frame goes to the transport from that buffer. So this side
+// copies a READ NVM → reply frame → transport and a WRITE transport →
+// request buffer → NVM.
 //
 // The server holds no per-client open-file state the protocol depends
 // on: worker file caches are a pure performance cache, invalidated
@@ -259,16 +256,13 @@ func (s *Server) quiesced() bool {
 // ---------------------------------------------------------------------
 
 // request is one admitted frame. buf is the pooled buffer the reader
-// read it into, handed over whole (the reader takes a fresh one): the
-// worker owns it until it has executed the request and returns it to
-// the pool. The body, still in place, follows the xid and op bytes.
+// read it into, the worker's to return to the pool once it has
+// executed; body is the view of it past the xid and op bytes.
 type request struct {
-	xid  uint32
-	proc Proc
-	buf  []byte
+	xid       uint32
+	proc      Proc
+	buf, body []byte
 }
-
-func (r request) body() []byte { return r.buf[frameHeader:] }
 
 type srvConn struct {
 	srv *Server
@@ -279,13 +273,11 @@ type srvConn struct {
 	sem  chan struct{} // in-flight cap
 	reqs chan request
 
-	// Reply hand-off. A finished reply frame (a pooled buffer) is queued
-	// under wmu; whoever queues one while nobody is flushing becomes the
-	// flusher and writes batches until the queue is empty, everybody
-	// else returns at once. A full queue makes its senders wait for
-	// room, which is what keeps a peer that stops reading from
-	// ballooning the server: workers stall, their in-flight slots stay
-	// taken, the reader stops admitting.
+	// Reply hand-off: finished reply frames (pooled buffers) queue under
+	// wmu; whoever queues one while nobody is flushing becomes the
+	// flusher until the queue is empty. Senders to a full queue wait for
+	// room, so a peer that stops reading stalls the workers (and, through
+	// their in-flight slots, the reader) instead of growing the queue.
 	wmu      sync.Mutex
 	room     sync.Cond // signalled when the flusher takes the queue
 	queue    [][]byte
@@ -300,8 +292,7 @@ type srvConn struct {
 	rd interface{ SetReadDeadline(time.Time) error }
 	wd interface{ SetWriteDeadline(time.Time) error }
 
-	// The flusher's own: the queue slice it swaps in, the coalescing
-	// buffer, and whether a write has failed.
+	// The flusher's own: spare queue slice, coalescing buffer, write failed.
 	spare  [][]byte
 	out    []byte
 	broken bool
@@ -380,8 +371,8 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 
 	err := c.readLoop()
 
-	// Every flusher is a worker or was the reader: once the workers
-	// are gone the reply queue is empty and flushed.
+	// Every flusher is a worker or was the reader: once the workers are
+	// gone the reply queue is empty and flushed.
 	close(c.reqs)
 	c.workerWG.Wait()
 	c.closeTransport()
@@ -449,7 +440,7 @@ func (c *srvConn) readLoop() error {
 		}
 		c.sem <- struct{}{} // backpressure: cap in-flight
 		mInflight.Inc()
-		c.reqs <- request{xid: fr.Xid, proc: Proc(fr.Op), buf: buf}
+		c.reqs <- request{xid: fr.Xid, proc: Proc(fr.Op), buf: buf, body: fr.Body}
 		buf = getBuf()
 	}
 }
@@ -476,8 +467,7 @@ func (c *srvConn) hello(fr Frame) error {
 }
 
 // coalesceMax is the largest reply frame copied into a batch buffer to
-// share a transport write with its neighbours. Anything bigger carries
-// a payload: it goes to the transport from the frame it was built in.
+// share a transport write; anything bigger carries a payload.
 const coalesceMax = 1024
 
 // flush hands a batch of reply frames to the transport in order and
@@ -506,9 +496,8 @@ func (c *srvConn) flush(batch [][]byte) {
 	c.unflushed.Add(-int64(len(batch)))
 }
 
-// write is one transport write carrying frames reply frames. A failed
-// write breaks the connection for good: the transport is closed, which
-// unblocks the reader, and later replies are dropped, not written.
+// write is one transport write of frames reply frames. A failed write
+// closes the transport (unblocking the reader); later replies are dropped.
 func (c *srvConn) write(b []byte, frames int64) {
 	if c.broken {
 		return
@@ -546,7 +535,7 @@ func (c *srvConn) handle(client fsapi.Client, fc *fileCache, id int, req request
 	var reply []byte
 	if nonIdempotent(req.proc) {
 		key := drcKey{client: c.clientID.Load(), xid: req.xid}
-		entry, dup := c.srv.drc.claim(key, reqFingerprint(req.proc, req.body()))
+		entry, dup := c.srv.drc.claim(key, reqFingerprint(req.proc, req.body))
 		if dup {
 			<-entry.done
 			mDRCHits.Inc()
@@ -597,7 +586,7 @@ func errReply(buf []byte, xid uint32, err error) []byte {
 // pooled buffer the writer releases).
 func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 	s := c.srv
-	d := NewDec(req.body())
+	d := NewDec(req.body)
 	buf := getBuf()
 	ok := func() []byte { return EndFrame(buf, 0) }
 
@@ -651,11 +640,10 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		if err != nil {
 			return errReply(buf, req.xid, err)
 		}
-		// Encode optimistically: reserve the count field and n payload
-		// bytes without filling them, read straight into the reply buffer
-		// (no bounce copy), patch the count. ReadAt overwrites [:cnt] and
-		// the frame is truncated to cnt, so whatever a recycled pool
-		// buffer held past that never leaves the process.
+		// Encode optimistically: reserve count + n bytes without filling
+		// them, read straight into the reply buffer, patch the count. The
+		// frame is truncated to what ReadAt overwrote, so nothing a
+		// recycled buffer held before leaves the process.
 		buf = BeginFrame(buf, req.xid, uint8(StatusOK))
 		pos := len(buf)
 		buf = slices.Grow(buf, 4+n)[:pos+4+n]
@@ -975,9 +963,8 @@ func (fc *fileCache) drop(h fsapi.Handle, write bool) {
 	if f, ok := fc.m[key]; ok {
 		f.Close()
 		delete(fc.m, key)
-		// The key leaves the eviction order with its file: left behind,
-		// a re-open would queue it twice and evicting the stale slot
-		// would close the live file.
+		// Out of the eviction order too: a stale slot would be queued
+		// again by the re-open and its eviction would close the live file.
 		if i := slices.Index(fc.order, key); i >= 0 {
 			fc.order = slices.Delete(fc.order, i, i+1)
 		}

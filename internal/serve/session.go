@@ -114,40 +114,37 @@ type SessionStats struct {
 
 // scall is one in-flight session call. frame is the retransmit unit:
 // the whole request frame an enc* helper (rpc.go) built for this call,
-// header patched once by call before the first transmission. It is
-// GC-owned, never pooled — a reconnect snapshot may still reference it
-// after the call has returned — and never written again, so every
-// transmission is one Write of the bytes the DRC fingerprinted first.
+// header patched once before the first transmission. It is GC-owned,
+// never pooled — a reconnect snapshot may still reference it after the
+// call has returned — and never written again, so every transmission is
+// one Write of the bytes the DRC fingerprinted first.
 //
-// A call is in exactly one place at a time: in Session.pending (call,
-// Close, fail and the reconnect snapshot may reach it), or claimed by
-// the one demux that read its reply header (landing set; only that
-// demux touches dst/small, and it owes ch exactly one verdict). call
-// never returns while its scall is claimed, so demux never writes into
-// a buffer the caller has taken back.
+// A call is in exactly one place at a time: in Session.pending (where
+// call, Close, fail and the reconnect snapshot reach it), or claimed by
+// the one demux that read its reply header, which alone touches
+// dst/small and owes ch exactly one verdict. call never returns while
+// claimed, so demux never writes a buffer the caller has taken back.
 type scall struct {
 	frame []byte
 	dst   []byte     // READ: the caller's p, where a StatusOK payload lands
 	ch    chan reply // buffered 1; closed only on terminal session death
 
-	// landing is true from the claim until demux has finished reading
-	// the reply body; a deadline that finds it set must close the
-	// transport, or a partition mid-body would hold the caller forever.
+	// landing: claimed and the body not yet read. A deadline that finds
+	// it set closes the transport — the peer may have gone silent.
 	landing atomic.Bool
-	small   [24]byte // reply bodies up to handle+attr land here, not in garbage
+	small   [24]byte // bodies up to handle+attr land here, not in garbage
 }
 
-// reply is one demuxed reply: what demux hands a call over scall.ch.
+// reply is what demux hands a call over scall.ch.
 type reply struct {
 	status Status
-	body   []byte // scall.small or a slice made for this reply; nil for a landed READ
+	body   []byte // scall.small or a slice made for this reply
 	n      int    // READ: payload bytes landed in scall.dst
-	err    error  // errTorn, or ErrBadFrame for a READ body that contradicts itself
+	err    error  // errTorn, or ErrBadFrame for a self-contradicting READ body
 }
 
-// errTorn is demux's verdict for a reply whose transport died mid-body:
-// nothing was delivered, the call registers itself again and the
-// request is retransmitted under its xid.
+// errTorn is the verdict for a reply whose transport died mid-body: the
+// call registers again and is retransmitted under its xid.
 var errTorn = errors.New("serve: reply torn mid-frame")
 
 // Session is a persistent, reconnecting client connection. All methods
@@ -463,10 +460,8 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 	return h, a, d.Err()
 }
 
-// sealReq patches the header an enc* helper reserved in front of its
-// body. It runs once per frame, before the first transmission: a frame
-// that may be retransmitted from another goroutine is never written
-// again.
+// sealReq patches the header an enc* helper reserved, once, before the
+// first transmission: other goroutines may retransmit the frame later.
 func sealReq(frame []byte, xid uint32, proc Proc) []byte {
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
 	binary.LittleEndian.PutUint32(frame[4:], xid)
@@ -475,11 +470,11 @@ func sealReq(frame []byte, xid uint32, proc Proc) []byte {
 }
 
 // send transmits one sealed request frame — first transmissions,
-// retransmissions and HELLO alike — as ONE transport write: header and
-// body in two writes would wake the server's reader for the header
-// only to park it again for the body. Errors are deliberately soft for
-// calls: a failed write means the transport is dying, and the demux
-// error path will reconnect and retransmit the still-pending call.
+// retransmissions and HELLO alike — as ONE transport write (a separate
+// header write would wake the server's reader only to park it again).
+// Errors are deliberately soft for calls: a failed write means the
+// transport is dying, and the demux error path will reconnect and
+// retransmit the still-pending call.
 func (s *Session) send(rw io.ReadWriteCloser, frame []byte) error {
 	s.wmu.Lock()
 	_, err := rw.Write(frame)
@@ -488,18 +483,14 @@ func (s *Session) send(rw io.ReadWriteCloser, frame []byte) error {
 }
 
 // demux reads reply frames from one transport generation and completes
-// the matching pending calls. It parses the fixed header first, claims
-// the call (deleting it from pending BEFORE any body byte is read, so
-// there is at most one delivery per registration and the buffered
-// channel send never blocks), then reads the body straight into space
-// the call owns — a READ's payload into the caller's p. Every claim
-// ends in exactly one verdict on the call's channel: the reply, or
-// errTorn when the transport died under it. MaxFrame is checked before
-// anything is sized by the length field.
+// the matching pending calls. It parses the fixed header, claims the
+// call — deleting it from pending BEFORE any body byte is read, so there
+// is at most one delivery per registration and the buffered send never
+// blocks — then reads the body straight into space the call owns, a
+// READ's payload into the caller's p. Every claim ends in one verdict:
+// the reply, or errTorn if the transport died under it. MaxFrame is
+// checked before the length field sizes anything.
 func (s *Session) demux(rw io.ReadWriteCloser, gen int) {
-	// The reconnect starts before a torn verdict is delivered, so the
-	// call that re-registers on it is retransmitted exactly once: by
-	// the install's snapshot, or by itself on the new transport.
 	defer s.transportBroken(gen)
 	hdr := make([]byte, reqHeader)
 	for {
@@ -529,24 +520,24 @@ func (s *Session) demux(rw io.ReadWriteCloser, gen int) {
 		rep, err := sc.recv(rw, Status(hdr[8]), rest)
 		sc.landing.Store(false)
 		if err != nil {
+			// Reconnect first: the call that re-registers on the verdict
+			// is then retransmitted once, by the install's snapshot or
+			// by itself on the new transport.
 			s.transportBroken(gen)
-			rep = reply{err: errTorn}
-		}
-		sc.ch <- rep
-		if err != nil {
+			sc.ch <- reply{err: errTorn}
 			return
 		}
+		sc.ch <- rep
 	}
 }
 
 // recv reads the rest bytes of a claimed call's reply body into space
 // the call owns. A StatusOK READ body is count:u32 then the payload,
-// which lands in dst and nowhere else: never more than len(dst) and
-// never more than the frame still holds — the excess of an over-long
-// payload is discarded, a count the frame cannot back is ErrBadFrame
-// with nothing landed. Any other body goes to the inline array or, past
-// it, to a slice sized by the MaxFrame-checked length. A non-nil error
-// is the transport's: the body was not fully read.
+// which lands in dst and nowhere else — at most len(dst), the excess
+// discarded; a count the frame cannot back is ErrBadFrame with nothing
+// landed. Any other body goes to the inline array or a slice sized by
+// the MaxFrame-checked length. A non-nil error is the transport's: the
+// body was not fully read.
 func (sc *scall) recv(r io.Reader, st Status, rest int) (reply, error) {
 	rep := reply{status: st}
 	if sc.dst == nil || st != StatusOK {
@@ -558,15 +549,14 @@ func (sc *scall) recv(r io.Reader, st Status, rest int) (reply, error) {
 		_, err := io.ReadFull(r, rep.body)
 		return rep, err
 	}
-	if rest < 4 {
-		rep.err = ErrBadFrame
-		return rep, discard(r, rest)
+	cnt := -1
+	if rest >= 4 {
+		if _, err := io.ReadFull(r, sc.small[:4]); err != nil {
+			return rep, err
+		}
+		cnt, rest = int(binary.LittleEndian.Uint32(sc.small[:4])), rest-4
 	}
-	if _, err := io.ReadFull(r, sc.small[:4]); err != nil {
-		return rep, err
-	}
-	cnt, rest := int(binary.LittleEndian.Uint32(sc.small[:4])), rest-4
-	if cnt > rest {
+	if cnt < 0 || cnt > rest {
 		rep.err = ErrBadFrame
 		return rep, discard(r, rest)
 	}
@@ -600,11 +590,11 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 	// CallTimeout bounds a call whose context carries no deadline.
 	var timeout <-chan time.Time
 	if _, has := ctx.Deadline(); !has {
-		t, _ := callTimers.Get().(*time.Timer)
-		if t == nil {
-			t = time.NewTimer(s.opts.CallTimeout)
-		} else {
+		t, pooled := callTimers.Get().(*time.Timer)
+		if pooled {
 			t.Reset(s.opts.CallTimeout)
+		} else {
+			t = time.NewTimer(s.opts.CallTimeout)
 		}
 		defer func() {
 			if !t.Stop() {
@@ -616,13 +606,6 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 			callTimers.Put(t)
 		}()
 		timeout = t.C
-	}
-	// cause names what ended the wait, for the Busy-at-deadline errors.
-	cause := func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return context.DeadlineExceeded
 	}
 	sc := &scall{frame: frame, dst: dst, ch: make(chan reply, 1)}
 
@@ -684,10 +667,9 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 				s.suspect()
 				return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, proc)
 			}
-			// A demux claimed us: its verdict is on the way and, until
-			// it arrives, dst is demux's to write. If it is still
-			// reading the body, only closing the transport bounds the
-			// wait — the peer may have gone silent mid-frame.
+			// A demux claimed us: until its verdict arrives dst is its
+			// to write. If it is still reading the body, only closing
+			// the transport bounds the wait.
 			if sc.landing.Load() {
 				s.suspect()
 			}
@@ -699,7 +681,7 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 				return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, proc)
 			case rep.status == StatusBusy:
 				// Busy at the deadline: definitely not applied.
-				return reply{}, fmt.Errorf("%w: %v", ErrBusy, cause())
+				return reply{}, fmt.Errorf("%w: %v", ErrBusy, ErrDeadline)
 			}
 			// The reply beat the deadline by a hair: take it.
 		}
@@ -725,7 +707,7 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 				// Deadline during Busy backoff: the server's last
 				// verdict was "not executed", so surface Busy (the
 				// caller knows the op definitely did not apply).
-				return reply{}, fmt.Errorf("%w: %v", ErrBusy, cause())
+				return reply{}, fmt.Errorf("%w: %v", ErrBusy, ErrDeadline)
 			}
 		case rep.status != StatusOK:
 			return reply{}, rep.status.Err()

@@ -15,7 +15,10 @@
 #      plus the scrub-page target (a sealed page with any nonzero bit
 #      flip must scrub as a mismatch), and a race-enabled end-to-end
 #      scrub smoke: one injected flip in a cold file must be detected
-#      by a single pass and quarantined with a typed read error.
+#      by a single pass and quarantined with a typed read error. The two
+#      parsers of untrusted wire bytes get five seconds each: an
+#      arbitrary client stream into the server, an arbitrary server
+#      stream into a session with a call pending.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
 #      must stream one page per handover within its recorded allocs/op,
@@ -44,7 +47,10 @@
 #      its in-process gates (ringed speedup floor on the metadata
 #      modes) exit nonzero on violation.
 #  11. a serving smoke: the wire codec's steady-state encode/decode
-#      must report 0 allocs/op, and trio-bench -experiment serving
+#      must report 0 allocs/op, a whole 16 KiB READ over the loopback
+#      must allocate under 1 KiB (its payload lands in the caller's
+#      buffer) and a WRITE under 24 KiB (the retransmit unit, nothing
+#      else payload-sized), and trio-bench -experiment serving
 #      -quick runs shrunken serial-vs-pipelined pairs with the cost
 #      model on; its in-process gate (pipelined speedup floor at
 #      depth 8) exits nonzero on violation.
@@ -95,6 +101,32 @@ gate_handover() {
 	fi
 }
 
+# gate_wire_rpc: BenchmarkWireRPC16K must run its read, write and
+# getattr legs, each reporting B/op and allocs/op; a 16 KiB READ must
+# allocate less than 1 KiB per RPC (no payload-sized buffer anywhere on
+# its path — the copy-once data path of ISSUE 19) and a 16 KiB WRITE
+# less than 24 KiB (one retransmit unit). A leg that goes missing or
+# stops reporting fails too.
+gate_wire_rpc() {
+	bad=$(go test -run='^$' -bench='^BenchmarkWireRPC16K$' -benchtime=2000x -benchmem ./internal/serve/ \
+		| awk '/^BenchmarkWireRPC16K\// {
+				n++
+				for (i = 2; i < NF; i++) {
+					if ($(i + 1) == "B/op") {
+						seen++
+						if ($1 ~ /\/read/ && $i + 0 >= 1024) bad = 1
+						if ($1 ~ /\/write/ && $i + 0 >= 24576) bad = 1
+					}
+					if ($(i + 1) == "allocs/op") seen++
+				}
+			}
+			END { if (n != 3 || seen != 2 * n) bad = 1; print bad + 0 }')
+	if [ "$bad" != "0" ]; then
+		echo "FAIL: BenchmarkWireRPC16K must report read, write and getattr with READ < 1 KiB/op and WRITE < 24 KiB/op" >&2
+		exit 1
+	fi
+}
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -111,10 +143,15 @@ go test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/..
 # (the netload fleet and the netchaos fault storm).
 go test -race -run '^TestNet' ./internal/workload/
 
-echo "== fuzz smoke (verifier adversarial targets, 10s each)"
+echo "== fuzz smoke (verifier adversarial targets, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzVerifyDirectory$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
+# The wire targets run goroutines, so coverage differs a little from run
+# to run and the engine keeps finding "new" inputs to minimise; cap that
+# at a second so the budget goes to executions.
+go test -run='^$' -fuzz='^FuzzServeFrame$' -fuzztime=5s -fuzzminimizetime=1s ./internal/serve/
+go test -run='^$' -fuzz='^FuzzSessionDemux$' -fuzztime=5s -fuzzminimizetime=1s ./internal/serve/
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
 go test -race -run='^TestScrubSmoke$' -count=1 ./internal/fstest/
@@ -167,6 +204,9 @@ echo "== serving smoke (wire codec allocs; serial-vs-pipelined speedup gate)"
 # allocation-free: an alloc per RPC would show up on every wire op of
 # every connection.
 gate_zero_allocs ./internal/serve/ '^BenchmarkServeCodec' 'serve codec steady state allocates'
+# A whole RPC's allocations, both sides of the wire: the regression
+# guard of the data path's copy count.
+gate_wire_rpc
 # The quick run's gate lives in trio-bench itself (see
 # experiments.CheckServingGate): pipelined throughput below the quick
 # speedup floor over serial RPC prints the violation and exits 1.
