@@ -21,7 +21,7 @@ test:
 # multi-client load generator.
 race:
 	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
-	$(GO) test -race -run '^TestNet' ./internal/workload/
+	$(GO) test -race -run '^TestNet|^TestSmallOps' ./internal/workload/
 
 vet:
 	$(GO) vet ./...
@@ -64,13 +64,14 @@ tenancy:
 tiering:
 	$(GO) run ./cmd/trio-bench -experiment tiering -json BENCH_trio.json
 
-# Trust-boundary latency experiment (ISSUE 8): interleaved sync-vs-ring
+# Trust-boundary latency experiment: interleaved per-call-vs-batched
 # pairs of the small-op workloads (4K append, create/unlink, map/unmap)
 # with the cost model on, merged into the "smallops" section of
-# BENCH_trio.json and gated on ringed submission reaching >= 2x the
-# synchronous trap path on at least one metadata-heavy mode. See
-# EXPERIMENTS.md "Trust-boundary latency". Run on an otherwise-idle
-# machine — the pairs are wall-clock measurements.
+# BENCH_trio.json and gated on batched MapFiles/UnmapFiles reaching
+# >= 2x the one-trap-per-call path on at least one metadata-heavy mode
+# and >= 1x on every mode. See EXPERIMENTS.md "Trust-boundary latency".
+# Run on an otherwise-idle machine — the pairs are wall-clock
+# measurements.
 smallops:
 	$(GO) run ./cmd/trio-bench -experiment smallops -json BENCH_trio.json
 

@@ -35,14 +35,55 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"time"
 
 	"trio/internal/experiments"
 	"trio/internal/telemetry"
 )
+
+// gatedExperiments are the sweeps that carry their own acceptance gates
+// and own a section of the BENCH JSON: the massive-tenancy shard-count
+// curve, the write-back tier vs backend-direct, per-call vs batched
+// trust-boundary crossings, serial vs pipelined RPC over the loopback
+// wire, and the exactly-once audit of a network fault storm.
+var gatedExperiments = map[string]struct {
+	merged string // what the "merged … into" line calls the section
+	run    gatedRun
+}{
+	"tenancy": {"tenancy sweep", gated(experiments.RunTenancySweep, experiments.CheckTenancyGate,
+		func(d *experiments.DataPathReport, r *experiments.TenancyReport) { d.Tenancy = r })},
+	"tiering": {"tiering report", gated(experiments.RunTieringSweep, experiments.CheckTieringGate,
+		func(d *experiments.DataPathReport, r *experiments.TieringReport) { d.Tiering = r })},
+	"smallops": {"smallops report", gated(experiments.RunSmallOpsSweep, experiments.CheckSmallOpsGate,
+		func(d *experiments.DataPathReport, r *experiments.SmallOpsReport) { d.SmallOps = r })},
+	"serving": {"serving report", gated(experiments.RunServingSweep, experiments.CheckServingGate,
+		func(d *experiments.DataPathReport, r *experiments.ServingReport) { d.Serving = r })},
+	"netchaos": {"netchaos report", gated(experiments.RunNetChaosSweep, experiments.CheckNetChaosGate,
+		func(d *experiments.DataPathReport, r *experiments.NetChaosReport) { d.NetChaos = r })},
+}
+
+// gatedRun runs one gated experiment: it returns the function that
+// installs the fresh report into the BENCH JSON and the gate's
+// violations.
+type gatedRun func(experiments.Params) (install func(*experiments.DataPathReport), fails []string, err error)
+
+// gated adapts one experiment's typed run/check/install triple to the
+// table's shape.
+func gated[R any](run func(io.Writer, experiments.Params) (*R, error), check func(*R) []string,
+	install func(*experiments.DataPathReport, *R)) gatedRun {
+	return func(p experiments.Params) (func(*experiments.DataPathReport), []string, error) {
+		rep, err := run(os.Stdout, p)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func(d *experiments.DataPathReport) { install(d, rep) }, check(rep), nil
+	}
+}
 
 func main() {
 	var (
@@ -129,129 +170,29 @@ func main() {
 				fmt.Printf("\nallocs/op within baseline %s\n", *baseline)
 			}
 		}
-	} else if *experiment == "tenancy" {
-		// The massive-tenancy scaling sweep (ISSUE 6): shard-count curve
-		// with the acceptance gates evaluated in-process, results merged
-		// into the BENCH JSON next to the datapath section.
-		p := experiments.Params{Quick: *quick, NoCost: *nocost}
-		var rep *experiments.TenancyReport
-		rep, err = experiments.RunTenancySweep(os.Stdout, p)
-		if err == nil && *jsonPath != "" {
-			if werr := experiments.MergeTenancyJSON(*jsonPath, rep); werr != nil {
-				err = werr
-			} else {
-				fmt.Printf("\nmerged tenancy sweep into %s\n", *jsonPath)
-			}
-		}
-		if err == nil {
-			if fails := experiments.CheckTenancyGate(rep); len(fails) > 0 {
-				fmt.Fprintln(os.Stderr, "\nTENANCY GATE FAILURES:")
-				for _, f := range fails {
-					fmt.Fprintf(os.Stderr, "  %s\n", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Println("\ntenancy gates passed")
-		}
-	} else if *experiment == "tiering" {
-		// The tiered-storage experiment (ISSUE 7): NVM write-back tier
-		// vs backend-direct, with the hot-read/drain/degradation gates
-		// evaluated in-process and the report merged into the BENCH
-		// JSON next to the datapath and tenancy sections.
-		p := experiments.Params{Quick: *quick, NoCost: *nocost}
-		var rep *experiments.TieringReport
-		rep, err = experiments.RunTieringSweep(os.Stdout, p)
-		if err == nil && *jsonPath != "" {
-			if werr := experiments.MergeTieringJSON(*jsonPath, rep); werr != nil {
-				err = werr
-			} else {
-				fmt.Printf("\nmerged tiering report into %s\n", *jsonPath)
-			}
-		}
-		if err == nil {
-			if fails := experiments.CheckTieringGate(rep); len(fails) > 0 {
-				fmt.Fprintln(os.Stderr, "\nTIERING GATE FAILURES:")
-				for _, f := range fails {
-					fmt.Fprintf(os.Stderr, "  %s\n", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Println("\ntiering gates passed")
-		}
-	} else if *experiment == "smallops" {
-		// The trust-boundary latency sweep (ISSUE 8): interleaved
-		// sync-vs-ring pairs per small-op mode, with the speedup gates
-		// evaluated in-process and the report merged into the BENCH JSON
-		// next to the other sections.
-		p := experiments.Params{Quick: *quick, NoCost: *nocost}
-		var rep *experiments.SmallOpsReport
-		rep, err = experiments.RunSmallOpsSweep(os.Stdout, p)
-		if err == nil && *jsonPath != "" {
-			if werr := experiments.MergeSmallOpsJSON(*jsonPath, rep); werr != nil {
-				err = werr
-			} else {
-				fmt.Printf("\nmerged smallops report into %s\n", *jsonPath)
-			}
-		}
-		if err == nil {
-			if fails := experiments.CheckSmallOpsGate(rep); len(fails) > 0 {
-				fmt.Fprintln(os.Stderr, "\nSMALLOPS GATE FAILURES:")
-				for _, f := range fails {
-					fmt.Fprintf(os.Stderr, "  %s\n", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Println("\nsmallops gates passed")
-		}
-	} else if *experiment == "serving" {
-		// The wire-protocol serving experiment (ISSUE 9): serial RPC
-		// (depth 1) vs pipelined (depth 8) over the in-process loopback
-		// transport, with the speedup gate evaluated in-process and the
+	} else if g := gatedExperiments[*experiment]; g.run != nil {
+		// An experiment with acceptance gates: evaluated in-process, its
 		// report merged into the BENCH JSON next to the other sections.
 		p := experiments.Params{Quick: *quick, NoCost: *nocost}
-		var rep *experiments.ServingReport
-		rep, err = experiments.RunServingSweep(os.Stdout, p)
+		var install func(*experiments.DataPathReport)
+		var fails []string
+		install, fails, err = g.run(p)
 		if err == nil && *jsonPath != "" {
-			if werr := experiments.MergeServingJSON(*jsonPath, rep); werr != nil {
+			if werr := experiments.MergeSectionJSON(*jsonPath, install); werr != nil {
 				err = werr
 			} else {
-				fmt.Printf("\nmerged serving report into %s\n", *jsonPath)
+				fmt.Printf("\nmerged %s into %s\n", g.merged, *jsonPath)
 			}
 		}
 		if err == nil {
-			if fails := experiments.CheckServingGate(rep); len(fails) > 0 {
-				fmt.Fprintln(os.Stderr, "\nSERVING GATE FAILURES:")
+			if len(fails) > 0 {
+				fmt.Fprintf(os.Stderr, "\n%s GATE FAILURES:\n", strings.ToUpper(*experiment))
 				for _, f := range fails {
 					fmt.Fprintf(os.Stderr, "  %s\n", f)
 				}
 				os.Exit(1)
 			}
-			fmt.Println("\nserving gates passed")
-		}
-	} else if *experiment == "netchaos" {
-		// The network-resilience storm (ISSUE 10): reconnecting
-		// sessions through fault-injected transports, with the
-		// exactly-once oracle audit evaluated in-process and the report
-		// merged into the BENCH JSON next to the other sections.
-		p := experiments.Params{Quick: *quick, NoCost: *nocost}
-		var rep *experiments.NetChaosReport
-		rep, err = experiments.RunNetChaosSweep(os.Stdout, p)
-		if err == nil && *jsonPath != "" {
-			if werr := experiments.MergeNetChaosJSON(*jsonPath, rep); werr != nil {
-				err = werr
-			} else {
-				fmt.Printf("\nmerged netchaos report into %s\n", *jsonPath)
-			}
-		}
-		if err == nil {
-			if fails := experiments.CheckNetChaosGate(rep); len(fails) > 0 {
-				fmt.Fprintln(os.Stderr, "\nNETCHAOS GATE FAILURES:")
-				for _, f := range fails {
-					fmt.Fprintf(os.Stderr, "  %s\n", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Println("\nnetchaos gates passed")
+			fmt.Printf("\n%s gates passed\n", *experiment)
 		}
 	} else {
 		fn, ok := reg[*experiment]

@@ -2,8 +2,8 @@
 // stack: it drives a mixed ArckFS workload over the simulated NVM
 // machine and renders a per-interval table of cross-layer telemetry —
 // LibFS op rates and latency quantiles, NVM traffic, allocator and
-// delegation activity, MMU checks, trust-boundary ring depths and
-// drain rate, the NVM write-back tier's dirty-page count, destage
+// delegation activity, MMU checks, operations carried per trust-boundary
+// crossing, the NVM write-back tier's dirty-page count, destage
 // rate and circuit-breaker state, and the trio-serve wire front-end's
 // connection count, RPC rate and in-flight depth — from registry
 // snapshot deltas.
@@ -51,7 +51,6 @@ func main() {
 		count     = flag.Int("n", 10, "number of refreshes (0 = run until interrupted)")
 		workers   = flag.Int("workers", 4, "workload goroutines")
 		rotMax    = flag.Int("rot", 0, "flip one bit in a random cold page per interval, up to this many (shows scrub detection live)")
-		ringDepth = flag.Int("ring", 64, "submission/completion ring depth for controller calls (0 = synchronous traps)")
 		httpAddr  = flag.String("http", "", "serve /metrics, /trace and /debug/pprof on this address")
 		tracePath = flag.String("trace", "", "record spans; write a Chrome trace_event file on exit")
 	)
@@ -80,7 +79,9 @@ func main() {
 	if *workers < 1 {
 		*workers = 1
 	}
-	dev := nvm.MustNewDevice(nvm.Config{Nodes: 2, PagesPerNode: 1 << 15})
+	// Cost model on: boundary crossings are counted where they are
+	// charged, so the ops/trap column has something to read.
+	dev := nvm.MustNewDevice(nvm.Config{Nodes: 2, PagesPerNode: 1 << 15, Cost: nvm.DefaultCostModel()})
 	// The write-back tier gets its own small NVM region and a simulated
 	// slow backend with an occasional latency spike, so the tier columns
 	// show real destage/breaker activity. Its destager rides the
@@ -97,7 +98,6 @@ func main() {
 	ctl, err := controller.New(dev, controller.Options{
 		LeaseSweep:    50 * time.Millisecond,
 		RecallTimeout: 25 * time.Millisecond,
-		RingDepth:     *ringDepth,
 		AuxSweep: func(shard int) {
 			if shard == 0 {
 				ttr.DestageOnce()
@@ -301,16 +301,22 @@ func main() {
 		ts := ttr.Stats()
 		destaged := ts.Destaged
 		if tick%20 == 0 {
-			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %6s %6s %9s %9s %7s %7s %7s %9s %9s %7s %8s %6s %5s %7s %5s\n",
+			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %8s %9s %7s %7s %7s %9s %9s %7s %8s %6s %5s %7s %5s\n",
 				"read/s", "write/s", "rd p99ns", "wr p99ns",
 				"nvm wr/s", "persist/s", "alloc pg/s", "deleg/s", "mmu chk/s",
-				"sq-d", "cq-d", "drains/s",
+				"ops/trap",
 				"scrub/s", "detect", "repair", "quar",
 				"sl-cln/s", "sl-strm/s",
 				"t-dirty", "destg/s", "brkr",
 				"conns", "rpc/s", "infl")
 		}
-		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %6d %6d %9.0f %9.0f %7d %7d %7d %9.0f %9.0f %7d %8.0f %6s %5d %7.0f %5d\n",
+		// Operations carried per kernel crossing: 1 when every call traps
+		// on its own, more when batched calls share one.
+		opsPerTrap := 0.0
+		if traps := d.Get("nvm.cost_traps"); traps > 0 {
+			opsPerTrap = float64(d.Get("nvm.cost_trap_ops")) / float64(traps)
+		}
+		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %8.2f %9.0f %7d %7d %7d %9.0f %9.0f %7d %8.0f %6s %5d %7.0f %5d\n",
 			rate("libfs.read_ops"), rate("libfs.write_ops"),
 			d.Hist("libfs.read_ns").Quantile(0.99),
 			d.Hist("libfs.write_ns").Quantile(0.99),
@@ -318,9 +324,7 @@ func main() {
 			rate("alloc.pages_out"),
 			rate("delegation.batches_delegated")+rate("delegation.batches_inline"),
 			rate("mmu.checks"),
-			d.Hist("ring.sq.depth").Quantile(0.99),
-			d.Hist("ring.cq.depth").Quantile(0.99),
-			rate("ring.drains"),
+			opsPerTrap,
 			csRate(dcs.ScrubPages),
 			cs.ScrubDetected, cs.ScrubRepaired, cs.ScrubQuarantined,
 			csRate(dcs.SealCleanPages), csRate(dcs.SealStreamedPages),

@@ -14,17 +14,16 @@
 package controller
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"trio/internal/alloc"
 	"trio/internal/core"
 	"trio/internal/mmu"
 	"trio/internal/nvm"
-	"trio/internal/ring"
 	"trio/internal/telemetry"
 	"trio/internal/verifier"
 )
@@ -98,13 +97,6 @@ type Options struct {
 	// not call back into this controller. It only runs when LeaseSweep
 	// starts the sweepers; Close stops it with them.
 	AuxSweep func(shard int)
-	// RingDepth, when positive, runs submission/completion rings across
-	// the trust boundary (ISSUE 8): each shard gets a shared-memory
-	// submission ring of this depth drained by a trusted worker that
-	// charges one trap/IPC per drained batch, and each session gets a
-	// completion ring + ticket table of the same depth. 0 (the default)
-	// keeps every call on the classic one-trap-per-op synchronous path.
-	RingDepth int
 	// AdmitPerShard bounds how many calls from one shard's sessions may
 	// run inside the controller concurrently (admission control with an
 	// under-share priority, so a churning tenant cannot starve lease
@@ -260,10 +252,6 @@ type libfsState struct {
 	// ErrRevoked instead of a generic bad-request error.
 	revoked map[core.Ino]bool
 
-	// rc is the session's completion ring + ticket table (nil when the
-	// controller runs without rings); see ringsvc.go.
-	rc *ringClient
-
 	// verifyRep and verifyEnv are the session's verification scratch:
 	// every runVerifierLocked for a session runs under its home shard
 	// lock, so one report and one env per session is race-free and saves
@@ -345,15 +333,6 @@ type Controller struct {
 	sweepStop chan struct{}
 	sweepWG   sync.WaitGroup
 	stopOnce  sync.Once
-
-	// Submission rings (ISSUE 8): one per shard, drained by ringDrainer
-	// goroutines; see ringsvc.go. ringInflight/ringOff are the Close
-	// handshake that lets the drainers stop without stranding a waiter.
-	sqs          []*ring.Ring[ringReq]
-	ringStop     chan struct{}
-	ringWG       sync.WaitGroup
-	ringOff      atomic.Bool
-	ringInflight atomic.Int64
 }
 
 // New mounts a controller over the device, formatting it when blank and
@@ -407,9 +386,6 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 			go c.shardSweeper(i)
 		}
 	}
-	if opts.RingDepth > 0 {
-		c.ringStart(opts.RingDepth)
-	}
 	return c, nil
 }
 
@@ -417,7 +393,6 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 // sweepers). Idempotent; a controller without sweepers needs no Close.
 func (c *Controller) Close() {
 	c.stopOnce.Do(func() {
-		c.ringShutdown()
 		if c.sweepStop != nil {
 			close(c.sweepStop)
 			c.sweepWG.Wait()
@@ -591,9 +566,6 @@ func (c *Controller) Register(uid, gid uint32, node int, group GroupID) *Session
 		mapped:     make(map[core.Ino]*mapping),
 		revoked:    make(map[core.Ino]bool),
 	}
-	if c.sqs != nil {
-		ls.rc = newRingClient(id, c.opts.RingDepth)
-	}
 	// Every LibFS can read the superblock (§4.1) and the checksum table
 	// (read-only: records are maintained by the controller and the
 	// scrubber; a LibFS only consults them for optional read-path
@@ -645,7 +617,7 @@ func (s *Session) aliveLocked() error {
 // Close releases every mapping and resource of the session. Writer
 // mappings go through the usual unmap-verify path first.
 func (s *Session) Close() error {
-	// Collect mapped inos first (UnmapFile takes the lock itself).
+	// Collect mapped inos first (UnmapFiles takes the locks itself).
 	s.c.lockAll()
 	if err := s.aliveLocked(); err != nil {
 		s.c.unlockAll()
@@ -657,10 +629,11 @@ func (s *Session) Close() error {
 	}
 	s.c.unlockAll()
 	var firstErr error
-	for _, ino := range inos {
-		if err := s.UnmapFile(ino); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	errs := make([]error, MaxBatch)
+	for len(inos) > 0 {
+		n := min(len(inos), MaxBatch)
+		firstErr = cmp.Or(firstErr, s.UnmapFiles(inos[:n], errs), cmp.Or(errs[:n]...))
+		inos = inos[n:]
 	}
 	s.c.lockAll()
 	defer s.c.unlockAll()
@@ -689,7 +662,6 @@ func (s *Session) Close() error {
 	// no-op corpse (through lockAll) on every tick from then on.
 	s.c.unregisterSessionLocked(s.ls.id)
 	s.ls.dead = true
-	s.c.ringKillLocked(s.ls)
 	// Revoke rather than merely unmap (it also drops the freed pool and
 	// parked pages' references): a delegation batch still in flight over
 	// this address space must fail deterministically (ErrRevoked,

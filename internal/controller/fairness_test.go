@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -195,13 +196,32 @@ func fairnessVictim(t *testing.T, c *Controller, holder, contender *Session, ino
 // shard (the pre-ISSUE-6 controller) the same storm drags the victim's
 // p99 above 30ms; the sharded controller must hold it under the limit.
 func TestShardFairnessUnderHotTenant(t *testing.T) {
+	// 32 pages: big enough that seal and checkpoint sleep in the cost model.
+	hotTenantFairness(t, 8, 1, 32)
+}
+
+// TestBatchFairnessUnderHotTenant is the same isolation claim against a
+// hot tenant that crosses the boundary in back-to-back MaxBatch-entry
+// batches: a batch enters the admission gate like any call (once), runs
+// on its caller, and takes only its own files' shards.
+func TestBatchFairnessUnderHotTenant(t *testing.T) {
+	// One session: a batch is one long CPU-bound stretch (nothing it
+	// does here sleeps), and two of them would occupy both CPUs of the
+	// reference host — a scheduler effect, not a controller one.
+	hotTenantFairness(t, 1, MaxBatch, 4)
+}
+
+// hotTenantFairness measures the victim pair's p99 lease recall idle and
+// under a storm of stormSessions sessions, each write-mapping and
+// unmapping its own window of files (stormPages pages each) in a tight
+// loop — per call for a window of one, as one MapFiles/UnmapFiles pair
+// otherwise.
+func hotTenantFairness(t *testing.T, stormSessions, window, stormPages int) {
 	if testing.Short() {
 		t.Skip("fairness test runs modeled device sleeps")
 	}
 	const shards = 8
 	const cycles = 40
-	const stormSessions = 8
-	const stormPages = 32 // big enough that seal and checkpoint sleep in the cost model
 
 	build := func() (*Controller, *Session, *Session, core.Ino, core.FileLoc, map[int]bool) {
 		dev := nvm.MustNewDevice(nvm.Config{
@@ -284,16 +304,28 @@ func TestShardFairnessUnderHotTenant(t *testing.T) {
 	if err := setup.UnmapFile(core.RootIno); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := setup.MapFile(dIno, dLoc, true); err != nil {
+	dInfo, err := setup.MapFile(dIno, dLoc, true)
+	if err != nil {
 		t.Fatalf("map storm dir: %v", err)
 	}
 	content := make([]byte, stormPages*nvm.PageSize)
-	type stormFile struct {
-		ino core.Ino
-		loc core.FileLoc
-	}
-	var stormFiles []stormFile
-	for i := 0; len(stormFiles) < stormSessions && i < 40; i++ {
+	want := stormSessions * window
+	var stormFiles []MapReq
+	for i := 0; len(stormFiles) < want && i < 5*want; i++ {
+		if i > 0 && i%core.SlotsPerDirPage == 0 {
+			// The directory's dirent page is full: chain the next one.
+			pages, err := setup.AllocPages(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dDirent = pages[0]
+			if err := setup.AddressSpace().Write(dDirent, 0, make([]byte, nvm.PageSize)); err != nil {
+				t.Fatal(err)
+			}
+			if err := core.SetIndexEntry(setup.AddressSpace(), dInfo.Inode.Head, i/core.SlotsPerDirPage, dDirent); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ino, loc := mkFileInDir(t, setup, dDirent, fmt.Sprintf("f%d", i), content)
 		if _, err := setup.MapFile(ino, loc, true); err != nil {
 			t.Fatal(err)
@@ -307,13 +339,13 @@ func TestShardFairnessUnderHotTenant(t *testing.T) {
 		if !offVictim(c.shardIdxIno(ino)) {
 			continue // homed on a victim shard; leave it idle
 		}
-		stormFiles = append(stormFiles, stormFile{ino, loc})
+		stormFiles = append(stormFiles, MapReq{Ino: ino, Loc: loc, Write: true})
 	}
 	if err := setup.UnmapFile(dIno); err != nil {
 		t.Fatal(err)
 	}
-	if len(stormFiles) < stormSessions {
-		t.Fatalf("could not place %d storm files off the victim shards", stormSessions)
+	if len(stormFiles) < want {
+		t.Fatalf("could not place %d storm files off the victim shards", want)
 	}
 
 	var stop atomic.Bool
@@ -332,17 +364,22 @@ func TestShardFairnessUnderHotTenant(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mine := stormFiles[g]
+		mine := stormFiles[g*window : (g+1)*window]
 		wg.Add(1)
 		go func(s *Session) {
 			defer wg.Done()
+			inos, out, errs := inosOf(mine), make([]MapRes, window), make([]error, window)
 			for !stop.Load() {
-				if _, err := s.MapFile(mine.ino, mine.loc, true); err != nil {
-					t.Errorf("storm map: %v", err)
-					return
+				var err error
+				if window == 1 {
+					if _, err = s.MapFile(mine[0].Ino, mine[0].Loc, true); err == nil {
+						err = s.UnmapFile(inos[0])
+					}
+				} else if err = errors.Join(s.MapFiles(mine, out), s.UnmapFiles(inos, errs)); err == nil {
+					err = errors.Join(append(mapErrs(out), errs...)...)
 				}
-				if err := s.UnmapFile(mine.ino); err != nil {
-					t.Errorf("storm unmap: %v", err)
+				if err != nil {
+					t.Errorf("storm: %v", err)
 					return
 				}
 			}

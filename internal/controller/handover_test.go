@@ -20,22 +20,18 @@ const handoverPages = 512 // a 2 MiB file: two index pages, 512 data pages
 
 func handoverCfg() nvm.Config { return nvm.Config{Nodes: 1, PagesPerNode: 4096} }
 
-// handoverModes runs fn against a synchronous controller and a ringed
-// one; the seal is the same code under both.
-func handoverModes(t *testing.T, fn func(t *testing.T, c *Controller, dev *nvm.Device)) {
-	for _, depth := range []int{0, 16} {
-		name := "sync"
-		if depth > 0 {
-			name = fmt.Sprintf("ring%d", depth)
-		}
-		t.Run(name, func(t *testing.T) {
+// handoverModes runs fn with its handovers issued per call and as
+// one-entry batches; the seal is the same code under both.
+func handoverModes(t *testing.T, fn func(t *testing.T, c *Controller, via mapVia)) {
+	for _, via := range []mapVia{viaSync, viaBatch} {
+		t.Run(string(via), func(t *testing.T) {
 			dev := nvm.MustNewDevice(handoverCfg())
-			c, err := New(dev, Options{LeaseTime: 5 * time.Millisecond, RingDepth: depth})
+			c, err := New(dev, Options{LeaseTime: 5 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c.Close() })
-			fn(t, c, dev)
+			fn(t, c, via)
 		})
 	}
 }
@@ -155,7 +151,7 @@ func checkSealed(t *testing.T, c *Controller, loc core.FileLoc) {
 // (plus the dirent page when the inode is touched) and closes every
 // other record clean; a handover that stores nothing streams nothing.
 func TestHandoverStreamsOnlyWrittenPages(t *testing.T) {
-	handoverModes(t, func(t *testing.T, c *Controller, _ *nvm.Device) {
+	handoverModes(t, func(t *testing.T, c *Controller, via mapVia) {
 		a := c.Register(1000, 1000, 0, 1)
 		b := c.Register(1000, 1000, 0, 2)
 		ino, loc := mkBigFile(t, a, "shared", handoverPages)
@@ -167,11 +163,11 @@ func TestHandoverStreamsOnlyWrittenPages(t *testing.T) {
 		handover := func(s *Session, store func()) (clean, streamed int64) {
 			t.Helper()
 			c0, s0 := sealCounts(c)
-			if _, err := s.MapFile(ino, loc, true); err != nil {
+			if _, err := via.mapFile(s, ino, loc, true); err != nil {
 				t.Fatal(err)
 			}
 			store()
-			if err := s.UnmapFile(ino); err != nil {
+			if err := via.unmapFile(s, ino); err != nil {
 				t.Fatal(err)
 			}
 			checkSealed(t, c, loc)
@@ -350,9 +346,9 @@ func TestUnharvestedTeardownResealsFromContent(t *testing.T) {
 // seal, and whenever no writer remains every page of the file carries a
 // sealed record matching its content.
 func TestHandoverSealProperty(t *testing.T) {
-	handoverModes(t, func(t *testing.T, c *Controller, _ *nvm.Device) {
+	handoverModes(t, func(t *testing.T, c *Controller, via mapVia) {
 		for seed := int64(1); seed <= 3; seed++ {
-			runHandoverProperty(t, c, seed)
+			runHandoverProperty(t, c, via, seed)
 		}
 	})
 }
@@ -364,7 +360,7 @@ type propActor struct {
 	pages map[nvm.PageID]bool // pages this actor's mapping write-maps
 }
 
-func runHandoverProperty(t *testing.T, c *Controller, seed int64) {
+func runHandoverProperty(t *testing.T, c *Controller, via mapVia, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	actors := []*propActor{
 		{s: c.Register(1000, 1000, 0, 1), group: 1},
@@ -404,7 +400,7 @@ func runHandoverProperty(t *testing.T, c *Controller, seed int64) {
 			}
 		}
 		_, s0 := sealCounts(c)
-		if err := a.s.UnmapFile(ino); err != nil {
+		if err := via.unmapFile(a.s, ino); err != nil {
 			t.Fatalf("seed %d step %d: unmap: %v", seed, step, err)
 		}
 		_, s1 := sealCounts(c)
@@ -424,7 +420,7 @@ func runHandoverProperty(t *testing.T, c *Controller, seed int64) {
 			if n > 0 && g != a.group {
 				continue // would wait out a lease; the driver never blocks
 			}
-			if _, err := a.s.MapFile(ino, loc, true); err != nil {
+			if _, err := via.mapFile(a.s, ino, loc, true); err != nil {
 				t.Fatalf("seed %d step %d: map: %v", seed, step, err)
 			}
 			index, data := filePages(t, c, loc)

@@ -3,7 +3,7 @@
 // monotone batched counter (alloc.InoAlloc) starting just past the
 // scanned tree, so the key space is dense from zero and direct slice
 // indexing beats hashing: the adoption fast path consults allocBy on
-// every create, and under the async rings those lookups were the
+// every create, and with crossings batched those lookups were the
 // single largest real-CPU consumer after the modeled device charges
 // (hash probes over a table with one entry per ino ever issued).
 //

@@ -31,30 +31,9 @@ type MapInfo struct {
 // mapping is exclusive per trust group. A conflicting request waits for
 // the holder's lease to expire and then revokes it.
 func (s *Session) MapFile(ino core.Ino, loc core.FileLoc, write bool) (*MapInfo, error) {
-	// Submit-and-wait shim (ISSUE 8): when the controller runs
-	// submission rings, the request rides a per-shard ring and the
-	// drainer charges one trap per batch instead of one per call.
-	if p, ok := s.ringSubmit(opMap, ino, loc, write); ok {
-		info, err := p.Wait()
-		if err != nil {
-			return nil, err
-		}
-		return &info, nil
-	}
-	info, err := s.mapFileSync(ino, loc, write)
-	if err != nil {
-		return nil, err
-	}
-	return &info, nil
-}
-
-// mapFileSync is the classic synchronous MapFile: one trap charged on
-// entry, executed on the caller's own goroutine. The ring path falls
-// back here when a request cannot complete without sleeping.
-func (s *Session) mapFileSync(ino core.Ino, loc core.FileLoc, write bool) (MapInfo, error) {
 	s.c.trap()
 	start := time.Now()
-	defer func() { s.c.stats.addMap(time.Since(start)) }()
+	defer func() { s.c.stats.addMapN(1, time.Since(start)) }()
 
 	c := s.c
 	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.map", "controller")
@@ -68,22 +47,22 @@ func (s *Session) mapFileSync(ino core.Ino, loc core.FileLoc, write bool) (MapIn
 	// waited out under them. Everything wider (adoption, upgrades,
 	// forcible revocation, corruption) escalates.
 	info, err := s.mapFileFast(ino, loc, write, gate)
-	if err != errEscalate {
-		return info, err
+	if err == errEscalate {
+		c.lockAll()
+		defer c.unlockAll()
+		info, err = s.mapSlowLocked(ino, loc, write, gate, nil)
 	}
-
-	c.lockAll()
-	defer c.unlockAll()
-	return s.mapSlowLocked(ino, loc, write, gate, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &info, nil
 }
 
 // mapSlowLocked is the lockAll half of MapFile: adoption, upgrades,
-// reader revocation, lease waits. noWait is the ring drainer's mode —
-// any conflict that would sleep returns errRetrySync instead, so the
-// drainer never blocks a whole shard ring behind one contended file.
-// acc, when non-nil, counts verifier round trips for deferred batch
-// charging (IPCN) instead of paying the IPC cost inline.
-func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate, noWait bool, acc *int) (MapInfo, error) {
+// reader revocation, lease waits. acc, when non-nil, counts verifier
+// round trips for a batch to charge as one IPCN instead of paying the
+// IPC cost inline.
+func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate, acc *int) (MapInfo, error) {
 	c := s.c
 	if err := s.aliveLocked(); err != nil {
 		return MapInfo{}, err
@@ -136,18 +115,7 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	}
 
 	// Enforce concurrent-reads-or-exclusive-write across trust groups.
-	if noWait {
-		if fs.writer != 0 && fs.writerGroup != s.ls.group {
-			return MapInfo{}, errRetrySync
-		}
-		if write {
-			for rid := range fs.readers {
-				if r := c.libfses[rid]; r != nil && r.group != s.ls.group {
-					c.revokeLocked(r, fs.ino)
-				}
-			}
-		}
-	} else if err := c.waitForAccessLocked(s.ls, fs, write, gate); err != nil {
+	if err := c.waitForAccessLocked(s.ls, fs, write, gate); err != nil {
 		return MapInfo{}, err
 	}
 
@@ -535,21 +503,9 @@ func (c *Controller) direntPageParentLocked(p nvm.PageID, creator LibFSID) (core
 // When the mapping was writable, the integrity verifier checks the
 // file's core state before the pages become shareable again (steps 6–8).
 func (s *Session) UnmapFile(ino core.Ino) error {
-	// Submit-and-wait shim (ISSUE 8): ride the per-shard submission
-	// ring when the controller runs one; see MapFile.
-	if p, ok := s.ringSubmit(opUnmap, ino, core.FileLoc{}, false); ok {
-		_, err := p.Wait()
-		return err
-	}
-	return s.unmapFileSync(ino)
-}
-
-// unmapFileSync is the classic synchronous UnmapFile (one trap charged
-// on entry); the ring path falls back here on escalation.
-func (s *Session) unmapFileSync(ino core.Ino) error {
 	s.c.trap()
 	start := time.Now()
-	defer func() { s.c.stats.addUnmap(time.Since(start)) }()
+	defer func() { s.c.stats.addUnmapN(1, time.Since(start)) }()
 
 	c := s.c
 	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.unmap", "controller")
@@ -708,10 +664,10 @@ func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *ma
 // emitted as a "verify.failure" trace event (Arg = ino) whenever
 // tracing is armed.
 //
-// acc, when non-nil, is a ring drainer's verify accumulator: instead of
-// paying the IPC round trip inline, the call is counted and the drainer
-// charges one batched IPCN for the whole drained batch (satellite of
-// ISSUE 8 — the crossing cost is per batch, not per verification).
+// acc, when non-nil, is a batch's verify accumulator: instead of paying
+// the IPC round trip inline, the call is counted and the batch charges
+// one IPCN for all its verifications (the crossing cost is per batch,
+// not per verification).
 func (c *Controller) runVerifierLocked(fs *fileState, ls *libfsState, acc *int) (*verifier.Report, error) {
 	if acc != nil {
 		*acc++
@@ -722,9 +678,8 @@ func (c *Controller) runVerifierLocked(fs *fileState, ls *libfsState, acc *int) 
 		start := time.Now()
 		defer func() { c.stats.addVerify(time.Since(start)) }()
 	} else {
-		// Ring drain path: count the verification but skip the per-call
-		// clock pair — the drain batch keeps one clock for all its ops
-		// (latency telemetry gets the batch average via addMapN).
+		// Batch path: count the verification but skip the per-call clock
+		// pair — the batch keeps one clock for all its entries.
 		c.stats.VerifyCnt.Add(1)
 	}
 	env := &ls.verifyEnv

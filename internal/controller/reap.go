@@ -59,13 +59,6 @@ func (c *Controller) Reap(id LibFSID) error {
 func (c *Controller) reapLocked(ls *libfsState) {
 	ls.dead = true
 
-	// Retire the session's ring client first: abort its claimed-but-
-	// unpublished submission slots (a process that died mid-enqueue
-	// must not wedge its shard's ring) and release its waiters. Its
-	// already-published entries drain normally; their completions are
-	// dropped against the closed client.
-	c.ringKillLocked(ls)
-
 	// Revoke the MMU first: from this instant the dead process — and
 	// any delegation worker still acting on its behalf — faults on
 	// every access, so the verifier below examines a frozen state. The

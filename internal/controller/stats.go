@@ -169,18 +169,8 @@ func (s *Stats) RecallP99() time.Duration {
 // and trio-top read it alongside the process-wide default registry).
 func (s *Stats) Registry() *telemetry.Registry { return s.reg }
 
-func (s *Stats) addMap(d time.Duration) {
-	s.MapCount.Add(1)
-	s.MapNS.Add(int64(d))
-}
-
-func (s *Stats) addUnmap(d time.Duration) {
-	s.UnmapCnt.Add(1)
-	s.UnmapNS.Add(int64(d))
-}
-
-// addMapN / addUnmapN fold a whole drained ring batch into the latency
-// accounting with two stores: n ops that together took d.
+// addMapN / addUnmapN record n maps (unmaps) that together took d: one
+// call, or a whole batch folded in with two stores.
 func (s *Stats) addMapN(n int64, d time.Duration) {
 	s.MapCount.Add(n)
 	s.MapNS.Add(int64(d))

@@ -24,8 +24,8 @@ func TestStatsSnapshotConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s.addMap(time.Nanosecond)
-				s.addUnmap(time.Nanosecond)
+				s.addMapN(1, time.Nanosecond)
+				s.addUnmapN(1, time.Nanosecond)
 				s.addVerify(time.Nanosecond)
 				s.Corruptions.Add(1)
 				s.Reaps.Add(1)

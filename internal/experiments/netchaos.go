@@ -23,11 +23,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"trio/internal/fsfactory"
@@ -208,22 +205,4 @@ func CheckNetChaosGate(rep *NetChaosReport) []string {
 		fails = append(fails, "full storm never forced a reconnect (faults not reaching sessions)")
 	}
 	return fails
-}
-
-// MergeNetChaosJSON installs a fresh netchaos report into the BENCH
-// JSON at path, preserving every other section already there.
-func MergeNetChaosJSON(path string, n *NetChaosReport) error {
-	rep, err := LoadDataPathJSON(path)
-	if err != nil {
-		rep = &DataPathReport{
-			Schema: "trio-bench/datapath/v1",
-			Go:     runtime.Version(),
-		}
-	}
-	rep.NetChaos = n
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -51,29 +51,10 @@ func CheckAllocRegression(baseline *DataPathReport, fresh []DataPathResult) []st
 	return regressions
 }
 
-// MergeTenancyJSON installs a fresh tenancy report into the BENCH JSON
-// at path, preserving the datapath results already there (or starting
-// a new report when the file does not exist yet).
-func MergeTenancyJSON(path string, t *TenancyReport) error {
-	rep, err := LoadDataPathJSON(path)
-	if err != nil {
-		rep = &DataPathReport{
-			Schema: "trio-bench/datapath/v1",
-			Go:     runtime.Version(),
-		}
-	}
-	rep.Tenancy = t
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// MergeTieringJSON installs a fresh tiered-storage report into the
+// MergeSectionJSON installs one experiment's fresh section into the
 // BENCH JSON at path, preserving every other section already there (or
 // starting a new report when the file does not exist yet).
-func MergeTieringJSON(path string, t *TieringReport) error {
+func MergeSectionJSON(path string, install func(*DataPathReport)) error {
 	rep, err := LoadDataPathJSON(path)
 	if err != nil {
 		rep = &DataPathReport{
@@ -81,7 +62,7 @@ func MergeTieringJSON(path string, t *TieringReport) error {
 			Go:     runtime.Version(),
 		}
 	}
-	rep.Tiering = t
+	install(rep)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -25,11 +25,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 
 	"trio/internal/fsfactory"
 	"trio/internal/serve"
@@ -232,22 +229,4 @@ func CheckServingGate(rep *ServingReport) []string {
 		fails = append(fails, "pipelined leg produced no completed RPCs")
 	}
 	return fails
-}
-
-// MergeServingJSON installs a fresh serving report into the BENCH JSON
-// at path, preserving every other section already there.
-func MergeServingJSON(path string, s *ServingReport) error {
-	rep, err := LoadDataPathJSON(path)
-	if err != nil {
-		rep = &DataPathReport{
-			Schema: "trio-bench/datapath/v1",
-			Go:     runtime.Version(),
-		}
-	}
-	rep.Serving = s
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,33 +1,29 @@
-// Trust-boundary latency experiment (ISSUE 8): the proof that the
-// shared-memory submission/completion rings actually cheapen crossing
-// into the trusted controller. One run drives the small-op workload
+// Trust-boundary latency experiment: what one explicit batch per
+// crossing buys. One run drives the small-op workload
 // (internal/workload/smallops.go) — boundary-dominated append,
 // create/unlink, and bare map/unmap churn on tiny files — twice per
-// mode: once with rings disabled (every map/unmap is a classic
-// synchronous submission: two traps and two IPCs per call under the
-// cost model) and once with per-shard rings at depth 64 (a drainer
-// serves a whole batch per trap/IPC pair). The headline number is the
-// ringed/synchronous throughput ratio per mode.
+// mode on one controller configuration: once with every map/unmap its
+// own call (one trap each, one verifier IPC per writer unmap under the
+// cost model) and once with each thread's window crossing as one
+// MapFiles/UnmapFiles (one trap and at most one IPC per window). The
+// headline number is the batched/per-call throughput ratio per mode.
 //
 // Like the tenancy sweep this experiment defaults to cost injection
-// ON: the win is batching *modeled boundary time* (trap + IPC) across
-// ring entries — with the cost model off a boundary crossing is just a
-// Go function call and the ratio is meaningless, so the gate is
+// ON: the win is amortising *modeled boundary time* (trap + IPC) across
+// a window's entries — with the cost model off a boundary crossing is
+// just a Go function call and the ratio is meaningless, so the gate is
 // skipped.
 //
 // Measurement shape: the single-CPU reference runner drifts ±20-30%
-// across seconds, easily swamping a 2x effect when the sync and ring
-// runs sit in different drift regimes. Each mode therefore runs
-// INTERLEAVED sync/ring pairs — adjacent in time, so host drift
-// cancels in the ratio — and the gate reads the best pair.
+// across seconds, easily swamping a 2x effect when the two arms sit in
+// different drift regimes. Each mode therefore runs INTERLEAVED
+// per-call/batched pairs — adjacent in time, so host drift cancels in
+// the ratio — and the gate reads the best pair.
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"trio/internal/controller"
@@ -35,32 +31,27 @@ import (
 	"trio/internal/workload"
 )
 
-// smallOpsRingDepth is the ring configuration under test (entries per
-// shard SQ; the sync leg runs depth 0 = rings disabled).
-const smallOpsRingDepth = 64
-
-// SmallOpsPair is one interleaved sync/ring measurement pair.
+// SmallOpsPair is one interleaved per-call/batched measurement pair.
 type SmallOpsPair struct {
-	SyncCyclesPerSec float64 `json:"sync_cycles_per_sec"`
-	RingCyclesPerSec float64 `json:"ring_cycles_per_sec"`
-	SpeedupX         float64 `json:"speedup_x"`
+	SyncCyclesPerSec  float64 `json:"sync_cycles_per_sec"`
+	BatchCyclesPerSec float64 `json:"batch_cycles_per_sec"`
+	SpeedupX          float64 `json:"speedup_x"`
 }
 
 // SmallOpsMode is one workload mode's sweep outcome. The headline
 // fields repeat the best pair, the one the gate reads.
 type SmallOpsMode struct {
-	Mode             string         `json:"mode"`
-	Pairs            []SmallOpsPair `json:"pairs"`
-	SyncCyclesPerSec float64        `json:"sync_cycles_per_sec"`
-	RingCyclesPerSec float64        `json:"ring_cycles_per_sec"`
-	SpeedupX         float64        `json:"speedup_x"`
+	Mode              string         `json:"mode"`
+	Pairs             []SmallOpsPair `json:"pairs"`
+	SyncCyclesPerSec  float64        `json:"sync_cycles_per_sec"`
+	BatchCyclesPerSec float64        `json:"batch_cycles_per_sec"`
+	SpeedupX          float64        `json:"speedup_x"`
 }
 
 // SmallOpsReport is the "smallops" section of BENCH_trio.json.
 type SmallOpsReport struct {
 	Threads      int            `json:"threads"`
 	OpsPerThread int            `json:"ops_per_thread"`
-	RingDepth    int            `json:"ring_depth"`
 	Quick        bool           `json:"quick"`
 	Cost         bool           `json:"cost_model"`
 	Modes        []SmallOpsMode `json:"modes"`
@@ -68,14 +59,15 @@ type SmallOpsReport struct {
 
 // smallOpsSpec is the canonical workload shape: full mode is the
 // acceptance-criteria run, quick the check.sh smoke. 16 threads over 4
-// shards keeps every shard ring fed so drain batches stay wide; 1200
-// ops/thread makes a trial long enough to average scheduler noise
-// without growing the heap into a different GC regime.
-func smallOpsSpec(p Params, mode string) workload.SmallOpsSpec {
+// shards keeps every shard contended; 1200 ops/thread makes a trial
+// long enough to average scheduler noise without growing the heap into
+// a different GC regime.
+func smallOpsSpec(p Params, mode string, batched bool) workload.SmallOpsSpec {
 	s := workload.SmallOpsSpec{
 		Threads:      16,
 		OpsPerThread: 1200,
 		Mode:         mode,
+		Batched:      batched,
 		Seed:         11,
 	}
 	if p.Quick {
@@ -84,7 +76,7 @@ func smallOpsSpec(p Params, mode string) workload.SmallOpsSpec {
 	return s
 }
 
-// smallOpsPairs is how many interleaved sync/ring pairs each mode runs.
+// smallOpsPairs is how many interleaved pairs each mode runs.
 func smallOpsPairs(p Params) int {
 	if p.Quick {
 		return 2
@@ -102,9 +94,9 @@ func smallOpsModes(p Params) []string {
 	return []string{"append", "create", "mapunmap"}
 }
 
-// runSmallOpsTrial builds a fresh device + controller at the given ring
-// depth and runs the workload once.
-func runSmallOpsTrial(spec workload.SmallOpsSpec, cost bool, ringDepth int) (workload.SmallOpsResult, error) {
+// runSmallOpsTrial builds a fresh device + controller and runs the
+// workload once.
+func runSmallOpsTrial(spec workload.SmallOpsSpec, cost bool) (workload.SmallOpsResult, error) {
 	var cm *nvm.CostModel
 	if cost {
 		cm = nvm.DefaultCostModel()
@@ -116,7 +108,6 @@ func runSmallOpsTrial(spec workload.SmallOpsSpec, cost bool, ringDepth int) (wor
 	c, err := controller.New(dev, controller.Options{
 		Shards:    4,
 		LeaseTime: 200 * time.Millisecond,
-		RingDepth: ringDepth,
 	})
 	if err != nil {
 		return workload.SmallOpsResult{}, err
@@ -125,56 +116,54 @@ func runSmallOpsTrial(spec workload.SmallOpsSpec, cost bool, ringDepth int) (wor
 	return workload.RunSmallOps(c, spec)
 }
 
-// RunSmallOpsSweep runs the interleaved sync/ring pairs for every mode
-// and returns the report.
+// RunSmallOpsSweep runs the interleaved per-call/batched pairs for every
+// mode and returns the report.
 func RunSmallOpsSweep(w io.Writer, p Params) (*SmallOpsReport, error) {
-	probe := smallOpsSpec(p, "append")
+	probe := smallOpsSpec(p, "append", false)
 	header(w, "smallops", fmt.Sprintf(
-		"trust-boundary latency: %d threads x %d small ops, sync vs ring (ISSUE 8)",
+		"trust-boundary latency: %d threads x %d small ops, per-call vs batched",
 		probe.Threads, probe.OpsPerThread))
 	if p.NoCost {
 		fmt.Fprintln(w, "cost model: OFF (functional smoke — speedup gate not meaningful)")
 	} else {
-		fmt.Fprintln(w, "cost model: ON (speedup = batched trap/IPC time per drained ring)")
+		fmt.Fprintln(w, "cost model: ON (speedup = one trap/IPC per window instead of per file)")
 	}
 
 	rep := &SmallOpsReport{
 		Threads:      probe.Threads,
 		OpsPerThread: probe.OpsPerThread,
-		RingDepth:    smallOpsRingDepth,
 		Quick:        p.Quick,
 		Cost:         !p.NoCost,
 	}
 	for _, mode := range smallOpsModes(p) {
-		spec := smallOpsSpec(p, mode)
 		m := SmallOpsMode{Mode: mode}
 		for i := 0; i < smallOpsPairs(p); i++ {
-			syncRes, err := runSmallOpsTrial(spec, !p.NoCost, 0)
+			syncRes, err := runSmallOpsTrial(smallOpsSpec(p, mode, false), !p.NoCost)
 			if err != nil {
-				return nil, fmt.Errorf("smallops %s sync pair %d: %w", mode, i, err)
+				return nil, fmt.Errorf("smallops %s per-call pair %d: %w", mode, i, err)
 			}
-			ringRes, err := runSmallOpsTrial(spec, !p.NoCost, smallOpsRingDepth)
+			batchRes, err := runSmallOpsTrial(smallOpsSpec(p, mode, true), !p.NoCost)
 			if err != nil {
-				return nil, fmt.Errorf("smallops %s ring pair %d: %w", mode, i, err)
+				return nil, fmt.Errorf("smallops %s batched pair %d: %w", mode, i, err)
 			}
 			pair := SmallOpsPair{
-				SyncCyclesPerSec: syncRes.CyclesPerSec(),
-				RingCyclesPerSec: ringRes.CyclesPerSec(),
+				SyncCyclesPerSec:  syncRes.CyclesPerSec(),
+				BatchCyclesPerSec: batchRes.CyclesPerSec(),
 			}
 			if pair.SyncCyclesPerSec > 0 {
-				pair.SpeedupX = pair.RingCyclesPerSec / pair.SyncCyclesPerSec
+				pair.SpeedupX = pair.BatchCyclesPerSec / pair.SyncCyclesPerSec
 			}
 			m.Pairs = append(m.Pairs, pair)
-			fmt.Fprintf(w, "%-9s pair %d: sync=%8.0f cyc/s  ring=%8.0f cyc/s  speedup=%.2fx\n",
-				mode, i, pair.SyncCyclesPerSec, pair.RingCyclesPerSec, pair.SpeedupX)
+			fmt.Fprintf(w, "%-9s pair %d: per-call=%8.0f cyc/s  batched=%8.0f cyc/s  speedup=%.2fx\n",
+				mode, i, pair.SyncCyclesPerSec, pair.BatchCyclesPerSec, pair.SpeedupX)
 			if pair.SpeedupX > m.SpeedupX {
 				m.SyncCyclesPerSec = pair.SyncCyclesPerSec
-				m.RingCyclesPerSec = pair.RingCyclesPerSec
+				m.BatchCyclesPerSec = pair.BatchCyclesPerSec
 				m.SpeedupX = pair.SpeedupX
 			}
 		}
-		fmt.Fprintf(w, "%-9s best: sync=%8.0f cyc/s  ring=%8.0f cyc/s  speedup=%.2fx\n",
-			mode, m.SyncCyclesPerSec, m.RingCyclesPerSec, m.SpeedupX)
+		fmt.Fprintf(w, "%-9s best: per-call=%8.0f cyc/s  batched=%8.0f cyc/s  speedup=%.2fx\n",
+			mode, m.SyncCyclesPerSec, m.BatchCyclesPerSec, m.SpeedupX)
 		rep.Modes = append(rep.Modes, m)
 	}
 	return rep, nil
@@ -195,17 +184,17 @@ func SmallOps(w io.Writer, p Params) error {
 // Gates, against the numbers a clean tree produces on the reference
 // single-CPU runner (see EXPERIMENTS.md):
 //
-//   - full: best ringed/sync speedup ≥ 2.0 on create OR append (the
-//     ISSUE 8 acceptance criterion — create is the mode that clears it,
-//     at 2.1-2.5x on the reference runner), and no mode's best speedup
-//     below 0.6x (the ring path must never collapse a workload);
+//   - full: best batched/per-call speedup ≥ 2.0 on create OR append
+//     (create is the mode that clears it), and no mode's best speedup
+//     below 1.0x — no mode may remain on which the batch is the slower
+//     route (ROADMAP 3(b));
 //   - quick (300 ops/thread, the check.sh smoke): ≥ 1.3 on create or
 //     append and a 0.5x floor — short trials only catch collapses.
 func CheckSmallOpsGate(rep *SmallOpsReport) []string {
 	if !rep.Cost || len(rep.Modes) == 0 {
 		return nil
 	}
-	minSpeedup, floor := 2.0, 0.6
+	minSpeedup, floor := 2.0, 1.0
 	if rep.Quick {
 		minSpeedup, floor = 1.3, 0.5
 	}
@@ -229,23 +218,4 @@ func CheckSmallOpsGate(rep *SmallOpsReport) []string {
 			bestGated, minSpeedup))
 	}
 	return fails
-}
-
-// MergeSmallOpsJSON installs a fresh small-ops report into the BENCH
-// JSON at path, preserving every other section already there (or
-// starting a new report when the file does not exist yet).
-func MergeSmallOpsJSON(path string, s *SmallOpsReport) error {
-	rep, err := LoadDataPathJSON(path)
-	if err != nil {
-		rep = &DataPathReport{
-			Schema: "trio-bench/datapath/v1",
-			Go:     runtime.Version(),
-		}
-	}
-	rep.SmallOps = s
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -33,10 +33,6 @@ type Config struct {
 	// VerifyReads enables read-path CRC verification in the ArckFS
 	// LibFS (ISSUE 5); ignored by every other FS.
 	VerifyReads bool
-	// RingDepth, when positive, runs controller calls through the async
-	// submission/completion rings across the trust boundary (ISSUE 8)
-	// in the Trio-based FSes; ignored by every other FS.
-	RingDepth int
 }
 
 func (c *Config) fill() {
@@ -133,7 +129,7 @@ func NewOnDevice(name string, dev *nvm.Device, cfg Config) (*Instance, error) {
 		}
 		return &Instance{FS: fs, Dev: dev}, nil
 	case "arckfs", "arckfs-nd":
-		ctl, err := controller.New(dev, controller.Options{CPUs: cfg.CPUs, RingDepth: cfg.RingDepth})
+		ctl, err := controller.New(dev, controller.Options{CPUs: cfg.CPUs})
 		if err != nil {
 			return nil, err
 		}

@@ -112,16 +112,17 @@ func (c *CostModel) chargeAccess(fromNode, node int, inflight int64, n int, writ
 // Trap charges one user/kernel crossing.
 func (c *CostModel) Trap() { c.TrapN(1) }
 
-// TrapN charges one user/kernel crossing that carries n queued
-// operations across the boundary (a submission-ring drain): the delay
-// is paid once, and n is recorded in telemetry so the amortization is
-// observable. This is the batch-charging half of the ring cost model —
-// the crossing cost is per drain, not per entry.
+// TrapN charges one user/kernel crossing that carries n operations
+// across the boundary (a batched resource call): the delay is paid
+// once, and telemetry records one crossing and n operations so the
+// amortization is observable — the crossing cost is per batch, not per
+// entry.
 func (c *CostModel) TrapN(n int) {
 	if n <= 0 {
 		return
 	}
 	if telemetry.On() {
+		mTraps.Inc()
 		mTrapOps.Add(int64(n))
 	}
 	c.delay(c.TrapCost)
@@ -134,14 +135,15 @@ func (c *CostModel) VFSMeta() { c.delay(c.VFSMetaCost) }
 func (c *CostModel) IPC() { c.IPCN(1) }
 
 // IPCN charges one round trip to a trusted process on behalf of n
-// batched requests (one delay, n counted in telemetry) — e.g. a ring
-// drainer handing the verifier a whole batch of unmapped files in a
-// single crossing.
+// batched requests (one delay; one round trip and n requests counted in
+// telemetry) — e.g. UnmapFiles handing the verifier a whole batch of
+// unmapped files in a single crossing.
 func (c *CostModel) IPCN(n int) {
 	if n <= 0 {
 		return
 	}
 	if telemetry.On() {
+		mIPCs.Inc()
 		mIPCOps.Add(int64(n))
 	}
 	c.delay(c.IPCCost)

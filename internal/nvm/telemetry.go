@@ -19,10 +19,12 @@ var (
 	mRetries     = telemetry.Default().NewCounter("nvm.retries")
 	mRetryGiveup = telemetry.Default().NewCounter("nvm.retry_giveup")
 	mCharges     = telemetry.Default().NewCounterPerShard("nvm.cost_charges")
-	// Boundary crossings charged through the cost model: the op count
-	// includes every batched op (TrapN/IPCN add n per single delay), and
-	// the delay count is the number of delays actually paid — the gap
-	// between the two is the ring amortization at work.
+	// Boundary crossings charged through the cost model: the crossing
+	// counts are the delays actually paid, the op counts include every
+	// batched op (TrapN/IPCN add one crossing and n ops per delay) — the
+	// ratio of the two is the batch amortization at work.
+	mTraps   = telemetry.Default().NewCounter("nvm.cost_traps")
 	mTrapOps = telemetry.Default().NewCounter("nvm.cost_trap_ops")
+	mIPCs    = telemetry.Default().NewCounter("nvm.cost_ipcs")
 	mIPCOps  = telemetry.Default().NewCounter("nvm.cost_ipc_ops")
 )

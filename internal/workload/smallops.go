@@ -3,8 +3,8 @@
 // speaks the Session protocol directly — its subject is the cost of
 // crossing into the trusted controller, so every cycle is dominated by
 // map/unmap traffic on tiny files rather than data movement. Three
-// modes cover the boundary-heavy paths the async rings are supposed to
-// cheapen:
+// modes cover the boundary-heavy paths batched crossings are supposed
+// to cheapen:
 //
 //   - append: map-write / 4K store+persist / unmap on small private
 //     files — the classic O_APPEND log pattern;
@@ -15,11 +15,10 @@
 //     purest boundary-crossing measure there is.
 //
 // Every thread drives a WINDOW of independent files through the
-// map/unmap protocol at once (MapFileAsync/UnmapFileAsync + Wait), the
-// way a LibFS batches its resource calls (§4.5). With rings off the
-// async calls degrade to the classic synchronous submission inside
-// Wait, so the same driver measures both configurations — the ringed
-// run differs only in how requests cross the trust boundary.
+// map/unmap protocol at once, the way a LibFS batches its resource
+// calls (§4.5): one MapFile/UnmapFile per file, or — Batched — one
+// MapFiles/UnmapFiles per window. The two arms differ only in how the
+// window crosses the trust boundary.
 //
 // Every thread holds its private directory write-mapped for the whole
 // measured phase. That is deliberate and load-bearing: the dirent page
@@ -29,6 +28,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
 	"trio/internal/controller"
@@ -39,16 +39,18 @@ import (
 // SmallOpsSpec configures the small-op driver.
 type SmallOpsSpec struct {
 	// Threads is the number of concurrent sessions, each with a private
-	// directory. More threads than shards keeps the per-shard rings fed
-	// and the drain batches wide.
+	// directory.
 	Threads int
 	// OpsPerThread is the measured cycle count per thread.
 	OpsPerThread int
 	// Mode is one of "append", "create", "mapunmap".
 	Mode string
-	// Window is how many independent in-flight operations each thread
-	// keeps submitted before waiting (capped at SlotsPerDirPage).
+	// Window is how many independent files each thread maps, then
+	// unmaps, at a time (capped at SlotsPerDirPage).
 	Window int
+	// Batched crosses the boundary once per window (MapFiles/UnmapFiles)
+	// instead of once per file.
+	Batched bool
 	// FilePages sizes each private file for append/mapunmap modes.
 	FilePages int
 	// RemoveBatch is the create-mode RemoveFiles batch width (§4.5).
@@ -99,8 +101,8 @@ func (s SmallOpsSpec) DevicePages() int {
 }
 
 // SmallOpsResult is the driver outcome. Ops counts controller boundary
-// crossings (maps + unmaps + batched removes), the unit the experiment
-// compares across ring configurations.
+// operations (maps + unmaps + batched removes), the same count on both
+// arms.
 type SmallOpsResult struct {
 	Result
 	Mode string
@@ -127,6 +129,9 @@ type soFile struct {
 // soThread is one thread's working set, built during setup.
 type soThread struct {
 	sess       *controller.Session
+	batched    bool
+	out        []controller.MapRes // batched verdict scratch, Window long
+	errs       []error
 	dirIno     core.Ino
 	dirLoc     core.FileLoc
 	direntPage nvm.PageID // the dir's single dirent page, write-held
@@ -190,16 +195,50 @@ func RunSmallOps(c *controller.Controller, spec SmallOpsSpec) (SmallOpsResult, e
 	}, nil
 }
 
-// waitAll collects a window of pendings; the first error wins but every
-// pending is waited (leaking one would leak its ticket).
-func waitAll(pend []controller.Pending) error {
-	var first error
-	for i := range pend {
-		if _, err := pend[i].Wait(); err != nil && first == nil {
-			first = err
+// mapAll maps one window, per call or as one batch; the first error wins.
+func (t *soThread) mapAll(reqs []controller.MapReq) error {
+	if !t.batched {
+		for _, r := range reqs {
+			if _, err := t.sess.MapFile(r.Ino, r.Loc, r.Write); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := t.sess.MapFiles(reqs, t.out); err != nil {
+		return err
+	}
+	for i := range reqs {
+		if t.out[i].Err != nil {
+			return t.out[i].Err
 		}
 	}
-	return first
+	return nil
+}
+
+// unmapAll is mapAll's unmap counterpart.
+func (t *soThread) unmapAll(inos []core.Ino) error {
+	if !t.batched {
+		for _, ino := range inos {
+			if err := t.sess.UnmapFile(ino); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := t.sess.UnmapFiles(inos, t.errs); err != nil {
+		return err
+	}
+	return errors.Join(t.errs[:len(inos)]...)
+}
+
+// window returns the thread's private files as one window of requests.
+func (t *soThread) window(write bool) ([]controller.MapReq, []core.Ino) {
+	reqs, inos := make([]controller.MapReq, len(t.files)), make([]core.Ino, len(t.files))
+	for j, f := range t.files {
+		reqs[j], inos[j] = controller.MapReq{Ino: f.ino, Loc: f.loc, Write: write}, f.ino
+	}
+	return reqs, inos
 }
 
 // smallOpsAppend: a window of map-writes, a 4K store + persist + size
@@ -211,16 +250,13 @@ func smallOpsAppend(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64, e
 		buf[i] = byte(spec.Seed + int64(i))
 	}
 	w := len(t.files)
-	pend := make([]controller.Pending, w)
+	reqs, inos := t.window(true)
 	for done := 0; done < spec.OpsPerThread; done += w {
 		n := spec.OpsPerThread - done
 		if n > w {
 			n = w
 		}
-		for j := 0; j < n; j++ {
-			pend[j] = t.sess.MapFileAsync(t.files[j].ino, t.files[j].loc, true)
-		}
-		if err := waitAll(pend[:n]); err != nil {
+		if err := t.mapAll(reqs[:n]); err != nil {
 			return 0, 0, 0, fmt.Errorf("append map: %w", err)
 		}
 		ops += int64(n)
@@ -243,10 +279,7 @@ func smallOpsAppend(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64, e
 			}
 			bytes += int64(len(buf))
 		}
-		for j := 0; j < n; j++ {
-			pend[j] = t.sess.UnmapFileAsync(t.files[j].ino)
-		}
-		if err := waitAll(pend[:n]); err != nil {
+		if err := t.unmapAll(inos[:n]); err != nil {
 			return 0, 0, 0, fmt.Errorf("append unmap: %w", err)
 		}
 		ops += int64(n)
@@ -264,7 +297,7 @@ func smallOpsAppend(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64, e
 func smallOpsCreate(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64, err error) {
 	as := t.sess.AddressSpace()
 	w := spec.Window
-	pend := make([]controller.Pending, w)
+	reqs := make([]controller.MapReq, w)
 	batch := make([]controller.Removal, 0, spec.RemoveBatch)
 	flush := func() error {
 		if len(batch) == 0 {
@@ -304,16 +337,13 @@ func smallOpsCreate(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64, e
 		}
 		for j := 0; j < n; j++ {
 			loc := core.FileLoc{Page: t.direntPage, Slot: j}
-			pend[j] = t.sess.MapFileAsync(t.inos[done+j], loc, true)
+			reqs[j] = controller.MapReq{Ino: t.inos[done+j], Loc: loc, Write: true}
 		}
-		if err := waitAll(pend[:n]); err != nil {
+		if err := t.mapAll(reqs[:n]); err != nil {
 			return 0, 0, 0, fmt.Errorf("create map: %w", err)
 		}
 		ops += int64(n)
-		for j := 0; j < n; j++ {
-			pend[j] = t.sess.UnmapFileAsync(t.inos[done+j])
-		}
-		if err := waitAll(pend[:n]); err != nil {
+		if err := t.unmapAll(t.inos[done : done+n]); err != nil {
 			return 0, 0, 0, fmt.Errorf("create unmap: %w", err)
 		}
 		ops += int64(n)
@@ -342,23 +372,17 @@ func smallOpsCreate(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64, e
 // no dirent writes, nothing but boundary crossings.
 func smallOpsMapUnmap(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64, err error) {
 	w := len(t.files)
-	pend := make([]controller.Pending, w)
+	reqs, inos := t.window(false)
 	for done := 0; done < spec.OpsPerThread; done += w {
 		n := spec.OpsPerThread - done
 		if n > w {
 			n = w
 		}
-		for j := 0; j < n; j++ {
-			pend[j] = t.sess.MapFileAsync(t.files[j].ino, t.files[j].loc, false)
-		}
-		if err := waitAll(pend[:n]); err != nil {
+		if err := t.mapAll(reqs[:n]); err != nil {
 			return 0, 0, 0, fmt.Errorf("mapunmap map: %w", err)
 		}
 		ops += int64(n)
-		for j := 0; j < n; j++ {
-			pend[j] = t.sess.UnmapFileAsync(t.files[j].ino)
-		}
-		if err := waitAll(pend[:n]); err != nil {
+		if err := t.unmapAll(inos[:n]); err != nil {
 			return 0, 0, 0, fmt.Errorf("mapunmap unmap: %w", err)
 		}
 		ops += int64(n)
@@ -441,6 +465,8 @@ func smallOpsSetup(c *controller.Controller, spec SmallOpsSpec) ([]soThread, err
 	_, _, _, err = runThreads(spec.Threads, func(tid int) (int64, int64, error) {
 		t := &threads[tid]
 		t.sess = c.Register(uint32(1000+tid), 1000, 0, controller.GroupID(2+tid))
+		t.batched = spec.Batched
+		t.out, t.errs = make([]controller.MapRes, spec.Window), make([]error, spec.Window)
 		as := t.sess.AddressSpace()
 		if _, err := t.sess.MapFile(t.dirIno, t.dirLoc, true); err != nil {
 			return 0, 0, fmt.Errorf("map thread dir: %w", err)

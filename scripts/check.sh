@@ -41,11 +41,10 @@
 #      >= 5x backend-direct, zero dirty pages after the drain, outage
 #      writes acked, breaker closed after recovery) exit nonzero on
 #      violation.
-#  10. a trust-boundary smoke: the ring submit fast path must report
-#      0 allocs/op, and trio-bench -experiment smallops -quick runs
-#      shrunken interleaved sync-vs-ring pairs with the cost model on;
-#      its in-process gates (ringed speedup floor on the metadata
-#      modes) exit nonzero on violation.
+#  10. a trust-boundary smoke: trio-bench -experiment smallops -quick
+#      runs shrunken interleaved per-call-vs-batched pairs with the cost
+#      model on; its in-process gates (batched speedup floor on the
+#      metadata modes) exit nonzero on violation.
 #  11. a serving smoke: the wire codec's steady-state encode/decode
 #      must report 0 allocs/op, a whole 16 KiB READ over the loopback
 #      must allocate under 1 KiB (its payload lands in the caller's
@@ -140,8 +139,9 @@ echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
 # The workload package's tenancy sweeps are too heavy for the race
 # detector's ~20x slowdown; race just the network generators it added
-# (the netload fleet and the netchaos fault storm).
-go test -race -run '^TestNet' ./internal/workload/
+# (the netload fleet and the netchaos fault storm) and the small-op
+# driver's two arms.
+go test -race -run '^TestNet|^TestSmallOps' ./internal/workload/
 
 echo "== fuzz smoke (verifier adversarial targets, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
@@ -189,12 +189,9 @@ echo "== tiering smoke (write-back tier; hot-read, drain, and breaker gates)"
 # writes, or a breaker stuck open all print the violations and exit 1.
 go run ./cmd/trio-bench -experiment tiering -quick > /dev/null
 
-echo "== smallops smoke (ring submit allocs; sync-vs-ring speedup gates)"
-# The submission fast path must stay allocation-free: an alloc per
-# submit would dwarf the trap amortization the rings exist to buy.
-gate_zero_allocs ./internal/ring/ '^BenchmarkRingSubmit' 'ring submit path allocates'
+echo "== smallops smoke (per-call-vs-batched speedup gates)"
 # The quick sweep's gates live in trio-bench itself (see
-# experiments.CheckSmallOpsGate): ringed submission below the quick
+# experiments.CheckSmallOpsGate): batched map/unmap below the quick
 # speedup floor on both metadata modes prints the violations and
 # exits 1.
 go run ./cmd/trio-bench -experiment smallops -quick > /dev/null
