@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet bench bench-go benchmark loc fuzz tenancy tiering smallops serve netchaos
+.PHONY: check build test race vet bench bench-go benchmark loc fuzz tenancy smallops serve netchaos
 
 # The full gate: vet + build + tests + race detector + fuzz smoke.
 # CI runs this.
@@ -15,12 +15,16 @@ test:
 
 # Race-detect the packages that exercise real concurrency: the
 # conformance suite's parallel cases, the LibFS they drive, the
-# telemetry registry/ring everything records into, the write-back
-# tier plus the simulated backend under it, and the wire-serving
-# front-end (pipelined connections, out-of-order workers) with its
-# multi-client load generator.
+# controller, page table and verifier under it (the store path's
+# dirty-bit CAS races the controller's unmap), the telemetry
+# registry/ring everything records into, and the wire-serving front-end
+# (pipelined connections, out-of-order workers). The workload package's
+# tenancy sweeps are too heavy for the race detector's ~20x slowdown;
+# race just its network generators (the netload fleet and the netchaos
+# fault storm) and the small-op driver's two arms. scripts/check.sh
+# runs this target, so the package list lives here only.
 race:
-	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
+	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
 	$(GO) test -race -run '^TestNet|^TestSmallOps' ./internal/workload/
 
 vet:
@@ -54,15 +58,6 @@ bench:
 # the points are wall-clock measurements.
 tenancy:
 	$(GO) run ./cmd/trio-bench -experiment tenancy -json BENCH_trio.json
-
-# Tiered-storage experiment (ISSUE 7): the NVM write-back tier over
-# the simulated slow backend, cost models on — write-absorb latency,
-# destage coalescing, hot reads from NVM vs backend-direct (gated at
-# >= 5x), and a backend outage absorbed gracefully (writes keep acking,
-# breaker trips then closes). Merged into the "tiering" section of
-# BENCH_trio.json. See EXPERIMENTS.md "Tiered storage".
-tiering:
-	$(GO) run ./cmd/trio-bench -experiment tiering -json BENCH_trio.json
 
 # Trust-boundary latency experiment: interleaved per-call-vs-batched
 # pairs of the small-op workloads (4K append, create/unlink, map/unmap)

@@ -48,17 +48,15 @@ import (
 
 // gatedExperiments are the sweeps that carry their own acceptance gates
 // and own a section of the BENCH JSON: the massive-tenancy shard-count
-// curve, the write-back tier vs backend-direct, per-call vs batched
-// trust-boundary crossings, serial vs pipelined RPC over the loopback
-// wire, and the exactly-once audit of a network fault storm.
+// curve, per-call vs batched trust-boundary crossings, serial vs
+// pipelined RPC over the loopback wire, and the exactly-once audit of a
+// network fault storm.
 var gatedExperiments = map[string]struct {
 	merged string // what the "merged … into" line calls the section
 	run    gatedRun
 }{
 	"tenancy": {"tenancy sweep", gated(experiments.RunTenancySweep, experiments.CheckTenancyGate,
 		func(d *experiments.DataPathReport, r *experiments.TenancyReport) { d.Tenancy = r })},
-	"tiering": {"tiering report", gated(experiments.RunTieringSweep, experiments.CheckTieringGate,
-		func(d *experiments.DataPathReport, r *experiments.TieringReport) { d.Tiering = r })},
 	"smallops": {"smallops report", gated(experiments.RunSmallOpsSweep, experiments.CheckSmallOpsGate,
 		func(d *experiments.DataPathReport, r *experiments.SmallOpsReport) { d.SmallOps = r })},
 	"serving": {"serving report", gated(experiments.RunServingSweep, experiments.CheckServingGate,
@@ -87,7 +85,7 @@ func gated[R any](run func(io.Writer, experiments.Params) (*R, error), check fun
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "experiment id (fig5..fig10, tab3, tab5, integrity, datapath, tenancy, tiering, smallops, serving, all)")
+		experiment = flag.String("experiment", "", "experiment id (fig5..fig10, tab3, tab5, integrity, datapath, tenancy, smallops, serving, all)")
 		quick      = flag.Bool("quick", false, "shrink sweeps and op counts")
 		nocost     = flag.Bool("nocost", false, "disable the hardware cost model (functional smoke run)")
 		cost       = flag.Bool("cost", false, "datapath only: enable the hardware cost model (off by default there)")

@@ -3,10 +3,9 @@
 // machine and renders a per-interval table of cross-layer telemetry —
 // LibFS op rates and latency quantiles, NVM traffic, allocator and
 // delegation activity, MMU checks, operations carried per trust-boundary
-// crossing, the NVM write-back tier's dirty-page count, destage
-// rate and circuit-breaker state, and the trio-serve wire front-end's
-// connection count, RPC rate and in-flight depth — from registry
-// snapshot deltas.
+// crossing, scrub and seal activity, and the trio-serve wire
+// front-end's connection count, RPC rate and in-flight depth — from
+// registry snapshot deltas.
 //
 // Usage:
 //
@@ -33,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"trio/internal/backend"
 	"trio/internal/controller"
 	"trio/internal/core"
 	"trio/internal/delegation"
@@ -42,7 +40,6 @@ import (
 	"trio/internal/nvm"
 	"trio/internal/serve"
 	"trio/internal/telemetry"
-	"trio/internal/tier"
 )
 
 func main() {
@@ -82,27 +79,11 @@ func main() {
 	// Cost model on: boundary crossings are counted where they are
 	// charged, so the ops/trap column has something to read.
 	dev := nvm.MustNewDevice(nvm.Config{Nodes: 2, PagesPerNode: 1 << 15, Cost: nvm.DefaultCostModel()})
-	// The write-back tier gets its own small NVM region and a simulated
-	// slow backend with an occasional latency spike, so the tier columns
-	// show real destage/breaker activity. Its destager rides the
-	// controller's shard sweepers via the AuxSweep hook below.
-	tdev := nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: 300})
-	tbe := backend.MustNewSim(1024, backend.DefaultCostModel())
-	ttr, err := tier.New(core.Direct(tdev, 0), 2, 290, tbe, tier.Options{})
-	if err != nil {
-		fatal(err)
-	}
 	// The background sweeper doubles as the scrub scheduler: one
-	// rate-limited checksum audit slice runs per sweep period; shard 0's
-	// sweeper also drives one destage pass of the write-back tier.
+	// rate-limited checksum audit slice runs per sweep period.
 	ctl, err := controller.New(dev, controller.Options{
 		LeaseSweep:    50 * time.Millisecond,
 		RecallTimeout: 25 * time.Millisecond,
-		AuxSweep: func(shard int) {
-			if shard == 0 {
-				ttr.DestageOnce()
-			}
-		},
 	})
 	if err != nil {
 		fatal(err)
@@ -229,30 +210,6 @@ func main() {
 		}(lane)
 	}
 
-	// Tier traffic: one goroutine streams block writes through the
-	// write-back tier (a rolling working set, so overwrites and
-	// evictions both happen) and re-reads a hot prefix, while the
-	// controller's shard-0 sweeper destages behind it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(7))
-		blk := make([]byte, backend.BlockSize)
-		for i := 0; !stop.Load(); i++ {
-			rng.Read(blk[:64])
-			if err := ttr.Write(backend.BlockID(i%256), blk); err != nil {
-				if err == tier.ErrClosed {
-					return
-				}
-				continue
-			}
-			if i%4 == 0 {
-				ttr.Read(backend.BlockID(rng.Intn(32)), blk)
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
-
 	// The rot injector: a deliberately silent FlipBits into a random
 	// sealed (cold) page per refresh, so the scrub columns demonstrate
 	// detection, repair and quarantine in real time.
@@ -281,7 +238,6 @@ func main() {
 
 	prev := telemetry.Default().Snapshot()
 	prevCS := ctl.Stats().Snapshot()
-	prevDestaged := ttr.Stats().Destaged
 	for tick := 0; *count == 0 || tick < *count; tick++ {
 		injectRot()
 		time.Sleep(*interval)
@@ -298,16 +254,13 @@ func main() {
 		csRate := func(v int64) float64 {
 			return float64(v) * 1000 / float64(secs)
 		}
-		ts := ttr.Stats()
-		destaged := ts.Destaged
 		if tick%20 == 0 {
-			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %8s %9s %7s %7s %7s %9s %9s %7s %8s %6s %5s %7s %5s\n",
+			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %8s %9s %7s %7s %7s %9s %9s %5s %7s %5s\n",
 				"read/s", "write/s", "rd p99ns", "wr p99ns",
 				"nvm wr/s", "persist/s", "alloc pg/s", "deleg/s", "mmu chk/s",
 				"ops/trap",
 				"scrub/s", "detect", "repair", "quar",
 				"sl-cln/s", "sl-strm/s",
-				"t-dirty", "destg/s", "brkr",
 				"conns", "rpc/s", "infl")
 		}
 		// Operations carried per kernel crossing: 1 when every call traps
@@ -316,7 +269,7 @@ func main() {
 		if traps := d.Get("nvm.cost_traps"); traps > 0 {
 			opsPerTrap = float64(d.Get("nvm.cost_trap_ops")) / float64(traps)
 		}
-		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %8.2f %9.0f %7d %7d %7d %9.0f %9.0f %7d %8.0f %6s %5d %7.0f %5d\n",
+		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %8.2f %9.0f %7d %7d %7d %9.0f %9.0f %5d %7.0f %5d\n",
 			rate("libfs.read_ops"), rate("libfs.write_ops"),
 			d.Hist("libfs.read_ns").Quantile(0.99),
 			d.Hist("libfs.write_ns").Quantile(0.99),
@@ -328,9 +281,7 @@ func main() {
 			csRate(dcs.ScrubPages),
 			cs.ScrubDetected, cs.ScrubRepaired, cs.ScrubQuarantined,
 			csRate(dcs.SealCleanPages), csRate(dcs.SealStreamedPages),
-			ts.Dirty, csRate(destaged-prevDestaged), ts.BreakerState,
 			cur.Get("serve.conns"), rate("serve.rpcs"), cur.Get("serve.inflight"))
-		prevDestaged = destaged
 	}
 
 	stop.Store(true)
@@ -340,8 +291,7 @@ func main() {
 	if err := fs.Close(); err != nil {
 		fatal(err)
 	}
-	ctl.Close() // stops the sweepers, and with them the tier destager
-	ttr.Close()
+	ctl.Close()
 	pool.Close()
 
 	if *tracePath != "" {

@@ -88,24 +88,6 @@ type Options struct {
 	// not serialize on one mutex. Defaults to 8; 1 restores the single
 	// global-lock behavior.
 	Shards int
-	// AuxSweep, when set, is called by each shard's background sweeper
-	// once per tick, after the shard's own reap/escalate/scrub work,
-	// with the shard index. It lets auxiliary subsystems ride the
-	// controller's sweeper cadence instead of running private timer
-	// goroutines — the write-back tier's destage workers (ISSUE 7) hook
-	// in here. The callback runs outside every controller lock and must
-	// not call back into this controller. It only runs when LeaseSweep
-	// starts the sweepers; Close stops it with them.
-	AuxSweep func(shard int)
-	// AdmitPerShard bounds how many calls from one shard's sessions may
-	// run inside the controller concurrently (admission control with an
-	// under-share priority, so a churning tenant cannot starve lease
-	// recalls). 0 defaults to a 32-call global budget divided evenly
-	// (minimum 2 per shard): the NVM's concurrency sweetspot does not
-	// grow with shard count, so neither should total admitted
-	// concurrency — each shard instead gets a guaranteed fair share no
-	// other shard's tenants can consume. Negative disables admission.
-	AdmitPerShard int
 }
 
 func (o *Options) fill() {
@@ -126,11 +108,6 @@ func (o *Options) fill() {
 	}
 	if o.Shards > maxShards {
 		o.Shards = maxShards
-	}
-	if o.AdmitPerShard == 0 {
-		if o.AdmitPerShard = 32 / o.Shards; o.AdmitPerShard < 2 {
-			o.AdmitPerShard = 2
-		}
 	}
 }
 
@@ -358,7 +335,7 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		c.shards[i].files = make(map[core.Ino]*fileState)
 		c.shards[i].sessions = make(map[LibFSID]*libfsState)
 		c.shards[i].scrubber = verifier.NewScrubber(dev)
-		c.shards[i].admit.init(opts.AdmitPerShard)
+		c.shards[i].admit.init(admitPerShard(opts.Shards))
 		c.shards[i].admit.waitCtr = c.stats.shard(i).AdmitWaits
 	}
 	if _, err := core.ReadSuperblock(c.mem); err != nil {

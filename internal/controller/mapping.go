@@ -371,9 +371,9 @@ const accessPoll = time.Millisecond
 // cooperative recall → recall deadline → forcible revocation
 // (escalateLeaseLocked). The wait is therefore bounded by
 // LeaseTime + RecallTimeout plus scheduling noise. The caller's
-// admission slot (gate may be nil) is released across each sleep so a
-// sleeping waiter cannot occupy the slot its lease holder needs to
-// comply with the recall.
+// admission slot is released across each sleep so a sleeping waiter
+// cannot occupy the slot its lease holder needs to comply with the
+// recall.
 func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bool, gate *admitGate) error {
 	for {
 		if ls.dead {

@@ -1,7 +1,9 @@
 package controller
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -289,6 +291,15 @@ func TestSweeperReapsAbandoned(t *testing.T) {
 		t.Fatalf("abandoned pool not released: %d vs %d", got, free0)
 	}
 	c.Close() // idempotent
+	// Close returns once every shard's sweeper has passed its Done; give
+	// the last frames a moment to unwind, then none may be left.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("shardSweeper")); {
+		if time.Now().After(deadline) {
+			t.Fatal("a shard sweeper goroutine survived Close")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestReapAbandonedOnDemand is the sweeperless form.

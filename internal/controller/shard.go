@@ -379,32 +379,37 @@ type admitWaiter struct {
 	ch chan struct{}
 }
 
+// admitBudget is the controller-wide number of calls admitted at once.
+// The NVM's concurrency sweetspot does not grow with shard count, so
+// neither does total admitted concurrency: each shard gets an even
+// share (at least 2) that no other shard's tenants can consume.
+const admitBudget = 32
+
+func admitPerShard(shards int) int {
+	if n := admitBudget / shards; n > 2 {
+		return n
+	}
+	return 2
+}
+
 func (g *admitGate) init(limit int) {
 	g.limit = limit
 	g.bySession = make(map[LibFSID]int)
 }
 
-func (g *admitGate) sessionCap() int {
-	cap := (g.limit + 1) / 2
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
-}
+// sessionCap is the most slots one session may hold: half the shard's,
+// and at least one since the limit is never below 2.
+func (g *admitGate) sessionCap() int { return (g.limit + 1) / 2 }
 
-// enter blocks until a slot is available. Returns false when the gate
-// is disabled (no exit needed).
-func (g *admitGate) enter(id LibFSID) bool {
-	if g == nil || g.limit <= 0 {
-		return false
-	}
+// enter blocks until a slot is available.
+func (g *admitGate) enter(id LibFSID) {
 	g.mu.Lock()
 	if g.inflight < g.limit && len(g.prio) == 0 && len(g.norm) == 0 &&
 		g.bySession[id] < g.sessionCap() {
 		g.inflight++
 		g.bySession[id]++
 		g.mu.Unlock()
-		return true
+		return
 	}
 	g.waits++
 	if g.waitCtr != nil {
@@ -418,15 +423,11 @@ func (g *admitGate) enter(id LibFSID) bool {
 	}
 	g.mu.Unlock()
 	<-w.ch // the releasing exit hands the slot over
-	return true
 }
 
 // exit releases one slot, handing it to the first waiter: under-share
 // sessions first, FIFO within each class.
 func (g *admitGate) exit(id LibFSID) {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	g.inflight--
 	if n := g.bySession[id] - 1; n <= 0 {
@@ -463,14 +464,13 @@ func (g *admitGate) wakeLocked() {
 	}
 }
 
-// admit runs the session's home-shard gate. The returned gate is nil
-// when admission control is disabled; exit is nil-safe.
+// admit runs the session's home-shard gate; the caller exits the
+// returned gate when its call is done.
 func (c *Controller) admit(id LibFSID) *admitGate {
-	g := &c.shards[c.shardIdxSession(id)].admit
-	if !g.enter(id) {
-		return nil
-	}
-	c.stats.shard(c.shardIdxSession(id)).Admitted.Add(1)
+	i := c.shardIdxSession(id)
+	g := &c.shards[i].admit
+	g.enter(id)
+	c.stats.shard(i).Admitted.Add(1)
 	return g
 }
 
@@ -482,9 +482,7 @@ func (g *admitGate) pause(id LibFSID) {
 }
 
 func (g *admitGate) resume(id LibFSID) {
-	if g != nil {
-		g.enter(id)
-	}
+	g.enter(id)
 }
 
 // ---------------------------------------------------------------------
@@ -505,9 +503,6 @@ func (c *Controller) shardSweeper(i int) {
 		case <-t.C:
 			c.sweepShard(i)
 			c.scrubShard(i)
-			if c.opts.AuxSweep != nil {
-				c.opts.AuxSweep(i)
-			}
 		}
 	}
 }

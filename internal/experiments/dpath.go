@@ -42,10 +42,9 @@ type DataPathResult struct {
 }
 
 // DataPathReport is the BENCH_trio.json schema. The datapath suite
-// owns Results; the massive-tenancy sweep owns Tenancy; the tiered
-// storage experiment owns Tiering; the trust-boundary sweep owns
-// SmallOps — each writer preserves the other sections, so one file
-// carries every gate.
+// owns Results; the massive-tenancy sweep owns Tenancy; the
+// trust-boundary sweep owns SmallOps — each writer preserves the other
+// sections, so one file carries every gate.
 type DataPathReport struct {
 	Schema   string           `json:"schema"`
 	Go       string           `json:"go"`
@@ -53,7 +52,6 @@ type DataPathReport struct {
 	Cost     bool             `json:"cost_model"`
 	Results  []DataPathResult `json:"results"`
 	Tenancy  *TenancyReport   `json:"tenancy,omitempty"`
-	Tiering  *TieringReport   `json:"tiering,omitempty"`
 	SmallOps *SmallOpsReport  `json:"smallops,omitempty"`
 	Serving  *ServingReport   `json:"serving,omitempty"`
 	NetChaos *NetChaosReport  `json:"netchaos,omitempty"`
@@ -530,7 +528,6 @@ func WriteDataPathJSON(path string, p Params, results []DataPathResult) error {
 	}
 	if prev, err := LoadDataPathJSON(path); err == nil {
 		rep.Tenancy = prev.Tenancy   // the tenancy sweep owns this section
-		rep.Tiering = prev.Tiering   // the tiering experiment owns this one
 		rep.SmallOps = prev.SmallOps // the trust-boundary sweep owns this one
 		rep.Serving = prev.Serving   // the wire-serving experiment owns this one
 		rep.NetChaos = prev.NetChaos // the network-resilience storm owns this one

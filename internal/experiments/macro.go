@@ -200,7 +200,6 @@ func Registry() map[string]func(io.Writer, Params) error {
 		"fig10":     Fig10,
 		"datapath":  DataPath,
 		"tenancy":   Tenancy,
-		"tiering":   Tiering,
 		"smallops":  SmallOps,
 		"serving":   Serving,
 		"netchaos":  NetChaos,

@@ -1,17 +1,15 @@
-// IntentLog is the undo journal's redo-flavored sibling, built for the
-// tier's destage pipeline (ISSUE 7). Where Journal logs *pre-images*
-// so an interrupted transaction can be rolled back, IntentLog logs
-// *intents* — opaque records describing work the caller is about to
-// perform against a foreign, non-transactional medium (the slow
-// backing store) — so an interrupted pipeline can be rolled forward.
+// IntentLog is the undo journal's redo-flavored sibling. Where Journal
+// logs *pre-images* so an interrupted transaction can be rolled back,
+// IntentLog logs *intents* — opaque records describing work the caller
+// is about to perform against a foreign, non-transactional medium — so
+// an interrupted pipeline can be rolled forward. It has no importer
+// today; it is kept as the substrate for a duplicate-request cache
+// that survives a server restart (ROADMAP item 5).
 //
 // The work an intent describes must be idempotent: after a crash the
 // recovery program re-executes every sealed intent, and the original
-// execution may have partially happened (a destage extent's backend
-// write can land even after the frontend lost the acknowledgement).
-// Whole-block writes of current staged content satisfy this by
-// construction, which is why the tier's destage protocol is phrased in
-// them.
+// execution may have partially happened (the foreign write can land
+// even after the caller lost the acknowledgement).
 //
 // On-NVM layout of one intent page (same arming discipline as the undo
 // journal, so the crash-point scheduler sees the same persist shape):
@@ -22,9 +20,8 @@
 //
 // Write protocol: records are written and persisted while the flag is
 // still 0 (a crash here leaves nothing armed — the pipeline never
-// started, and the staged data simply re-destages through the normal
-// path); Seal persists flag+count as one 16-byte atomic store behind a
-// fence. Commit clears the flag after the described work completed.
+// started); Seal persists flag+count as one 16-byte atomic store behind
+// a fence. Commit clears the flag after the described work completed.
 package journal
 
 import (
@@ -82,8 +79,7 @@ type Intent struct {
 }
 
 // Begin opens an intent batch. Only one may be in flight per log; the
-// caller serializes (the tier's destage passes hold a mutex across the
-// whole pipeline).
+// caller serializes.
 func (l *IntentLog) Begin() *Intent {
 	return &Intent{l: l, off: recStart, open: true}
 }

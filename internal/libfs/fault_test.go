@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"trio/internal/controller"
 	"trio/internal/core"
@@ -25,7 +26,9 @@ type faultRig struct {
 func newFaultRig(t *testing.T, pages int) *faultRig {
 	t.Helper()
 	dev := nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: pages, TrackPersistence: true})
-	ctl, err := controller.New(dev, controller.Options{})
+	// The rig's tests assert outcomes (fixed vs rolled back), not time:
+	// a fix handler must not lose to the 10ms default on a loaded host.
+	ctl, err := controller.New(dev, controller.Options{FixTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

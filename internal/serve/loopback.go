@@ -15,7 +15,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
@@ -23,10 +22,8 @@ import (
 	"trio/internal/fsapi"
 )
 
-// pipeBuf is one direction: a bounded ring with blocking read/write,
-// optional delivery latency (applied on the read side, so it shapes a
-// slow reader the way a saturated downlink does), and per-endpoint
-// deadlines in the net.Conn style.
+// pipeBuf is one direction: a bounded ring with blocking read/write
+// and per-endpoint deadlines in the net.Conn style.
 type pipeBuf struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -34,11 +31,6 @@ type pipeBuf struct {
 	r, w   int // read/write cursors; n tracks occupancy
 	n      int
 	closed bool
-
-	// lat+jitter delay every read's delivery; rng is guarded by mu.
-	lat    time.Duration
-	jitter time.Duration
-	rng    *rand.Rand
 
 	// rdl/wdl fail blocked reads/writes past the deadline (zero = none).
 	// The timers broadcast the cond so parked waiters re-check.
@@ -91,20 +83,6 @@ func (p *pipeBuf) setWriteDeadline(dl time.Time) {
 	p.mu.Unlock()
 }
 
-// delay computes this read's injected delivery latency.
-func (p *pipeBuf) delay() time.Duration {
-	if p.lat == 0 && p.jitter == 0 {
-		return 0
-	}
-	p.mu.Lock()
-	d := p.lat
-	if p.jitter > 0 {
-		d += time.Duration(p.rng.Int63n(int64(p.jitter)))
-	}
-	p.mu.Unlock()
-	return d
-}
-
 func (p *pipeBuf) write(b []byte) (int, error) {
 	total := 0
 	p.mu.Lock()
@@ -138,9 +116,6 @@ func (p *pipeBuf) write(b []byte) (int, error) {
 }
 
 func (p *pipeBuf) read(b []byte) (int, error) {
-	if d := p.delay(); d > 0 {
-		time.Sleep(d)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.n == 0 && !p.closed && !expired(p.rdl) {
@@ -203,45 +178,8 @@ func (h *half) Close() error {
 // NewDuplex returns two connected endpoints, each direction buffering
 // up to capacity bytes.
 func NewDuplex(capacity int) (a, b io.ReadWriteCloser) {
-	return NewDuplexOpts(DuplexOptions{Capacity: capacity})
-}
-
-// DuplexOptions shapes a loopback duplex beyond the default
-// perfect-pipe behavior (ISSUE 10: exercise slow-reader paths).
-type DuplexOptions struct {
-	// Capacity is the per-direction ring size (default loopbackBuf).
-	Capacity int
-	// ABLatency delays delivery of a→b traffic (applied per read on
-	// the b endpoint); BALatency the reverse direction.
-	ABLatency time.Duration
-	BALatency time.Duration
-	// Jitter adds uniform [0,Jitter) to each delayed read, both
-	// directions. Requires a latency to be set on the direction.
-	Jitter time.Duration
-	// Seed makes jitter reproducible. 0 means 1.
-	Seed int64
-}
-
-// NewDuplexOpts is NewDuplex with per-direction delivery latency and
-// jitter — the slow-reader harness netsim's tests and the reply-writer
-// batching coverage share.
-func NewDuplexOpts(o DuplexOptions) (a, b io.ReadWriteCloser) {
-	if o.Capacity <= 0 {
-		o.Capacity = loopbackBuf
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	ab := newPipeBuf(o.Capacity)
-	ba := newPipeBuf(o.Capacity)
-	if o.ABLatency > 0 || o.Jitter > 0 {
-		ab.lat, ab.jitter = o.ABLatency, o.Jitter
-		ab.rng = rand.New(rand.NewSource(o.Seed))
-	}
-	if o.BALatency > 0 || o.Jitter > 0 {
-		ba.lat, ba.jitter = o.BALatency, o.Jitter
-		ba.rng = rand.New(rand.NewSource(o.Seed + 1))
-	}
+	ab := newPipeBuf(capacity)
+	ba := newPipeBuf(capacity)
 	return &half{rd: ba, wr: ab}, &half{rd: ab, wr: ba}
 }
 

@@ -664,18 +664,15 @@ func TestLoopbackLatencyReplyBatching(t *testing.T) {
 	defer lb.Close()
 	srv := lb.Server()
 
-	// a = server end, b = client end; ABLatency delays the client's
-	// reads of server replies. The small ring is the point: a slow
-	// reader fills it, the reply writer blocks, replies pile up behind
-	// it, and the next transport write must carry a batch.
-	a, b := NewDuplexOpts(DuplexOptions{
-		Capacity:  512,
-		ABLatency: 300 * time.Microsecond,
-		Seed:      9,
-	})
+	// a = server end, b = client end; netsim delays the client's reads
+	// of server replies. The small ring is the point: a slow reader
+	// fills it, the reply writer blocks, replies pile up behind it, and
+	// the next transport write must carry a batch.
+	a, b := NewDuplex(512)
+	slow := netsim.Wrap(b, &netsim.Plan{ReadLatency: 300 * time.Microsecond})
 	cw := &countWriteRWC{ReadWriteCloser: a}
 	go srv.ServeConn(cw)
-	conn, err := NewSession(func() (io.ReadWriteCloser, error) { return b, nil }, testSessionOptions(601))
+	conn, err := NewSession(func() (io.ReadWriteCloser, error) { return slow, nil }, testSessionOptions(601))
 	if err != nil {
 		t.Fatal(err)
 	}

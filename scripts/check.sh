@@ -5,10 +5,8 @@
 #   1. go vet  over every package
 #   2. go build over every package
 #   3. the full test suite (includes the crash-point conformance sweeps)
-#   4. the race detector over the packages with real concurrency:
-#      the cross-FS conformance suite, the LibFS itself, the controller,
-#      and the page table and verifier under it (the store path's
-#      dirty-bit CAS races the controller's unmap).
+#   4. the race detector over the packages with real concurrency
+#      (the Makefile's race target owns the list).
 #   5. a fuzz smoke pass over the verifier's adversarial targets —
 #      ten seconds per target of randomly corrupted core state, which
 #      must always terminate in a Report, never a panic or a hang —
@@ -35,17 +33,11 @@
 #      (shard-scaling floor and p99 lease-recall ceiling) exit nonzero
 #      on violation — a controller serialization regression fails here,
 #      loudly, not in the next full bench run.
-#   9. a tiered-storage smoke: trio-bench -experiment tiering -quick
-#      runs the NVM write-back tier over the simulated slow backend
-#      with both cost models on, and its in-process gates (hot reads
-#      >= 5x backend-direct, zero dirty pages after the drain, outage
-#      writes acked, breaker closed after recovery) exit nonzero on
-#      violation.
-#  10. a trust-boundary smoke: trio-bench -experiment smallops -quick
+#   9. a trust-boundary smoke: trio-bench -experiment smallops -quick
 #      runs shrunken interleaved per-call-vs-batched pairs with the cost
 #      model on; its in-process gates (batched speedup floor on the
 #      metadata modes) exit nonzero on violation.
-#  11. a serving smoke: the wire codec's steady-state encode/decode
+#  10. a serving smoke: the wire codec's steady-state encode/decode
 #      must report 0 allocs/op, a whole 16 KiB READ over the loopback
 #      must allocate under 1 KiB (its payload lands in the caller's
 #      buffer) and a WRITE under 24 KiB (the retransmit unit, nothing
@@ -53,12 +45,14 @@
 #      -quick runs shrunken serial-vs-pipelined pairs with the cost
 #      model on; its in-process gate (pipelined speedup floor at
 #      depth 8) exits nonzero on violation.
-#  12. a netchaos smoke: a netsim wrapper with no fault plan must add
+#  11. a netchaos smoke: a netsim wrapper with no fault plan must add
 #      0 allocs/op to the codec path, and trio-bench -experiment
 #      netchaos -quick runs a shrunken fault storm (kills, partitions,
 #      truncated frames against reconnecting sessions); its in-process
 #      gates (zero acked-op loss, zero double-apply, availability
 #      floor) exit nonzero on violation.
+#  12. a trio-top smoke: two short refreshes of the observability
+#      console over its live workload must run and shut down clean.
 #
 # Any failure stops the run with a non-zero exit.
 set -eu
@@ -136,12 +130,7 @@ echo "== go test ./..."
 go test ./...
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/tier/... ./internal/backend/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
-# The workload package's tenancy sweeps are too heavy for the race
-# detector's ~20x slowdown; race just the network generators it added
-# (the netload fleet and the netchaos fault storm) and the small-op
-# driver's two arms.
-go test -race -run '^TestNet|^TestSmallOps' ./internal/workload/
+make race
 
 echo "== fuzz smoke (verifier adversarial targets, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
@@ -182,13 +171,6 @@ echo "== tenancy smoke (1k sessions; shard-scaling and recall-latency gates)"
 # lease-recall above the ceiling prints the violations and exits 1.
 go run ./cmd/trio-bench -experiment tenancy -quick > /dev/null
 
-echo "== tiering smoke (write-back tier; hot-read, drain, and breaker gates)"
-# The quick run's gates live in trio-bench itself (see
-# experiments.CheckTieringGate): hot reads slower than 5x
-# backend-direct, a drain that leaves dirty pages, unacked outage
-# writes, or a breaker stuck open all print the violations and exit 1.
-go run ./cmd/trio-bench -experiment tiering -quick > /dev/null
-
 echo "== smallops smoke (per-call-vs-batched speedup gates)"
 # The quick sweep's gates live in trio-bench itself (see
 # experiments.CheckSmallOpsGate): batched map/unmap below the quick
@@ -219,5 +201,8 @@ gate_zero_allocs ./internal/netsim/ '^BenchmarkNetsimCodec' 'disabled netsim wra
 # unexplained bytes, missing faults, or an availability collapse
 # prints the violations and exits 1.
 go run ./cmd/trio-bench -experiment netchaos -quick > /dev/null
+
+echo "== trio-top smoke (two refreshes over the live workload, clean shutdown)"
+go run ./cmd/trio-top -n 2 -interval 200ms > /dev/null
 
 echo "== all checks passed"
