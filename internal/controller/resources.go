@@ -305,6 +305,15 @@ func (s *Session) RemoveFiles(items []Removal) (recycled []nvm.PageID, err error
 	if err := s.aliveLocked(); err != nil {
 		return nil, err
 	}
+	// The batch is a LibFS's deferred unlinks, on every lifecycle's
+	// path: size the result once, and box the trace arguments only when
+	// someone is tracing.
+	total := 0
+	for _, it := range items {
+		total += len(it.Pages)
+	}
+	recycled = make([]nvm.PageID, 0, total)
+	tracing := telemetry.TracingOn()
 	for _, it := range items {
 		if !c.files.has(it.Ino) {
 			// Not a verified file: one that still lives in the caller's
@@ -324,7 +333,9 @@ func (s *Session) RemoveFiles(items []Removal) (recycled []nvm.PageID, err error
 			for _, p := range it.Pages {
 				if s.ls.allocPages[p] {
 					recycled = append(recycled, p)
-					c.tracePage(p, "recycle-pool ino=%d ls=%d", it.Ino, s.ls.id)
+					if tracing {
+						c.tracePage(p, "recycle-pool ino=%d ls=%d", it.Ino, s.ls.id)
+					}
 				}
 			}
 			continue

@@ -217,7 +217,7 @@ func TestPageTracingFoldsIntoTelemetry(t *testing.T) {
 	}
 
 	telemetry.EnableTracing(4096)
-	defer telemetry.DisableTracing()
+	defer telemetry.ResetTracing()
 	c.tracePage(7, "grant ls=%d", 1)
 	if got := pageTraceOf(7); len(got) != 1 || got[0] != "grant ls=1" {
 		t.Fatalf("page trace = %v, want one %q event", got, "grant ls=1")

@@ -288,9 +288,7 @@ func WriteDirentBody(m Mem, p nvm.PageID, slot int, name string, in *Inode, b *[
 		return err
 	}
 	EncodeInode(b[:], in)
-	binary.LittleEndian.PutUint16(b[DirentNameLenOff:], uint16(len(name)))
-	copy(b[DirentNameOff:], name)
-	end := DirentNameOff + len(name)
+	end := DirentNameLenOff + EncodeDirentName(b[DirentNameLenOff:], name)
 	off := SlotOffset(slot)
 	if err := m.Write(p, off+8, b[8:end]); err != nil {
 		return err
@@ -355,6 +353,13 @@ func ReadDirentName(m Mem, p nvm.PageID, slot int) (string, error) {
 	return string(buf), nil
 }
 
+// EncodeDirentName writes a slot's name field (length + bytes) into b,
+// which must hold 2+len(name) bytes, and returns the encoded length.
+func EncodeDirentName(b []byte, name string) int {
+	binary.LittleEndian.PutUint16(b, uint16(len(name)))
+	return 2 + copy(b[2:], name)
+}
+
 // WriteDirentName writes the name field (length + bytes) of a slot and
 // persists it. It does not touch the inode area.
 func WriteDirentName(m Mem, p nvm.PageID, slot int, name string) error {
@@ -363,8 +368,7 @@ func WriteDirentName(m Mem, p nvm.PageID, slot int, name string) error {
 	}
 	off := SlotOffset(slot)
 	buf := make([]byte, 2+len(name))
-	binary.LittleEndian.PutUint16(buf, uint16(len(name)))
-	copy(buf[2:], name)
+	EncodeDirentName(buf, name)
 	if err := m.Write(p, off+DirentNameLenOff, buf); err != nil {
 		return err
 	}

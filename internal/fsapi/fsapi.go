@@ -94,22 +94,43 @@ type FS interface {
 	Close() error
 }
 
+// NextComponent returns the first component of a slash-separated path
+// and what follows it; repeated slashes collapse, and an empty name
+// means the path is exhausted. It is the one definition of path syntax:
+// walking a path with it allocates nothing.
+func NextComponent(path string) (name, rest string) {
+	start := 0
+	for start < len(path) && path[start] == '/' {
+		start++
+	}
+	end := start
+	for end < len(path) && path[end] != '/' {
+		end++
+	}
+	return path[start:end], path[end:]
+}
+
+// SplitLast splits a path into its final component and the path of
+// everything before it, without allocating. The name is empty for "/"
+// (and ""), which has no final component.
+func SplitLast(path string) (dir, name string) {
+	end := len(path)
+	for end > 0 && path[end-1] == '/' {
+		end--
+	}
+	start := end
+	for start > 0 && path[start-1] != '/' {
+		start--
+	}
+	return path[:start], path[start:end]
+}
+
 // SplitPath breaks an absolute slash-separated path into components.
 // "/" yields an empty slice; repeated slashes collapse.
 func SplitPath(path string) []string {
 	var out []string
-	start := -1
-	for i := 0; i <= len(path); i++ {
-		if i == len(path) || path[i] == '/' {
-			if start >= 0 {
-				out = append(out, path[start:i])
-				start = -1
-			}
-			continue
-		}
-		if start < 0 {
-			start = i
-		}
+	for name, rest := NextComponent(path); name != ""; name, rest = NextComponent(rest) {
+		out = append(out, name)
 	}
 	return out
 }

@@ -248,6 +248,11 @@ func TestPropertyRadixModelEquivalence(t *testing.T) {
 		maxKey := uint64(0)
 		for i, op := range ops {
 			k := uint64(op) % 4096
+			if op%3 == 0 {
+				// A third of the keys land around the inline head's edge,
+				// so single puts, deletes and runs hit both sides of it.
+				k %= 2 * radixInline
+			}
 			switch {
 			case op%5 == 0:
 				r.Delete(k)
@@ -281,8 +286,15 @@ func TestPropertyRadixModelEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		n := 0
-		r.Range(func(k, v uint64) bool { n++; return ref[k] == v })
+		// Range reports every mapping once, in ascending key order — also
+		// across the head → tree edge.
+		n, last := 0, int64(-1)
+		r.Range(func(k, v uint64) bool {
+			n++
+			ok := ref[k] == v && int64(k) > last
+			last = int64(k)
+			return ok
+		})
 		return n == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -290,11 +302,82 @@ func TestPropertyRadixModelEquivalence(t *testing.T) {
 	}
 }
 
+// TestRadixInlineHeadEdge pins the split between the inline head and the
+// tree: a small file allocates no node, a run across the edge lands on
+// both sides, and Len/MaxKey settle once whichever side a key is on.
+func TestRadixInlineHeadEdge(t *testing.T) {
+	r := NewRadix()
+	for k := uint64(0); k < radixInline; k++ {
+		r.Put(k, 100+k)
+	}
+	if r.root.Load() != nil {
+		t.Fatalf("a %d-block file allocated the tree", radixInline)
+	}
+	if r.Len() != radixInline || r.MaxKey() != radixInline-1 {
+		t.Fatalf("Len %d MaxKey %d, want %d and %d", r.Len(), r.MaxKey(), radixInline, radixInline-1)
+	}
+
+	// A run that starts in the head and ends two leaves into the tree.
+	const start, runLen = radixInline - 3, 600
+	vals := make([]uint64, runLen)
+	for j := range vals {
+		vals[j] = 5000 + uint64(j)
+	}
+	r.PutRun(start, vals)
+	if want := start + runLen; r.Len() != want || r.MaxKey() != uint64(want-1) {
+		t.Fatalf("Len %d MaxKey %d, want %d and %d", r.Len(), r.MaxKey(), want, want-1)
+	}
+	for k := uint64(0); k < start+runLen+4; k++ {
+		var want uint64
+		switch {
+		case k < start:
+			want = 100 + k
+		case k < start+runLen:
+			want = 5000 + k - start
+		}
+		if got := r.Get(k); got != want {
+			t.Fatalf("Get(%d) = %d, want %d", k, got, want)
+		}
+	}
+	// The run is one extent although it lives on both sides of the edge.
+	if ext := r.GetRange(start, runLen, nil); len(ext) != 1 || ext[0] != (Extent{Block: start, Page: 5000, Count: runLen}) {
+		t.Fatalf("extents %+v, want the one run", ext)
+	}
+
+	// Deletes on both sides of the edge; MaxKey is a high-water mark.
+	r.Delete(radixInline - 1)
+	r.Delete(radixInline)
+	r.Delete(radixInline) // already gone: must not count twice
+	if want := start + runLen - 2; r.Len() != want || r.MaxKey() != start+runLen-1 {
+		t.Fatalf("after deletes: Len %d MaxKey %d, want %d and %d", r.Len(), r.MaxKey(), want, start+runLen-1)
+	}
+	// A hole that ends exactly at the edge, and one that begins there.
+	r.PutRun(radixInline-3, []uint64{0, 0, 0, 77})
+	want := []Extent{
+		{Block: 0, Page: 100, Count: radixInline - 3},
+		{Block: radixInline - 3, Page: 0, Count: 3},
+		{Block: radixInline, Page: 77, Count: 1},
+		{Block: radixInline + 1, Page: 5000 + radixInline + 1 - start, Count: 4},
+	}
+	got := r.GetRange(0, radixInline+5, nil)
+	if len(got) != len(want) {
+		t.Fatalf("extents %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("extent %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestRadixPutRunConcurrent: bulk fills of disjoint runs that share
 // leaves race each other and lookups; every value lands exactly once.
+// The first run starts three blocks short of the inline head's end, so
+// the head → tree edge is written while a reader walks across it.
 func TestRadixPutRunConcurrent(t *testing.T) {
 	r := NewRadix()
 	const workers, perWorker, runLen = 4, 64, 100
+	const base = radixInline - 3
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -302,7 +385,7 @@ func TestRadixPutRunConcurrent(t *testing.T) {
 			defer wg.Done()
 			vals := make([]uint64, runLen)
 			for i := 0; i < perWorker; i++ {
-				start := uint64((i*workers + w) * runLen)
+				start := uint64(base + (i*workers+w)*runLen)
 				for j := range vals {
 					vals[j] = start + uint64(j) + 1
 				}
@@ -313,13 +396,39 @@ func TestRadixPutRunConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			// Whatever the snapshot, a mapped block holds its own value.
+			for it := r.Extents(0, 4*radixInline); it.Next(); {
+				if e := it.Ext; e.Page != 0 && e.Page != e.Block+1 {
+					t.Errorf("extent %+v while filling", e)
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
-	if want := workers * perWorker * runLen; r.Len() != want || r.MaxKey() != uint64(want-1) {
-		t.Fatalf("Len %d MaxKey %d, want %d and %d", r.Len(), r.MaxKey(), want, want-1)
+	close(stop)
+	<-readerDone
+	const total = workers * perWorker * runLen
+	if r.Len() != total || r.MaxKey() != base+total-1 {
+		t.Fatalf("Len %d MaxKey %d, want %d and %d", r.Len(), r.MaxKey(), total, base+total-1)
 	}
-	for k := uint64(0); k < workers*perWorker*runLen; k++ {
-		if r.Get(k) != k+1 {
-			t.Fatalf("Get(%d) = %d", k, r.Get(k))
+	for k := uint64(0); k < base+total; k++ {
+		want := k + 1
+		if k < base {
+			want = 0
+		}
+		if r.Get(k) != want {
+			t.Fatalf("Get(%d) = %d, want %d", k, r.Get(k), want)
 		}
 	}
 }

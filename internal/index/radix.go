@@ -23,6 +23,17 @@ const (
 	radixLevels = 3
 )
 
+// radixInline is the number of leading blocks (32 KiB of file) a Radix
+// holds in its own struct instead of the tree: a file that small never
+// allocates a node. The split is by key, fixed for the life of the
+// Radix — there is no promotion step to race with the wait-free readers
+// and nothing to migrate; the tree simply never sees a key below it.
+const radixInline = 8
+
+// InlineBlocks is radixInline for benchmarks and tests elsewhere that
+// must aim past the inline head to measure or exercise the tree.
+const InlineBlocks = radixInline
+
 // MaxBlocks is the largest block number a Radix can hold.
 const MaxBlocks = 1 << (radixBits * radixLevels)
 
@@ -31,9 +42,12 @@ const MaxBlocks = 1 << (radixBits * radixLevels)
 // allocate interior nodes with CAS and may run concurrently with
 // lookups and with each other.
 //
-// The root fan-out array (4 KiB) is allocated on first insert, so
-// empty files — the bulk of metadata-heavy workloads — pay nothing.
+// Blocks below radixInline live in head; the tree's three 4 KiB nodes
+// (root, mid, leaf) are allocated by the first insert at or beyond it,
+// so empty and small files — the bulk of metadata-heavy workloads — pay
+// for the struct only.
 type Radix struct {
+	head   [radixInline]uint64 // plain words, accessed through sync/atomic
 	root   atomic.Pointer[radixRoot]
 	count  atomic.Int64
 	maxKey atomic.Uint64
@@ -81,6 +95,9 @@ func radixIndex(key uint64, level int) int {
 
 // Get returns the value at key, or 0 when unmapped.
 func (r *Radix) Get(key uint64) uint64 {
+	if key < radixInline {
+		return atomic.LoadUint64(&r.head[key])
+	}
 	if key >= MaxBlocks {
 		return 0
 	}
@@ -113,7 +130,8 @@ func (r *Radix) leafSlot(key uint64) *atomic.Pointer[radixLeaf] {
 
 // Put stores val at key. Storing zero is equivalent to Delete.
 func (r *Radix) Put(key, val uint64) {
-	r.PutRun(key, []uint64{val})
+	one := [1]uint64{val}
+	r.PutRun(key, one[:])
 }
 
 // PutRun stores vals[i] at key+i (a zero deletes). It descends once per
@@ -125,6 +143,21 @@ func (r *Radix) PutRun(key uint64, vals []uint64) {
 		panic("index: radix key out of range")
 	}
 	delta, top := int64(0), uint64(0)
+	// settle folds one stored value and the one it replaced into the
+	// call's Len delta and MaxKey candidate.
+	settle := func(key, v, old uint64) {
+		if v != 0 {
+			top = key
+			if old == 0 {
+				delta++
+			}
+		} else if old != 0 {
+			delta--
+		}
+	}
+	for ; key < radixInline && len(vals) > 0; key, vals = key+1, vals[1:] {
+		settle(key, vals[0], atomic.SwapUint64(&r.head[key], vals[0]))
+	}
 	for len(vals) > 0 {
 		i := radixIndex(key, 2)
 		chunk := vals[:min(len(vals), radixFanout-i)]
@@ -143,14 +176,7 @@ func (r *Radix) PutRun(key uint64, vals []uint64) {
 			if !mine {
 				old = atomic.SwapUint64(&leaf.vals[i+j], v)
 			}
-			if v != 0 {
-				top = key + uint64(j)
-				if old == 0 {
-					delta++
-				}
-			} else if old != 0 {
-				delta--
-			}
+			settle(key+uint64(j), v, old)
 		}
 		key += uint64(len(chunk))
 		vals = vals[len(chunk):]
@@ -218,25 +244,30 @@ func (r *Radix) Extents(start uint64, count int) ExtentIter {
 // return with it.holeEnd > key means the whole region [key, holeEnd) is
 // unmapped.
 func (it *ExtentIter) load(key uint64) uint64 {
-	if key >= MaxBlocks {
-		it.leaf = nil
-		it.holeEnd = ^uint64(0)
-		return 0
-	}
-	base := key &^ uint64(radixMask)
-	if it.leaf == nil || it.leafBase != base {
-		it.leafBase = base
+	if it.leaf == nil || it.leafBase != key&^uint64(radixMask) {
+		// Off the cached leaf. Keys only ascend, so the head is only ever
+		// read here, before any leaf is cached: the walk within a leaf —
+		// the hot loop — pays nothing for it.
+		if key < radixInline {
+			return atomic.LoadUint64(&it.r.head[key])
+		}
+		if key >= MaxBlocks {
+			it.leaf = nil
+			it.holeEnd = ^uint64(0)
+			return 0
+		}
+		it.leafBase = key &^ uint64(radixMask)
 		it.leaf, it.holeEnd = it.r.leafFor(key)
-	}
-	if it.leaf == nil {
-		return 0
+		if it.leaf == nil {
+			return 0
+		}
 	}
 	return atomic.LoadUint64(&it.leaf.vals[int(key)&radixMask])
 }
 
-// leafFor descends to the leaf holding key. When an interior node is
-// missing it returns nil and the exclusive end of the zero region the
-// absence proves.
+// leafFor descends to the leaf holding key (at or beyond radixInline).
+// When an interior node is missing it returns nil and the exclusive end
+// of the zero region the absence proves.
 func (r *Radix) leafFor(key uint64) (*radixLeaf, uint64) {
 	root := r.root.Load()
 	if root == nil {
@@ -309,6 +340,13 @@ func (r *Radix) GetRange(start uint64, count int, ext []Extent) []Extent {
 // until fn returns false. It observes a best-effort snapshot under
 // concurrent mutation.
 func (r *Radix) Range(fn func(key, val uint64) bool) {
+	for key := range r.head {
+		if v := atomic.LoadUint64(&r.head[key]); v != 0 && !fn(uint64(key), v) {
+			return
+		}
+	}
+	// The tree's first leaf keeps its natural indexing; its slots below
+	// radixInline are never written, so no key is reported twice.
 	root := r.root.Load()
 	if root == nil {
 		return

@@ -189,6 +189,26 @@ func TestExtentsRandomizedAgainstGet(t *testing.T) {
 		count := 1 + rng.Intn(span-int(start))
 		checkAgainstGet(t, r, start, count)
 	}
+	// The same around the inline head's edge: a run laid across it, a
+	// hole ending exactly at it, then random churn on both sides, with
+	// every range starting in or just past the head.
+	run := make([]uint64, 600)
+	for j := range run {
+		run[j] = 1<<20 + uint64(j)
+	}
+	r.PutRun(radixInline-3, run)
+	r.PutRun(radixInline-5, []uint64{0, 0, 0, 0, 0}) // hole [edge-5, edge)
+	checkAgainstGet(t, r, 0, 700)
+	for i := 0; i < 400; i++ {
+		b := uint64(rng.Intn(3 * radixInline))
+		if rng.Intn(3) == 0 {
+			r.Delete(b)
+		} else {
+			r.Put(b, uint64(rng.Intn(4))*1024+b)
+		}
+		start := uint64(rng.Intn(2 * radixInline))
+		checkAgainstGet(t, r, start, 1+rng.Intn(700))
+	}
 }
 
 func BenchmarkRadixRangeLookup(b *testing.B) {

@@ -92,6 +92,11 @@ type Tx struct {
 	off   int // next free byte in the journal page
 	count uint64
 	open  bool
+	// stage is where record headers, LogUndoWord's value and the arm
+	// word are built: a buffer handed to j.mem (an interface) has to live
+	// on the heap, and this way the Tx is the transaction's one
+	// allocation instead of one per buffer.
+	stage [recHdrSize + 8]byte
 }
 
 // Begin opens a transaction. Only one may be open per journal (the
@@ -121,11 +126,11 @@ func (tx *Tx) LogUndoValue(page nvm.PageID, off int, old []byte) error {
 	if tx.off+recHdrSize+n > nvm.PageSize {
 		return fmt.Errorf("journal: transaction too large (%d bytes used)", tx.off)
 	}
-	var hdr [recHdrSize]byte
+	hdr := tx.stage[:recHdrSize]
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(page))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(off))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(n))
-	if err := tx.j.mem.Write(tx.j.page, tx.off, hdr[:]); err != nil {
+	if err := tx.j.mem.Write(tx.j.page, tx.off, hdr); err != nil {
 		return err
 	}
 	if err := tx.j.mem.Write(tx.j.page, tx.off+recHdrSize, old); err != nil {
@@ -139,6 +144,15 @@ func (tx *Tx) LogUndoValue(page nvm.PageID, off int, old []byte) error {
 	return nil
 }
 
+// LogUndoWord is LogUndoValue for one little-endian 8-byte word — the
+// shape of every record rename logs (dirent commit words) — taking the
+// pre-image by value so the caller needs no buffer.
+func (tx *Tx) LogUndoWord(page nvm.PageID, off int, old uint64) error {
+	word := tx.stage[recHdrSize:]
+	binary.LittleEndian.PutUint64(word, old)
+	return tx.LogUndoValue(page, off, word)
+}
+
 // Seal publishes the undo records and arms the journal: from this point
 // until Commit, a crash rolls the logged locations back. Call Seal after
 // logging everything and before mutating the core state. The flag and
@@ -149,10 +163,10 @@ func (tx *Tx) Seal() error {
 		return fmt.Errorf("journal: transaction closed")
 	}
 	tx.j.mem.Fence() // order the records before the arm word
-	var hdr [16]byte
+	hdr := tx.stage[:16]
 	binary.LittleEndian.PutUint64(hdr[0:], 1)
 	binary.LittleEndian.PutUint64(hdr[8:], tx.count)
-	if err := tx.j.mem.Write(tx.j.page, hdrFlagOff, hdr[:]); err != nil {
+	if err := tx.j.mem.Write(tx.j.page, hdrFlagOff, hdr); err != nil {
 		return err
 	}
 	if err := tx.j.mem.Persist(tx.j.page, hdrFlagOff, 16); err != nil {

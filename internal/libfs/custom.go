@@ -60,7 +60,7 @@ func (h Hooks) Device() *nvm.Device { return h.fs.dev }
 
 // ResolveDir resolves a directory path using ArckFS's generic walk.
 func (h Hooks) ResolveDir(path string) (*DirRef, error) {
-	n, err := h.fs.resolve(fsapi.SplitPath(path))
+	n, err := h.fs.resolve(path)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func (h Hooks) FreePages(cpu int, pages []nvm.PageID) error { return h.fs.freePa
 
 // ReadInode reads the inode at an entry's location.
 func (h Hooks) ReadInode(e Entry) (core.Inode, error) {
-	return core.ReadDirentInode(h.fs.as, e.Loc.Page, e.Loc.Slot)
+	return h.fs.readDirentInode(e.Loc)
 }
 
 // SetInodeSize commits a new size for the file at e.
@@ -225,7 +225,7 @@ func (h Hooks) OpenEntry(cpu int, e Entry, write bool) (fsapi.File, error) {
 // by customized LibFSes that fall back to the generic walk once and
 // then cache).
 func (h Hooks) NodeEntry(path string) (Entry, error) {
-	n, err := h.fs.resolve(fsapi.SplitPath(path))
+	n, err := h.fs.resolve(path)
 	if err != nil {
 		return Entry{}, err
 	}

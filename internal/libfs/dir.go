@@ -1,7 +1,6 @@
 package libfs
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -144,11 +143,11 @@ func (fs *FS) createEntry(cpu int, parent *node, name string, ftype core.FileTyp
 			Mtime: now, Ctime: now, Atime: now,
 		}
 		off := core.SlotOffset(slot)
-		if err := core.WriteInodeBody(fs.cmem, page, off, &in); err != nil {
+		if err := fs.writeInodeBody(page, off, &in); err != nil {
 			parent.releaseSlot(page, slot)
 			return err
 		}
-		if err := core.WriteDirentName(fs.cmem, page, slot, name); err != nil {
+		if err := fs.writeDirentName(page, slot, name); err != nil {
 			parent.releaseSlot(page, slot)
 			return err
 		}
@@ -237,11 +236,14 @@ func (c *Client) Mkdir(path string, mode uint16) error {
 // filePages collects the index and data pages of a node by walking the
 // core state; used by unlink to hand the page list to the controller.
 func (fs *FS) filePages(n *node) ([]nvm.PageID, error) {
-	in, err := core.ReadDirentInode(fs.as, n.loc().Page, n.loc().Slot)
+	in, err := fs.readDirentInode(n.loc())
 	if err != nil {
 		return nil, err
 	}
-	var pages []nvm.PageID
+	// Sized from the inode so a small file's list is one allocation (the
+	// size is core state, not a promise: capped, and append grows the
+	// rest); the list outlives the call (deferRemove keeps it).
+	pages := make([]nvm.PageID, 0, min(in.Size/nvm.PageSize, 510)+2)
 	err = core.WalkFile(fs.as, in.Head, int(fs.dev.NumPages()),
 		func(p nvm.PageID) bool { pages = append(pages, p); return true },
 		func(_ uint64, p nvm.PageID) bool { pages = append(pages, p); return true })
@@ -328,7 +330,7 @@ func (c *Client) unlinkCommon(path string, wantDir bool) error {
 }
 
 func (fs *FS) dirHasLiveEntry(dir *node, pages []nvm.PageID) (bool, error) {
-	in, err := core.ReadDirentInode(fs.as, dir.loc().Page, dir.loc().Slot)
+	in, err := fs.readDirentInode(dir.loc())
 	if err != nil {
 		return false, err
 	}
@@ -415,19 +417,15 @@ func (c *Client) Rename(oldPath, newPath string) error {
 		// Only the three 8-byte commit words need undo records: a
 		// slot's body is dead bytes until its ino word is set
 		// (§4.4). Their pre-images are known, so no journal reads.
-		var inoWord [8]byte
 		tx := jr.Begin()
-		binary.LittleEndian.PutUint64(inoWord[:], uint64(oldE.ino))
-		if err := tx.LogUndoValue(oldE.loc.Page, core.SlotOffset(oldE.loc.Slot), inoWord[:]); err != nil {
+		if err := tx.LogUndoWord(oldE.loc.Page, core.SlotOffset(oldE.loc.Slot), uint64(oldE.ino)); err != nil {
 			return err
 		}
-		var zeroWord [8]byte
-		if err := tx.LogUndoValue(dstPage, core.SlotOffset(dstSlot), zeroWord[:]); err != nil {
+		if err := tx.LogUndoWord(dstPage, core.SlotOffset(dstSlot), 0); err != nil {
 			return err
 		}
 		if target != nil {
-			binary.LittleEndian.PutUint64(inoWord[:], uint64(target.ino))
-			if err := tx.LogUndoValue(target.loc.Page, core.SlotOffset(target.loc.Slot), inoWord[:]); err != nil {
+			if err := tx.LogUndoWord(target.loc.Page, core.SlotOffset(target.loc.Slot), uint64(target.ino)); err != nil {
 				return err
 			}
 		}
@@ -448,7 +446,7 @@ func (c *Client) Rename(oldPath, newPath string) error {
 			return err
 		}
 		// New name overwrites the copied one.
-		if err := core.WriteDirentName(fs.cmem, dstPage, dstSlot, newName); err != nil {
+		if err := fs.writeDirentName(dstPage, dstSlot, newName); err != nil {
 			return err
 		}
 		fs.as.Fence()
@@ -500,12 +498,12 @@ func (c *Client) Rename(oldPath, newPath string) error {
 // with the dirent.
 func (c *Client) Stat(path string) (fsapi.FileInfo, error) {
 	fs := c.fs
-	parts := fsapi.SplitPath(path)
-	if len(parts) == 0 {
+	dir, name := fsapi.SplitLast(path)
+	if name == "" {
 		// Root.
 		var info fsapi.FileInfo
 		err := fs.withMapped(fs.root, false, func() error {
-			in, err := core.ReadDirentInode(fs.as, fs.root.loc().Page, fs.root.loc().Slot)
+			in, err := fs.readDirentInode(fs.root.loc())
 			if err != nil {
 				return err
 			}
@@ -514,18 +512,17 @@ func (c *Client) Stat(path string) (fsapi.FileInfo, error) {
 		})
 		return info, ioErr(err)
 	}
-	parent, err := fs.resolve(parts[:len(parts)-1])
+	parent, err := fs.resolve(dir)
 	if err != nil {
 		return fsapi.FileInfo{}, ioErr(err)
 	}
-	name := parts[len(parts)-1]
 	var info fsapi.FileInfo
 	err = fs.withMapped(parent, false, func() error {
 		e, ok := parent.ht.Get(name)
 		if !ok {
 			return fsapi.ErrNotExist
 		}
-		in, rerr := core.ReadDirentInode(fs.as, e.loc.Page, e.loc.Slot)
+		in, rerr := fs.readDirentInode(e.loc)
 		if rerr != nil {
 			return rerr
 		}
@@ -543,7 +540,7 @@ func (c *Client) Stat(path string) (fsapi.FileInfo, error) {
 // from the listing like Go's os.ReadDir does).
 func (c *Client) ReadDir(path string) ([]string, error) {
 	fs := c.fs
-	dir, err := fs.resolve(fsapi.SplitPath(path))
+	dir, err := fs.resolve(path)
 	if err != nil {
 		return nil, ioErr(err)
 	}
@@ -565,7 +562,7 @@ func (c *Client) ReadDir(path string) ([]string, error) {
 // Chmod changes permission bits through the controller (I4: the shadow
 // inode table is the ground truth, §4.3).
 func (c *Client) Chmod(path string, mode uint16) error {
-	n, err := c.fs.resolve(fsapi.SplitPath(path))
+	n, err := c.fs.resolve(path)
 	if err != nil {
 		return ioErr(err)
 	}

@@ -15,62 +15,68 @@ import (
 
 // TestExtentReadSpansHoles writes a sparse file — data, hole, data —
 // and checks reads crossing every boundary see data and zeros exactly.
+// It runs twice: at offset 0 the shape straddles the radix's inline head
+// (blocks 0–7 inline, block 8 in the tree); 1000 blocks in, the same
+// shape lies in the tree alone, behind one large leading hole.
 func TestExtentReadSpansHoles(t *testing.T) {
-	fs, _ := newFS(t)
-	c := fs.NewClient(0)
-	f, err := c.Create("/sparse", 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo := bytes.Repeat([]byte{0x11}, 2*nvm.PageSize)
-	hi := bytes.Repeat([]byte{0x22}, nvm.PageSize+123)
-	hiOff := int64(7 * nvm.PageSize)
-	if _, err := f.WriteAt(lo, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(hi, hiOff); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, hiOff+int64(len(hi)))
-	copy(want, lo)
-	copy(want[hiOff:], hi)
-
-	// Whole-file read: data run, hole run, data run in one call.
-	got := make([]byte, len(want))
-	// Poison the buffer: holes must be actively zeroed, not left over.
-	for i := range got {
-		got[i] = 0xFF
-	}
-	if n, err := f.ReadAt(got, 0); err != nil || n != len(got) {
-		t.Fatalf("ReadAt = %d, %v", n, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("sparse read mismatch")
-	}
-	// Reads straddling each data/hole boundary at odd offsets.
-	for _, span := range [][2]int64{
-		{int64(2*nvm.PageSize) - 7, 100},      // data -> hole
-		{hiOff - 50, 100},                     // hole -> data
-		{int64(nvm.PageSize) + 1, 50},         // inside data
-		{int64(4 * nvm.PageSize), 1000},       // inside hole
-		{0, hiOff + int64(len(hi))},           // everything
-		{hiOff + int64(len(hi)) - 10, 100000}, // past EOF
-	} {
-		off, n := span[0], span[1]
-		buf := make([]byte, n)
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-		rn, err := f.ReadAt(buf, off)
+	for _, base := range []int64{0, 1000 * nvm.PageSize} {
+		fs, _ := newFS(t)
+		c := fs.NewClient(0)
+		f, err := c.Create("/sparse", 0o644)
 		if err != nil {
-			t.Fatalf("ReadAt(%d,%d): %v", off, n, err)
+			t.Fatal(err)
 		}
-		wantN := int(min64(n, int64(len(want))-off))
-		if rn != wantN {
-			t.Fatalf("ReadAt(%d,%d) = %d, want %d", off, n, rn, wantN)
+		lo := bytes.Repeat([]byte{0x11}, 2*nvm.PageSize)
+		hi := bytes.Repeat([]byte{0x22}, nvm.PageSize+123)
+		hiOff := base + int64(7*nvm.PageSize)
+		if _, err := f.WriteAt(lo, base); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(buf[:rn], want[off:off+int64(rn)]) {
-			t.Fatalf("mismatch on span (%d,%d)", off, n)
+		if _, err := f.WriteAt(hi, hiOff); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, hiOff+int64(len(hi)))
+		copy(want[base:], lo)
+		copy(want[hiOff:], hi)
+
+		// Whole-file read: data run, hole run, data run in one call.
+		got := make([]byte, len(want))
+		// Poison the buffer: holes must be actively zeroed, not left over.
+		for i := range got {
+			got[i] = 0xFF
+		}
+		if n, err := f.ReadAt(got, 0); err != nil || n != len(got) {
+			t.Fatalf("base %d: ReadAt = %d, %v", base, n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("base %d: sparse read mismatch", base)
+		}
+		// Reads straddling each data/hole boundary at odd offsets.
+		for _, span := range [][2]int64{
+			{base + int64(2*nvm.PageSize) - 7, 100},  // data -> hole
+			{hiOff - 50, 100},                        // hole -> data
+			{base + int64(nvm.PageSize) + 1, 50},     // inside data
+			{base + int64(4*nvm.PageSize), 1000},     // inside hole
+			{0, hiOff + int64(len(hi))},              // everything
+			{hiOff + int64(len(hi)) - 10, 100000},    // past EOF
+			{base / 2, base/2 + int64(nvm.PageSize)}, // the leading hole into data
+		} {
+			off, n := span[0], span[1]
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = 0xFF
+			}
+			rn, err := f.ReadAt(buf, off)
+			if err != nil {
+				t.Fatalf("base %d: ReadAt(%d,%d): %v", base, off, n, err)
+			}
+			wantN := int(min64(n, int64(len(want))-off))
+			if rn != wantN {
+				t.Fatalf("base %d: ReadAt(%d,%d) = %d, want %d", base, off, n, rn, wantN)
+			}
+			if !bytes.Equal(buf[:rn], want[off:off+int64(rn)]) {
+				t.Fatalf("base %d: mismatch on span (%d,%d)", base, off, n)
+			}
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (h *Handle) Sync() error { return nil }
 
 // Open opens an existing file.
 func (c *Client) Open(path string, write bool) (fsapi.File, error) {
-	n, err := c.fs.resolve(fsapi.SplitPath(path))
+	n, err := c.fs.resolve(path)
 	if err != nil {
 		return nil, ioErr(err)
 	}
@@ -103,7 +103,7 @@ func (h *Handle) ReadAt(b []byte, off int64) (int, error) {
 		if off+count > size {
 			count = size - off
 		}
-		rl := n.rlock()
+		rl := &n.rlock
 		r := rl.RLockRange(off, count)
 		defer rl.RUnlockRange(r)
 
@@ -190,7 +190,7 @@ func (h *Handle) WriteAt(b []byte, off int64) (int, error) {
 			// Raced with a truncate; retry via the extend path.
 			return fs.writeExtend(h.c.cpu, n, b, off, sp)
 		}
-		rl := n.rlock()
+		rl := &n.rlock
 		r := rl.LockRange(off, int64(len(b)))
 		defer rl.UnlockRange(r)
 		// Writes into holes of a sparse file allocate pages here; the
@@ -297,6 +297,7 @@ func (fs *FS) ensureBlocks(cpu int, n *node, off, end int64, sp telemetry.Span) 
 // run [block, block+count), splitting at stripe-chunk boundaries so
 // each piece lands on its striping node.
 func (fs *FS) fillHole(cpu int, n *node, block uint64, count int, off, end int64, sp telemetry.Span) error {
+	var runBuf [16]nvm.PageID
 	for count > 0 {
 		node := fs.nodeForBlock(cpu, block)
 		k := count
@@ -306,7 +307,7 @@ func (fs *FS) fillHole(cpu int, n *node, block uint64, count int, off, end int64
 			}
 		}
 		ac := sp.Child("alloc.pages", "alloc")
-		pages, err := fs.allocRunOnNode(cpu, node, k)
+		pages, err := fs.allocRunOnNode(cpu, node, k, runBuf[:0])
 		ac.End()
 		if err != nil {
 			return err

@@ -117,6 +117,9 @@ const removeBatch = 8
 func (fs *FS) deferRemove(cpu int, ino core.Ino, pages []nvm.PageID) error {
 	cl := &fs.percpu[cpu]
 	cl.mu.Lock()
+	if cl.dead == nil {
+		cl.dead = make([]controller.Removal, 0, removeBatch)
+	}
 	cl.dead = append(cl.dead, controller.Removal{Ino: ino, Pages: pages})
 	var flush []controller.Removal
 	if len(cl.dead) >= removeBatch {
@@ -184,9 +187,9 @@ type node struct {
 	chain []nvm.PageID // ordered index-page chain
 	size  int64
 	ilock locks.RWLock
-	// rlockP holds the range lock, built lazily on first data access so
-	// create/unlink-only lifecycles never allocate it.
-	rlockP atomic.Pointer[locks.RangeLock]
+	// rlock is the range lock, held by value: its first 2 MiB segment is
+	// inline, so a small file's data accesses allocate no lock state.
+	rlock locks.RangeLock
 
 	// directory auxiliary state
 	ht       *index.Map[dirEntry]
@@ -194,6 +197,13 @@ type node struct {
 	tails    []*pageTail // non-full dirent pages
 	idxTail  sync.Mutex  // index-tail lock (growth)
 	dirPages []nvm.PageID
+}
+
+// newNode returns the blank auxiliary state of inode ino.
+func newNode(ino core.Ino) *node {
+	n := &node{ino: ino}
+	n.rlock.Init(2 << 20)
+	return n
 }
 
 func locToBits(l core.FileLoc) uint64 { return uint64(l.Page)<<8 | uint64(l.Slot)&0xff }
@@ -247,7 +257,7 @@ func New(sess *controller.Session, cfg Config) (*FS, error) {
 	for n := range fs.views {
 		fs.views[n] = fs.as.View(n)
 	}
-	fs.root = &node{ino: core.RootIno}
+	fs.root = newNode(core.RootIno)
 	fs.root.setFtype(core.TypeDir)
 	fs.root.setLoc(core.RootLoc())
 	fs.nodes[core.RootIno] = fs.root
@@ -327,7 +337,7 @@ func (fs *FS) nodeFor(e dirEntry) *node {
 		n.setLoc(e.loc) // refresh (rename may have moved the dirent)
 		return n
 	}
-	n := &node{ino: e.ino}
+	n := newNode(e.ino)
 	n.setFtype(e.ftype)
 	n.setLoc(e.loc)
 	fs.nodes[e.ino] = n
@@ -488,10 +498,11 @@ func (fs *FS) buildAux(n *node, in *core.Inode) error {
 
 // resolve walks the path from the root, mapping each directory along
 // the way (read access suffices for traversal) and looking components
-// up in the per-directory hash tables.
-func (fs *FS) resolve(parts []string) (*node, error) {
+// up in the per-directory hash tables. The path string is walked in
+// place: a lookup allocates nothing.
+func (fs *FS) resolve(path string) (*node, error) {
 	n := fs.root
-	for _, name := range parts {
+	for name, rest := fsapi.NextComponent(path); name != ""; name, rest = fsapi.NextComponent(rest) {
 		if n.ftype() != core.TypeDir {
 			return nil, fsapi.ErrNotDir
 		}
@@ -514,9 +525,9 @@ func (fs *FS) resolve(parts []string) (*node, error) {
 
 // resolveParent resolves everything but the final component.
 func (fs *FS) resolveParent(path string) (*node, string, error) {
-	dir, name, err := fsapi.SplitDir(path)
-	if err != nil {
-		return nil, "", err
+	dir, name := fsapi.SplitLast(path)
+	if name == "" {
+		return nil, "", fsapi.ErrInval
 	}
 	parent, rerr := fs.resolve(dir)
 	if rerr != nil {
@@ -545,6 +556,43 @@ func (m retryMem) Persist(p nvm.PageID, off, n int) error {
 // helper.
 func (fs *FS) persist(p nvm.PageID, off, n int) error {
 	return fs.cmem.Persist(p, off, n)
+}
+
+// The three helpers below are core.ReadDirentInode, core.WriteInodeBody
+// and core.WriteDirentName issued through the LibFS's concrete address
+// space instead of the core.Mem interface: a buffer handed to an
+// interface method escapes to the heap, and these sit on every create,
+// stat, rename and unlink. The formats stay in core (its Encode/Decode
+// functions); the media operations are the same, one for one.
+
+func (fs *FS) readDirentInode(loc core.FileLoc) (core.Inode, error) {
+	var b [core.InodeSize]byte
+	if err := fs.as.Read(loc.Page, core.SlotOffset(loc.Slot)+core.DirentInodeOff, b[:]); err != nil {
+		return core.Inode{}, err
+	}
+	return core.DecodeInode(b[:]), nil
+}
+
+func (fs *FS) writeInodeBody(p nvm.PageID, off int, in *core.Inode) error {
+	var b [core.InodeSize]byte
+	core.EncodeInode(b[:], in)
+	if err := fs.as.Write(p, off+8, b[8:]); err != nil {
+		return err
+	}
+	return fs.persist(p, off+8, core.InodeSize-8)
+}
+
+func (fs *FS) writeDirentName(p nvm.PageID, slot int, name string) error {
+	if err := core.ValidateName(name); err != nil {
+		return err
+	}
+	var b [2 + core.MaxNameLen]byte
+	n := core.EncodeDirentName(b[:], name)
+	off := core.SlotOffset(slot) + core.DirentNameLenOff
+	if err := fs.as.Write(p, off, b[:n]); err != nil {
+		return err
+	}
+	return fs.persist(p, off, n)
 }
 
 // ioErr translates device-level faults — injected media errors, a busy
@@ -641,10 +689,11 @@ func (fs *FS) allocPageOnNode(cpu, node int) (nvm.PageID, error) {
 }
 
 // allocRunOnNode takes k pages from the CPU's cache for the given node,
-// refilling in bulk as needed. Pages come out in cache order — ascending
-// and usually contiguous within a refill batch — so hole-fill runs
-// produce coalescible extents.
-func (fs *FS) allocRunOnNode(cpu, node, k int) ([]nvm.PageID, error) {
+// refilling in bulk as needed, and appends them to out (the caller's
+// buffer, so a short run allocates nothing). Pages come out in cache
+// order — ascending and usually contiguous within a refill batch — so
+// hole-fill runs produce coalescible extents.
+func (fs *FS) allocRunOnNode(cpu, node, k int, out []nvm.PageID) ([]nvm.PageID, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -654,7 +703,6 @@ func (fs *FS) allocRunOnNode(cpu, node, k int) ([]nvm.PageID, error) {
 	if cl.pagesByNode == nil {
 		cl.pagesByNode = make(map[int][]nvm.PageID)
 	}
-	out := make([]nvm.PageID, 0, k)
 	pool := cl.pagesByNode[node]
 	for len(out) < k {
 		if len(pool) == 0 {
@@ -670,7 +718,7 @@ func (fs *FS) allocRunOnNode(cpu, node, k int) ([]nvm.PageID, error) {
 			}
 			if err != nil && len(pool) == 0 {
 				// Hand the partial grab back to the cache — nothing leaks.
-				cl.pagesByNode[node] = out
+				cl.pagesByNode[node] = append([]nvm.PageID(nil), out...)
 				return nil, fmt.Errorf("%w: %v", fsapi.ErrNoSpace, err)
 			}
 		}
@@ -771,18 +819,6 @@ func (fs *FS) journalFor(cpu int) (*journal.Journal, error) {
 // the (still empty) core state.
 func (fs *FS) freshRadix() *index.Radix          { return index.NewRadix() }
 func (fs *FS) freshDirMap() *index.Map[dirEntry] { return index.NewMap[dirEntry]() }
-
-// rlock returns the node's range lock, building it on first use.
-func (n *node) rlock() *locks.RangeLock {
-	if rl := n.rlockP.Load(); rl != nil {
-		return rl
-	}
-	fresh := locks.NewRangeLock(2 << 20)
-	if n.rlockP.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return n.rlockP.Load()
-}
 
 // Recover is the LibFS's crash-recovery program (§4.4): it replays any
 // armed per-CPU undo journal, then discards all auxiliary state (it is

@@ -43,7 +43,7 @@ func (c *Client) OpenByHandle(h fsapi.Handle, write bool) (fsapi.File, error) {
 	// Map (the grant covers the dirent page) and verify the slot still
 	// commits this ino before handing out a fd.
 	err := fs.withMapped(n, write, func() error {
-		in, rerr := core.ReadDirentInode(fs.as, n.loc().Page, n.loc().Slot)
+		in, rerr := fs.readDirentInode(n.loc())
 		if rerr != nil {
 			return rerr
 		}
@@ -68,7 +68,7 @@ func (c *Client) StatByHandle(h fsapi.Handle) (fsapi.FileInfo, error) {
 	}
 	var info fsapi.FileInfo
 	err := fs.withMapped(n, false, func() error {
-		in, rerr := core.ReadDirentInode(fs.as, n.loc().Page, n.loc().Slot)
+		in, rerr := fs.readDirentInode(n.loc())
 		if rerr != nil {
 			return rerr
 		}

@@ -22,7 +22,7 @@ func TestGoldenSpanTree4KWrite(t *testing.T) {
 	defer f.Close()
 
 	telemetry.EnableTracing(0)
-	defer telemetry.DisableTracing()
+	defer telemetry.ResetTracing()
 
 	buf := make([]byte, 4096)
 	for i := range buf {

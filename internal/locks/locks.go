@@ -17,9 +17,22 @@ import (
 	"sync/atomic"
 )
 
-// MaxCPUs bounds the reader-stripe count. Stripes are indexed by the
-// caller-provided CPU hint modulo this value.
+// MaxCPUs bounds the reader-stripe count.
 const MaxCPUs = 64
+
+// stripeMask is the reader-stripe count minus one. The count is the
+// next power of two at or above GOMAXPROCS when the package
+// initialises, capped at MaxCPUs: more stripes than goroutines that can
+// run at once buy no scalability, and every file that is read pays for
+// the array. CPU hints wrap modulo the count, so a hint beyond it (or a
+// later GOMAXPROCS change) only shares a stripe, never breaks the lock.
+var stripeMask = func() int {
+	n := 1
+	for n < runtime.GOMAXPROCS(0) && n < MaxCPUs {
+		n <<= 1
+	}
+	return n - 1
+}()
 
 type paddedInt32 struct {
 	n atomic.Int32
@@ -30,32 +43,38 @@ type paddedInt32 struct {
 // that their presence marker lands on a private cache line; writers set
 // a global bias flag and wait for every stripe to drain.
 //
-// The 4 KiB stripe array is allocated lazily on the first read
-// acquisition: ArckFS keeps one RWLock per file, and files that are
-// only ever created/unlinked (small-file churn workloads) never pay
-// for it.
+// The stripe array (one cache line per stripe: 128 B on a 2-CPU host,
+// 4 KiB at MaxCPUs) is allocated by the first read acquisition. ArckFS
+// keeps one RWLock per file, so every file that is ever read pays it
+// once; files that are only created, written and unlinked do not.
 //
 // The zero value is ready to use.
 type RWLock struct {
 	writerBias atomic.Bool
 	wmu        sync.Mutex
-	readers    atomic.Pointer[[MaxCPUs]paddedInt32]
+	// readers is made once, under wmu, before hasReaders is set; everyone
+	// else reads it only after seeing hasReaders.
+	hasReaders atomic.Bool
+	readers    []paddedInt32
 }
 
-func (l *RWLock) stripes() *[MaxCPUs]paddedInt32 {
-	if s := l.readers.Load(); s != nil {
-		return s
+func (l *RWLock) stripe(cpu int) *paddedInt32 {
+	if !l.hasReaders.Load() {
+		// A first reader that finds a writer inside waits here instead of
+		// on the bias flag; the writer never waits for an unmarked reader.
+		l.wmu.Lock()
+		if l.readers == nil {
+			l.readers = make([]paddedInt32, stripeMask+1)
+			l.hasReaders.Store(true)
+		}
+		l.wmu.Unlock()
 	}
-	fresh := new([MaxCPUs]paddedInt32)
-	if l.readers.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return l.readers.Load()
+	return &l.readers[cpu&stripeMask]
 }
 
 // RLock acquires the lock for reading. cpu is the caller's CPU hint.
 func (l *RWLock) RLock(cpu int) {
-	s := &l.stripes()[cpu&(MaxCPUs-1)]
+	s := l.stripe(cpu)
 	for {
 		s.n.Add(1)
 		if !l.writerBias.Load() {
@@ -71,19 +90,20 @@ func (l *RWLock) RLock(cpu int) {
 
 // RUnlock releases a read acquisition made with the same CPU hint.
 func (l *RWLock) RUnlock(cpu int) {
-	l.stripes()[cpu&(MaxCPUs-1)].n.Add(-1)
+	l.stripe(cpu).n.Add(-1)
 }
 
 // Lock acquires the lock for writing.
 func (l *RWLock) Lock() {
 	l.wmu.Lock()
 	l.writerBias.Store(true)
-	rs := l.readers.Load()
-	if rs == nil {
-		return // no reader ever arrived; the bias flag holds them off
+	if !l.hasReaders.Load() {
+		// No reader has marked a stripe yet; one that arrives now marks
+		// it after this store and sees the bias flag, which holds it off.
+		return
 	}
-	for i := range rs {
-		for rs[i].n.Load() != 0 {
+	for i := range l.readers {
+		for l.readers[i].n.Load() != 0 {
 			runtime.Gosched()
 		}
 	}
@@ -121,31 +141,49 @@ func (l *SpinLock) Unlock() { l.held.Store(false) }
 // A file is divided into fixed-size segments; locking a range acquires
 // the RWMutex of every overlapped segment in ascending order (so two
 // writers locking overlapping ranges cannot deadlock).
+//
+// Segment 0 lives in the struct, so a file no longer than one segment
+// never allocates; later segments are made on first use. A RangeLock
+// embedded by value must be given its segment size with Init before
+// first use and not copied after.
 type RangeLock struct {
 	segBits uint // log2 of segment size
+	seg0    sync.RWMutex
 	mu      sync.Mutex
-	segs    map[int64]*sync.RWMutex
+	segs    map[int64]*sync.RWMutex // every segment but 0
 }
 
 // NewRangeLock creates a range lock with the given segment size, which
 // must be a power of two. ArckFS uses 2 MiB segments so a 4 KiB write
 // touches exactly one segment.
 func NewRangeLock(segSize int64) *RangeLock {
+	rl := new(RangeLock)
+	rl.Init(segSize)
+	return rl
+}
+
+// Init sets the segment size (a power of two) of a zero RangeLock.
+func (rl *RangeLock) Init(segSize int64) {
 	if segSize <= 0 || segSize&(segSize-1) != 0 {
 		panic("locks: segment size must be a positive power of two")
 	}
-	bits := uint(0)
+	rl.segBits = 0
 	for s := segSize; s > 1; s >>= 1 {
-		bits++
+		rl.segBits++
 	}
-	return &RangeLock{segBits: bits, segs: make(map[int64]*sync.RWMutex)}
 }
 
 func (rl *RangeLock) seg(i int64) *sync.RWMutex {
+	if i == 0 {
+		return &rl.seg0
+	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	m := rl.segs[i]
 	if m == nil {
+		if rl.segs == nil {
+			rl.segs = make(map[int64]*sync.RWMutex)
+		}
 		m = &sync.RWMutex{}
 		rl.segs[i] = m
 	}

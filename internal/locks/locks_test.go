@@ -33,8 +33,9 @@ func TestRWLockReadersExcludeWriter(t *testing.T) {
 	var inWrite atomic.Bool
 	var violations atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		cpu := g
+	// Hints at and beyond the stripe count wrap: whatever GOMAXPROCS is,
+	// several of these readers share a stripe.
+	for _, cpu := range []int{0, 1, stripeMask + 1, stripeMask + 2, MaxCPUs + 3, 1 << 20} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -62,6 +63,43 @@ func TestRWLockReadersExcludeWriter(t *testing.T) {
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d readers observed an active writer", v)
 	}
+}
+
+// TestRWLockWriterDrainsSharedStripe: two readers whose hints wrap onto
+// one stripe both count there; the writer gets in only after the last of
+// them leaves. A lock that is only ever written never makes the stripes.
+func TestRWLockWriterDrainsSharedStripe(t *testing.T) {
+	var l RWLock
+	l.Lock()
+	l.Unlock()
+	if l.hasReaders.Load() {
+		t.Fatal("a write-only lock allocated reader stripes")
+	}
+
+	const a = 1
+	b := a + stripeMask + 1 // same stripe as a
+	l.RLock(a)
+	l.RLock(b)
+	if got := l.readers[a&stripeMask].n.Load(); got != 2 {
+		t.Fatalf("shared stripe counts %d readers, want 2", got)
+	}
+	acquired := make(chan struct{})
+	go func() {
+		l.Lock()
+		close(acquired)
+		l.Unlock()
+	}()
+	for !l.writerBias.Load() {
+		time.Sleep(time.Millisecond) // until the writer is draining
+	}
+	l.RUnlock(a)
+	select {
+	case <-acquired:
+		t.Fatal("writer acquired with a reader still on the shared stripe")
+	case <-time.After(20 * time.Millisecond):
+	}
+	l.RUnlock(b)
+	<-acquired
 }
 
 func TestRWLockConcurrentReaders(t *testing.T) {
@@ -178,23 +216,47 @@ func TestRangeLockReadersShare(t *testing.T) {
 	rl.RUnlockRange(r1)
 }
 
+// TestRangeLockSpansMultipleSegments: a range from the inline segment 0
+// into the mapped segments 1 and 2 holds all three; the lock is embedded
+// by value, as libfs.node does it.
 func TestRangeLockSpansMultipleSegments(t *testing.T) {
-	rl := NewRangeLock(4096)
-	// Lock a range spanning 3 segments; a writer on the middle one blocks.
+	var host struct{ rl RangeLock }
+	rl := &host.rl
+	rl.Init(4096)
+	r := rl.LockRange(100, 8) // segment 0 only
+	rl.UnlockRange(r)
+	if rl.segs != nil {
+		t.Fatal("locking inside segment 0 allocated the segment map")
+	}
 	r1 := rl.LockRange(0, 3*4096)
-	acquired := make(chan struct{})
+	for _, off := range []int64{0, 4096, 2 * 4096} { // inline, first mapped, last
+		acquired := make(chan struct{})
+		go func() {
+			r2 := rl.LockRange(off, 1)
+			close(acquired)
+			rl.UnlockRange(r2)
+		}()
+		select {
+		case <-acquired:
+			t.Fatalf("writer at offset %d acquired inside a held range", off)
+		case <-time.After(20 * time.Millisecond):
+		}
+		defer func() { <-acquired }()
+	}
+	// A reader from segment 0 into segment 1 waits for the writer too.
+	readerIn := make(chan struct{})
 	go func() {
-		r2 := rl.LockRange(4096, 1)
-		close(acquired)
-		rl.UnlockRange(r2)
+		r3 := rl.RLockRange(4000, 200)
+		close(readerIn)
+		rl.RUnlockRange(r3)
 	}()
 	select {
-	case <-acquired:
-		t.Fatal("middle-segment writer acquired")
+	case <-readerIn:
+		t.Fatal("reader across segments 0 and 1 acquired inside a held range")
 	case <-time.After(20 * time.Millisecond):
 	}
 	rl.UnlockRange(r1)
-	<-acquired
+	<-readerIn
 }
 
 func TestRangeLockZeroLength(t *testing.T) {

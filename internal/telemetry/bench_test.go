@@ -83,7 +83,7 @@ func BenchmarkTelemetryEnabledHistogram(b *testing.B) {
 
 func BenchmarkTelemetryEnabledSpan(b *testing.B) {
 	EnableTracing(1 << 12)
-	defer DisableTracing()
+	defer ResetTracing()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

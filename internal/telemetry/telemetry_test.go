@@ -125,7 +125,7 @@ func TestSnapshotSubAndJSON(t *testing.T) {
 
 func TestSpanLifecycle(t *testing.T) {
 	EnableTracing(64)
-	defer DisableTracing()
+	defer ResetTracing()
 
 	root := StartSpan(3, "op", "libfs")
 	if !root.Active() {
@@ -179,9 +179,33 @@ func TestDisabledSpansAreInert(t *testing.T) {
 	Emit(0, "e", "l", 0, "")
 }
 
+// DisableTracing keeps the ring for a final snapshot; ResetTracing drops
+// it, so what one test recorded cannot leak into the next.
+func TestDisableKeepsRingResetDropsIt(t *testing.T) {
+	EnableTracing(8)
+	defer ResetTracing()
+	Emit(0, "page", "controller", 7, "bind")
+	DisableTracing()
+	if recs := TraceSnapshot(); len(recs) != 1 {
+		t.Fatalf("after DisableTracing: %d records, want the 1 recorded", len(recs))
+	}
+	ResetTracing()
+	if TracingOn() {
+		t.Fatal("tracing still on after ResetTracing")
+	}
+	if recs := TraceSnapshot(); len(recs) != 0 {
+		t.Fatalf("after ResetTracing: %v, want none", recs)
+	}
+	Emit(0, "page", "controller", 7, "late") // disarmed: dropped
+	EnableTracing(8)
+	if recs := TraceSnapshot(); len(recs) != 0 {
+		t.Fatalf("re-armed ring holds %v, want none", recs)
+	}
+}
+
 func TestChromeTraceIsValidJSON(t *testing.T) {
 	EnableTracing(16)
-	defer DisableTracing()
+	defer ResetTracing()
 	sp := StartSpan(1, "op", "libfs")
 	sp.Child("persist", "nvm").End()
 	sp.Event("marker", 9, "m")
@@ -207,7 +231,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 
 func TestRingOverwrite(t *testing.T) {
 	EnableTracing(8)
-	defer DisableTracing()
+	defer ResetTracing()
 	for i := 0; i < 100; i++ {
 		StartSpan(0, "op", "libfs").End()
 	}
@@ -226,7 +250,7 @@ func TestConcurrentRecording(t *testing.T) {
 	c := r.NewCounter("x.count")
 	h := r.NewHistogram("x.lat")
 	EnableTracing(256) // small ring: force wrap-around collisions
-	defer DisableTracing()
+	defer ResetTracing()
 
 	const goroutines = 16
 	const per = 2000

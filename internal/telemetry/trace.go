@@ -82,6 +82,18 @@ func DisableTracing() {
 	tracer.on.Store(false)
 }
 
+// ResetTracing stops recording and drops the ring, returning the tracer
+// to its initial state: TraceSnapshot is empty until the next
+// EnableTracing. Tests that arm the process-wide tracer use it as their
+// cleanup so a later test (or a -count=N repetition) starts clean.
+func ResetTracing() {
+	tracer.mu.Lock()
+	defer tracer.mu.Unlock()
+	tracer.on.Store(false)
+	tracer.ring.Store(nil)
+	tracer.head.Store(0)
+}
+
 // TracingOn reports whether spans are being recorded.
 func TracingOn() bool { return tracer.on.Load() }
 

@@ -27,6 +27,10 @@
 #      must report 0 allocs/op (instrumentation on the hot paths must
 #      stay near-free when off), and a -quick datapath run is gated
 #      against BENCH_trio.json allocs/op — a regression fails loudly.
+#      One small file's whole life (BenchmarkLifecycle: create, append
+#      4 KiB, stat, open, read, rename, unlink on a mounted arckfs) must
+#      stay within 16 allocs/op and 1536 B/op: a one-block file pays for
+#      no page-sized auxiliary state (ISSUE 22).
 #   8. a massive-tenancy smoke: trio-bench -experiment tenancy -quick
 #      drives 1k concurrent sessions against the sharded controller at
 #      1 and 8 shards with the cost model on, and its in-process gates
@@ -68,6 +72,26 @@ gate_zero_allocs() {
 		| awk '/^Benchmark/ { n++; if ($(NF-1) + 0 != 0) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
 	if [ "$bad" != "0" ]; then
 		echo "FAIL: $3 (see benchmarks above)" >&2
+		exit 1
+	fi
+}
+
+# gate_alloc_ceiling <pkg> <bench-regex> <max-allocs> <max-bytes>: every
+# benchmark in pkg matching the regex must report at most max-allocs
+# allocs/op and max-bytes B/op under -benchmem. A run that matches no
+# benchmark, or one that stops reporting either number, fails too.
+gate_alloc_ceiling() {
+	bad=$(go test -run='^$' -bench="$2" -benchtime=20000x -benchmem "$1" \
+		| awk -v maxa="$3" -v maxb="$4" '/^Benchmark/ {
+				n++
+				for (i = 2; i < NF; i++) {
+					if ($(i + 1) == "B/op") { seen++; if ($i + 0 > maxb) bad = 1 }
+					if ($(i + 1) == "allocs/op") { seen++; if ($i + 0 > maxa) bad = 1 }
+				}
+			}
+			END { if (n == 0 || seen != 2 * n) bad = 1; print bad + 0 }')
+	if [ "$bad" != "0" ]; then
+		echo "FAIL: $2 in $1 must report at most $3 allocs/op and $4 B/op" >&2
 		exit 1
 	fi
 }
@@ -164,6 +188,9 @@ gate_zero_allocs ./internal/telemetry/ '^BenchmarkTelemetryDisabled' 'disabled t
 # Gate the quick datapath run's allocs/op against the checked-in
 # baseline: new allocations on the hot paths fail here, loudly.
 go run ./cmd/trio-bench -experiment datapath -quick -baseline BENCH_trio.json > /dev/null
+# A small file's whole life: the allocs and bytes of its auxiliary state
+# are gated, so a page-sized node per file cannot creep back.
+gate_alloc_ceiling ./internal/libfs/ '^BenchmarkLifecycle$' 16 1536
 
 echo "== tenancy smoke (1k sessions; shard-scaling and recall-latency gates)"
 # The quick sweep's gates live in trio-bench itself (see
