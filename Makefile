@@ -35,13 +35,16 @@ vet:
 # and of the scrubber: any nonzero bit flip in a sealed page must be
 # detected, and sealing must round-trip — and of the two parsers of
 # untrusted wire bytes: an arbitrary client stream into the server, an
-# arbitrary server stream into a session with a call pending.
+# arbitrary server stream into a session with a call pending — and of
+# the scoping of verification by dirty metadata: for any stores through
+# a session's address space, scoped and full verification agree.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRegular$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyDirectory$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzScrubPage$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzServeFrame$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSessionDemux$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz='^FuzzVerifyScopedAgrees$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 # Data-path regression harness: per-op software overhead (cost model
 # off) across workloads × FS, rewritten into BENCH_trio.json so PRs

@@ -15,6 +15,7 @@ package attack
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"trio/internal/controller"
@@ -37,7 +38,25 @@ func (o Outcome) OK() bool { return o.Err == nil && o.Detected && o.Recovered }
 // Scenario is one attack or scripted corruption.
 type Scenario struct {
 	Name string
-	Run  func() Outcome
+	body func(w *world) Outcome
+}
+
+// Run plays the scenario against a warm controller: the victims went
+// through clean handovers, the victim file's last one with its
+// verification scoped by dirty metadata, so the attack lands on facts
+// the controller has cached.
+func (s Scenario) Run() Outcome { return s.run(false) }
+
+// RunCold plays it against a controller freshly mounted over the built
+// tree: nothing verified since mount, every walk a full one.
+func (s Scenario) RunCold() Outcome { return s.run(true) }
+
+func (s Scenario) run(cold bool) Outcome {
+	w, err := newWorld(cold)
+	if err != nil {
+		return Outcome{Name: s.Name, Err: err}
+	}
+	return s.body(w)
 }
 
 // world is one freshly built attack environment.
@@ -55,7 +74,7 @@ type world struct {
 	dirLoc  core.FileLoc
 }
 
-func newWorld() (*world, error) {
+func newWorld(cold bool) (*world, error) {
 	dev := nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: 4096})
 	ctl, err := controller.New(dev, controller.Options{})
 	if err != nil {
@@ -66,44 +85,81 @@ func newWorld() (*world, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := &world{dev: dev, ctl: ctl, attacker: fs, sess: sess}
+	if err := w.build(); err != nil {
+		return nil, err
+	}
+	if !cold {
+		// One more clean handover of the victim file: the walk above
+		// established its facts, this one must ride on them.
+		before := ctl.Stats().Snapshot()
+		if _, err := sess.MapFile(w.fileIno, w.fileLoc, true); err != nil {
+			return nil, err
+		}
+		if err := sess.UnmapFile(w.fileIno); err != nil {
+			return nil, err
+		}
+		if d := ctl.Stats().Snapshot().Sub(before); d.VerifyScoped != 1 || d.VerifyFull != 0 {
+			return nil, fmt.Errorf("attack: warm-up handover of the victim file: %d scoped, %d full verifications, want 1 and 0", d.VerifyScoped, d.VerifyFull)
+		}
+		return w, nil
+	}
+	// Cold: the attacker's mount goes away and a new controller mounts
+	// the device. It knows the tree from its mount scan and nothing else.
+	if err := fs.Close(); err != nil {
+		return nil, err
+	}
+	if w.ctl, err = controller.New(dev, controller.Options{}); err != nil {
+		return nil, err
+	}
+	w.sess = w.ctl.Register(1000, 1000, 0, 0)
+	if w.attacker, err = libfs.New(w.sess, libfs.Config{CPUs: 2}); err != nil {
+		return nil, err
+	}
+	return w, w.locate()
+}
+
+// build populates the tree through the attacker's LibFS and cycles the
+// victims through the controller.
+func (w *world) build() error {
+	fs, sess := w.attacker, w.sess
 	c := fs.NewClient(0)
 	// Victim regular file with two data pages.
 	f, err := c.Create("/victim.dat", 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := f.WriteAt(make([]byte, 2*nvm.PageSize), 0); err != nil {
-		return nil, err
+		return err
 	}
 	f.Close()
 	// Victim directory with three children (one subdirectory with a file).
 	if err := c.Mkdir("/victimdir", 0o755); err != nil {
-		return nil, err
+		return err
 	}
 	for _, name := range []string{"/victimdir/a", "/victimdir/b"} {
 		g, err := c.Create(name, 0o644)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		g.Close()
 	}
 	if err := c.Mkdir("/victimdir/sub", 0o755); err != nil {
-		return nil, err
+		return err
 	}
 	g, err := c.Create("/victimdir/sub/inner", 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	g.Close()
 
 	// Force everything through a verification cycle so the controller
 	// has fileStates (adopted children) and checkpoint baselines.
-	w := &world{dev: dev, ctl: ctl, attacker: fs, sess: sess}
 	if err := sess.UnmapFile(core.RootIno); err != nil {
-		return nil, fmt.Errorf("attack: releasing root: %w", err)
+		return fmt.Errorf("attack: releasing root: %w", err)
 	}
 	if err := w.locate(); err != nil {
-		return nil, err
+		return err
 	}
 	// Cycle the victims through map/unmap so their children are adopted
 	// and their page sets recorded.
@@ -112,16 +168,13 @@ func newWorld() (*world, error) {
 		loc core.FileLoc
 	}{{w.dirIno, w.dirLoc}, {w.fileIno, w.fileLoc}} {
 		if _, err := sess.MapFile(v.ino, v.loc, true); err != nil {
-			return nil, err
+			return err
 		}
 		if err := sess.UnmapFile(v.ino); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := w.locate(); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return w.locate()
 }
 
 // locate finds the victim inos/locations via the controller's records.
@@ -211,15 +264,7 @@ func (w *world) findSlot(dp nvm.PageID, name string) (int, error) {
 // Handcrafted returns the paper's eleven named attacks (§6.5 lists four
 // examples; the rest come from §2.3.2's vulnerability catalogue).
 func Handcrafted() []Scenario {
-	mk := func(name string, run func(w *world) Outcome) Scenario {
-		return Scenario{Name: name, Run: func() Outcome {
-			w, err := newWorld()
-			if err != nil {
-				return Outcome{Name: name, Err: err}
-			}
-			return run(w)
-		}}
-	}
+	mk := func(name string, run func(w *world) Outcome) Scenario { return Scenario{Name: name, body: run} }
 	return []Scenario{
 		mk("A1-index-points-outside-device", func(w *world) Outcome {
 			// §6.5 attack (1): pointers redirected at memory the file
@@ -363,4 +408,78 @@ func Handcrafted() []Scenario {
 				})
 		}),
 	}
+}
+
+// OwnDirent returns the attacks on the one part of a shared regular
+// file's metadata that lives outside its own pages: its dirent slot in
+// the parent directory, which a write grant must map — the inode is in
+// it — and which therefore exposes the file's name to the grantee.
+// Beyond "detected and recovered" these require what §4.3 promises the
+// other trust domains: the rolled-back file is theirs to map again, not
+// quarantined to the attacker, under the name it had.
+func OwnDirent() []Scenario {
+	mk := func(name string, raw []byte) Scenario {
+		return Scenario{Name: name, body: func(w *world) Outcome {
+			victim := w.ctl.Register(1000, 1000, 0, 0) // another trust domain
+			out := w.corrupt(name, w.fileIno, w.fileLoc, func(*controller.MapInfo) error {
+				return w.as().Write(w.fileLoc.Page, core.SlotOffset(w.fileLoc.Slot)+core.DirentNameLenOff, raw)
+			})
+			if out.Err != nil {
+				return out
+			}
+			if _, err := victim.MapFile(w.fileIno, w.fileLoc, false); err != nil {
+				out.Err = fmt.Errorf("victim domain cannot map the file after the rollback: %w", err)
+			} else if got, err := core.ReadDirentName(core.Direct(w.dev, 0), w.fileLoc.Page, w.fileLoc.Slot); err != nil || got != "victim.dat" {
+				out.Err = fmt.Errorf("name after the rollback = %q, %v", got, err)
+			}
+			return out
+		}}
+	}
+	return []Scenario{
+		mk("D1-own-name-slash", append(u16bytes(3), "a/b"...)),
+		mk("D2-own-namelen-overlong", u16bytes(0xFFFF)),
+	}
+}
+
+// DanglingFree returns the attack that changes a shared regular file
+// without a store: the writer frees one of the file's data pages
+// (FreePages, what a truncate calls) and leaves the index entry naming
+// it, so the file references a page the allocator will hand to somebody
+// else. No dirty bit reports it — run warm, the release must walk anyway.
+// The page is the allocator's and no checkpoint holds it, so "recovered"
+// is either of the two ends §4.3 allows, both at the freer's release: the
+// tree verifies clean (the rollback's preserve step drew the page back
+// into the freer's pool and the walk rebound it) and the next domain's
+// handover is uneventful, or the file is private to the freer and no
+// other domain is served it. Never: carried over as clean, for the next
+// full walk to blame on whoever releases then.
+func DanglingFree() []Scenario {
+	const name = "F1-free-referenced-data-page"
+	return []Scenario{{Name: name, body: func(w *world) Outcome {
+		victim := w.ctl.Register(1000, 1000, 0, 0) // another trust domain
+		out := w.corrupt(name, w.fileIno, w.fileLoc, func(info *controller.MapInfo) error {
+			p, err := core.IndexEntry(w.as(), firstIndexPage(info), 0)
+			if err != nil {
+				return err
+			}
+			return w.sess.FreePages([]nvm.PageID{p})
+		})
+		if out.Err != nil {
+			return out
+		}
+		before := w.ctl.Stats().Snapshot()
+		_, err := victim.MapFile(w.fileIno, w.fileLoc, true)
+		switch {
+		case errors.Is(err, controller.ErrQuarantined):
+			_, err = w.sess.MapFile(w.fileIno, w.fileLoc, false)
+			out.Recovered = err == nil
+		case err == nil:
+			err = victim.UnmapFile(w.fileIno)
+			out.Recovered = out.Recovered && err == nil && w.ctl.Stats().Snapshot().Sub(before).Corruptions == 0
+		}
+		if !out.Recovered {
+			out.Err = fmt.Errorf("not settled at the freer's release (last error: %v)", err)
+		}
+		return out
+	}}}
 }

@@ -1,6 +1,9 @@
 package attack
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestHandcraftedAttacks reproduces the first half of §6.5: "we
 // handcrafted eleven attacks performed by a malicious LibFS corrupting
@@ -53,5 +56,48 @@ func TestScriptedCorruptions(t *testing.T) {
 				t.Fatal("not recovered")
 			}
 		})
+	}
+}
+
+// requireCaught runs one scenario's outcome through §6.5's bar.
+func requireCaught(t *testing.T, o Outcome) {
+	t.Helper()
+	if o.Err != nil {
+		t.Fatalf("scenario error: %v", o.Err)
+	}
+	if !o.Detected {
+		t.Fatal("corruption not detected")
+	}
+	if !o.Recovered {
+		t.Fatal("not recovered")
+	}
+}
+
+// TestOwnDirentAttacks: a writer of a shared regular file scribbles on
+// the file's own name. Detected, rolled back — name included — and the
+// other domain maps the file again.
+func TestOwnDirentAttacks(t *testing.T) {
+	for _, s := range OwnDirent() {
+		t.Run(s.Name, func(t *testing.T) { requireCaught(t, s.Run()) })
+	}
+}
+
+// TestDanglingFreeAttack: a writer frees a data page the file still
+// names — a change no dirty bit reports. Detected on cached facts as from
+// cold, and pinned on the freer.
+func TestDanglingFreeAttack(t *testing.T) {
+	for _, s := range DanglingFree() {
+		t.Run(s.Name, func(t *testing.T) { requireCaught(t, s.Run()) })
+	}
+}
+
+// TestScenariosFromColdController replays every scenario against a
+// freshly mounted controller — no cached facts, every verification a
+// full walk — where the tests above run them after a scoped-clean
+// handover of the victim file (Scenario.Run): the verdicts must not
+// depend on which.
+func TestScenariosFromColdController(t *testing.T) {
+	for _, s := range slices.Concat(All(), OwnDirent(), DanglingFree()) {
+		t.Run(s.Name, func(t *testing.T) { requireCaught(t, s.RunCold()) })
 	}
 }

@@ -216,11 +216,7 @@ func Scripted() []Scenario {
 	var out []Scenario
 
 	runOne := func(name string, muts []mutation) Scenario {
-		return Scenario{Name: name, Run: func() Outcome {
-			w, err := newWorld()
-			if err != nil {
-				return Outcome{Name: name, Err: err}
-			}
+		return Scenario{Name: name, body: func(w *world) Outcome {
 			target := muts[0].target
 			ino, loc := w.fileIno, w.fileLoc
 			if target == "dir" {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trio/internal/alloc"
@@ -118,10 +119,21 @@ type fileState struct {
 	ftype  core.FileType
 	parent core.Ino
 
-	// pages is the verified core-state page set (index + data pages).
-	// May be nil (== empty): freshly adopted empty files never allocate
-	// one, and the create/unlink hot path relies on that.
-	pages map[nvm.PageID]bool
+	// pages is the verified core-state page set (index + data pages) as
+	// normal-form runs (runs.go). A page is in it exactly while pageOwner
+	// names this file. May be nil (== empty): freshly adopted empty files
+	// never allocate one, and the create/unlink hot path relies on that.
+	pages []pageRun
+
+	// head, chain and gen are the facts of the file's last clean full walk
+	// (regular files; DESIGN.md §5a "Verification by dirty metadata"): the
+	// inode Head the walk started from, the index pages it read in chain
+	// order, and the structure generation it was given (0 = not walked
+	// since mount). While every chain page keeps its Controller.facts bit,
+	// that walk's I2 verdict and pages are still true of the media.
+	head  nvm.PageID
+	chain []nvm.PageID
+	gen   uint64
 
 	// children is the last verified dirent list (directories only); it
 	// doubles as the I3 baseline when no fresh checkpoint exists.
@@ -140,7 +152,11 @@ type fileState struct {
 	// file; the lease sweeper only escalates contended files.
 	waiters int
 
-	checkpoint  *checkpoint
+	checkpoint *checkpoint
+	// kept is the last checkpoint when its index-page images were cut at a
+	// grant the facts vouched for (checkpoint.gen): the next such grant of
+	// the same generation takes them back instead of reading the pages.
+	kept        *checkpoint
 	quarantined LibFSID // non-zero once corruption made it private
 
 	// corrupt marks a file the scrubber found latently damaged (a sealed
@@ -162,11 +178,33 @@ func (fs *fileState) addReaderLocked(id LibFSID) {
 
 // checkpoint snapshots a file's metadata when write access is granted
 // (§4.3): index pages for regular files, index and data pages for
-// directories, plus the inode and (for dirs) the children list.
+// directories, plus the file's whole dirent slot — inode and name, the
+// grantee can store to both — and (for dirs) the children list.
 type checkpoint struct {
-	inode    core.Inode
+	dirent   [core.DirentSize]byte
 	pages    map[nvm.PageID]*[nvm.PageSize]byte
 	children []verifier.ChildRef
+	// gen is the file's structure generation when the page images were cut
+	// at a grant the facts vouched for, 0 otherwise. No index page is
+	// stored to between two such grants of one generation, so images of
+	// that generation stay the media's content (fileState.kept).
+	gen uint64
+}
+
+func (cp *checkpoint) npages() int {
+	if cp == nil {
+		return 0
+	}
+	return len(cp.pages)
+}
+
+// free returns the checkpoint's page buffers to the pool.
+func (cp *checkpoint) free() {
+	if cp != nil {
+		for _, img := range cp.pages {
+			cpBufPool.Put(img)
+		}
+	}
 }
 
 // cpBufPool recycles checkpoint page buffers across grants. The
@@ -174,14 +212,32 @@ type checkpoint struct {
 // the image from before the grantee's first store.
 var cpBufPool = sync.Pool{New: func() any { return new([nvm.PageSize]byte) }}
 
-// dropCheckpoint ends the rollback window a write grant opened.
-func (fs *fileState) dropCheckpoint() {
-	if fs.checkpoint != nil {
-		for _, img := range fs.checkpoint.pages {
-			cpBufPool.Put(img)
-		}
-		fs.checkpoint = nil
+// dropCheckpointLocked ends the rollback window a write grant opened.
+// Images of the file's current generation are kept for the next grant.
+func (c *Controller) dropCheckpointLocked(fs *fileState) {
+	cp := fs.checkpoint
+	if cp == nil {
+		return
 	}
+	fs.checkpoint = nil
+	if cp.gen != 0 && cp.gen == fs.gen {
+		cp = c.swapKeptLocked(fs, cp)
+	}
+	cp.free()
+}
+
+// swapKeptLocked makes cp (nil: none) the file's kept images and returns
+// the ones it had; Stats.KeptPages follows. A file keeps at most its own
+// index chain — one page per 2 MiB of data — until its next write grant
+// takes the images back or the file is forgotten, with no eviction in
+// between (DESIGN.md §5a states the bound).
+func (c *Controller) swapKeptLocked(fs *fileState, cp *checkpoint) *checkpoint {
+	old := fs.kept
+	fs.kept = cp
+	if d := cp.npages() - old.npages(); d != 0 {
+		c.stats.KeptPages.Add(int64(d))
+	}
+	return old
 }
 
 // libfsState is the controller's record of one registered LibFS.
@@ -230,7 +286,7 @@ type libfsState struct {
 	revoked map[core.Ino]bool
 
 	// verifyRep and verifyEnv are the session's verification scratch:
-	// every runVerifierLocked for a session runs under its home shard
+	// every verifyLocked for a session runs under its home shard
 	// lock, so one report and one env per session is race-free and saves
 	// four allocations per verification. One report means the next
 	// verification of the session overwrites the last: a caller copies
@@ -239,6 +295,10 @@ type libfsState struct {
 	// failed report).
 	verifyRep verifier.Report
 	verifyEnv envImpl
+	// direntBuf stages the dirent read of a grant and runScratch the page
+	// set of a report being committed, under the same lock.
+	direntBuf  [core.DirentSize]byte
+	runScratch []pageRun
 }
 
 type mapping struct {
@@ -293,6 +353,15 @@ type Controller struct {
 	// Volatile: a fresh mount starts with every bit clear and open
 	// records reseal from content.
 	cleanOpen []bool
+	// facts marks index pages nothing has stored to since the clean full
+	// walk that last read them (fileState.chain): set when that walk's
+	// report commits, cleared by exactly the events that clear cleanOpen,
+	// and as volatile. What the bit proves, and what it does not, is
+	// DESIGN.md §5a "Verification by dirty metadata".
+	facts []bool
+	// genSeq issues structure generations (fileState.gen), unique across
+	// files so a LibFS can never match one file's against another's.
+	genSeq atomic.Uint64
 
 	pageAlloc *alloc.PageAlloc
 	inoAlloc  *alloc.InoAlloc
@@ -327,6 +396,7 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		libfses:   make(map[LibFSID]*libfsState),
 		writeRefs: make([]int32, dev.NumPages()),
 		cleanOpen: make([]bool, dev.NumPages()),
+		facts:     make([]bool, dev.NumPages()),
 		nextLibFS: 1,
 		nextGroup: 1 << 16, // private groups; user groups are small ints
 		stats:     newStats(opts.Shards),
@@ -386,7 +456,6 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 		loc:     core.RootLoc(),
 		ftype:   core.TypeDir,
 		parent:  0,
-		pages:   make(map[nvm.PageID]bool),
 		readers: make(map[LibFSID]bool),
 	}
 	c.registerFileLocked(root)
@@ -417,13 +486,13 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 				// A corrupt mount image may chain to impossible page
 				// ids; keep them out of the dense ownership tables.
 				if p < total {
-					fs.pages[p] = true
+					fs.pages = appendPage(fs.pages, p)
 				}
 				return true
 			},
 			func(b uint64, p nvm.PageID) bool {
 				if p < total {
-					fs.pages[p] = true
+					fs.pages = appendPage(fs.pages, p)
 					blocks[b] = p
 				}
 				return true
@@ -431,9 +500,12 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 		if err != nil {
 			return 0, fmt.Errorf("file %d: %w", fs.ino, err)
 		}
-		for p := range fs.pages {
-			c.pageOwner[p] = fs.ino
-			c.pageAlloc.Reserve(p)
+		fs.pages = normalizeRuns(fs.pages)
+		for _, r := range fs.pages {
+			for p := r.start; p < r.end(); p++ {
+				c.pageOwner[p] = fs.ino
+				c.pageAlloc.Reserve(p)
+			}
 		}
 		if fs.ftype != core.TypeDir {
 			continue
@@ -462,7 +534,6 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 				loc := core.FileLoc{Page: p, Slot: slot}
 				cfs := &fileState{
 					ino: child.Ino, loc: loc, ftype: child.Type, parent: fs.ino,
-					pages:   make(map[nvm.PageID]bool),
 					readers: make(map[LibFSID]bool),
 				}
 				c.registerFileLocked(cfs)
@@ -651,8 +722,9 @@ func (s *Session) Close() error {
 // its page-table words (mmu.Ref/Unref; ids beyond the device are
 // clipped there). A page holds write permission exactly while the
 // session counts in writeRefs for it, and a grant or release settles
-// writeRefs and cleanOpen under one tabMu hold — harvested dirty bits
-// included, so a sealer that reads writeRefs zero sees cleanOpen cleared.
+// writeRefs, cleanOpen and facts under one tabMu hold — harvested dirty
+// bits included, so a sealer that reads writeRefs zero sees cleanOpen
+// cleared, and a grant that reads it zero sees facts cleared.
 
 // refRunsLocked maps every page of runs with at least perm, taking one
 // reference on each.
@@ -682,13 +754,13 @@ func (ls *libfsState) unrefRunsLocked(runs []pageRun) {
 
 // unmappedLocked settles the global tables for a page a session just
 // lost (tabMu held): a write mapping no longer counts, and a page that
-// was stored to is no longer cleanOpen.
+// was stored to is no longer cleanOpen, nor are its facts current.
 func (c *Controller) unmappedLocked(p nvm.PageID, was mmu.Perm, stored bool) {
 	if was != mmu.PermWrite {
 		return
 	}
 	if stored {
-		c.cleanOpen[p] = false
+		c.storedLocked(p)
 	}
 	if c.writeRefs[p] > 0 {
 		c.writeRefs[p]--

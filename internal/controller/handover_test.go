@@ -505,8 +505,23 @@ func runHandoverProperty(t *testing.T, c *Controller, via mapVia, seed int64) {
 
 // BenchmarkHandover2M is one cross-domain write handover of a 2 MiB
 // file per iteration — write-map, store 4 KiB, unmap — reporting how
-// many pages the seal streamed per handover next to allocs/op.
-func BenchmarkHandover2M(b *testing.B) {
+// many pages the seal streamed and how many index pages verification,
+// grant and checkpoint together read per handover, next to allocs/op.
+// The timed handovers are the steady state: the first few, which
+// establish the facts everything later rides on, run before the clock.
+func BenchmarkHandover2M(b *testing.B) { benchHandover2M(b, false) }
+
+// BenchmarkHandoverIndexDirty2M is the same handover with one more
+// store: an index entry rewritten with the value it holds, which is what
+// an append's or a hole fill's index store looks like to the controller.
+// The page's dirty bit costs the file its facts, so every release walks
+// (and re-establishes them) and every grant and checkpoint reads the
+// chain — the pre-scoping handover plus the release-time harvest and its
+// shootdown barrier. Not gated: it is here so that path's cost is a
+// number (CHANGES.md, PR 23) rather than an assumption.
+func BenchmarkHandoverIndexDirty2M(b *testing.B) { benchHandover2M(b, true) }
+
+func benchHandover2M(b *testing.B, dirtyIndex bool) {
 	dev := nvm.MustNewDevice(handoverCfg())
 	c, err := New(dev, Options{})
 	if err != nil {
@@ -523,10 +538,7 @@ func BenchmarkHandover2M(b *testing.B) {
 	core.WalkFile(c.mem, in.Head, int(dev.NumPages()), nil,
 		func(_ uint64, p nvm.PageID) bool { data = append(data, p); return true })
 	buf := make([]byte, nvm.PageSize)
-	_, s0 := sealCounts(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	handover := func(i int) {
 		s := sess[i&1]
 		if _, err := s.MapFile(ino, loc, true); err != nil {
 			b.Fatal(err)
@@ -536,11 +548,26 @@ func BenchmarkHandover2M(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.AddressSpace().Persist(p, 0, nvm.PageSize)
+		if dirtyIndex {
+			if err := core.SetIndexEntry(s.AddressSpace(), in.Head, 0, data[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if err := s.UnmapFile(ino); err != nil {
 			b.Fatal(err)
 		}
 	}
+	for i := 0; i < 4; i++ {
+		handover(i)
+	}
+	st0 := c.Stats().Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		handover(i)
+	}
 	b.StopTimer()
-	_, s1 := sealCounts(c)
-	b.ReportMetric(float64(s1-s0)/float64(b.N), "streamed-pages/op")
+	st := c.Stats().Snapshot().Sub(st0)
+	b.ReportMetric(float64(st.SealStreamedPages)/float64(b.N), "streamed-pages/op")
+	b.ReportMetric(float64(st.IndexPagesRead)/float64(b.N), "index-pages-read/op")
 }

@@ -1,7 +1,9 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"trio/internal/core"
@@ -19,6 +21,13 @@ type MapInfo struct {
 	Loc   core.FileLoc
 	Inode core.Inode
 	Write bool
+	// Gen, when non-zero, is the structure generation of a regular file
+	// whose index pages the controller vouches for: nothing was stored to
+	// them since the clean walk that was given this number, and no other
+	// session could store to them when this grant was made. Auxiliary
+	// state a LibFS built from the index under the same Gen is still
+	// exact. Zero promises nothing: rebuild.
+	Gen uint64
 }
 
 // MapFile grants this LibFS access to the file whose inode the LibFS
@@ -72,13 +81,13 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if err != nil {
 		return MapInfo{}, err
 	}
-	// Fresh adoption: the verifier read this inode an instant ago under
+	// Fresh adoption: the verifier read this dirent an instant ago under
 	// these same locks — reuse it rather than paying another media
-	// access. Copied out now: it points into the creator's scratch
-	// report, which the next verification of that session overwrites.
+	// access. Copied out now: it sits in the creator's scratch report,
+	// which the next verification of that session overwrites.
 	var in core.Inode
 	if adopted != nil {
-		in = *adopted
+		in, s.ls.direntBuf = adopted.Inode, *adopted.Dirent()
 	}
 	if fs.quarantined != 0 && fs.quarantined != s.ls.id {
 		return MapInfo{}, ErrQuarantined
@@ -120,25 +129,42 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	}
 
 	if adopted == nil {
-		in, err = core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
-		if err != nil {
+		if in, err = s.readDirentLocked(fs); err != nil {
 			return MapInfo{}, err
 		}
 	}
 
-	runs, err := c.grantRuns(fs, &in)
+	runs, gen, err := c.grantRuns(fs, &in)
 	if err != nil {
 		return MapInfo{}, err
 	}
-	return s.grantLocked(fs, &in, runs, write), nil
+	return s.grantLocked(fs, &in, runs, write, gen), nil
+}
+
+// readDirentLocked reads the file's dirent slot into the session's
+// staging buffer — a write grant checkpoints all of it — and decodes the
+// inode. What the name bytes say is the verifier's business.
+func (s *Session) readDirentLocked(fs *fileState) (core.Inode, error) {
+	in, _, err := core.ReadDirentInto(s.c.mem, fs.loc.Page, fs.loc.Slot, &s.ls.direntBuf)
+	if errors.Is(err, core.ErrBadNameLen) {
+		err = nil
+	}
+	return in, err
 }
 
 // grantRuns collects the pages a grant of fs maps — the dirent page plus
-// the file's current index and data pages — as normal-form runs. The
-// walk reads untrusted core state: page ids beyond the device are
-// dropped here and never reach a table.
-func (c *Controller) grantRuns(fs *fileState, in *core.Inode) ([]pageRun, error) {
+// the file's current index and data pages — as normal-form runs, and the
+// generation the grant may vouch for (MapInfo.Gen). When the facts of
+// the last clean walk still hold and no session can store to an index
+// page, the verified set is what a walk would find, and the grant is
+// built from it. Otherwise the walk reads untrusted core state: page ids
+// beyond the device are dropped here and never reach a table.
+func (c *Controller) grantRuns(fs *fileState, in *core.Inode) ([]pageRun, uint64, error) {
 	total := c.dev.NumPages()
+	if c.indexQuietLocked(fs, in.Head) {
+		runs := append(make([]pageRun, 0, len(fs.pages)+1), fs.pages...) // the mapping's own copy
+		return runsAdd(runs, fs.loc.Page), fs.gen, nil
+	}
 	runs := make([]pageRun, 0, 4)
 	add := func(p nvm.PageID) bool {
 		if p < total {
@@ -147,20 +173,55 @@ func (c *Controller) grantRuns(fs *fileState, in *core.Inode) ([]pageRun, error)
 		return true
 	}
 	add(fs.loc.Page)
-	err := core.WalkFile(c.mem, in.Head, int(total), add,
+	err := core.WalkFile(c.mem, in.Head, int(total),
+		func(p nvm.PageID) bool { c.stats.IndexReads.Add(1); return add(p) },
 		func(_ uint64, p nvm.PageID) bool { return add(p) })
 	if err != nil {
-		return nil, fmt.Errorf("controller: walking file %d: %w", fs.ino, err)
+		return nil, 0, fmt.Errorf("controller: walking file %d: %w", fs.ino, err)
 	}
-	return normalizeRuns(runs), nil
+	return normalizeRuns(runs), 0, nil
+}
+
+// indexQuietLocked reports whether the chain starting at head is the one
+// the file's last clean walk read, every page of it keeps its facts bit,
+// and no session holds write permission on any — so no store to one is
+// in flight or waiting to be harvested. An empty chain vouches for
+// nothing: it has no page whose write references could show a same-group
+// writer about to grow it.
+func (c *Controller) indexQuietLocked(fs *fileState, head nvm.PageID) bool {
+	if fs.ftype != core.TypeReg || len(fs.chain) == 0 || head != fs.head {
+		return false
+	}
+	c.tabMu.Lock()
+	defer c.tabMu.Unlock()
+	for _, p := range fs.chain {
+		if c.chainPageScopeLocked(p, 0) != scopeIndexClean {
+			return false
+		}
+	}
+	return true
+}
+
+// chainPageScopeLocked (tabMu held) classifies one page of a recorded
+// chain: its facts bit is gone, some session beyond the own write
+// references the caller discounts can store to it, or neither.
+func (c *Controller) chainPageScopeLocked(p nvm.PageID, own int32) verifyScope {
+	switch {
+	case !c.facts[p]:
+		return scopeFactsClear
+	case c.writeRefs[p] > own:
+		return scopeOtherWriter
+	}
+	return scopeIndexClean
 }
 
 // grantLocked installs a grant every check has already allowed: it maps
 // pages into the session, records the mapping, and registers the
-// session as the file's writer (checkpointing the file) or as a reader.
-// The caller holds the locks covering the session, the file and — for
-// a write grant — every page's checksum record.
-func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, write bool) MapInfo {
+// session as the file's writer (checkpointing the file, whose dirent the
+// caller left in the session's staging buffer) or as a reader. The
+// caller holds the locks covering the session, the file and — for a
+// write grant — every page's checksum record.
+func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, write bool, gen uint64) MapInfo {
 	c := s.c
 	perm := mmu.PermRead
 	if write {
@@ -180,11 +241,11 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, wri
 		fs.writer = s.ls.id
 		fs.writerGroup = s.ls.group
 		fs.writerSince = time.Now()
-		c.checkpointLocked(fs, in)
+		c.checkpointLocked(fs, &s.ls.direntBuf, gen)
 	} else {
 		fs.addReaderLocked(s.ls.id)
 	}
-	return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: *in, Write: write}
+	return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: *in, Write: write, Gen: gen}
 }
 
 // mapFileFast is MapFile's common case under only the involved shards'
@@ -290,11 +351,11 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 		}
 	}
 
-	in, err := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
+	in, err := s.readDirentLocked(fs)
 	if err != nil {
 		return MapInfo{}, 0, err
 	}
-	runs, err := c.grantRuns(fs, &in)
+	runs, gen, err := c.grantRuns(fs, &in)
 	if err != nil {
 		return MapInfo{}, 0, err
 	}
@@ -305,31 +366,27 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 		if !c.writeGrantRunsOK(runs, fs) {
 			return MapInfo{}, 0, errEscalate
 		}
-	} else if !c.runsOwnedWithin(runs, fs.ino, fs.parent) {
+	} else if !c.runsOwnedWithin(runs, fs) {
 		return MapInfo{}, 0, errEscalate
 	}
-	return s.grantLocked(fs, &in, runs, write), 0, nil
+	return s.grantLocked(fs, &in, runs, write, gen), 0, nil
 }
 
 // writeGrantRunsOK requires every page of a write grant to be owned by
 // the file (or, for the dirent page, its parent) — ownership is what
 // ties the checksum-record RMWs to the shard locks the caller holds.
+// The file owns exactly fs.pages, so the grant must be that set's pages
+// and the dirent page, nothing else.
 func (c *Controller) writeGrantRunsOK(runs []pageRun, fs *fileState) bool {
-	c.tabMu.Lock()
-	defer c.tabMu.Unlock()
-	for _, r := range runs {
-		for p := r.start; p < r.end(); p++ {
-			own := c.pageOwner[p] // grantRuns dropped impossible ids
-			if p == fs.loc.Page { // the dirent page, owned by the parent directory
-				if (own != 0 && own != fs.parent) || (own == 0 && p != core.RootInodePage) {
-					return false
-				}
-			} else if own != fs.ino {
-				return false
-			}
-		}
+	var buf [2]pageRun
+	dp := fs.loc.Page
+	if extra := runsDiff(buf[:0], runs, fs.pages); len(extra) != 1 || extra[0] != (pageRun{start: dp, n: 1}) {
+		return false
 	}
-	return true
+	if own, ok := c.ownerOf(dp); ok {
+		return own == fs.parent // a dirent page of the parent directory
+	}
+	return dp == core.RootInodePage
 }
 
 // permitted evaluates classic owner/group/other permission bits from
@@ -435,9 +492,10 @@ func (c *Controller) revokeLocked(ls *libfsState, ino core.Ino) {
 // lookupOrAdoptLocked resolves ino to a fileState, adopting files the
 // controller has never verified (fresh creates by some LibFS). acc,
 // when non-nil, defers the adoption verify's IPC charge to the caller.
-// For a fresh adoption the verifier's just-read inode is returned too,
-// so the caller need not pay a second media access for it.
-func (c *Controller) lookupOrAdoptLocked(ino core.Ino, loc core.FileLoc, acc *int) (*fileState, *core.Inode, error) {
+// For a fresh adoption the verifier's report (the creator's scratch) is
+// returned too, so the caller need not pay a second media access for the
+// dirent it just read.
+func (c *Controller) lookupOrAdoptLocked(ino core.Ino, loc core.FileLoc, acc *int) (*fileState, *verifier.Report, error) {
 	if fs, ok := c.files.get(ino); ok {
 		return fs, nil, nil
 	}
@@ -460,7 +518,7 @@ func (c *Controller) lookupOrAdoptLocked(ino core.Ino, loc core.FileLoc, acc *in
 		return nil, nil, fmt.Errorf("%w: location hint page %d is not a directory page", ErrBadRequest, loc.Page)
 	}
 	fs := &fileState{ino: ino, loc: loc, parent: parentIno}
-	rep, err := c.runVerifierLocked(fs, ls, acc)
+	rep, err := c.verifyLocked(fs, ls, acc, scopeFullWalk)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -476,7 +534,7 @@ func (c *Controller) lookupOrAdoptLocked(ino core.Ino, loc core.FileLoc, acc *in
 	fs.ftype = rep.Inode.Type
 	c.commitReportLocked(fs, ls, rep)
 	c.registerFileLocked(fs)
-	return fs, &rep.Inode, nil
+	return fs, rep, nil
 }
 
 // direntPageParentLocked reports which directory owns page p as one of
@@ -545,15 +603,15 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	if fs.ftype != core.TypeReg || fs.quarantined != 0 || fs.corrupt {
 		return errEscalate
 	}
-	rep, err := c.runVerifierLocked(fs, s.ls, acc)
+	rep, err := c.verifyReleaseLocked(fs, s.ls, acc)
 	if err != nil {
 		return err
 	}
 	if !rep.OK() {
 		return errEscalate // the fix/rollback machinery needs everything
 	}
-	if !c.pagesOwnedWithin(rep.Pages, fs.ino, fs.parent) ||
-		!c.runsOwnedWithin(m.runs, fs.ino, fs.parent) {
+	if !c.pagesOwnedWithin(rep.Pages, fs.ino, fs.parent) || // none when scoped
+		!c.runsOwnedWithin(m.runs, fs) {
 		return errEscalate
 	}
 	c.commitReportLocked(fs, s.ls, rep)
@@ -600,7 +658,7 @@ func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp tele
 		return err
 	}
 
-	rep, err := c.runVerifierLocked(fs, ls, acc)
+	rep, err := c.verifyReleaseLocked(fs, ls, acc)
 	if err != nil {
 		return err
 	}
@@ -630,35 +688,74 @@ func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp tele
 func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *mapping) (own, foreign []pageRun) {
 	ls.releaseLocked(m)
 	fs.writer = 0
-	fs.dropCheckpoint()
+	c.dropCheckpointLocked(fs)
 	c.stats.observeRecall(fs.recallAt)
 	fs.recallAt = time.Time{} // the holder complied; recall resolved
 
-	own = make([]pageRun, 0, len(m.runs))
-	owned := 0
-	c.tabMu.Lock()
-	for _, r := range m.runs {
-		for p := r.start; p < r.end(); p++ {
-			if c.pageOwner[p] == fs.ino {
-				own = appendPage(own, p)
-				owned++
-			} else {
-				foreign = appendPage(foreign, p)
-			}
-		}
-	}
-	c.tabMu.Unlock()
-	// A file page is owned by the file, so when the mapping holds as many
-	// of those as the file has pages it covers the file. Otherwise the
-	// seal set also takes the pages the mapping missed (a same-group
-	// writer's appends), each page once.
-	if owned != len(fs.pages) {
-		own = normalizeRuns(append(own, runsOfSet(fs.pages)...))
-	}
-	return own, foreign
+	// The file owns exactly fs.pages: that is the seal set, pages the
+	// mapping missed (a same-group writer's appends) included, and what
+	// the mapping held beyond it is the rest. The caller seals own under
+	// the file's shard lock, which is what fs.pages changes under.
+	return fs.pages, runsDiff(nil, m.runs, fs.pages)
 }
 
-// runVerifierLocked invokes the trusted verifier process on one file.
+// verifyScope says whether a verification may carry the I2 facts of the
+// file's last clean walk over instead of walking again, and when not,
+// why not (Stats.VerifyFull*).
+type verifyScope uint8
+
+const (
+	scopeFullWalk    verifyScope = iota // not a release (adoption, Commit, reap, recovery, repair): always walk
+	scopeIndexClean                     // every index page keeps its facts, the releaser is their only writer
+	scopeHeadMoved                      // the inode's Head is not the one the facts start from
+	scopeFactsClear                     // an index page was stored to, or the file was never walked
+	scopeOtherWriter                    // another session can store to an index page
+	scopeNotRegular                     // directories are always walked
+)
+
+// scopeReasons names the scopes that are a release's reason to walk.
+var scopeReasons = [...]string{
+	scopeHeadMoved: "head_moved", scopeFactsClear: "facts_clear",
+	scopeOtherWriter: "other_writer", scopeNotRegular: "not_regular",
+}
+
+// verifyReleaseLocked is verifyLocked for a write-unmap, where the
+// MMU dirty bits can prove the walk redundant (DESIGN.md §5a). The rule:
+// a page's facts survive only if every store to it since the walk that
+// produced them would have cleared them. So the releasing session's
+// dirty bits on the index pages are harvested and cleared here, inside
+// its shootdown barrier and before any walk: a store that passed its
+// check earlier has landed and cleared the facts, a later one sets the
+// bit again for the release's own harvest — which runs after this
+// verification's commit, so it clears whatever facts that commit set.
+func (c *Controller) verifyReleaseLocked(fs *fileState, ls *libfsState, acc *int) (*verifier.Report, error) {
+	scope := scopeIndexClean
+	switch {
+	case fs.ftype != core.TypeReg:
+		scope = scopeNotRegular
+	case len(fs.chain) == 0:
+		scope = scopeFactsClear
+	default:
+		ls.as.HarvestDirty(fs.chain, func(p nvm.PageID, was mmu.Perm, dirty bool) {
+			c.tabMu.Lock()
+			if dirty {
+				c.storedLocked(p)
+			}
+			own := int32(0)
+			if was == mmu.PermWrite {
+				own = 1 // the releasing session counts itself
+			}
+			if ps := c.chainPageScopeLocked(p, own); ps == scopeFactsClear || scope == scopeIndexClean {
+				scope = ps
+			}
+			c.tabMu.Unlock()
+		})
+	}
+	return c.verifyLocked(fs, ls, acc, scope)
+}
+
+// verifyLocked invokes the trusted verifier process on one file; scope is
+// scopeFullWalk for everything but a release (verifyReleaseLocked).
 // The controller→verifier round trip costs one IPC (§6.5: verification
 // dominated by this for small files). A failed verification is
 // emitted as a "verify.failure" trace event (Arg = ino) whenever
@@ -668,7 +765,7 @@ func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *ma
 // the IPC round trip inline, the call is counted and the batch charges
 // one IPCN for all its verifications (the crossing cost is per batch,
 // not per verification).
-func (c *Controller) runVerifierLocked(fs *fileState, ls *libfsState, acc *int) (*verifier.Report, error) {
+func (c *Controller) verifyLocked(fs *fileState, ls *libfsState, acc *int, scope verifyScope) (*verifier.Report, error) {
 	if acc != nil {
 		*acc++
 	} else if c.cost != nil {
@@ -683,13 +780,17 @@ func (c *Controller) runVerifierLocked(fs *fileState, ls *libfsState, acc *int) 
 		c.stats.VerifyCnt.Add(1)
 	}
 	env := &ls.verifyEnv
-	*env = envImpl{c: c, fs: fs, ls: ls}
+	*env = envImpl{c: c, fs: fs, ls: ls, scope: scope}
 	// The session's scratch report: VerifyFileInto detaches Children,
 	// which commitReportLocked retains as the directory's verified child
 	// list; everything else a caller wants past the session's next
 	// verification it copies out.
 	rep := &ls.verifyRep
 	err := c.verifier.VerifyFileInto(rep, env, fs.ino, fs.loc, fs.ino == core.RootIno)
+	if scope == scopeIndexClean && !rep.Scoped && rep.Inode.Type == core.TypeReg {
+		scope = scopeHeadMoved // the one thing left to the verifier: it reads the inode
+	}
+	c.stats.observeVerify(rep, scope)
 	if err == nil && !rep.OK() {
 		if telemetry.TracingOn() {
 			telemetry.Emit(0, "verify.failure", "controller", int64(fs.ino),
@@ -700,48 +801,61 @@ func (c *Controller) runVerifierLocked(fs *fileState, ls *libfsState, acc *int) 
 }
 
 // commitReportLocked records a clean verification outcome: the file's
-// new page set, ino bindings and shadow adoptions for new children.
+// new page set, ino bindings and shadow adoptions for new children. A
+// scoped report walked nothing: the recorded set, facts and generation
+// stand as they are.
 func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *verifier.Report) {
+	if !rep.Scoped {
+		c.commitPagesLocked(fs, ls, rep)
+	}
+	c.commitReportTailLocked(fs, ls, rep)
+}
+
+// commitPagesLocked records what a clean full walk found: its facts, and
+// the page set — consuming newly bound pages from the allocation pool
+// and parking pages that left the file.
+func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verifier.Report) {
+	if rep.Inode.Type == core.TypeReg {
+		// The facts go in before any reference below is dropped: a drop
+		// harvests dirty bits, and a store that raced the walk must find
+		// the bit it has to clear already set (verifyReleaseLocked).
+		fs.head, fs.chain = rep.Inode.Head, append(fs.chain[:0], rep.Index...)
+		fs.gen = c.genSeq.Add(1)
+		c.tabMu.Lock()
+		for _, p := range fs.chain {
+			c.facts[p] = true
+		}
+		c.tabMu.Unlock()
+	}
 	if len(rep.Pages) == 0 && len(fs.pages) == 0 {
 		// Empty file with no page history (the create/unlink hot path):
-		// there is no page set to reconcile, so skip straight to the
-		// shadow and children bookkeeping below — the two scratch maps
-		// this function otherwise builds are pure overhead here, and it
-		// runs twice per small-file cycle (adopt and write-unmap).
-		c.commitReportTailLocked(fs, ls, rep)
+		// there is no page set to reconcile, and this runs twice per
+		// small-file cycle (adopt and write-unmap).
 		return
 	}
-	if len(rep.Pages) == len(fs.pages) {
-		// Unchanged page set (the overwrite handover): rep.Pages is
-		// duplicate-free by I2, so equal size and every page already the
-		// file's means there is nothing to bind, park or transfer.
-		same := true
-		for _, p := range rep.Pages {
-			if !fs.pages[p] {
-				same = false
-				break
-			}
-		}
-		if same {
-			c.commitReportTailLocked(fs, ls, rep)
-			return
-		}
+	// rep.Pages is duplicate-free by I2; data pages come in walk order,
+	// so a sequentially allocated file appends straight into a few runs.
+	newSet := ls.runScratch[:0]
+	for _, p := range rep.Pages {
+		newSet = appendPage(newSet, p)
 	}
-	// Page set: consume newly bound pages from the allocation pool;
-	// release pages that left the file back to the allocator. Pool
-	// references of consumed pages either transfer onto the caller's
+	newSet = normalizeRuns(newSet)
+	ls.runScratch = newSet
+	if slices.Equal(newSet, fs.pages) {
+		return // unchanged page set (the overwrite handover): nothing to bind, park or transfer
+	}
+	// Pool references of consumed pages either transfer onto the caller's
 	// still-open mapping of this file or are dropped.
 	m := ls.mapped[fs.ino]
-	newSet := make(map[nvm.PageID]bool, len(rep.Pages))
-	for _, p := range rep.Pages {
-		newSet[p] = true
-		if !fs.pages[p] {
+	var buf [4]pageRun
+	for _, r := range runsDiff(buf[:0], newSet, fs.pages) {
+		for p := r.start; p < r.end(); p++ {
 			c.tracePage(p, "bind-commit ino=%d ls=%d pool=%v parked=%v", fs.ino, ls.id, ls.allocPages[p], ls.parked[p])
 			if ls.allocPages[p] || ls.parked[p] {
 				delete(ls.allocPages, p)
 				delete(ls.parked, p)
 				if m != nil && runsFind(m.runs, p) < 0 {
-					m.runs = normalizeRuns(appendPage(m.runs, p)) // transfer the pool ref
+					m.runs = runsAdd(m.runs, p) // transfer the pool ref
 				} else {
 					// No open mapping to transfer to (adopt path), or the
 					// page was double-counted at grant time.
@@ -760,8 +874,8 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 	// verifications accept it (PageAllocated) and rebind it if it is
 	// referenced — and the session-teardown stray sweep settles it for
 	// good; only then does a truly departed page become free.
-	for p := range fs.pages {
-		if !newSet[p] {
+	for _, r := range runsDiff(buf[:0], fs.pages, newSet) {
+		for p := r.start; p < r.end(); p++ {
 			c.clearPageOwner(p)
 			if m != nil && runsFind(m.runs, p) >= 0 {
 				// Move from the file mapping to the parked set; its
@@ -775,8 +889,7 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 			c.tracePage(p, "park-depart ino=%d ls=%d", fs.ino, ls.id)
 		}
 	}
-	fs.pages = newSet
-	c.commitReportTailLocked(fs, ls, rep)
+	fs.pages = slices.Clone(newSet)
 }
 
 // commitReportTailLocked is the page-set-independent half of
@@ -813,44 +926,43 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 		cfs.parent = parent.ino
 		return
 	}
-	cfs := &fileState{
-		ino: ch.Ino, loc: ch.Loc, ftype: ch.Inode.Type, parent: parent.ino,
-		pages:   make(map[nvm.PageID]bool),
-		readers: make(map[LibFSID]bool),
-	}
+	cfs := &fileState{ino: ch.Ino, loc: ch.Loc, ftype: ch.Inode.Type, parent: parent.ino}
 	// Bind the child's own pages by walking it (they are consumed from
 	// the creator's pool). The chain is unverified core state: skip
 	// impossible page ids rather than let them into the dense tables.
 	total := c.dev.NumPages()
 	bindPage := func(p nvm.PageID) bool {
 		if p < total {
-			cfs.pages[p] = true
+			cfs.pages = appendPage(cfs.pages, p)
 		}
 		return true
 	}
 	core.WalkFile(c.mem, ch.Inode.Head, int(c.dev.NumPages()),
 		bindPage,
 		func(_ uint64, p nvm.PageID) bool { return bindPage(p) })
+	cfs.pages = normalizeRuns(cfs.pages)
 	cm := ls.mapped[ch.Ino]
-	for p := range cfs.pages {
-		c.tracePage(p, "bind-adopt ino=%d ls=%d pool=%v", ch.Ino, ls.id, ls.allocPages[p])
-		if ls.allocPages[p] {
-			delete(ls.allocPages, p)
-			if cm != nil {
-				cm.runs = normalizeRuns(appendPage(cm.runs, p)) // transfer the pool ref
-			} else {
-				// The creator loses its implicit pool mapping; its
-				// next access faults and it re-maps through MapFile.
-				ls.unrefPageLocked(p)
+	for _, r := range cfs.pages {
+		for p := r.start; p < r.end(); p++ {
+			c.tracePage(p, "bind-adopt ino=%d ls=%d pool=%v", ch.Ino, ls.id, ls.allocPages[p])
+			if ls.allocPages[p] {
+				delete(ls.allocPages, p)
+				if cm != nil {
+					cm.runs = runsAdd(cm.runs, p) // transfer the pool ref
+				} else {
+					// The creator loses its implicit pool mapping; its
+					// next access faults and it re-maps through MapFile.
+					ls.unrefPageLocked(p)
+				}
 			}
+			c.pageOwner[p] = ch.Ino
 		}
-		c.pageOwner[p] = ch.Ino
 	}
 	// Adoption is the moment the creator's implicit pool write access
 	// ends: seal the child's now-quiescent pages so the scrubber (and
 	// VerifyReads readers) can vouch for them. Pages a session still
 	// write-maps are skipped inside sealQuiescentLocked.
-	c.sealQuiescentLocked(runsOfSet(cfs.pages), telemetry.Span{})
+	c.sealQuiescentLocked(cfs.pages, telemetry.Span{})
 	c.registerFileLocked(cfs)
 	if !c.shadow.has(ch.Ino) {
 		// Credentials: the LibFS the ino was issued to (it may differ
@@ -900,32 +1012,50 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 }
 
 // checkpointLocked snapshots the file's metadata before write access is
-// handed out (§4.3): index pages for regular files, index and data
-// pages for directories.
-func (c *Controller) checkpointLocked(fs *fileState, in *core.Inode) {
-	// pages stays nil for empty files (nothing to snapshot, and this
-	// runs on every write map); the restore/preserve paths range over
-	// it, which a nil map supports.
-	fs.dropCheckpoint() // Commit re-baselines over a live one
-	cp := &checkpoint{inode: *in}
-	snap := func(p nvm.PageID) bool {
-		img := cpBufPool.Get().(*[nvm.PageSize]byte)
-		if err := c.mem.Read(p, 0, img[:]); err != nil {
-			cpBufPool.Put(img)
-		} else {
-			if cp.pages == nil {
-				cp.pages = make(map[nvm.PageID]*[nvm.PageSize]byte)
+// handed out (§4.3): the dirent slot the caller read, plus index pages
+// for regular files, index and data pages for directories. gen is the
+// generation the grant vouches for (grantRuns), zero when none: with
+// it, the images kept from the last such grant of the same generation
+// are still the media's content, and failing those the pages to copy
+// are the recorded chain — no walk either way.
+func (c *Controller) checkpointLocked(fs *fileState, slot *[core.DirentSize]byte, gen uint64) {
+	c.dropCheckpointLocked(fs) // Commit re-baselines over a live one
+	cp := c.swapKeptLocked(fs, nil)
+	if cp == nil || cp.gen != gen || gen == 0 {
+		cp.free()
+		cp = &checkpoint{gen: gen}
+		// pages stays nil for empty files (nothing to snapshot, and this
+		// runs on every write map); the restore/preserve paths range over
+		// it, which a nil map supports.
+		snap := func(p nvm.PageID) bool {
+			img := cpBufPool.Get().(*[nvm.PageSize]byte)
+			if err := c.mem.Read(p, 0, img[:]); err != nil {
+				cpBufPool.Put(img)
+			} else {
+				if cp.pages == nil {
+					cp.pages = make(map[nvm.PageID]*[nvm.PageSize]byte)
+				}
+				cp.pages[p] = img
 			}
-			cp.pages[p] = img
+			return true
 		}
-		return true
+		snapIndex := func(p nvm.PageID) bool { c.stats.IndexReads.Add(1); return snap(p) }
+		head := core.DecodeInode(slot[:]).Head
+		switch {
+		case gen != 0:
+			for _, p := range fs.chain {
+				snapIndex(p)
+			}
+		case fs.ftype == core.TypeDir:
+			core.WalkFile(c.mem, head, int(c.dev.NumPages()), snapIndex,
+				func(_ uint64, p nvm.PageID) bool { return snap(p) })
+		default:
+			core.WalkFile(c.mem, head, int(c.dev.NumPages()), snapIndex, nil)
+		}
 	}
+	cp.dirent = *slot
 	if fs.ftype == core.TypeDir {
-		core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()), snap,
-			func(_ uint64, p nvm.PageID) bool { return snap(p) })
 		cp.children = append([]verifier.ChildRef(nil), fs.children...)
-	} else {
-		core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()), snap, nil)
 	}
 	fs.checkpoint = cp
 	c.stats.Checkpoints.Add(1)
@@ -948,7 +1078,7 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState) *veri
 		select {
 		case err := <-done:
 			if err == nil {
-				if rep2, err2 := c.runVerifierLocked(fs, ls, nil); err2 == nil && rep2.OK() {
+				if rep2, err2 := c.verifyLocked(fs, ls, nil, scopeFullWalk); err2 == nil && rep2.OK() {
 					c.stats.Fixed.Add(1)
 					return rep2
 				}
@@ -984,7 +1114,7 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState) *veri
 
 	// Re-verify the restored state; it must pass (it did when the
 	// checkpoint was cut).
-	rep2, err := c.runVerifierLocked(fs, ls, nil)
+	rep2, err := c.verifyLocked(fs, ls, nil, scopeFullWalk)
 	if err == nil && rep2.OK() {
 		return rep2
 	}
@@ -993,8 +1123,10 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState) *veri
 	return nil
 }
 
-// restoreCheckpointLocked writes the checkpointed metadata pages and
-// inode back and reconciles the file size (§4.3: "trimming or padding").
+// restoreCheckpointLocked writes the checkpointed metadata pages and the
+// dirent slot back — the inode, which reconciles the file size (§4.3:
+// "trimming or padding"), and the name, which the grantee could scribble
+// on just as well.
 func (c *Controller) restoreCheckpointLocked(fs *fileState) {
 	cp := fs.checkpoint
 	if cp == nil {
@@ -1008,10 +1140,22 @@ func (c *Controller) restoreCheckpointLocked(fs *fileState) {
 		c.tracePage(p, "restore ino=%d", fs.ino)
 	}
 	c.markStored(fs.loc.Page)
-	core.WriteInode(c.mem, fs.loc.Page, core.SlotOffset(fs.loc.Slot), &cp.inode)
-	// Restore the name alongside (corruption may have hit it).
+	off := core.SlotOffset(fs.loc.Slot)
+	c.mem.Write(fs.loc.Page, off, cp.dirent[:])
+	c.mem.Persist(fs.loc.Page, off, core.DirentSize)
 	c.mem.Fence()
 	fs.children = append([]verifier.ChildRef(nil), cp.children...)
+	// Whatever a LibFS built from the rolled-back state is void.
+	c.voidFactsLocked(fs)
+}
+
+// voidFactsLocked forgets the file's last clean walk, for a change to the
+// file no harvested dirty bit reports: its next release walks, its next
+// grant is built by a walk and vouches for nothing, and no aux or kept
+// checkpoint image of the old generation is taken back.
+func (c *Controller) voidFactsLocked(fs *fileState) {
+	fs.head, fs.chain = 0, fs.chain[:0]
+	fs.gen = c.genSeq.Add(1)
 }
 
 // envImpl adapts the controller's global bookkeeping to verifier.Env.
@@ -1024,10 +1168,17 @@ type envImpl struct {
 	fs  *fileState
 	ls  *libfsState
 	sys bool
+	// scope is what verifyReleaseLocked found (the zero value walks).
+	scope verifyScope
+}
+
+// IndexUnchanged implements verifier.IndexFacts.
+func (e *envImpl) IndexUnchanged(head nvm.PageID) bool {
+	return e.scope == scopeIndexClean && head == e.fs.head
 }
 
 func (e *envImpl) TotalPages() uint64           { return uint64(e.c.dev.NumPages()) }
-func (e *envImpl) PageInFile(p nvm.PageID) bool { return e.fs.pages[p] }
+func (e *envImpl) PageInFile(p nvm.PageID) bool { return runsFind(e.fs.pages, p) >= 0 }
 func (e *envImpl) PageAllocated(p nvm.PageID) bool {
 	if e.ls.allocPages[p] || e.ls.parked[p] {
 		return true

@@ -163,8 +163,10 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 		if dir.quarantined != 0 {
 			continue
 		}
-		for p := range dir.pages {
-			direntPages[p] = true
+		for _, r := range dir.pages {
+			for p := r.start; p < r.end(); p++ {
+				direntPages[p] = true
+			}
 		}
 	}
 	var orphans []*fileState
@@ -197,11 +199,14 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 // raced ls's own stores, so another of its files may reference one of
 // them (see libfsState.parked). Teardown settles the set.
 func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState, trace string) {
-	for p := range fs.pages {
-		c.pageOwner[p] = 0
-		ls.parked[p] = true
-		c.tracePage(p, trace, fs.ino, ls.id)
+	for _, r := range fs.pages {
+		for p := r.start; p < r.end(); p++ {
+			c.pageOwner[p], c.facts[p] = 0, false
+			ls.parked[p] = true
+			c.tracePage(p, trace, fs.ino, ls.id)
+		}
 	}
+	c.swapKeptLocked(fs, nil).free()
 	c.unregisterFileLocked(fs.ino)
 	c.shadow.del(fs.ino)
 	c.allocBy.del(fs.ino)
@@ -217,7 +222,7 @@ func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState, trace strin
 // parent has a trusted, non-empty one.
 func (c *Controller) direntGoneLocked(fs *fileState) bool {
 	if pfs, _ := c.files.get(fs.parent); pfs != nil && pfs.quarantined == 0 &&
-		len(pfs.pages) > 0 && !pfs.pages[fs.loc.Page] {
+		len(pfs.pages) > 0 && runsFind(pfs.pages, fs.loc.Page) < 0 {
 		return true
 	}
 	got, err := core.DirentIno(c.mem, fs.loc.Page, fs.loc.Slot)
@@ -245,14 +250,14 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 		}
 	}
 	c.stats.ReapVerifies.Add(1)
-	rep, err := c.runVerifierLocked(fs, ls, nil)
+	rep, err := c.verifyLocked(fs, ls, nil, scopeFullWalk)
 	if err == nil && rep.OK() {
 		c.commitReportLocked(fs, ls, rep)
 	} else {
 		c.stats.Corruptions.Add(1)
 		c.restoreCheckpointLocked(fs)
 		c.stats.Rollbacks.Add(1)
-		rep2, err2 := c.runVerifierLocked(fs, ls, nil)
+		rep2, err2 := c.verifyLocked(fs, ls, nil, scopeFullWalk)
 		if err2 == nil && rep2.OK() {
 			c.commitReportLocked(fs, ls, rep2)
 		} else {
@@ -265,7 +270,7 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 	}
 	ls.revoked[fs.ino] = true
 	fs.writer = 0
-	fs.dropCheckpoint()
+	c.dropCheckpointLocked(fs)
 	c.stats.observeRecall(fs.recallAt)
 	fs.recallAt = time.Time{}
 }
@@ -326,10 +331,7 @@ func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState) {
 				delete(ls.allocPages, p)
 				delete(ls.parked, p)
 				ls.unrefPageLocked(p)
-				if fsRef.pages == nil {
-					fsRef.pages = make(map[nvm.PageID]bool)
-				}
-				fsRef.pages[p] = true
+				fsRef.pages = runsAdd(fsRef.pages, p)
 				c.pageOwner[p] = fsRef.ino
 				c.tracePage(p, "bind-stray ino=%d ls=%d", fsRef.ino, ls.id)
 			}

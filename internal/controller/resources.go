@@ -132,7 +132,10 @@ func (s *Session) freePagesLocked(pages []nvm.PageID, bound bool) error {
 }
 
 // unbindLocked takes page p out of the file that owns it, provided the
-// session write-maps that file (truncate).
+// session write-maps that file (truncate). The recorded set shrinks here
+// with no store to an index page — nothing says the LibFS cleared the
+// entry naming p first — so the facts of the file's last walk go with it:
+// the release walks, and finds a reference the free left behind.
 func (s *Session) unbindLocked(p nvm.PageID) bool {
 	c := s.c
 	ino := c.pageOwnerAt(p)
@@ -140,8 +143,9 @@ func (s *Session) unbindLocked(p nvm.PageID) bool {
 		return false
 	}
 	fs, _ := c.files.get(ino)
-	delete(fs.pages, p)
-	c.pageOwner[p] = 0
+	fs.pages = runsRemove(fs.pages, p)
+	c.voidFactsLocked(fs)
+	c.pageOwner[p], c.facts[p] = 0, false
 	c.tracePage(p, "free-bound ino=%d ls=%d", ino, s.ls.id)
 	return true
 }
@@ -254,7 +258,9 @@ func (s *Session) changePerm(ino core.Ino, patch func(*shadowPatch)) error {
 	c.sealQuiescentLocked([]pageRun{{start: fs.loc.Page, n: 1}}, telemetry.Span{})
 	// Keep the checkpoint's view coherent if one is outstanding.
 	if fs.checkpoint != nil {
-		fs.checkpoint.inode.Mode, fs.checkpoint.inode.UID, fs.checkpoint.inode.GID = sh.Mode, sh.UID, sh.GID
+		cin := core.DecodeInode(fs.checkpoint.dirent[:])
+		cin.Mode, cin.UID, cin.GID = sh.Mode, sh.UID, sh.GID
+		core.EncodeInode(fs.checkpoint.dirent[:], &cin)
 		if img := fs.checkpoint.pages[fs.loc.Page]; img != nil {
 			core.EncodeInode(img[core.SlotOffset(fs.loc.Slot):], &in)
 		}
@@ -427,7 +433,7 @@ func (s *Session) Commit(ino core.Ino) error {
 		return fmt.Errorf("%w: ino %d is not write-mapped", ErrBadRequest, ino)
 	}
 	fs, _ := c.files.get(ino)
-	rep, err := c.runVerifierLocked(fs, s.ls, nil)
+	rep, err := c.verifyLocked(fs, s.ls, nil, scopeFullWalk)
 	if err != nil {
 		return err
 	}
@@ -435,8 +441,7 @@ func (s *Session) Commit(ino core.Ino) error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, rep.Violations)
 	}
 	c.commitReportLocked(fs, s.ls, rep)
-	in := rep.Inode
-	c.checkpointLocked(fs, &in)
+	c.checkpointLocked(fs, rep.Dirent(), 0)
 	return nil
 }
 
@@ -448,9 +453,11 @@ func (s *Session) Commit(ino core.Ino) error {
 func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked, rolledBack int) {
 	c.lockAll()
 	defer c.unlockAll()
-	// The clean bits are volatile: after a crash nothing is known clean
-	// and every open record reseals from content.
+	// The clean bits and the facts are volatile: after a crash nothing is
+	// known clean, every open record reseals from content and every file
+	// is walked.
 	clear(c.cleanOpen)
+	clear(c.facts)
 	for id, fn := range recoveryPrograms {
 		if c.libfses[id] != nil && fn != nil {
 			_ = fn()
@@ -466,7 +473,7 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 			return true
 		}
 		checked++
-		rep, err := c.runVerifierLocked(fs, ls, nil)
+		rep, err := c.verifyLocked(fs, ls, nil, scopeFullWalk)
 		if err != nil || !rep.OK() {
 			c.restoreCheckpointLocked(fs)
 			c.stats.Rollbacks.Add(1)
@@ -479,7 +486,7 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 			ls.releaseLocked(m)
 		}
 		fs.writer = 0
-		fs.dropCheckpoint()
+		c.dropCheckpointLocked(fs)
 		return true
 	})
 	return checked, rolledBack
@@ -504,7 +511,7 @@ func (c *Controller) Files() []FileInfo {
 	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
 		out = append(out, FileInfo{
 			Ino: fs.ino, Loc: fs.loc, Type: fs.ftype, Parent: fs.parent,
-			Pages: len(fs.pages), Writer: fs.writer,
+			Pages: runsLen(fs.pages), Writer: fs.writer,
 		})
 		return true
 	})

@@ -8,9 +8,11 @@ import (
 	"trio/internal/nvm"
 )
 
-// A mapping holds its pages as page runs (pageRun, bulkio.go) in normal
-// form: sorted by start, disjoint, adjacent runs merged. A sequentially
-// allocated 2 MiB file is three or four of them.
+// A mapping and a file's verified page set hold their pages as page runs
+// (pageRun, bulkio.go) in normal form: sorted by start, disjoint,
+// adjacent runs merged. A sequentially allocated 2 MiB file is three or
+// four of them, so membership is a binary search, set equality is slice
+// equality, and a difference costs the runs, not the pages.
 
 func (r pageRun) end() nvm.PageID { return r.start + nvm.PageID(r.n) }
 
@@ -48,13 +50,38 @@ func normalizeRuns(runs []pageRun) []pageRun {
 	return out
 }
 
-// runsOfSet turns a page set into normal-form runs.
-func runsOfSet(set map[nvm.PageID]bool) []pageRun {
-	runs := make([]pageRun, 0, len(set))
-	for p := range set {
-		runs = append(runs, pageRun{start: p, n: 1})
+// runsAdd adds page p to normal-form runs.
+func runsAdd(runs []pageRun, p nvm.PageID) []pageRun {
+	return normalizeRuns(appendPage(runs, p))
+}
+
+// runsLen counts the pages of normal-form runs.
+func runsLen(runs []pageRun) (n int) {
+	for _, r := range runs {
+		n += r.n
 	}
-	return normalizeRuns(runs)
+	return n
+}
+
+// runsDiff appends to dst the pages of a that are not in b, both in
+// normal form, and returns it in normal form.
+func runsDiff(dst, a, b []pageRun) []pageRun {
+	j := 0
+	for _, r := range a {
+		lo, end := r.start, r.end()
+		for ; j < len(b) && b[j].end() <= lo; j++ {
+		}
+		for k := j; k < len(b) && b[k].start < end; k++ {
+			if b[k].start > lo {
+				dst = append(dst, pageRun{start: lo, n: int(b[k].start - lo)})
+			}
+			lo = max(lo, b[k].end())
+		}
+		if lo < end {
+			dst = append(dst, pageRun{start: lo, n: int(end - lo)})
+		}
+	}
+	return dst
 }
 
 // runsFind returns the index of the run holding page p, -1 when none.

@@ -322,10 +322,12 @@ func runTableModel(t *testing.T, seed int64) {
 	}
 }
 
-// TestRunHelpers pins the normal form the run helpers keep.
+// TestRunHelpers pins the normal form the run helpers keep, and the set
+// operations a file's page set (fileState.pages) is compared with —
+// membership, equality, difference — against a model hash set.
 func TestRunHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 300; iter++ {
+	randomSet := func() ([]pageRun, map[nvm.PageID]bool) {
 		set := map[nvm.PageID]bool{}
 		var runs []pageRun
 		for k := rng.Intn(6); k > 0; k-- { // overlapping, adjacent, out of order
@@ -335,30 +337,69 @@ func TestRunHelpers(t *testing.T) {
 				set[start+nvm.PageID(i)] = true
 			}
 		}
-		runs = normalizeRuns(runs)
+		return normalizeRuns(runs), set
+	}
+	checkHolds := func(runs []pageRun, set map[nvm.PageID]bool) {
+		t.Helper()
+		for i, r := range runs {
+			if r.n <= 0 || (i > 0 && runs[i-1].end() >= r.start) {
+				t.Fatalf("not in normal form: %v", runs)
+			}
+		}
+		if runsLen(runs) != len(set) || !slices.Equal(runs, runsOfSet(set)) {
+			t.Fatalf("runs %v do not hold the set %v", runs, set)
+		}
+	}
+	for iter := 0; iter < 300; iter++ {
+		runs, set := randomSet()
 		for step := 0; step < 20; step++ {
 			p := nvm.PageID(rng.Intn(70))
 			if rng.Intn(2) == 0 {
-				runs, set[p] = normalizeRuns(appendPage(runs, p)), true
+				runs, set[p] = runsAdd(runs, p), true
 			} else {
 				runs = runsRemove(runs, p)
 				delete(set, p)
 			}
-			n := 0
-			for i, r := range runs {
-				if r.n <= 0 || (i > 0 && runs[i-1].end() >= r.start) {
-					t.Fatalf("not in normal form: %v", runs)
-				}
-				n += r.n
-			}
-			if n != len(set) || !slices.Equal(runs, runsOfSet(set)) {
-				t.Fatalf("runs %v do not hold the set %v", runs, set)
-			}
+			checkHolds(runs, set)
 			for q := nvm.PageID(0); q < 72; q++ {
 				if (runsFind(runs, q) >= 0) != set[q] {
 					t.Fatalf("runsFind(%v, %d) disagrees with the set", runs, q)
 				}
 			}
+		}
+		// Difference and equality against a second set, mostly unrelated,
+		// sometimes one page away, sometimes the same.
+		other, otherSet := randomSet()
+		switch rng.Intn(4) {
+		case 0:
+			other, otherSet = slices.Clone(runs), set
+		case 1:
+			p := nvm.PageID(rng.Intn(70))
+			other, otherSet = runsAdd(slices.Clone(runs), p), map[nvm.PageID]bool{p: true}
+			for q := range set {
+				otherSet[q] = true
+			}
+		}
+		same := len(set) == len(otherSet)
+		diff, rdiff := map[nvm.PageID]bool{}, map[nvm.PageID]bool{}
+		for q := range set {
+			if !otherSet[q] {
+				diff[q], same = true, false
+			}
+		}
+		for q := range otherSet {
+			if !set[q] {
+				rdiff[q] = true
+			}
+		}
+		before, beforeOther := slices.Clone(runs), slices.Clone(other)
+		checkHolds(runsDiff(nil, runs, other), diff)
+		checkHolds(runsDiff(nil, other, runs), rdiff)
+		if slices.Equal(runs, other) != same {
+			t.Fatalf("run equality of %v and %v is %v, the sets say %v", runs, other, !same, same)
+		}
+		if !slices.Equal(runs, before) || !slices.Equal(other, beforeOther) {
+			t.Fatal("runsDiff modified an operand")
 		}
 	}
 }
@@ -401,7 +442,7 @@ func TestGrantIgnoresPagesBeyondDevice(t *testing.T) {
 			if got := b.AddressSpace().Mapped() - mapped0; got != 3 {
 				t.Fatalf("grantee maps %d new pages, want 3", got)
 			}
-			if got := runsLenOf(b.ls.mapped[ino].runs); got != 3 {
+			if got := runsLen(b.ls.mapped[ino].runs); got != 3 {
 				t.Fatalf("mapping holds %d pages, want 3", got)
 			}
 			data, err := core.IndexEntry(a.AddressSpace(), info.Inode.Head, 0)
@@ -523,9 +564,11 @@ func TestReapDropsRefTakenAfterRevoke(t *testing.T) {
 	}
 }
 
-func runsLenOf(runs []pageRun) (n int) {
-	for _, r := range runs {
-		n += r.n
+// runsOfSet is the model's view of a page set as normal-form runs.
+func runsOfSet(set map[nvm.PageID]bool) []pageRun {
+	runs := make([]pageRun, 0, len(set))
+	for p := range set {
+		runs = append(runs, pageRun{start: p, n: 1})
 	}
-	return n
+	return normalizeRuns(runs)
 }

@@ -271,10 +271,12 @@ func (c *Controller) setPageOwner(p nvm.PageID, ino core.Ino) {
 	c.tabMu.Unlock()
 }
 
-// clearPageOwner unbinds page p.
+// clearPageOwner unbinds page p; the facts of the file it leaves go
+// with it.
 func (c *Controller) clearPageOwner(p nvm.PageID) {
 	c.tabMu.Lock()
 	c.pageOwner[p] = 0
+	c.facts[p] = false
 	c.tabMu.Unlock()
 }
 
@@ -302,14 +304,17 @@ func (c *Controller) pagesOwnedWithin(pages []nvm.PageID, a, b core.Ino) bool {
 	return true
 }
 
-// runsOwnedWithin is pagesOwnedWithin for a mapping's runs, whose pages
-// grantRuns already bounded to the device.
-func (c *Controller) runsOwnedWithin(runs []pageRun, a, b core.Ino) bool {
+// runsOwnedWithin is pagesOwnedWithin for the runs of a mapping of fs,
+// whose pages grantRuns already bounded to the device. The pages of
+// fs.pages are the file's own, so only the rest — the dirent page, pages
+// a grant-time walk found ahead of their verification — are looked up.
+func (c *Controller) runsOwnedWithin(runs []pageRun, fs *fileState) bool {
+	var buf [4]pageRun
 	c.tabMu.Lock()
 	defer c.tabMu.Unlock()
-	for _, r := range runs {
+	for _, r := range runsDiff(buf[:0], runs, fs.pages) {
 		for _, own := range c.pageOwner[r.start:r.end()] {
-			if own != 0 && own != a && own != b {
+			if own != 0 && own != fs.ino && own != fs.parent {
 				return false
 			}
 		}
@@ -344,13 +349,36 @@ func (c *Controller) writeMapped(p nvm.PageID) bool {
 	return n > 0
 }
 
+// writeMappedOrBusy is writeMapped for the background scrubber, which
+// asks per page with a shard's lock held: parking on the controller-wide
+// tabMu there — behind whatever tenant is churning grants, then behind
+// it again for a CPU — makes every tenant of that shard wait too. A busy
+// table reads as "mapped": the page keeps its place in the cycle and is
+// audited on a later pass.
+func (c *Controller) writeMappedOrBusy(p nvm.PageID) bool {
+	if !c.tabMu.TryLock() {
+		return true
+	}
+	n := c.writeRefs[p]
+	c.tabMu.Unlock()
+	return n > 0
+}
+
 // markStored records that page p's content may have changed since its
-// checksum record was opened: the controller is about to store to the
-// page itself.
+// checksum record was opened and since its last clean walk: the
+// controller is about to store to the page itself.
 func (c *Controller) markStored(p nvm.PageID) {
 	c.tabMu.Lock()
-	c.cleanOpen[p] = false
+	c.storedLocked(p)
 	c.tabMu.Unlock()
+}
+
+// storedLocked (tabMu held) is the one place a store to page p — a
+// harvested dirty bit, a teardown without harvest, the controller's own
+// — invalidates what was known of its content.
+func (c *Controller) storedLocked(p nvm.PageID) {
+	c.cleanOpen[p] = false
+	c.facts[p] = false
 }
 
 // ---------------------------------------------------------------------
@@ -583,7 +611,7 @@ func (c *Controller) scrubShard(i int) {
 	}
 	checked := 0
 	audit := func(p nvm.PageID) {
-		if c.writeMapped(p) {
+		if c.writeMappedOrBusy(p) {
 			return
 		}
 		verdict, want, _, err := sh.scrubber.ScrubPage(p, true)
@@ -623,11 +651,10 @@ func (c *Controller) scrubShard(i int) {
 		if fs.corrupt || fs.quarantined != 0 || fs.writer != 0 {
 			continue
 		}
-		for p := range fs.pages {
-			if checked >= budget {
-				break
+		for _, r := range fs.pages {
+			for p := r.start; p < r.end() && checked < budget; p++ {
+				audit(p)
 			}
-			audit(p)
 		}
 	}
 	if checked > 0 {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"trio/internal/telemetry"
+	"trio/internal/verifier"
 )
 
 // Stats aggregates the sharing-cost instrumentation behind Fig. 8 of
@@ -57,6 +58,23 @@ type Stats struct {
 	// streamed and re-CRC'd.
 	SealClean    *telemetry.Counter
 	SealStreamed *telemetry.Counter
+
+	// Verification scoped by dirty metadata (ISSUE 23). Every VerifyCnt is
+	// one or the other: VerifyScoped carried the index facts of the file's
+	// last clean walk over, VerifyFull walked. A release that had to walk
+	// also counts its reason (fullWhy, "controller.verify_full.<reason>");
+	// the full walks without one are not releases. IndexReads counts index
+	// pages read by verification walks, grant walks and checkpoint
+	// snapshots together: zero per handover while the facts hold.
+	VerifyScoped *telemetry.Counter
+	VerifyFull   *telemetry.Counter
+	fullWhy      [len(scopeReasons)]*telemetry.Counter
+	IndexReads   *telemetry.Counter
+	// KeptPages is a level, not a count: index-page images held in
+	// controller DRAM between write grants ("controller.kept_index_pages";
+	// fileState.kept) — at most the index pages of the regular files
+	// handed over since mount and still registered.
+	KeptPages *telemetry.Counter
 
 	// RecallLat is the lease-recall latency distribution (ISSUE 6): the
 	// time from a cooperative recall request to the file becoming free —
@@ -132,7 +150,17 @@ func newStats(shards int) *Stats {
 		SealClean:    reg.NewCounter("controller.seal_clean_pages"),
 		SealStreamed: reg.NewCounter("controller.seal_streamed_pages"),
 
+		VerifyScoped: reg.NewCounter("controller.verify_scoped"),
+		VerifyFull:   reg.NewCounter("controller.verify_full"),
+		IndexReads:   reg.NewCounter("controller.index_pages_read"),
+		KeptPages:    reg.NewCounter("controller.kept_index_pages"),
+
 		RecallLat: reg.NewHistogram("controller.recall_ns"),
+	}
+	for scope, why := range scopeReasons {
+		if why != "" {
+			s.fullWhy[scope] = reg.NewCounter("controller.verify_full." + why)
+		}
 	}
 	s.perShard = make([]ShardCounters, shards)
 	for i := range s.perShard {
@@ -186,6 +214,18 @@ func (s *Stats) addVerify(d time.Duration) {
 	s.VerifyNS.Add(int64(d))
 }
 
+// observeVerify books one verification as scoped or full, a full
+// release under the reason it could not be scoped.
+func (s *Stats) observeVerify(rep *verifier.Report, scope verifyScope) {
+	if rep.Scoped {
+		s.VerifyScoped.Add(1)
+		return
+	}
+	s.VerifyFull.Add(1)
+	s.IndexReads.Add(int64(len(rep.Index)))
+	s.fullWhy[scope].Add(1) // nil-safe: no counter for the scopes that are no reason
+}
+
 // AddRebuild records one auxiliary-state rebuild performed by a LibFS.
 func (s *Stats) AddRebuild(d time.Duration) {
 	s.RebuildCnt.Add(1)
@@ -210,6 +250,8 @@ type Snapshot struct {
 	ScrubDetected, ScrubRepaired, ScrubQuarantined  int64
 	ScrubTime                                       time.Duration
 	SealCleanPages, SealStreamedPages               int64
+	VerifyScoped, VerifyFull, IndexPagesRead        int64
+	KeptIndexPages                                  int64 // a level: Sub gives its change
 
 	// PerShard mirrors the lock-shard counters (ISSUE 6), one entry per
 	// shard, taken in the same registry pass as the global counters.
@@ -285,6 +327,11 @@ func (s *Stats) Snapshot() Snapshot {
 
 		SealCleanPages:    snap.Get("controller.seal_clean_pages"),
 		SealStreamedPages: snap.Get("controller.seal_streamed_pages"),
+
+		VerifyScoped:   snap.Get("controller.verify_scoped"),
+		VerifyFull:     snap.Get("controller.verify_full"),
+		IndexPagesRead: snap.Get("controller.index_pages_read"),
+		KeptIndexPages: snap.Get("controller.kept_index_pages"),
 	}
 }
 
@@ -332,5 +379,10 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 
 		SealCleanPages:    s.SealCleanPages - prev.SealCleanPages,
 		SealStreamedPages: s.SealStreamedPages - prev.SealStreamedPages,
+
+		VerifyScoped:   s.VerifyScoped - prev.VerifyScoped,
+		VerifyFull:     s.VerifyFull - prev.VerifyFull,
+		IndexPagesRead: s.IndexPagesRead - prev.IndexPagesRead,
+		KeptIndexPages: s.KeptIndexPages - prev.KeptIndexPages,
 	}
 }

@@ -493,8 +493,10 @@ func WalkFile(m Mem, head nvm.PageID, maxPages int,
 	}
 	seen := 0
 	block := uint64(0)
-	// The page buffer escapes through m.Read; a handover walks its file
-	// four times, so the buffers are recycled rather than allocated.
+	// The page buffer escapes through m.Read, and walks come in bursts (a
+	// handover nobody can vouch for walks its file four times: grant,
+	// checkpoint, rebuild, verify), so the buffers are recycled rather
+	// than allocated.
 	buf := walkBufPool.Get().(*[nvm.PageSize]byte)
 	defer walkBufPool.Put(buf)
 	for p := head; p != nvm.NilPage; {

@@ -81,13 +81,12 @@ func (fs *FS) claimSlot(cpu int, dir *node) (nvm.PageID, int, error) {
 	if err := fs.persist(page, 0, nvm.PageSize); err != nil {
 		return 0, 0, err
 	}
-	block := uint64(len(dir.dirPages))
-	if err := fs.linkBlockLocked(cpu, dir, block, page); err != nil {
+	if err := fs.linkBlockLocked(cpu, dir, uint64(dir.dirBlocks), page); err != nil {
 		return 0, 0, err
 	}
-	dir.dirPages = append(dir.dirPages, page)
+	dir.dirBlocks++
 	if err := core.UpdateInodeSizeMtime(fs.cmem, dir.loc(),
-		uint64(len(dir.dirPages))*nvm.PageSize, uint64(time.Now().UnixNano())); err != nil {
+		uint64(dir.dirBlocks)*nvm.PageSize, uint64(time.Now().UnixNano())); err != nil {
 		return 0, 0, err
 	}
 	free := make([]int, 0, core.SlotsPerDirPage-1)
@@ -226,7 +225,7 @@ func (c *Client) Mkdir(path string, mode uint16) error {
 	n.setFtype(core.TypeDir)
 	n.ht = c.fs.freshDirMap()
 	n.chain = nil
-	n.dirPages = nil
+	n.dirBlocks = 0
 	n.tails = nil
 	n.mapState.Store(2)
 	n.mapMu.Unlock()

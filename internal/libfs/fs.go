@@ -192,11 +192,17 @@ type node struct {
 	rlock locks.RangeLock
 
 	// directory auxiliary state
-	ht       *index.Map[dirEntry]
-	tailsMu  sync.Mutex
-	tails    []*pageTail // non-full dirent pages
-	idxTail  sync.Mutex  // index-tail lock (growth)
-	dirPages []nvm.PageID
+	ht        *index.Map[dirEntry]
+	tailsMu   sync.Mutex
+	tails     []*pageTail // non-full dirent pages
+	idxTail   sync.Mutex  // index-tail lock (growth)
+	dirBlocks int         // dirent pages linked so far: the next one's block number
+
+	// auxGen is the controller's structure generation (MapInfo.Gen) the
+	// regular-file aux was built under, 0 when it vouched for none; written
+	// under auxMu's write lock. Read once per map: kept clear of the
+	// fields every data operation touches.
+	auxGen uint64
 }
 
 // newNode returns the blank auxiliary state of inode ino.
@@ -373,13 +379,31 @@ func (fs *FS) ensureMapped(n *node, write bool) error {
 		return mapControllerErr(err)
 	}
 	start := time.Now()
-	n.auxMu.Lock()
-	err = fs.buildAux(n, &info.Inode)
+	n.auxMu.Lock() // waits out operations still running on the old mapping
+	reuse := info.Gen != 0 && info.Gen == n.auxGen && info.Inode.Type == core.TypeReg
+	if reuse {
+		// The controller vouches that no index page was stored to since
+		// this aux was built from them — our own stores included: aux
+		// changes only after the core store it mirrors has landed, and
+		// such a store costs the file its generation. The inode is the
+		// one thing a writer elsewhere may have moved (an extending write
+		// inside the last block); the grant carries it.
+		atomic.StoreInt64(&n.size, int64(info.Inode.Size))
+	} else if err = fs.buildAux(n, &info.Inode); err == nil {
+		n.auxGen = info.Gen
+	} else {
+		n.auxGen = 0 // the old aux stays for operations in flight, vouched for by nothing
+	}
 	n.auxMu.Unlock()
 	if err != nil {
 		return err
 	}
-	fs.statsRebuild(time.Since(start))
+	if reuse {
+		mAuxReused.Inc()
+	} else {
+		mAuxRebuilt.Inc()
+		fs.statsRebuild(time.Since(start))
+	}
 	n.setLoc(info.Loc)
 	n.mapState.Store(need)
 	return nil
@@ -453,12 +477,13 @@ func (fs *FS) buildAux(n *node, in *core.Inode) error {
 		atomic.StoreInt64(&n.size, int64(in.Size))
 	case core.TypeDir:
 		ht := index.NewMap[dirEntry]()
-		var chain, dirPages []nvm.PageID
+		var chain []nvm.PageID
+		dirBlocks := 0
 		var tails []*pageTail
 		err := core.WalkFile(fs.as, in.Head, int(fs.dev.NumPages()),
 			func(p nvm.PageID) bool { chain = append(chain, p); return true },
 			func(_ uint64, p nvm.PageID) bool {
-				dirPages = append(dirPages, p)
+				dirBlocks++
 				dp, derr := core.ReadDirPage(fs.as, p)
 				if derr != nil {
 					return false
@@ -488,7 +513,7 @@ func (fs *FS) buildAux(n *node, in *core.Inode) error {
 		}
 		n.ht = ht
 		n.chain = chain
-		n.dirPages = dirPages
+		n.dirBlocks = dirBlocks
 		n.tails = tails
 	default:
 		return fmt.Errorf("libfs: inode %d has type %v", in.Ino, in.Type)

@@ -16,6 +16,11 @@ var (
 	hWriteSize = telemetry.Default().NewHistogram("libfs.write_bytes")
 	mNamespace = telemetry.Default().NewCounter("libfs.namespace_ops")
 
+	// A (re)map either rebuilt the node's auxiliary state from the core
+	// state or kept the one the controller still vouches for (MapInfo.Gen).
+	mAuxReused  = telemetry.Default().NewCounter("libfs.aux_reused")
+	mAuxRebuilt = telemetry.Default().NewCounter("libfs.aux_rebuilt")
+
 	// Read-path CRC verification (Config.VerifyReads).
 	mReadVerified   = telemetry.Default().NewCounter("libfs.read_verified_pages")
 	mReadVerifyFail = telemetry.Default().NewCounter("libfs.read_verify_failures")

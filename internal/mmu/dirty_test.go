@@ -1,12 +1,14 @@
 package mmu
 
 import (
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"trio/internal/nvm"
 )
@@ -398,4 +400,70 @@ func TestRunUnrefHarvestsEveryStore(t *testing.T) {
 		t.Skip("no store landed inside a window; nothing was exercised")
 	}
 	t.Logf("%d page-stores landed inside %d windows", hits, rounds)
+}
+
+// TestHarvestDirtyRacingStore is the rule verification scoped by dirty
+// metadata rests on (DESIGN.md §5a): a page's facts survive only if
+// every store to it since the walk that produced them would have cleared
+// them. HarvestDirty clears the bit of a page that stays mapped, so a
+// store whose permission check has passed but whose bytes have not
+// landed must be on one side or the other of it: drained by the harvest
+// (it runs inside the shootdown barrier, as Revoke does: the bit it
+// reports is the store's, and the bytes are on the media when it is
+// reported), or — checking after the harvest — setting the bit again for
+// the release-time harvest. Never "bit clear, bytes land later, facts
+// kept". The store is held in flight by a slow-I/O window on the device,
+// which opens after the permission check.
+func TestHarvestDirtyRacingStore(t *testing.T) {
+	as := newAS(t)
+	dev := as.Device()
+	const p = nvm.PageID(5)
+	as.Ref(p, 1, PermWrite, nil)
+	fp := nvm.NewFaultPlan()
+	fp.DelayOp(p, 50*time.Millisecond, 1)
+	dev.SetFaultPlan(fp)
+
+	done := make(chan error, 1)
+	go func() { done <- as.WriteU64(p, 64, 0xfeedface) }()
+	for !dirty(as, p) || fp.Faults() == 0 { // checked, and inside the slow window: in flight
+		runtime.Gosched()
+	}
+	calls := 0
+	as.HarvestDirty([]nvm.PageID{p, 1 << 40}, func(q nvm.PageID, was Perm, d bool) {
+		calls++
+		if q != p || was != PermWrite || !d {
+			t.Errorf("harvest reported page %d perm %v dirty %v, want page %d rw dirty", q, was, d, p)
+		}
+		if got := binary.LittleEndian.Uint64(dev.Page(p)[64:]); got != 0xfeedface {
+			t.Errorf("harvest reported the bit with the store's bytes still in flight (media holds %#x)", got)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("harvest reported %d pages, want 1 (ids beyond the device are skipped)", calls)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if dirty(as, p) || as.PermOf(p) != PermWrite {
+		t.Fatalf("after the harvest: dirty %v perm %v, want clean and still rw", dirty(as, p), as.PermOf(p))
+	}
+
+	// The other side: a store that checks after the harvest marks the
+	// page again, and the release collects it.
+	if err := as.WriteU64(p, 72, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := harvest(as, p, 1); !slices.Equal(got, []nvm.PageID{p}) {
+		t.Fatalf("release after a post-harvest store reported %v stored to, want [%d]", got, p)
+	}
+	// And a page nobody stored to since stays clean through both.
+	as.Ref(p, 1, PermWrite, nil)
+	as.HarvestDirty([]nvm.PageID{p}, func(_ nvm.PageID, _ Perm, d bool) {
+		if d {
+			t.Error("harvest of an untouched page reported it dirty")
+		}
+	})
+	if got := harvest(as, p, 1); len(got) != 0 {
+		t.Fatalf("release of an untouched page reported %v stored to", got)
+	}
 }

@@ -297,6 +297,32 @@ func (as *AddressSpace) Revoke(unmapped func(p nvm.PageID, was Perm, dirty bool)
 	as.shoot.Unlock()
 }
 
+// HarvestDirty collects and clears the dirty bits of the listed pages
+// while they stay mapped, calling fn (under the barrier) with each page's
+// permission and the bit it had. It runs inside the shootdown barrier, as
+// Revoke does — on hardware, clearing a live PTE's dirty bit needs the
+// same TLB flush — so a store is on one side or the other: one that
+// passed its permission check before the harvest has landed when fn
+// runs, and one that checks afterwards sets the bit again for the next
+// harvest (Unref, Revoke or this). Never "bit clear, bytes land later".
+// Controller-only, like Map/Unmap.
+func (as *AddressSpace) HarvestDirty(pages []nvm.PageID, fn func(p nvm.PageID, was Perm, dirty bool)) {
+	mShootdowns.Inc()
+	as.shoot.Lock()
+	defer as.shoot.Unlock()
+	for _, p := range pages {
+		if uint64(p) >= uint64(len(as.perms)) {
+			continue
+		}
+		pte := &as.perms[p]
+		old := pte.Load()
+		for old&pteDirty != 0 && !pte.CompareAndSwap(old, old&^pteDirty) {
+			old = pte.Load()
+		}
+		fn(p, Perm(old&ptePerm), old&pteDirty != 0)
+	}
+}
+
 // Revoked reports whether the address space has been torn down.
 func (as *AddressSpace) Revoked() bool { return as.revoked.Load() }
 

@@ -101,6 +101,17 @@ type Env interface {
 	DirDeletedOK(ino core.Ino) bool
 }
 
+// IndexFacts is an optional extension of Env: a controller that tracks
+// stores to metadata pages (the MMU dirty bits it harvests) can vouch
+// that a regular file's index pages are byte-for-byte what the last
+// clean walk read, and the I2 facts that walk established still hold.
+type IndexFacts interface {
+	// IndexUnchanged reports whether the chain that starts at head is the
+	// one the file's last clean walk verified, with no store to any of its
+	// index pages since. The verifier then skips the walk (Report.Scoped).
+	IndexUnchanged(head nvm.PageID) bool
+}
+
 // Report is the outcome of verifying one file.
 type Report struct {
 	Ino        core.Ino
@@ -109,6 +120,14 @@ type Report struct {
 	// by the walk; on a clean report the controller records it as the
 	// file's new core-state extent.
 	Pages []nvm.PageID
+	// Index is the index pages among Pages, in chain order.
+	Index []nvm.PageID
+	// Scoped reports that the page checks were carried over from the
+	// file's last clean walk (Env implements IndexFacts and vouched for
+	// the chain): no index page was read, Pages and Index are empty and
+	// the page set the controller recorded then stands. The dirent and
+	// inode checks (I1, I4, size) ran as always.
+	Scoped bool
 	// Children lists the live entries of a directory (empty for regular
 	// files).
 	Children []ChildRef
@@ -137,6 +156,10 @@ const maxViolations = 256
 
 // OK reports whether the file passed every check.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
+
+// Dirent returns the checked file's dirent slot as the verification read
+// it (inode and name); it is overwritten by the report's next use.
+func (r *Report) Dirent() *[core.DirentSize]byte { return &r.buf }
 
 // Verifier checks files against the shared core-state definition. It is
 // a standalone trusted component: it holds direct (unchecked) access to
@@ -174,12 +197,14 @@ func (v *Verifier) VerifyFile(env Env, ino core.Ino, loc core.FileLoc, isRoot bo
 // VerifyFileInto is VerifyFile writing into a caller-owned report — the
 // batch-verification form: a drainer checking a stream of small files
 // reuses one report instead of allocating per file. The report is fully
-// reset; Violations and Pages reuse their backing arrays, Children is
+// reset; Violations, Pages and Index reuse their backing arrays, Children is
 // detached (callers retain it as the directory's verified child list).
 func (v *Verifier) VerifyFileInto(r *Report, env Env, ino core.Ino, loc core.FileLoc, isRoot bool) error {
 	r.Ino = ino
 	r.Violations = r.Violations[:0]
 	r.Pages = r.Pages[:0]
+	r.Index = r.Index[:0]
+	r.Scoped = false
 	r.Children = nil
 	r.Inode = core.Inode{}
 	r.Truncated = false
@@ -232,6 +257,14 @@ func (v *Verifier) VerifyFileInto(r *Report, env Env, ino core.Ino, loc core.Fil
 	v.checkShadow(env, r, &in, "file")
 
 	// ---- I2: page validity of the index chain -------------------------
+	if in.Type == core.TypeReg {
+		// Verification scoped by dirty metadata: pages nobody stored to
+		// since their last clean walk keep the facts that walk proved.
+		if f, ok := env.(IndexFacts); ok && f.IndexUnchanged(in.Head) {
+			r.Scoped = true
+			return nil
+		}
+	}
 	var blocks map[uint64]nvm.PageID // only a directory's content checks read it
 	if in.Type == core.TypeDir {
 		blocks = make(map[uint64]nvm.PageID)
@@ -309,7 +342,13 @@ func (v *Verifier) checkPages(env Env, r *Report, head nvm.PageID, blocks map[ui
 
 	maxPages := int(total) // the seen-set already catches cycles; this bounds runaway chains
 	err := core.WalkFile(v.mem, head, maxPages,
-		func(p nvm.PageID) bool { return checkPage(p, "index") },
+		func(p nvm.PageID) bool {
+			if !checkPage(p, "index") {
+				return false
+			}
+			r.Index = append(r.Index, p)
+			return true
+		},
 		func(block uint64, p nvm.PageID) bool {
 			if checkPage(p, "data") && blocks != nil {
 				blocks[block] = p

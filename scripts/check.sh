@@ -16,11 +16,16 @@
 #      by a single pass and quarantined with a typed read error. The two
 #      parsers of untrusted wire bytes get five seconds each: an
 #      arbitrary client stream into the server, an arbitrary server
-#      stream into a session with a call pending.
+#      stream into a session with a call pending. Ten seconds go to the
+#      scoped-verification target: whatever a session stores through
+#      its address space, the release's scoped verification and a full
+#      walk of the same image must agree on the verdict and the page set.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
-#      must stream one page per handover within its recorded allocs/op,
-#      and the trio-bench regression harness completes a -quick pass. A
+#      must stream one page and read no index page per handover within
+#      its recorded allocs/op, the same handover through two mounted
+#      LibFSes must rebuild no auxiliary state, and the trio-bench
+#      regression harness completes a -quick pass. A
 #      bench that fails to build or errors at runtime fails the gate —
 #      perf coverage must not rot silently.
 #   7. a telemetry-overhead smoke: the disabled-path micro-benchmarks
@@ -97,23 +102,47 @@ gate_alloc_ceiling() {
 }
 
 # gate_handover <max-allocs>: BenchmarkHandover2M must stream exactly
-# one page per handover (the seal costs the write set, not the file) and
-# report at most max-allocs allocs/op — the value recorded when grants
-# went run-native (ISSUE 16), so per-grant allocations cannot creep
-# back. A run that matches no benchmark, or one that stops reporting
-# either number, fails too.
+# one page per handover (the seal costs the write set, not the file),
+# read no index page — not to verify, not to build the grant, not to cut
+# the checkpoint: nobody stored to one (ISSUE 23) — and report at most
+# max-allocs allocs/op, the value recorded when the file's page set went
+# run-native too, so per-grant allocations cannot creep back. A run that
+# matches no benchmark, or one that stops reporting any of the numbers,
+# fails too.
 gate_handover() {
 	bad=$(go test -run='^$' -bench='^BenchmarkHandover2M$' -benchtime=200x -benchmem ./internal/controller/ \
 		| awk -v max="$1" '/^BenchmarkHandover2M/ {
 				n++
 				for (i = 2; i < NF; i++) {
 					if ($(i + 1) == "streamed-pages/op") { seen++; if ($i + 0 != 1) bad = 1 }
+					if ($(i + 1) == "index-pages-read/op") { seen++; if ($i + 0 != 0) bad = 1 }
+					if ($(i + 1) == "allocs/op") { seen++; if ($i + 0 > max) bad = 1 }
+				}
+			}
+			END { if (n == 0 || seen != 3 * n) bad = 1; print bad + 0 }')
+	if [ "$bad" != "0" ]; then
+		echo "FAIL: BenchmarkHandover2M must report 1 streamed-pages/op, 0 index-pages-read/op and at most $1 allocs/op" >&2
+		exit 1
+	fi
+}
+
+# gate_handover_libfs <max-allocs>: BenchmarkHandoverLibFS2M — the same
+# handover through two mounted LibFSes, the benchmark's share-handover
+# op — must rebuild no auxiliary state (an in-place overwrite stores to
+# no index page, so each mount keeps the aux the controller still
+# vouches for) within max-allocs allocs/op.
+gate_handover_libfs() {
+	bad=$(go test -run='^$' -bench='^BenchmarkHandoverLibFS2M$' -benchtime=200x -benchmem ./internal/libfs/ \
+		| awk -v max="$1" '/^BenchmarkHandoverLibFS2M/ {
+				n++
+				for (i = 2; i < NF; i++) {
+					if ($(i + 1) == "aux-rebuilds/op") { seen++; if ($i + 0 != 0) bad = 1 }
 					if ($(i + 1) == "allocs/op") { seen++; if ($i + 0 > max) bad = 1 }
 				}
 			}
 			END { if (n == 0 || seen != 2 * n) bad = 1; print bad + 0 }')
 	if [ "$bad" != "0" ]; then
-		echo "FAIL: BenchmarkHandover2M must report 1 streamed-pages/op and at most $1 allocs/op" >&2
+		echo "FAIL: BenchmarkHandoverLibFS2M must report 0 aux-rebuilds/op and at most $1 allocs/op" >&2
 		exit 1
 	fi
 }
@@ -156,7 +185,7 @@ go test ./...
 echo "== go test -race (concurrency-bearing packages)"
 make race
 
-echo "== fuzz smoke (verifier adversarial targets, 10s each; wire parsers, 5s each)"
+echo "== fuzz smoke (verifier adversarial targets and scoped-vs-full agreement, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzVerifyDirectory$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
@@ -165,6 +194,9 @@ go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
 # at a second so the budget goes to executions.
 go test -run='^$' -fuzz='^FuzzServeFrame$' -fuzztime=5s -fuzzminimizetime=1s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzSessionDemux$' -fuzztime=5s -fuzzminimizetime=1s ./internal/serve/
+# Scoped vs full verification of whatever a session stored (each input
+# mounts a controller, so minimising is capped the same way).
+go test -run='^$' -fuzz='^FuzzVerifyScopedAgrees$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
 go test -race -run='^TestScrubSmoke$' -count=1 ./internal/fstest/
@@ -175,9 +207,11 @@ echo "== bench smoke (benchmarks must build and run, never silently skip)"
 go test -run='^$' -bench='^$' ./... > /dev/null
 # One-shot run of the data-path families that back BENCH_trio.json.
 go test -run='^$' -bench='^BenchmarkDataPath' -benchtime=1x . > /dev/null
-# Cross-domain 2 MiB write handovers: streamed-pages/op and allocs/op
-# are gated, not just printed.
-gate_handover 11
+# Cross-domain 2 MiB write handovers: streamed-pages/op,
+# index-pages-read/op and allocs/op are gated, not just printed — at the
+# controller's surface, then through two mounted LibFSes.
+gate_handover 5
+gate_handover_libfs 8
 # And the regression harness itself, end to end in quick mode.
 go run ./cmd/trio-bench -experiment datapath -quick -json /dev/null > /dev/null
 
