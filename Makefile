@@ -16,7 +16,8 @@ test:
 # Race-detect the packages that exercise real concurrency: the
 # conformance suite's parallel cases, the LibFS they drive, the
 # controller, page table and verifier under it (the store path's
-# dirty-bit CAS races the controller's unmap), the telemetry
+# dirty-bit CAS races the controller's unmap, harvest and granule split),
+# the telemetry
 # registry/ring everything records into, and the wire-serving front-end
 # (pipelined connections, out-of-order workers). The workload package's
 # tenancy sweeps are too heavy for the race detector's ~20x slowdown;
@@ -37,7 +38,8 @@ vet:
 # untrusted wire bytes: an arbitrary client stream into the server, an
 # arbitrary server stream into a session with a call pending — and of
 # the scoping of verification by dirty metadata: for any stores through
-# a session's address space, scoped and full verification agree.
+# a session's address space, scoped and full verification agree — and of
+# the page table's two page sizes against the per-page model.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRegular$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyDirectory$$' -fuzztime=10s ./internal/verifier/
@@ -45,6 +47,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzServeFrame$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSessionDemux$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyScopedAgrees$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+	$(GO) test -run='^$$' -fuzz='^FuzzPageTableModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mmu/
 
 # Data-path regression harness: per-op software overhead (cost model
 # off) across workloads × FS, rewritten into BENCH_trio.json so PRs

@@ -21,6 +21,7 @@ import (
 	"trio/internal/controller"
 	"trio/internal/core"
 	"trio/internal/libfs"
+	"trio/internal/mmu"
 	"trio/internal/nvm"
 )
 
@@ -441,7 +442,7 @@ func OwnDirent() []Scenario {
 	}
 }
 
-// DanglingFree returns the attack that changes a shared regular file
+// DanglingFree returns the attacks that change a shared regular file
 // without a store: the writer frees one of the file's data pages
 // (FreePages, what a truncate calls) and leaves the index entry naming
 // it, so the file references a page the allocator will hand to somebody
@@ -453,33 +454,65 @@ func OwnDirent() []Scenario {
 // handover is uneventful, or the file is private to the freer and no
 // other domain is served it. Never: carried over as clean, for the next
 // full walk to blame on whoever releases then.
+//
+// In F2 another domain's allocation takes the freed page before the
+// freer releases, which leaves the second end only — and the file's
+// state naming a page of somebody else's pool for as long as it stays
+// quarantined. The freer may map its private file as often as it likes,
+// for reading or for writing: no grant may reach that page.
 func DanglingFree() []Scenario {
-	const name = "F1-free-referenced-data-page"
-	return []Scenario{{Name: name, body: func(w *world) Outcome {
-		victim := w.ctl.Register(1000, 1000, 0, 0) // another trust domain
-		out := w.corrupt(name, w.fileIno, w.fileLoc, func(info *controller.MapInfo) error {
-			p, err := core.IndexEntry(w.as(), firstIndexPage(info), 0)
-			if err != nil {
-				return err
+	mk := func(name string, taken bool) Scenario {
+		return Scenario{Name: name, body: func(w *world) Outcome {
+			victim := w.ctl.Register(1000, 1000, 0, 0) // another trust domain
+			var freed nvm.PageID
+			out := w.corrupt(name, w.fileIno, w.fileLoc, func(info *controller.MapInfo) (err error) {
+				if freed, err = core.IndexEntry(w.as(), firstIndexPage(info), 0); err != nil {
+					return err
+				}
+				if err = w.sess.FreePages([]nvm.PageID{freed}); err != nil || !taken {
+					return err
+				}
+				for tries := 0; tries < 256; tries++ {
+					got, err := victim.AllocPages(0, 1)
+					if err != nil {
+						return err
+					}
+					if got[0] == freed {
+						return nil
+					}
+				}
+				return fmt.Errorf("page %d did not come back out of the allocator", freed)
+			})
+			if out.Err != nil {
+				return out
 			}
-			return w.sess.FreePages([]nvm.PageID{p})
-		})
-		if out.Err != nil {
+			before := w.ctl.Stats().Snapshot()
+			_, err := victim.MapFile(w.fileIno, w.fileLoc, true)
+			switch {
+			case errors.Is(err, controller.ErrQuarantined):
+				out.Recovered = true
+				for _, write := range []bool{false, true} {
+					if _, err = w.sess.MapFile(w.fileIno, w.fileLoc, write); err != nil {
+						out.Recovered = false
+					} else if got := w.sess.AddressSpace().PermOf(freed); taken && got != mmu.PermNone {
+						out.Err = fmt.Errorf("the freer's remap (write=%v) of its quarantined file maps page %d, now in another session's pool, %v", write, freed, got)
+						return out
+					}
+				}
+			case err == nil && !taken:
+				err = victim.UnmapFile(w.fileIno)
+				out.Recovered = out.Recovered && err == nil && w.ctl.Stats().Snapshot().Sub(before).Corruptions == 0
+			default:
+				out.Recovered = false
+			}
+			if !out.Recovered {
+				out.Err = fmt.Errorf("not settled at the freer's release (last error: %v)", err)
+			}
 			return out
-		}
-		before := w.ctl.Stats().Snapshot()
-		_, err := victim.MapFile(w.fileIno, w.fileLoc, true)
-		switch {
-		case errors.Is(err, controller.ErrQuarantined):
-			_, err = w.sess.MapFile(w.fileIno, w.fileLoc, false)
-			out.Recovered = err == nil
-		case err == nil:
-			err = victim.UnmapFile(w.fileIno)
-			out.Recovered = out.Recovered && err == nil && w.ctl.Stats().Snapshot().Sub(before).Corruptions == 0
-		}
-		if !out.Recovered {
-			out.Err = fmt.Errorf("not settled at the freer's release (last error: %v)", err)
-		}
-		return out
-	}}}
+		}}
+	}
+	return []Scenario{
+		mk("F1-free-referenced-data-page", false),
+		mk("F2-freed-page-in-another-pool", true),
+	}
 }

@@ -60,18 +60,20 @@ func (c *Controller) quiescentSegments(runs []pageRun, fn func(total nvm.PageID,
 		end := min(r.end(), base)
 		for p := r.start; p < end; {
 			stop := min(end, (p/core.ChecksumRecordsPerPage+1)*core.ChecksumRecordsPerPage)
+			refs, i := c.writeRefs[p:stop], 0
 			c.tabMu.Lock()
-			for p < stop && c.writeRefs[p] != 0 {
-				p++
+			for i < len(refs) && refs[i] != 0 {
+				i++
 			}
-			seg := pageRun{start: p}
-			for p < stop && c.writeRefs[p] == 0 {
-				p++
+			busy := i
+			for i < len(refs) && refs[i] == 0 {
+				i++
 			}
 			c.tabMu.Unlock()
-			if seg.n = int(p - seg.start); seg.n > 0 {
-				fn(total, seg)
+			if i > busy {
+				fn(total, pageRun{start: p + nvm.PageID(busy), n: i - busy})
 			}
+			p += nvm.PageID(i)
 		}
 	}
 }
@@ -193,8 +195,8 @@ func (c *Controller) sealSegment(total nvm.PageID, seg pageRun) {
 		c.sealSegmentSlow(seg)
 		return
 	}
-	var stream []pageRun
-	clean := 0
+	var sbuf [4]pageRun // the stored-to sub-runs of a handover are a few: off the heap
+	stream, clean := sbuf[:0], 0
 	c.tabMu.Lock()
 	for i := 0; i < seg.n; i++ {
 		rec := binary.LittleEndian.Uint64(span[i*core.ChecksumRecordSize:])

@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -720,7 +721,9 @@ func (s *Session) Close() error {
 
 // A session's per-page reference counts live in the software bits of
 // its page-table words (mmu.Ref/Unref; ids beyond the device are
-// clipped there). A page holds write permission exactly while the
+// clipped there) — one word per page, or one per 32-page granule of a
+// run taken and released whole, which is what makes a grant cost words
+// and not pages. A page holds write permission exactly while the
 // session counts in writeRefs for it, and a grant or release settles
 // writeRefs, cleanOpen and facts under one tabMu hold — harvested dirty
 // bits included, so a sealer that reads writeRefs zero sees cleanOpen
@@ -730,9 +733,9 @@ func (s *Session) Close() error {
 // reference on each.
 func (ls *libfsState) refRunsLocked(runs []pageRun, perm mmu.Perm) {
 	c := ls.c
-	var raised func(nvm.PageID)
+	var raised func(nvm.PageID, int)
 	if perm == mmu.PermWrite {
-		raised = func(p nvm.PageID) { c.writeRefs[p]++ }
+		raised = c.raisedLocked
 	}
 	c.tabMu.Lock()
 	for _, r := range runs {
@@ -752,18 +755,31 @@ func (ls *libfsState) unrefRunsLocked(runs []pageRun) {
 	c.tabMu.Unlock()
 }
 
-// unmappedLocked settles the global tables for a page a session just
-// lost (tabMu held): a write mapping no longer counts, and a page that
-// was stored to is no longer cleanOpen, nor are its facts current.
-func (c *Controller) unmappedLocked(p nvm.PageID, was mmu.Perm, stored bool) {
+// raisedLocked counts a session's new write permission on the n pages
+// from start (tabMu held).
+func (c *Controller) raisedLocked(start nvm.PageID, n int) {
+	refs := c.writeRefs[start:][:n]
+	for i := range refs {
+		refs[i]++
+	}
+}
+
+// unmappedLocked settles the global tables for the n pages from start a
+// session just lost (tabMu held): a write mapping no longer counts, and
+// a page that was stored to (its bit in stored, bit i for start+i) is no
+// longer cleanOpen, nor are its facts current.
+func (c *Controller) unmappedLocked(start nvm.PageID, n int, was mmu.Perm, stored uint32) {
 	if was != mmu.PermWrite {
 		return
 	}
-	if stored {
-		c.storedLocked(p)
+	refs := c.writeRefs[start:][:n]
+	for i := range refs {
+		if refs[i] > 0 {
+			refs[i]--
+		}
 	}
-	if c.writeRefs[p] > 0 {
-		c.writeRefs[p]--
+	for ; stored != 0; stored &= stored - 1 {
+		c.storedLocked(start + nvm.PageID(bits.TrailingZeros32(stored)))
 	}
 }
 
@@ -787,9 +803,9 @@ func (ls *libfsState) unrefPageLocked(p nvm.PageID) {
 // dirty bit is harvested — a torn-down session's stores may not even be
 // persisted — so every page it could store to counts as stored to.
 func (c *Controller) revokeSpaceLocked(ls *libfsState) {
-	ls.as.Revoke(func(p nvm.PageID, was mmu.Perm, _ bool) {
+	ls.as.Revoke(func(start nvm.PageID, n int, was mmu.Perm, _ uint32) {
 		c.tabMu.Lock()
-		c.unmappedLocked(p, was, true)
+		c.unmappedLocked(start, n, was, ^uint32(0)>>(32-n)) // all n of them
 		c.tabMu.Unlock()
 	})
 }

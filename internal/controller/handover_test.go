@@ -9,6 +9,7 @@ import (
 
 	"trio/internal/core"
 	"trio/internal/nvm"
+	"trio/internal/telemetry"
 )
 
 // Coverage for the write-set-proportional handover (ISSUE 15): the
@@ -570,4 +571,15 @@ func benchHandover2M(b *testing.B, dirtyIndex bool) {
 	st := c.Stats().Snapshot().Sub(st0)
 	b.ReportMetric(float64(st.SealStreamedPages)/float64(b.N), "streamed-pages/op")
 	b.ReportMetric(float64(st.IndexPagesRead)/float64(b.N), "index-pages-read/op")
+	// The page-table words a handover's mapping calls act on, counted off
+	// the clock: the default registry counts only while enabled, and its
+	// other instruments would be on the timed path.
+	const sample = 64
+	telemetry.Default().Enable()
+	defer telemetry.Default().Disable()
+	words := telemetry.Default().Snapshot().Get("mmu.pt_words")
+	for i := 0; i < sample; i++ {
+		handover(b.N + i)
+	}
+	b.ReportMetric(float64(telemetry.Default().Snapshot().Get("mmu.pt_words")-words)/sample, "pt-words/op")
 }

@@ -138,7 +138,28 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if err != nil {
 		return MapInfo{}, err
 	}
+	if fs.quarantined != 0 {
+		runs = s.ls.quarantineRuns(runs, fs)
+	}
 	return s.grantLocked(fs, &in, runs, write, gen), nil
+}
+
+// quarantineRuns cuts the grant of a quarantined file down to pages its
+// holder may have. The file's state failed verification and stays as it
+// is, so the walk behind runs followed whatever the holder left there — a
+// reference to a page it freed, which by now may sit in another session's
+// pool. What remains: the file's verified set, the holder's own pool and
+// parked pages, the dirent page.
+func (ls *libfsState) quarantineRuns(runs []pageRun, fs *fileState) []pageRun {
+	var out []pageRun
+	for _, r := range runs {
+		for p := r.start; p < r.end(); p++ {
+			if p == fs.loc.Page || runsFind(fs.pages, p) >= 0 || ls.allocPages[p] || ls.parked[p] {
+				out = appendPage(out, p)
+			}
+		}
+	}
+	return out
 }
 
 // readDirentLocked reads the file's dirent slot into the session's
@@ -305,8 +326,11 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 	if err := s.aliveLocked(); err != nil {
 		return MapInfo{}, 0, err
 	}
-	if fs.quarantined != 0 && fs.quarantined != s.ls.id {
-		return MapInfo{}, 0, ErrQuarantined
+	if fs.quarantined != 0 {
+		if fs.quarantined != s.ls.id {
+			return MapInfo{}, 0, ErrQuarantined
+		}
+		return MapInfo{}, 0, errEscalate // its holder's grant is cut to size over there
 	}
 	if fs.corrupt {
 		return MapInfo{}, 0, fmt.Errorf("%w: ino %d has unrepairable media corruption", ErrCorrupt, fs.ino)

@@ -11,24 +11,51 @@ import (
 	"time"
 
 	"trio/internal/nvm"
+	"trio/internal/telemetry"
 )
 
 // dirty reads page p's dirty bit straight from the page table — a test
 // privilege; the package exports no reader, only the controller's
 // Unref and Revoke.
 func dirty(as *AddressSpace, p nvm.PageID) bool {
-	return as.perms[p].Load()&pteDirty != 0
+	return as.perms[p].Load()&pteDirty != 0 || as.large[p>>granuleShift].Load()>>(p%granulePages)&1 != 0
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// perPage adapts a per-page release report to the run-wise callback of
+// Unref, UnmapAll and Revoke.
+func perPage(fn func(p nvm.PageID, was Perm, dirty bool)) func(nvm.PageID, int, Perm, uint32) {
+	return func(start nvm.PageID, n int, was Perm, mask uint32) {
+		for i := 0; i < n; i++ {
+			fn(start+nvm.PageID(i), was, mask>>i&1 != 0)
+		}
+	}
+}
+
+// eachPage is perPage for Ref's raised callback.
+func eachPage(fn func(p nvm.PageID)) func(nvm.PageID, int) {
+	return func(start nvm.PageID, n int) {
+		for i := 0; i < n; i++ {
+			fn(start + nvm.PageID(i))
+		}
+	}
 }
 
 // harvest releases pages [p, p+n) the way the controller does (Unref;
 // a page installed by Map holds no second reference) and returns the
 // ones reported stored to, ascending.
 func harvest(as *AddressSpace, p nvm.PageID, n int) (stored []nvm.PageID) {
-	as.Unref(p, n, func(q nvm.PageID, _ Perm, d bool) {
+	as.Unref(p, n, perPage(func(q nvm.PageID, _ Perm, d bool) {
 		if d {
 			stored = append(stored, q)
 		}
-	})
+	}))
 	return stored
 }
 
@@ -278,7 +305,7 @@ func TestRunUnmapReturnsExactlyStoredPages(t *testing.T) {
 		dirty bool
 	}
 	var got []rel
-	collect := func(p nvm.PageID, was Perm, d bool) { got = append(got, rel{p, was, d}) }
+	collect := perPage(func(p nvm.PageID, was Perm, d bool) { got = append(got, rel{p, was, d}) })
 	as.Unref(8, 16, collect)
 	if len(got) != 14 || as.Mapped() != 2 || as.PermOf(10) != PermWrite {
 		t.Fatalf("Unref unmapped %d pages, %d left mapped, page 10 %v", len(got), as.Mapped(), as.PermOf(10))
@@ -304,7 +331,7 @@ func TestRunUnmapReturnsExactlyStoredPages(t *testing.T) {
 func TestRefRaisesAndCounts(t *testing.T) {
 	as := newAS(t)
 	var raised []nvm.PageID
-	note := func(p nvm.PageID) { raised = append(raised, p) }
+	note := eachPage(func(p nvm.PageID) { raised = append(raised, p) })
 	as.Ref(4, 4, PermRead, note)
 	as.Ref(6, 4, PermWrite, note) // 6,7 upgraded; 8,9 fresh
 	as.Ref(4, 6, PermRead, note)  // nothing raised: write stays write
@@ -319,9 +346,9 @@ func TestRefRaisesAndCounts(t *testing.T) {
 		t.Fatalf("mapped after clipped Ref = %d, want 10", as.Mapped())
 	}
 	n := 0
-	as.Revoke(func(_ nvm.PageID, was Perm, _ bool) {
+	as.Revoke(func(_ nvm.PageID, pages int, was Perm, _ uint32) {
 		if was == PermWrite {
-			n++
+			n += pages
 		}
 	})
 	if n != 8 || as.Mapped() != 0 {
@@ -377,7 +404,7 @@ func TestRunUnrefHarvestsEveryStore(t *testing.T) {
 		for spin := 0; spin < (r%8)*40; spin++ {
 			as.PermOf(first)
 		}
-		as.Unref(first, pages, func(p nvm.PageID, _ Perm, d bool) { harvested[r][p-first] = d })
+		as.Unref(first, pages, perPage(func(p nvm.PageID, _ Perm, d bool) { harvested[r][p-first] = d }))
 		round.Add(1)
 		if r%64 == 0 {
 			runtime.Gosched()
@@ -414,11 +441,27 @@ func TestRunUnrefHarvestsEveryStore(t *testing.T) {
 // the release-time harvest. Never "bit clear, bytes land later, facts
 // kept". The store is held in flight by a slow-I/O window on the device,
 // which opens after the permission check.
-func TestHarvestDirtyRacingStore(t *testing.T) {
+func TestHarvestDirtyRacingStore(t *testing.T) { harvestRacingStore(t, 5, 1, 5) }
+
+// TestHarvestDirtyRacingStoreLarge is the same rule for a page inside a
+// large mapping, whose dirty bit the harvest clears in the granule's word
+// (and the granule stays large: the release reports all 32 pages at once).
+func TestHarvestDirtyRacingStoreLarge(t *testing.T) {
+	telemetry.Default().Enable()
+	defer telemetry.Default().Disable()
+	installs, splits := mLargeInstalls.Load(), mSplits.Load()
+	harvestRacingStore(t, 32, granulePages, 37)
+	if installs, splits = mLargeInstalls.Load()-installs, mSplits.Load()-splits; installs != 2 || splits != 0 {
+		t.Fatalf("%d large installs and %d splits, want the script's 2 grants large and no split", installs, splits)
+	}
+}
+
+// harvestRacingStore runs the racing-store script on page p of the run
+// [start, start+n), mapped by one Ref and released as it was taken.
+func harvestRacingStore(t *testing.T, start nvm.PageID, n int, p nvm.PageID) {
 	as := newAS(t)
 	dev := as.Device()
-	const p = nvm.PageID(5)
-	as.Ref(p, 1, PermWrite, nil)
+	as.Ref(start, n, PermWrite, nil)
 	fp := nvm.NewFaultPlan()
 	fp.DelayOp(p, 50*time.Millisecond, 1)
 	dev.SetFaultPlan(fp)
@@ -453,17 +496,118 @@ func TestHarvestDirtyRacingStore(t *testing.T) {
 	if err := as.WriteU64(p, 72, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := harvest(as, p, 1); !slices.Equal(got, []nvm.PageID{p}) {
+	if got := harvest(as, start, n); !slices.Equal(got, []nvm.PageID{p}) {
 		t.Fatalf("release after a post-harvest store reported %v stored to, want [%d]", got, p)
 	}
 	// And a page nobody stored to since stays clean through both.
-	as.Ref(p, 1, PermWrite, nil)
+	as.Ref(start, n, PermWrite, nil)
 	as.HarvestDirty([]nvm.PageID{p}, func(_ nvm.PageID, _ Perm, d bool) {
 		if d {
 			t.Error("harvest of an untouched page reported it dirty")
 		}
 	})
-	if got := harvest(as, p, 1); len(got) != 0 {
+	if got := harvest(as, start, n); len(got) != 0 {
 		t.Fatalf("release of an untouched page reported %v stored to", got)
 	}
+}
+
+// TestStoreRacesSplitAndUnref is TestRunUnrefHarvestsEveryStore on the
+// large path: writers store through View.WriteRange into a granule the
+// controller side keeps taking whole and then treating unevenly — a
+// page released out of its middle, a second reference on a few pages, a
+// harvest — so that it splits under the stores, or releasing whole, so
+// that it does not. Between two windows nothing of the granule is
+// mapped. A store that began and returned nil inside one window must be
+// in what that window's releases and harvests reported for its pages
+// (whichever level its dirty bit was set on, and whichever side of the
+// split); one that began after the window's last Unref returned, and
+// ended before the next window's Ref, must have faulted.
+func TestStoreRacesSplitAndUnref(t *testing.T) {
+	const (
+		rounds = 20000
+		first  = nvm.PageID(granulePages)
+	)
+	as := newAS(t)
+	var (
+		phase  atomic.Int64 // odd while window phase/2 is open, even between windows
+		stored [rounds][granulePages]atomic.Bool
+		stop   atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			v, buf := as.View(w&1), make([]byte, nvm.PageSize)
+			for i := w; !stop.Load(); i += 3 {
+				p, off, span := first+nvm.PageID(i%granulePages), 0, 1
+				if i%5 == 0 && p+1 < first+granulePages {
+					off, span = nvm.PageSize/2, 2
+				}
+				ph := phase.Load()
+				err := v.WriteRange(p, off, buf)
+				if err != nil || phase.Load() != ph {
+					continue
+				}
+				if ph&1 == 0 {
+					t.Errorf("a store to page %d began after window %d's last Unref returned and was allowed", p, ph/2-1)
+					return
+				}
+				for k := 0; k < span && ph/2 < rounds; k++ {
+					stored[ph/2][int(p-first)+k].Store(true)
+				}
+			}
+		}(w)
+	}
+	harvested := make([][granulePages]bool, rounds)
+	for r := 0; r < rounds; r++ {
+		note := perPage(func(p nvm.PageID, _ Perm, d bool) { harvested[r][p-first] = harvested[r][p-first] || d })
+		phase.Add(1)
+		as.Ref(first, granulePages, PermWrite, nil)
+		for spin := 0; spin < (r%8)*40; spin++ {
+			as.PermOf(first)
+		}
+		mid := first + nvm.PageID(r%granulePages)
+		switch r % 4 {
+		case 0: // released as taken: stays large
+			as.Unref(first, granulePages, note)
+		case 1: // one page out of the middle, then the two sides
+			as.Unref(mid, 1, note)
+			as.Unref(first, int(mid-first), note)
+			as.Unref(mid+1, int(first+granulePages-mid-1), note)
+		case 2: // a second reference on part of it outlives the first
+			as.Ref(mid, 4, PermRead, nil)
+			as.Unref(first, granulePages, note)
+			as.Unref(mid, 4, note)
+		case 3: // harvested while large, then released page by page
+			as.HarvestDirty([]nvm.PageID{mid}, func(p nvm.PageID, _ Perm, d bool) { note(p, 1, PermWrite, b2u(d)) })
+			for p := first; p < first+granulePages; p++ {
+				as.Unref(p, 1, note)
+			}
+		}
+		if as.Mapped() != 0 {
+			t.Fatalf("round %d: %d pages still mapped after the window's releases", r, as.Mapped())
+		}
+		phase.Add(1)
+		if r%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	hits := 0
+	for r := range harvested {
+		for i := range harvested[r] {
+			if stored[r][i].Load() {
+				hits++
+				if !harvested[r][i] {
+					t.Fatalf("round %d (shape %d): a store to page %d landed but no release or harvest reported it", r, r%4, first+nvm.PageID(i))
+				}
+			}
+		}
+	}
+	if hits == 0 {
+		t.Skip("no store landed inside a window; nothing was exercised")
+	}
+	t.Logf("%d page-stores landed inside %d windows", hits, rounds)
 }

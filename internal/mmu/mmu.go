@@ -11,12 +11,23 @@
 // bytes — corrupting metadata at will, exactly as the paper's threat
 // model allows — but it can never touch a page the controller did not
 // map for it, and it can never write through a read-only mapping.
+//
+// The page table has two page sizes, as hardware does and for hardware's
+// reason: a mapping call over a long run should cost page-table words,
+// not pages. A run the controller maps is held by one word per aligned
+// 32-page granule it covers whole and by one word per page at its ragged
+// ends; a call that treats part of a large-mapped granule differently
+// from the rest splits it into its pages first. Which size holds a page
+// is a function of alignment and of what the table holds, nothing a
+// caller chooses, and no caller can observe it: PermOf, Mapped and the
+// reports of Ref and Unref speak of pages.
 package mmu
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -60,6 +71,26 @@ const (
 	pteRef   = 0x8 // one reference; the count occupies the bits from here up
 )
 
+// A large word maps one aligned granule of granulePages pages: its upper
+// half is a page word without the dirty bit — the permission and the
+// reference count every page of the granule has — and its lower half is
+// the granule's dirty bits, one per page. They share the word so that the
+// page walk's rule holds at this size too: a store sets its bit with a
+// CAS from the word whose permission it checked, and the swap that
+// unmaps the granule is the operation that collects all 32. The size is
+// what one word can say: 32 dirty bits beside a permission and a count.
+// Fixed, like the hardware's: a 2 MiB file is 16 of them.
+const (
+	granuleShift = 5
+	granulePages = 1 << granuleShift
+	lgDirty      = 1<<32 - 1
+	lgPerm       = ptePerm << 32
+	lgRef        = pteRef << 32
+)
+
+// largePerm reads the permission of a large word.
+func largePerm(w uint64) Perm { return Perm(w >> 32 & ptePerm) }
+
 // ErrFault is the access violation "signal".
 var ErrFault = errors.New("mmu: access violation")
 
@@ -69,6 +100,29 @@ var ErrFault = errors.New("mmu: access violation")
 // trusted code (and tests) can tell a revocation from a stale mapping.
 var ErrRevoked = fmt.Errorf("%w: address space revoked", ErrFault)
 
+// Fault is the error of a refused access: which page, what the access
+// needed and what was mapped, or that the whole address space is revoked.
+// errors.Is matches it to ErrFault (and ErrRevoked when Revoked). Taking
+// a fault is how a LibFS learns it must ask for a mapping, so one costs
+// an allocation and is put into words only if somebody prints it.
+type Fault struct {
+	Page      nvm.PageID
+	Need, Got Perm
+	Revoked   bool
+}
+
+func (f *Fault) Error() string {
+	if f.Revoked {
+		return fmt.Sprintf("%v (page %d)", ErrRevoked, f.Page)
+	}
+	return fmt.Sprintf("%v: page %d needs %v, mapped %v", ErrFault, f.Page, f.Need, f.Got)
+}
+
+// Is reports whether target is the sentinel this fault stands for.
+func (f *Fault) Is(target error) bool {
+	return target == ErrFault || f.Revoked && target == ErrRevoked
+}
+
 // AddressSpace is one process's view of the NVM device.
 //
 // Map and Unmap are invoked by the kernel controller only; the
@@ -76,7 +130,10 @@ var ErrRevoked = fmt.Errorf("%w: address space revoked", ErrFault)
 // table it alone mutates. (In Go the privilege separation is an API
 // discipline rather than a hardware ring, but the untrusted code paths
 // in this repository never call Map/Unmap themselves — they ask the
-// controller, which validates the request first.)
+// controller, which validates the request first.) The mapping calls —
+// Map, Unmap, Ref, Unref, UnmapAll, Revoke, HarvestDirty — race loads
+// and stores freely but not one another: the controller makes them
+// under the lock of the session that owns the address space.
 type AddressSpace struct {
 	dev *nvm.Device
 
@@ -88,6 +145,16 @@ type AddressSpace struct {
 	// map/unmap (the slow, controller-mediated path) swaps entries
 	// concurrently.
 	perms []atomic.Uint32
+	// large is the table of the second page size, one word per aligned
+	// granule (a device's ragged last granule has a word that stays
+	// zero). One level holds a page at a time: while a granule's large
+	// word is non-zero its 32 page words are zero — but for the instant
+	// of a split, when both say the same.
+	large []atomic.Uint64
+	// small counts each granule's non-zero page words. Zero is what lets
+	// a whole-granule Ref or Map install a large word; only the mapping
+	// calls touch it.
+	small []uint8
 	// mapped counts installed pages.
 	mapped atomic.Int64
 
@@ -113,10 +180,13 @@ type AddressSpace struct {
 // NewAddressSpace creates an empty address space for a process whose
 // CPUs live on the given NUMA node.
 func NewAddressSpace(dev *nvm.Device, node int) *AddressSpace {
+	granules := (dev.NumPages() + granulePages - 1) >> granuleShift
 	return &AddressSpace{
 		dev:   dev,
 		node:  node,
 		perms: make([]atomic.Uint32, dev.NumPages()),
+		large: make([]atomic.Uint64, granules),
+		small: make([]uint8, granules),
 	}
 }
 
@@ -141,28 +211,99 @@ func (as *AddressSpace) clip(p nvm.PageID, count int) (lo, hi uint64) {
 	return lo, min(lo+uint64(count), n)
 }
 
+// A mapping call walks its run granule by granule: part cuts the piece
+// [a, b) of [a, hi) that lies in a's granule, and largeFor says which
+// level holds it.
+
+func part(a, hi uint64) (b uint64) { return min(hi, a|(granulePages-1)+1) }
+
+// largeFor returns the large word a mapping call acts on for [a, b), the
+// part of its run inside one granule, or nil when the call acts on the
+// pages' own words. A whole granule goes by its large word when that
+// holds it, and when nothing does — the call's own install is then a
+// large one; a ragged part of a large-mapped granule splits it first.
+func (as *AddressSpace) largeFor(a, b uint64) *atomic.Uint64 {
+	g := a >> granuleShift
+	lw := &as.large[g]
+	switch held := lw.Load() != 0; {
+	case b-a == granulePages && (held || as.small[g] == 0):
+		return lw
+	case held:
+		as.split(g)
+	}
+	return nil
+}
+
+// split turns granule g's large mapping into 32 page mappings with the
+// same permission, reference count and dirty bits. The page words go in
+// first and the swap that retires the large word second, so an access
+// finds the permission on one level or on both, never on neither; a
+// store that set its dirty bit in the large word after the bits were
+// copied shows in what the swap returns, and is carried over then — seen
+// on one side or the other, never lost.
+func (as *AddressSpace) split(g uint64) {
+	as.splitRetire(g, as.splitInstall(g))
+	mSplits.Inc()
+}
+
+// splitInstall writes granule g's page words from its large word and
+// returns the large word it copied.
+func (as *AddressSpace) splitInstall(g uint64) (w uint64) {
+	w = as.large[g].Load()
+	for i, base := uint64(0), g<<granuleShift; i < granulePages; i++ {
+		as.perms[base+i].Store(uint32(w>>32) | uint32(w>>i&1)*pteDirty)
+	}
+	as.small[g] = granulePages
+	return w
+}
+
+// splitRetire zeroes granule g's large word, of which splitInstall
+// copied w, and marks the pages stored to in between.
+func (as *AddressSpace) splitRetire(g, w uint64) {
+	for late := as.large[g].Swap(0) &^ w & lgDirty; late != 0; late &= late - 1 {
+		pte := &as.perms[g<<granuleShift+uint64(bits.TrailingZeros64(late))]
+		for old := pte.Load(); !pte.CompareAndSwap(old, old|pteDirty); old = pte.Load() {
+		}
+	}
+}
+
 // Map installs pages [p, p+count) with exactly permission perm, read or
 // write (Unmap removes). A page that is already mapped keeps its dirty
 // bit and its reference count.
 func (as *AddressSpace) Map(p nvm.PageID, count int, perm Perm) {
 	lo, hi := as.clip(p, count)
-	fresh := 0
-	for i := lo; i < hi; i++ {
-		pte := &as.perms[i]
-		for {
-			old := pte.Load()
-			if old&ptePerm == uint32(perm) {
-				break
-			}
-			if pte.CompareAndSwap(old, old&^ptePerm|uint32(perm)) {
-				if old&ptePerm == 0 {
-					fresh++
+	fresh, words := 0, 0
+	for a, b := lo, lo; a < hi; a = b {
+		b = part(a, hi)
+		if lw := as.largeFor(a, b); lw != nil {
+			words++
+			for old := lw.Load(); largePerm(old) != perm; old = lw.Load() {
+				if lw.CompareAndSwap(old, old&^lgPerm|uint64(perm)<<32) {
+					if old == 0 {
+						fresh += granulePages
+						mLargeInstalls.Inc()
+					}
+					break
 				}
-				break
+			}
+			continue
+		}
+		words += int(b - a)
+		for i := a; i < b; i++ {
+			pte := &as.perms[i]
+			for old := pte.Load(); old&ptePerm != uint32(perm); old = pte.Load() {
+				if pte.CompareAndSwap(old, old&^ptePerm|uint32(perm)) {
+					if old == 0 {
+						fresh++
+						as.small[i>>granuleShift]++
+					}
+					break
+				}
 			}
 		}
 	}
 	as.mapped.Add(int64(fresh))
+	mPTWords.Add(int64(words))
 }
 
 // Unmap removes pages [p, p+count) whatever their reference counts and
@@ -171,109 +312,204 @@ func (as *AddressSpace) Map(p nvm.PageID, count int, perm Perm) {
 // the controller's alone.
 func (as *AddressSpace) Unmap(p nvm.PageID, count int) {
 	lo, hi := as.clip(p, count)
-	gone := 0
-	for i := lo; i < hi; i++ {
-		if as.perms[i].Swap(0)&ptePerm != 0 {
-			gone++
+	gone, words := 0, 0
+	for a, b := lo, lo; a < hi; a = b {
+		b = part(a, hi)
+		if lw := as.largeFor(a, b); lw != nil {
+			words++
+			if lw.Swap(0) != 0 {
+				gone += granulePages
+			}
+			continue
+		}
+		words += int(b - a)
+		for i := a; i < b; i++ {
+			if as.perms[i].Swap(0) != 0 {
+				gone++
+				as.small[i>>granuleShift]--
+			}
 		}
 	}
 	as.mapped.Add(int64(-gone))
+	mPTWords.Add(int64(words))
 }
 
 // Ref takes one reference on each page of [p, p+count) and maps it with
 // at least perm: a page mapped with less is raised, a page mapped with
-// more keeps what it has. raised (may be nil) is called for every page
-// whose permission this call raised. One atomic swap per page table
-// word, one update of the mapped count per run.
-func (as *AddressSpace) Ref(p nvm.PageID, count int, perm Perm, raised func(nvm.PageID)) {
+// more keeps what it has. raised (may be nil) is called, a run of pages
+// at a time, for every page whose permission this call raised. One
+// atomic swap per page-table word — a whole granule's, or a page's at
+// the run's ragged ends — and one update of the mapped count per run.
+func (as *AddressSpace) Ref(p nvm.PageID, count int, perm Perm, raised func(start nvm.PageID, n int)) {
 	lo, hi := as.clip(p, count)
-	fresh := 0
-	for i := lo; i < hi; i++ {
-		pte := &as.perms[i]
-		for {
-			old := pte.Load()
-			word := old + pteRef
-			was := Perm(old & ptePerm)
-			if was < perm {
-				word = word&^ptePerm | uint32(perm)
-			}
-			if !pte.CompareAndSwap(old, word) {
-				continue // a store marked the page dirty under us
-			}
-			if was < perm {
-				if was == PermNone {
-					fresh++
+	fresh, words := 0, 0
+	for a, b := lo, lo; a < hi; a = b {
+		b = part(a, hi)
+		if lw := as.largeFor(a, b); lw != nil {
+			words++
+			for {
+				old := lw.Load()
+				word, was := old+lgRef, largePerm(old)
+				if was < perm {
+					word = word&^lgPerm | uint64(perm)<<32
 				}
-				if raised != nil {
-					raised(nvm.PageID(i))
+				if !lw.CompareAndSwap(old, word) {
+					continue // a store marked a page dirty under us
 				}
+				if was < perm {
+					if was == PermNone {
+						fresh += granulePages
+						mLargeInstalls.Inc()
+					}
+					if raised != nil {
+						raised(nvm.PageID(a), granulePages)
+					}
+				}
+				break
 			}
-			break
+			continue
+		}
+		words += int(b - a)
+		for i := a; i < b; i++ {
+			pte := &as.perms[i]
+			for {
+				old := pte.Load()
+				word, was := old+pteRef, Perm(old&ptePerm)
+				if was < perm {
+					word = word&^ptePerm | uint32(perm)
+				}
+				if !pte.CompareAndSwap(old, word) {
+					continue // a store marked the page dirty under us
+				}
+				if old == 0 {
+					as.small[i>>granuleShift]++
+				}
+				if was < perm {
+					if was == PermNone {
+						fresh++
+					}
+					if raised != nil {
+						raised(nvm.PageID(i), 1)
+					}
+				}
+				break
+			}
 		}
 	}
 	as.mapped.Add(int64(fresh))
+	mPTWords.Add(int64(words))
 }
 
-// Unref drops one reference from each page of [p, p+count). A page
-// whose last reference this was is unmapped and reported to unmapped
-// (may be nil) with the permission it had and its dirty bit — the swap
-// that clears the word is the one that collects the bit, so no store
-// passes a check whose bit the controller does not see. A page other
-// references still hold keeps its permission, even one a dropped
+// Unref drops one reference from each page of [p, p+count). Pages
+// whose last reference this was are unmapped and reported to unmapped
+// (may be nil), a run [start, start+n) of at most 32 at a time, with the
+// permission they had and their dirty bits (bit i is page start+i's) —
+// the swap that clears the word is the one that collects the bits, so no
+// store passes a check whose bit the controller does not see. A page
+// other references still hold keeps its permission, even one a dropped
 // reference had raised.
-func (as *AddressSpace) Unref(p nvm.PageID, count int, unmapped func(p nvm.PageID, was Perm, dirty bool)) {
+func (as *AddressSpace) Unref(p nvm.PageID, count int, unmapped func(start nvm.PageID, n int, was Perm, dirty uint32)) {
 	lo, hi := as.clip(p, count)
-	gone := 0
-	for i := lo; i < hi; i++ {
-		pte := &as.perms[i]
-		for {
-			old, word := pte.Load(), uint32(0)
-			if old >= 2*pteRef {
-				word = old - pteRef // other references remain
-			}
-			if !pte.CompareAndSwap(old, word) {
-				continue // a store marked the page dirty under us
-			}
-			if was := Perm(old & ptePerm); word == 0 && was != PermNone {
-				gone++
-				if unmapped != nil {
-					unmapped(nvm.PageID(i), was, old&pteDirty != 0)
+	gone, words := 0, 0
+	for a, b := lo, lo; a < hi; a = b {
+		b = part(a, hi)
+		if lw := as.largeFor(a, b); lw != nil {
+			words++
+			for {
+				old, word := lw.Load(), uint64(0)
+				if old >= 2*lgRef {
+					word = old - lgRef // other references remain
 				}
+				if !lw.CompareAndSwap(old, word) {
+					continue // a store marked a page dirty under us
+				}
+				if was := largePerm(old); word == 0 && was != PermNone {
+					gone += granulePages
+					if unmapped != nil {
+						unmapped(nvm.PageID(a), granulePages, was, uint32(old))
+					}
+				}
+				break
 			}
-			break
+			continue
+		}
+		words += int(b - a)
+		for i := a; i < b; i++ {
+			pte := &as.perms[i]
+			for {
+				old, word := pte.Load(), uint32(0)
+				if old >= 2*pteRef {
+					word = old - pteRef // other references remain
+				}
+				if !pte.CompareAndSwap(old, word) {
+					continue // a store marked the page dirty under us
+				}
+				if word == 0 && old != 0 {
+					as.small[i>>granuleShift]--
+				}
+				if was := Perm(old & ptePerm); word == 0 && was != PermNone {
+					gone++
+					if unmapped != nil {
+						unmapped(nvm.PageID(i), 1, was, old&pteDirty/pteDirty)
+					}
+				}
+				break
+			}
 		}
 	}
 	as.mapped.Add(int64(-gone))
+	mPTWords.Add(int64(words))
 }
 
 // UnmapAll clears the whole mapping table, reporting every page it
-// unmaps to unmapped (may be nil) as Unref does. The mapped count makes
-// the common teardown cheap: a process that already unmapped everything
-// (orderly close, or a reap at a syscall boundary) skips the table walk
-// entirely, and a partial walk stops at the last installed entry — an
-// atomic swap per device page on every teardown is what a flat page
-// table would otherwise cost.
-func (as *AddressSpace) UnmapAll(unmapped func(p nvm.PageID, was Perm, dirty bool)) {
-	left, gone := as.mapped.Load(), int64(0)
-	for i := 0; i < len(as.perms) && gone < left; i++ {
-		if as.perms[i].Load() == 0 {
+// unmaps to unmapped (may be nil) as Unref does. The walk is by granule
+// — a large word, or the count of page words in use, says what is there
+// without reading 32 of them — and the mapped count makes the common
+// teardown cheaper still: a process that already unmapped everything
+// (orderly close, or a reap at a syscall boundary) skips the walk
+// entirely, and a partial walk stops at the last installed entry.
+func (as *AddressSpace) UnmapAll(unmapped func(start nvm.PageID, n int, was Perm, dirty uint32)) {
+	left, gone, words := as.mapped.Load(), int64(0), 0
+	for g := range as.large {
+		if gone >= left {
+			break
+		}
+		base := uint64(g) << granuleShift
+		if as.large[g].Load() != 0 {
+			old := as.large[g].Swap(0)
+			words++
+			gone += granulePages
+			if unmapped != nil {
+				unmapped(nvm.PageID(base), granulePages, largePerm(old), uint32(old))
+			}
 			continue
 		}
-		old := as.perms[i].Swap(0)
-		if was := Perm(old & ptePerm); was != PermNone {
-			gone++
-			if unmapped != nil {
-				unmapped(nvm.PageID(i), was, old&pteDirty != 0)
+		if as.small[g] == 0 {
+			continue
+		}
+		as.small[g] = 0
+		for i, end := base, part(base, uint64(len(as.perms))); i < end; i++ {
+			words++
+			old := as.perms[i].Swap(0)
+			if was := Perm(old & ptePerm); was != PermNone {
+				gone++
+				if unmapped != nil {
+					unmapped(nvm.PageID(i), 1, was, old&pteDirty/pteDirty)
+				}
 			}
 		}
 	}
 	as.mapped.Add(-gone)
+	mPTWords.Add(int64(words))
 }
 
 // PermOf reports the installed permission of page p.
 func (as *AddressSpace) PermOf(p nvm.PageID) Perm {
 	if uint64(p) >= uint64(len(as.perms)) {
 		return PermNone
+	}
+	if w := as.large[p>>granuleShift].Load(); w != 0 {
+		return largePerm(w)
 	}
 	return Perm(as.perms[p].Load() & ptePerm)
 }
@@ -287,9 +523,9 @@ func (as *AddressSpace) Mapped() int { return int(as.mapped.Load()) }
 // like Map/Unmap. Revoke returns only after every in-flight access has
 // either completed or will observe the revocation (the shootdown
 // barrier), so the caller sees a frozen state — and unmapped (may be
-// nil), called under the barrier for every page torn down, sees dirty
+// nil), called under the barrier for every run torn down, sees dirty
 // bits no store can still add to.
-func (as *AddressSpace) Revoke(unmapped func(p nvm.PageID, was Perm, dirty bool)) {
+func (as *AddressSpace) Revoke(unmapped func(start nvm.PageID, n int, was Perm, dirty uint32)) {
 	mShootdowns.Inc()
 	as.shoot.Lock()
 	as.revoked.Store(true)
@@ -305,6 +541,8 @@ func (as *AddressSpace) Revoke(unmapped func(p nvm.PageID, was Perm, dirty bool)
 // passed its permission check before the harvest has landed when fn
 // runs, and one that checks afterwards sets the bit again for the next
 // harvest (Unref, Revoke or this). Never "bit clear, bytes land later".
+// A page inside a large mapping has its bit cleared in the large word:
+// nothing about the granule's pages comes to differ, so nothing splits.
 // Controller-only, like Map/Unmap.
 func (as *AddressSpace) HarvestDirty(pages []nvm.PageID, fn func(p nvm.PageID, was Perm, dirty bool)) {
 	mShootdowns.Inc()
@@ -312,6 +550,14 @@ func (as *AddressSpace) HarvestDirty(pages []nvm.PageID, fn func(p nvm.PageID, w
 	defer as.shoot.Unlock()
 	for _, p := range pages {
 		if uint64(p) >= uint64(len(as.perms)) {
+			continue
+		}
+		lw, bit := &as.large[p>>granuleShift], uint64(1)<<(p%granulePages)
+		if old := lw.Load(); old != 0 {
+			for old&bit != 0 && !lw.CompareAndSwap(old, old&^bit) {
+				old = lw.Load()
+			}
+			fn(p, largePerm(old), old&bit != 0)
 			continue
 		}
 		pte := &as.perms[p]
@@ -345,11 +591,11 @@ func (as *AddressSpace) check(p nvm.PageID, need Perm) error {
 	}
 	if as.revoked.Load() {
 		mFaults.IncOn(int(p))
-		return fmt.Errorf("%w (page %d)", ErrRevoked, p)
+		return &Fault{Page: p, Revoked: true}
 	}
 	if got, ok := as.touch(p, need); !ok {
 		mFaults.IncOn(int(p))
-		return fmt.Errorf("%w: page %d needs %v, mapped %v", ErrFault, p, need, got)
+		return &Fault{Page: p, Need: need, Got: got}
 	}
 	return nil
 }
@@ -359,15 +605,24 @@ func (as *AddressSpace) check(p nvm.PageID, need Perm) error {
 // checked — an unmap that slipped in between makes the CAS fail and the
 // re-check fault, so no store passes whose bit the unmap did not
 // collect. Steady state is the one atomic load: the bit is already set.
+// The walk reads the granule's large word first and the page's own word
+// only when that does not grant the access.
 func (as *AddressSpace) touch(p nvm.PageID, need Perm) (Perm, bool) {
 	if uint64(p) >= uint64(len(as.perms)) {
 		return PermNone, false
+	}
+	lw, bit := &as.large[p>>granuleShift], uint64(1)<<(p%granulePages)
+	held := lw.Load()
+	for ; largePerm(held) >= need; held = lw.Load() {
+		if need != PermWrite || held&bit != 0 || lw.CompareAndSwap(held, held|bit) {
+			return need, true
+		}
 	}
 	pte := &as.perms[p]
 	for {
 		word := pte.Load()
 		if got := Perm(word & ptePerm); got < need {
-			return got, false
+			return max(got, largePerm(held)), false
 		}
 		if need != PermWrite || word&pteDirty != 0 || pte.CompareAndSwap(word, word|pteDirty) {
 			return need, true
@@ -404,7 +659,7 @@ func (as *AddressSpace) checkSpan(p nvm.PageID, off, n int, need Perm) error {
 	}
 	if as.revoked.Load() {
 		mFaults.IncOn(int(p))
-		return fmt.Errorf("%w (page %d)", ErrRevoked, p)
+		return &Fault{Page: p, Revoked: true}
 	}
 	last := p
 	if n > 0 {
@@ -419,14 +674,14 @@ func (as *AddressSpace) checkSpan(p nvm.PageID, off, n int, need Perm) error {
 	for q := p; q <= last; q++ {
 		if got := as.PermOf(q); got < need {
 			mFaults.IncOn(int(q))
-			return fmt.Errorf("%w: page %d needs %v, mapped %v", ErrFault, q, need, got)
+			return &Fault{Page: q, Need: need, Got: got}
 		}
 	}
 	if need == PermWrite {
 		for q := p; q <= last; q++ {
 			if got, ok := as.touch(q, need); !ok {
 				mFaults.IncOn(int(q))
-				return fmt.Errorf("%w: page %d needs %v, mapped %v", ErrFault, q, need, got)
+				return &Fault{Page: q, Need: need, Got: got}
 			}
 		}
 	}
