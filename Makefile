@@ -39,7 +39,8 @@ vet:
 # arbitrary server stream into a session with a call pending — and of
 # the scoping of verification by dirty metadata: for any stores through
 # a session's address space, scoped and full verification agree — and of
-# the page table's two page sizes against the per-page model.
+# the page table's two page sizes against the per-page model, and the
+# checksum region's two levels against the per-page opener.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRegular$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyDirectory$$' -fuzztime=10s ./internal/verifier/
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSessionDemux$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyScopedAgrees$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 	$(GO) test -run='^$$' -fuzz='^FuzzPageTableModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mmu/
+	$(GO) test -run='^$$' -fuzz='^FuzzChecksumOpenModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 # Data-path regression harness: per-op software overhead (cost model
 # off) across workloads × FS, rewritten into BENCH_trio.json so PRs

@@ -150,6 +150,12 @@ func main() {
 		}
 	}
 
+	// A device in a layout this build cannot read is refused outright
+	// (core.ErrFormatVersion) — controller.New already did at mount; the
+	// check here covers what the run wrote since.
+	if err := core.CheckFormat(core.Direct(dev, 0), dev.NumPages()); err != nil {
+		fatal(err)
+	}
 	checked, bad, first := ctl.VerifyAll()
 	var scrubRep *jsonScrub
 	if *scrub {

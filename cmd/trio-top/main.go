@@ -57,22 +57,6 @@ func main() {
 	if *tracePath != "" {
 		telemetry.EnableTracing(0)
 	}
-	if *httpAddr != "" {
-		// telemetry.Handler routes /metrics and /trace; net/http/pprof
-		// registered itself on the default mux at import.
-		mux := http.NewServeMux()
-		h := telemetry.Handler(telemetry.Default())
-		mux.Handle("/metrics", h)
-		mux.Handle("/trace", h)
-		mux.Handle("/debug/pprof/", http.DefaultServeMux)
-		go func() {
-			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "trio-top: http: %v\n", err)
-			}
-		}()
-		fmt.Printf("serving /metrics, /trace, /debug/pprof on %s\n", *httpAddr)
-	}
-
 	if *workers < 1 {
 		*workers = 1
 	}
@@ -87,6 +71,23 @@ func main() {
 	})
 	if err != nil {
 		fatal(err)
+	}
+	if *httpAddr != "" {
+		// telemetry.Handler routes /metrics — the process-wide registry and
+		// the controller's (its checksum, seal and granule counters) — and
+		// /trace; net/http/pprof registered itself on the default mux at
+		// import.
+		mux := http.NewServeMux()
+		h := telemetry.Handler(telemetry.Default(), ctl.Stats().Registry())
+		mux.Handle("/metrics", h)
+		mux.Handle("/trace", h)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+		go func() {
+			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
+				fmt.Fprintf(os.Stderr, "trio-top: http: %v\n", err)
+			}
+		}()
+		fmt.Printf("serving /metrics, /trace, /debug/pprof on %s\n", *httpAddr)
 	}
 	fp := nvm.NewFaultPlan()
 	dev.SetFaultPlan(fp)
@@ -223,7 +224,7 @@ func main() {
 		total := dev.NumPages()
 		var sealed []nvm.PageID
 		for p := nvm.PageID(core.FirstFilePage); p < core.ChecksumBase(total); p++ {
-			if rec, err := core.LoadChecksum(mem, total, p); err == nil && core.ChecksumSealed(rec) {
+			if _, trusted, err := core.LoadChecksumTrusted(mem, total, p); err == nil && trusted {
 				sealed = append(sealed, p)
 			}
 		}

@@ -306,6 +306,10 @@ type mapping struct {
 	ino   core.Ino
 	write bool
 	runs  []pageRun // pages granted for this file (incl. the dirent page), normal form (runs.go)
+	// gran is the granules a write grant opened by their bit (runs of
+	// granule numbers, bulkio.go); the rest of runs it opened by record.
+	gran    []pageRun
+	granBuf [1]pageRun
 }
 
 // Controller is the trusted kernel component.
@@ -352,8 +356,14 @@ type Controller struct {
 	// bit (unmappedLocked), a session torn down without harvesting
 	// (revokeSpaceLocked), a store of the controller's own (markStored).
 	// Volatile: a fresh mount starts with every bit clear and open
-	// records reseal from content.
+	// records reseal from content. Pages a grant opens by their
+	// granule's bit have no per-page state: gran holds theirs.
 	cleanOpen []bool
+	// gran is the checksum state of each 32-page granule (bulkio.go):
+	// which file's grants hold it open by its bit, how many, and which of
+	// its pages the close must reseal. Volatile like cleanOpen; the bits
+	// on the media are what a mount or a recovery starts from.
+	gran []granState
 	// facts marks index pages nothing has stored to since the clean full
 	// walk that last read them (fileState.chain): set when that walk's
 	// report commits, cleared by exactly the events that clear cleanOpen,
@@ -363,6 +373,18 @@ type Controller struct {
 	// genSeq issues structure generations (fileState.gen), unique across
 	// files so a LibFS can never match one file's against another's.
 	genSeq atomic.Uint64
+
+	// bitMu (leaf lock, never held with tabMu) guards the mirror of the
+	// checksum region's open bitmap (granule.go): bits as last written,
+	// pend the bits to clear behind a fence, pendAt each word's fence
+	// ticket when its last bit was pended, pendWords how many words have
+	// pend bits (read without the lock). fences issues the tickets.
+	bitMu     sync.Mutex
+	bits      []uint64
+	pend      []uint64
+	pendAt    []uint64
+	pendWords atomic.Int32
+	fences    atomic.Uint64
 
 	pageAlloc *alloc.PageAlloc
 	inoAlloc  *alloc.InoAlloc
@@ -386,6 +408,8 @@ type Controller struct {
 // scanning the existing tree when already formatted.
 func New(dev *nvm.Device, opts Options) (*Controller, error) {
 	opts.fill()
+	total := dev.NumPages()
+	words := core.GranuleWords(total)
 	c := &Controller{
 		dev:       dev,
 		mem:       core.Direct(dev, 0),
@@ -393,11 +417,15 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		opts:      opts,
 		verifier:  verifier.New(dev),
 		shards:    make([]ctlShard, opts.Shards),
-		pageOwner: make([]core.Ino, dev.NumPages()),
+		pageOwner: make([]core.Ino, total),
 		libfses:   make(map[LibFSID]*libfsState),
-		writeRefs: make([]int32, dev.NumPages()),
-		cleanOpen: make([]bool, dev.NumPages()),
-		facts:     make([]bool, dev.NumPages()),
+		writeRefs: make([]int32, total),
+		cleanOpen: make([]bool, total),
+		gran:      make([]granState, (total+nvm.GranulePages-1)>>nvm.GranuleShift),
+		facts:     make([]bool, total),
+		bits:      make([]uint64, words),
+		pend:      make([]uint64, words),
+		pendAt:    make([]uint64, words),
 		nextLibFS: 1,
 		nextGroup: 1 << 16, // private groups; user groups are small ints
 		stats:     newStats(opts.Shards),
@@ -409,20 +437,26 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		c.shards[i].admit.init(admitPerShard(opts.Shards))
 		c.shards[i].admit.waitCtr = c.stats.shard(i).AdmitWaits
 	}
-	if _, err := core.ReadSuperblock(c.mem); err != nil {
+	switch err := core.CheckFormat(c.mem, total); {
+	case errors.Is(err, core.ErrUnformatted):
 		if ferr := core.Format(dev); ferr != nil {
 			return nil, ferr
 		}
+	case err != nil:
+		return nil, fmt.Errorf("controller: mounting: %w", err)
 	}
-	// The checksum table occupies the device's last pages; the allocator
+	// The checksum region occupies the device's last pages; the allocator
 	// must never hand them out as file pages.
-	c.pageAlloc = alloc.NewPageAlloc(core.FirstFilePage, core.ChecksumBase(dev.NumPages()), opts.CPUs)
+	c.pageAlloc = alloc.NewPageAlloc(core.FirstFilePage, core.ChecksumBase(total), opts.CPUs)
 	c.scrubber = verifier.NewScrubber(dev)
 
 	maxIno, err := c.scanTree()
 	if err != nil {
 		return nil, fmt.Errorf("controller: scanning existing tree: %w", err)
 	}
+	// Granules a write grant held open when the device went down reseal
+	// from their content before anyone may trust their records.
+	c.expandGranulesLocked()
 	c.inoAlloc = alloc.NewInoAlloc(maxIno+1, opts.CPUs)
 	if opts.LeaseSweep > 0 {
 		// One sweeper per shard (ISSUE 6): each reaps its own dead
@@ -783,9 +817,11 @@ func (c *Controller) unmappedLocked(start nvm.PageID, n int, was mmu.Perm, store
 	}
 }
 
-// releaseLocked drops mapping m and its page references.
+// releaseLocked drops mapping m, its page references and — after their
+// dirty bits are in — its hold on the granules its grant opened whole.
 func (ls *libfsState) releaseLocked(m *mapping) {
 	ls.unrefRunsLocked(m.runs)
+	ls.c.dropGranulesLocked(m.gran)
 	delete(ls.mapped, m.ino)
 }
 

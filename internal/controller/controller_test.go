@@ -555,3 +555,38 @@ func TestSessionCloseReturnsResources(t *testing.T) {
 		t.Fatalf("pages leaked on close: %d vs %d", got, free0)
 	}
 }
+
+// TestMountRejectsFormatVersion: a formatted device whose superblock
+// version byte — or checksum region's version byte — says another layout
+// is refused with core.ErrFormatVersion by a mount and by a recovery,
+// never mounted (or formatted over) silently.
+func TestMountRejectsFormatVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		page func(total nvm.PageID) nvm.PageID
+		off  int
+	}{
+		{"superblock", func(nvm.PageID) nvm.PageID { return 0 }, 8},
+		{"checksum region", core.ChecksumBase, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, dev := newCtl(t, smallCfg())
+			a := c.Register(1000, 1000, 0, 0)
+			mkFile(t, a, "kept", []byte("on a device of another version"))
+			if err := a.UnmapFile(core.RootIno); err != nil {
+				t.Fatal(err)
+			}
+			dev.Page(tc.page(dev.NumPages()))[tc.off]++
+			if _, err := New(dev, Options{}); !errors.Is(err, core.ErrFormatVersion) {
+				t.Fatalf("mount: %v, want core.ErrFormatVersion", err)
+			}
+			if _, _, err := c.Recover(nil); !errors.Is(err, core.ErrFormatVersion) {
+				t.Fatalf("recover: %v, want core.ErrFormatVersion", err)
+			}
+			dev.Page(tc.page(dev.NumPages()))[tc.off]--
+			if _, err := New(dev, Options{}); err != nil {
+				t.Fatalf("mount after restoring the byte: %v", err)
+			}
+		})
+	}
+}

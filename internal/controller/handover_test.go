@@ -506,8 +506,9 @@ func runHandoverProperty(t *testing.T, c *Controller, via mapVia, seed int64) {
 
 // BenchmarkHandover2M is one cross-domain write handover of a 2 MiB
 // file per iteration — write-map, store 4 KiB, unmap — reporting how
-// many pages the seal streamed and how many index pages verification,
-// grant and checkpoint together read per handover, next to allocs/op.
+// many pages the seal streamed, how many index pages verification,
+// grant and checkpoint together read, and how many checksum records the
+// grant and the release rewrote per handover, next to allocs/op.
 // The timed handovers are the steady state: the first few, which
 // establish the facts everything later rides on, run before the clock.
 func BenchmarkHandover2M(b *testing.B) { benchHandover2M(b, false) }
@@ -571,6 +572,7 @@ func benchHandover2M(b *testing.B, dirtyIndex bool) {
 	st := c.Stats().Snapshot().Sub(st0)
 	b.ReportMetric(float64(st.SealStreamedPages)/float64(b.N), "streamed-pages/op")
 	b.ReportMetric(float64(st.IndexPagesRead)/float64(b.N), "index-pages-read/op")
+	b.ReportMetric(float64(st.ChecksumRecords)/float64(b.N), "records/op")
 	// The page-table words a handover's mapping calls act on, counted off
 	// the clock: the default registry counts only while enabled, and its
 	// other instruments would be on the timed path.

@@ -245,17 +245,19 @@ func (c *Controller) chainPageScopeLocked(p nvm.PageID, own int32) verifyScope {
 func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, write bool, gen uint64) MapInfo {
 	c := s.c
 	perm := mmu.PermRead
+	m := &mapping{ino: fs.ino, write: write, runs: runs}
 	if write {
 		perm = mmu.PermWrite
-		// Checksum-behind: every granted page's record opens (durably)
-		// before the LibFS can issue its first store, so no sealed CRC
-		// can be invalidated by a write the scrubber doesn't know about.
-		// Runs before our own refs so openGrantedLocked sees the
-		// pre-grant writeRefs table (see its doc comment).
-		c.openGrantedLocked(runs)
+		// Checksum-behind: every granted page opens (durably) — by its
+		// granule's bit or by its record — before the LibFS can issue its
+		// first store, so no trusted CRC can be invalidated by a write the
+		// scrubber doesn't know about. Runs before our own refs so
+		// openGrantedLocked sees the pre-grant writeRefs table (see its
+		// doc comment).
+		m.gran = c.openGrantedLocked(runs, fs, m.granBuf[:0])
 	}
 	s.ls.refRunsLocked(runs, perm)
-	s.ls.mapped[fs.ino] = &mapping{ino: fs.ino, write: write, runs: runs}
+	s.ls.mapped[fs.ino] = m
 	delete(s.ls.revoked, fs.ino) // a successful re-map clears the revocation
 
 	if write {
@@ -647,10 +649,11 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	// shards through it would let two random unmaps conflict most of the
 	// time, flattening the shard scaling this path exists for. The few
 	// pages owned elsewhere (the dirent page, owned by the parent) seal
-	// now, while the full set is still held.
-	c.sealQuiescentLocked(foreign, sp)
+	// now, while the full set is still held. The granules the grant
+	// opened by their bit are the file's own and close in the second.
+	c.sealQuiescentLocked(foreign, m, sp)
 	c.downgradeToShard(&set, c.shardIdxIno(fs.ino))
-	c.sealQuiescentLocked(own, sp)
+	c.sealQuiescentLocked(own, m, sp)
 	return nil
 }
 
@@ -696,8 +699,8 @@ func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp tele
 		c.commitReportLocked(fs, ls, rep)
 	}
 	own, foreign := c.finishWriteUnmapLocked(ls, fs, m)
-	c.sealQuiescentLocked(foreign, sp)
-	c.sealQuiescentLocked(own, sp)
+	c.sealQuiescentLocked(foreign, m, sp)
+	c.sealQuiescentLocked(own, m, sp)
 	return nil
 }
 
@@ -986,7 +989,7 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	// ends: seal the child's now-quiescent pages so the scrubber (and
 	// VerifyReads readers) can vouch for them. Pages a session still
 	// write-maps are skipped inside sealQuiescentLocked.
-	c.sealQuiescentLocked(cfs.pages, telemetry.Span{})
+	c.sealQuiescentLocked(cfs.pages, nil, telemetry.Span{})
 	c.registerFileLocked(cfs)
 	if !c.shadow.has(ch.Ino) {
 		// Credentials: the LibFS the ino was issued to (it may differ
@@ -1167,7 +1170,7 @@ func (c *Controller) restoreCheckpointLocked(fs *fileState) {
 	off := core.SlotOffset(fs.loc.Slot)
 	c.mem.Write(fs.loc.Page, off, cp.dirent[:])
 	c.mem.Persist(fs.loc.Page, off, core.DirentSize)
-	c.mem.Fence()
+	c.fence()
 	fs.children = append([]verifier.ChildRef(nil), cp.children...)
 	// Whatever a LibFS built from the rolled-back state is void.
 	c.voidFactsLocked(fs)

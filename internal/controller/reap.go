@@ -201,7 +201,7 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState, trace string) {
 	for _, r := range fs.pages {
 		for p := r.start; p < r.end(); p++ {
-			c.pageOwner[p], c.facts[p] = 0, false
+			c.clearPageOwner(p)
 			ls.parked[p] = true
 			c.tracePage(p, trace, fs.ino, ls.id)
 		}

@@ -54,7 +54,7 @@ func (s *Session) allocPages(trace string, alloc func() ([]nvm.PageID, error)) (
 		runs = appendPage(runs, p)
 	}
 	runs = normalizeRuns(runs)
-	c.openGrantedLocked(runs)
+	c.openGrantedLocked(runs, nil, nil)
 	s.ls.refRunsLocked(runs, mmu.PermWrite)
 	for _, p := range pages {
 		s.ls.allocPages[p] = true
@@ -145,7 +145,7 @@ func (s *Session) unbindLocked(p nvm.PageID) bool {
 	fs, _ := c.files.get(ino)
 	fs.pages = runsRemove(fs.pages, p)
 	c.voidFactsLocked(fs)
-	c.pageOwner[p], c.facts[p] = 0, false
+	c.clearPageOwner(p)
 	c.tracePage(p, "free-bound ino=%d ls=%d", ino, s.ls.id)
 	return true
 }
@@ -248,14 +248,14 @@ func (s *Session) changePerm(ino core.Ino, patch func(*shadowPatch)) error {
 	// once the store is persisted. A write-mapped page is already open
 	// and stays open — sealQuiescentLocked skips it.
 	if wrote, oerr := core.OpenChecksum(c.mem, c.dev.NumPages(), fs.loc.Page); oerr == nil && wrote {
-		c.mem.Fence()
+		c.fence()
 	}
 	c.markStored(fs.loc.Page)
 	if err := core.WriteInode(c.mem, fs.loc.Page, core.SlotOffset(fs.loc.Slot), &in); err != nil {
 		return err
 	}
-	c.mem.Fence()
-	c.sealQuiescentLocked([]pageRun{{start: fs.loc.Page, n: 1}}, telemetry.Span{})
+	c.fence()
+	c.sealQuiescentLocked([]pageRun{{start: fs.loc.Page, n: 1}}, nil, telemetry.Span{})
 	// Keep the checkpoint's view coherent if one is outstanding.
 	if fs.checkpoint != nil {
 		cin := core.DecodeInode(fs.checkpoint.dirent[:])
@@ -449,10 +449,16 @@ func (s *Session) Commit(ino core.Ino) error {
 // power failure, every file that was write-mapped is re-verified; files
 // failing verification roll back to their checkpoint. LibFS-provided
 // recovery programs run first (they are untrusted, which is exactly why
-// the verifier pass follows).
-func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked, rolledBack int) {
+// the verifier pass follows). Last, the granules the crash left open
+// reseal from their content (expandGranulesLocked). A device this build
+// cannot read — another format version — is refused with
+// core.ErrFormatVersion before anything is touched.
+func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked, rolledBack int, err error) {
 	c.lockAll()
 	defer c.unlockAll()
+	if err := core.CheckFormat(c.mem, c.dev.NumPages()); err != nil {
+		return 0, 0, fmt.Errorf("controller: recovering: %w", err)
+	}
 	// The clean bits and the facts are volatile: after a crash nothing is
 	// known clean, every open record reseals from content and every file
 	// is walked.
@@ -489,7 +495,8 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 		c.dropCheckpointLocked(fs)
 		return true
 	})
-	return checked, rolledBack
+	c.expandGranulesLocked()
+	return checked, rolledBack, nil
 }
 
 // FileInfo is a trusted snapshot of controller state for one file,

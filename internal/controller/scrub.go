@@ -7,16 +7,20 @@
 //
 // Checksum lifecycle, controller's half:
 //
-//   - grant  — MapFile (write) and AllocPages mark every granted page's
-//     record open (odd epoch) before the LibFS can store to it, so a
-//     sealed record never lies about in-flight pages;
+//   - grant  — MapFile (write) and AllocPages make every granted page
+//     untrusted before the LibFS can store to it — a granule the grant
+//     covers whole by its open bit, any other page by marking its record
+//     open (odd epoch) — so a trusted record never lies about in-flight
+//     pages;
 //   - unmap  — after a clean verification the writer's pages are sealed
 //     with the durable content's CRC, provided no other session still
-//     write-maps them;
+//     write-maps them: a granule's stored-to pages when its last holder
+//     goes, every other page by its record;
 //   - scrub  — the sweeper seals stragglers (crashed writers, adopted
-//     files) and cross-checks every sealed record, under each mapping
-//     session's MMU shootdown barrier so no in-flight store races the
-//     audit.
+//     files, granules a teardown left open) and cross-checks every
+//     sealed record the controller's own tables do not mark busy, under
+//     each mapping session's MMU shootdown barrier so no in-flight store
+//     races the audit.
 //
 // Repair is candidate-based and CRC-gated: a candidate image (the zero
 // page for holes, a dirent-page rebuild from the controller's verified
@@ -83,13 +87,16 @@ type ScrubReport struct {
 func (c *Controller) ScrubAll() ScrubReport {
 	c.lockAll()
 	defer c.unlockAll()
-	pass := c.scrubPassLocked(0, core.ChecksumBase(c.dev.NumPages()), -1)
-	rep := pass.ScrubReport
-	// Coverage: re-read the records of every candidate.
 	total := c.dev.NumPages()
+	all := []pageRun{{start: 0, n: int(core.ChecksumBase(total))}}
+	c.settleGranulesLocked(all)
+	c.clearPendingGranules()
+	pass := c.scrubPassLocked(0, core.ChecksumBase(total), -1)
+	rep := pass.ScrubReport
+	// Coverage: re-read the records — and open bits — of every candidate.
 	for _, p := range c.scrubCandidatesLocked(0, core.ChecksumBase(total)) {
 		rep.Candidates++
-		if rec, err := core.LoadChecksum(c.mem, total, p); err == nil && core.ChecksumSealed(rec) {
+		if _, trusted, err := core.LoadChecksumTrusted(c.mem, total, p); err == nil && trusted {
 			rep.Covered++
 		}
 	}
@@ -97,12 +104,14 @@ func (c *Controller) ScrubAll() ScrubReport {
 }
 
 // scrubSweepLocked is the background sweeper's slice: audit up to
-// budget pages starting at the cursor, wrapping at the table base.
+// budget pages starting at the cursor, wrapping at the region base.
 func (c *Controller) scrubSweepLocked(budget int) {
 	limit := core.ChecksumBase(c.dev.NumPages())
 	if c.scrubCursor >= limit {
 		c.scrubCursor = 0
 	}
+	c.settleGranulesLocked([]pageRun{{start: 0, n: int(limit)}})
+	c.clearPendingGranules()
 	rep := c.scrubPassLocked(c.scrubCursor, limit, budget)
 	c.scrubCursor = rep.cursor
 	c.stats.ScrubPasses.Add(1)
@@ -169,7 +178,7 @@ func (c *Controller) scrubPassLocked(from, to nvm.PageID, budget int) scrubPassR
 				continue
 			}
 		}
-		if c.writeMapped(p) {
+		if c.scrubBusy(p) {
 			rep.Skipped++
 			continue
 		}
@@ -203,8 +212,9 @@ func (c *Controller) scrubPassLocked(from, to nvm.PageID, budget int) scrubPassR
 }
 
 // sealQuiescentLocked and openGrantedLocked live in bulkio.go: the
-// unmap-time seal and grant-time record opens are extent-coalesced
-// (ISSUE 6) so a file's worth of records costs one span access.
+// unmap-time seal and grant-time opens go by granule bit where a grant
+// covers a granule whole and by span RMW of the records elsewhere, so a
+// file's worth of records costs what was written.
 
 // repairPageLocked tries to heal a mismatched page from redundant
 // metadata. Every candidate is validated against the sealed record's
@@ -238,7 +248,7 @@ func (c *Controller) repairPageLocked(p nvm.PageID, want uint32) bool {
 		c.markStored(p)
 		c.mem.Write(p, 0, img)
 		c.mem.Persist(p, 0, nvm.PageSize)
-		c.mem.Fence()
+		c.fence()
 	}
 	// Install under the barriers of every session that maps the page —
 	// all held at once, so no reader in any session observes a

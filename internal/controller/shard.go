@@ -272,12 +272,16 @@ func (c *Controller) setPageOwner(p nvm.PageID, ino core.Ino) {
 }
 
 // clearPageOwner unbinds page p; the facts of the file it leaves go
-// with it.
+// with it, and so does its granule's open bit, if the file's grants
+// opened the granule by it: an open granule stays whole in its file
+// (splitGranule). The caller holds the lock the file's records
+// serialize under.
 func (c *Controller) clearPageOwner(p nvm.PageID) {
 	c.tabMu.Lock()
 	c.pageOwner[p] = 0
 	c.facts[p] = false
 	c.tabMu.Unlock()
+	c.splitGranule(p >> nvm.GranuleShift)
 }
 
 // setShadow records ino's shadow entry.
@@ -338,30 +342,25 @@ func (c *Controller) allocHolderOf(ino core.Ino) (LibFSID, bool) {
 	return id, ok
 }
 
-// writeMapped reports whether any session currently holds write
-// permission on p. Sessions that died but were not reaped yet still
-// count — conservative: their pages stay unsealed until the reaper
-// settles them.
-func (c *Controller) writeMapped(p nvm.PageID) bool {
+// scrubBusy is scrubBusyLocked (granule.go) taking tabMu.
+func (c *Controller) scrubBusy(p nvm.PageID) bool {
 	c.tabMu.Lock()
-	n := c.writeRefs[p]
-	c.tabMu.Unlock()
-	return n > 0
+	defer c.tabMu.Unlock()
+	return c.scrubBusyLocked(p)
 }
 
-// writeMappedOrBusy is writeMapped for the background scrubber, which
-// asks per page with a shard's lock held: parking on the controller-wide
-// tabMu there — behind whatever tenant is churning grants, then behind
-// it again for a CPU — makes every tenant of that shard wait too. A busy
-// table reads as "mapped": the page keeps its place in the cycle and is
+// scrubBusyTry is scrubBusy for the background scrubber, which asks per
+// page with a shard's lock held: parking on the controller-wide tabMu
+// there — behind whatever tenant is churning grants, then behind it
+// again for a CPU — makes every tenant of that shard wait too. A busy
+// table reads as busy: the page keeps its place in the cycle and is
 // audited on a later pass.
-func (c *Controller) writeMappedOrBusy(p nvm.PageID) bool {
+func (c *Controller) scrubBusyTry(p nvm.PageID) bool {
 	if !c.tabMu.TryLock() {
 		return true
 	}
-	n := c.writeRefs[p]
-	c.tabMu.Unlock()
-	return n > 0
+	defer c.tabMu.Unlock()
+	return c.scrubBusyLocked(p)
 }
 
 // markStored records that page p's content may have changed since its
@@ -375,10 +374,15 @@ func (c *Controller) markStored(p nvm.PageID) {
 
 // storedLocked (tabMu held) is the one place a store to page p — a
 // harvested dirty bit, a teardown without harvest, the controller's own
-// — invalidates what was known of its content.
+// — invalidates what was known of its content: the record's carried CRC,
+// the facts, and, under an open bit, the record itself, which the
+// granule's close then reseals.
 func (c *Controller) storedLocked(p nvm.PageID) {
 	c.cleanOpen[p] = false
 	c.facts[p] = false
+	if st := &c.gran[p>>nvm.GranuleShift]; st.ino != 0 {
+		st.stored |= granuleMask(p)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -611,7 +615,7 @@ func (c *Controller) scrubShard(i int) {
 	}
 	checked := 0
 	audit := func(p nvm.PageID) {
-		if c.writeMappedOrBusy(p) {
+		if c.scrubBusyTry(p) {
 			return
 		}
 		verdict, want, _, err := sh.scrubber.ScrubPage(p, true)
@@ -651,6 +655,7 @@ func (c *Controller) scrubShard(i int) {
 		if fs.corrupt || fs.quarantined != 0 || fs.writer != 0 {
 			continue
 		}
+		c.settleGranulesLocked(fs.pages)
 		for _, r := range fs.pages {
 			for p := r.start; p < r.end() && checked < budget; p++ {
 				audit(p)
@@ -660,11 +665,16 @@ func (c *Controller) scrubShard(i int) {
 	if checked > 0 {
 		c.stats.ScrubPasses.Add(1)
 	}
+	c.clearPendingGranules()
 	sh.mu.Unlock()
 
 	// Mismatches go through the full repair path with everything held.
 	for _, p := range mismatches {
 		c.lockAll()
+		if c.scrubBusy(p) { // granted again while no lock was held
+			c.unlockAll()
+			continue
+		}
 		if v, want, _, err := c.scrubber.ScrubPage(p, false); err == nil && v == verifier.ScrubMismatch {
 			c.stats.ScrubDetected.Add(1)
 			if c.repairPageLocked(p, want) {

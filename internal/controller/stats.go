@@ -58,6 +58,11 @@ type Stats struct {
 	// streamed and re-CRC'd.
 	SealClean    *telemetry.Counter
 	SealStreamed *telemetry.Counter
+	// The checksum region's two levels: records rewritten —
+	// opened, closed clean or resealed from content — and granules a
+	// write grant opened whole by their bit instead.
+	ChecksumRecords *telemetry.Counter
+	GranuleOpens    *telemetry.Counter
 
 	// Verification scoped by dirty metadata (ISSUE 23). Every VerifyCnt is
 	// one or the other: VerifyScoped carried the index facts of the file's
@@ -149,6 +154,9 @@ func newStats(shards int) *Stats {
 
 		SealClean:    reg.NewCounter("controller.seal_clean_pages"),
 		SealStreamed: reg.NewCounter("controller.seal_streamed_pages"),
+
+		ChecksumRecords: reg.NewCounter("controller.checksum_records"),
+		GranuleOpens:    reg.NewCounter("controller.granule_opens"),
 
 		VerifyScoped: reg.NewCounter("controller.verify_scoped"),
 		VerifyFull:   reg.NewCounter("controller.verify_full"),
@@ -250,6 +258,7 @@ type Snapshot struct {
 	ScrubDetected, ScrubRepaired, ScrubQuarantined  int64
 	ScrubTime                                       time.Duration
 	SealCleanPages, SealStreamedPages               int64
+	ChecksumRecords, GranuleOpens                   int64
 	VerifyScoped, VerifyFull, IndexPagesRead        int64
 	KeptIndexPages                                  int64 // a level: Sub gives its change
 
@@ -327,6 +336,8 @@ func (s *Stats) Snapshot() Snapshot {
 
 		SealCleanPages:    snap.Get("controller.seal_clean_pages"),
 		SealStreamedPages: snap.Get("controller.seal_streamed_pages"),
+		ChecksumRecords:   snap.Get("controller.checksum_records"),
+		GranuleOpens:      snap.Get("controller.granule_opens"),
 
 		VerifyScoped:   snap.Get("controller.verify_scoped"),
 		VerifyFull:     snap.Get("controller.verify_full"),
@@ -379,6 +390,8 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 
 		SealCleanPages:    s.SealCleanPages - prev.SealCleanPages,
 		SealStreamedPages: s.SealStreamedPages - prev.SealStreamedPages,
+		ChecksumRecords:   s.ChecksumRecords - prev.ChecksumRecords,
+		GranuleOpens:      s.GranuleOpens - prev.GranuleOpens,
 
 		VerifyScoped:   s.VerifyScoped - prev.VerifyScoped,
 		VerifyFull:     s.VerifyFull - prev.VerifyFull,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"trio/internal/nvm"
@@ -17,13 +18,25 @@ func TestChecksumGeometry(t *testing.T) {
 			t.Errorf("ChecksumTablePages(%d) = %d, want %d", tc.total, got, tc.want)
 		}
 		base := ChecksumBase(tc.total)
-		if base+ChecksumTablePages(tc.total) != tc.total {
-			t.Errorf("total %d: base %d + table %d != total", tc.total, base, ChecksumTablePages(tc.total))
+		if ChecksumHeaderPages(tc.total) != 1 {
+			t.Errorf("total %d: %d header pages, want 1", tc.total, ChecksumHeaderPages(tc.total))
+		}
+		if base+ChecksumHeaderPages(tc.total)+ChecksumTablePages(tc.total) != tc.total {
+			t.Errorf("total %d: base %d + header + table %d != total", tc.total, base, ChecksumTablePages(tc.total))
+		}
+		// The open bit of every allocatable page's granule lands in the
+		// header, 8-byte aligned.
+		for _, p := range []nvm.PageID{FirstFilePage, base - 1} {
+			w, bit := GranuleBit(p)
+			hp, off := GranuleWordLoc(tc.total, w)
+			if hp != base || off%8 != 0 || off+8 > nvm.PageSize || bit != 1<<(p/nvm.GranulePages%64) {
+				t.Errorf("total %d: open bit of page %d at page %d offset %d bit %#x", tc.total, p, hp, off, bit)
+			}
 		}
 		// Every allocatable page's record must land inside the table.
 		for _, p := range []nvm.PageID{FirstFilePage, base - 1} {
 			tp, off := ChecksumLoc(tc.total, p)
-			if tp < base || tp >= tc.total {
+			if tp <= base || tp >= tc.total {
 				t.Errorf("total %d: record of page %d on page %d outside table [%d, %d)",
 					tc.total, p, tp, base, tc.total)
 			}
@@ -153,5 +166,43 @@ func TestChecksumCrashRollsSealBackToOpen(t *testing.T) {
 	}
 	if !ChecksumIsOpen(rec) {
 		t.Fatalf("post-crash record %#x: want the durable open mark", rec)
+	}
+}
+
+// TestFormatVersionChecked: a mount reads the superblock's version and
+// the checksum region's magic, version and granule size, and a device
+// that differs in any of them is refused with ErrFormatVersion — a blank
+// one with ErrUnformatted, which a mount formats.
+func TestFormatVersionChecked(t *testing.T) {
+	dev := nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: 256})
+	m := Direct(dev, 0)
+	total := dev.NumPages()
+	if err := CheckFormat(m, total); !errors.Is(err, ErrUnformatted) {
+		t.Fatalf("blank device: %v, want ErrUnformatted", err)
+	}
+	if err := Format(dev); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckFormat(m, total); err != nil {
+		t.Fatalf("fresh format: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		page nvm.PageID
+		off  int
+	}{
+		{"superblock version", 0, 8},
+		{"region magic", ChecksumBase(total), 1},
+		{"region version", ChecksumBase(total), 3},
+		{"region granule size", ChecksumBase(total), 4},
+	} {
+		dev.Page(tc.page)[tc.off]++
+		if err := CheckFormat(m, total); !errors.Is(err, ErrFormatVersion) {
+			t.Errorf("%s changed: %v, want ErrFormatVersion", tc.name, err)
+		}
+		dev.Page(tc.page)[tc.off]--
+	}
+	if err := CheckFormat(m, total); err != nil {
+		t.Fatalf("restored: %v", err)
 	}
 }

@@ -9,8 +9,10 @@
 //
 // Layout (all little-endian, page size 4096):
 //
-//	page 0           superblock + the root directory's inode
+//	page 0           superblock (magic, Version, geometry)
+//	page 1           the root directory's inode
 //	file pages       inodes, index pages and data pages of files
+//	last pages       the checksum region (checksum.go)
 //
 // A regular file is a chain of index pages whose entries point to data
 // pages (paper Fig. 4). A directory is a chain of index pages whose
@@ -82,8 +84,8 @@ const (
 	IndexEntriesPerPage = nvm.PageSize/8 - 1
 	// SuperMagic identifies a formatted device.
 	SuperMagic = 0x4f49525441434b46 // "FKCATRIO" little-endian view of "TRIOARCK"-ish
-	// Version of the core-state layout.
-	Version = 1
+	// Version of the core-state layout, checked at mount (CheckFormat).
+	Version = 2
 	// RootInodePage holds the root directory's inode in its slot 0.
 	// The root has no parent directory to co-locate its dirent with, so
 	// it gets a dedicated page (its "name" field is empty). Page 0 (the
@@ -574,7 +576,17 @@ type Superblock struct {
 	Nodes      uint64
 }
 
-// ReadSuperblock decodes page 0.
+// ErrUnformatted reports a device whose page 0 holds no superblock: a
+// blank device, which a mount formats.
+var ErrUnformatted = errors.New("core: bad superblock magic (device not formatted?)")
+
+// ErrFormatVersion reports a formatted device in a layout this build does
+// not read — another superblock version, or a checksum region with the
+// wrong magic, version or granule size. Nothing may mount it.
+var ErrFormatVersion = errors.New("core: unsupported on-media format")
+
+// ReadSuperblock decodes page 0: ErrUnformatted without the magic,
+// ErrFormatVersion with a version other than Version.
 func ReadSuperblock(m Mem) (Superblock, error) {
 	var b [32]byte
 	if err := m.Read(0, 0, b[:]); err != nil {
@@ -586,14 +598,28 @@ func ReadSuperblock(m Mem) (Superblock, error) {
 		TotalPages: binary.LittleEndian.Uint64(b[16:]),
 		Nodes:      binary.LittleEndian.Uint64(b[24:]),
 	}
-	if sb.Magic != SuperMagic {
-		return sb, errors.New("core: bad superblock magic (device not formatted?)")
+	switch {
+	case sb.Magic != SuperMagic:
+		return sb, ErrUnformatted
+	case sb.Version != Version:
+		return sb, fmt.Errorf("%w: superblock version %d, this build reads %d", ErrFormatVersion, sb.Version, Version)
 	}
 	return sb, nil
 }
 
-// Format initializes a device with an empty file system: a superblock
-// and an empty root directory owned by uid/gid 0 with mode 0o777.
+// CheckFormat validates everything a mount reads before trusting the
+// device: the superblock (ReadSuperblock's errors) and the checksum
+// region's header (ErrFormatVersion).
+func CheckFormat(m Mem, total nvm.PageID) error {
+	if _, err := ReadSuperblock(m); err != nil {
+		return err
+	}
+	return checkChecksumHeader(m, total)
+}
+
+// Format initializes a device with an empty file system: a superblock,
+// an empty root directory owned by uid/gid 0 with mode 0o777, and the
+// checksum region's header.
 func Format(dev *nvm.Device) error {
 	m := Direct(dev, 0)
 	var b [32]byte
@@ -609,6 +635,9 @@ func Format(dev *nvm.Device) error {
 	}
 	root := Inode{Ino: RootIno, Type: TypeDir, Mode: 0o777}
 	if err := WriteInode(m, RootInodePage, SlotOffset(0), &root); err != nil {
+		return err
+	}
+	if err := writeChecksumHeader(m, dev.NumPages()); err != nil {
 		return err
 	}
 	m.Fence()

@@ -339,7 +339,7 @@ func verifiedReadPass(p Params, fs string, inst *fsfactory.Instance) ([]DataPath
 		err = core.WalkFile(mem, in.Head, int(total), nil,
 			func(_ uint64, pg nvm.PageID) bool {
 				data++
-				if rec, err := core.LoadChecksum(mem, total, pg); err == nil && core.ChecksumSealed(rec) {
+				if _, trusted, err := core.LoadChecksumTrusted(mem, total, pg); err == nil && trusted {
 					sealed++
 				}
 				return true

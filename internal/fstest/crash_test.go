@@ -3,6 +3,7 @@ package fstest
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"trio/internal/controller"
@@ -166,9 +167,11 @@ type handoverRig struct {
 	ino  core.Ino
 }
 
+// The shared file is long enough that its grants cover whole 32-page
+// granules, opened by their bit, besides the ragged ends opened by record.
 const (
 	handoverPath  = "/shared"
-	handoverPages = 8
+	handoverPages = 64
 )
 
 func handoverFill(page, version int) []byte {
@@ -221,9 +224,12 @@ func newHandoverRig(t *testing.T) *handoverRig {
 // handoverScript is the crash-swept scenario: write access to the file
 // moves between the domains three times — write-map, store one page,
 // unmap (verify + seal), the other domain maps — and ends on a handover
-// that stores nothing. It returns how many stores completed.
+// that stores nothing. The first store lands on a ragged end, opened by
+// record; the others inside a whole granule, opened by its bit, which
+// the first grant sets and the scrub pass that closes the script clears.
+// It returns how many handovers completed.
 func (r *handoverRig) handoverScript(fp *nvm.FaultPlan) (done int) {
-	steps := []struct{ domain, page int }{{0, 2}, {1, 5}, {0, 5}, {1, -1}}
+	steps := []struct{ domain, page int }{{0, 2}, {1, 40}, {0, 40}, {1, -1}}
 	for i, st := range steps {
 		if st.page >= 0 {
 			if _, err := r.h[st.domain].WriteAt(handoverFill(st.page, i+1), int64(st.page)*nvm.PageSize); err != nil {
@@ -237,15 +243,19 @@ func (r *handoverRig) handoverScript(fp *nvm.FaultPlan) (done int) {
 		}
 		done++
 	}
+	r.ctl.ScrubAll()
 	return done
 }
 
 // TestCrashHandoverSweep crashes a cross-domain write handover at every
 // persist point. The clean close publishes a record without re-reading
-// its page, so the property at stake is the checksum-behind one: after
-// recovery — warm, and again after a cold remount — no sealed record
-// may disagree with the durable content, every file verifies, and the
-// stores of completed handovers are intact.
+// its page, and the close of a granule clears its open bit without
+// touching the records of the pages not stored to, so the property at
+// stake is the checksum-behind one: after recovery — warm, then a cold
+// remount, and a cold mount of the crashed image itself — no trusted
+// record may disagree with the durable content, every file verifies,
+// the scrub covers every page, and the stores of completed handovers
+// are intact.
 func TestCrashHandoverSweep(t *testing.T) {
 	probe := newHandoverRig(t)
 	fp := nvm.NewFaultPlan()
@@ -255,9 +265,17 @@ func TestCrashHandoverSweep(t *testing.T) {
 	}
 	n := fp.PersistPoints()
 	t.Logf("handover scenario: %d persist points to sweep", n)
+	// The sweep covers the persist points of an open bit's set and clear:
+	// the script set one, and left none set.
+	if st := probe.ctl.Stats().Snapshot(); st.GranuleOpens == 0 {
+		t.Fatal("no grant of the script opened a granule by its bit")
+	}
+	if open := openGranules(probe.dev); open != 0 {
+		t.Fatalf("%d open bits left after the script's scrub", open)
+	}
 
-	want := [][handoverPages]int{{}, {2: 1}, {2: 1, 5: 2}, {2: 1, 5: 3}, {2: 1, 5: 3}}
-	for k := int64(1); k <= n; k++ {
+	want := [][handoverPages]int{{}, {2: 1}, {2: 1, 40: 2}, {2: 1, 40: 3}, {2: 1, 40: 3}}
+	crashAt := func(k int64) (*handoverRig, int) {
 		r := newHandoverRig(t)
 		fp := nvm.NewFaultPlan()
 		fp.ArmCrashPoint(k)
@@ -268,6 +286,25 @@ func TestCrashHandoverSweep(t *testing.T) {
 		}
 		r.dev.Tracker().Crash()
 		r.dev.SetFaultPlan(nil)
+		return r, done
+	}
+	coldScrub := func(k int64, dev *nvm.Device, what string) {
+		cold, err := controller.New(dev, controller.Options{CPUs: 2})
+		if err != nil {
+			t.Fatalf("k=%d: %s: %v", k, what, err)
+		}
+		if _, bad, first := cold.VerifyAll(); bad != 0 {
+			t.Fatalf("k=%d: %s: %d files fail verification: %s", k, what, bad, first)
+		}
+		if rep := cold.ScrubAll(); rep.Mismatches != 0 || rep.Covered != rep.Candidates {
+			t.Fatalf("k=%d: %s: %d sealed-CRC mismatches, coverage %d/%d", k, what, rep.Mismatches, rep.Covered, rep.Candidates)
+		}
+	}
+	for k := int64(1); k <= n; k++ {
+		r, _ := crashAt(k)
+		coldScrub(k, r.dev, "cold mount of the crashed image")
+
+		r, done := crashAt(k)
 		progs := map[controller.LibFSID]func() error{}
 		for d, fs := range r.fs {
 			if err := fs.Recover(); err != nil {
@@ -275,7 +312,9 @@ func TestCrashHandoverSweep(t *testing.T) {
 			}
 			progs[r.sess[d].ID()] = fs.Recover
 		}
-		r.ctl.Recover(progs)
+		if _, _, err := r.ctl.Recover(progs); err != nil {
+			t.Fatalf("k=%d: controller recover: %v", k, err)
+		}
 
 		if _, bad, first := r.ctl.VerifyAll(); bad != 0 {
 			t.Fatalf("k=%d (%d handovers done): %d files fail verification: %s", k, done, bad, first)
@@ -301,12 +340,18 @@ func TestCrashHandoverSweep(t *testing.T) {
 				t.Fatalf("k=%d (%d handovers done): page %d holds %#x, want version %d", k, done, p, buf[0], want[done][p])
 			}
 		}
-		cold, err := controller.New(r.dev, controller.Options{CPUs: 2})
-		if err != nil {
-			t.Fatalf("k=%d: cold remount: %v", k, err)
-		}
-		if rep := cold.ScrubAll(); rep.Mismatches != 0 {
-			t.Fatalf("k=%d: %d sealed-CRC mismatches after cold remount", k, rep.Mismatches)
-		}
+		coldScrub(k, r.dev, "cold remount after recovery")
 	}
+}
+
+// openGranules counts the set open bits in the checksum region's header.
+func openGranules(dev *nvm.Device) int {
+	m, total := core.Direct(dev, 0), dev.NumPages()
+	n := 0
+	for w := 0; w < core.GranuleWords(total); w++ {
+		hp, off := core.GranuleWordLoc(total, w)
+		v, _ := m.ReadU64(hp, off)
+		n += bits.OnesCount64(v)
+	}
+	return n
 }

@@ -54,9 +54,12 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if err := fs.Recover(); err != nil {
 		t.Fatalf("libfs recover: %v", err)
 	}
-	checked, rolledBack := ctl.Recover(map[controller.LibFSID]func() error{
+	checked, rolledBack, err := ctl.Recover(map[controller.LibFSID]func() error{
 		sess.ID(): fs.Recover,
 	})
+	if err != nil {
+		t.Fatalf("controller recover: %v", err)
+	}
 	t.Logf("recovery: checked=%d rolledBack=%d", checked, rolledBack)
 
 	// Every completed operation must be visible with intact data.

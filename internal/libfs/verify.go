@@ -1,16 +1,20 @@
 // Optional read-path CRC verification (ISSUE 5): when Config.VerifyReads
 // is set, every page a ReadAt covers in full is cross-checked against
-// its sealed checksum record before the bytes are returned, so latent
+// its checksum record before the bytes are returned, so latent
 // corruption the background scrubber has not reached yet still cannot
 // be silently served. Off by default — the overhead is measured in
 // EXPERIMENTS.md ("Integrity scrubbing").
 //
-// Race discipline: the record is loaded before the data read is issued
-// (rec1) and again after a CRC mismatch (rec2). A condemnation requires
-// rec1 == rec2 and sealed: any legitimate concurrent writer first has
-// its records opened at grant time (odd epoch), so an unchanged sealed
-// record across the whole read window proves the content was quiescent
-// — the mismatch is media rot, not a racing store.
+// Race discipline: the record and its granule's open bit are loaded
+// before the data read is issued (rec1, open1) and again after a CRC
+// mismatch (rec2, open2). A condemnation requires both unchanged and the
+// record trusted (core.ChecksumTrusted): any legitimate concurrent writer
+// first has its page opened at grant time — its record made odd, or its
+// granule's bit set — and a writer's release reseals every page it
+// stored to with a new sequence word before the bit may clear, so an
+// unchanged trusted record across the whole read window proves the
+// content was quiescent — the mismatch is media rot, not a racing store.
+// A page under a set bit is not checked until the bit clears.
 package libfs
 
 import (
@@ -23,9 +27,10 @@ import (
 
 // crcCheck is one fully-covered page of an in-flight ReadAt.
 type crcCheck struct {
-	page nvm.PageID
-	rec  uint64 // record loaded before the data read
-	buf  []byte // the page's bytes in the caller's buffer
+	page    nvm.PageID
+	rec     uint64 // record loaded before the data read
+	trusted bool   // and whether it was trusted then (no open bit)
+	buf     []byte // the page's bytes in the caller's buffer
 }
 
 // collectCRCChecks records the fully-covered pages of one extent
@@ -39,12 +44,11 @@ func (fs *FS) collectCRCChecks(checks []crcCheck, b []byte, off, lo, hi, extStar
 	}
 	for ; ps+nvm.PageSize <= hi; ps += nvm.PageSize {
 		page := ePage + nvm.PageID((ps-extStart)/nvm.PageSize)
-		tp, tOff := core.ChecksumLoc(total, page)
-		rec, err := fs.as.ReadU64(tp, tOff)
+		rec, trusted, err := core.LoadChecksumTrusted(fs.as, total, page)
 		if err != nil {
 			continue // table unreadable: skip, never fail the read
 		}
-		checks = append(checks, crcCheck{page: page, rec: rec, buf: b[ps-off : ps-off+nvm.PageSize]})
+		checks = append(checks, crcCheck{page: page, rec: rec, trusted: trusted, buf: b[ps-off : ps-off+nvm.PageSize]})
 	}
 	return checks
 }
@@ -55,17 +59,16 @@ func (fs *FS) verifyCRCChecks(cpu int, checks []crcCheck) error {
 	total := fs.dev.NumPages()
 	for i := range checks {
 		ck := &checks[i]
-		if !core.ChecksumSealed(ck.rec) {
-			continue // open or unknown: a writer holds it, nothing to check
+		if !ck.trusted {
+			continue // open, unknown or under an open bit: a writer holds it, nothing to check
 		}
 		mReadVerified.IncOn(cpu)
 		if core.PageCRC(ck.buf) == core.ChecksumCRC(ck.rec) {
 			continue
 		}
-		tp, tOff := core.ChecksumLoc(total, ck.page)
-		rec2, err := fs.as.ReadU64(tp, tOff)
-		if err == nil && rec2 != ck.rec {
-			continue // record moved mid-read: a writer or the scrubber raced us
+		rec2, trusted2, err := core.LoadChecksumTrusted(fs.as, total, ck.page)
+		if err == nil && (rec2 != ck.rec || !trusted2) {
+			continue // record moved or bit set mid-read: a writer or the scrubber raced us
 		}
 		mReadVerifyFail.IncOn(cpu)
 		return fmt.Errorf("%w: page %d content crc %08x != sealed record %08x",

@@ -162,3 +162,105 @@ func TestVerifyReadsOffByDefault(t *testing.T) {
 		t.Fatal("expected the rotted byte to pass through unverified")
 	}
 }
+
+// lookupEntry resolves name in the root directory.
+func lookupEntry(t *testing.T, fs *FS, name string) Entry {
+	t.Helper()
+	h := fs.Hooks()
+	d, err := h.ResolveDir("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok, err := h.Lookup(d, name)
+	if err != nil || !ok {
+		t.Fatalf("lookup %s: ok=%v err=%v", name, ok, err)
+	}
+	return e
+}
+
+// TestVerifyReadsOpenGranule: a VerifyReads reader racing a writer whose
+// grants hold whole granules of the files open by their bit — records
+// untouched, so sealed and stale while it stores — never condemns a
+// page. The writer alternates between two files, so each file's bits
+// clear while it holds the other and the reader checks those pages
+// again; and once they are clear, rot in a page the writer stored to is
+// caught.
+func TestVerifyReadsOpenGranule(t *testing.T) {
+	fs, ctl, dev := newVerifyFS(t)
+	const pages = 96 // whole granules, whatever the files' alignment
+	var data [2][]nvm.PageID
+	var ents [2]Entry
+	for i, name := range []string{"x.bin", "y.bin"} {
+		data[i] = sealFile(t, fs, dev, name, bytes.Repeat([]byte{byte(0x30 + i)}, pages*nvm.PageSize))
+		ents[i] = lookupEntry(t, fs, name)
+	}
+	w := ctl.Register(1000, 1000, 0, fs.Session().Group()) // a same-group writer: the reader keeps its mapping
+	buf := make([]byte, nvm.PageSize)
+	handover := func(i, round int) {
+		if _, err := w.MapFile(ents[i].Ino, ents[i].Loc, true); err != nil {
+			t.Error(err)
+			return
+		}
+		for k := 0; k < 8; k++ {
+			p := data[i][(round*13+k*11)%pages]
+			for j := range buf {
+				buf[j] = byte(round + k + j)
+			}
+			if err := w.AddressSpace().Write(p, 0, buf); err != nil {
+				t.Error(err)
+				return
+			}
+			w.AddressSpace().Persist(p, 0, nvm.PageSize)
+		}
+		if err := w.UnmapFile(ents[i].Ino); err != nil {
+			t.Error(err)
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 0; round < 200; round++ {
+			handover(round&1, round)
+		}
+	}()
+	got := make([]byte, pages*nvm.PageSize)
+	c := fs.NewClient(0)
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for _, name := range []string{"/x.bin", "/y.bin"} {
+			f, err := c.Open(name, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.ReadAt(got, 0); err != nil {
+				t.Fatalf("read racing a granule's writer: %v", err)
+			}
+			f.Close()
+		}
+	}
+	if st := ctl.Stats().Snapshot(); st.GranuleOpens == 0 {
+		t.Fatal("the writer's grants opened no granule by its bit")
+	}
+
+	// x's bits cleared behind the fence of y's last grant; a scrub pass
+	// clears y's. Rot in a page the writer stored to is caught again.
+	ctl.ScrubAll()
+	fp := nvm.NewFaultPlan()
+	dev.SetFaultPlan(fp)
+	rotted := data[0][(198*13)%pages]
+	if err := fp.FlipBits(rotted, 77, 0x40); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open("/x.bin", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(got, 0); !errors.Is(err, fsapi.ErrCorrupt) {
+		t.Fatalf("read of a rotted page after its granule closed: %v, want fsapi.ErrCorrupt", err)
+	}
+}

@@ -79,10 +79,11 @@ const (
 // CAS from the word whose permission it checked, and the swap that
 // unmaps the granule is the operation that collects all 32. The size is
 // what one word can say: 32 dirty bits beside a permission and a count.
-// Fixed, like the hardware's: a 2 MiB file is 16 of them.
+// Fixed, like the hardware's: a 2 MiB file is 16 of them. The constant
+// is nvm's: the checksum region's open bits use it too.
 const (
-	granuleShift = 5
-	granulePages = 1 << granuleShift
+	granuleShift = nvm.GranuleShift
+	granulePages = nvm.GranulePages
 	lgDirty      = 1<<32 - 1
 	lgPerm       = ptePerm << 32
 	lgRef        = pteRef << 32
@@ -337,7 +338,8 @@ func (as *AddressSpace) Unmap(p nvm.PageID, count int) {
 // Ref takes one reference on each page of [p, p+count) and maps it with
 // at least perm: a page mapped with less is raised, a page mapped with
 // more keeps what it has. raised (may be nil) is called, a run of pages
-// at a time, for every page whose permission this call raised. One
+// at a time, for every page whose permission this call raised — a whole
+// granule's, or the consecutive raised pages at a ragged end. One
 // atomic swap per page-table word — a whole granule's, or a page's at
 // the run's ragged ends — and one update of the mapped count per run.
 func (as *AddressSpace) Ref(p nvm.PageID, count int, perm Perm, raised func(start nvm.PageID, n int)) {
@@ -370,6 +372,7 @@ func (as *AddressSpace) Ref(p nvm.PageID, count int, perm Perm, raised func(star
 			continue
 		}
 		words += int(b - a)
+		run := reportRun{raised: raised}
 		for i := a; i < b; i++ {
 			pte := &as.perms[i]
 			for {
@@ -388,21 +391,62 @@ func (as *AddressSpace) Ref(p nvm.PageID, count int, perm Perm, raised func(star
 					if was == PermNone {
 						fresh++
 					}
-					if raised != nil {
-						raised(nvm.PageID(i), 1)
-					}
+					run.push(i, PermNone, false)
 				}
 				break
 			}
 		}
+		run.flush()
 	}
 	as.mapped.Add(int64(fresh))
 	mPTWords.Add(int64(words))
 }
 
+// reportRun gathers the per-page reports of one granule's page words
+// into runs: consecutive pages reported alike — raised, or unmapped with
+// the same permission — go to the callback as one call, so a run's
+// ragged end costs one report, not one per page. A run never leaves its
+// granule, so its dirty bits fit the report's 32. One of the callbacks
+// is set (or neither: nobody listens).
+type reportRun struct {
+	start    uint64
+	n        int
+	was      Perm
+	dirty    uint32
+	raised   func(start nvm.PageID, n int)
+	unmapped func(start nvm.PageID, n int, was Perm, dirty uint32)
+}
+
+// push adds page i, first reporting a run it does not extend.
+func (r *reportRun) push(i uint64, was Perm, dirty bool) {
+	if r.n > 0 && (r.start+uint64(r.n) != i || r.was != was) {
+		r.flush()
+	}
+	if r.n == 0 {
+		r.start, r.was, r.dirty = i, was, 0
+	}
+	if dirty {
+		r.dirty |= 1 << r.n
+	}
+	r.n++
+}
+
+// flush reports the gathered run and empties it.
+func (r *reportRun) flush() {
+	switch {
+	case r.n == 0:
+	case r.raised != nil:
+		r.raised(nvm.PageID(r.start), r.n)
+	case r.unmapped != nil:
+		r.unmapped(nvm.PageID(r.start), r.n, r.was, r.dirty)
+	}
+	r.n = 0
+}
+
 // Unref drops one reference from each page of [p, p+count). Pages
 // whose last reference this was are unmapped and reported to unmapped
-// (may be nil), a run [start, start+n) of at most 32 at a time, with the
+// (may be nil), a run [start, start+n) inside one granule at a time —
+// consecutive pages that had the same permission go together — with the
 // permission they had and their dirty bits (bit i is page start+i's) —
 // the swap that clears the word is the one that collects the bits, so no
 // store passes a check whose bit the controller does not see. A page
@@ -434,6 +478,7 @@ func (as *AddressSpace) Unref(p nvm.PageID, count int, unmapped func(start nvm.P
 			continue
 		}
 		words += int(b - a)
+		run := reportRun{unmapped: unmapped}
 		for i := a; i < b; i++ {
 			pte := &as.perms[i]
 			for {
@@ -449,13 +494,12 @@ func (as *AddressSpace) Unref(p nvm.PageID, count int, unmapped func(start nvm.P
 				}
 				if was := Perm(old & ptePerm); word == 0 && was != PermNone {
 					gone++
-					if unmapped != nil {
-						unmapped(nvm.PageID(i), 1, was, old&pteDirty/pteDirty)
-					}
+					run.push(i, was, old&pteDirty != 0)
 				}
 				break
 			}
 		}
+		run.flush()
 	}
 	as.mapped.Add(int64(-gone))
 	mPTWords.Add(int64(words))
@@ -488,16 +532,16 @@ func (as *AddressSpace) UnmapAll(unmapped func(start nvm.PageID, n int, was Perm
 			continue
 		}
 		as.small[g] = 0
+		run := reportRun{unmapped: unmapped}
 		for i, end := base, part(base, uint64(len(as.perms))); i < end; i++ {
 			words++
 			old := as.perms[i].Swap(0)
 			if was := Perm(old & ptePerm); was != PermNone {
 				gone++
-				if unmapped != nil {
-					unmapped(nvm.PageID(i), 1, was, old&pteDirty/pteDirty)
-				}
+				run.push(i, was, old&pteDirty != 0)
 			}
 		}
+		run.flush()
 	}
 	as.mapped.Add(-gone)
 	mPTWords.Add(int64(words))

@@ -292,17 +292,21 @@ func FuzzPageTableModel(f *testing.F) {
 // BenchmarkRefUnrefRun is one grant and release of a run at the MMU
 // layer alone — Ref then Unref with callbacks that keep a per-page table,
 // as the controller's do — for a 2 MiB and a 32 MiB run, aligned to the
-// granule and off by four pages.
+// granule and off by four pages. callbacks/op counts the reports: one
+// per whole granule each way, and one per ragged end.
 func BenchmarkRefUnrefRun(b *testing.B) {
 	const maxPages = 8192
 	dev := nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: maxPages + 2*granulePages})
 	refs := make([]int32, dev.NumPages())
+	calls := 0
 	raised := func(start nvm.PageID, n int) {
+		calls++
 		for i := range refs[start : int(start)+n] {
 			refs[int(start)+i]++
 		}
 	}
 	unmapped := func(start nvm.PageID, n int, _ Perm, dirty uint32) {
+		calls++
 		for i := range refs[start : int(start)+n] {
 			refs[int(start)+i] -= 1 + int32(dirty>>i&1)
 		}
@@ -314,11 +318,13 @@ func BenchmarkRefUnrefRun(b *testing.B) {
 			b.Run(fmt.Sprintf("%d/off%d", pages, off), func(b *testing.B) {
 				as := NewAddressSpace(dev, 0)
 				words := mPTWords.Load()
+				calls = 0
 				for i := 0; i < b.N; i++ {
 					as.Ref(granulePages+off, pages, PermWrite, raised)
 					as.Unref(granulePages+off, pages, unmapped)
 				}
 				b.ReportMetric(float64(mPTWords.Load()-words)/float64(b.N), "pt-words/op")
+				b.ReportMetric(float64(calls)/float64(b.N), "callbacks/op")
 			})
 		}
 	}

@@ -44,6 +44,15 @@ const PageSize = 4096
 // CacheLineSize is the persistence granularity.
 const CacheLineSize = 64
 
+// A granule is the second page size: an aligned run of GranulePages
+// pages. The MMU maps a granule a run covers whole with one page-table
+// word, and the checksum region opens one with one bit; both use these
+// constants, so the two levels always cut a run at the same pages.
+const (
+	GranuleShift = 5
+	GranulePages = 1 << GranuleShift
+)
+
 // PageID names one page of the device. Page 0 is reserved by every file
 // system built on the device for its superblock; PageID 0 therefore
 // doubles as the "no page" sentinel in on-NVM index structures.

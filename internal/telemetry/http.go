@@ -2,20 +2,31 @@ package telemetry
 
 import (
 	"net/http"
+	"sort"
 )
 
-// Handler exposes a registry over HTTP:
+// Handler exposes registries over HTTP:
 //
-//	GET /metrics — the registry snapshot as JSON
+//	GET /metrics — the registries' snapshots as one JSON snapshot
 //	GET /trace   — the current trace ring as a Chrome trace_event file
 //
 // Callers mount it on their own mux (trio-top adds net/http/pprof next
-// to it behind its -http flag).
-func Handler(r *Registry) http.Handler {
+// to it behind its -http flag, and serves the default registry beside
+// the controller's).
+func Handler(regs ...*Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := r.Snapshot().WriteJSON(w); err != nil {
+		var s Snap
+		for _, r := range regs {
+			rs := r.Snapshot()
+			s.TakenUnixNano = rs.TakenUnixNano
+			s.Counters = append(s.Counters, rs.Counters...)
+			s.Histograms = append(s.Histograms, rs.Histograms...)
+		}
+		sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
+		sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+		if err := s.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

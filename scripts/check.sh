@@ -22,11 +22,15 @@
 #      walk of the same image must agree on the verdict and the page set.
 #      Ten more to the page table: under any sequence of mapping calls
 #      and stores, the two-size table and the per-page reference model
-#      must agree on every permission, count and report.
+#      must agree on every permission, count and report. Ten more to the
+#      checksum region's open bits: under any grants, stores, releases,
+#      revokes, scrubs and crashes, every page is open while it may be
+#      written and sealed with its content's CRC once it may not.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
-#      must stream one page, read no index page and act on at most 160
-#      page-table words per handover within its recorded allocs/op, the
+#      must stream one page, read no index page, act on at most 160
+#      page-table words and rewrite at most 96 checksum records per
+#      handover within its recorded allocs/op, the
 #      same handover through two mounted LibFSes must rebuild no
 #      auxiliary state, and the trio-bench regression harness completes a
 #      -quick pass. A bench that fails to build or errors at runtime
@@ -104,29 +108,33 @@ gate_alloc_ceiling() {
 	fi
 }
 
-# gate_handover <max-allocs> <max-pt-words>: BenchmarkHandover2M must
-# stream exactly one page per handover (the seal costs the write set, not
-# the file), read no index page — not to verify, not to build the grant,
-# not to cut the checkpoint: nobody stored to one (ISSUE 23) — act on at
-# most max-pt-words page-table words per handover (a 2 MiB file granted
-# and released by 32-page granule is about 100, page by page 1,030:
-# ISSUE 24) and report at most max-allocs allocs/op, the recorded value,
-# so per-grant allocations cannot creep back. A run that matches no
-# benchmark, or one that stops reporting any of the numbers, fails too.
+# gate_handover <max-allocs> <max-pt-words> <max-records>:
+# BenchmarkHandover2M must stream exactly one page per handover (the
+# seal costs the write set, not the file), read no index page — not to
+# verify, not to build the grant, not to cut the checkpoint: nobody
+# stored to one — act on at most max-pt-words page-table words per
+# handover (a 2 MiB file granted and released by 32-page granule is
+# about 100, page by page 1,030), rewrite at most max-records checksum
+# records (the granules open by their bit, the ragged ends by record:
+# about 70, record by record 1,030) and report at most
+# max-allocs allocs/op, the recorded value, so per-grant allocations
+# cannot creep back. A run that matches no benchmark, or one that stops
+# reporting any of the numbers, fails too.
 gate_handover() {
 	bad=$(go test -run='^$' -bench='^BenchmarkHandover2M$' -benchtime=200x -benchmem ./internal/controller/ \
-		| awk -v max="$1" -v maxw="$2" '/^BenchmarkHandover2M/ {
+		| awk -v max="$1" -v maxw="$2" -v maxr="$3" '/^BenchmarkHandover2M/ {
 				n++
 				for (i = 2; i < NF; i++) {
 					if ($(i + 1) == "streamed-pages/op") { seen++; if ($i + 0 != 1) bad = 1 }
 					if ($(i + 1) == "index-pages-read/op") { seen++; if ($i + 0 != 0) bad = 1 }
 					if ($(i + 1) == "pt-words/op") { seen++; if ($i + 0 > maxw) bad = 1 }
+					if ($(i + 1) == "records/op") { seen++; if ($i + 0 > maxr) bad = 1 }
 					if ($(i + 1) == "allocs/op") { seen++; if ($i + 0 > max) bad = 1 }
 				}
 			}
-			END { if (n == 0 || seen != 4 * n) bad = 1; print bad + 0 }')
+			END { if (n == 0 || seen != 5 * n) bad = 1; print bad + 0 }')
 	if [ "$bad" != "0" ]; then
-		echo "FAIL: BenchmarkHandover2M must report 1 streamed-pages/op, 0 index-pages-read/op, at most $2 pt-words/op and at most $1 allocs/op" >&2
+		echo "FAIL: BenchmarkHandover2M must report 1 streamed-pages/op, 0 index-pages-read/op, at most $2 pt-words/op, at most $3 records/op and at most $1 allocs/op" >&2
 		exit 1
 	fi
 }
@@ -190,7 +198,7 @@ go test ./...
 echo "== go test -race (concurrency-bearing packages)"
 make race
 
-echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement and page-table model, 10s each; wire parsers, 5s each)"
+echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table and checksum-opener models, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzVerifyDirectory$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
@@ -205,6 +213,10 @@ go test -run='^$' -fuzz='^FuzzVerifyScopedAgrees$' -fuzztime=10s -fuzzminimizeti
 # The two-size page table against the per-page model it replaced: any
 # sequence of mapping calls and stores, same permissions, same reports.
 go test -run='^$' -fuzz='^FuzzPageTableModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mmu/
+# The checksum region's two levels against the per-page opener: any
+# grants, stores, releases, revokes, scrubs and crashes leave every page
+# open while it may be written, sealed with its content's CRC otherwise.
+go test -run='^$' -fuzz='^FuzzChecksumOpenModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
 go test -race -run='^TestScrubSmoke$' -count=1 ./internal/fstest/
@@ -218,7 +230,7 @@ go test -run='^$' -bench='^BenchmarkDataPath' -benchtime=1x . > /dev/null
 # Cross-domain 2 MiB write handovers: streamed-pages/op,
 # index-pages-read/op and allocs/op are gated, not just printed — at the
 # controller's surface, then through two mounted LibFSes.
-gate_handover 4 160
+gate_handover 4 160 96
 gate_handover_libfs 5
 # And the regression harness itself, end to end in quick mode.
 go run ./cmd/trio-bench -experiment datapath -quick -json /dev/null > /dev/null
