@@ -256,13 +256,13 @@ func main() {
 			return float64(v) * 1000 / float64(secs)
 		}
 		if tick%20 == 0 {
-			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %8s %9s %7s %7s %7s %9s %9s %9s %9s %5s %7s %5s\n",
+			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %8s %9s %7s %7s %7s %9s %9s %9s %9s %6s %5s %7s %5s\n",
 				"read/s", "write/s", "rd p99ns", "wr p99ns",
 				"nvm wr/s", "persist/s", "alloc pg/s", "deleg/s", "mmu chk/s",
 				"ops/trap",
 				"scrub/s", "detect", "repair", "quar",
 				"sl-cln/s", "sl-strm/s",
-				"vf-scop/s", "vf-full/s",
+				"vf-scop/s", "vf-full/s", "gran-w",
 				"conns", "rpc/s", "infl")
 		}
 		// Operations carried per kernel crossing: 1 when every call traps
@@ -272,8 +272,9 @@ func main() {
 			opsPerTrap = float64(d.Get("nvm.cost_trap_ops")) / float64(traps)
 		}
 		// vf-scop/vf-full: verifications that carried the index facts of
-		// the file's last clean walk over, and those that walked.
-		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %8.2f %9.0f %7d %7d %7d %9.0f %9.0f %9.0f %9.0f %5d %7.0f %5d\n",
+		// the file's last clean walk over, and those that walked. gran-w:
+		// granules whose write references are counted whole right now.
+		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %8.2f %9.0f %7d %7d %7d %9.0f %9.0f %9.0f %9.0f %6d %5d %7.0f %5d\n",
 			rate("libfs.read_ops"), rate("libfs.write_ops"),
 			d.Hist("libfs.read_ns").Quantile(0.99),
 			d.Hist("libfs.write_ns").Quantile(0.99),
@@ -285,7 +286,7 @@ func main() {
 			csRate(dcs.ScrubPages),
 			cs.ScrubDetected, cs.ScrubRepaired, cs.ScrubQuarantined,
 			csRate(dcs.SealCleanPages), csRate(dcs.SealStreamedPages),
-			csRate(dcs.VerifyScoped), csRate(dcs.VerifyFull),
+			csRate(dcs.VerifyScoped), csRate(dcs.VerifyFull), cs.GranWriteRefs,
 			cur.Get("serve.conns"), rate("serve.rpcs"), cur.Get("serve.inflight"))
 	}
 

@@ -192,6 +192,44 @@ func (a *PageAlloc) refill(home int) {
 	}
 }
 
+// takeGranulesLocked carves up to k aligned granules (nvm.GranulePages
+// pages, what the MMU maps in one word) out of s's extents in [lo, hi),
+// first fit; s.mu held. The heads and tails it leaves serve small
+// requests: placement at two sizes, designed in (WineFS's rule).
+func (s *allocShard) takeGranulesLocked(lo, hi uint64, k int, out []nvm.PageID) []nvm.PageID {
+	const gp = nvm.GranulePages
+	for next := lo; k > 0; {
+		start, count, ok := s.extents.Floor(next)
+		if !ok || start+count <= next {
+			if start, count, ok = s.extents.Ceil(next); !ok {
+				break
+			}
+		}
+		a := (max(start, lo) + gp - 1) &^ (gp - 1)
+		end := min(start+count, hi)
+		if a >= end || end-a < gp {
+			if next = start + count; next >= hi {
+				break
+			}
+			continue
+		}
+		t := min(uint64(k), (end-a)/gp)
+		s.extents.Delete(start)
+		if a > start {
+			s.extents.Insert(start, a-start)
+		}
+		next = a + t*gp
+		if next < start+count {
+			s.extents.Insert(next, start+count-next)
+		}
+		for p := a; p < next; p++ {
+			out = append(out, nvm.PageID(p))
+		}
+		k -= int(t)
+	}
+	return out
+}
+
 // AllocPages allocates n pages, preferring the caller's home shard.
 // The result pages are not necessarily contiguous. On exhaustion it
 // frees nothing and returns an error.
@@ -200,7 +238,10 @@ func (a *PageAlloc) refill(home int) {
 // slow path carves from the shard trees (home first, then stealing),
 // refills the magazine while it holds the home shard anyway, and as a
 // last resort raids other CPUs' magazines so hoarded pages never cause
-// a spurious out-of-space error.
+// a spurious out-of-space error. A request of k·nvm.GranulePages pages
+// skips the magazine: it is carved as k aligned granules wherever the
+// shard trees hold them, and what they cannot cover as any other
+// request.
 func (a *PageAlloc) AllocPages(cpu, n int) ([]nvm.PageID, error) {
 	if n <= 0 {
 		return nil, nil
@@ -210,7 +251,18 @@ func (a *PageAlloc) AllocPages(cpu, n int) ([]nvm.PageID, error) {
 	if home < 0 {
 		home = 0
 	}
-	if n <= magCap {
+	granules := n%nvm.GranulePages == 0
+	for i := 0; granules && i < len(a.shards) && len(out) < n; i++ {
+		s := &a.shards[(home+i)%len(a.shards)]
+		s.mu.Lock()
+		before := len(out)
+		out = s.takeGranulesLocked(uint64(s.lo), uint64(s.hi), (n-len(out))/nvm.GranulePages, out)
+		s.mu.Unlock()
+		if len(out) > before {
+			mTreeCarves.IncOn(cpu)
+		}
+	}
+	if n <= magCap && !granules {
 		out = a.mags[home].pop(n, out)
 		if len(out) == n {
 			a.free.Add(-int64(n))
@@ -324,6 +376,9 @@ func (a *PageAlloc) AllocPagesOnNode(dev *nvm.Device, cpu, n, node int) ([]nvm.P
 			continue
 		}
 		s.mu.Lock()
+		if n%nvm.GranulePages == 0 { // aligned granules first, as AllocPages carves them
+			out = s.takeGranulesLocked(max(rangeLo, uint64(s.lo)), min(rangeHi, uint64(s.hi)), (n-len(out))/nvm.GranulePages, out)
+		}
 		out = s.takeRangeLocked(rangeLo, rangeHi, n-len(out), out)
 		s.mu.Unlock()
 	}

@@ -177,6 +177,74 @@ func TestPropertyAllocConservation(t *testing.T) {
 	}
 }
 
+// TestAllocAlignedGranules: a request of whole granules is carved as
+// aligned granules, from whichever shard holds them; the unaligned head
+// and tail the carves leave serve small requests, Free() stays exact, and
+// freed granules coalesce back with their neighbours.
+func TestAllocAlignedGranules(t *testing.T) {
+	const gp = nvm.GranulePages
+	a := NewPageAlloc(2, 2+6*gp, 2) // shards [2, 98) and [98, 194)
+	pages, err := a.AllocPages(0, 3*gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	granules := map[nvm.PageID]int{}
+	for _, p := range pages {
+		granules[p/gp]++
+	}
+	if len(granules) != 3 {
+		t.Fatalf("%d pages span %d granules, want 3 whole ones", len(pages), len(granules))
+	}
+	for g, n := range granules {
+		if n != gp {
+			t.Fatalf("granule %d holds %d of the pages, want all %d", g, n, gp)
+		}
+	}
+	if got, want := a.Free(), 6*gp-3*gp; got != want {
+		t.Fatalf("Free = %d after the carve, want %d", got, want)
+	}
+	// Of the 96 pages left, [160, 192) is the one whole granule; the
+	// other 64 are heads and tails, and stay allocatable.
+	last, err := a.AllocPages(1, gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last[0] != 5*gp || last[gp-1] != 6*gp-1 {
+		t.Fatalf("the last granule request got [%d..%d], want [%d, %d)", last[0], last[gp-1], 5*gp, 6*gp)
+	}
+	rest, err := a.AllocPages(0, 2*gp)
+	if err != nil {
+		t.Fatalf("heads and tails: %v", err)
+	}
+	if a.Free() != 0 {
+		t.Fatalf("Free = %d with every page out", a.Free())
+	}
+	if _, err := a.AllocPages(0, 1); err == nil {
+		t.Fatal("allocation from an empty allocator succeeded")
+	}
+	seen := map[nvm.PageID]bool{}
+	for _, p := range append(append(append([]nvm.PageID(nil), pages...), rest...), last...) {
+		if p < 2 || p >= 2+6*gp || seen[p] {
+			t.Fatalf("page %d out of range or handed out twice", p)
+		}
+		seen[p] = true
+	}
+	// Granules freed in any order coalesce with the heads and tails.
+	a.FreePages(pages[gp:])
+	a.FreePages(rest)
+	a.FreePages(last)
+	a.FreePages(pages[:gp])
+	if a.Free() != 6*gp || a.Extents() != 2 {
+		t.Fatalf("after freeing everything: Free %d, %d extents, want %d and one per shard", a.Free(), a.Extents(), 6*gp)
+	}
+	// A request the trees cannot serve whole still succeeds, as any
+	// request does.
+	b := NewPageAlloc(5, 5+gp, 1)
+	if got, err := b.AllocPages(0, gp); err != nil || len(got) != gp {
+		t.Fatalf("unaligned %d pages for a granule request: %d pages, %v", gp, len(got), err)
+	}
+}
+
 func TestInoAllocUnique(t *testing.T) {
 	a := NewInoAlloc(2, 4)
 	var mu sync.Mutex

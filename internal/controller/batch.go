@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"trio/internal/core"
 	"trio/internal/telemetry"
@@ -53,7 +52,7 @@ func (s *Session) MapFiles(reqs []MapReq, out []MapRes) error {
 	if c.cost != nil {
 		c.cost.TrapN(len(reqs))
 	}
-	start := time.Now()
+	start := telemetry.Now()
 	sp := telemetry.StartSpan(c.shardIdxSession(s.ls.id), "controller.map_batch", "controller")
 	defer sp.End()
 	gate := c.admit(s.ls.id)
@@ -65,7 +64,7 @@ func (s *Session) MapFiles(reqs []MapReq, out []MapRes) error {
 		// An entry naming a file an earlier entry escalated queues behind
 		// it, so entries for one file take effect in order.
 		if !slices.ContainsFunc(escal, func(j int) bool { return reqs[j].Ino == r.Ino }) {
-			out[i].Info, out[i].Err = s.mapFileFast(r.Ino, r.Loc, r.Write, gate)
+			out[i].Info, out[i].Err = s.mapFileFast(r.Ino, r.Loc, r.Write, gate, start)
 			if out[i].Err != errEscalate {
 				continue
 			}
@@ -76,11 +75,11 @@ func (s *Session) MapFiles(reqs []MapReq, out []MapRes) error {
 	if len(escal) > 0 {
 		c.lockAll()
 		for _, i := range escal {
-			out[i].Info, out[i].Err = s.mapSlowLocked(reqs[i].Ino, reqs[i].Loc, reqs[i].Write, gate, &verifies)
+			out[i].Info, out[i].Err = s.mapSlowLocked(reqs[i].Ino, reqs[i].Loc, reqs[i].Write, gate, &verifies, start)
 		}
 		c.unlockAll()
 	}
-	c.stats.addMapN(int64(len(reqs)), time.Since(start))
+	c.stats.addMapN(int64(len(reqs)), since(start))
 	if c.cost != nil {
 		c.cost.IPCN(verifies)
 	}
@@ -101,7 +100,7 @@ func (s *Session) UnmapFiles(inos []core.Ino, errs []error) error {
 	if c.cost != nil {
 		c.cost.TrapN(len(inos))
 	}
-	start := time.Now()
+	start := telemetry.Now()
 	sp := telemetry.StartSpan(c.shardIdxSession(s.ls.id), "controller.unmap_batch", "controller")
 	defer sp.End()
 	gate := c.admit(s.ls.id)
@@ -127,7 +126,7 @@ func (s *Session) UnmapFiles(inos []core.Ino, errs []error) error {
 		}
 		c.unlockAll()
 	}
-	c.stats.addUnmapN(int64(len(inos)), time.Since(start))
+	c.stats.addUnmapN(int64(len(inos)), since(start))
 	if c.cost != nil {
 		c.cost.IPCN(verifies)
 	}

@@ -114,7 +114,7 @@ func noWriteRefs(t *testing.T, c *Controller) {
 	t.Helper()
 	c.tabMu.Lock()
 	defer c.tabMu.Unlock()
-	for p, n := range c.writeRefs {
+	for p, n := range c.writeRefsAll() {
 		if n != 0 {
 			t.Errorf("page %d: %d write references left behind", p, n)
 		}
@@ -405,7 +405,7 @@ func (w *batchTwin) cleanClaimsHold(t *testing.T, step int) {
 	c := w.c
 	buf := make([]byte, nvm.PageSize)
 	for p, clean := range c.cleanOpen {
-		if !clean || c.writeRefs[p] != 0 {
+		if !clean || c.writeRefsAt(nvm.PageID(p)) != 0 {
 			continue
 		}
 		rec, err := core.LoadChecksum(c.mem, c.dev.NumPages(), nvm.PageID(p))
@@ -454,7 +454,7 @@ func runBatchDifferential(t *testing.T, seed int64) {
 	}
 	sameState := func(step int) {
 		t.Helper()
-		if !slices.Equal(call.c.writeRefs, batch.c.writeRefs) {
+		if !slices.Equal(call.c.writeRefsAll(), batch.c.writeRefsAll()) {
 			t.Fatalf("step %d: writeRefs differ", step)
 		}
 		// cleanOpen is compared by what it promises, not bit for bit: a

@@ -114,7 +114,7 @@ func (c *Controller) fence() uint64 {
 // — the scrub pass then reports it, repairs it from the still-correct
 // candidate, or the unmap-time reseal fixes it.
 //
-// Callers invoke this BEFORE taking their own MMU refs, so writeRefs
+// Callers invoke this BEFORE taking their own MMU refs, so writeRefsAt
 // still describes the pre-grant world: a page some session already
 // write-maps has an open record (the same invariant the unmap-time
 // sealer and the scrubber rely on to skip busy pages), and its RMW is
@@ -153,7 +153,7 @@ func (c *Controller) openGrantedLocked(runs []pageRun, fs *fileState, gran []pag
 				}
 			}
 			for q := a; q < b; q++ {
-				if c.writeRefs[q] == 0 || st.ino != 0 {
+				if st.ino != 0 || c.writeRefsAt(q) == 0 {
 					segs = appendRun(segs, q, 1)
 				}
 			}
@@ -243,20 +243,15 @@ func (c *Controller) openSegmentSlow(total nvm.PageID, seg pageRun) bool {
 	return wrote
 }
 
-// dropGranulesLocked releases a write mapping's hold on the granules its
-// grant opened whole. The caller harvested the mapping's dirty bits
-// first, so every store through it is in the reseal sets.
+// dropGranulesLocked (tabMu held) releases a write mapping's hold on the
+// granules its grant opened whole. The caller harvested the mapping's
+// dirty bits first, so every store through it is in the reseal sets.
 func (c *Controller) dropGranulesLocked(gran []pageRun) {
-	if len(gran) == 0 {
-		return
-	}
-	c.tabMu.Lock()
 	for _, r := range gran {
 		for g := r.start; g < r.end(); g++ {
 			c.gran[g].open--
 		}
 	}
-	c.tabMu.Unlock()
 }
 
 // sealSeg is one run of a seal inside one table page: pages whose record
@@ -311,12 +306,12 @@ func (c *Controller) sealQuiescentLocked(runs []pageRun, m *mapping, sp telemetr
 			st := &c.gran[g]
 			if st.ino == 0 {
 				for q := a; q < b; {
-					if c.writeRefs[q] != 0 {
+					if c.writeRefsAt(q) != 0 {
 						q++
 						continue
 					}
 					e := q + 1
-					for e < b && c.writeRefs[e] == 0 {
+					for e < b && c.writeRefsAt(e) == 0 {
 						e++
 					}
 					segs = addSeal(segs, q, int(e-q), false)
@@ -349,7 +344,7 @@ func (c *Controller) sealQuiescentLocked(runs []pageRun, m *mapping, sp telemetr
 			st.stored = 0
 			for todo := stored | mine; todo != 0; todo &= todo - 1 {
 				q := a + nvm.PageID(bits.TrailingZeros32(todo))
-				if c.writeRefs[q] == 0 { // else a grant that opened its record still holds it, and seals it
+				if c.writeRefsAt(q) == 0 { // else a grant that opened its record still holds it, and seals it
 					segs = addSeal(segs, q, 1, stored&granuleMask(q) != 0)
 				}
 			}

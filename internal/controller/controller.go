@@ -143,12 +143,14 @@ type fileState struct {
 	readers     map[LibFSID]bool // nil until the first reader attaches
 	writer      LibFSID          // 0 = none
 	writerGroup GroupID
-	writerSince time.Time
+	// writerSince is when the writer's grant was asked for, on
+	// telemetry.Now's clock, as every lease instant here is.
+	writerSince int64
 
 	// recallAt is when a cooperative lease-recall request was sent to
 	// the writer (zero = none outstanding); after RecallTimeout the
 	// escalation proceeds to forcible revocation.
-	recallAt time.Time
+	recallAt int64
 	// waiters counts sessions sleeping in waitForAccessLocked for this
 	// file; the lease sweeper only escalates contended files.
 	waiters int
@@ -345,9 +347,11 @@ type Controller struct {
 	// whose batched RemoveFile for one of them arrives late gets an
 	// idempotent success instead of ErrUnknownFile.
 	reaped inoTable[bool]
-	// writeRefs counts, per page, the sessions holding write permission
-	// (see Controller.writeMapped).
+	// writeRefs and granWrite count the sessions holding write permission
+	// at the page table's two sizes: per page, and per granule for what
+	// the MMU reports whole. writeRefsAt, the sum, is how a count is read.
 	writeRefs []int32
+	granWrite []int32
 	// cleanOpen marks pages whose checksum record the controller itself
 	// moved sealed→open at a write grant and that nothing has stored to
 	// since: the record's carried CRC still describes the content, so the
@@ -410,6 +414,7 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 	opts.fill()
 	total := dev.NumPages()
 	words := core.GranuleWords(total)
+	granules := (total + nvm.GranulePages - 1) >> nvm.GranuleShift
 	c := &Controller{
 		dev:       dev,
 		mem:       core.Direct(dev, 0),
@@ -420,8 +425,9 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		pageOwner: make([]core.Ino, total),
 		libfses:   make(map[LibFSID]*libfsState),
 		writeRefs: make([]int32, total),
+		granWrite: make([]int32, granules),
 		cleanOpen: make([]bool, total),
-		gran:      make([]granState, (total+nvm.GranulePages-1)>>nvm.GranuleShift),
+		gran:      make([]granState, granules),
 		facts:     make([]bool, total),
 		bits:      make([]uint64, words),
 		pend:      make([]uint64, words),
@@ -758,10 +764,11 @@ func (s *Session) Close() error {
 // clipped there) — one word per page, or one per 32-page granule of a
 // run taken and released whole, which is what makes a grant cost words
 // and not pages. A page holds write permission exactly while the
-// session counts in writeRefs for it, and a grant or release settles
-// writeRefs, cleanOpen and facts under one tabMu hold — harvested dirty
-// bits included, so a sealer that reads writeRefs zero sees cleanOpen
-// cleared, and a grant that reads it zero sees facts cleared.
+// session counts in writeRefsAt for it, and a grant or release settles
+// writeRefs, granWrite, cleanOpen and facts under one tabMu hold —
+// harvested dirty bits included, so a sealer that reads writeRefsAt zero
+// sees cleanOpen cleared, and a grant that reads it zero sees facts
+// cleared.
 
 // refRunsLocked maps every page of runs with at least perm, taking one
 // reference on each.
@@ -781,17 +788,37 @@ func (ls *libfsState) refRunsLocked(runs []pageRun, perm mmu.Perm) {
 // unrefRunsLocked drops one reference from every page of runs,
 // unmapping those whose last it was.
 func (ls *libfsState) unrefRunsLocked(runs []pageRun) {
-	c, settle := ls.c, ls.c.unmappedLocked
-	c.tabMu.Lock()
+	ls.c.tabMu.Lock()
+	ls.unrefTabLocked(runs)
+	ls.c.tabMu.Unlock()
+}
+
+// unrefTabLocked is unrefRunsLocked with tabMu held.
+func (ls *libfsState) unrefTabLocked(runs []pageRun) {
+	settle := ls.c.unmappedLocked
 	for _, r := range runs {
 		ls.as.Unref(r.start, r.n, settle)
 	}
-	c.tabMu.Unlock()
+}
+
+// writeRefsAt (tabMu held) counts the sessions holding write permission
+// on page p: those counted for the page, and those counted for its
+// granule whole.
+func (c *Controller) writeRefsAt(p nvm.PageID) int32 {
+	return c.writeRefs[p] + c.granWrite[p>>nvm.GranuleShift]
 }
 
 // raisedLocked counts a session's new write permission on the n pages
-// from start (tabMu held).
+// from start (tabMu held). The MMU reports a run inside one granule, so
+// n == GranulePages is a whole aligned granule: one count.
 func (c *Controller) raisedLocked(start nvm.PageID, n int) {
+	if n == nvm.GranulePages {
+		g := start >> nvm.GranuleShift
+		if c.granWrite[g]++; c.granWrite[g] == 1 {
+			c.stats.GranWriteRefs.Add(1)
+		}
+		return
+	}
 	refs := c.writeRefs[start:][:n]
 	for i := range refs {
 		refs[i]++
@@ -801,15 +828,30 @@ func (c *Controller) raisedLocked(start nvm.PageID, n int) {
 // unmappedLocked settles the global tables for the n pages from start a
 // session just lost (tabMu held): a write mapping no longer counts, and
 // a page that was stored to (its bit in stored, bit i for start+i) is no
-// longer cleanOpen, nor are its facts current.
+// longer cleanOpen, nor are its facts current. A whole granule takes its
+// count from granWrite while that has one. A page whose own count is
+// zero inside a granule counted whole splits the granule first, the rule
+// the MMU has for its words: one whole count moves down to the 32 pages.
 func (c *Controller) unmappedLocked(start nvm.PageID, n int, was mmu.Perm, stored uint32) {
 	if was != mmu.PermWrite {
 		return
 	}
-	refs := c.writeRefs[start:][:n]
-	for i := range refs {
-		if refs[i] > 0 {
-			refs[i]--
+	g := start >> nvm.GranuleShift
+	if n == nvm.GranulePages && c.granWrite[g] > 0 {
+		c.dropGranWriteLocked(g)
+	} else {
+		refs := c.writeRefs[start:][:n]
+		for i := range refs {
+			if refs[i] == 0 && c.granWrite[g] > 0 {
+				c.dropGranWriteLocked(g)
+				split := c.writeRefs[granuleStart(g):][:nvm.GranulePages]
+				for j := range split {
+					split[j]++
+				}
+			}
+			if refs[i] > 0 {
+				refs[i]--
+			}
 		}
 	}
 	for ; stored != 0; stored &= stored - 1 {
@@ -817,11 +859,21 @@ func (c *Controller) unmappedLocked(start nvm.PageID, n int, was mmu.Perm, store
 	}
 }
 
+// dropGranWriteLocked takes one whole count off granule g (tabMu held).
+func (c *Controller) dropGranWriteLocked(g nvm.PageID) {
+	if c.granWrite[g]--; c.granWrite[g] == 0 {
+		c.stats.GranWriteRefs.Add(-1)
+	}
+}
+
 // releaseLocked drops mapping m, its page references and — after their
-// dirty bits are in — its hold on the granules its grant opened whole.
+// dirty bits are in — its hold on the granules its grant opened whole,
+// all under one tabMu hold.
 func (ls *libfsState) releaseLocked(m *mapping) {
-	ls.unrefRunsLocked(m.runs)
+	ls.c.tabMu.Lock()
+	ls.unrefTabLocked(m.runs)
 	ls.c.dropGranulesLocked(m.gran)
+	ls.c.tabMu.Unlock()
 	delete(ls.mapped, m.ino)
 }
 

@@ -243,5 +243,5 @@ const expandIno = ^core.Ino(0)
 // stale). Sessions that died but were not reaped yet still count —
 // conservative: their pages stay unsealed until the reaper settles them.
 func (c *Controller) scrubBusyLocked(p nvm.PageID) bool {
-	return c.writeRefs[p] > 0 || c.gran[p>>nvm.GranuleShift].stored&granuleMask(p) != 0
+	return c.writeRefsAt(p) > 0 || c.gran[p>>nvm.GranuleShift].stored&granuleMask(p) != 0
 }

@@ -41,8 +41,8 @@ type MapInfo struct {
 // the holder's lease to expire and then revokes it.
 func (s *Session) MapFile(ino core.Ino, loc core.FileLoc, write bool) (*MapInfo, error) {
 	s.c.trap()
-	start := time.Now()
-	defer func() { s.c.stats.addMapN(1, time.Since(start)) }()
+	start := telemetry.Now()
+	defer func() { s.c.stats.addMapN(1, since(start)) }()
 
 	c := s.c
 	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.map", "controller")
@@ -55,11 +55,11 @@ func (s *Session) MapFile(ino core.Ino, loc core.FileLoc, write bool) (*MapInfo,
 	// involved shards' locks are taken, and even lease contention is
 	// waited out under them. Everything wider (adoption, upgrades,
 	// forcible revocation, corruption) escalates.
-	info, err := s.mapFileFast(ino, loc, write, gate)
+	info, err := s.mapFileFast(ino, loc, write, gate, start)
 	if err == errEscalate {
 		c.lockAll()
 		defer c.unlockAll()
-		info, err = s.mapSlowLocked(ino, loc, write, gate, nil)
+		info, err = s.mapSlowLocked(ino, loc, write, gate, nil, start)
 	}
 	if err != nil {
 		return nil, err
@@ -70,8 +70,9 @@ func (s *Session) MapFile(ino core.Ino, loc core.FileLoc, write bool) (*MapInfo,
 // mapSlowLocked is the lockAll half of MapFile: adoption, upgrades,
 // reader revocation, lease waits. acc, when non-nil, counts verifier
 // round trips for a batch to charge as one IPCN instead of paying the
-// IPC cost inline.
-func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate, acc *int) (MapInfo, error) {
+// IPC cost inline. now is when the call started (telemetry.Now): a write
+// grant's lease runs from it, or from the end of a lease wait.
+func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate, acc *int, now int64) (MapInfo, error) {
 	c := s.c
 	if err := s.aliveLocked(); err != nil {
 		return MapInfo{}, err
@@ -124,7 +125,7 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	}
 
 	// Enforce concurrent-reads-or-exclusive-write across trust groups.
-	if err := c.waitForAccessLocked(s.ls, fs, write, gate); err != nil {
+	if err := c.waitForAccessLocked(s.ls, fs, write, gate, &now); err != nil {
 		return MapInfo{}, err
 	}
 
@@ -141,7 +142,7 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if fs.quarantined != 0 {
 		runs = s.ls.quarantineRuns(runs, fs)
 	}
-	return s.grantLocked(fs, &in, runs, write, gen), nil
+	return s.grantLocked(fs, &in, runs, write, gen, now), nil
 }
 
 // quarantineRuns cuts the grant of a quarantined file down to pages its
@@ -230,7 +231,7 @@ func (c *Controller) chainPageScopeLocked(p nvm.PageID, own int32) verifyScope {
 	switch {
 	case !c.facts[p]:
 		return scopeFactsClear
-	case c.writeRefs[p] > own:
+	case c.writeRefsAt(p) > own:
 		return scopeOtherWriter
 	}
 	return scopeIndexClean
@@ -239,10 +240,10 @@ func (c *Controller) chainPageScopeLocked(p nvm.PageID, own int32) verifyScope {
 // grantLocked installs a grant every check has already allowed: it maps
 // pages into the session, records the mapping, and registers the
 // session as the file's writer (checkpointing the file, whose dirent the
-// caller left in the session's staging buffer) or as a reader. The
-// caller holds the locks covering the session, the file and — for a
-// write grant — every page's checksum record.
-func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, write bool, gen uint64) MapInfo {
+// caller left in the session's staging buffer; its lease runs from now)
+// or as a reader. The caller holds the locks covering the session, the
+// file and — for a write grant — every page's checksum record.
+func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, write bool, gen uint64, now int64) MapInfo {
 	c := s.c
 	perm := mmu.PermRead
 	m := &mapping{ino: fs.ino, write: write, runs: runs}
@@ -252,7 +253,7 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, wri
 		// granule's bit or by its record — before the LibFS can issue its
 		// first store, so no trusted CRC can be invalidated by a write the
 		// scrubber doesn't know about. Runs before our own refs so
-		// openGrantedLocked sees the pre-grant writeRefs table (see its
+		// openGrantedLocked sees the pre-grant write references (see its
 		// doc comment).
 		m.gran = c.openGrantedLocked(runs, fs, m.granBuf[:0])
 	}
@@ -263,7 +264,7 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, wri
 	if write {
 		fs.writer = s.ls.id
 		fs.writerGroup = s.ls.group
-		fs.writerSince = time.Now()
+		fs.writerSince = now
 		c.checkpointLocked(fs, &s.ls.direntBuf, gen)
 	} else {
 		fs.addReaderLocked(s.ls.id)
@@ -279,8 +280,9 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, wri
 // sleeps with no locks held, so a convoy of hot-file waiters never
 // touches the other shards (the old escalate-to-lockAll wait glued
 // every shard to the contended one). Only the transitions that mutate
-// foreign-shard state return errEscalate for the lockAll path.
-func (s *Session) mapFileFast(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate) (MapInfo, error) {
+// foreign-shard state return errEscalate for the lockAll path. now is as
+// for mapSlowLocked.
+func (s *Session) mapFileFast(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate, now int64) (MapInfo, error) {
 	c := s.c
 	var waited *fileState
 	for {
@@ -294,7 +296,7 @@ func (s *Session) mapFileFast(ino core.Ino, loc core.FileLoc, write bool, gate *
 			}
 			waited = nil
 		}
-		info, wait, err := s.mapFileOnceLocked(fs, write)
+		info, wait, err := s.mapFileOnceLocked(fs, write, now)
 		if wait <= 0 {
 			c.unlockShards(&set)
 			return info, err
@@ -312,6 +314,7 @@ func (s *Session) mapFileFast(ino core.Ino, loc core.FileLoc, write bool, gate *
 		c.unlockShards(&set)
 		time.Sleep(wait)
 		gate.resume(s.ls.id)
+		now = telemetry.Now()
 	}
 }
 
@@ -320,7 +323,7 @@ func (s *Session) mapFileFast(ino core.Ino, loc core.FileLoc, write bool, gate *
 // sleep, and retry; otherwise (info, err) is the result, with
 // errEscalate sending the request to the lockAll path. It mutates
 // nothing before deciding.
-func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Duration, error) {
+func (s *Session) mapFileOnceLocked(fs *fileState, write bool, now int64) (MapInfo, time.Duration, error) {
 	c := s.c
 	if fs == nil {
 		return MapInfo{}, 0, errEscalate // adoption inserts into the registry
@@ -395,7 +398,7 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool) (MapInfo, time.Du
 	} else if !c.runsOwnedWithin(runs, fs) {
 		return MapInfo{}, 0, errEscalate
 	}
-	return s.grantLocked(fs, &in, runs, write, gen), 0, nil
+	return s.grantLocked(fs, &in, runs, write, gen, now), 0, nil
 }
 
 // writeGrantRunsOK requires every page of a write grant to be owned by
@@ -456,8 +459,8 @@ const accessPoll = time.Millisecond
 // LeaseTime + RecallTimeout plus scheduling noise. The caller's
 // admission slot is released across each sleep so a sleeping waiter
 // cannot occupy the slot its lease holder needs to comply with the
-// recall.
-func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bool, gate *admitGate) error {
+// recall; *now is moved to the end of the last sleep.
+func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bool, gate *admitGate, now *int64) error {
 	for {
 		if ls.dead {
 			// The waiter itself was reaped while sleeping.
@@ -500,6 +503,7 @@ func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bo
 		gate.resume(ls.id)
 		c.lockAll()
 		fs.waiters--
+		*now = telemetry.Now()
 	}
 }
 
@@ -588,8 +592,8 @@ func (c *Controller) direntPageParentLocked(p nvm.PageID, creator LibFSID) (core
 // file's core state before the pages become shareable again (steps 6–8).
 func (s *Session) UnmapFile(ino core.Ino) error {
 	s.c.trap()
-	start := time.Now()
-	defer func() { s.c.stats.addUnmapN(1, time.Since(start)) }()
+	start := telemetry.Now()
+	defer func() { s.c.stats.addUnmapN(1, since(start)) }()
 
 	c := s.c
 	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.unmap", "controller")
@@ -717,7 +721,7 @@ func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *ma
 	fs.writer = 0
 	c.dropCheckpointLocked(fs)
 	c.stats.observeRecall(fs.recallAt)
-	fs.recallAt = time.Time{} // the holder complied; recall resolved
+	fs.recallAt = 0 // the holder complied; recall resolved
 
 	// The file owns exactly fs.pages: that is the seal set, pages the
 	// mapping missed (a same-group writer's appends) included, and what
@@ -799,8 +803,8 @@ func (c *Controller) verifyLocked(fs *fileState, ls *libfsState, acc *int, scope
 		c.cost.IPC()
 	}
 	if acc == nil {
-		start := time.Now()
-		defer func() { c.stats.addVerify(time.Since(start)) }()
+		start := telemetry.Now()
+		defer func() { c.stats.addVerify(since(start)) }()
 	} else {
 		// Batch path: count the verification but skip the per-call clock
 		// pair — the batch keeps one clock for all its entries.

@@ -5,6 +5,7 @@ import (
 
 	"trio/internal/core"
 	"trio/internal/nvm"
+	"trio/internal/telemetry"
 	"trio/internal/verifier"
 )
 
@@ -272,7 +273,7 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 	fs.writer = 0
 	c.dropCheckpointLocked(fs)
 	c.stats.observeRecall(fs.recallAt)
-	fs.recallAt = time.Time{}
+	fs.recallAt = 0
 }
 
 // retireFileLocked finishes an unlink the (dead or revoked) holder
@@ -393,7 +394,7 @@ func (c *Controller) escalateLeaseFastLocked(fs *fileState) (time.Duration, erro
 		// Holder vanished (closed or reaped concurrently).
 		fs.writer = 0
 		c.stats.observeRecall(fs.recallAt)
-		fs.recallAt = time.Time{}
+		fs.recallAt = 0
 		return 0, nil
 	}
 	if holder.dead {
@@ -401,15 +402,16 @@ func (c *Controller) escalateLeaseFastLocked(fs *fileState) (time.Duration, erro
 		// reaped, which tears down mappings homed on other shards.
 		return 0, errEscalate
 	}
-	if remaining := c.opts.LeaseTime - time.Since(fs.writerSince); remaining > 0 {
+	now := telemetry.Now()
+	if remaining := c.opts.LeaseTime - time.Duration(now-fs.writerSince); remaining > 0 {
 		return remaining, nil
 	}
-	if fs.recallAt.IsZero() {
+	if fs.recallAt == 0 {
 		if fn := holder.recall; fn != nil {
 			// Step 1: ask nicely, once, off the lock.
 			c.stats.LeaseRecalls.Add(1)
 			c.stats.shard(c.shardIdxIno(fs.ino)).Recalls.Add(1)
-			fs.recallAt = time.Now()
+			fs.recallAt = now
 			ino := fs.ino
 			go fn(ino)
 			return c.opts.RecallTimeout, nil
@@ -417,7 +419,7 @@ func (c *Controller) escalateLeaseFastLocked(fs *fileState) (time.Duration, erro
 		// No recall handler: straight to forcible revocation.
 		return 0, errEscalate
 	}
-	if left := c.opts.RecallTimeout - time.Since(fs.recallAt); left > 0 {
+	if left := c.opts.RecallTimeout - time.Duration(now-fs.recallAt); left > 0 {
 		// Step 2: recall outstanding; give it the rest of its deadline.
 		return left, nil
 	}

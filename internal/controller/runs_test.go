@@ -150,7 +150,7 @@ func runTableModel(t *testing.T, seed int64) {
 		defer c.tabMu.Unlock()
 		for _, w := range windows {
 			for p := w[0]; p < min(w[1], total); p++ {
-				if got, want := c.writeRefs[p], model.writeRefs[p]; got != want {
+				if got, want := c.writeRefsAt(p), model.writeRefs[p]; got != want {
 					t.Fatalf("step %d (%s): writeRefs[%d] = %d, model %d", step, what, p, got, want)
 				}
 				if got, want := c.cleanOpen[p], model.cleanOpen[p]; got != want {
@@ -475,7 +475,7 @@ func TestGrantIgnoresPagesBeyondDevice(t *testing.T) {
 				}
 			}
 			c.tabMu.Lock()
-			for p, n := range c.writeRefs {
+			for p, n := range c.writeRefsAll() {
 				if n != 0 {
 					t.Errorf("page %d: write reference left behind", p)
 				}
@@ -550,7 +550,7 @@ func TestReapDropsRefTakenAfterRevoke(t *testing.T) {
 		t.Fatalf("page %d still bound after the reap", q)
 	}
 	c.tabMu.Lock()
-	for p, n := range c.writeRefs {
+	for p, n := range c.writeRefsAll() {
 		if n != 0 {
 			t.Errorf("page %d: %d write references left behind by the reap", p, n)
 		}
@@ -562,6 +562,16 @@ func TestReapDropsRefTakenAfterRevoke(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeRefsAll is writeRefsAt of every page of the device (tabMu held,
+// or the controller quiet).
+func (c *Controller) writeRefsAll() []int32 {
+	out := make([]int32, len(c.writeRefs))
+	for p := range out {
+		out[p] = c.writeRefsAt(nvm.PageID(p))
+	}
+	return out
 }
 
 // runsOfSet is the model's view of a page set as normal-form runs.

@@ -80,6 +80,10 @@ type Stats struct {
 	// fileState.kept) — at most the index pages of the regular files
 	// handed over since mount and still registered.
 	KeptPages *telemetry.Counter
+	// GranWriteRefs is a level too: the granules whose write references
+	// are counted whole, one entry for 32 pages ("controller.gran_write_refs";
+	// Controller.granWrite).
+	GranWriteRefs *telemetry.Counter
 
 	// RecallLat is the lease-recall latency distribution (ISSUE 6): the
 	// time from a cooperative recall request to the file becoming free —
@@ -163,6 +167,8 @@ func newStats(shards int) *Stats {
 		IndexReads:   reg.NewCounter("controller.index_pages_read"),
 		KeptPages:    reg.NewCounter("controller.kept_index_pages"),
 
+		GranWriteRefs: reg.NewCounter("controller.gran_write_refs"),
+
 		RecallLat: reg.NewHistogram("controller.recall_ns"),
 	}
 	for scope, why := range scopeReasons {
@@ -188,11 +194,11 @@ func newStats(shards int) *Stats {
 }
 
 // observeRecall records one resolved lease recall (requested at t).
-func (s *Stats) observeRecall(requestedAt time.Time) {
-	if requestedAt.IsZero() {
+func (s *Stats) observeRecall(requestedAt int64) {
+	if requestedAt == 0 {
 		return
 	}
-	s.RecallLat.ObserveSince(requestedAt)
+	s.RecallLat.Observe(telemetry.Now() - requestedAt)
 }
 
 // RecallP99 reports the p99 lease-recall latency (power-of-two bucket
@@ -221,6 +227,9 @@ func (s *Stats) addVerify(d time.Duration) {
 	s.VerifyCnt.Add(1)
 	s.VerifyNS.Add(int64(d))
 }
+
+// since is the time from start, a telemetry.Now reading, until now.
+func since(start int64) time.Duration { return time.Duration(telemetry.Now() - start) }
 
 // observeVerify books one verification as scoped or full, a full
 // release under the reason it could not be scoped.
@@ -260,7 +269,7 @@ type Snapshot struct {
 	SealCleanPages, SealStreamedPages               int64
 	ChecksumRecords, GranuleOpens                   int64
 	VerifyScoped, VerifyFull, IndexPagesRead        int64
-	KeptIndexPages                                  int64 // a level: Sub gives its change
+	KeptIndexPages, GranWriteRefs                   int64 // levels: Sub gives their change
 
 	// PerShard mirrors the lock-shard counters (ISSUE 6), one entry per
 	// shard, taken in the same registry pass as the global counters.
@@ -343,6 +352,7 @@ func (s *Stats) Snapshot() Snapshot {
 		VerifyFull:     snap.Get("controller.verify_full"),
 		IndexPagesRead: snap.Get("controller.index_pages_read"),
 		KeptIndexPages: snap.Get("controller.kept_index_pages"),
+		GranWriteRefs:  snap.Get("controller.gran_write_refs"),
 	}
 }
 
@@ -397,5 +407,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		VerifyFull:     s.VerifyFull - prev.VerifyFull,
 		IndexPagesRead: s.IndexPagesRead - prev.IndexPagesRead,
 		KeptIndexPages: s.KeptIndexPages - prev.KeptIndexPages,
+		GranWriteRefs:  s.GranWriteRefs - prev.GranWriteRefs,
 	}
 }

@@ -168,10 +168,12 @@ type handoverRig struct {
 }
 
 // The shared file is long enough that its grants cover whole 32-page
-// granules, opened by their bit, besides the ragged ends opened by record.
+// granules, opened by their bit, besides a ragged end opened by record:
+// placement gives its first 64 blocks two whole granules and its last 6
+// a third granule the file holds only part of.
 const (
 	handoverPath  = "/shared"
-	handoverPages = 64
+	handoverPages = 70
 )
 
 func handoverFill(page, version int) []byte {
@@ -224,12 +226,12 @@ func newHandoverRig(t *testing.T) *handoverRig {
 // handoverScript is the crash-swept scenario: write access to the file
 // moves between the domains three times — write-map, store one page,
 // unmap (verify + seal), the other domain maps — and ends on a handover
-// that stores nothing. The first store lands on a ragged end, opened by
-// record; the others inside a whole granule, opened by its bit, which
+// that stores nothing. The first store lands on the ragged end, opened
+// by record; the others inside a whole granule, opened by its bit, which
 // the first grant sets and the scrub pass that closes the script clears.
 // It returns how many handovers completed.
 func (r *handoverRig) handoverScript(fp *nvm.FaultPlan) (done int) {
-	steps := []struct{ domain, page int }{{0, 2}, {1, 40}, {0, 40}, {1, -1}}
+	steps := []struct{ domain, page int }{{0, 66}, {1, 40}, {0, 40}, {1, -1}}
 	for i, st := range steps {
 		if st.page >= 0 {
 			if _, err := r.h[st.domain].WriteAt(handoverFill(st.page, i+1), int64(st.page)*nvm.PageSize); err != nil {
@@ -273,8 +275,16 @@ func TestCrashHandoverSweep(t *testing.T) {
 	if open := openGranules(probe.dev); open != 0 {
 		t.Fatalf("%d open bits left after the script's scrub", open)
 	}
+	// The script's stores cover both sizes: block 66 on the ragged end,
+	// block 40 inside a granule the file holds whole.
+	if got := probe.granuleShare(t, 66); got != handoverPages-64 {
+		t.Fatalf("block 66 shares its granule with %d of the file's pages, want the %d of a ragged end", got, handoverPages-64)
+	}
+	if got := probe.granuleShare(t, 40); got != nvm.GranulePages {
+		t.Fatalf("block 40 shares its granule with %d of the file's pages, want a whole granule", got)
+	}
 
-	want := [][handoverPages]int{{}, {2: 1}, {2: 1, 40: 2}, {2: 1, 40: 3}, {2: 1, 40: 3}}
+	want := [][handoverPages]int{{}, {66: 1}, {66: 1, 40: 2}, {66: 1, 40: 3}, {66: 1, 40: 3}}
 	crashAt := func(k int64) (*handoverRig, int) {
 		r := newHandoverRig(t)
 		fp := nvm.NewFaultPlan()
@@ -352,6 +362,35 @@ func openGranules(dev *nvm.Device) int {
 		hp, off := core.GranuleWordLoc(total, w)
 		v, _ := m.ReadU64(hp, off)
 		n += bits.OnesCount64(v)
+	}
+	return n
+}
+
+// granuleShare counts the shared file's data pages in the granule of the
+// page holding block b.
+func (r *handoverRig) granuleShare(t *testing.T, b uint64) int {
+	t.Helper()
+	m := core.Direct(r.dev, 0)
+	var loc core.FileLoc
+	for _, f := range r.ctl.Files() {
+		if f.Ino == r.ino {
+			loc = f.Loc
+		}
+	}
+	in, err := core.ReadDirentInode(m, loc.Page, loc.Slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []nvm.PageID
+	if err := core.WalkFile(m, in.Head, int(r.dev.NumPages()), nil,
+		func(_ uint64, p nvm.PageID) bool { data = append(data, p); return true }); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, p := range data {
+		if p>>nvm.GranuleShift == data[b]>>nvm.GranuleShift {
+			n++
+		}
 	}
 	return n
 }

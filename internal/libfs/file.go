@@ -295,7 +295,8 @@ func (fs *FS) ensureBlocks(cpu int, n *node, off, end int64, sp telemetry.Span) 
 
 // fillHole allocates, zeroes, links and indexes data pages for the hole
 // run [block, block+count), splitting at stripe-chunk boundaries so
-// each piece lands on its striping node.
+// each piece lands on its striping node, and placing each piece by
+// granule after the page of the block before it (allocDataRun).
 func (fs *FS) fillHole(cpu int, n *node, block uint64, count int, off, end int64, sp telemetry.Span) error {
 	var runBuf [16]nvm.PageID
 	for count > 0 {
@@ -306,8 +307,12 @@ func (fs *FS) fillHole(cpu int, n *node, block uint64, count int, off, end int64
 				k = int(chunkEnd - block)
 			}
 		}
+		var prev nvm.PageID
+		if block > 0 {
+			prev = nvm.PageID(n.radix.Get(block - 1))
+		}
 		ac := sp.Child("alloc.pages", "alloc")
-		pages, err := fs.allocRunOnNode(cpu, node, k, runBuf[:0])
+		pages, err := fs.allocDataRun(cpu, node, block, prev, k, runBuf[:0])
 		ac.End()
 		if err != nil {
 			return err

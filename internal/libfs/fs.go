@@ -36,6 +36,7 @@ import (
 	"trio/internal/locks"
 	"trio/internal/mmu"
 	"trio/internal/nvm"
+	"trio/internal/telemetry"
 )
 
 // Config tunes a LibFS instance.
@@ -98,12 +99,12 @@ type FS struct {
 // allocators, inode allocators and journals).
 type cpuLocal struct {
 	mu sync.Mutex
-	// pagesByNode holds the page cache, segregated by NUMA node so data
-	// placement (local metadata, chunk-striped bulk data) is a cache
-	// pick, not a controller call.
-	pagesByNode map[int][]nvm.PageID
-	inos        []core.Ino
-	jr          *journal.Journal
+	// pages is the page cache, one per NUMA node (pagecache.go), so data
+	// placement (local metadata, chunk-striped bulk data, whole granules
+	// for a growing file) is a cache pick, not a controller call.
+	pages []pageCache
+	inos  []core.Ino
+	jr    *journal.Journal
 	// dead batches unlinked regular files so RemoveFiles amortizes the
 	// kernel crossing the way page/ino allocation does (§4.5).
 	dead []controller.Removal
@@ -378,7 +379,7 @@ func (fs *FS) ensureMapped(n *node, write bool) error {
 	if err != nil {
 		return mapControllerErr(err)
 	}
-	start := time.Now()
+	var rebuilt time.Duration
 	n.auxMu.Lock() // waits out operations still running on the old mapping
 	reuse := info.Gen != 0 && info.Gen == n.auxGen && info.Inode.Type == core.TypeReg
 	if reuse {
@@ -389,10 +390,14 @@ func (fs *FS) ensureMapped(n *node, write bool) error {
 		// one thing a writer elsewhere may have moved (an extending write
 		// inside the last block); the grant carries it.
 		atomic.StoreInt64(&n.size, int64(info.Inode.Size))
-	} else if err = fs.buildAux(n, &info.Inode); err == nil {
-		n.auxGen = info.Gen
 	} else {
-		n.auxGen = 0 // the old aux stays for operations in flight, vouched for by nothing
+		start := telemetry.Now()
+		if err = fs.buildAux(n, &info.Inode); err == nil {
+			n.auxGen = info.Gen
+		} else {
+			n.auxGen = 0 // the old aux stays for operations in flight, vouched for by nothing
+		}
+		rebuilt = time.Duration(telemetry.Now() - start)
 	}
 	n.auxMu.Unlock()
 	if err != nil {
@@ -402,7 +407,7 @@ func (fs *FS) ensureMapped(n *node, write bool) error {
 		mAuxReused.Inc()
 	} else {
 		mAuxRebuilt.Inc()
-		fs.statsRebuild(time.Since(start))
+		fs.statsRebuild(rebuilt)
 	}
 	n.setLoc(info.Loc)
 	n.mapState.Store(need)
@@ -683,85 +688,98 @@ func (fs *FS) nodeForBlock(cpu int, block uint64) int {
 	return (fs.threadNode(cpu) + chunk) % fs.dev.Nodes()
 }
 
-// allocPage takes one page from the CPU's cache for the given NUMA
-// node, refilling in a batch when empty — the design that keeps
-// controller traps off the hot path.
-func (fs *FS) allocPageOnNode(cpu, node int) (nvm.PageID, error) {
-	cl := &fs.percpu[cpu]
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.pagesByNode == nil {
-		cl.pagesByNode = make(map[int][]nvm.PageID)
+// cacheLocked returns the CPU's page cache for node (cl.mu held).
+func (fs *FS) cacheLocked(cl *cpuLocal, node int) *pageCache {
+	if cl.pages == nil {
+		cl.pages = make([]pageCache, fs.dev.Nodes())
 	}
-	pool := cl.pagesByNode[node]
-	if len(pool) == 0 {
-		var err error
-		if fs.dev.Nodes() > 1 {
-			pool, err = fs.sess.AllocPagesOnNode(cpu, fs.cfg.PageBatch, node)
-		} else {
-			pool, err = fs.sess.AllocPages(cpu, fs.cfg.PageBatch)
-		}
-		if err != nil && len(pool) == 0 {
-			return 0, fmt.Errorf("%w: %v", fsapi.ErrNoSpace, err)
-		}
-	}
-	// Serve from the front: refill batches arrive in ascending page
-	// order, so consecutive single-page allocations hand out physically
-	// contiguous runs that the extent datapath coalesces.
-	p := pool[0]
-	cl.pagesByNode[node] = pool[1:]
-	return p, nil
+	return &cl.pages[node]
 }
 
-// allocRunOnNode takes k pages from the CPU's cache for the given node,
-// refilling in bulk as needed, and appends them to out (the caller's
-// buffer, so a short run allocates nothing). Pages come out in cache
-// order — ascending and usually contiguous within a refill batch — so
-// hole-fill runs produce coalescible extents.
-func (fs *FS) allocRunOnNode(cpu, node, k int, out []nvm.PageID) ([]nvm.PageID, error) {
-	if k <= 0 {
-		return nil, nil
+// refillLocked fetches a batch of want pages for node into pc (cl.mu
+// held): one controller call amortized over the batch — the design that
+// keeps traps off the hot path. The batch goes in from its top, so its
+// granules list in address order and placement opens them ascending.
+func (fs *FS) refillLocked(cpu, node, want int, pc *pageCache) error {
+	var pool []nvm.PageID
+	var err error
+	if fs.dev.Nodes() > 1 {
+		pool, err = fs.sess.AllocPagesOnNode(cpu, want, node)
+	} else {
+		pool, err = fs.sess.AllocPages(cpu, want)
 	}
+	if len(pool) == 0 {
+		return fmt.Errorf("%w: %v", fsapi.ErrNoSpace, err)
+	}
+	for i := len(pool) - 1; i >= 0; i-- {
+		pc.put(pool[i])
+	}
+	return nil
+}
+
+// allocDataRun takes the pages of the k file blocks from block on out of
+// the CPU's cache for node and appends them to out (the caller's buffer,
+// so a short run allocates nothing); prev is the page of block-1, 0 when
+// there is none. A block that starts a granule opens a whole free one,
+// and every other block takes the page after its predecessor's while
+// that is free — with the pages the rest of its run would take after
+// it, so a run is not cut in the middle. Failing both, a stretch that
+// holds the rest of the run, else any page: placement is a preference
+// and never fails. A cache holding less than a batch fetches one first
+// when a file growing past its first granule finds no whole granule, or
+// a run finds no stretch.
+func (fs *FS) allocDataRun(cpu, node int, block uint64, prev nvm.PageID, k int, out []nvm.PageID) ([]nvm.PageID, error) {
 	cl := &fs.percpu[cpu]
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.pagesByNode == nil {
-		cl.pagesByNode = make(map[int][]nvm.PageID)
-	}
-	pool := cl.pagesByNode[node]
-	for len(out) < k {
-		if len(pool) == 0 {
-			want := fs.cfg.PageBatch
-			if need := k - len(out); want < need {
-				want = need
+	pc := fs.cacheLocked(cl, node)
+	batch := (fs.cfg.PageBatch + nvm.GranulePages - 1) &^ (nvm.GranulePages - 1)
+	for i := 0; i < k; i++ {
+		b, p, ok := block+uint64(i), nvm.PageID(0), false
+		rest := min(k-i, nvm.GranulePages-int(b%nvm.GranulePages)) // up to the file's next granule
+		switch {
+		case b%nvm.GranulePages == 0:
+			if p, ok = pc.takeWhole(); !ok && b > 0 && pc.n < batch && fs.refillLocked(cpu, node, batch, pc) == nil {
+				p, ok = pc.takeWhole()
 			}
-			var err error
-			if fs.dev.Nodes() > 1 {
-				pool, err = fs.sess.AllocPagesOnNode(cpu, want, node)
-			} else {
-				pool, err = fs.sess.AllocPages(cpu, want)
+		case prev != 0 && pc.free(prev+1, rest):
+			p, ok = pc.take(prev+1, true), true
+		}
+		if !ok {
+			if p, ok = pc.takeFree(rest, true); !ok && pc.n < batch {
+				if err := fs.refillLocked(cpu, node, max(batch, k-i), pc); err != nil && pc.n == 0 {
+					for _, q := range out {
+						pc.put(q) // nothing leaks
+					}
+					return nil, err
+				}
+				p, ok = pc.takeFree(rest, true)
 			}
-			if err != nil && len(pool) == 0 {
-				// Hand the partial grab back to the cache — nothing leaks.
-				cl.pagesByNode[node] = append([]nvm.PageID(nil), out...)
-				return nil, fmt.Errorf("%w: %v", fsapi.ErrNoSpace, err)
+			if !ok {
+				p, _ = pc.takeFree(1, true)
 			}
 		}
-		take := k - len(out)
-		if take > len(pool) {
-			take = len(pool)
-		}
-		out = append(out, pool[:take]...)
-		pool = pool[take:]
+		out = append(out, p)
+		prev = p
 	}
-	cl.pagesByNode[node] = pool
 	return out, nil
 }
 
-// allocPage allocates metadata and small-file pages: always node-local
-// to the calling thread.
+// allocPage allocates metadata pages (index, directory, journal): always
+// node-local to the calling thread, and loose pages first.
 func (fs *FS) allocPage(cpu int) (nvm.PageID, error) {
-	return fs.allocPageOnNode(cpu, fs.threadNode(cpu))
+	node := fs.threadNode(cpu)
+	cl := &fs.percpu[cpu]
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	pc := fs.cacheLocked(cl, node)
+	if pc.n == 0 {
+		if err := fs.refillLocked(cpu, node, fs.cfg.PageBatch, pc); err != nil {
+			return 0, err
+		}
+	}
+	p, _ := pc.takeFree(1, false)
+	return p, nil
 }
 
 // freePages returns pages to the CPU cache, spilling to the controller
@@ -772,21 +790,17 @@ func (fs *FS) freePages(cpu int, pages []nvm.PageID) error {
 	}
 	cl := &fs.percpu[cpu]
 	cl.mu.Lock()
-	if cl.pagesByNode == nil {
-		cl.pagesByNode = make(map[int][]nvm.PageID)
-	}
 	var spill []nvm.PageID
 	for _, p := range pages {
-		node := fs.dev.NodeOf(p)
-		pool := cl.pagesByNode[node]
+		pc := fs.cacheLocked(cl, fs.dev.NodeOf(p))
 		// The cache absorbs several files' worth of churn (Filebench-
 		// style create/delete cycles) before anything spills back to
 		// the controller.
-		if len(pool) >= 16*fs.cfg.PageBatch {
+		if pc.n >= 16*fs.cfg.PageBatch {
 			spill = append(spill, p)
 			continue
 		}
-		cl.pagesByNode[node] = append(pool, p)
+		pc.put(p)
 	}
 	cl.mu.Unlock()
 	if len(spill) > 0 {

@@ -9,6 +9,7 @@ import (
 	"trio/internal/delegation"
 	"trio/internal/fsapi"
 	"trio/internal/nvm"
+	"trio/internal/telemetry"
 )
 
 // BenchmarkLifecycle is one small file's whole life on a mounted arckfs
@@ -80,7 +81,10 @@ func BenchmarkLifecycle(b *testing.B) {
 // file through the LibFS, then Session.UnmapFile — so every write starts
 // with a fault, a write grant and the decision to rebuild the file's
 // auxiliary state or keep it. In-place overwrites store to no index
-// page: scripts/check.sh gates aux-rebuilds/op at 0, next to allocs/op.
+// page: scripts/check.sh gates aux-rebuilds/op at 0, next to allocs/op,
+// and the page-table words and checksum records a handover rewrites —
+// the file appended through the LibFS sits in 16 whole granules, so
+// those are the granules' words and the dirent and index pages'.
 // The handovers that establish the controller's facts and stamp each
 // mount's aux with their generation run before the clock.
 func BenchmarkHandoverLibFS2M(b *testing.B) { benchHandoverLibFS2M(b, false) }
@@ -156,4 +160,15 @@ func benchHandoverLibFS2M(b *testing.B, resize bool) {
 	b.StopTimer()
 	st := ctl.Stats().Snapshot().Sub(st0)
 	b.ReportMetric(float64(st.RebuildCount)/float64(b.N), "aux-rebuilds/op")
+	b.ReportMetric(float64(st.ChecksumRecords)/float64(b.N), "records/op")
+	// The page-table words, counted off the clock as BenchmarkHandover2M
+	// counts them: the default registry counts only while enabled.
+	const sample = 64
+	telemetry.Default().Enable()
+	defer telemetry.Default().Disable()
+	words := telemetry.Default().Snapshot().Get("mmu.pt_words")
+	for i := 0; i < sample; i++ {
+		handover(b.N + i)
+	}
+	b.ReportMetric(float64(telemetry.Default().Snapshot().Get("mmu.pt_words")-words)/sample, "pt-words/op")
 }

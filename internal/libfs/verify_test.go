@@ -187,12 +187,15 @@ func lookupEntry(t *testing.T, fs *FS, name string) Entry {
 // caught.
 func TestVerifyReadsOpenGranule(t *testing.T) {
 	fs, ctl, dev := newVerifyFS(t)
-	const pages = 96 // whole granules, whatever the files' alignment
+	const pages = 100 // three whole granules and a ragged end of four pages
 	var data [2][]nvm.PageID
 	var ents [2]Entry
 	for i, name := range []string{"x.bin", "y.bin"} {
 		data[i] = sealFile(t, fs, dev, name, bytes.Repeat([]byte{byte(0x30 + i)}, pages*nvm.PageSize))
 		ents[i] = lookupEntry(t, fs, name)
+		if g := data[i][pages-1] >> nvm.GranuleShift; data[i][pages-5]>>nvm.GranuleShift == g || data[i][pages-4]>>nvm.GranuleShift != g {
+			t.Fatalf("%s: its last four pages are not a ragged end of their own granule", name)
+		}
 	}
 	w := ctl.Register(1000, 1000, 0, fs.Session().Group()) // a same-group writer: the reader keeps its mapping
 	buf := make([]byte, nvm.PageSize)

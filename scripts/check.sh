@@ -25,15 +25,19 @@
 #      must agree on every permission, count and report. Ten more to the
 #      checksum region's open bits: under any grants, stores, releases,
 #      revokes, scrubs and crashes, every page is open while it may be
-#      written and sealed with its content's CRC once it may not.
+#      written and sealed with its content's CRC once it may not. Ten
+#      more to the controller's write references at two sizes: per
+#      granule and per page, they must count what the per-page table
+#      counted.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
 #      must stream one page, read no index page, act on at most 160
 #      page-table words and rewrite at most 96 checksum records per
 #      handover within its recorded allocs/op, the
 #      same handover through two mounted LibFSes must rebuild no
-#      auxiliary state, and the trio-bench regression harness completes a
-#      -quick pass. A bench that fails to build or errors at runtime
+#      auxiliary state and, its file placed in whole granules, act on at
+#      most 41.8 page-table words and 5.5 records, and the trio-bench
+#      regression harness completes a -quick pass. A bench that fails to build or errors at runtime
 #      fails the gate — perf coverage must not rot silently.
 #   7. a telemetry-overhead smoke: the disabled-path micro-benchmarks
 #      must report 0 allocs/op (instrumentation on the hot paths must
@@ -139,23 +143,30 @@ gate_handover() {
 	fi
 }
 
-# gate_handover_libfs <max-allocs>: BenchmarkHandoverLibFS2M — the same
-# handover through two mounted LibFSes, the benchmark's share-handover
-# op — must rebuild no auxiliary state (an in-place overwrite stores to
-# no index page, so each mount keeps the aux the controller still
-# vouches for) within max-allocs allocs/op.
+# gate_handover_libfs <max-allocs> <max-pt-words> <max-records>:
+# BenchmarkHandoverLibFS2M — the same handover through two mounted
+# LibFSes, the benchmark's share-handover op — must rebuild no auxiliary
+# state (an in-place overwrite stores to no index page, so each mount
+# keeps the aux the controller still vouches for) within max-allocs
+# allocs/op, and act on at most max-pt-words page-table words and
+# rewrite at most max-records checksum records per handover: the file
+# the LibFS appended sits in 16 whole aligned granules, so a handover is
+# their 16 words and the dirent and index pages' (about 38 words and 5
+# records; 100 and 69 when its ends were ragged).
 gate_handover_libfs() {
 	bad=$(go test -run='^$' -bench='^BenchmarkHandoverLibFS2M$' -benchtime=200x -benchmem ./internal/libfs/ \
-		| awk -v max="$1" '/^BenchmarkHandoverLibFS2M/ {
+		| awk -v max="$1" -v maxw="$2" -v maxr="$3" '/^BenchmarkHandoverLibFS2M/ {
 				n++
 				for (i = 2; i < NF; i++) {
 					if ($(i + 1) == "aux-rebuilds/op") { seen++; if ($i + 0 != 0) bad = 1 }
+					if ($(i + 1) == "pt-words/op") { seen++; if ($i + 0 > maxw) bad = 1 }
+					if ($(i + 1) == "records/op") { seen++; if ($i + 0 > maxr) bad = 1 }
 					if ($(i + 1) == "allocs/op") { seen++; if ($i + 0 > max) bad = 1 }
 				}
 			}
-			END { if (n == 0 || seen != 2 * n) bad = 1; print bad + 0 }')
+			END { if (n == 0 || seen != 4 * n) bad = 1; print bad + 0 }')
 	if [ "$bad" != "0" ]; then
-		echo "FAIL: BenchmarkHandoverLibFS2M must report 0 aux-rebuilds/op and at most $1 allocs/op" >&2
+		echo "FAIL: BenchmarkHandoverLibFS2M must report 0 aux-rebuilds/op, at most $2 pt-words/op, at most $3 records/op and at most $1 allocs/op" >&2
 		exit 1
 	fi
 }
@@ -198,7 +209,7 @@ go test ./...
 echo "== go test -race (concurrency-bearing packages)"
 make race
 
-echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table and checksum-opener models, 10s each; wire parsers, 5s each)"
+echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table, checksum-opener and write-reference models, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzVerifyDirectory$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
@@ -217,6 +228,11 @@ go test -run='^$' -fuzz='^FuzzPageTableModel$' -fuzztime=10s -fuzzminimizetime=1
 # grants, stores, releases, revokes, scrubs and crashes leave every page
 # open while it may be written, sealed with its content's CRC otherwise.
 go test -run='^$' -fuzz='^FuzzChecksumOpenModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# Write references at two sizes against the per-page counts: any whole
+# and ragged grants, releases, pool references, stores and revocations
+# leave every page's count, and the scrub, seal and open decisions it
+# makes, as the per-page table had them.
+go test -run='^$' -fuzz='^FuzzControllerTablesModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
 go test -race -run='^TestScrubSmoke$' -count=1 ./internal/fstest/
@@ -231,7 +247,7 @@ go test -run='^$' -bench='^BenchmarkDataPath' -benchtime=1x . > /dev/null
 # index-pages-read/op and allocs/op are gated, not just printed — at the
 # controller's surface, then through two mounted LibFSes.
 gate_handover 4 160 96
-gate_handover_libfs 5
+gate_handover_libfs 5 41.8 5.5
 # And the regression harness itself, end to end in quick mode.
 go run ./cmd/trio-bench -experiment datapath -quick -json /dev/null > /dev/null
 
