@@ -40,8 +40,10 @@ vet:
 # the scoping of verification by dirty metadata: for any stores through
 # a session's address space, scoped and full verification agree — and of
 # the page table's two page sizes against the per-page model, the
-# checksum region's two levels against the per-page opener, and the
-# controller's write references at two sizes against the per-page counts.
+# checksum region's two levels against the per-page opener, the
+# controller's write references at two sizes against the per-page counts,
+# and the one grant rule: whatever sessions map, store, free and
+# allocate, no page a session reaches lies beyond its trust group's reach.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRegular$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyDirectory$$' -fuzztime=10s ./internal/verifier/
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPageTableModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mmu/
 	$(GO) test -run='^$$' -fuzz='^FuzzChecksumOpenModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 	$(GO) test -run='^$$' -fuzz='^FuzzControllerTablesModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+	$(GO) test -run='^$$' -fuzz='^FuzzGrantOwnership$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 # Data-path regression harness: per-op software overhead (cost model
 # off) across workloads × FS, rewritten into BENCH_trio.json so PRs

@@ -28,7 +28,7 @@ import (
 // Outcome reports one scenario's result.
 type Outcome struct {
 	Name      string
-	Detected  bool // the verifier flagged the corruption
+	Detected  bool // the verifier flagged the corruption (none, in a scenario with none to flag)
 	Recovered bool // the tree verifies clean afterwards
 	Err       error
 }
@@ -514,5 +514,54 @@ func DanglingFree() []Scenario {
 	return []Scenario{
 		mk("F1-free-referenced-data-page", false),
 		mk("F2-freed-page-in-another-pool", true),
+	}
+}
+
+// GroupCollusion returns what two sessions of one trust group can do
+// together while one of them, the holder, has the victim file
+// write-mapped. Its stores are not verified until it releases, so a
+// co-member's grant meanwhile is built from core state the group wrote —
+// and a trust group widens "what a LibFS may corrupt" to the group, no
+// further. In G1 and G2 the holder points an index entry at a page of a
+// third domain's pool and the co-member maps the file, for reading (G1)
+// or writing (G2): no grant may reach that page, and the holder's release
+// is caught as usual. G3 is the legitimate case, nothing to catch: the
+// holder appends a page from its own pool, and the co-member's write
+// grant must reach it.
+func GroupCollusion() []Scenario {
+	mk := func(name string, write, grow bool) Scenario {
+		return Scenario{Name: name, body: func(w *world) Outcome {
+			member := w.ctl.Register(1000, 1000, 0, w.sess.Group())
+			owner, want := w.ctl.Register(1000, 1000, 0, 0), mmu.PermNone
+			if grow {
+				owner, want = w.sess, mmu.PermWrite
+			}
+			out := w.corrupt(name, w.fileIno, w.fileLoc, func(info *controller.MapInfo) error {
+				pages, err := owner.AllocPages(0, 1)
+				if err != nil {
+					return err
+				}
+				if err := core.SetIndexEntry(w.as(), firstIndexPage(info), 2, pages[0]); err != nil {
+					return err
+				}
+				if err := core.UpdateInodeSizeMtime(w.as(), w.fileLoc, 3*nvm.PageSize, 1); err != nil {
+					return err
+				}
+				if _, err := member.MapFile(w.fileIno, w.fileLoc, write); err != nil {
+					return err
+				}
+				if got := member.AddressSpace().PermOf(pages[0]); got != want {
+					return fmt.Errorf("the co-member's map (write=%v) gives page %d %v, want %v", write, pages[0], got, want)
+				}
+				return nil
+			})
+			out.Detected = out.Detected != grow // G3: nothing to detect
+			return out
+		}}
+	}
+	return []Scenario{
+		mk("G1-co-member-read-map", false, false),
+		mk("G2-co-member-write-map", true, false),
+		mk("G3-co-writer-grows-file", true, true),
 	}
 }

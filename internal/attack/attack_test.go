@@ -91,13 +91,23 @@ func TestDanglingFreeAttack(t *testing.T) {
 	}
 }
 
+// TestGroupCollusionAttack: two sessions of one trust group, one holding
+// the victim file write-mapped, cannot between them put a third domain's
+// page into a grant; a legitimate co-writer still sees what the holder
+// appended.
+func TestGroupCollusionAttack(t *testing.T) {
+	for _, s := range GroupCollusion() {
+		t.Run(s.Name, func(t *testing.T) { requireCaught(t, s.Run()) })
+	}
+}
+
 // TestScenariosFromColdController replays every scenario against a
 // freshly mounted controller — no cached facts, every verification a
 // full walk — where the tests above run them after a scoped-clean
 // handover of the victim file (Scenario.Run): the verdicts must not
 // depend on which.
 func TestScenariosFromColdController(t *testing.T) {
-	for _, s := range slices.Concat(All(), OwnDirent(), DanglingFree()) {
+	for _, s := range slices.Concat(All(), OwnDirent(), DanglingFree(), GroupCollusion()) {
 		t.Run(s.Name, func(t *testing.T) { requireCaught(t, s.RunCold()) })
 	}
 }

@@ -73,6 +73,7 @@ func (s *Session) MapFiles(reqs []MapReq, out []MapRes) error {
 	}
 	verifies := 0
 	if len(escal) > 0 {
+		c.stats.MapEscalations.Add(int64(len(escal)))
 		c.lockAll()
 		for _, i := range escal {
 			out[i].Info, out[i].Err = s.mapSlowLocked(reqs[i].Ino, reqs[i].Loc, reqs[i].Write, gate, &verifies, start)

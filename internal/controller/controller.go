@@ -260,7 +260,8 @@ type libfsState struct {
 	// saw them depart, or the file was removed) but cannot safely be
 	// freed yet: the walk that decided they departed may have raced the
 	// LibFS's own in-flight userspace stores, so some other file of this
-	// LibFS may still reference them. Parked pages stay attributed to
+	// LibFS may still reference them. A pool page a grant took into a
+	// mapping is parked too (clipGrantLocked). Parked pages stay attributed to
 	// the LibFS for verification purposes and are settled at session
 	// teardown — rebound if the quiescent core state references them
 	// (bindStrayPoolPagesLocked), freed otherwise. They are never handed
@@ -509,39 +510,18 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 	})
 	maxIno = uint64(core.RootIno)
 
-	type workItem struct{ fs *fileState }
-	queue := []workItem{{root}}
+	queue := []*fileState{root}
 	visited := map[core.Ino]bool{core.RootIno: true}
 	for len(queue) > 0 {
-		item := queue[0]
+		fs := queue[0]
 		queue = queue[1:]
-		fs := item.fs
 		in, err := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
 		if err != nil {
 			return 0, err
 		}
-		blocks := map[uint64]nvm.PageID{}
-		total := c.dev.NumPages()
-		err = core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()),
-			func(p nvm.PageID) bool {
-				// A corrupt mount image may chain to impossible page
-				// ids; keep them out of the dense ownership tables.
-				if p < total {
-					fs.pages = appendPage(fs.pages, p)
-				}
-				return true
-			},
-			func(b uint64, p nvm.PageID) bool {
-				if p < total {
-					fs.pages = appendPage(fs.pages, p)
-					blocks[b] = p
-				}
-				return true
-			})
-		if err != nil {
+		if fs.pages, err = c.walkRuns(in.Head); err != nil {
 			return 0, fmt.Errorf("file %d: %w", fs.ino, err)
 		}
-		fs.pages = normalizeRuns(fs.pages)
 		for _, r := range fs.pages {
 			for p := r.start; p < r.end(); p++ {
 				c.pageOwner[p] = fs.ino
@@ -551,6 +531,9 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 		if fs.ftype != core.TypeDir {
 			continue
 		}
+		var blocks []nvm.PageID
+		core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()), nil,
+			func(_ uint64, p nvm.PageID) bool { blocks = append(blocks, p); return true })
 		for _, p := range blocks {
 			for slot := 0; slot < core.SlotsPerDirPage; slot++ {
 				ino, err := core.DirentIno(c.mem, p, slot)
@@ -586,7 +569,7 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 				})
 				// Both file types are enqueued: directories to scan their
 				// entries, regular files to reserve their index/data pages.
-				queue = append(queue, workItem{cfs})
+				queue = append(queue, cfs)
 			}
 		}
 	}

@@ -504,6 +504,47 @@ func runHandoverProperty(t *testing.T, c *Controller, via mapVia, seed int64) {
 	}
 }
 
+// TestHandoverMapsOnFastPath: a cross-domain write handover of a 2 MiB
+// file — share-handover's and BenchmarkHandover2M's shape — is granted on
+// the fast path every time (controller.map_escalations does not move),
+// while a stacked same-group writer, whose grant the clip judges against
+// its co-writer's pool, is granted under lockAll.
+func TestHandoverMapsOnFastPath(t *testing.T) {
+	c, _ := newCtl(t, handoverCfg())
+	a, b, a2 := c.Register(1000, 1000, 0, 1), c.Register(1000, 1000, 0, 2), c.Register(1000, 1000, 0, 1)
+	ino, loc := mkBigFile(t, a, "fast", handoverPages)
+	_, data := filePages(t, c, loc)
+	esc := c.Stats().MapEscalations
+	buf := make([]byte, nvm.PageSize)
+	for i := 0; i < 20; i++ {
+		s, e0 := []*Session{a, b}[i&1], esc.Load()
+		if _, err := s.MapFile(ino, loc, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := esc.Load() - e0; i >= 4 && got != 0 {
+			t.Fatalf("handover %d: %d map escalations, want 0", i, got)
+		}
+		p := data[(i*37)%len(data)]
+		if err := s.AddressSpace().Write(p, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		s.AddressSpace().Persist(p, 0, nvm.PageSize)
+		if err := s.UnmapFile(ino); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.MapFile(ino, loc, true); err != nil {
+		t.Fatal(err)
+	}
+	e0 := esc.Load()
+	if _, err := a2.MapFile(ino, loc, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := esc.Load() - e0; got != 1 {
+		t.Fatalf("stacked same-group write map: %d escalations, want 1", got)
+	}
+}
+
 // BenchmarkHandover2M is one cross-domain write handover of a 2 MiB
 // file per iteration — write-map, store 4 KiB, unmap — reporting how
 // many pages the seal streamed, how many index pages verification,

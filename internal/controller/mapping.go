@@ -57,6 +57,7 @@ func (s *Session) MapFile(ino core.Ino, loc core.FileLoc, write bool) (*MapInfo,
 	// forcible revocation, corruption) escalates.
 	info, err := s.mapFileFast(ino, loc, write, gate, start)
 	if err == errEscalate {
+		c.stats.MapEscalations.Add(1)
 		c.lockAll()
 		defer c.unlockAll()
 		info, err = s.mapSlowLocked(ino, loc, write, gate, nil, start)
@@ -90,34 +91,9 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if adopted != nil {
 		in, s.ls.direntBuf = adopted.Inode, *adopted.Dirent()
 	}
-	if fs.quarantined != 0 && fs.quarantined != s.ls.id {
-		return MapInfo{}, ErrQuarantined
-	}
-	if fs.corrupt {
-		// The scrubber found latent media corruption it could not repair
-		// (ISSUE 5): the file is poisoned, never silently served.
-		return MapInfo{}, fmt.Errorf("%w: ino %d has unrepairable media corruption", ErrCorrupt, fs.ino)
-	}
-
-	// Idempotent re-map: an existing mapping that already satisfies the
-	// request is returned as-is.
-	m := s.ls.mapped[fs.ino]
-	if m != nil && (m.write || !write) {
-		in, rerr := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
-		if rerr != nil {
-			return MapInfo{}, rerr
-		}
-		return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: m.write}, nil
-	}
-
-	// Permission check against the shadow table (ground truth, I4). It
-	// comes before anything is released — the fast path's rule, "mutates
-	// nothing before deciding" — so a denied read→write upgrade leaves the
-	// caller's read mapping exactly as it was.
-	if !c.permitted(s.ls, fs.ino, write) {
-		return MapInfo{}, fmt.Errorf("%w: ino %d write=%v for uid %d", ErrPermission, ino, write, s.ls.uid)
-	}
-	if m != nil {
+	if info, up, grant, err := s.admitLocked(fs, write); !grant {
+		return info, err
+	} else if up != nil {
 		// A permitted upgrade (read→write) releases the old grant first.
 		if err := c.unmapLocked(s.ls, fs.ino, acc, telemetry.Span{}); err != nil {
 			return MapInfo{}, err
@@ -139,28 +115,94 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if err != nil {
 		return MapInfo{}, err
 	}
-	if fs.quarantined != 0 {
-		runs = s.ls.quarantineRuns(runs, fs)
-	}
+	runs, _ = c.clipGrantLocked(runs, fs)
 	return s.grantLocked(fs, &in, runs, write, gen, now), nil
 }
 
-// quarantineRuns cuts the grant of a quarantined file down to pages its
-// holder may have. The file's state failed verification and stays as it
-// is, so the walk behind runs followed whatever the holder left there — a
-// reference to a page it freed, which by now may sit in another session's
-// pool. What remains: the file's verified set, the holder's own pool and
-// parked pages, the dirent page.
-func (ls *libfsState) quarantineRuns(runs []pageRun, fs *fileState) []pageRun {
-	var out []pageRun
-	for _, r := range runs {
+// admitLocked makes the checks every map path makes before it changes
+// anything, so a denied read→write upgrade leaves the caller's read
+// mapping as it was. A file quarantined to another session is refused,
+// and so is one the scrubber found latently corrupt and could not repair
+// (never silently served). A mapping the session holds that already
+// satisfies the request is the answer: grant is false, info describes
+// it. Last, the shadow table (ground truth, I4) must permit the access.
+// When grant is true, up is the read mapping a read→write upgrade
+// replaces, nil for a fresh grant.
+func (s *Session) admitLocked(fs *fileState, write bool) (info MapInfo, up *mapping, grant bool, err error) {
+	c := s.c
+	switch {
+	case fs.quarantined != 0 && fs.quarantined != s.ls.id:
+		return MapInfo{}, nil, false, ErrQuarantined
+	case fs.corrupt:
+		return MapInfo{}, nil, false, fmt.Errorf("%w: ino %d has unrepairable media corruption", ErrCorrupt, fs.ino)
+	}
+	m := s.ls.mapped[fs.ino]
+	if m != nil && (m.write || !write) {
+		in, err := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
+		if err != nil {
+			return MapInfo{}, nil, false, err
+		}
+		return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: m.write}, nil, false, nil
+	}
+	if !c.permitted(s.ls, fs.ino, write) {
+		return MapInfo{}, nil, false, fmt.Errorf("%w: ino %d write=%v for uid %d", ErrPermission, fs.ino, write, s.ls.uid)
+	}
+	return MapInfo{}, m, true, nil
+}
+
+// clipGrantLocked is the grant rule (DESIGN.md §5a), and every MapFile
+// grant passes through it. runs is what the grant would map: the file's
+// verified set when the facts vouch for it, else a walk of core state
+// that the grantee's group may have written. A page of it is grantable
+// iff one of these holds:
+//   - it is the file's dirent page, fs.loc.Page;
+//   - it is in fs.pages, the set the last clean verification bound;
+//   - it sits in the pool or parked set of a session that could have
+//     added it since that verification: a session of fs.writerGroup that
+//     holds a write mapping of fs, or, for a quarantined file, its holder.
+//
+// So a grant reaches the verified file and the pages of the group that
+// may be writing it — a group's reach, never a third session's pool page
+// that a scribbled index entry names. It returns the grantable runs and
+// whether it cut anything. The test is run arithmetic first: only the
+// pages outside fs.pages — the dirent page and at most a co-writer's
+// fresh pages — are looked at one by one.
+func (c *Controller) clipGrantLocked(runs []pageRun, fs *fileState) ([]pageRun, bool) {
+	var buf [4]pageRun
+	var cut []pageRun
+	for _, r := range runsDiff(buf[:0], runs, fs.pages) {
 		for p := r.start; p < r.end(); p++ {
-			if p == fs.loc.Page || runsFind(fs.pages, p) >= 0 || ls.allocPages[p] || ls.parked[p] {
-				out = appendPage(out, p)
+			if p != fs.loc.Page && !c.lendLocked(fs, p) {
+				cut = appendPage(cut, p)
 			}
 		}
 	}
-	return out
+	if cut == nil {
+		return runs, false
+	}
+	return runsDiff(nil, runs, cut), true
+}
+
+// lendLocked reports whether page p sits in the pool or parked set of a
+// session that could have added it to fs since its last verification. A
+// pool page it lends to the grant is parked there: a free of it is then a
+// no-op until the session's teardown, so the allocator cannot hand it to
+// anybody else while the grant maps it. With no writer and no quarantine
+// — always so on the fast path — no session's state is read.
+func (c *Controller) lendLocked(fs *fileState, p nvm.PageID) bool {
+	if fs.writer == 0 && fs.quarantined == 0 {
+		return false
+	}
+	for _, ls := range c.libfses {
+		m := ls.mapped[fs.ino]
+		adder := ls.id == fs.quarantined || fs.writer != 0 && ls.group == fs.writerGroup && m != nil && m.write
+		if adder && (ls.allocPages[p] || ls.parked[p]) {
+			delete(ls.allocPages, p)
+			ls.parked[p] = true
+			return true
+		}
+	}
+	return false
 }
 
 // readDirentLocked reads the file's dirent slot into the session's
@@ -179,29 +221,35 @@ func (s *Session) readDirentLocked(fs *fileState) (core.Inode, error) {
 // generation the grant may vouch for (MapInfo.Gen). When the facts of
 // the last clean walk still hold and no session can store to an index
 // page, the verified set is what a walk would find, and the grant is
-// built from it. Otherwise the walk reads untrusted core state: page ids
-// beyond the device are dropped here and never reach a table.
+// built from it. Otherwise it is built by a walk of core state.
 func (c *Controller) grantRuns(fs *fileState, in *core.Inode) ([]pageRun, uint64, error) {
-	total := c.dev.NumPages()
 	if c.indexQuietLocked(fs, in.Head) {
 		runs := append(make([]pageRun, 0, len(fs.pages)+1), fs.pages...) // the mapping's own copy
 		return runsAdd(runs, fs.loc.Page), fs.gen, nil
 	}
-	runs := make([]pageRun, 0, 4)
+	runs, err := c.walkRuns(in.Head)
+	if err != nil {
+		return nil, 0, fmt.Errorf("controller: walking file %d: %w", fs.ino, err)
+	}
+	return runsAdd(runs, fs.loc.Page), 0, nil
+}
+
+// walkRuns collects the index and data pages of the file whose chain
+// starts at head as normal-form runs. The chain is untrusted core state:
+// page ids beyond the device are dropped here and never reach a table.
+func (c *Controller) walkRuns(head nvm.PageID) ([]pageRun, error) {
+	total := c.dev.NumPages()
+	var runs []pageRun
 	add := func(p nvm.PageID) bool {
 		if p < total {
 			runs = appendPage(runs, p)
 		}
 		return true
 	}
-	add(fs.loc.Page)
-	err := core.WalkFile(c.mem, in.Head, int(total),
+	err := core.WalkFile(c.mem, head, int(total),
 		func(p nvm.PageID) bool { c.stats.IndexReads.Add(1); return add(p) },
 		func(_ uint64, p nvm.PageID) bool { return add(p) })
-	if err != nil {
-		return nil, 0, fmt.Errorf("controller: walking file %d: %w", fs.ino, err)
-	}
-	return normalizeRuns(runs), 0, nil
+	return normalizeRuns(runs), err
 }
 
 // indexQuietLocked reports whether the chain starting at head is the one
@@ -310,10 +358,10 @@ func (s *Session) mapFileFast(ino core.Ino, loc core.FileLoc, write bool, gate *
 		}
 		fs.waiters++
 		waited = fs
-		gate.pause(s.ls.id)
+		gate.exit(s.ls.id)
 		c.unlockShards(&set)
 		time.Sleep(wait)
-		gate.resume(s.ls.id)
+		gate.enter(s.ls.id)
 		now = telemetry.Now()
 	}
 }
@@ -331,27 +379,13 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool, now int64) (MapIn
 	if err := s.aliveLocked(); err != nil {
 		return MapInfo{}, 0, err
 	}
-	if fs.quarantined != 0 {
-		if fs.quarantined != s.ls.id {
-			return MapInfo{}, 0, ErrQuarantined
-		}
-		return MapInfo{}, 0, errEscalate // its holder's grant is cut to size over there
+	if fs.quarantined == s.ls.id {
+		return MapInfo{}, 0, errEscalate // its holder's pool is in its reach, read over there
 	}
-	if fs.corrupt {
-		return MapInfo{}, 0, fmt.Errorf("%w: ino %d has unrepairable media corruption", ErrCorrupt, fs.ino)
-	}
-	if m := s.ls.mapped[fs.ino]; m != nil {
-		if m.write || !write {
-			in, rerr := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
-			if rerr != nil {
-				return MapInfo{}, 0, rerr
-			}
-			return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: m.write}, 0, nil
-		}
+	if info, up, grant, err := s.admitLocked(fs, write); !grant {
+		return info, 0, err
+	} else if up != nil {
 		return MapInfo{}, 0, errEscalate // read→write upgrade releases the old grant
-	}
-	if !c.permitted(s.ls, fs.ino, write) {
-		return MapInfo{}, 0, fmt.Errorf("%w: ino %d write=%v for uid %d", ErrPermission, fs.ino, write, s.ls.uid)
 	}
 	// A conflicting writer drives the lease state machine right here:
 	// the clock, the cooperative recall, and the holder-vanished reset
@@ -388,34 +422,21 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool, now int64) (MapIn
 	if err != nil {
 		return MapInfo{}, 0, err
 	}
-	if write {
-		// The grant opens checksum records: every page must be owned by
-		// the file or its parent (whose shards are held), so no other
-		// shard's grant or scrub can race the record read-modify-writes.
-		if !c.writeGrantRunsOK(runs, fs) {
-			return MapInfo{}, 0, errEscalate
-		}
-	} else if !c.runsOwnedWithin(runs, fs) {
+	// No writer is left, so the clip allows fs.pages and the dirent page;
+	// whatever it cuts is the lockAll path's to settle.
+	runs, cut := c.clipGrantLocked(runs, fs)
+	if cut {
 		return MapInfo{}, 0, errEscalate
 	}
+	if write {
+		// The grant opens checksum records, so every page must be owned by
+		// a file whose shard is held — the file, or for the dirent page the
+		// parent — lest another shard's grant or scrub race the record RMWs.
+		if own, ok := c.ownerOf(fs.loc.Page); ok && own != fs.parent || !ok && fs.loc.Page != core.RootInodePage {
+			return MapInfo{}, 0, errEscalate
+		}
+	}
 	return s.grantLocked(fs, &in, runs, write, gen, now), 0, nil
-}
-
-// writeGrantRunsOK requires every page of a write grant to be owned by
-// the file (or, for the dirent page, its parent) — ownership is what
-// ties the checksum-record RMWs to the shard locks the caller holds.
-// The file owns exactly fs.pages, so the grant must be that set's pages
-// and the dirent page, nothing else.
-func (c *Controller) writeGrantRunsOK(runs []pageRun, fs *fileState) bool {
-	var buf [2]pageRun
-	dp := fs.loc.Page
-	if extra := runsDiff(buf[:0], runs, fs.pages); len(extra) != 1 || extra[0] != (pageRun{start: dp, n: 1}) {
-		return false
-	}
-	if own, ok := c.ownerOf(dp); ok {
-		return own == fs.parent // a dirent page of the parent directory
-	}
-	return dp == core.RootInodePage
 }
 
 // permitted evaluates classic owner/group/other permission bits from
@@ -495,12 +516,12 @@ func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bo
 			wait = accessPoll
 		}
 		fs.waiters++
-		gate.pause(ls.id)
+		gate.exit(ls.id)
 		c.unlockAll()
 		time.Sleep(wait)
-		// Re-enter the gate before the locks: resume can block on a free
+		// Re-enter the gate before the locks: enter can block on a free
 		// slot, and slot holders may themselves be waiting on the locks.
-		gate.resume(ls.id)
+		gate.enter(ls.id)
 		c.lockAll()
 		fs.waiters--
 		*now = telemetry.Now()
@@ -568,8 +589,8 @@ func (c *Controller) lookupOrAdoptLocked(ino core.Ino, loc core.FileLoc, acc *in
 }
 
 // direntPageParentLocked reports which directory owns page p as one of
-// its dirent pages. Pages still in the creator's allocation pool are
-// accepted too (brand-new directories), attributed to parent 0 until a
+// its dirent pages. Pages still in the creator's allocation pool (or
+// parked on it) are accepted too (brand-new directories), parent 0 until a
 // verification discovers the true parent.
 func (c *Controller) direntPageParentLocked(p nvm.PageID, creator LibFSID) (core.Ino, bool) {
 	if p == core.RootInodePage {
@@ -581,7 +602,7 @@ func (c *Controller) direntPageParentLocked(p nvm.PageID, creator LibFSID) (core
 		}
 		return 0, false
 	}
-	if ls := c.libfses[creator]; ls != nil && ls.allocPages[p] {
+	if ls := c.libfses[creator]; ls != nil && (ls.allocPages[p] || ls.parked[p]) {
 		return 0, true
 	}
 	return 0, false
@@ -959,25 +980,15 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	}
 	cfs := &fileState{ino: ch.Ino, loc: ch.Loc, ftype: ch.Inode.Type, parent: parent.ino}
 	// Bind the child's own pages by walking it (they are consumed from
-	// the creator's pool). The chain is unverified core state: skip
-	// impossible page ids rather than let them into the dense tables.
-	total := c.dev.NumPages()
-	bindPage := func(p nvm.PageID) bool {
-		if p < total {
-			cfs.pages = appendPage(cfs.pages, p)
-		}
-		return true
-	}
-	core.WalkFile(c.mem, ch.Inode.Head, int(c.dev.NumPages()),
-		bindPage,
-		func(_ uint64, p nvm.PageID) bool { return bindPage(p) })
-	cfs.pages = normalizeRuns(cfs.pages)
+	// the creator's pool). What a walk that fails part-way found is bound.
+	cfs.pages, _ = c.walkRuns(ch.Inode.Head)
 	cm := ls.mapped[ch.Ino]
 	for _, r := range cfs.pages {
 		for p := r.start; p < r.end(); p++ {
-			c.tracePage(p, "bind-adopt ino=%d ls=%d pool=%v", ch.Ino, ls.id, ls.allocPages[p])
-			if ls.allocPages[p] {
+			c.tracePage(p, "bind-adopt ino=%d ls=%d pool=%v parked=%v", ch.Ino, ls.id, ls.allocPages[p], ls.parked[p])
+			if ls.allocPages[p] || ls.parked[p] {
 				delete(ls.allocPages, p)
+				delete(ls.parked, p)
 				if cm != nil {
 					cm.runs = runsAdd(cm.runs, p) // transfer the pool ref
 				} else {

@@ -135,7 +135,10 @@ func (s *Session) freePagesLocked(pages []nvm.PageID, bound bool) error {
 // session write-maps that file (truncate). The recorded set shrinks here
 // with no store to an index page — nothing says the LibFS cleared the
 // entry naming p first — so the facts of the file's last walk go with it:
-// the release walks, and finds a reference the free left behind.
+// the release walks, and finds a reference the free left behind. The page
+// leaves a same-group co-holder's mapping of the file too, before the
+// allocator can hand it to anybody else; the freer's own reference is
+// its caller's to drop.
 func (s *Session) unbindLocked(p nvm.PageID) bool {
 	c := s.c
 	ino := c.pageOwnerAt(p)
@@ -146,6 +149,12 @@ func (s *Session) unbindLocked(p nvm.PageID) bool {
 	fs.pages = runsRemove(fs.pages, p)
 	c.voidFactsLocked(fs)
 	c.clearPageOwner(p)
+	for _, o := range c.libfses {
+		if m := o.mapped[ino]; o != s.ls && m != nil && runsFind(m.runs, p) >= 0 {
+			m.runs = runsRemove(m.runs, p)
+			o.unrefPageLocked(p)
+		}
+	}
 	c.tracePage(p, "free-bound ino=%d ls=%d", ino, s.ls.id)
 	return true
 }

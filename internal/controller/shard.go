@@ -36,6 +36,7 @@
 package controller
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -48,11 +49,7 @@ import (
 
 // errEscalate is the fast paths' internal "retry under lockAll"
 // sentinel. It must never escape to a caller.
-type escalateError struct{}
-
-func (escalateError) Error() string { return "controller: escalate to all shards" }
-
-var errEscalate error = escalateError{}
+var errEscalate = errors.New("controller: escalate to all shards")
 
 // maxShards bounds Options.Shards; lockAll is O(N) so the count stays
 // small.
@@ -504,17 +501,6 @@ func (c *Controller) admit(id LibFSID) *admitGate {
 	g.enter(id)
 	c.stats.shard(i).Admitted.Add(1)
 	return g
-}
-
-// pause temporarily releases the caller's admission slot around a
-// sleep (waitForAccess), so a sleeping waiter cannot occupy a slot the
-// lease holder needs to comply with a recall.
-func (g *admitGate) pause(id LibFSID) {
-	g.exit(id)
-}
-
-func (g *admitGate) resume(id LibFSID) {
-	g.enter(id)
 }
 
 // ---------------------------------------------------------------------

@@ -32,6 +32,10 @@ type Stats struct {
 	RebuildCnt *telemetry.Counter
 	RebuildNS  *telemetry.Counter
 
+	// MapEscalations counts maps the fast path handed to the lockAll path
+	// (adoption, upgrades, stacked writers, a grant the clip cut).
+	MapEscalations *telemetry.Counter
+
 	Checkpoints *telemetry.Counter
 	Corruptions *telemetry.Counter
 	Fixed       *telemetry.Counter
@@ -69,8 +73,9 @@ type Stats struct {
 	// last clean walk over, VerifyFull walked. A release that had to walk
 	// also counts its reason (fullWhy, "controller.verify_full.<reason>");
 	// the full walks without one are not releases. IndexReads counts index
-	// pages read by verification walks, grant walks and checkpoint
-	// snapshots together: zero per handover while the facts hold.
+	// pages read by verification walks, the controller's own walks (grant,
+	// adoption, mount scan) and checkpoint snapshots together: zero per
+	// handover while the facts hold.
 	VerifyScoped *telemetry.Counter
 	VerifyFull   *telemetry.Counter
 	fullWhy      [len(scopeReasons)]*telemetry.Counter
@@ -136,6 +141,8 @@ func newStats(shards int) *Stats {
 
 		RebuildCnt: reg.NewCounter("controller.rebuild_count"),
 		RebuildNS:  reg.NewCounter("controller.rebuild_ns"),
+
+		MapEscalations: reg.NewCounter("controller.map_escalations"),
 
 		Checkpoints: reg.NewCounter("controller.checkpoints"),
 		Corruptions: reg.NewCounter("controller.corruptions"),

@@ -151,7 +151,7 @@ func benchHandoverLibFS2M(b *testing.B, resize bool) {
 	for i := 0; i < 6; i++ {
 		handover(i)
 	}
-	st0 := ctl.Stats().Snapshot()
+	st0, esc0 := ctl.Stats().Snapshot(), ctl.Stats().MapEscalations.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -160,6 +160,7 @@ func benchHandoverLibFS2M(b *testing.B, resize bool) {
 	b.StopTimer()
 	st := ctl.Stats().Snapshot().Sub(st0)
 	b.ReportMetric(float64(st.RebuildCount)/float64(b.N), "aux-rebuilds/op")
+	b.ReportMetric(float64(ctl.Stats().MapEscalations.Load()-esc0)/float64(b.N), "map-escalations/op")
 	b.ReportMetric(float64(st.ChecksumRecords)/float64(b.N), "records/op")
 	// The page-table words, counted off the clock as BenchmarkHandover2M
 	// counts them: the default registry counts only while enabled.

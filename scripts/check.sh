@@ -28,7 +28,9 @@
 #      written and sealed with its content's CRC once it may not. Ten
 #      more to the controller's write references at two sizes: per
 #      granule and per page, they must count what the per-page table
-#      counted.
+#      counted. Ten more to the grant rule: under any maps, unmaps,
+#      index stores, frees and allocations by sessions in two trust
+#      groups, no page a session reaches lies beyond its group's reach.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
 #      must stream one page, read no index page, act on at most 160
@@ -209,7 +211,7 @@ go test ./...
 echo "== go test -race (concurrency-bearing packages)"
 make race
 
-echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table, checksum-opener and write-reference models, 10s each; wire parsers, 5s each)"
+echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table, checksum-opener and write-reference models, grant reach, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzVerifyDirectory$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
@@ -233,6 +235,10 @@ go test -run='^$' -fuzz='^FuzzChecksumOpenModel$' -fuzztime=10s -fuzzminimizetim
 # leave every page's count, and the scrub, seal and open decisions it
 # makes, as the per-page table had them.
 go test -run='^$' -fuzz='^FuzzControllerTablesModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# The one grant rule, from the outside: after every map, unmap, index
+# store, free or allocation, each page a session reaches is its files'
+# dirent or owned page, or in its own trust group's pool or parked sets.
+go test -run='^$' -fuzz='^FuzzGrantOwnership$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
 go test -race -run='^TestScrubSmoke$' -count=1 ./internal/fstest/
