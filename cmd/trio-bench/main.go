@@ -17,14 +17,19 @@
 // kops/s, µs/op); EXPERIMENTS.md records a reference run side by side
 // with the paper's numbers and discusses which shapes reproduce.
 //
+// Every experiment takes the same route: run it (it prints its tables),
+// merge the BENCH_trio.json section it owns, if any, into the -json
+// file with every other section kept as it was, and exit 1 if any of
+// its acceptance gates is violated.
+//
 // The datapath experiment measures per-op software overhead (op/s,
-// ns/op, allocs/op per workload × FS) and, with -json, emits the
-// machine-readable BENCH_trio.json that future PRs diff against. It
-// runs with the hardware cost model OFF unless -cost is given: modeled
-// device time is a constant the software cannot change, so excluding it
-// isolates the regression signal. -cpuprofile captures a pprof profile
-// of the measured region. -baseline gates the run's allocs/op against a
-// previously written BENCH JSON and exits 1 on regression.
+// ns/op, allocs/op per workload × FS); its section is the
+// machine-readable baseline future PRs diff against. It runs with the
+// hardware cost model OFF unless -cost is given: modeled device time is
+// a constant the software cannot change, so excluding it isolates the
+// regression signal. -baseline gates its allocs/op against a previously
+// written BENCH JSON. -cpuprofile captures a pprof profile of the
+// measured region.
 //
 // -telemetry enables the cross-layer metrics registry and prints the
 // counter table after the run; -trace additionally records spans and
@@ -35,7 +40,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime/pprof"
 	"sort"
@@ -46,50 +50,13 @@ import (
 	"trio/internal/telemetry"
 )
 
-// gatedExperiments are the sweeps that carry their own acceptance gates
-// and own a section of the BENCH JSON: the massive-tenancy shard-count
-// curve, per-call vs batched trust-boundary crossings, serial vs
-// pipelined RPC over the loopback wire, and the exactly-once audit of a
-// network fault storm.
-var gatedExperiments = map[string]struct {
-	merged string // what the "merged … into" line calls the section
-	run    gatedRun
-}{
-	"tenancy": {"tenancy sweep", gated(experiments.RunTenancySweep, experiments.CheckTenancyGate,
-		func(d *experiments.DataPathReport, r *experiments.TenancyReport) { d.Tenancy = r })},
-	"smallops": {"smallops report", gated(experiments.RunSmallOpsSweep, experiments.CheckSmallOpsGate,
-		func(d *experiments.DataPathReport, r *experiments.SmallOpsReport) { d.SmallOps = r })},
-	"serving": {"serving report", gated(experiments.RunServingSweep, experiments.CheckServingGate,
-		func(d *experiments.DataPathReport, r *experiments.ServingReport) { d.Serving = r })},
-	"netchaos": {"netchaos report", gated(experiments.RunNetChaosSweep, experiments.CheckNetChaosGate,
-		func(d *experiments.DataPathReport, r *experiments.NetChaosReport) { d.NetChaos = r })},
-}
-
-// gatedRun runs one gated experiment: it returns the function that
-// installs the fresh report into the BENCH JSON and the gate's
-// violations.
-type gatedRun func(experiments.Params) (install func(*experiments.DataPathReport), fails []string, err error)
-
-// gated adapts one experiment's typed run/check/install triple to the
-// table's shape.
-func gated[R any](run func(io.Writer, experiments.Params) (*R, error), check func(*R) []string,
-	install func(*experiments.DataPathReport, *R)) gatedRun {
-	return func(p experiments.Params) (func(*experiments.DataPathReport), []string, error) {
-		rep, err := run(os.Stdout, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(d *experiments.DataPathReport) { install(d, rep) }, check(rep), nil
-	}
-}
-
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "experiment id (fig5..fig10, tab3, tab5, integrity, datapath, tenancy, smallops, serving, all)")
+		experiment = flag.String("experiment", "", "experiment id (see -list)")
 		quick      = flag.Bool("quick", false, "shrink sweeps and op counts")
 		nocost     = flag.Bool("nocost", false, "disable the hardware cost model (functional smoke run)")
 		cost       = flag.Bool("cost", false, "datapath only: enable the hardware cost model (off by default there)")
-		jsonPath   = flag.String("json", "", "datapath only: write results to this JSON file")
+		jsonPath   = flag.String("json", "", "merge the experiment's BENCH section into this JSON file")
 		baseline   = flag.String("baseline", "", "datapath only: BENCH JSON to gate allocs/op against (exit 1 on regression)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
 		useTelem   = flag.Bool("telemetry", false, "enable the metrics registry; print a counter table after the run")
@@ -122,6 +89,11 @@ func main() {
 		}
 		return
 	}
+	e, ok := reg[*experiment]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *experiment)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -139,71 +111,30 @@ func main() {
 		}()
 	}
 
+	p := experiments.Params{Quick: *quick, NoCost: *nocost}
+	if e.CostOff {
+		p.NoCost = !*cost
+	}
 	start := time.Now()
-	var err error
-	if *experiment == "datapath" {
-		// The regression harness: cost off unless explicitly requested,
-		// results optionally serialized for BENCH_trio.json.
-		p := experiments.Params{Quick: *quick, NoCost: !*cost}
-		var results []experiments.DataPathResult
-		results, err = experiments.RunDataPath(os.Stdout, p)
-		if err == nil && *jsonPath != "" {
-			if werr := experiments.WriteDataPathJSON(*jsonPath, p, results); werr != nil {
-				err = werr
-			} else {
-				fmt.Printf("\nwrote %d results to %s\n", len(results), *jsonPath)
-			}
-		}
-		if err == nil && *baseline != "" {
-			rep, lerr := experiments.LoadDataPathJSON(*baseline)
-			if lerr != nil {
-				err = lerr
-			} else if regs := experiments.CheckAllocRegression(rep, results); len(regs) > 0 {
-				fmt.Fprintf(os.Stderr, "\nALLOC REGRESSIONS vs %s:\n", *baseline)
-				for _, r := range regs {
-					fmt.Fprintf(os.Stderr, "  %s\n", r)
-				}
-				os.Exit(1)
-			} else {
-				fmt.Printf("\nallocs/op within baseline %s\n", *baseline)
-			}
-		}
-	} else if g := gatedExperiments[*experiment]; g.run != nil {
-		// An experiment with acceptance gates: evaluated in-process, its
-		// report merged into the BENCH JSON next to the other sections.
-		p := experiments.Params{Quick: *quick, NoCost: *nocost}
-		var install func(*experiments.DataPathReport)
-		var fails []string
-		install, fails, err = g.run(p)
-		if err == nil && *jsonPath != "" {
-			if werr := experiments.MergeSectionJSON(*jsonPath, install); werr != nil {
-				err = werr
-			} else {
-				fmt.Printf("\nmerged %s into %s\n", g.merged, *jsonPath)
-			}
-		}
-		if err == nil {
-			if len(fails) > 0 {
-				fmt.Fprintf(os.Stderr, "\n%s GATE FAILURES:\n", strings.ToUpper(*experiment))
-				for _, f := range fails {
-					fmt.Fprintf(os.Stderr, "  %s\n", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("\n%s gates passed\n", *experiment)
-		}
-	} else {
-		fn, ok := reg[*experiment]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *experiment)
-			os.Exit(2)
-		}
-		err = fn(os.Stdout, experiments.Params{Quick: *quick, NoCost: *nocost})
+	out, err := e.Run(os.Stdout, p)
+	var fails []string
+	if err == nil && out != nil {
+		fails, err = settle(out, *jsonPath, *baseline)
 	}
 	fmt.Printf("\n[%s finished in %v]\n", *experiment, time.Since(start).Round(time.Millisecond))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiment failed: %v\n", err)
 		os.Exit(1)
+	}
+	if len(fails) > 0 {
+		fmt.Fprintf(os.Stderr, "\n%s GATE FAILURES:\n", strings.ToUpper(*experiment))
+		for _, f := range fails {
+			fmt.Fprintf(os.Stderr, "  %s\n", f)
+		}
+		os.Exit(1)
+	}
+	if out != nil {
+		fmt.Printf("%s gates passed\n", *experiment)
 	}
 
 	if *useTelem {
@@ -224,4 +155,24 @@ func main() {
 		f.Close()
 		fmt.Printf("wrote %d trace events to %s\n", len(recs), *tracePath)
 	}
+}
+
+// settle merges the outcome's section into the -json file and adds the
+// -baseline allocs/op check to the run's own gate violations.
+func settle(out *experiments.Outcome, jsonPath, baseline string) ([]string, error) {
+	if jsonPath != "" && out.Section != nil {
+		if err := experiments.MergeBench(jsonPath, out.Section); err != nil {
+			return nil, err
+		}
+		fmt.Printf("\nmerged the section into %s\n", jsonPath)
+	}
+	fails := out.Fails
+	if baseline != "" {
+		regs, err := experiments.CheckBaseline(baseline, out)
+		if err != nil {
+			return nil, err
+		}
+		fails = append(fails, regs...)
+	}
+	return fails, nil
 }

@@ -12,11 +12,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -27,6 +25,7 @@ import (
 	"trio/internal/fsfactory"
 	"trio/internal/kvfs"
 	"trio/internal/nvm"
+	"trio/internal/workload"
 )
 
 // DataPathResult is one workload × FS measurement.
@@ -41,20 +40,15 @@ type DataPathResult struct {
 	BlockBytes  int     `json:"block_bytes,omitempty"`
 }
 
-// DataPathReport is the BENCH_trio.json schema. The datapath suite
-// owns Results; the massive-tenancy sweep owns Tenancy; the
-// trust-boundary sweep owns SmallOps — each writer preserves the other
-// sections, so one file carries every gate.
+// DataPathReport is the datapath suite's section of BENCH_trio.json:
+// the file's top-level keys below. Every other experiment that writes
+// the file owns one key of its own (see Outcome).
 type DataPathReport struct {
-	Schema   string           `json:"schema"`
-	Go       string           `json:"go"`
-	Quick    bool             `json:"quick"`
-	Cost     bool             `json:"cost_model"`
-	Results  []DataPathResult `json:"results"`
-	Tenancy  *TenancyReport   `json:"tenancy,omitempty"`
-	SmallOps *SmallOpsReport  `json:"smallops,omitempty"`
-	Serving  *ServingReport   `json:"serving,omitempty"`
-	NetChaos *NetChaosReport  `json:"netchaos,omitempty"`
+	Schema  string           `json:"schema"`
+	Go      string           `json:"go"`
+	Quick   bool             `json:"quick"`
+	Cost    bool             `json:"cost_model"`
+	Results []DataPathResult `json:"results"`
 }
 
 // dpathFile is the working-set size of the file data workloads.
@@ -110,10 +104,11 @@ func measure(p Params, fs, workload string, blockBytes int, op func(i int64) err
 	return r, nil
 }
 
-// dpathMount builds the two-node testbed the data-path suite runs on.
-func dpathMount(p Params) (*fsfactory.Instance, error) {
+// dpathMount builds the two-node testbed the data-path suite runs on,
+// verifying every read against its page's checksum when verify is set.
+func dpathMount(p Params, verify bool) (*fsfactory.Instance, error) {
 	return fsfactory.New("arckfs", fsfactory.Config{
-		Nodes: 2, PagesPerNode: 16384, CPUs: 8, Cost: !p.NoCost, WorkersPerNode: 2,
+		Nodes: 2, PagesPerNode: 16384, CPUs: 8, Cost: !p.NoCost, WorkersPerNode: 2, VerifyReads: verify,
 	})
 }
 
@@ -129,62 +124,22 @@ type fileClient interface {
 // runFileWorkloads measures the data+metadata workload set over one
 // POSIX-shaped client.
 func runFileWorkloads(p Params, fs string, c fileClient) ([]DataPathResult, error) {
-	var out []DataPathResult
+	dir := "/" + fs + "-bench"
+	f, err := workingSet(c, dir)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	out, err := blockOps(p, fs, f, false)
+	if err != nil {
+		return nil, err
+	}
 	add := func(r DataPathResult, err error) error {
 		if err != nil {
 			return err
 		}
 		out = append(out, r)
 		return nil
-	}
-
-	if err := c.Mkdir("/"+fs+"-bench", 0o755); err != nil {
-		return nil, err
-	}
-	dir := "/" + fs + "-bench"
-	f, err := c.Create(dir+"/data", 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	chunk := make([]byte, 1<<20)
-	for off := int64(0); off < dpathFile; off += int64(len(chunk)) {
-		if _, err := f.WriteAt(chunk, off); err != nil {
-			return nil, err
-		}
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	for _, bs := range []int{4 << 10, 64 << 10, 1 << 20} {
-		bs := bs
-		buf := make([]byte, bs)
-		blocks := int64(dpathFile / bs)
-		label := sizeLabel(bs)
-		seq := func(i int64) int64 { return (i % blocks) * int64(bs) }
-		rnd := func(int64) int64 { return rng.Int63n(blocks) * int64(bs) }
-		for _, w := range []struct {
-			name  string
-			off   func(int64) int64
-			write bool
-		}{
-			{"seqread-" + label, seq, false},
-			{"randread-" + label, rnd, false},
-			{"seqwrite-" + label, seq, true},
-			{"randwrite-" + label, rnd, true},
-		} {
-			w := w
-			err := add(measure(p, fs, w.name, bs, func(i int64) error {
-				if w.write {
-					_, err := f.WriteAt(buf, w.off(i))
-					return err
-				}
-				_, err := f.ReadAt(buf, w.off(i))
-				return err
-			}))
-			if err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// Append: grow a log 4 KiB at a time, truncating before it overruns
@@ -230,6 +185,68 @@ func runFileWorkloads(p Params, fs string, c fileClient) ([]DataPathResult, erro
 	return out, nil
 }
 
+// workingSet makes dir and fills dir/data with the dpathFile-byte
+// working set.
+func workingSet(c fileClient, dir string) (fsapi.File, error) {
+	if err := c.Mkdir(dir, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := c.Create(dir+"/data", 0o644)
+	if err != nil {
+		return nil, err
+	}
+	chunk := make([]byte, 1<<20)
+	for off := int64(0); off < dpathFile; off += int64(len(chunk)) {
+		if _, err := f.WriteAt(chunk, off); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// blockOps measures sequential and random reads — and, unless
+// readOnly, writes — of 4 KiB, 64 KiB and 1 MiB blocks across the
+// working-set file f.
+func blockOps(p Params, fs string, f fsapi.File, readOnly bool) ([]DataPathResult, error) {
+	var out []DataPathResult
+	rng := rand.New(rand.NewSource(42))
+	for _, bs := range []int{4 << 10, 64 << 10, 1 << 20} {
+		buf := make([]byte, bs)
+		blocks := int64(dpathFile / bs)
+		label := workload.SizeLabel(bs)
+		seq := func(i int64) int64 { return (i % blocks) * int64(bs) }
+		rnd := func(int64) int64 { return rng.Int63n(blocks) * int64(bs) }
+		for _, w := range []struct {
+			name  string
+			off   func(int64) int64
+			write bool
+		}{
+			{"seqread-" + label, seq, false},
+			{"randread-" + label, rnd, false},
+			{"seqwrite-" + label, seq, true},
+			{"randwrite-" + label, rnd, true},
+		} {
+			if w.write && readOnly {
+				continue
+			}
+			r, err := measure(p, fs, w.name, bs, func(i int64) error {
+				if w.write {
+					_, err := f.WriteAt(buf, w.off(i))
+					return err
+				}
+				_, err := f.ReadAt(buf, w.off(i))
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
 // arckClientAdapter narrows an fsapi.Client to fileClient.
 type arckClientAdapter struct{ fsapi.Client }
 
@@ -264,10 +281,7 @@ func runVerifiedReads(p Params) ([]DataPathResult, error) {
 		fs     string
 		verify bool
 	}{{"arckfs-ro", false}, {"arckfs-verify", true}} {
-		inst, err := fsfactory.New("arckfs", fsfactory.Config{
-			Nodes: 2, PagesPerNode: 16384, CPUs: 8, Cost: !p.NoCost,
-			WorkersPerNode: 2, VerifyReads: v.verify,
-		})
+		inst, err := dpathMount(p, v.verify)
 		if err != nil {
 			return nil, err
 		}
@@ -285,19 +299,9 @@ func runVerifiedReads(p Params) ([]DataPathResult, error) {
 func verifiedReadPass(p Params, fs string, inst *fsfactory.Instance) ([]DataPathResult, error) {
 	c := inst.NewClient(0)
 	const dir = "/sealed-bench"
-	if err := c.Mkdir(dir, 0o755); err != nil {
-		return nil, err
-	}
-	f, err := c.Create(dir+"/data", 0o644)
+	f, err := workingSet(c, dir)
 	if err != nil {
 		return nil, err
-	}
-	chunk := make([]byte, 1<<20)
-	for off := int64(0); off < dpathFile; off += int64(len(chunk)) {
-		if _, err := f.WriteAt(chunk, off); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	f.Close()
 
@@ -357,34 +361,7 @@ func verifiedReadPass(p Params, fs string, inst *fsfactory.Instance) ([]DataPath
 		return nil, err
 	}
 	defer rf.Close()
-	var out []DataPathResult
-	rng := rand.New(rand.NewSource(42))
-	for _, bs := range []int{4 << 10, 64 << 10, 1 << 20} {
-		bs := bs
-		buf := make([]byte, bs)
-		blocks := int64(dpathFile / bs)
-		label := sizeLabel(bs)
-		seq := func(i int64) int64 { return (i % blocks) * int64(bs) }
-		rnd := func(int64) int64 { return rng.Int63n(blocks) * int64(bs) }
-		for _, w := range []struct {
-			name string
-			off  func(int64) int64
-		}{
-			{"seqread-" + label, seq},
-			{"randread-" + label, rnd},
-		} {
-			w := w
-			r, err := measure(p, fs, w.name, bs, func(i int64) error {
-				_, err := rf.ReadAt(buf, w.off(i))
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return blockOps(p, fs, rf, true)
 }
 
 // runKVWorkloads measures KVFS's customized get/set interface.
@@ -435,17 +412,13 @@ func runKVWorkloads(p Params, kv *kvfs.FS) ([]DataPathResult, error) {
 }
 
 // RunDataPath runs the whole data-path suite (arckfs, fpfs, kvfs) and
-// returns the measurements.
-func RunDataPath(w io.Writer, p Params) ([]DataPathResult, error) {
+// returns the measurements as its section of BENCH_trio.json.
+func RunDataPath(w io.Writer, p Params) (*Outcome, error) {
 	header(w, "datapath", "hot-path software overhead per op (make bench)")
-	if p.NoCost {
-		fmt.Fprintln(w, "cost model: OFF (software overhead only — the regression gate)")
-	} else {
-		fmt.Fprintln(w, "cost model: ON (modeled hardware time included)")
-	}
+	costBanner(w, p, "software overhead only — the regression gate", "modeled hardware time included")
 	var all []DataPathResult
 
-	inst, err := dpathMount(p)
+	inst, err := dpathMount(p, false)
 	if err != nil {
 		return nil, err
 	}
@@ -502,49 +475,17 @@ func RunDataPath(w io.Writer, p Params) ([]DataPathResult, error) {
 		})
 	}
 	table(w, []string{"fs", "workload", "ns/op", "op/s", "MB/s", "allocs/op"}, rows)
-	return all, nil
-}
-
-// DataPath is the Registry adapter (table output only).
-func DataPath(w io.Writer, p Params) error {
-	_, err := RunDataPath(w, p)
-	return err
-}
-
-// WriteDataPathJSON writes the measurements as BENCH_trio.json.
-func WriteDataPathJSON(path string, p Params, results []DataPathResult) error {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].FS != results[j].FS {
-			return results[i].FS < results[j].FS
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].FS != all[j].FS {
+			return all[i].FS < all[j].FS
 		}
-		return results[i].Workload < results[j].Workload
+		return all[i].Workload < all[j].Workload
 	})
-	rep := DataPathReport{
+	return &Outcome{Section: &DataPathReport{
 		Schema:  "trio-bench/datapath/v1",
 		Go:      runtime.Version(),
 		Quick:   p.Quick,
 		Cost:    !p.NoCost,
-		Results: results,
-	}
-	if prev, err := LoadDataPathJSON(path); err == nil {
-		rep.Tenancy = prev.Tenancy   // the tenancy sweep owns this section
-		rep.SmallOps = prev.SmallOps // the trust-boundary sweep owns this one
-		rep.Serving = prev.Serving   // the wire-serving experiment owns this one
-		rep.NetChaos = prev.NetChaos // the network-resilience storm owns this one
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func sizeLabel(n int) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%dM", n>>20)
-	case n >= 1<<10:
-		return fmt.Sprintf("%dK", n>>10)
-	}
-	return fmt.Sprintf("%dB", n)
+		Results: all,
+	}}, nil
 }

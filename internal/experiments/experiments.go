@@ -12,7 +12,9 @@ import (
 	"io"
 	"runtime"
 
+	"trio/internal/controller"
 	"trio/internal/fsfactory"
+	"trio/internal/nvm"
 	"trio/internal/workload"
 )
 
@@ -61,6 +63,72 @@ func (p *Params) mount(name string, m machine) (*fsfactory.Instance, error) {
 		Cost:           !p.NoCost,
 		WorkersPerNode: m.workers,
 	})
+}
+
+// ctlTestbed is a controller over a fresh one-node device of the given
+// size, the cost model on unless p turns it off: the raw-controller
+// experiments' machine.
+func (p *Params) ctlTestbed(pages int, opts controller.Options) (*controller.Controller, error) {
+	var cost *nvm.CostModel
+	if !p.NoCost {
+		cost = nvm.DefaultCostModel()
+	}
+	dev, err := nvm.NewDevice(nvm.Config{Nodes: 1, PagesPerNode: pages, Cost: cost})
+	if err != nil {
+		return nil, err
+	}
+	return controller.New(dev, opts)
+}
+
+// costBanner says whether the cost model is on and what that means for
+// the run.
+func costBanner(w io.Writer, p Params, off, on string) {
+	if p.NoCost {
+		fmt.Fprintf(w, "cost model: OFF (%s)\n", off)
+	} else {
+		fmt.Fprintf(w, "cost model: ON (%s)\n", on)
+	}
+}
+
+// abPair is one interleaved A/B measurement of a paired sweep.
+type abPair interface {
+	speedup() float64
+	String() string
+}
+
+// bestPair runs n interleaved A/B pairs — arm(false), then arm(true),
+// adjacent in time so host drift cancels in their ratio — prints each
+// pair, and returns them with the best one: the highest speedup, the
+// pair the gate reads (the zero pair when none is above 0).
+func bestPair[R any, P abPair](w io.Writer, label string, n int, arm func(b bool) (R, error), pair func(a, b R) P) ([]P, P, error) {
+	var pairs []P
+	var best P
+	for i := 0; i < n; i++ {
+		a, err := arm(false)
+		if err != nil {
+			return nil, best, fmt.Errorf("%s pair %d, arm A: %w", label, i, err)
+		}
+		b, err := arm(true)
+		if err != nil {
+			return nil, best, fmt.Errorf("%s pair %d, arm B: %w", label, i, err)
+		}
+		pr := pair(a, b)
+		pairs = append(pairs, pr)
+		fmt.Fprintf(w, "%-9s pair %d: %v\n", label, i, pr)
+		if pr.speedup() > best.speedup() {
+			best = pr
+		}
+	}
+	fmt.Fprintf(w, "%-9s best:   %v\n", label, best)
+	return pairs, best, nil
+}
+
+// ratio is b/a, or 0 when a is not positive.
+func ratio(b, a float64) float64 {
+	if a > 0 {
+		return b / a
+	}
+	return 0
 }
 
 func maxInt(a, b int) int {
@@ -114,56 +182,23 @@ func table(w io.Writer, cols []string, rows [][]string) {
 func Fig5(w io.Writer, p Params) error {
 	header(w, "fig5", "single-thread performance (GiB/s for data, ops/µs for metadata)")
 	fss := []string{"nova", "splitfs", "strata", "odinfs", "arckfs-nd", "arckfs"}
-	dataSpecs := []struct {
-		label string
-		bs    int
-	}{
-		{"4K", 4096},
-		{"2M", 2 << 20},
-	}
-	cols := []string{"fs", "4K-read", "4K-write", "2M-read", "2M-write", "open", "create", "delete"}
-	var rows [][]string
-	for _, name := range fss {
-		row := []string{name}
-		for _, spec := range dataSpecs {
-			for _, write := range []bool{false, true} {
-				inst, err := p.mount(name, eightNode())
-				if err != nil {
-					return err
-				}
-				fileSize := int64(8 << 20)
-				ops := p.ops(768)
-				if spec.bs == 2<<20 {
-					ops = p.ops(64)
-				}
-				r, err := workload.RunFio(inst, workload.FioSpec{
-					BS: spec.bs, FileSize: fileSize, Write: write, Random: true,
-					Threads: 1, OpsPerThread: ops,
-				})
-				inst.Close()
-				if err != nil {
-					return fmt.Errorf("fig5 %s %s: %w", name, spec.label, err)
-				}
-				row = append(row, fmt.Sprintf("%.3f", r.GiBps()))
-			}
+	cols := []string{"4K-read", "4K-write", "2M-read", "2M-write", "open", "create", "delete"}
+	return p.grid(w, eightNode(), fss, cols, func(inst *fsfactory.Instance, c int) (string, error) {
+		if c >= 4 {
+			// Metadata: open (MRPL), create (MWCL), delete (MWUL), single thread.
+			r, err := workload.RunFxmark(inst, []string{"MRPL", "MWCL", "MWUL"}[c-4], 1, p.ops(2048))
+			return fmt.Sprintf("%.4f", r.OpsPerUsec()), err
 		}
-		// Metadata: open (MRPL), create (MWCL), delete (MWUL), single thread.
-		for _, bench := range []string{"MRPL", "MWCL", "MWUL"} {
-			inst, err := p.mount(name, eightNode())
-			if err != nil {
-				return err
-			}
-			r, err := workload.RunFxmark(inst, bench, 1, p.ops(2048))
-			inst.Close()
-			if err != nil {
-				return fmt.Errorf("fig5 %s %s: %w", name, bench, err)
-			}
-			row = append(row, fmt.Sprintf("%.4f", r.OpsPerUsec()))
+		bs, ops := 4096, p.ops(768)
+		if c >= 2 {
+			bs, ops = 2<<20, p.ops(64)
 		}
-		rows = append(rows, row)
-	}
-	table(w, cols, rows)
-	return nil
+		r, err := workload.RunFio(inst, workload.FioSpec{
+			BS: bs, FileSize: 8 << 20, Write: c%2 == 1, Random: true,
+			Threads: 1, OpsPerThread: ops,
+		})
+		return fmt.Sprintf("%.3f", r.GiBps()), err
+	})
 }
 
 // Fig6 — fio throughput scaling on one and eight NUMA nodes.
@@ -190,37 +225,20 @@ func Fig6(w io.Writer, p Params) error {
 	for _, panel := range panels {
 		for _, spec := range specs {
 			header(w, "fig6", fmt.Sprintf("fio %s, %s (GiB/s by thread count)", spec.label, panel.title))
-			cols := []string{"fs"}
-			for _, t := range p.threads() {
-				cols = append(cols, fmt.Sprintf("t=%d", t))
+			ops, fileSize := p.ops(512), int64(4<<20)
+			if spec.bs == 2<<20 {
+				ops, fileSize = p.ops(24), 8<<20
 			}
-			var rows [][]string
-			for _, name := range panel.fss {
-				row := []string{name}
-				for _, threads := range p.threads() {
-					inst, err := p.mount(name, panel.m)
-					if err != nil {
-						return err
-					}
-					ops := p.ops(512)
-					fileSize := int64(4 << 20)
-					if spec.bs == 2<<20 {
-						ops = p.ops(24)
-						fileSize = 8 << 20
-					}
-					r, err := workload.RunFio(inst, workload.FioSpec{
-						BS: spec.bs, FileSize: fileSize, Write: spec.write, Random: true,
-						Threads: threads, OpsPerThread: ops,
-					})
-					inst.Close()
-					if err != nil {
-						return fmt.Errorf("fig6 %s %s t%d: %w", name, spec.label, threads, err)
-					}
-					row = append(row, fmt.Sprintf("%.3f", r.GiBps()))
-				}
-				rows = append(rows, row)
+			err := p.sweep(w, panel.m, panel.fss, p.threads(), func(inst *fsfactory.Instance, threads int) (string, error) {
+				r, err := workload.RunFio(inst, workload.FioSpec{
+					BS: spec.bs, FileSize: fileSize, Write: spec.write, Random: true,
+					Threads: threads, OpsPerThread: ops,
+				})
+				return fmt.Sprintf("%.3f", r.GiBps()), err
+			})
+			if err != nil {
+				return fmt.Errorf("fig6 %s: %w", spec.label, err)
 			}
-			table(w, cols, rows)
 		}
 	}
 	return nil
@@ -243,28 +261,50 @@ func runFxmarkTables(w io.Writer, p Params, id string, benches []string) error {
 	fss := []string{"ext4", "pmfs", "nova", "winefs", "splitfs", "odinfs", "arckfs"}
 	for _, bench := range benches {
 		header(w, id, fmt.Sprintf("FxMark %s (ops/µs by thread count)", bench))
-		cols := []string{"fs"}
-		for _, t := range p.threads() {
-			cols = append(cols, fmt.Sprintf("t=%d", t))
+		err := p.sweep(w, eightNode(), fss, p.threads(), func(inst *fsfactory.Instance, threads int) (string, error) {
+			r, err := workload.RunFxmark(inst, bench, threads, p.ops(768))
+			return fmt.Sprintf("%.4f", r.OpsPerUsec()), err
+		})
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", id, bench, err)
 		}
-		var rows [][]string
-		for _, name := range fss {
-			row := []string{name}
-			for _, threads := range p.threads() {
-				inst, err := p.mount(name, eightNode())
-				if err != nil {
-					return err
-				}
-				r, err := workload.RunFxmark(inst, bench, threads, p.ops(768))
-				inst.Close()
-				if err != nil {
-					return fmt.Errorf("fig7 %s %s t%d: %w", bench, name, threads, err)
-				}
-				row = append(row, fmt.Sprintf("%.4f", r.OpsPerUsec()))
-			}
-			rows = append(rows, row)
-		}
-		table(w, cols, rows)
 	}
+	return nil
+}
+
+// sweep is a grid with a column per thread count.
+func (p *Params) sweep(w io.Writer, m machine, fss []string, threads []int,
+	cell func(inst *fsfactory.Instance, threads int) (string, error)) error {
+	cols := make([]string, len(threads))
+	for i, t := range threads {
+		cols[i] = fmt.Sprintf("t=%d", t)
+	}
+	return p.grid(w, m, fss, cols, func(inst *fsfactory.Instance, c int) (string, error) {
+		return cell(inst, threads[c])
+	})
+}
+
+// grid prints one table: a row per file system of fss, a column per
+// label of cols, each cell measured by cell on a fresh mount of m.
+func (p *Params) grid(w io.Writer, m machine, fss, cols []string,
+	cell func(inst *fsfactory.Instance, col int) (string, error)) error {
+	var rows [][]string
+	for _, name := range fss {
+		row := []string{name}
+		for c := range cols {
+			inst, err := p.mount(name, m)
+			if err != nil {
+				return err
+			}
+			v, err := cell(inst, c)
+			inst.Close()
+			if err != nil {
+				return fmt.Errorf("%s %s: %w", name, cols[c], err)
+			}
+			row = append(row, v)
+		}
+		rows = append(rows, row)
+	}
+	table(w, append([]string{"fs"}, cols...), rows)
 	return nil
 }

@@ -109,9 +109,14 @@ func TestIntegrityExperiment(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
-	for _, id := range []string{"fig5", "fig6", "fig7", "tab3", "fig8", "integrity", "fig9", "tab5", "fig10", "all"} {
-		if reg[id] == nil {
+	ids := []string{"fig5", "fig6", "fig7", "fig7-data", "tab3", "fig8", "integrity", "fig9", "tab5", "fig10",
+		"datapath", "tenancy", "smallops", "serving", "netchaos", "all"}
+	for _, id := range ids {
+		if reg[id].Run == nil {
 			t.Fatalf("registry missing %s", id)
 		}
+	}
+	if len(reg) != len(ids) {
+		t.Fatalf("registry has %d ids, the test knows %d", len(reg), len(ids))
 	}
 }

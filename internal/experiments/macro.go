@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"trio/internal/fpfs"
+	"trio/internal/fsfactory"
 	"trio/internal/kvfs"
 	"trio/internal/workload"
 )
@@ -30,32 +31,17 @@ func Fig9(w io.Writer, p Params) error {
 	}
 	for _, panel := range panels {
 		header(w, "fig9", fmt.Sprintf("Filebench %s (kops/s by thread count)", panel.personality))
-		cols := []string{"fs"}
-		for _, t := range panel.threads {
-			cols = append(cols, fmt.Sprintf("t=%d", t))
+		err := p.sweep(w, panel.m, panel.fss, panel.threads, func(inst *fsfactory.Instance, threads int) (string, error) {
+			spec := workload.DefaultFilebench(panel.personality)
+			spec.Threads = threads
+			spec.OpsPerThread = p.ops(16)
+			spec.Files = 10
+			r, err := workload.RunFilebench(inst, spec)
+			return fmt.Sprintf("%.1f", r.KOpsPerSec()), err
+		})
+		if err != nil {
+			return fmt.Errorf("fig9 %s: %w", panel.personality, err)
 		}
-		var rows [][]string
-		for _, name := range panel.fss {
-			row := []string{name}
-			for _, threads := range panel.threads {
-				inst, err := p.mount(name, panel.m)
-				if err != nil {
-					return err
-				}
-				spec := workload.DefaultFilebench(panel.personality)
-				spec.Threads = threads
-				spec.OpsPerThread = p.ops(16)
-				spec.Files = 10
-				r, err := workload.RunFilebench(inst, spec)
-				inst.Close()
-				if err != nil {
-					return fmt.Errorf("fig9 %s %s t%d: %w", panel.personality, name, threads, err)
-				}
-				row = append(row, fmt.Sprintf("%.1f", r.KOpsPerSec()))
-			}
-			rows = append(rows, row)
-		}
-		table(w, cols, rows)
 	}
 	return nil
 }
@@ -96,75 +82,54 @@ func Fig10(w io.Writer, p Params) error {
 	}
 	ops := p.ops(64)
 
-	header(w, "fig10", "Webproxy with a key-value interface (kops/s, 8 threads)")
-	{
-		cols := []string{"fs", "kops/s"}
+	// Each panel is the customized LibFS (on an arckfs mount) and then
+	// the generic file systems through the workload's adapter.
+	panel := func(title, custom string, run func(inst *fsfactory.Instance, name string) (workload.Result, error)) error {
+		header(w, "fig10", title)
 		var rows [][]string
-		// KVFS: the customized small-file LibFS.
-		inst, err := p.mount("arckfs", eightNode())
-		if err != nil {
-			return err
-		}
-		kv, err := kvfs.New(inst.Arck, "/kv")
-		if err != nil {
-			return err
-		}
-		r, err := workload.RunWebproxyKV(kv, "kvfs", threads, ops, 24)
-		inst.Close()
-		if err != nil {
-			return fmt.Errorf("fig10 kvfs: %w", err)
-		}
-		rows = append(rows, []string{"kvfs", fmt.Sprintf("%.1f", r.KOpsPerSec())})
-		// Generic file systems through the adapter.
-		for _, name := range []string{"arckfs", "odinfs", "nova", "ext4"} {
-			inst, err := p.mount(name, eightNode())
+		for _, name := range []string{custom, "arckfs", "odinfs", "nova", "ext4"} {
+			mount := name
+			if name == custom {
+				mount = "arckfs"
+			}
+			inst, err := p.mount(mount, eightNode())
 			if err != nil {
 				return err
+			}
+			r, err := run(inst, name)
+			inst.Close()
+			if err != nil {
+				return fmt.Errorf("fig10 %s: %w", name, err)
+			}
+			rows = append(rows, []string{name, fmt.Sprintf("%.1f", r.KOpsPerSec())})
+		}
+		table(w, []string{"fs", "kops/s"}, rows)
+		return nil
+	}
+	err := panel("Webproxy with a key-value interface (kops/s, 8 threads)", "kvfs",
+		func(inst *fsfactory.Instance, name string) (workload.Result, error) {
+			if name == "kvfs" {
+				kv, err := kvfs.New(inst.Arck, "/kv")
+				if err != nil {
+					return workload.Result{}, err
+				}
+				return workload.RunWebproxyKV(kv, name, threads, ops, 24)
 			}
 			if err := inst.NewClient(0).Mkdir("/kv", 0o755); err != nil {
-				inst.Close()
-				return err
+				return workload.Result{}, err
 			}
-			r, err := workload.RunWebproxyKV(&workload.FSStore{FS: inst, Dir: "/kv"}, name, threads, ops, 24)
-			inst.Close()
-			if err != nil {
-				return fmt.Errorf("fig10 webproxy %s: %w", name, err)
-			}
-			rows = append(rows, []string{name, fmt.Sprintf("%.1f", r.KOpsPerSec())})
-		}
-		table(w, cols, rows)
+			return workload.RunWebproxyKV(&workload.FSStore{FS: inst, Dir: "/kv"}, name, threads, ops, 24)
+		})
+	if err != nil {
+		return err
 	}
-
-	header(w, "fig10", "Varmail with directory depth 20 (kops/s, 8 threads)")
-	{
-		cols := []string{"fs", "kops/s"}
-		var rows [][]string
-		inst, err := p.mount("arckfs", eightNode())
-		if err != nil {
-			return err
-		}
-		fp := fpfs.New(inst.Arck)
-		r, err := workload.RunVarmailDeep(fp, "fpfs", threads, ops, 20)
-		inst.Close()
-		if err != nil {
-			return fmt.Errorf("fig10 fpfs: %w", err)
-		}
-		rows = append(rows, []string{"fpfs", fmt.Sprintf("%.1f", r.KOpsPerSec())})
-		for _, name := range []string{"arckfs", "odinfs", "nova", "ext4"} {
-			inst, err := p.mount(name, eightNode())
-			if err != nil {
-				return err
+	return panel("Varmail with directory depth 20 (kops/s, 8 threads)", "fpfs",
+		func(inst *fsfactory.Instance, name string) (workload.Result, error) {
+			if name == "fpfs" {
+				return workload.RunVarmailDeep(fpfs.New(inst.Arck), name, threads, ops, 20)
 			}
-			r, err := workload.RunVarmailDeep(&workload.FSPathOps{FS: inst}, name, threads, ops, 20)
-			inst.Close()
-			if err != nil {
-				return fmt.Errorf("fig10 varmail %s: %w", name, err)
-			}
-			rows = append(rows, []string{name, fmt.Sprintf("%.1f", r.KOpsPerSec())})
-		}
-		table(w, cols, rows)
-	}
-	return nil
+			return workload.RunVarmailDeep(&workload.FSPathOps{FS: inst}, name, threads, ops, 20)
+		})
 }
 
 // All runs every experiment in paper order.
@@ -183,26 +148,4 @@ func All(w io.Writer, p Params) error {
 		}
 	}
 	return nil
-}
-
-// Registry maps experiment ids to runners (the CLI's dispatch table).
-func Registry() map[string]func(io.Writer, Params) error {
-	return map[string]func(io.Writer, Params) error{
-		"fig5":      Fig5,
-		"fig6":      Fig6,
-		"fig7":      Fig7,
-		"fig7-data": Fig7Data,
-		"tab3":      Tab3,
-		"fig8":      Fig8,
-		"integrity": Integrity,
-		"fig9":      Fig9,
-		"tab5":      Tab5,
-		"fig10":     Fig10,
-		"datapath":  DataPath,
-		"tenancy":   Tenancy,
-		"smallops":  SmallOps,
-		"serving":   Serving,
-		"netchaos":  NetChaos,
-		"all":       All,
-	}
 }

@@ -25,94 +25,51 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"trio/internal/fsfactory"
 	"trio/internal/serve"
 	"trio/internal/workload"
 )
 
-// NetChaosReport is the "netchaos" section of BENCH_trio.json.
+// NetChaosReport is the "netchaos" section of BENCH_trio.json: the
+// storm's result and the figures derived from it.
 type NetChaosReport struct {
 	FS           string `json:"fs"`
-	Clients      int    `json:"clients"`
-	Files        int    `json:"files"`
 	OpsPerClient int    `json:"ops_per_client"`
 	Quick        bool   `json:"quick"`
-
-	Ops        int64 `json:"ops"`
-	Acked      int64 `json:"acked"`
-	Maybe      int64 `json:"maybe"`
-	NotApplied int64 `json:"not_applied"`
-	Failed     int64 `json:"failed"`
-
-	Kills       int64 `json:"kills"`
-	Partitions  int64 `json:"partitions"`
-	Reconnects  int64 `json:"reconnects"`
-	Retransmits int64 `json:"retransmits"`
-	BusyRetries int64 `json:"busy_retries"`
-	Deadlines   int64 `json:"deadlines"`
-
-	AckedLost     int64 `json:"acked_lost"`
-	DoubleApplied int64 `json:"double_applied"`
-	MaybeApplied  int64 `json:"maybe_applied"`
-	Unexpected    int64 `json:"unexpected"`
-
+	workload.NetChaosResult
 	Availability float64 `json:"availability"`
 	P50Us        float64 `json:"p50_us"`
 	P99Us        float64 `json:"p99_us"`
 	ElapsedMs    float64 `json:"elapsed_ms"`
 }
 
-// netChaosCallTimeout is the per-append deadline; the p99 gate bound
-// derives from it (an acked op can never take longer than its call).
-const netChaosCallTimeout = 500 * time.Millisecond
-
+// netChaosSpec is the storm's shape (the workload's defaults for
+// everything else, among them the 500 ms per-append deadline the p99
+// gate reads).
 func netChaosSpec(p Params) workload.NetChaosSpec {
-	s := workload.NetChaosSpec{
-		Clients:       8,
-		Files:         24,
-		OpsPerClient:  400,
-		RecLen:        32,
-		ZipfS:         1.2,
-		Seed:          23,
-		CallTimeout:   netChaosCallTimeout,
-		ChaosEveryOps: 40,
-		PartitionFor:  25 * time.Millisecond,
-	}
+	s := workload.NetChaosSpec{Clients: 8, Files: 24, OpsPerClient: 400, Seed: 23}
 	if p.Quick {
 		s.Clients = 4
 		s.OpsPerClient = 120
 		s.ChaosEveryOps = 30
 	}
+	s.Fill()
 	return s
 }
 
-// RunNetChaosSweep runs one storm and returns the report.
-func RunNetChaosSweep(w io.Writer, p Params) (*NetChaosReport, error) {
+// RunNetChaosSweep runs one storm and returns the report as the
+// "netchaos" section, gated.
+func RunNetChaosSweep(w io.Writer, p Params) (*Outcome, error) {
 	spec := netChaosSpec(p)
 	header(w, "netchaos", fmt.Sprintf(
 		"network resilience: %d sessions, %d appends each, kills+partitions+byte faults (ISSUE 10)",
 		spec.Clients, spec.OpsPerClient))
 
-	inst, err := fsfactory.New("arckfs", fsfactory.Config{
-		Nodes:        1,
-		PagesPerNode: spec.DevicePages(),
-		CPUs:         8,
-	})
+	srv, stop, err := arckServer(spec.DevicePages(), false, serve.Options{Workers: 4, DRCSize: 4096})
 	if err != nil {
 		return nil, err
 	}
-	defer inst.Close()
-	srv, err := serve.NewServer(inst, serve.Options{
-		Workers: 4,
-		DRCSize: 4096,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
+	defer stop()
 	res, err := workload.RunNetChaos(srv, spec)
 	if err != nil {
 		return nil, fmt.Errorf("netchaos storm: %w", err)
@@ -120,34 +77,14 @@ func RunNetChaosSweep(w io.Writer, p Params) (*NetChaosReport, error) {
 	fmt.Fprintln(w, res)
 
 	rep := &NetChaosReport{
-		FS:           "arckfs",
-		Clients:      spec.Clients,
-		Files:        spec.Files,
-		OpsPerClient: spec.OpsPerClient,
-		Quick:        p.Quick,
-
-		Ops:        res.Ops,
-		Acked:      res.Acked,
-		Maybe:      res.Maybe,
-		NotApplied: res.NotApplied,
-		Failed:     res.Failed,
-
-		Kills:       res.Kills,
-		Partitions:  res.Partitions,
-		Reconnects:  res.Reconnects,
-		Retransmits: res.Retransmits,
-		BusyRetries: res.BusyRetries,
-		Deadlines:   res.Deadlines,
-
-		AckedLost:     res.AckedLost,
-		DoubleApplied: res.DoubleApplied,
-		MaybeApplied:  res.MaybeApplied,
-		Unexpected:    res.Unexpected,
-
-		Availability: res.Availability(),
-		P50Us:        float64(res.P50.Microseconds()),
-		P99Us:        float64(res.P99.Microseconds()),
-		ElapsedMs:    float64(res.Elapsed.Milliseconds()),
+		FS:             "arckfs",
+		OpsPerClient:   spec.OpsPerClient,
+		Quick:          p.Quick,
+		NetChaosResult: res,
+		Availability:   res.Availability(),
+		P50Us:          float64(res.P50.Microseconds()),
+		P99Us:          float64(res.P99.Microseconds()),
+		ElapsedMs:      float64(res.Elapsed.Milliseconds()),
 	}
 	fmt.Fprintf(w,
 		"faults: kills=%d partitions=%d   sessions: reconnects=%d retransmits=%d deadlines=%d\n",
@@ -156,22 +93,16 @@ func RunNetChaosSweep(w io.Writer, p Params) (*NetChaosReport, error) {
 		"audit: acked=%d lost=%d double=%d maybe=%d(applied %d) unexpected=%d   availability=%.4f p99=%.0fµs\n",
 		rep.Acked, rep.AckedLost, rep.DoubleApplied, rep.Maybe, rep.MaybeApplied,
 		rep.Unexpected, rep.Availability, rep.P99Us)
-	return rep, nil
+	return owned("netchaos", rep), nil
 }
 
-// NetChaos is the Registry adapter (table output only; the gate and
-// the JSON merge live in trio-bench).
-func NetChaos(w io.Writer, p Params) error {
-	_, err := RunNetChaosSweep(w, p)
-	return err
-}
-
-// CheckNetChaosGate evaluates the ISSUE 10 acceptance gate and returns
+// gate evaluates the network-resilience acceptance gate and returns
 // one message per violation. The correctness checks never relax: acked
 // loss, double-apply, and unexplained bytes are bugs at any scale.
 // Availability relaxes slightly under -quick (fewer ops make each
-// deadline-bounded op weigh more).
-func CheckNetChaosGate(rep *NetChaosReport) []string {
+// deadline-bounded op weigh more). An acked op can never take longer
+// than its call, so the p99 bound is the per-append deadline.
+func (rep *NetChaosReport) gate() []string {
 	var fails []string
 	if rep.Ops == 0 || rep.Acked == 0 {
 		fails = append(fails, "storm did no work (zero acked ops)")
@@ -196,7 +127,7 @@ func CheckNetChaosGate(rep *NetChaosReport) []string {
 		fails = append(fails, fmt.Sprintf(
 			"availability %.4f below the %.2f gate", rep.Availability, minAvail))
 	}
-	maxP99 := float64(netChaosCallTimeout.Microseconds())
+	maxP99 := float64(netChaosSpec(Params{Quick: rep.Quick}).CallTimeout.Microseconds())
 	if rep.P99Us > maxP99 {
 		fails = append(fails, fmt.Sprintf(
 			"acked p99 %.0fµs exceeds the per-call deadline %.0fµs", rep.P99Us, maxP99))

@@ -40,16 +40,12 @@ import (
 // parallel and the comparison stops isolating pipelining.) 4 workers
 // keeps peak concurrent device accessors under the cost model's
 // per-node sweet spot (12) so the gain is not eaten by the modeled
-// contention collapse, and 128 KiB transfers put one READ's media time
-// past the spin/sleep threshold (see package comment).
+// contention collapse, and the generator's default 128 KiB transfers
+// (32 files of 256 KiB) put one READ's media time past the spin/sleep
+// threshold (see package comment).
 const (
-	servingConns    = 1
-	servingDepth    = 8 // pipelined leg; acceptance asks depth ≥ 8
-	servingWorkers  = 4
-	servingFiles    = 32
-	servingFileSize = 256 << 10
-	servingBS       = 128 << 10
-	servingWritePct = 10
+	servingDepth   = 8 // pipelined leg; acceptance asks depth ≥ 8
+	servingWorkers = 4
 )
 
 // ServingPair is one interleaved serial/pipelined measurement pair.
@@ -61,43 +57,39 @@ type ServingPair struct {
 	PipelinedP99Us      float64 `json:"pipelined_p99_us"`
 }
 
-// ServingReport is the "serving" section of BENCH_trio.json. The
-// headline fields repeat the best pair, the one the gate reads.
-type ServingReport struct {
-	FS                  string        `json:"fs"`
-	Conns               int           `json:"conns"`
-	Depth               int           `json:"depth"`
-	Workers             int           `json:"workers_per_conn"`
-	Files               int           `json:"files"`
-	FileSizeKiB         int           `json:"file_size_kib"`
-	BSKiB               int           `json:"bs_kib"`
-	WritePct            int           `json:"write_pct"`
-	OpsPerConn          int           `json:"ops_per_conn"`
-	Quick               bool          `json:"quick"`
-	Cost                bool          `json:"cost_model"`
-	Pairs               []ServingPair `json:"pairs"`
-	SerialRPCsPerSec    float64       `json:"serial_rpcs_per_sec"`
-	PipelinedRPCsPerSec float64       `json:"pipelined_rpcs_per_sec"`
-	SpeedupX            float64       `json:"speedup_x"`
-	SerialP99Us         float64       `json:"serial_p99_us"`
-	PipelinedP99Us      float64       `json:"pipelined_p99_us"`
+func (p ServingPair) speedup() float64 { return p.SpeedupX }
+
+func (p ServingPair) String() string {
+	return fmt.Sprintf("serial=%8.0f rpc/s (p99 %6.0fµs)  pipelined=%8.0f rpc/s (p99 %6.0fµs)  speedup=%.2fx",
+		p.SerialRPCsPerSec, p.SerialP99Us, p.PipelinedRPCsPerSec, p.PipelinedP99Us, p.SpeedupX)
 }
 
+// ServingReport is the "serving" section of BENCH_trio.json. The
+// embedded pair repeats the best one, the one the gate reads.
+type ServingReport struct {
+	FS          string        `json:"fs"`
+	Conns       int           `json:"conns"`
+	Depth       int           `json:"depth"`
+	Workers     int           `json:"workers_per_conn"`
+	Files       int           `json:"files"`
+	FileSizeKiB int           `json:"file_size_kib"`
+	BSKiB       int           `json:"bs_kib"`
+	WritePct    int           `json:"write_pct"`
+	OpsPerConn  int           `json:"ops_per_conn"`
+	Quick       bool          `json:"quick"`
+	Cost        bool          `json:"cost_model"`
+	Pairs       []ServingPair `json:"pairs"`
+	ServingPair
+}
+
+// servingSpec is the serving workload shape (the generator's defaults
+// for everything else).
 func servingSpec(p Params, depth int) workload.NetLoadSpec {
-	s := workload.NetLoadSpec{
-		Conns:      servingConns,
-		Depth:      depth,
-		Files:      servingFiles,
-		FileSize:   servingFileSize,
-		BS:         servingBS,
-		WritePct:   servingWritePct,
-		OpsPerConn: 480,
-		ZipfS:      1.2,
-		Seed:       17,
-	}
+	s := workload.NetLoadSpec{Conns: 1, Depth: depth, WritePct: 10, OpsPerConn: 480, Seed: 17}
 	if p.Quick {
 		s.OpsPerConn = 160
 	}
+	s.Fill()
 	return s
 }
 
@@ -108,43 +100,29 @@ func servingPairs(p Params) int {
 	return 3
 }
 
-// runServingTrial mounts a fresh device + ArckFS + server and runs the
-// generator once at the given depth.
-func runServingTrial(p Params, depth int) (workload.NetLoadResult, error) {
-	spec := servingSpec(p, depth)
-	inst, err := fsfactory.New("arckfs", fsfactory.Config{
-		Nodes:        1,
-		PagesPerNode: spec.DevicePages(),
-		CPUs:         8,
-		Cost:         !p.NoCost,
-	})
+// arckServer mounts ArckFS over a fresh one-node device of the given
+// size (cost model as cost says) behind an in-process trio-serve
+// server; stop closes both.
+func arckServer(pages int, cost bool, opts serve.Options) (srv *serve.Server, stop func(), err error) {
+	inst, err := fsfactory.New("arckfs", fsfactory.Config{Nodes: 1, PagesPerNode: pages, CPUs: 8, Cost: cost})
 	if err != nil {
-		return workload.NetLoadResult{}, err
+		return nil, nil, err
 	}
-	defer inst.Close()
-	srv, err := serve.NewServer(inst, serve.Options{
-		Workers:     servingWorkers,
-		MaxInflight: 2 * servingDepth,
-	})
-	if err != nil {
-		return workload.NetLoadResult{}, err
+	if srv, err = serve.NewServer(inst, opts); err != nil {
+		inst.Close()
+		return nil, nil, err
 	}
-	defer srv.Close()
-	return workload.RunNetLoad(srv, spec)
+	return srv, func() { srv.Close(); inst.Close() }, nil
 }
 
 // RunServingSweep runs the interleaved serial/pipelined pairs and
-// returns the report.
-func RunServingSweep(w io.Writer, p Params) (*ServingReport, error) {
+// returns the report as the "serving" section, gated.
+func RunServingSweep(w io.Writer, p Params) (*Outcome, error) {
 	probe := servingSpec(p, servingDepth)
 	header(w, "serving", fmt.Sprintf(
 		"wire-protocol serving: %d conns, depth 1 vs %d, %dK %s zipf reads/writes (ISSUE 9)",
-		probe.Conns, servingDepth, servingBS>>10, "blocks"))
-	if p.NoCost {
-		fmt.Fprintln(w, "cost model: OFF (functional smoke — pipelining gate not meaningful)")
-	} else {
-		fmt.Fprintln(w, "cost model: ON (speedup = overlapped media time across in-flight RPCs)")
-	}
+		probe.Conns, servingDepth, probe.BS>>10, "blocks"))
+	costBanner(w, p, "functional smoke — pipelining gate not meaningful", "speedup = overlapped media time across in-flight RPCs")
 
 	rep := &ServingReport{
 		FS:          "arckfs",
@@ -159,51 +137,35 @@ func RunServingSweep(w io.Writer, p Params) (*ServingReport, error) {
 		Quick:       p.Quick,
 		Cost:        !p.NoCost,
 	}
-	for i := 0; i < servingPairs(p); i++ {
-		serial, err := runServingTrial(p, 1)
-		if err != nil {
-			return nil, fmt.Errorf("serving serial pair %d: %w", i, err)
-		}
-		piped, err := runServingTrial(p, servingDepth)
-		if err != nil {
-			return nil, fmt.Errorf("serving pipelined pair %d: %w", i, err)
-		}
-		pair := ServingPair{
-			SerialRPCsPerSec:    serial.RPCsPerSec(),
-			PipelinedRPCsPerSec: piped.RPCsPerSec(),
-			SerialP99Us:         float64(serial.P99.Microseconds()),
-			PipelinedP99Us:      float64(piped.P99.Microseconds()),
-		}
-		if pair.SerialRPCsPerSec > 0 {
-			pair.SpeedupX = pair.PipelinedRPCsPerSec / pair.SerialRPCsPerSec
-		}
-		rep.Pairs = append(rep.Pairs, pair)
-		fmt.Fprintf(w, "pair %d: serial=%8.0f rpc/s (p99 %6.0fµs)  pipelined=%8.0f rpc/s (p99 %6.0fµs)  speedup=%.2fx\n",
-			i, pair.SerialRPCsPerSec, pair.SerialP99Us,
-			pair.PipelinedRPCsPerSec, pair.PipelinedP99Us, pair.SpeedupX)
-		if pair.SpeedupX > rep.SpeedupX {
-			rep.SerialRPCsPerSec = pair.SerialRPCsPerSec
-			rep.PipelinedRPCsPerSec = pair.PipelinedRPCsPerSec
-			rep.SpeedupX = pair.SpeedupX
-			rep.SerialP99Us = pair.SerialP99Us
-			rep.PipelinedP99Us = pair.PipelinedP99Us
-		}
+	var err error
+	rep.Pairs, rep.ServingPair, err = bestPair(w, "serving", servingPairs(p),
+		func(piped bool) (workload.NetLoadResult, error) {
+			spec := servingSpec(p, 1)
+			if piped {
+				spec.Depth = servingDepth
+			}
+			srv, stop, err := arckServer(spec.DevicePages(), !p.NoCost,
+				serve.Options{Workers: servingWorkers, MaxInflight: 2 * servingDepth})
+			if err != nil {
+				return workload.NetLoadResult{}, err
+			}
+			defer stop()
+			return workload.RunNetLoad(srv, spec)
+		},
+		func(serial, piped workload.NetLoadResult) ServingPair {
+			a, b := serial.RPCsPerSec(), piped.RPCsPerSec()
+			return ServingPair{SerialRPCsPerSec: a, PipelinedRPCsPerSec: b, SpeedupX: ratio(b, a),
+				SerialP99Us: float64(serial.P99.Microseconds()), PipelinedP99Us: float64(piped.P99.Microseconds())}
+		})
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(w, "best: serial=%8.0f rpc/s  pipelined=%8.0f rpc/s  speedup=%.2fx\n",
-		rep.SerialRPCsPerSec, rep.PipelinedRPCsPerSec, rep.SpeedupX)
-	return rep, nil
+	return owned("serving", rep), nil
 }
 
-// Serving is the Registry adapter (table output only; the gate and the
-// JSON merge live in trio-bench).
-func Serving(w io.Writer, p Params) error {
-	_, err := RunServingSweep(w, p)
-	return err
-}
-
-// CheckServingGate evaluates the ISSUE 9 acceptance gate and returns
-// one message per violation. With the cost model off there is no media
-// time to overlap and every check is skipped.
+// gate evaluates the pipelining acceptance gate and returns one message
+// per violation. With the cost model off there is no media time to
+// overlap and every check is skipped.
 //
 // Gates, against the reference single-CPU runner (see EXPERIMENTS.md):
 //
@@ -211,7 +173,7 @@ func Serving(w io.Writer, p Params) error {
 //     acceptance criterion);
 //   - quick (the check.sh smoke): ≥ 1.3 — short trials on a loaded CI
 //     host only catch collapses, not the full overlap win.
-func CheckServingGate(rep *ServingReport) []string {
+func (rep *ServingReport) gate() []string {
 	if !rep.Cost || len(rep.Pairs) == 0 {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -11,29 +12,20 @@ import (
 	"trio/internal/core"
 	"trio/internal/fsapi"
 	"trio/internal/libfs"
-	"trio/internal/nvm"
 )
 
 // sharingWorld builds the Table 3 setting: one device, a controller
 // with a short lease, and two ArckFS mounts in distinct (or shared)
 // trust domains.
 type sharingWorld struct {
-	dev *nvm.Device
-	ctl *controller.Controller
-	fsA *libfs.FS
-	fsB *libfs.FS
+	ctl       *controller.Controller
+	fsA       *libfs.FS
+	fsB       *libfs.FS
+	sameGroup bool
 }
 
 func newSharingWorld(p Params, sameGroup bool) (*sharingWorld, error) {
-	devCfg := nvm.Config{Nodes: 1, PagesPerNode: 49152}
-	if !p.NoCost {
-		devCfg.Cost = nvm.DefaultCostModel()
-	}
-	dev, err := nvm.NewDevice(devCfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := controller.New(dev, controller.Options{LeaseTime: 2 * time.Millisecond})
+	ctl, err := p.ctlTestbed(49152, controller.Options{LeaseTime: 2 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
@@ -49,13 +41,34 @@ func newSharingWorld(p Params, sameGroup bool) (*sharingWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sharingWorld{dev: dev, ctl: ctl, fsA: fsA, fsB: fsB}, nil
+	return &sharingWorld{ctl: ctl, fsA: fsA, fsB: fsB, sameGroup: sameGroup}, nil
+}
+
+// apps are the two applications' clients, one on each mount.
+func (sw *sharingWorld) apps() [2]fsapi.Client {
+	return [2]fsapi.Client{sw.fsA.NewClient(0), sw.fsB.NewClient(1)}
+}
+
+// together runs app(0) and app(1) at once and times the pair.
+func together(app func(i int) error) (time.Duration, error) {
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	start := time.Now()
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = app(i)
+		}()
+	}
+	wg.Wait()
+	return time.Since(start), errors.Join(errs...)
 }
 
 // sharedWrite measures two applications ping-ponging 4 KiB writes on
 // one file of the given size; returns aggregate GiB/s.
-func (sw *sharingWorld) sharedWrite(fileSize int64, opsPerApp int) (float64, error) {
-	f, err := sw.fsA.NewClient(0).Create("/shared.dat", 0o666)
+func sharedWrite(apps [2]fsapi.Client, fileSize int64, opsPerApp int) (float64, error) {
+	f, err := apps[0].Create("/shared.dat", 0o666)
 	if err != nil {
 		return 0, err
 	}
@@ -66,45 +79,29 @@ func (sw *sharingWorld) sharedWrite(fileSize int64, opsPerApp int) (float64, err
 		}
 	}
 	f.Close()
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	for i, fs := range []*libfs.FS{sw.fsA, sw.fsB} {
-		i, fs := i, fs
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := fs.NewClient(i)
-			h, err := c.Open("/shared.dat", true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			buf := make([]byte, 4096)
-			for op := 0; op < opsPerApp; op++ {
-				off := int64(op%int(fileSize/4096)) * 4096
-				if _, err := h.WriteAt(buf, off); err != nil {
-					errs[i] = fmt.Errorf("op %d: %w", op, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+	elapsed, err := together(func(i int) error {
+		h, err := apps[i].Open("/shared.dat", true)
 		if err != nil {
-			return 0, err
+			return err
 		}
+		buf := make([]byte, 4096)
+		for op := 0; op < opsPerApp; op++ {
+			off := int64(op%int(fileSize/4096)) * 4096
+			if _, err := h.WriteAt(buf, off); err != nil {
+				return fmt.Errorf("app %d op %d: %w", i, op, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	total := float64(2*opsPerApp) * 4096
-	return total / elapsed.Seconds() / (1 << 30), nil
+	return float64(2*opsPerApp) * 4096 / elapsed.Seconds() / (1 << 30), nil
 }
 
 // dirIno locates a directory's ino in the controller records.
 func (sw *sharingWorld) dirIno(name string) (core.Ino, error) {
-	mem := core.Direct(sw.dev, 0)
+	mem := core.Direct(sw.ctl.Device(), 0)
 	for _, fi := range sw.ctl.Files() {
 		n, err := core.ReadDirentName(mem, fi.Loc.Page, fi.Loc.Slot)
 		if err == nil && n == name {
@@ -116,19 +113,12 @@ func (sw *sharingWorld) dirIno(name string) (core.Ino, error) {
 
 // sharedCreate measures two applications alternately creating (and
 // removing) empty files in one shared directory preloaded with nfiles
-// entries, unmapping the directory after every operation to stress the
-// sharing path (§6.5). Returns µs per create.
-func (sw *sharingWorld) sharedCreate(nfiles, opsPerApp int, forceUnmap bool) (float64, error) {
-	c := sw.fsA.NewClient(0)
-	if err := c.Mkdir("/share", 0o777); err != nil {
+// entries, across trust domains handing the directory over after every
+// operation to stress the sharing path (§6.5). Returns µs per create.
+func (sw *sharingWorld) sharedCreate(nfiles, opsPerApp int) (float64, error) {
+	apps := sw.apps()
+	if err := preloadShare(apps[0], nfiles); err != nil {
 		return 0, err
-	}
-	for i := 0; i < nfiles; i++ {
-		f, err := c.Create(fmt.Sprintf("/share/base%04d", i), 0o644)
-		if err != nil {
-			return 0, err
-		}
-		f.Close()
 	}
 	// Register the dir with the controller (verification cycle) so both
 	// domains share through it.
@@ -137,40 +127,50 @@ func (sw *sharingWorld) sharedCreate(nfiles, opsPerApp int, forceUnmap bool) (fl
 	if err != nil {
 		return 0, err
 	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	for i, fs := range []*libfs.FS{sw.fsA, sw.fsB} {
-		i, fs := i, fs
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := fs.NewClient(i)
-			for op := 0; op < opsPerApp; op++ {
-				path := fmt.Sprintf("/share/app%d-%d", i, op)
-				f, err := cl.Create(path, 0o644)
-				if err != nil {
-					errs[i] = fmt.Errorf("create %d: %w", op, err)
-					return
-				}
-				f.Close()
-				if err := cl.Unlink(path); err != nil {
-					errs[i] = fmt.Errorf("unlink %d: %w", op, err)
-					return
-				}
-				if forceUnmap {
-					fs.Session().UnmapFile(ino)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
+	mounts := [2]*libfs.FS{sw.fsA, sw.fsB}
+	return createChurn(apps, opsPerApp, func(i int) {
+		if !sw.sameGroup {
+			mounts[i].Session().UnmapFile(ino)
 		}
+	})
+}
+
+// preloadShare makes /share with nfiles entries in it.
+func preloadShare(c fsapi.Client, nfiles int) error {
+	if err := c.Mkdir("/share", 0o777); err != nil {
+		return err
+	}
+	for i := 0; i < nfiles; i++ {
+		f, err := c.Create(fmt.Sprintf("/share/base%04d", i), 0o644)
+		if err != nil {
+			return err
+		}
+		f.Close()
+	}
+	return nil
+}
+
+// createChurn has both applications create and unlink opsPerApp files
+// in /share at once, calling after(app) after each pair; returns µs per
+// create.
+func createChurn(apps [2]fsapi.Client, opsPerApp int, after func(i int)) (float64, error) {
+	elapsed, err := together(func(i int) error {
+		for op := 0; op < opsPerApp; op++ {
+			path := fmt.Sprintf("/share/app%d-%d", i, op)
+			f, err := apps[i].Create(path, 0o644)
+			if err != nil {
+				return fmt.Errorf("app %d create %d: %w", i, op, err)
+			}
+			f.Close()
+			if err := apps[i].Unlink(path); err != nil {
+				return fmt.Errorf("app %d unlink %d: %w", i, op, err)
+			}
+			after(i)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return float64(elapsed.Microseconds()) / float64(2*opsPerApp), nil
 }
@@ -184,128 +184,54 @@ func Tab3(w io.Writer, p Params) error {
 	bigFile := int64(32 << 20) // the paper's 1 GiB class, scaled
 
 	cols := []string{"case", "nova", "arckfs", "arckfs-trust-group"}
-	rows := make([][]string, 4)
-	rows[0] = []string{"4KB-write 2MB (GiB/s)"}
-	rows[1] = []string{fmt.Sprintf("4KB-write %dMB (GiB/s)", bigFile>>20)}
-	rows[2] = []string{"create dir-of-10 (µs/op)"}
-	rows[3] = []string{"create dir-of-100 (µs/op)"}
-
-	// NOVA: both apps go through the kernel; no Trio sharing cost.
-	novaCell := func(fileSize int64) (string, error) {
+	rows := [][]string{
+		{"4KB-write 2MB (GiB/s)"},
+		{fmt.Sprintf("4KB-write %dMB (GiB/s)", bigFile>>20)},
+		{"create dir-of-10 (µs/op)"},
+		{"create dir-of-100 (µs/op)"},
+	}
+	// Each cell is a fresh world: NOVA, where both apps go through the
+	// kernel and pay no Trio sharing cost, then ArckFS cross-domain and
+	// in one trust group.
+	cells := []func(apps [2]fsapi.Client, sw *sharingWorld) (float64, error){
+		func(apps [2]fsapi.Client, _ *sharingWorld) (float64, error) { return sharedWrite(apps, smallFile, ops) },
+		func(apps [2]fsapi.Client, _ *sharingWorld) (float64, error) { return sharedWrite(apps, bigFile, ops) },
+	}
+	for _, nfiles := range []int{10, 100} {
+		cells = append(cells, func(apps [2]fsapi.Client, sw *sharingWorld) (float64, error) {
+			if sw != nil {
+				return sw.sharedCreate(nfiles, ops)
+			}
+			if err := preloadShare(apps[0], nfiles); err != nil {
+				return 0, err
+			}
+			return createChurn(apps, ops, func(int) {})
+		})
+	}
+	for ri, cell := range cells {
+		format := "%.3f"
+		if ri >= 2 {
+			format = "%.1f"
+		}
 		inst, err := p.mount("nova", oneNode())
-		if err != nil {
-			return "", err
-		}
-		defer inst.Close()
-		f, err := inst.NewClient(0).Create("/shared.dat", 0o666)
-		if err != nil {
-			return "", err
-		}
-		chunk := make([]byte, 1<<20)
-		for off := int64(0); off < fileSize; off += int64(len(chunk)) {
-			f.WriteAt(chunk, off)
-		}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < 2; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				h, _ := inst.NewClient(i).Open("/shared.dat", true)
-				buf := make([]byte, 4096)
-				for op := 0; op < ops; op++ {
-					h.WriteAt(buf, int64(op%int(fileSize/4096))*4096)
-				}
-			}()
-		}
-		wg.Wait()
-		gbps := float64(2*ops) * 4096 / time.Since(start).Seconds() / (1 << 30)
-		return fmt.Sprintf("%.3f", gbps), nil
-	}
-	novaCreate := func(nfiles int) (string, error) {
-		inst, err := p.mount("nova", oneNode())
-		if err != nil {
-			return "", err
-		}
-		defer inst.Close()
-		c := inst.NewClient(0)
-		c.Mkdir("/share", 0o777)
-		for i := 0; i < nfiles; i++ {
-			f, _ := c.Create(fmt.Sprintf("/share/base%04d", i), 0o644)
-			f.Close()
-		}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < 2; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cl := inst.NewClient(i)
-				for op := 0; op < ops; op++ {
-					path := fmt.Sprintf("/share/app%d-%d", i, op)
-					f, _ := cl.Create(path, 0o644)
-					if f != nil {
-						f.Close()
-					}
-					cl.Unlink(path)
-				}
-			}()
-		}
-		wg.Wait()
-		return fmt.Sprintf("%.1f", float64(time.Since(start).Microseconds())/float64(2*ops)), nil
-	}
-
-	var err error
-	for i := range rows {
-		rows[i] = append(rows[i], "")
-	}
-	if rows[0][1], err = novaCell(smallFile); err != nil {
-		return err
-	}
-	if rows[1][1], err = novaCell(bigFile); err != nil {
-		return err
-	}
-	if rows[2][1], err = novaCreate(10); err != nil {
-		return err
-	}
-	if rows[3][1], err = novaCreate(100); err != nil {
-		return err
-	}
-
-	// ArckFS cross-domain and trust-group.
-	for _, sameGroup := range []bool{false, true} {
-		sw, err := newSharingWorld(p, sameGroup)
 		if err != nil {
 			return err
 		}
-		g, err := sw.sharedWrite(smallFile, ops)
+		x, err := cell([2]fsapi.Client{inst.NewClient(0), inst.NewClient(1)}, nil)
+		inst.Close()
 		if err != nil {
-			return fmt.Errorf("tab3 write small (group=%v): %w", sameGroup, err)
+			return fmt.Errorf("tab3 %s, nova: %w", rows[ri][0], err)
 		}
-		rows[0] = append(rows[0], fmt.Sprintf("%.3f", g))
-
-		sw2, err := newSharingWorld(p, sameGroup)
-		if err != nil {
-			return err
-		}
-		g, err = sw2.sharedWrite(bigFile, ops)
-		if err != nil {
-			return fmt.Errorf("tab3 write big (group=%v): %w", sameGroup, err)
-		}
-		rows[1] = append(rows[1], fmt.Sprintf("%.3f", g))
-
-		for ri, nfiles := range []int{10, 100} {
-			sw3, err := newSharingWorld(p, sameGroup)
+		rows[ri] = append(rows[ri], fmt.Sprintf(format, x))
+		for _, sameGroup := range []bool{false, true} {
+			sw, err := newSharingWorld(p, sameGroup)
 			if err != nil {
 				return err
 			}
-			us, err := sw3.sharedCreate(nfiles, ops, !sameGroup)
-			if err != nil {
-				return fmt.Errorf("tab3 create-%d (group=%v): %w", nfiles, sameGroup, err)
+			if x, err = cell(sw.apps(), sw); err != nil {
+				return fmt.Errorf("tab3 %s (group=%v): %w", rows[ri][0], sameGroup, err)
 			}
-			rows[2+ri] = append(rows[2+ri], fmt.Sprintf("%.1f", us))
+			rows[ri] = append(rows[ri], fmt.Sprintf(format, x))
 		}
 	}
 	table(w, cols, rows)
@@ -347,7 +273,7 @@ func Fig8(w io.Writer, p Params) error {
 	cols := []string{"case", "map", "unmap", "verifier", "aux-rebuild"}
 	var rows [][]string
 	cells, err := measure(func(sw *sharingWorld) error {
-		_, err := sw.sharedWrite(32<<20, ops)
+		_, err := sharedWrite(sw.apps(), 32<<20, ops)
 		return err
 	})
 	if err != nil {
@@ -355,7 +281,7 @@ func Fig8(w io.Writer, p Params) error {
 	}
 	rows = append(rows, append([]string{"4KB-write 32MB"}, cells...))
 	cells, err = measure(func(sw *sharingWorld) error {
-		_, err := sw.sharedCreate(100, ops, true)
+		_, err := sw.sharedCreate(100, ops)
 		return err
 	})
 	if err != nil {

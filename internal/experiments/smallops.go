@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"trio/internal/controller"
-	"trio/internal/nvm"
 	"trio/internal/workload"
 )
 
@@ -38,14 +37,19 @@ type SmallOpsPair struct {
 	SpeedupX          float64 `json:"speedup_x"`
 }
 
-// SmallOpsMode is one workload mode's sweep outcome. The headline
-// fields repeat the best pair, the one the gate reads.
+func (p SmallOpsPair) speedup() float64 { return p.SpeedupX }
+
+func (p SmallOpsPair) String() string {
+	return fmt.Sprintf("per-call=%8.0f cyc/s  batched=%8.0f cyc/s  speedup=%.2fx",
+		p.SyncCyclesPerSec, p.BatchCyclesPerSec, p.SpeedupX)
+}
+
+// SmallOpsMode is one workload mode's sweep outcome. The embedded pair
+// repeats the best one, the one the gate reads.
 type SmallOpsMode struct {
-	Mode              string         `json:"mode"`
-	Pairs             []SmallOpsPair `json:"pairs"`
-	SyncCyclesPerSec  float64        `json:"sync_cycles_per_sec"`
-	BatchCyclesPerSec float64        `json:"batch_cycles_per_sec"`
-	SpeedupX          float64        `json:"speedup_x"`
+	Mode  string         `json:"mode"`
+	Pairs []SmallOpsPair `json:"pairs"`
+	SmallOpsPair
 }
 
 // SmallOpsReport is the "smallops" section of BENCH_trio.json.
@@ -57,22 +61,17 @@ type SmallOpsReport struct {
 	Modes        []SmallOpsMode `json:"modes"`
 }
 
-// smallOpsSpec is the canonical workload shape: full mode is the
-// acceptance-criteria run, quick the check.sh smoke. 16 threads over 4
-// shards keeps every shard contended; 1200 ops/thread makes a trial
-// long enough to average scheduler noise without growing the heap into
-// a different GC regime.
+// smallOpsSpec is the canonical workload shape (the workload's defaults
+// for everything else — its 16 threads over 4 shards keep every shard
+// contended): full mode is the acceptance-criteria run, quick the
+// check.sh smoke. 1200 ops/thread makes a trial long enough to average
+// scheduler noise without growing the heap into a different GC regime.
 func smallOpsSpec(p Params, mode string, batched bool) workload.SmallOpsSpec {
-	s := workload.SmallOpsSpec{
-		Threads:      16,
-		OpsPerThread: 1200,
-		Mode:         mode,
-		Batched:      batched,
-		Seed:         11,
-	}
+	s := workload.SmallOpsSpec{OpsPerThread: 1200, Mode: mode, Batched: batched, Seed: 11}
 	if p.Quick {
 		s.OpsPerThread = 300
 	}
+	s.Fill()
 	return s
 }
 
@@ -94,40 +93,14 @@ func smallOpsModes(p Params) []string {
 	return []string{"append", "create", "mapunmap"}
 }
 
-// runSmallOpsTrial builds a fresh device + controller and runs the
-// workload once.
-func runSmallOpsTrial(spec workload.SmallOpsSpec, cost bool) (workload.SmallOpsResult, error) {
-	var cm *nvm.CostModel
-	if cost {
-		cm = nvm.DefaultCostModel()
-	}
-	dev, err := nvm.NewDevice(nvm.Config{Nodes: 1, PagesPerNode: spec.DevicePages(), Cost: cm})
-	if err != nil {
-		return workload.SmallOpsResult{}, err
-	}
-	c, err := controller.New(dev, controller.Options{
-		Shards:    4,
-		LeaseTime: 200 * time.Millisecond,
-	})
-	if err != nil {
-		return workload.SmallOpsResult{}, err
-	}
-	defer c.Close()
-	return workload.RunSmallOps(c, spec)
-}
-
 // RunSmallOpsSweep runs the interleaved per-call/batched pairs for every
-// mode and returns the report.
-func RunSmallOpsSweep(w io.Writer, p Params) (*SmallOpsReport, error) {
+// mode and returns the report as the "smallops" section, gated.
+func RunSmallOpsSweep(w io.Writer, p Params) (*Outcome, error) {
 	probe := smallOpsSpec(p, "append", false)
 	header(w, "smallops", fmt.Sprintf(
 		"trust-boundary latency: %d threads x %d small ops, per-call vs batched",
 		probe.Threads, probe.OpsPerThread))
-	if p.NoCost {
-		fmt.Fprintln(w, "cost model: OFF (functional smoke — speedup gate not meaningful)")
-	} else {
-		fmt.Fprintln(w, "cost model: ON (speedup = one trap/IPC per window instead of per file)")
-	}
+	costBanner(w, p, "functional smoke — speedup gate not meaningful", "speedup = one trap/IPC per window instead of per file")
 
 	rep := &SmallOpsReport{
 		Threads:      probe.Threads,
@@ -137,49 +110,33 @@ func RunSmallOpsSweep(w io.Writer, p Params) (*SmallOpsReport, error) {
 	}
 	for _, mode := range smallOpsModes(p) {
 		m := SmallOpsMode{Mode: mode}
-		for i := 0; i < smallOpsPairs(p); i++ {
-			syncRes, err := runSmallOpsTrial(smallOpsSpec(p, mode, false), !p.NoCost)
-			if err != nil {
-				return nil, fmt.Errorf("smallops %s per-call pair %d: %w", mode, i, err)
-			}
-			batchRes, err := runSmallOpsTrial(smallOpsSpec(p, mode, true), !p.NoCost)
-			if err != nil {
-				return nil, fmt.Errorf("smallops %s batched pair %d: %w", mode, i, err)
-			}
-			pair := SmallOpsPair{
-				SyncCyclesPerSec:  syncRes.CyclesPerSec(),
-				BatchCyclesPerSec: batchRes.CyclesPerSec(),
-			}
-			if pair.SyncCyclesPerSec > 0 {
-				pair.SpeedupX = pair.BatchCyclesPerSec / pair.SyncCyclesPerSec
-			}
-			m.Pairs = append(m.Pairs, pair)
-			fmt.Fprintf(w, "%-9s pair %d: per-call=%8.0f cyc/s  batched=%8.0f cyc/s  speedup=%.2fx\n",
-				mode, i, pair.SyncCyclesPerSec, pair.BatchCyclesPerSec, pair.SpeedupX)
-			if pair.SpeedupX > m.SpeedupX {
-				m.SyncCyclesPerSec = pair.SyncCyclesPerSec
-				m.BatchCyclesPerSec = pair.BatchCyclesPerSec
-				m.SpeedupX = pair.SpeedupX
-			}
+		var err error
+		m.Pairs, m.SmallOpsPair, err = bestPair(w, mode, smallOpsPairs(p),
+			func(batched bool) (workload.SmallOpsResult, error) {
+				spec := smallOpsSpec(p, mode, batched)
+				c, err := p.ctlTestbed(spec.DevicePages(), controller.Options{Shards: 4, LeaseTime: 200 * time.Millisecond})
+				if err != nil {
+					return workload.SmallOpsResult{}, err
+				}
+				defer c.Close()
+				return workload.RunSmallOps(c, spec)
+			},
+			func(perCall, batch workload.SmallOpsResult) SmallOpsPair {
+				a, b := perCall.CyclesPerSec(), batch.CyclesPerSec()
+				return SmallOpsPair{SyncCyclesPerSec: a, BatchCyclesPerSec: b, SpeedupX: ratio(b, a)}
+			})
+		if err != nil {
+			return nil, fmt.Errorf("smallops %w", err)
 		}
-		fmt.Fprintf(w, "%-9s best: per-call=%8.0f cyc/s  batched=%8.0f cyc/s  speedup=%.2fx\n",
-			mode, m.SyncCyclesPerSec, m.BatchCyclesPerSec, m.SpeedupX)
 		rep.Modes = append(rep.Modes, m)
 	}
-	return rep, nil
+	return owned("smallops", rep), nil
 }
 
-// SmallOps is the Registry adapter (table output only; the gate and the
-// JSON merge live in trio-bench).
-func SmallOps(w io.Writer, p Params) error {
-	_, err := RunSmallOpsSweep(w, p)
-	return err
-}
-
-// CheckSmallOpsGate evaluates the trust-boundary acceptance gates and
-// returns one message per violation. With the cost model off the
-// speedup is meaningless (no modeled boundary time to batch) and every
-// check is skipped.
+// gate evaluates the trust-boundary acceptance gates and returns one
+// message per violation. With the cost model off the speedup is
+// meaningless (no modeled boundary time to batch) and every check is
+// skipped.
 //
 // Gates, against the numbers a clean tree produces on the reference
 // single-CPU runner (see EXPERIMENTS.md):
@@ -190,7 +147,7 @@ func SmallOps(w io.Writer, p Params) error {
 //     route (ROADMAP 3(b));
 //   - quick (300 ops/thread, the check.sh smoke): ≥ 1.3 on create or
 //     append and a 0.5x floor — short trials only catch collapses.
-func CheckSmallOpsGate(rep *SmallOpsReport) []string {
+func (rep *SmallOpsReport) gate() []string {
 	if !rep.Cost || len(rep.Modes) == 0 {
 		return nil
 	}
@@ -208,13 +165,13 @@ func CheckSmallOpsGate(rep *SmallOpsReport) []string {
 		}
 		if m.SpeedupX < floor {
 			fails = append(fails, fmt.Sprintf(
-				"%s: ringed submission collapsed to %.2fx of sync (floor %.1fx)",
+				"%s: batched crossings collapsed to %.2fx of per-call (floor %.1fx)",
 				m.Mode, m.SpeedupX, floor))
 		}
 	}
 	if bestGated < minSpeedup {
 		fails = append(fails, fmt.Sprintf(
-			"best ringed/sync speedup %.2fx on append/create below the %.1fx gate",
+			"best batched/per-call speedup %.2fx on append/create below the %.1fx gate",
 			bestGated, minSpeedup))
 	}
 	return fails

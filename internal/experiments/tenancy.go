@@ -21,21 +21,15 @@ import (
 	"time"
 
 	"trio/internal/controller"
-	"trio/internal/nvm"
 	"trio/internal/workload"
 )
 
-// TenancyPoint is one shard-count measurement of the tenancy sweep.
+// TenancyPoint is one shard-count measurement of the tenancy sweep:
+// the workload's result and the figures derived from it.
 type TenancyPoint struct {
-	Shards      int     `json:"shards"`
-	Ops         int64   `json:"ops"`
+	workload.TenancyResult
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	RecallP99Ms float64 `json:"recall_p99_ms"`
-	Recalls     int64   `json:"recalls"`
-	Expiries    int64   `json:"expiries"`
-	Deaths      int     `json:"deaths"`
-	Reaps       int64   `json:"reaps"`
-	AdmitWaits  int64   `json:"admit_waits"`
 	ElapsedSec  float64 `json:"elapsed_sec"`
 }
 
@@ -51,21 +45,11 @@ type TenancyReport struct {
 	ScalingX float64 `json:"scaling_x"`
 }
 
-// tenancySpec is the canonical workload shape: full mode is the
-// acceptance-criteria run (2k sessions), quick is the check.sh smoke
-// (1k sessions, shorter).
+// tenancySpec is the canonical workload shape (the workload's defaults
+// for everything else): full mode is the acceptance-criteria run (2k
+// sessions), quick is the check.sh smoke (1k sessions, shorter).
 func tenancySpec(p Params) workload.TenancySpec {
-	s := workload.TenancySpec{
-		Sessions:      2000,
-		OpsPerSession: 24,
-		FilePages:     32,
-		HotFiles:      16,
-		HotPages:      8,
-		HotFrac:       0.05,
-		HotDwell:      2 * time.Millisecond,
-		DeathFrac:     0.02,
-		Seed:          7,
-	}
+	s := workload.TenancySpec{Sessions: 2000, OpsPerSession: 24, Seed: 7}
 	if p.Quick {
 		// Fewer sessions and ops, but the SAME file size: the seal of a
 		// 32-page file is a bandwidth-dominated access long enough to
@@ -101,15 +85,11 @@ func tenancyOptions(shards int) controller.Options {
 }
 
 // RunTenancySweep runs the tenancy workload once per shard count and
-// returns the report.
-func RunTenancySweep(w io.Writer, p Params) (*TenancyReport, error) {
+// returns the report as the "tenancy" section, gated.
+func RunTenancySweep(w io.Writer, p Params) (*Outcome, error) {
 	spec := tenancySpec(p)
 	header(w, "tenancy", fmt.Sprintf("massive tenancy: %d sessions, shard sweep (ISSUE 6)", spec.Sessions))
-	if p.NoCost {
-		fmt.Fprintln(w, "cost model: OFF (functional smoke — scaling gate not meaningful)")
-	} else {
-		fmt.Fprintln(w, "cost model: ON (scaling = overlapped modeled device time)")
-	}
+	costBanner(w, p, "functional smoke — scaling gate not meaningful", "scaling = overlapped modeled device time")
 
 	rep := &TenancyReport{
 		Sessions:      spec.Sessions,
@@ -118,15 +98,7 @@ func RunTenancySweep(w io.Writer, p Params) (*TenancyReport, error) {
 		Cost:          !p.NoCost,
 	}
 	for _, shards := range tenancyShards(p) {
-		var cost *nvm.CostModel
-		if !p.NoCost {
-			cost = nvm.DefaultCostModel()
-		}
-		dev, err := nvm.NewDevice(nvm.Config{Nodes: 1, PagesPerNode: spec.DevicePages(), Cost: cost})
-		if err != nil {
-			return nil, err
-		}
-		c, err := controller.New(dev, tenancyOptions(shards))
+		c, err := p.ctlTestbed(spec.DevicePages(), tenancyOptions(shards))
 		if err != nil {
 			return nil, err
 		}
@@ -136,16 +108,10 @@ func RunTenancySweep(w io.Writer, p Params) (*TenancyReport, error) {
 			return nil, fmt.Errorf("tenancy shards=%d: %w", shards, err)
 		}
 		pt := TenancyPoint{
-			Shards:      shards,
-			Ops:         res.Ops,
-			OpsPerSec:   res.CtlOpsPerSec(),
-			RecallP99Ms: float64(res.RecallP99.Nanoseconds()) / 1e6,
-			Recalls:     res.Recalls,
-			Expiries:    res.Expiries,
-			Deaths:      res.Deaths,
-			Reaps:       res.Reaps,
-			AdmitWaits:  res.AdmitWaits,
-			ElapsedSec:  res.Elapsed.Seconds(),
+			TenancyResult: res,
+			OpsPerSec:     res.CtlOpsPerSec(),
+			RecallP99Ms:   float64(res.RecallP99.Nanoseconds()) / 1e6,
+			ElapsedSec:    res.Elapsed.Seconds(),
 		}
 		rep.Points = append(rep.Points, pt)
 		fmt.Fprintf(w, "shards=%d  ops/s=%.0f  p99-recall=%.1fms  recalls=%d  expiries=%d  deaths=%d  elapsed=%.1fs\n",
@@ -157,20 +123,13 @@ func RunTenancySweep(w io.Writer, p Params) (*TenancyReport, error) {
 		rep.ScalingX = widest.OpsPerSec / base.OpsPerSec
 	}
 	fmt.Fprintf(w, "\nscaling: %d shards / 1 shard = %.2fx\n", widest.Shards, rep.ScalingX)
-	return rep, nil
+	return owned("tenancy", rep), nil
 }
 
-// Tenancy is the Registry adapter (table output only; the gate and the
-// JSON merge live in trio-bench).
-func Tenancy(w io.Writer, p Params) error {
-	_, err := RunTenancySweep(w, p)
-	return err
-}
-
-// CheckTenancyGate evaluates the massive-tenancy acceptance gates and
-// returns one message per violation. With the cost model off the
-// scaling gate is meaningless (the host CPU serializes everything) and
-// every check is skipped.
+// gate evaluates the massive-tenancy acceptance gates and returns one
+// message per violation. With the cost model off the scaling gate is
+// meaningless (the host CPU serializes everything) and every check is
+// skipped.
 //
 // Gates, chosen with ~2x slack against the numbers a clean tree
 // produces on the reference single-CPU runner (see EXPERIMENTS.md):
@@ -181,7 +140,7 @@ func Tenancy(w io.Writer, p Params) error {
 //   - quick (1k sessions, the check.sh smoke): scaling ≥ 1.3 and p99
 //     recall ≤ 600 ms — shorter runs are noisier, so the smoke only
 //     catches collapses, not drift.
-func CheckTenancyGate(rep *TenancyReport) []string {
+func (rep *TenancyReport) gate() []string {
 	if !rep.Cost || len(rep.Points) == 0 {
 		return nil
 	}

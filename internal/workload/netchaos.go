@@ -24,12 +24,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"trio/internal/fsapi"
 	"trio/internal/netsim"
 	"trio/internal/serve"
 )
@@ -59,7 +57,8 @@ type NetChaosSpec struct {
 	PartitionFor time.Duration
 }
 
-func (s *NetChaosSpec) fill() {
+// Fill sets every unset field to its default.
+func (s *NetChaosSpec) Fill() {
 	if s.Clients <= 0 {
 		s.Clients = 6
 	}
@@ -92,42 +91,44 @@ func (s *NetChaosSpec) fill() {
 // DevicePages sizes a device for the record volume plus headroom.
 func (s *NetChaosSpec) DevicePages() int {
 	sp := *s
-	sp.fill()
+	sp.Fill()
 	dataBytes := int64(sp.Clients) * int64(sp.OpsPerClient) * int64(sp.RecLen)
 	return int(dataBytes/4096)*3 + 4096
 }
 
-// NetChaosResult is one storm's outcome plus the oracle verdicts.
+// NetChaosResult is one storm's outcome plus the oracle verdicts. The
+// JSON tags are the fields BENCH_trio.json's netchaos section carries
+// as they are.
 type NetChaosResult struct {
-	Clients int
-	Files   int
+	Clients int `json:"clients"`
+	Files   int `json:"files"`
 
 	// Per-op verdict counts: Ops = Acked + Maybe + NotApplied + Failed.
-	Ops        int64 // appends attempted
-	Acked      int64 // server confirmed (must land exactly once)
-	Maybe      int64 // deadline expired in flight (may land at most once)
-	NotApplied int64 // Busy surfaced past the retry budget (must not land)
-	Failed     int64 // session terminally dead (redial budget exhausted)
+	Ops        int64 `json:"ops"`         // appends attempted
+	Acked      int64 `json:"acked"`       // server confirmed (must land exactly once)
+	Maybe      int64 `json:"maybe"`       // deadline expired in flight (may land at most once)
+	NotApplied int64 `json:"not_applied"` // Busy surfaced past the retry budget (must not land)
+	Failed     int64 `json:"failed"`      // session terminally dead (redial budget exhausted)
 
 	// Fault volume actually injected.
-	Kills      int64 // connection kills (controller + byte-plan scheduled)
-	Partitions int64 // silent black-holes
+	Kills      int64 `json:"kills"`      // connection kills (controller + byte-plan scheduled)
+	Partitions int64 `json:"partitions"` // silent black-holes
 
 	// Session-level resilience work, summed over clients.
-	Reconnects  int64
-	Retransmits int64
-	BusyRetries int64
-	Deadlines   int64
+	Reconnects  int64 `json:"reconnects"`
+	Retransmits int64 `json:"retransmits"`
+	BusyRetries int64 `json:"busy_retries"`
+	Deadlines   int64 `json:"deadlines"`
 
 	// Oracle verdicts from the post-storm read-back. The gate requires
 	// AckedLost == DoubleApplied == Unexpected == 0.
-	AckedLost     int64 // acked records missing from the files
-	DoubleApplied int64 // any record present more than once
-	MaybeApplied  int64 // maybe-records that did land (informational)
-	Unexpected    int64 // records landed that no op produced, or torn tails
+	AckedLost     int64 `json:"acked_lost"`     // acked records missing from the files
+	DoubleApplied int64 `json:"double_applied"` // any record present more than once
+	MaybeApplied  int64 `json:"maybe_applied"`  // maybe-records that did land (informational)
+	Unexpected    int64 `json:"unexpected"`     // records landed that no op produced, or torn tails
 
-	Elapsed  time.Duration
-	P50, P99 time.Duration // acked-op client-observed latency
+	Elapsed  time.Duration `json:"-"`
+	P50, P99 time.Duration `json:"-"` // acked-op client-observed latency
 }
 
 // Availability is the fraction of attempted ops the fleet got a
@@ -193,27 +194,15 @@ func netChaosRecord(recLen, client, seq int) string {
 // RunNetChaos prefills the population, runs the storm, then audits the
 // files against the acked/maybe oracle over a clean connection.
 func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
-	spec.fill()
+	spec.Fill()
 	ctx := context.Background()
 
-	// Layout phase (not timed, clean transport): /chaos/f%02d, empty.
-	setup, err := srv.Loopback(^uint64(0))
+	// Layout phase (not timed, clean transport): /chaos, empty files.
+	setup, handles, err := wireFiles(ctx, srv, "chaos", spec.Files)
 	if err != nil {
-		return NetChaosResult{}, fmt.Errorf("netchaos setup dial: %w", err)
+		return NetChaosResult{}, fmt.Errorf("netchaos %w", err)
 	}
 	defer setup.Close()
-	dirH, _, err := setup.Mkdir(ctx, setup.Root(), "chaos", 0o755)
-	if err != nil {
-		return NetChaosResult{}, fmt.Errorf("netchaos mkdir: %w", err)
-	}
-	handles := make([]fsapi.Handle, spec.Files)
-	for i := range handles {
-		h, _, err := setup.Create(ctx, dirH, fmt.Sprintf("f%02d", i), 0o644)
-		if err != nil {
-			return NetChaosResult{}, fmt.Errorf("netchaos create %d: %w", i, err)
-		}
-		handles[i] = h
-	}
 
 	// One chaosConn + redial function per client. Every redial mints a
 	// fresh loopback duplex, serves its far end, and wraps the near end
@@ -408,7 +397,7 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 	for i, h := range handles {
 		attr, err := audit.Getattr(ctx, h)
 		if err != nil {
-			return NetChaosResult{}, fmt.Errorf("netchaos audit getattr f%02d: %w", i, err)
+			return NetChaosResult{}, fmt.Errorf("netchaos audit getattr f%04d: %w", i, err)
 		}
 		if attr.Size%int64(spec.RecLen) != 0 {
 			res.Unexpected++ // torn tail: an append half-landed
@@ -417,7 +406,7 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 		for off := int64(0); off < attr.Size; {
 			n, err := audit.Read(ctx, h, off, buf)
 			if err != nil {
-				return NetChaosResult{}, fmt.Errorf("netchaos audit read f%02d: %w", i, err)
+				return NetChaosResult{}, fmt.Errorf("netchaos audit read f%04d: %w", i, err)
 			}
 			if n == 0 {
 				break
@@ -454,10 +443,6 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 		}
 	}
 
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.P50 = lats[len(lats)/2]
-		res.P99 = lats[len(lats)*99/100]
-	}
+	res.P50, res.P99 = quantiles(lats)
 	return res, nil
 }

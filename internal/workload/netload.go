@@ -15,7 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,7 +48,8 @@ type NetLoadSpec struct {
 	Seed int64
 }
 
-func (s *NetLoadSpec) fill() {
+// Fill sets every unset field to its default.
+func (s *NetLoadSpec) Fill() {
 	if s.Conns <= 0 {
 		s.Conns = 4
 	}
@@ -82,7 +83,7 @@ func (s *NetLoadSpec) fill() {
 // metadata and allocator slack.
 func (s *NetLoadSpec) DevicePages() int {
 	sp := *s
-	sp.fill()
+	sp.Fill()
 	dataPages := int(int64(sp.Files)*sp.FileSize) / 4096
 	return dataPages*2 + 2048
 }
@@ -114,39 +115,26 @@ func (r NetLoadResult) String() string {
 // RunNetLoad prefills the file population through one setup session,
 // then drives Conns pipelined sessions against the server.
 func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
-	spec.fill()
+	spec.Fill()
 	ctx := context.Background()
 
 	// Layout phase (not timed): the shared population under /net.
-	setup, err := srv.Loopback(^uint64(0))
+	setup, handles, err := wireFiles(ctx, srv, "net", spec.Files)
 	if err != nil {
-		return NetLoadResult{}, fmt.Errorf("netload setup dial: %w", err)
+		return NetLoadResult{}, fmt.Errorf("netload %w", err)
 	}
 	defer setup.Close()
-	dirH, _, err := setup.Mkdir(ctx, setup.Root(), "net", 0o755)
-	if err != nil {
-		return NetLoadResult{}, fmt.Errorf("netload mkdir: %w", err)
-	}
-	handles := make([]fsapi.Handle, spec.Files)
 	block := make([]byte, spec.BS)
 	for i := range block {
 		block[i] = byte(i % 253)
 	}
-	for i := 0; i < spec.Files; i++ {
-		h, _, err := setup.Create(ctx, dirH, fmt.Sprintf("f%04d", i), 0o644)
-		if err != nil {
-			return NetLoadResult{}, fmt.Errorf("netload create %d: %w", i, err)
-		}
+	for i, h := range handles {
 		for off := int64(0); off < spec.FileSize; off += int64(spec.BS) {
-			n := int64(spec.BS)
-			if off+n > spec.FileSize {
-				n = spec.FileSize - off
-			}
+			n := min(int64(spec.BS), spec.FileSize-off)
 			if _, err := setup.Write(ctx, h, off, block[:n]); err != nil {
 				return NetLoadResult{}, fmt.Errorf("netload prefill %d: %w", i, err)
 			}
 		}
-		handles[i] = h
 	}
 
 	// Measured phase: Conns connections, Depth issuing goroutines each.
@@ -223,10 +211,35 @@ func RunNetLoad(srv *serve.Server, spec NetLoadSpec) (NetLoadResult, error) {
 		all = append(all, lanes[i].lats...)
 	}
 	res.Bytes = res.Ops * int64(spec.BS)
-	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		res.P50 = all[len(all)/2]
-		res.P99 = all[len(all)*99/100]
-	}
+	res.P50, res.P99 = quantiles(all)
 	return res, nil
+}
+
+// wireFiles dials a clean setup session, which the caller closes, and
+// creates n empty files under /dir: the file population of both wire
+// generators.
+func wireFiles(ctx context.Context, srv *serve.Server, dir string, n int) (*serve.Session, []fsapi.Handle, error) {
+	setup, err := srv.Loopback(^uint64(0))
+	if err != nil {
+		return nil, nil, fmt.Errorf("setup dial: %w", err)
+	}
+	dirH, _, err := setup.Mkdir(ctx, setup.Root(), dir, 0o755)
+	handles := make([]fsapi.Handle, n)
+	for i := 0; err == nil && i < n; i++ {
+		handles[i], _, err = setup.Create(ctx, dirH, fmt.Sprintf("f%04d", i), 0o644)
+	}
+	if err != nil {
+		setup.Close()
+		return nil, nil, fmt.Errorf("setup /%s: %w", dir, err)
+	}
+	return setup, handles, nil
+}
+
+// quantiles sorts lats and returns their p50 and p99 (zero if empty).
+func quantiles(lats []time.Duration) (p50, p99 time.Duration) {
+	if len(lats) == 0 {
+		return 0, 0
+	}
+	slices.Sort(lats)
+	return lats[len(lats)/2], lats[len(lats)*99/100]
 }

@@ -59,7 +59,7 @@ func TestNetLoadZipfSkew(t *testing.T) {
 	// wiring rank 0 to the hottest file. Spot-check the distribution
 	// shape directly with the same parameters netload uses.
 	spec := NetLoadSpec{}
-	spec.fill()
+	spec.Fill()
 	counts := make([]int, 16)
 	rng := rand.New(rand.NewSource(42))
 	zipf := rand.NewZipf(rng, spec.ZipfS, 1.0, 15)

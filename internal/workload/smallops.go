@@ -59,7 +59,8 @@ type SmallOpsSpec struct {
 	Seed int64
 }
 
-func (s *SmallOpsSpec) fill() {
+// Fill sets every unset field to its default.
+func (s *SmallOpsSpec) Fill() {
 	if s.Threads <= 0 {
 		s.Threads = 16
 	}
@@ -89,7 +90,7 @@ func (s *SmallOpsSpec) fill() {
 // DevicePages reports a device size (in pages) that fits the spec.
 func (s SmallOpsSpec) DevicePages() int {
 	spec := s
-	spec.fill()
+	spec.Fill()
 	// Per thread: dir index + dirent page, Window files of
 	// (index + FilePages) each.
 	perThread := 2 + spec.Window*(1+spec.FilePages)
@@ -119,30 +120,19 @@ func (r SmallOpsResult) CyclesPerSec() float64 {
 	return float64(r.Cycles) / r.Elapsed.Seconds()
 }
 
-// soFile is one pre-built private file.
-type soFile struct {
-	ino   core.Ino
-	loc   core.FileLoc
-	pages []nvm.PageID
-}
-
 // soThread is one thread's working set, built during setup.
 type soThread struct {
-	sess       *controller.Session
+	sessionDir // direntPage write-held; files: append/mapunmap only
 	batched    bool
 	out        []controller.MapRes // batched verdict scratch, Window long
 	errs       []error
-	dirIno     core.Ino
-	dirLoc     core.FileLoc
-	direntPage nvm.PageID // the dir's single dirent page, write-held
-	files      []soFile   // append/mapunmap: Window private files
 	inos       []core.Ino // create: pre-allocated child inos
 }
 
 // RunSmallOps lays out the per-thread tree (not timed), then drives the
 // measured small-op phase across all threads at once.
 func RunSmallOps(c *controller.Controller, spec SmallOpsSpec) (SmallOpsResult, error) {
-	spec.fill()
+	spec.Fill()
 	threads, err := smallOpsSetup(c, spec)
 	if err != nil {
 		return SmallOpsResult{}, err
@@ -391,166 +381,42 @@ func smallOpsMapUnmap(t *soThread, spec SmallOpsSpec) (ops, cycles, bytes int64,
 	return ops, cycles, bytes, nil
 }
 
-// smallOpsSetup builds the tree: a root session creates per-thread
-// directories; each thread session then builds its own dir skeleton
-// and private files and leaves the dir write-mapped (see the package
-// comment for why). Not part of the measured window.
+// smallOpsSetup builds the tree (buildCtlTree): one directory per
+// thread, holding Window private files unless the mode is create, left
+// write-mapped (see the package comment for why). The files are adopted
+// (verified) here, outside the measured window, so the cycles measure
+// steady-state remapping. Not part of the measured window.
 func smallOpsSetup(c *controller.Controller, spec SmallOpsSpec) ([]soThread, error) {
-	root := c.Register(0, 0, 0, 1)
-	defer root.Close()
-	as := root.AddressSpace()
-	info, err := root.MapFile(core.RootIno, core.RootLoc(), true)
-	if err != nil {
-		return nil, fmt.Errorf("smallops setup: map root: %w", err)
-	}
-	if info.Inode.Head != nvm.NilPage {
-		return nil, fmt.Errorf("smallops setup: root not empty (run on a fresh device)")
-	}
-
-	nDirent := (spec.Threads + core.SlotsPerDirPage - 1) / core.SlotsPerDirPage
-	nIndex := (nDirent + core.IndexEntriesPerPage - 1) / core.IndexEntriesPerPage
-	pages, err := root.AllocPages(0, nIndex+nDirent)
-	if err != nil {
-		return nil, fmt.Errorf("smallops setup: alloc root pages: %w", err)
-	}
-	for _, p := range pages {
-		if err := as.Write(p, 0, zeroPage()); err != nil {
-			return nil, err
-		}
-	}
-	index, dirents := pages[:nIndex], pages[nIndex:]
-	for k, ip := range index {
-		lo := k * core.IndexEntriesPerPage
-		hi := lo + core.IndexEntriesPerPage
-		if hi > nDirent {
-			hi = nDirent
-		}
-		for i := lo; i < hi; i++ {
-			if err := core.SetIndexEntry(as, ip, i-lo, dirents[i]); err != nil {
-				return nil, err
-			}
-		}
-		if k+1 < nIndex {
-			if err := core.SetNextIndexPage(as, ip, index[k+1]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	rootInode := info.Inode
-	rootInode.Head = index[0]
-	if err := core.WriteInode(as, core.RootInodePage, core.SlotOffset(0), &rootInode); err != nil {
-		return nil, err
-	}
-	as.Fence()
-
-	inos, err := root.AllocInos(0, spec.Threads)
-	if err != nil {
-		return nil, fmt.Errorf("smallops setup: alloc dir inos: %w", err)
-	}
 	threads := make([]soThread, spec.Threads)
-	for i := 0; i < spec.Threads; i++ {
-		dp := dirents[i/core.SlotsPerDirPage]
-		slot := i % core.SlotsPerDirPage
-		in := core.Inode{Ino: inos[i], Type: core.TypeDir, Mode: 0o777, Head: nvm.NilPage}
-		if err := writeDirent(as, dp, slot, fmt.Sprintf("d%d", i), &in); err != nil {
-			return nil, err
-		}
-		threads[i].dirIno = in.Ino
-		threads[i].dirLoc = core.FileLoc{Page: dp, Slot: slot}
+	files := spec.Window
+	if spec.Mode == "create" {
+		files = 0
 	}
-	if err := root.UnmapFile(core.RootIno); err != nil {
-		return nil, fmt.Errorf("smallops setup: unmap root: %w", err)
-	}
-
-	_, _, _, err = runThreads(spec.Threads, func(tid int) (int64, int64, error) {
-		t := &threads[tid]
-		t.sess = c.Register(uint32(1000+tid), 1000, 0, controller.GroupID(2+tid))
-		t.batched = spec.Batched
-		t.out, t.errs = make([]controller.MapRes, spec.Window), make([]error, spec.Window)
-		as := t.sess.AddressSpace()
-		if _, err := t.sess.MapFile(t.dirIno, t.dirLoc, true); err != nil {
-			return 0, 0, fmt.Errorf("map thread dir: %w", err)
-		}
-		// Directory skeleton: index page + one dirent page.
-		fp, err := t.sess.AllocPages(tid, 2)
-		if err != nil {
-			return 0, 0, fmt.Errorf("alloc dir pages: %w", err)
-		}
-		dirHead, direntPage := fp[0], fp[1]
-		for _, p := range []nvm.PageID{dirHead, direntPage} {
-			if err := as.Write(p, 0, zeroPage()); err != nil {
-				return 0, 0, err
-			}
-		}
-		if err := core.SetIndexEntry(as, dirHead, 0, direntPage); err != nil {
-			return 0, 0, err
-		}
-		if err := core.UpdateInodeHead(as, t.dirLoc, dirHead); err != nil {
-			return 0, 0, err
-		}
-		t.direntPage = direntPage
+	dirs, _, err := buildCtlTree(c, spec.Threads, 0, 0, files, spec.FilePages, func(tid int, d *sessionDir) error {
 		if spec.Mode == "create" {
 			// Pre-allocate the whole run's child inos in one batched
 			// (untimed) call; the measured phase only maps and removes.
-			t.inos, err = t.sess.AllocInos(tid, spec.OpsPerThread)
-			if err != nil {
-				return 0, 0, err
-			}
-			as.Fence()
-			return 0, 0, nil
+			var err error
+			threads[tid].inos, err = d.sess.AllocInos(tid, spec.OpsPerThread)
+			return err
 		}
-		// append/mapunmap: Window private files, each with an index
-		// page and FilePages data pages, adopted (verified) outside the
-		// measured window so the cycles measure steady-state remapping.
-		finos, err := t.sess.AllocInos(tid, spec.Window)
-		if err != nil {
-			return 0, 0, err
-		}
-		perFile := 1 + spec.FilePages
-		filePages, err := t.sess.AllocPages(tid, spec.Window*perFile)
-		if err != nil {
-			return 0, 0, fmt.Errorf("alloc file pages: %w", err)
-		}
-		t.files = make([]soFile, spec.Window)
-		for j := 0; j < spec.Window; j++ {
-			fp := filePages[j*perFile : (j+1)*perFile]
-			head := fp[0]
-			if err := as.Write(head, 0, zeroPage()); err != nil {
-				return 0, 0, err
+		for _, f := range d.files {
+			if _, err := d.sess.MapFile(f.ino, f.loc, false); err != nil {
+				return fmt.Errorf("adopt thread file: %w", err)
 			}
-			for i, p := range fp[1:] {
-				if err := core.SetIndexEntry(as, head, i, p); err != nil {
-					return 0, 0, err
-				}
-			}
-			in := core.Inode{
-				Ino: finos[j], Type: core.TypeReg, Mode: 0o644,
-				UID: uint32(1000 + tid), GID: 1000,
-				Size: uint64(spec.FilePages) * nvm.PageSize, Head: head,
-			}
-			if err := writeDirent(as, direntPage, j, fmt.Sprintf("f%d", j), &in); err != nil {
-				return 0, 0, err
-			}
-			t.files[j] = soFile{
-				ino:   in.Ino,
-				loc:   core.FileLoc{Page: direntPage, Slot: j},
-				pages: fp[1:],
+			if err := d.sess.UnmapFile(f.ino); err != nil {
+				return err
 			}
 		}
-		as.Fence()
-		for j := range t.files {
-			if _, err := t.sess.MapFile(t.files[j].ino, t.files[j].loc, false); err != nil {
-				return 0, 0, fmt.Errorf("adopt thread file: %w", err)
-			}
-			if err := t.sess.UnmapFile(t.files[j].ino); err != nil {
-				return 0, 0, err
-			}
-		}
-		// The dir mapping is intentionally left held (see package doc).
-		return 0, 0, nil
+		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("smallops setup: %w", err)
+		return nil, fmt.Errorf("smallops %w", err)
+	}
+	for i := range threads {
+		t := &threads[i]
+		t.sessionDir, t.batched = dirs[i], spec.Batched
+		t.out, t.errs = make([]controller.MapRes, spec.Window), make([]error, spec.Window)
 	}
 	return threads, nil
 }

@@ -50,7 +50,8 @@ type TenancySpec struct {
 	Seed int64
 }
 
-func (s *TenancySpec) fill() {
+// Fill sets every unset field to its default.
+func (s *TenancySpec) Fill() {
 	if s.Sessions <= 0 {
 		s.Sessions = 1000
 	}
@@ -88,7 +89,7 @@ func (s *TenancySpec) fill() {
 // the checksum table, plus allocator slack.
 func (s TenancySpec) DevicePages() int {
 	spec := s
-	spec.fill()
+	spec.Fill()
 	perTenant := 2 + 1 + spec.FilePages
 	rootDirent := (spec.Sessions + spec.HotFiles + core.SlotsPerDirPage - 1) / core.SlotsPerDirPage
 	rootIndex := (rootDirent + core.IndexEntriesPerPage - 1) / core.IndexEntriesPerPage
@@ -102,24 +103,25 @@ func (s TenancySpec) DevicePages() int {
 
 // TenancyResult is the driver's outcome: the generic workload result
 // plus the controller-side health numbers the tenancy experiment gates
-// on.
+// on. The JSON tags are the fields a tenancy point of BENCH_trio.json
+// carries as they are.
 type TenancyResult struct {
 	Result
-	Sessions int
-	Shards   int
+	Sessions int `json:"-"`
+	Shards   int `json:"shards"`
 	// Deaths is how many sessions were abandoned (and replaced) mid-run.
-	Deaths int
+	Deaths int `json:"deaths"`
 	// Recalls / Expiries are the measured-window lease-recall requests
 	// and forcible expirations.
-	Recalls  int64
-	Expiries int64
+	Recalls  int64 `json:"recalls"`
+	Expiries int64 `json:"expiries"`
 	// RecallP99 is the 99th-percentile lease-recall latency: recall
 	// request to the file coming free.
-	RecallP99 time.Duration
+	RecallP99 time.Duration `json:"-"`
 	// AdmitWaits counts calls that queued at a shard's admission gate.
-	AdmitWaits int64
+	AdmitWaits int64 `json:"admit_waits"`
 	// Reaps counts sessions reaped (dead sessions collected).
-	Reaps int64
+	Reaps int64 `json:"reaps"`
 }
 
 // CtlOpsPerSec reports controller operations per second.
@@ -130,27 +132,18 @@ func (r TenancyResult) CtlOpsPerSec() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
-// tenant is one session's working set, built during setup.
-type tenant struct {
-	sess    *controller.Session
-	dirIno  core.Ino
-	dirLoc  core.FileLoc
-	fileIno core.Ino
-	fileLoc core.FileLoc
-	pages   []nvm.PageID // the private file's data pages
-}
-
-// hotFile is one shared contended file.
-type hotFile struct {
-	ino core.Ino
-	loc core.FileLoc
-}
-
 // RunTenancy lays out the tenancy tree (not timed), then drives the
 // measured map/store/unmap phase across all sessions at once.
 func RunTenancy(c *controller.Controller, spec TenancySpec) (TenancyResult, error) {
-	spec.fill()
-	tenants, hots, err := tenancySetup(c, spec)
+	spec.Fill()
+	tenants, hots, err := buildCtlTree(c, spec.Sessions, spec.HotFiles, spec.HotPages, 1, spec.FilePages,
+		func(_ int, d *sessionDir) error {
+			installRecallHandler(d.sess)
+			if err := d.sess.UnmapFile(d.dirIno); err != nil {
+				return fmt.Errorf("unmap tenant dir: %w", err)
+			}
+			return nil
+		})
 	if err != nil {
 		return TenancyResult{}, err
 	}
@@ -162,6 +155,7 @@ func RunTenancy(c *controller.Controller, spec TenancySpec) (TenancyResult, erro
 
 	ops, bytes, elapsed, err := runThreads(spec.Sessions, func(tid int) (int64, int64, error) {
 		t := &tenants[tid]
+		f := &t.files[0]
 		rng := rand.New(rand.NewSource(spec.Seed + int64(tid)*7919))
 		zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(hots)-1))
 		deathAt := -1
@@ -197,7 +191,7 @@ func RunTenancy(c *controller.Controller, spec TenancySpec) (TenancyResult, erro
 				}
 				continue
 			}
-			if _, err := t.sess.MapFile(t.fileIno, t.fileLoc, true); err != nil {
+			if _, err := t.sess.MapFile(f.ino, f.loc, true); err != nil {
 				return 0, 0, fmt.Errorf("tenant %d: map private file: %w", tid, err)
 			}
 			ops++
@@ -206,7 +200,7 @@ func RunTenancy(c *controller.Controller, spec TenancySpec) (TenancyResult, erro
 			// stream — the modeled device time shard locks overlap —
 			// that a one-page store no longer pays.
 			as := t.sess.AddressSpace()
-			for _, p := range t.pages {
+			for _, p := range f.pages {
 				if err := as.Write(p, 0, buf); err != nil {
 					return 0, 0, fmt.Errorf("tenant %d: store: %w", tid, err)
 				}
@@ -216,7 +210,7 @@ func RunTenancy(c *controller.Controller, spec TenancySpec) (TenancyResult, erro
 				bytes += int64(len(buf))
 			}
 			as.Fence()
-			if err := t.sess.UnmapFile(t.fileIno); err != nil {
+			if err := t.sess.UnmapFile(f.ino); err != nil {
 				return 0, 0, fmt.Errorf("tenant %d: unmap private file: %w", tid, err)
 			}
 			ops++
@@ -268,46 +262,63 @@ func installRecallHandler(s *controller.Session) {
 	})
 }
 
-// tenancySetup builds the tree: a root session creates per-tenant
-// directories and the hot files; then every tenant session populates
-// its own directory with its private file. Runs concurrently but is
-// not part of the measured window.
-func tenancySetup(c *controller.Controller, spec TenancySpec) ([]tenant, []hotFile, error) {
+// sessionDir is one session's directory in the tree buildCtlTree lays
+// out: its dirent, its one dirent page, and its private files.
+type sessionDir struct {
+	sess       *controller.Session
+	dirIno     core.Ino
+	dirLoc     core.FileLoc
+	direntPage nvm.PageID
+	files      []ctlFile
+}
+
+// ctlFile is one pre-built regular file.
+type ctlFile struct {
+	ino   core.Ino
+	loc   core.FileLoc
+	pages []nvm.PageID // data pages
+}
+
+// buildCtlTree lays out the raw-controller tree the tenancy and
+// small-op workloads share, on a fresh device and outside any measured
+// window. A root session fans the root directory out over enough dirent
+// pages for one directory per session plus hotFiles world-writable
+// files of hotPages data pages each, behind however many chained index
+// pages that takes (one index page caps the root at 8k entries, well
+// short of a 10k run). Then every session, its own trust group, maps
+// its directory for write and builds in it, from one allocation, the
+// directory skeleton (an index page and one dirent page) and files
+// private files of filePages data pages; after the fence, ready runs on
+// the session's goroutine with the directory still mapped.
+func buildCtlTree(c *controller.Controller, sessions, hotFiles, hotPages, files, filePages int,
+	ready func(tid int, d *sessionDir) error) ([]sessionDir, []ctlFile, error) {
 	root := c.Register(0, 0, 0, 1)
 	defer root.Close()
 	as := root.AddressSpace()
 	info, err := root.MapFile(core.RootIno, core.RootLoc(), true)
 	if err != nil {
-		return nil, nil, fmt.Errorf("tenancy setup: map root: %w", err)
+		return nil, nil, fmt.Errorf("setup: map root: %w", err)
 	}
-
-	// Root fan-out: enough dirent pages for every tenant dir + hot
-	// file, behind however many chained index pages that takes — one
-	// index page caps the root at 8k entries, well short of a 10k run.
-	entries := spec.Sessions + spec.HotFiles
-	nDirent := (entries + core.SlotsPerDirPage - 1) / core.SlotsPerDirPage
-	nIndex := (nDirent + core.IndexEntriesPerPage - 1) / core.IndexEntriesPerPage
 	rootInode := info.Inode
 	if rootInode.Head != nvm.NilPage {
-		return nil, nil, fmt.Errorf("tenancy setup: root not empty (run on a fresh device)")
+		return nil, nil, fmt.Errorf("setup: root not empty (run on a fresh device)")
 	}
+	entries := sessions + hotFiles
+	nDirent := (entries + core.SlotsPerDirPage - 1) / core.SlotsPerDirPage
+	nIndex := (nDirent + core.IndexEntriesPerPage - 1) / core.IndexEntriesPerPage
 	pages, err := root.AllocPages(0, nIndex+nDirent)
 	if err != nil {
-		return nil, nil, fmt.Errorf("tenancy setup: alloc root pages: %w", err)
+		return nil, nil, fmt.Errorf("setup: alloc root pages: %w", err)
 	}
-	zero := make([]byte, nvm.PageSize)
 	for _, p := range pages {
-		if err := as.Write(p, 0, zero); err != nil {
+		if err := as.Write(p, 0, zeroPage()); err != nil {
 			return nil, nil, err
 		}
 	}
 	index, dirents := pages[:nIndex], pages[nIndex:]
 	for k, ip := range index {
 		lo := k * core.IndexEntriesPerPage
-		hi := lo + core.IndexEntriesPerPage
-		if hi > nDirent {
-			hi = nDirent
-		}
+		hi := min(lo+core.IndexEntriesPerPage, nDirent)
 		for i := lo; i < hi; i++ {
 			if err := core.SetIndexEntry(as, ip, i-lo, dirents[i]); err != nil {
 				return nil, nil, err
@@ -325,77 +336,54 @@ func tenancySetup(c *controller.Controller, spec TenancySpec) ([]tenant, []hotFi
 	}
 	as.Fence()
 
-	direntAt := func(i int) (nvm.PageID, int) {
-		return dirents[i/core.SlotsPerDirPage], i % core.SlotsPerDirPage
-	}
-
-	// Tenant directories: empty dirs the tenants themselves fill in.
 	inos, err := root.AllocInos(0, entries)
 	if err != nil {
-		return nil, nil, fmt.Errorf("tenancy setup: alloc inos: %w", err)
+		return nil, nil, fmt.Errorf("setup: alloc inos: %w", err)
 	}
-	tenants := make([]tenant, spec.Sessions)
-	for i := 0; i < spec.Sessions; i++ {
-		dp, slot := direntAt(i)
+	rootLoc := func(i int) core.FileLoc {
+		return core.FileLoc{Page: dirents[i/core.SlotsPerDirPage], Slot: i % core.SlotsPerDirPage}
+	}
+	dirs := make([]sessionDir, sessions)
+	for i := range dirs {
 		// I4: a new file carries its creator's credentials — the root
 		// session's, not the tenant's. Mode 777 lets the tenant in.
-		in := core.Inode{
-			Ino: inos[i], Type: core.TypeDir, Mode: 0o777,
-			Head: nvm.NilPage,
-		}
-		if err := writeDirent(as, dp, slot, fmt.Sprintf("t%d", i), &in); err != nil {
+		in := core.Inode{Ino: inos[i], Type: core.TypeDir, Mode: 0o777, Head: nvm.NilPage}
+		d := &dirs[i]
+		d.dirIno, d.dirLoc = in.Ino, rootLoc(i)
+		if err := writeDirent(as, d.dirLoc.Page, d.dirLoc.Slot, fmt.Sprintf("d%d", i), &in); err != nil {
 			return nil, nil, err
 		}
-		tenants[i].dirIno = in.Ino
-		tenants[i].dirLoc = core.FileLoc{Page: dp, Slot: slot}
 	}
-
-	// Hot shared files: world-writable, FilePages of zeroed content.
-	hots := make([]hotFile, spec.HotFiles)
-	for i := 0; i < spec.HotFiles; i++ {
-		dp, slot := direntAt(spec.Sessions + i)
-		fp, err := root.AllocPages(0, 1+spec.HotPages)
+	hots := make([]ctlFile, hotFiles)
+	for i := range hots {
+		fp, err := root.AllocPages(0, 1+hotPages)
 		if err != nil {
-			return nil, nil, fmt.Errorf("tenancy setup: alloc hot file: %w", err)
+			return nil, nil, fmt.Errorf("setup: alloc hot file: %w", err)
 		}
-		if err := as.Write(fp[0], 0, zero); err != nil {
+		in := core.Inode{Ino: inos[sessions+i], Mode: 0o666}
+		if hots[i], err = newFile(as, fp, in, rootLoc(sessions+i), fmt.Sprintf("hot%d", i)); err != nil {
 			return nil, nil, err
 		}
-		for j, p := range fp[1:] {
-			if err := core.SetIndexEntry(as, fp[0], j, p); err != nil {
-				return nil, nil, err
-			}
-		}
-		in := core.Inode{
-			Ino: inos[spec.Sessions+i], Type: core.TypeReg, Mode: 0o666,
-			Size: uint64(spec.HotPages) * nvm.PageSize, Head: fp[0],
-		}
-		if err := writeDirent(as, dp, slot, fmt.Sprintf("hot%d", i), &in); err != nil {
-			return nil, nil, err
-		}
-		hots[i] = hotFile{ino: in.Ino, loc: core.FileLoc{Page: dp, Slot: slot}}
 	}
 	if err := root.UnmapFile(core.RootIno); err != nil {
-		return nil, nil, fmt.Errorf("tenancy setup: unmap root: %w", err)
+		return nil, nil, fmt.Errorf("setup: unmap root: %w", err)
 	}
 
-	// Every tenant session builds its own private file inside its dir.
-	_, _, _, err = runThreads(spec.Sessions, func(tid int) (int64, int64, error) {
-		t := &tenants[tid]
-		t.sess = c.Register(uint32(1000+tid), 1000, 0, controller.GroupID(2+tid))
-		installRecallHandler(t.sess)
-		as := t.sess.AddressSpace()
-		if _, err := t.sess.MapFile(t.dirIno, t.dirLoc, true); err != nil {
-			return 0, 0, fmt.Errorf("map tenant dir: %w", err)
+	_, _, _, err = runThreads(sessions, func(tid int) (int64, int64, error) {
+		d := &dirs[tid]
+		uid := uint32(1000 + tid)
+		d.sess = c.Register(uid, 1000, 0, controller.GroupID(2+tid))
+		as := d.sess.AddressSpace()
+		if _, err := d.sess.MapFile(d.dirIno, d.dirLoc, true); err != nil {
+			return 0, 0, fmt.Errorf("map session dir: %w", err)
 		}
-		// Directory skeleton (index + dirent page) and the private file
-		// (index + data pages) in one allocation.
-		fp, err := t.sess.AllocPages(tid, 2+1+spec.FilePages)
+		perFile := 1 + filePages
+		fp, err := d.sess.AllocPages(tid, 2+files*perFile)
 		if err != nil {
-			return 0, 0, fmt.Errorf("alloc tenant pages: %w", err)
+			return 0, 0, fmt.Errorf("alloc session pages: %w", err)
 		}
-		dirHead, direntPage, fileHead := fp[0], fp[1], fp[2]
-		for _, p := range []nvm.PageID{dirHead, direntPage, fileHead} {
+		dirHead, direntPage := fp[0], fp[1]
+		for _, p := range fp[:2] {
 			if err := as.Write(p, 0, zeroPage()); err != nil {
 				return 0, 0, err
 			}
@@ -403,39 +391,51 @@ func tenancySetup(c *controller.Controller, spec TenancySpec) ([]tenant, []hotFi
 		if err := core.SetIndexEntry(as, dirHead, 0, direntPage); err != nil {
 			return 0, 0, err
 		}
-		if err := core.UpdateInodeHead(as, t.dirLoc, dirHead); err != nil {
+		if err := core.UpdateInodeHead(as, d.dirLoc, dirHead); err != nil {
 			return 0, 0, err
 		}
-		t.pages = fp[3:]
-		for i, p := range t.pages {
-			if err := core.SetIndexEntry(as, fileHead, i, p); err != nil {
+		d.direntPage = direntPage
+		if files > 0 {
+			finos, err := d.sess.AllocInos(tid, files)
+			if err != nil {
 				return 0, 0, err
 			}
-		}
-		inos, err := t.sess.AllocInos(tid, 1)
-		if err != nil {
-			return 0, 0, err
-		}
-		in := core.Inode{
-			Ino: inos[0], Type: core.TypeReg, Mode: 0o644,
-			UID: uint32(1000 + tid), GID: 1000,
-			Size: uint64(spec.FilePages) * nvm.PageSize, Head: fileHead,
-		}
-		if err := writeDirent(as, direntPage, 0, "data", &in); err != nil {
-			return 0, 0, err
+			d.files = make([]ctlFile, files)
+			for j := range d.files {
+				in := core.Inode{Ino: finos[j], Mode: 0o644, UID: uid, GID: 1000}
+				loc := core.FileLoc{Page: direntPage, Slot: j}
+				if d.files[j], err = newFile(as, fp[2+j*perFile:2+(j+1)*perFile], in, loc, fmt.Sprintf("f%d", j)); err != nil {
+					return 0, 0, err
+				}
+			}
 		}
 		as.Fence()
-		if err := t.sess.UnmapFile(t.dirIno); err != nil {
-			return 0, 0, fmt.Errorf("unmap tenant dir: %w", err)
-		}
-		t.fileIno = in.Ino
-		t.fileLoc = core.FileLoc{Page: direntPage, Slot: 0}
-		return 0, 0, nil
+		return 0, 0, ready(tid, d)
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("tenancy setup: %w", err)
+		return nil, nil, fmt.Errorf("setup: %w", err)
 	}
-	return tenants, hots, nil
+	return dirs, hots, nil
+}
+
+// newFile publishes a regular file at loc: pages[0] becomes its index
+// page, listing pages[1:] as its data; in supplies the ino, mode and
+// owner.
+func newFile(m core.Mem, pages []nvm.PageID, in core.Inode, loc core.FileLoc, name string) (ctlFile, error) {
+	if err := m.Write(pages[0], 0, zeroPage()); err != nil {
+		return ctlFile{}, err
+	}
+	for i, p := range pages[1:] {
+		if err := core.SetIndexEntry(m, pages[0], i, p); err != nil {
+			return ctlFile{}, err
+		}
+	}
+	in.Type, in.Head = core.TypeReg, pages[0]
+	in.Size = uint64(len(pages)-1) * nvm.PageSize
+	if err := writeDirent(m, loc.Page, loc.Slot, name, &in); err != nil {
+		return ctlFile{}, err
+	}
+	return ctlFile{ino: in.Ino, loc: loc, pages: pages[1:]}, nil
 }
 
 // writeDirent installs a complete dirent (inode body, name, then the

@@ -15,14 +15,15 @@ import (
 	"trio/internal/fsapi"
 )
 
-// Result is the outcome of one workload run.
+// Result is the outcome of one workload run. Of its fields only Ops is
+// carried into BENCH_trio.json as it is (tenancy points embed it).
 type Result struct {
-	Workload string
-	FS       string
-	Threads  int
-	Ops      int64
-	Bytes    int64
-	Elapsed  time.Duration
+	Workload string        `json:"-"`
+	FS       string        `json:"-"`
+	Threads  int           `json:"-"`
+	Ops      int64         `json:"ops"`
+	Bytes    int64         `json:"-"`
+	Elapsed  time.Duration `json:"-"`
 }
 
 // Throughput reports bytes/second.
@@ -172,11 +173,12 @@ func RunFio(fs fsapi.FS, spec FioSpec) (Result, error) {
 	if spec.Write {
 		mode = "write"
 	}
-	name := fmt.Sprintf("fio-%s-%s", sizeLabel(spec.BS), mode)
+	name := fmt.Sprintf("fio-%s-%s", SizeLabel(spec.BS), mode)
 	return Result{Workload: name, FS: fs.Name(), Threads: spec.Threads, Ops: ops, Bytes: bytes, Elapsed: elapsed}, nil
 }
 
-func sizeLabel(n int) string {
+// SizeLabel names a transfer size the way workload names do: 4K, 2M.
+func SizeLabel(n int) string {
 	switch {
 	case n >= 1<<20:
 		return fmt.Sprintf("%dM", n>>20)

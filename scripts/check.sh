@@ -199,11 +199,17 @@ gate_wire_rpc() {
 	fi
 }
 
+# trio-bench is built once; the datapath stages and the four gated
+# smokes below all run this binary.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== go vet ./..."
 go vet ./...
 
 echo "== go build ./..."
 go build ./...
+go build -o "$tmp/trio-bench" ./cmd/trio-bench
 
 echo "== go test ./..."
 go test ./...
@@ -255,7 +261,7 @@ go test -run='^$' -bench='^BenchmarkDataPath' -benchtime=1x . > /dev/null
 gate_handover 4 160 96
 gate_handover_libfs 5 41.8 5.5
 # And the regression harness itself, end to end in quick mode.
-go run ./cmd/trio-bench -experiment datapath -quick -json /dev/null > /dev/null
+"$tmp/trio-bench" -experiment datapath -quick -json /dev/null > /dev/null
 
 echo "== telemetry overhead smoke (disabled instruments must not allocate)"
 # The disabled-path micro-benchmarks report allocs/op with -benchmem;
@@ -263,23 +269,23 @@ echo "== telemetry overhead smoke (disabled instruments must not allocate)"
 gate_zero_allocs ./internal/telemetry/ '^BenchmarkTelemetryDisabled' 'disabled telemetry path allocates'
 # Gate the quick datapath run's allocs/op against the checked-in
 # baseline: new allocations on the hot paths fail here, loudly.
-go run ./cmd/trio-bench -experiment datapath -quick -baseline BENCH_trio.json > /dev/null
+"$tmp/trio-bench" -experiment datapath -quick -baseline BENCH_trio.json > /dev/null
 # A small file's whole life: the allocs and bytes of its auxiliary state
 # are gated, so a page-sized node per file cannot creep back.
 gate_alloc_ceiling ./internal/libfs/ '^BenchmarkLifecycle$' 16 1536
 
 echo "== tenancy smoke (1k sessions; shard-scaling and recall-latency gates)"
-# The quick sweep's gates live in trio-bench itself (see
-# experiments.CheckTenancyGate): scaling below the floor or p99
+# The quick sweep's gates run in trio-bench itself (TenancyReport's
+# gate in internal/experiments): scaling below the floor or p99
 # lease-recall above the ceiling prints the violations and exits 1.
-go run ./cmd/trio-bench -experiment tenancy -quick > /dev/null
+"$tmp/trio-bench" -experiment tenancy -quick > /dev/null
 
 echo "== smallops smoke (per-call-vs-batched speedup gates)"
-# The quick sweep's gates live in trio-bench itself (see
-# experiments.CheckSmallOpsGate): batched map/unmap below the quick
+# The quick sweep's gates run in trio-bench itself (SmallOpsReport's
+# gate in internal/experiments): batched map/unmap below the quick
 # speedup floor on both metadata modes prints the violations and
 # exits 1.
-go run ./cmd/trio-bench -experiment smallops -quick > /dev/null
+"$tmp/trio-bench" -experiment smallops -quick > /dev/null
 
 echo "== serving smoke (wire codec allocs; serial-vs-pipelined speedup gate)"
 # The steady-state codec (frame encode + ReadFrame + decode) must stay
@@ -289,21 +295,21 @@ gate_zero_allocs ./internal/serve/ '^BenchmarkServeCodec' 'serve codec steady st
 # A whole RPC's allocations, both sides of the wire: the regression
 # guard of the data path's copy count.
 gate_wire_rpc
-# The quick run's gate lives in trio-bench itself (see
-# experiments.CheckServingGate): pipelined throughput below the quick
+# The quick run's gate runs in trio-bench itself (ServingReport's gate
+# in internal/experiments): pipelined throughput below the quick
 # speedup floor over serial RPC prints the violation and exits 1.
-go run ./cmd/trio-bench -experiment serving -quick > /dev/null
+"$tmp/trio-bench" -experiment serving -quick > /dev/null
 
 echo "== netchaos smoke (disabled-faults wrapper allocs; exactly-once storm gate)"
 # A netsim wrapper with no fault plan must be invisible: the codec
 # round trip through it has to stay at 0 allocs/op, or every transport
 # that keeps the wrapper for later fault injection pays on every RPC.
 gate_zero_allocs ./internal/netsim/ '^BenchmarkNetsimCodec' 'disabled netsim wrapper allocates on the codec path'
-# The quick storm's gates live in trio-bench itself (see
-# experiments.CheckNetChaosGate): acked-op loss, double-apply,
+# The quick storm's gates run in trio-bench itself (NetChaosReport's
+# gate in internal/experiments): acked-op loss, double-apply,
 # unexplained bytes, missing faults, or an availability collapse
 # prints the violations and exits 1.
-go run ./cmd/trio-bench -experiment netchaos -quick > /dev/null
+"$tmp/trio-bench" -experiment netchaos -quick > /dev/null
 
 echo "== trio-top smoke (two refreshes over the live workload, clean shutdown)"
 go run ./cmd/trio-top -n 2 -interval 200ms > /dev/null
