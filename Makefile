@@ -42,8 +42,10 @@ vet:
 # the page table's two page sizes against the per-page model, the
 # checksum region's two levels against the per-page opener, the
 # controller's write references at two sizes against the per-page counts,
-# and the one grant rule: whatever sessions map, store, free and
-# allocate, no page a session reaches lies beyond its trust group's reach.
+# and the one grant rule: whatever sessions map, store, free, allocate
+# and close — a contended map sitting out the lease and revoking every
+# write holder — no page a session reaches lies beyond its trust group's
+# reach, and no two groups write-map one file.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRegular$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyDirectory$$' -fuzztime=10s ./internal/verifier/

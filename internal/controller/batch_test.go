@@ -424,8 +424,11 @@ func (w *batchTwin) cleanClaimsHold(t *testing.T, step int) {
 func (w *batchTwin) wouldWait(si int, ino core.Ino) bool {
 	w.c.lockAll()
 	defer w.c.unlockAll()
-	fs, _ := w.c.files.get(ino)
-	return fs != nil && fs.writer != 0 && fs.writerGroup != w.sess[si].ls.group
+	if fs, _ := w.c.files.get(ino); fs != nil {
+		m := fs.writeHolder()
+		return m != nil && m.ls.group != w.sess[si].ls.group
+	}
+	return false
 }
 
 func errText(err error) string {
@@ -625,8 +628,8 @@ func TestBatchReapMidBatch(t *testing.T) {
 	if got := victim.ls.as.Mapped(); got != 0 {
 		t.Errorf("reaped address space still maps %d pages", got)
 	}
-	if fs, _ := c.files.get(files[0].Ino); fs.writer != 0 {
-		t.Errorf("the dead session is still the writer of entry 0's file")
+	if fs, _ := c.files.get(files[0].Ino); len(fs.holders) != 0 {
+		t.Errorf("the dead session still holds entry 0's file")
 	}
 	if err := holder.Close(); err != nil {
 		t.Fatal(err)

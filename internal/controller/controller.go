@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,15 +141,18 @@ type fileState struct {
 	// doubles as the I3 baseline when no fresh checkpoint exists.
 	children []verifier.ChildRef
 
-	readers     map[LibFSID]bool // nil until the first reader attaches
-	writer      LibFSID          // 0 = none
-	writerGroup GroupID
-	// writerSince is when the writer's grant was asked for, on
-	// telemetry.Now's clock, as every lease instant here is.
+	// holders are the file's mappings, the one record of who holds it and
+	// how: a grant adds one, a release takes it out. The write holders are
+	// of one trust group. holdBuf keeps two off the heap.
+	holders []*mapping
+	holdBuf [2]*mapping
+	// writerSince is when the group's first write holder asked for its
+	// grant (the lease's start), on telemetry.Now's clock, as every lease
+	// instant here is.
 	writerSince int64
 
 	// recallAt is when a cooperative lease-recall request was sent to
-	// the writer (zero = none outstanding); after RecallTimeout the
+	// the write holders (zero = none outstanding); after RecallTimeout the
 	// escalation proceeds to forcible revocation.
 	recallAt int64
 	// waiters counts sessions sleeping in waitForAccessLocked for this
@@ -170,13 +174,14 @@ type fileState struct {
 	corrupt bool
 }
 
-// addReaderLocked attaches a reader, allocating the map on first use
-// (most small files only ever see their creator).
-func (fs *fileState) addReaderLocked(id LibFSID) {
-	if fs.readers == nil {
-		fs.readers = make(map[LibFSID]bool, 1)
+// writeHolder returns a write holder of the file, nil when there is none.
+func (fs *fileState) writeHolder() *mapping {
+	for _, m := range fs.holders {
+		if m.write {
+			return m
+		}
 	}
-	fs.readers[id] = true
+	return nil
 }
 
 // checkpoint snapshots a file's metadata when write access is granted
@@ -261,12 +266,13 @@ type libfsState struct {
 	// freed yet: the walk that decided they departed may have raced the
 	// LibFS's own in-flight userspace stores, so some other file of this
 	// LibFS may still reference them. A pool page a grant took into a
-	// mapping is parked too (clipGrantLocked). Parked pages stay attributed to
-	// the LibFS for verification purposes and are settled at session
-	// teardown — rebound if the quiescent core state references them
-	// (bindStrayPoolPagesLocked), freed otherwise. They are never handed
-	// out by the allocator in between, so nothing can alias them.
-	parked map[nvm.PageID]bool
+	// mapping is parked too (clipGrantLocked); each records the file it
+	// left or was lent to. Parked pages stay attributed to the LibFS for
+	// verification purposes and are settled at session teardown —
+	// rebound if the quiescent core state references them
+	// (bindStrayPoolPagesLocked), freed otherwise (freePoolLocked). They
+	// are never handed out by the allocator in between.
+	parked map[nvm.PageID]core.Ino
 
 	// mapped tracks which files this LibFS currently has mapped.
 	mapped map[core.Ino]*mapping
@@ -305,8 +311,16 @@ type libfsState struct {
 	runScratch []pageRun
 }
 
+// pooled reports whether page p sits in the session's pool or parked set.
+func (ls *libfsState) pooled(p nvm.PageID) bool {
+	return ls.allocPages[p] || ls.parked[p] != 0
+}
+
+// mapping is one session's grant of one file, and its entry in the
+// file's holder set.
 type mapping struct {
-	ino   core.Ino
+	ls    *libfsState
+	fs    *fileState
 	write bool
 	runs  []pageRun // pages granted for this file (incl. the dirent page), normal form (runs.go)
 	// gran is the granules a write grant opened by their bit (runs of
@@ -331,6 +345,7 @@ type Controller struct {
 
 	files   inoTable[*fileState]
 	libfses map[LibFSID]*libfsState
+	allHeld bool // lockAll holds every shard: a section under fewer never sees it set
 
 	// tabMu (leaf lock, ordered after every shard mutex) guards the
 	// global tables below for the fast paths; lockAll sections may
@@ -493,13 +508,7 @@ func (c *Controller) Close() {
 // time equivalent of fsck's reachability pass), building fileStates,
 // the page-owner map and the shadow table, and reserving used pages.
 func (c *Controller) scanTree() (maxIno uint64, err error) {
-	root := &fileState{
-		ino:     core.RootIno,
-		loc:     core.RootLoc(),
-		ftype:   core.TypeDir,
-		parent:  0,
-		readers: make(map[LibFSID]bool),
-	}
+	root := &fileState{ino: core.RootIno, loc: core.RootLoc(), ftype: core.TypeDir}
 	c.registerFileLocked(root)
 	rootInode, err := core.ReadDirentInode(c.mem, root.loc.Page, root.loc.Slot)
 	if err != nil {
@@ -556,10 +565,7 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 					maxIno = uint64(child.Ino)
 				}
 				loc := core.FileLoc{Page: p, Slot: slot}
-				cfs := &fileState{
-					ino: child.Ino, loc: loc, ftype: child.Type, parent: fs.ino,
-					readers: make(map[LibFSID]bool),
-				}
+				cfs := &fileState{ino: child.Ino, loc: loc, ftype: child.Type, parent: fs.ino}
 				c.registerFileLocked(cfs)
 				c.shadow.set(child.Ino, verifier.ShadowInfo{
 					Mode: child.Mode, UID: child.UID, GID: child.GID, Type: child.Type,
@@ -634,7 +640,7 @@ func (c *Controller) Register(uid, gid uint32, node int, group GroupID) *Session
 		as: as, c: c,
 		allocPages: make(map[nvm.PageID]bool),
 		allocInos:  make(map[core.Ino]bool),
-		parked:     make(map[nvm.PageID]bool),
+		parked:     make(map[nvm.PageID]core.Ino),
 		mapped:     make(map[core.Ino]*mapping),
 		revoked:    make(map[core.Ino]bool),
 	}
@@ -712,18 +718,7 @@ func (s *Session) Close() error {
 	// Bind pool pages a binding walk missed mid-append (see
 	// bindStrayPoolPagesLocked), then return unbound resources.
 	s.c.bindStrayPoolPagesLocked(s.ls)
-	var pages []nvm.PageID
-	for p := range s.ls.allocPages {
-		pages = append(pages, p)
-		delete(s.ls.allocPages, p)
-		s.c.tracePage(p, "free-close-pool ls=%d", s.ls.id)
-	}
-	for p := range s.ls.parked {
-		pages = append(pages, p)
-		delete(s.ls.parked, p)
-		s.c.tracePage(p, "free-close-parked ls=%d", s.ls.id)
-	}
-	s.c.pageAlloc.FreePages(pages)
+	s.c.freePoolLocked(s.ls, "close")
 	for ino := range s.ls.allocInos {
 		s.c.allocBy.del(ino)
 		delete(s.ls.allocInos, ino)
@@ -857,7 +852,45 @@ func (ls *libfsState) releaseLocked(m *mapping) {
 	ls.unrefTabLocked(m.runs)
 	ls.c.dropGranulesLocked(m.gran)
 	ls.c.tabMu.Unlock()
-	delete(ls.mapped, m.ino)
+	delete(ls.mapped, m.fs.ino)
+	i := slices.Index(m.fs.holders, m)
+	m.fs.holders = slices.Delete(m.fs.holders, i, i+1)
+}
+
+// freePoolLocked returns the pool and parked pages of ls to the allocator
+// at its teardown (how names it in the trace). A parked page first leaves
+// every mapping of the file it left or was lent to — a co-member may
+// still map it — as a truncated page does (unbindLocked).
+func (c *Controller) freePoolLocked(ls *libfsState, how string) {
+	var pages []nvm.PageID
+	for p := range ls.allocPages {
+		pages = append(pages, p)
+		c.tracePage(p, "free-%s-pool ls=%d", how, ls.id)
+	}
+	for p, ino := range ls.parked {
+		if fs, _ := c.files.get(ino); fs != nil {
+			c.dropFromHoldersLocked(fs, p, nil)
+		}
+		// Not always a no-op: a commit parks a page that left its file
+		// outside the session's mapping with a fresh reference.
+		ls.unrefPageLocked(p)
+		pages = append(pages, p)
+		c.tracePage(p, "free-%s-parked ls=%d", how, ls.id)
+	}
+	clear(ls.allocPages)
+	clear(ls.parked)
+	c.pageAlloc.FreePages(pages)
+}
+
+// dropFromHoldersLocked takes page p out of every mapping of fs but
+// skip's, before the allocator can hand it to anybody else.
+func (c *Controller) dropFromHoldersLocked(fs *fileState, p nvm.PageID, skip *libfsState) {
+	for _, m := range fs.holders {
+		if m.ls != skip && runsFind(m.runs, p) >= 0 {
+			m.runs = runsRemove(m.runs, p)
+			m.ls.unrefPageLocked(p)
+		}
+	}
 }
 
 // refPageLocked and unrefPageLocked are the one-page case, for pool and

@@ -2,7 +2,9 @@ package controller
 
 import (
 	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"trio/internal/core"
 	"trio/internal/mmu"
@@ -19,6 +21,7 @@ const (
 	opScribble
 	opFree
 	opAlloc
+	opClose
 	grantOps
 )
 
@@ -29,10 +32,13 @@ func grantStepRec(op, sess, x, y byte) []byte { return []byte{op, sess, x, y} }
 // (clipGrantLocked, DESIGN.md §5a) from the outside: three sessions in
 // two trust groups map and unmap one shared file, store index entries
 // naming any page they like through whatever they have mapped, free pages
-// and allocate them, in any order. After every step, each page a session
-// can reach is the dirent page of a file it maps, a page owned by such a
-// file, or in the pool or parked set of a session of its own trust group
-// — a group's reach, nothing beyond.
+// and allocate them, and close, a fresh session of the same group taking
+// the closed one's place, in any order. A map another group's write
+// holders make wait sits out their short lease and revokes them all.
+// After every step, each page a session can reach is the dirent page of a
+// file it maps, a page owned by such a file, or in the pool or parked set
+// of a session of its own trust group — a group's reach, nothing beyond —
+// and no two trust groups hold write mappings of one file.
 func FuzzGrantOwnership(f *testing.F) {
 	// The collusion probe: a holds the file, scribbles an index entry
 	// naming b's fresh pool page, and its co-member a2 maps the file for
@@ -61,28 +67,45 @@ func FuzzGrantOwnership(f *testing.F) {
 	// holds the file and frees one of its data pages with the index entry
 	// left in place; a2's read map walked the index and was granted the
 	// page, by then the allocator's.
-	f.Add([]byte("20100000000021000000"))
+	f.Add([]byte("00103000300001003000"))
 	// Found by it on the way: b's dangling free quarantines the file to b,
 	// the freed page comes back into b's pool, b's map of its quarantined
 	// file takes it into the mapping, and b frees it from the pool again:
 	// a free must not hand the allocator a page a mapping still holds.
-	f.Add([]byte(`1000100010002210020"10003200100010001000100010001000100010001000100010001000100010001000100010001200100010002200020B`))
+	f.Add([]byte(`4000400040000210320"40001200400040004000400040004000400040004000400040004000400040004000400040004200400040000200320B`))
+	// Stacked writers: a releases while a2 still holds the file
+	// write-mapped, and b's write map must wait a2 out, not map beside it.
+	f.Add(append(append(append(
+		grantStepRec(opMap, 0, 1, 0),
+		grantStepRec(opMap, 1, 1, 0)...),
+		grantStepRec(opUnmap, 0, 0, 0)...),
+		grantStepRec(opMap, 2, 1, 0)...))
+	// A parked page's teardown: a names a fresh pool page in the index,
+	// a2's grant takes it in, a names the old page again and closes, and b
+	// allocates: a2 must not reach the page b got.
+	f.Add(append(append(append(append(append(append(
+		grantStepRec(opMap, 0, 1, 0),
+		grantStepRec(opAlloc, 0, 0, 0)...),
+		grantStepRec(opScribble, 0, 9, 7)...),
+		grantStepRec(opMap, 1, 0, 0)...),
+		grantStepRec(opScribble, 0, 9, 5)...),
+		grantStepRec(opClose, 0, 0, 0)...),
+		grantStepRec(opAlloc, 2, 0, 0)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := newScopedWorld(t)
 		c := w.c
+		c.opts.LeaseTime, c.opts.RecallTimeout = 200*time.Microsecond, 200*time.Microsecond
 		sess := []*Session{w.a, c.Register(1000, 1000, 0, w.a.Group()), w.b}
 		// Pages a step may name: the file's, and any a session allocates.
 		cand := append([]nvm.PageID(nil), w.targets...)
 		index := w.targets[1:3]
 		for step := 0; len(data) >= grantStep; step, data = step+1, data[grantStep:] {
-			s := sess[int(data[1])%len(sess)]
+			i := int(data[1]) % len(sess)
+			s := sess[i]
 			x, y := int(data[2]), int(data[3])
 			var err error
 			switch data[0] % grantOps {
 			case opMap:
-				if grantWouldWait(c, s, w.ino) {
-					continue // the fuzz never sits out a lease
-				}
 				_, err = s.MapFile(w.ino, w.loc, x&1 == 1)
 				if errors.Is(err, ErrQuarantined) || errors.Is(err, ErrCorrupt) {
 					err = nil
@@ -102,6 +125,9 @@ func FuzzGrantOwnership(f *testing.F) {
 				if aerr == nil {
 					cand = append(cand, pages...)
 				}
+			case opClose:
+				err = s.Close()
+				sess[i] = c.Register(1000, 1000, 0, s.Group())
 			}
 			if err != nil {
 				t.Fatalf("step %d (op %d, session %d): %v", step, data[0]%grantOps, s.ID(), err)
@@ -111,28 +137,37 @@ func FuzzGrantOwnership(f *testing.F) {
 	})
 }
 
-// grantWouldWait reports whether s's map of ino would wait out a foreign
-// group's write lease — any session of another group holding the file
-// write-mapped. (Not fs.writer alone: that names the last stacked writer
-// of a group, and clears when it releases while a co-writer holds on.)
-func grantWouldWait(c *Controller, s *Session, ino core.Ino) bool {
-	c.lockAll()
-	defer c.unlockAll()
-	for _, o := range c.libfses {
-		if m := o.mapped[ino]; m != nil && m.write && o.group != s.ls.group {
-			return true
-		}
-	}
-	return false
-}
-
 // checkGrantReach is FuzzGrantOwnership's invariant, read under lockAll.
 // The superblock and the checksum table, mapped read-only into every
-// session at registration, are nobody's file and outside it.
+// session at registration, are nobody's file and outside it. Exclusivity
+// is read from the sessions' own mappings; a file's holder set must be
+// exactly those.
 func checkGrantReach(t *testing.T, c *Controller, sess []*Session, step int) {
 	t.Helper()
 	c.lockAll()
 	defer c.unlockAll()
+	c.files.forEach(func(ino core.Ino, fs *fileState) bool {
+		var writers GroupID
+		n := 0
+		for _, o := range c.libfses {
+			m := o.mapped[ino]
+			switch {
+			case m == nil:
+				continue
+			case !slices.Contains(fs.holders, m):
+				t.Fatalf("step %d: session %d maps ino %d outside its holder set", step, o.id, ino)
+			case m.write && writers != 0 && writers != o.group:
+				t.Fatalf("step %d: groups %d and %d both write-map ino %d", step, writers, o.group, ino)
+			case m.write:
+				writers = o.group
+			}
+			n++
+		}
+		if n != len(fs.holders) {
+			t.Fatalf("step %d: ino %d has %d holders, %d sessions map it", step, ino, len(fs.holders), n)
+		}
+		return true
+	})
 	total := c.dev.NumPages()
 	for _, s := range sess {
 		ls := s.ls
@@ -148,7 +183,7 @@ func checkGrantReach(t *testing.T, c *Controller, sess []*Session, step int) {
 				}
 			}
 			for _, o := range c.libfses {
-				if o.group == ls.group && (o.allocPages[p] || o.parked[p]) {
+				if o.group == ls.group && o.pooled(p) {
 					ok = true
 				}
 			}

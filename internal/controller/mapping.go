@@ -115,7 +115,7 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if err != nil {
 		return MapInfo{}, err
 	}
-	runs, _ = c.clipGrantLocked(runs, fs)
+	runs, _ = c.clipGrantLocked(runs, fs, s.ls)
 	return s.grantLocked(fs, &in, runs, write, gen, now), nil
 }
 
@@ -158,21 +158,35 @@ func (s *Session) admitLocked(fs *fileState, write bool) (info MapInfo, up *mapp
 //   - it is the file's dirent page, fs.loc.Page;
 //   - it is in fs.pages, the set the last clean verification bound;
 //   - it sits in the pool or parked set of a session that could have
-//     added it since that verification: a session of fs.writerGroup that
-//     holds a write mapping of fs, or, for a quarantined file, its holder.
+//     added it since that verification (adderLocked): a write holder of
+//     fs, or the grantee of its own quarantined file.
 //
 // So a grant reaches the verified file and the pages of the group that
 // may be writing it — a group's reach, never a third session's pool page
-// that a scribbled index entry names. It returns the grantable runs and
-// whether it cut anything. The test is run arithmetic first: only the
-// pages outside fs.pages — the dirent page and at most a co-writer's
-// fresh pages — are looked at one by one.
-func (c *Controller) clipGrantLocked(runs []pageRun, fs *fileState) ([]pageRun, bool) {
+// that a scribbled index entry names. A pool page the grant takes in is
+// lent: parked on its session and on fs, so that a free of it is a no-op
+// until the session's teardown, which takes it out of fs's mappings
+// before the allocator gets it. A page parked on another file is cut, as
+// that teardown would not find this grant. It returns the grantable runs
+// and whether it cut anything. The test is run arithmetic first: only
+// the pages outside fs.pages — the dirent page and at most a co-writer's
+// fresh pages — are looked at one by one, and with no write holder and
+// no quarantine — always so on the fast path — no session's pool is read.
+func (c *Controller) clipGrantLocked(runs []pageRun, fs *fileState, grantee *libfsState) ([]pageRun, bool) {
 	var buf [4]pageRun
 	var cut []pageRun
+	if fs.quarantined != grantee.id {
+		grantee = nil
+	}
 	for _, r := range runsDiff(buf[:0], runs, fs.pages) {
 		for p := r.start; p < r.end(); p++ {
-			if p != fs.loc.Page && !c.lendLocked(fs, p) {
+			if p == fs.loc.Page {
+				continue
+			}
+			if o := c.adderLocked(fs, grantee, p); o != nil && (o.parked[p] == 0 || o.parked[p] == fs.ino) {
+				delete(o.allocPages, p)
+				o.parked[p] = fs.ino
+			} else {
 				cut = appendPage(cut, p)
 			}
 		}
@@ -183,26 +197,20 @@ func (c *Controller) clipGrantLocked(runs []pageRun, fs *fileState) ([]pageRun, 
 	return runsDiff(nil, runs, cut), true
 }
 
-// lendLocked reports whether page p sits in the pool or parked set of a
-// session that could have added it to fs since its last verification. A
-// pool page it lends to the grant is parked there: a free of it is then a
-// no-op until the session's teardown, so the allocator cannot hand it to
-// anybody else while the grant maps it. With no writer and no quarantine
-// — always so on the fast path — no session's state is read.
-func (c *Controller) lendLocked(fs *fileState, p nvm.PageID) bool {
-	if fs.writer == 0 && fs.quarantined == 0 {
-		return false
+// adderLocked returns the session that holds page p in its pool or parked
+// set and could have added it to fs since its last verification — self
+// (nil: none) or a write holder of fs — or nil: the one reach a grant
+// lends from and a verification attributes pages to.
+func (c *Controller) adderLocked(fs *fileState, self *libfsState, p nvm.PageID) *libfsState {
+	if self != nil && self.pooled(p) {
+		return self
 	}
-	for _, ls := range c.libfses {
-		m := ls.mapped[fs.ino]
-		adder := ls.id == fs.quarantined || fs.writer != 0 && ls.group == fs.writerGroup && m != nil && m.write
-		if adder && (ls.allocPages[p] || ls.parked[p]) {
-			delete(ls.allocPages, p)
-			ls.parked[p] = true
-			return true
+	for _, m := range fs.holders {
+		if m.write && m.ls.pooled(p) {
+			return m.ls
 		}
 	}
-	return false
+	return nil
 }
 
 // readDirentLocked reads the file's dirent slot into the session's
@@ -286,15 +294,17 @@ func (c *Controller) chainPageScopeLocked(p nvm.PageID, own int32) verifyScope {
 }
 
 // grantLocked installs a grant every check has already allowed: it maps
-// pages into the session, records the mapping, and registers the
-// session as the file's writer (checkpointing the file, whose dirent the
-// caller left in the session's staging buffer; its lease runs from now)
-// or as a reader. The caller holds the locks covering the session, the
-// file and — for a write grant — every page's checksum record.
+// pages into the session and adds the mapping to the file's holders. The
+// group's first write holder checkpoints the file, whose dirent the
+// caller left in the session's staging buffer, and its lease runs from
+// now; a stacked grant does neither: it would cut over a co-holder's
+// unverified stores. The caller holds the locks covering the session,
+// the file and — for a write grant — every page's checksum record.
 func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, write bool, gen uint64, now int64) MapInfo {
 	c := s.c
 	perm := mmu.PermRead
-	m := &mapping{ino: fs.ino, write: write, runs: runs}
+	first := write && fs.writeHolder() == nil
+	m := &mapping{ls: s.ls, fs: fs, write: write, runs: runs}
 	if write {
 		perm = mmu.PermWrite
 		// Checksum-behind: every granted page opens (durably) — by its
@@ -307,15 +317,14 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, wri
 	}
 	s.ls.refRunsLocked(runs, perm)
 	s.ls.mapped[fs.ino] = m
+	if fs.holders == nil {
+		fs.holders = fs.holdBuf[:0]
+	}
+	fs.holders = append(fs.holders, m)
 	delete(s.ls.revoked, fs.ino) // a successful re-map clears the revocation
-
-	if write {
-		fs.writer = s.ls.id
-		fs.writerGroup = s.ls.group
+	if first {
 		fs.writerSince = now
 		c.checkpointLocked(fs, &s.ls.direntBuf, gen)
-	} else {
-		fs.addReaderLocked(s.ls.id)
 	}
 	return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: *in, Write: write, Gen: gen}
 }
@@ -387,30 +396,18 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool, now int64) (MapIn
 	} else if up != nil {
 		return MapInfo{}, 0, errEscalate // read→write upgrade releases the old grant
 	}
-	// A conflicting writer drives the lease state machine right here:
-	// the clock, the cooperative recall, and the holder-vanished reset
-	// only touch state readable under this shard's lock. A same-group
-	// writer is not a conflict — shared write mappings go through the
-	// lockAll grant path, which knows how to stack them.
-	for fs.writer != 0 {
-		if fs.writer == s.ls.id || fs.writerGroup == s.ls.group {
-			return MapInfo{}, 0, errEscalate
-		}
-		wait, err := c.escalateLeaseFastLocked(fs)
-		if err != nil {
-			return MapInfo{}, 0, err // forcible revocation or holder reap
-		}
-		if wait > 0 {
-			return MapInfo{}, wait, nil
-		}
-		// wait == 0: the holder vanished under our lock; re-check.
+	// The file's holders decide. A foreign group's write holders drive the
+	// lease state machine right here: the clock and the recall only touch
+	// state readable under this shard's lock. The caller's own group's are
+	// no conflict — the lockAll grant path stacks mappings — and a write
+	// map past a foreign reader escalates: revoking it touches other shards.
+	if w := fs.writeHolder(); w != nil && w.ls.group != s.ls.group {
+		wait, err := c.escalateLeaseFastLocked(fs) // errEscalate: holder reap or revocation
+		return MapInfo{}, wait, err
 	}
-	if write {
-		for rid := range fs.readers {
-			r := c.libfses[rid] // registry reads are safe under any shard lock
-			if r == nil || r.group != s.ls.group {
-				return MapInfo{}, 0, errEscalate // revocation touches foreign shards
-			}
+	for _, m := range fs.holders {
+		if m.write || write && m.ls.group != s.ls.group {
+			return MapInfo{}, 0, errEscalate
 		}
 	}
 
@@ -422,9 +419,9 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool, now int64) (MapIn
 	if err != nil {
 		return MapInfo{}, 0, err
 	}
-	// No writer is left, so the clip allows fs.pages and the dirent page;
-	// whatever it cuts is the lockAll path's to settle.
-	runs, cut := c.clipGrantLocked(runs, fs)
+	// No write holder is left, so the clip allows fs.pages and the dirent
+	// page; whatever it cuts is the lockAll path's to settle.
+	runs, cut := c.clipGrantLocked(runs, fs, s.ls)
 	if cut {
 		return MapInfo{}, 0, errEscalate
 	}
@@ -487,22 +484,14 @@ func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bo
 			// The waiter itself was reaped while sleeping.
 			return ErrSessionDead
 		}
-		conflict := false
-		if fs.writer != 0 && fs.writerGroup != ls.group {
-			conflict = true
-		}
-		if write && !conflict {
-			for rid := range fs.readers {
-				if r := c.libfses[rid]; r != nil && r.group != ls.group {
-					// Readers are revoked immediately: their next access
-					// faults and they re-map (paper §4.2: "a LibFS can
-					// preserve the auxiliary state of a file until
-					// another application requests to write").
-					c.revokeLocked(r, fs.ino)
-				}
+		if w := fs.writeHolder(); w == nil || w.ls.group == ls.group {
+			if write {
+				// Foreign readers are revoked immediately: their next
+				// access faults and they re-map (paper §4.2: "a LibFS can
+				// preserve the auxiliary state of a file until another
+				// application requests to write").
+				c.revokeReadersLocked(fs, ls.group)
 			}
-		}
-		if !conflict {
 			return nil
 		}
 		wait := c.escalateLeaseLocked(fs)
@@ -528,15 +517,13 @@ func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bo
 	}
 }
 
-// revokeLocked force-unmaps a reader mapping (no verification needed).
-func (c *Controller) revokeLocked(ls *libfsState, ino core.Ino) {
-	m := ls.mapped[ino]
-	if m == nil || m.write {
-		return
-	}
-	ls.releaseLocked(m)
-	if fs, _ := c.files.get(ino); fs != nil {
-		delete(fs.readers, ls.id)
+// revokeReadersLocked force-unmaps the read mappings of fs held outside
+// trust group keep (no verification needed); keep 0 revokes them all.
+func (c *Controller) revokeReadersLocked(fs *fileState, keep GroupID) {
+	for i := len(fs.holders) - 1; i >= 0; i-- {
+		if m := fs.holders[i]; !m.write && m.ls.group != keep {
+			m.ls.releaseLocked(m)
+		}
 	}
 }
 
@@ -602,7 +589,7 @@ func (c *Controller) direntPageParentLocked(p nvm.PageID, creator LibFSID) (core
 		}
 		return 0, false
 	}
-	if ls := c.libfses[creator]; ls != nil && (ls.allocPages[p] || ls.parked[p]) {
+	if ls := c.libfses[creator]; ls != nil && ls.pooled(p) {
 		return 0, true
 	}
 	return 0, false
@@ -638,7 +625,8 @@ func (s *Session) UnmapFile(ino core.Ino) error {
 // unmapFast is UnmapFile under only the involved shards' locks. Reader
 // detaches always qualify; writer detaches qualify when the file is a
 // clean regular file whose pages are owned within the file and its
-// parent — corruption handling and directory child adoption escalate.
+// parent — corruption handling, directory child adoption and a page in a
+// co-holder's pool (PageAllocated) escalate.
 // sp is the caller's unmap span (inert when tracing is off).
 func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	c := s.c
@@ -647,7 +635,7 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	if err := s.aliveLocked(); err != nil {
 		return err
 	}
-	m, err := c.writerToUnmapLocked(s.ls, fs, ino)
+	m, err := c.writerToUnmapLocked(s.ls, ino)
 	if m == nil {
 		return err
 	}
@@ -666,7 +654,7 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 		return errEscalate
 	}
 	c.commitReportLocked(fs, s.ls, rep)
-	own, foreign := c.finishWriteUnmapLocked(s.ls, fs, m)
+	own, foreign := c.finishWriteUnmapLocked(fs, m)
 	// Seal under the narrowest lock that still serializes the record
 	// RMWs: pages owned by the file need only its home shard, so the
 	// session's and parent's shards are released first — the seal is the
@@ -685,30 +673,28 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 // writerToUnmapLocked resolves the mapping an unmap of ino releases.
 // Only a write mapping comes back for the caller to verify: a read
 // mapping is released here (readers could not have written), and nil
-// with a nil error reports that done.
-func (c *Controller) writerToUnmapLocked(ls *libfsState, fs *fileState, ino core.Ino) (*mapping, error) {
+// with a nil error reports that done. A mapping's file is registered
+// while it lasts: a file is forgotten only with no holder left.
+func (c *Controller) writerToUnmapLocked(ls *libfsState, ino core.Ino) (*mapping, error) {
 	m := ls.mapped[ino]
 	switch {
 	case m == nil && ls.revoked[ino]:
 		return nil, fmt.Errorf("%w: ino %d", ErrRevoked, ino)
 	case m == nil:
 		return nil, fmt.Errorf("%w: ino %d is not mapped", ErrBadRequest, ino)
-	case fs == nil:
-		return nil, fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
 	case !m.write:
 		ls.releaseLocked(m)
-		delete(fs.readers, ls.id)
 		return nil, nil
 	}
 	return m, nil
 }
 
 func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp telemetry.Span) error {
-	fs, _ := c.files.get(ino)
-	m, err := c.writerToUnmapLocked(ls, fs, ino)
+	m, err := c.writerToUnmapLocked(ls, ino)
 	if m == nil {
 		return err
 	}
+	fs := m.fs
 
 	rep, err := c.verifyReleaseLocked(fs, ls, acc)
 	if err != nil {
@@ -723,32 +709,39 @@ func (c *Controller) unmapLocked(ls *libfsState, ino core.Ino, acc *int, sp tele
 		// releases everything.
 		c.commitReportLocked(fs, ls, rep)
 	}
-	own, foreign := c.finishWriteUnmapLocked(ls, fs, m)
+	own, foreign := c.finishWriteUnmapLocked(fs, m)
 	c.sealQuiescentLocked(foreign, m, sp)
 	c.sealQuiescentLocked(own, m, sp)
 	return nil
 }
 
 // finishWriteUnmapLocked is the tail both writer-unmap paths share:
-// release the mapping's references and resolve any outstanding recall.
-// It returns the now-quiescent pages for the caller to seal — the
-// writer is gone and its stores are durable (every LibFS write persists
-// before returning), so the content is exactly what a scrub should
-// vouch for — split into the runs the file owns and the rest (the
-// dirent page, owned by the parent), which unmapFast seals under
-// different lock sets.
-func (c *Controller) finishWriteUnmapLocked(ls *libfsState, fs *fileState, m *mapping) (own, foreign []pageRun) {
-	ls.releaseLocked(m)
-	fs.writer = 0
-	c.dropCheckpointLocked(fs)
-	c.stats.observeRecall(fs.recallAt)
-	fs.recallAt = 0 // the holder complied; recall resolved
+// release the mapping (releaseWriteLocked). It returns the now-quiescent
+// pages for the caller to seal — the writer is gone and its stores are
+// durable (every LibFS write persists before returning), so the content
+// is exactly what a scrub should vouch for — split into the runs the
+// file owns and the rest (the dirent page, owned by the parent), which
+// unmapFast seals under different lock sets.
+func (c *Controller) finishWriteUnmapLocked(fs *fileState, m *mapping) (own, foreign []pageRun) {
+	c.releaseWriteLocked(m)
 
 	// The file owns exactly fs.pages: that is the seal set, pages the
 	// mapping missed (a same-group writer's appends) included, and what
 	// the mapping held beyond it is the rest. The caller seals own under
 	// the file's shard lock, which is what fs.pages changes under.
 	return fs.pages, runsDiff(nil, m.runs, fs.pages)
+}
+
+// releaseWriteLocked drops write mapping m. The group's last write holder
+// leaving ends the rollback window the first one opened and resolves any
+// recall: the holders complied, or were revoked.
+func (c *Controller) releaseWriteLocked(m *mapping) {
+	m.ls.releaseLocked(m)
+	if fs := m.fs; fs.writeHolder() == nil {
+		c.dropCheckpointLocked(fs)
+		c.stats.observeRecall(fs.recallAt)
+		fs.recallAt = 0
+	}
 }
 
 // verifyScope says whether a verification may carry the I2 facts of the
@@ -864,8 +857,8 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 }
 
 // commitPagesLocked records what a clean full walk found: its facts, and
-// the page set — consuming newly bound pages from the allocation pool
-// and parking pages that left the file.
+// the page set — consuming newly bound pages from the pool they were
+// attributed to (adderLocked) and parking pages that left the file.
 func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verifier.Report) {
 	if rep.Inode.Type == core.TypeReg {
 		// The facts go in before any reference below is dropped: a drop
@@ -896,22 +889,22 @@ func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verif
 	if slices.Equal(newSet, fs.pages) {
 		return // unchanged page set (the overwrite handover): nothing to bind, park or transfer
 	}
-	// Pool references of consumed pages either transfer onto the caller's
-	// still-open mapping of this file or are dropped.
+	// Pool references of consumed pages either transfer onto the pool
+	// owner's still-open mapping of this file or are dropped.
 	m := ls.mapped[fs.ino]
 	var buf [4]pageRun
 	for _, r := range runsDiff(buf[:0], newSet, fs.pages) {
 		for p := r.start; p < r.end(); p++ {
-			c.tracePage(p, "bind-commit ino=%d ls=%d pool=%v parked=%v", fs.ino, ls.id, ls.allocPages[p], ls.parked[p])
-			if ls.allocPages[p] || ls.parked[p] {
-				delete(ls.allocPages, p)
-				delete(ls.parked, p)
-				if m != nil && runsFind(m.runs, p) < 0 {
-					m.runs = runsAdd(m.runs, p) // transfer the pool ref
+			c.tracePage(p, "bind-commit ino=%d ls=%d pool=%v parked=%v", fs.ino, ls.id, ls.allocPages[p], ls.parked[p] != 0)
+			if o := c.adderLocked(fs, ls, p); o != nil {
+				delete(o.allocPages, p)
+				delete(o.parked, p)
+				if om := o.mapped[fs.ino]; om != nil && runsFind(om.runs, p) < 0 {
+					om.runs = runsAdd(om.runs, p) // transfer the pool ref
 				} else {
 					// No open mapping to transfer to (adopt path), or the
 					// page was double-counted at grant time.
-					ls.unrefPageLocked(p)
+					o.unrefPageLocked(p)
 				}
 			}
 			c.setPageOwner(p, fs.ino)
@@ -937,7 +930,7 @@ func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verif
 			} else {
 				ls.refPageLocked(p, mmu.PermWrite)
 			}
-			ls.parked[p] = true
+			ls.parked[p] = fs.ino
 			c.tracePage(p, "park-depart ino=%d ls=%d", fs.ino, ls.id)
 		}
 	}
@@ -985,8 +978,8 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	cm := ls.mapped[ch.Ino]
 	for _, r := range cfs.pages {
 		for p := r.start; p < r.end(); p++ {
-			c.tracePage(p, "bind-adopt ino=%d ls=%d pool=%v parked=%v", ch.Ino, ls.id, ls.allocPages[p], ls.parked[p])
-			if ls.allocPages[p] || ls.parked[p] {
+			c.tracePage(p, "bind-adopt ino=%d ls=%d pool=%v parked=%v", ch.Ino, ls.id, ls.allocPages[p], ls.parked[p] != 0)
+			if ls.pooled(p) {
 				delete(ls.allocPages, p)
 				delete(ls.parked, p)
 				if cm != nil {
@@ -1221,13 +1214,16 @@ func (e *envImpl) IndexUnchanged(head nvm.PageID) bool {
 
 func (e *envImpl) TotalPages() uint64           { return uint64(e.c.dev.NumPages()) }
 func (e *envImpl) PageInFile(p nvm.PageID) bool { return runsFind(e.fs.pages, p) >= 0 }
+
+// PageAllocated attributes to the session's pool and, under lockAll, to
+// every write holder's: a co-holder's pool is guarded by its own shard.
 func (e *envImpl) PageAllocated(p nvm.PageID) bool {
-	if e.ls.allocPages[p] || e.ls.parked[p] {
+	if e.ls.pooled(p) || e.c.allHeld && e.c.adderLocked(e.fs, nil, p) != nil {
 		return true
 	}
 	if e.sys {
 		for _, ls := range e.c.libfses {
-			if ls.allocPages[p] || ls.parked[p] {
+			if ls.pooled(p) {
 				return true
 			}
 		}
@@ -1288,7 +1284,7 @@ func (e *envImpl) DirDeletedOK(child core.Ino) bool {
 		// Never verified: created and removed by the same LibFS.
 		return true
 	}
-	if cfs.writer != 0 || len(cfs.readers) > 0 {
+	if len(cfs.holders) > 0 {
 		return false
 	}
 	// Deleted directory must have no live entries.

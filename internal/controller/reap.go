@@ -71,11 +71,9 @@ func (c *Controller) reapLocked(ls *libfsState) {
 	// orphan sweep below: the session may have died between clearing a
 	// dirent and the (batched, deferred) RemoveFile call.
 	var deadDirs []*fileState
-	for ino, m := range ls.mapped {
-		if m.write {
-			if fs, _ := c.files.get(ino); fs != nil && fs.ftype == core.TypeDir {
-				deadDirs = append(deadDirs, fs)
-			}
+	for _, m := range ls.mapped {
+		if m.write && m.fs.ftype == core.TypeDir {
+			deadDirs = append(deadDirs, m.fs)
 		}
 	}
 
@@ -86,21 +84,11 @@ func (c *Controller) reapLocked(ls *libfsState) {
 	// to tell a file the dead session had unlinked from one it merely
 	// corrupted.
 	for pass := 0; pass < 2; pass++ {
-		for ino, m := range ls.mapped {
-			fs, _ := c.files.get(ino)
-			if fs == nil {
-				delete(ls.mapped, ino)
-				continue
-			}
+		for _, m := range ls.mapped {
 			if !m.write {
-				if pass == 0 {
-					ls.releaseLocked(m)
-					delete(fs.readers, ls.id)
-				}
-				continue
-			}
-			if (fs.ftype == core.TypeDir) == (pass == 0) {
-				c.reapFileLocked(ls, fs)
+				ls.releaseLocked(m)
+			} else if (m.fs.ftype == core.TypeDir) == (pass == 0) {
+				c.reapFileLocked(ls, m.fs)
 			}
 		}
 	}
@@ -114,21 +102,7 @@ func (c *Controller) reapLocked(ls *libfsState) {
 	// (envImpl.PageAllocated). Whatever commitReportLocked absorbed
 	// into files is gone from the pool; the rest returns to the
 	// allocator.
-	var pages []nvm.PageID
-	for p := range ls.allocPages {
-		pages = append(pages, p)
-		delete(ls.allocPages, p)
-		c.tracePage(p, "free-reap-pool ls=%d", ls.id)
-	}
-	for p := range ls.parked {
-		pages = append(pages, p)
-		delete(ls.parked, p)
-		// Not always a no-op: a commit above parks a page that left its
-		// file outside the dead session's mapping with a fresh reference.
-		ls.unrefPageLocked(p)
-		c.tracePage(p, "free-reap-parked ls=%d", ls.id)
-	}
-	c.pageAlloc.FreePages(pages)
+	c.freePoolLocked(ls, "reap")
 	for ino := range ls.allocInos {
 		c.allocBy.del(ino)
 		delete(ls.allocInos, ino)
@@ -178,7 +152,7 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 		if holder, _ := c.allocBy.get(ino); !direntPages[fs.loc.Page] && holder != ls.id {
 			return true
 		}
-		if fs.writer != 0 || len(fs.readers) > 0 {
+		if len(fs.holders) > 0 {
 			return true
 		}
 		if !c.direntGoneLocked(fs) {
@@ -203,7 +177,7 @@ func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState, trace strin
 	for _, r := range fs.pages {
 		for p := r.start; p < r.end(); p++ {
 			c.clearPageOwner(p)
-			ls.parked[p] = true
+			ls.parked[p] = fs.ino
 			c.tracePage(p, trace, fs.ino, ls.id)
 		}
 	}
@@ -230,11 +204,11 @@ func (c *Controller) direntGoneLocked(fs *fileState) bool {
 	return err == nil && got != fs.ino
 }
 
-// reapFileLocked forcibly revokes one write mapping: verify the file's
-// core state and, when the dead or unresponsive holder left it corrupt,
-// roll back to the checkpoint — there is no fix-handler grace here, the
-// process is gone (or out of grace). A file that cannot be restored to
-// a verified state is quarantined.
+// reapFileLocked forcibly revokes ls's write mapping of fs: verify the
+// file's core state and, when the dead or unresponsive holder left it
+// corrupt, roll back to the checkpoint — there is no fix-handler grace
+// here, the process is gone (or out of grace). A file that cannot be
+// restored to a verified state is quarantined.
 func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 	// A gone dirent means the holder had committed an unlink of this
 	// file (the atomic dirent clear IS the unlink's commit point) and
@@ -267,23 +241,24 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 		}
 	}
 	if m := ls.mapped[fs.ino]; m != nil {
-		ls.releaseLocked(m)
+		c.releaseWriteLocked(m)
 	}
 	ls.revoked[fs.ino] = true
-	fs.writer = 0
-	c.dropCheckpointLocked(fs)
-	c.stats.observeRecall(fs.recallAt)
-	fs.recallAt = 0
 }
 
 // retireFileLocked finishes an unlink the (dead or revoked) holder
-// committed but never reported: release the holder's mapping, free the
-// file's bound pages and drop the record. The tombstone makes the
-// holder's own batched RemoveFile — or a surviving trust-group
+// committed but never reported: release every mapping of the file — a
+// co-holder's is revoked, as the file's pages are parked for teardown —
+// park the file's bound pages and drop the record. The tombstone makes
+// the holder's own batched RemoveFile — or a surviving trust-group
 // sibling's — an idempotent no-op.
 func (c *Controller) retireFileLocked(ls *libfsState, fs *fileState) {
-	if m := ls.mapped[fs.ino]; m != nil {
-		ls.releaseLocked(m)
+	for len(fs.holders) > 0 {
+		m := fs.holders[0]
+		if m.ls != ls {
+			m.ls.revoked[fs.ino] = true
+		}
+		m.ls.releaseLocked(m)
 	}
 	c.forgetFileLocked(ls, fs, "park-retire ino=%d ls=%d")
 	c.reaped.set(fs.ino, true)
@@ -328,7 +303,7 @@ func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState) {
 		}
 		fsRef := fs
 		bind := func(p nvm.PageID) bool {
-			if ls.allocPages[p] || ls.parked[p] {
+			if ls.pooled(p) {
 				delete(ls.allocPages, p)
 				delete(ls.parked, p)
 				ls.unrefPageLocked(p)
@@ -378,46 +353,44 @@ func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState) {
 }
 
 // escalateLeaseFastLocked advances the lease-enforcement state machine
-// for a contended file under only the file's home shard lock, and
-// returns how long the caller should wait before re-checking (0 =
-// state changed, re-check now). It is safe under the narrow lock set
-// because everything it touches is either guarded by the file's home
-// shard (fs.writer, fs.writerSince, fs.recallAt), written only under
-// lockAll and therefore stable under any shard lock (ls.dead,
-// ls.recall, the registries), or internally synchronized (stats).
-// The two transitions that mutate foreign-shard state — reaping a dead
-// holder and forcibly revoking past the recall deadline — return
-// errEscalate so the caller reruns under lockAll.
+// for a file one group write-holds while another waits, under only the
+// file's home shard lock, and returns how long the caller should wait
+// before re-checking. The lease runs from the group's first write grant
+// (fs.writerSince), and the recall goes to every write holder. It is
+// safe under the narrow lock set because everything it touches is
+// either guarded by the file's home shard (fs.holders, fs.writerSince,
+// fs.recallAt), written only under lockAll and therefore stable under
+// any shard lock (ls.dead, ls.recall), or internally synchronized
+// (stats). The two transitions that mutate foreign-shard state —
+// reaping a dead holder and forcibly revoking past the recall deadline
+// — return errEscalate so the caller reruns under lockAll.
 func (c *Controller) escalateLeaseFastLocked(fs *fileState) (time.Duration, error) {
-	holder := c.libfses[fs.writer]
-	if holder == nil {
-		// Holder vanished (closed or reaped concurrently).
-		fs.writer = 0
-		c.stats.observeRecall(fs.recallAt)
-		fs.recallAt = 0
-		return 0, nil
-	}
-	if holder.dead {
-		// The holder's process is gone: the whole session must be
-		// reaped, which tears down mappings homed on other shards.
-		return 0, errEscalate
+	for _, m := range fs.holders {
+		if m.write && m.ls.dead {
+			// A holder's process is gone: the whole session must be
+			// reaped, which tears down mappings homed on other shards.
+			return 0, errEscalate
+		}
 	}
 	now := telemetry.Now()
 	if remaining := c.opts.LeaseTime - time.Duration(now-fs.writerSince); remaining > 0 {
 		return remaining, nil
 	}
 	if fs.recallAt == 0 {
-		if fn := holder.recall; fn != nil {
-			// Step 1: ask nicely, once, off the lock.
-			c.stats.LeaseRecalls.Add(1)
-			c.stats.shard(c.shardIdxIno(fs.ino)).Recalls.Add(1)
-			fs.recallAt = now
-			ino := fs.ino
-			go fn(ino)
-			return c.opts.RecallTimeout, nil
+		// Step 1: ask nicely, once, off the lock. A group none of whose
+		// holders has a recall handler goes straight to revocation.
+		for _, m := range fs.holders {
+			if fn := m.ls.recall; m.write && fn != nil {
+				fs.recallAt = now
+				go fn(fs.ino)
+			}
 		}
-		// No recall handler: straight to forcible revocation.
-		return 0, errEscalate
+		if fs.recallAt == 0 {
+			return 0, errEscalate
+		}
+		c.stats.LeaseRecalls.Add(1)
+		c.stats.shard(c.shardIdxIno(fs.ino)).Recalls.Add(1)
+		return c.opts.RecallTimeout, nil
 	}
 	if left := c.opts.RecallTimeout - time.Duration(now-fs.recallAt); left > 0 {
 		// Step 2: recall outstanding; give it the rest of its deadline.
@@ -430,22 +403,27 @@ func (c *Controller) escalateLeaseFastLocked(fs *fileState) (time.Duration, erro
 // escalateLeaseLocked is the lockAll form: identical escalation order
 // (§4.5: wait out the lease → cooperative recall → recall deadline →
 // forcible revocation), but able to complete the revocation and
-// holder-reap transitions the fast form bails out of.
+// holder-reap transitions the fast form bails out of. A zero wait means
+// the holders changed: re-check.
 func (c *Controller) escalateLeaseLocked(fs *fileState) time.Duration {
 	wait, err := c.escalateLeaseFastLocked(fs)
 	if err == nil {
 		return wait
 	}
-	holder := c.libfses[fs.writer]
-	if holder.dead {
-		// The holder's process is gone: reap the whole session — it can
-		// never unmap anything again.
-		c.reapLocked(holder)
-		return 0
+	for _, m := range fs.holders {
+		if m.write && m.ls.dead {
+			// A holder's process is gone: reap the whole session — it can
+			// never unmap anything again.
+			c.reapLocked(m.ls)
+			return 0
+		}
 	}
-	// No recall handler, or the deadline passed — revoke.
+	// No recall handler, or the deadline passed — revoke every write
+	// holder of the group.
 	c.stats.LeaseExpiries.Add(1)
-	c.reapFileLocked(holder, fs)
+	for m := fs.writeHolder(); m != nil; m = fs.writeHolder() {
+		c.reapFileLocked(m.ls, fs)
+	}
 	return 0
 }
 

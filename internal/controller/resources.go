@@ -95,7 +95,7 @@ func (s *Session) freePagesFast(pages []nvm.PageID) error {
 		return err
 	}
 	for _, p := range pages {
-		if !s.ls.parked[p] && !s.ls.allocPages[p] {
+		if !s.ls.pooled(p) {
 			return errEscalate
 		}
 	}
@@ -111,7 +111,7 @@ func (s *Session) freePagesLocked(pages []nvm.PageID, bound bool) error {
 	defer func() { c.pageAlloc.FreePages(freeable) }()
 	for _, p := range pages {
 		switch {
-		case s.ls.parked[p]:
+		case s.ls.parked[p] != 0:
 			// Already in post-departure limbo (see libfsState.parked);
 			// it settles at teardown. Accept the free as a no-op rather
 			// than risk releasing a page a racy walk unbound while the
@@ -142,19 +142,14 @@ func (s *Session) freePagesLocked(pages []nvm.PageID, bound bool) error {
 func (s *Session) unbindLocked(p nvm.PageID) bool {
 	c := s.c
 	ino := c.pageOwnerAt(p)
-	if m := s.ls.mapped[ino]; ino == 0 || m == nil || !m.write {
+	m := s.ls.mapped[ino]
+	if ino == 0 || m == nil || !m.write {
 		return false
 	}
-	fs, _ := c.files.get(ino)
-	fs.pages = runsRemove(fs.pages, p)
-	c.voidFactsLocked(fs)
+	m.fs.pages = runsRemove(m.fs.pages, p)
+	c.voidFactsLocked(m.fs)
 	c.clearPageOwner(p)
-	for _, o := range c.libfses {
-		if m := o.mapped[ino]; o != s.ls && m != nil && runsFind(m.runs, p) >= 0 {
-			m.runs = runsRemove(m.runs, p)
-			o.unrefPageLocked(p)
-		}
-	}
+	c.dropFromHoldersLocked(m.fs, p, s.ls)
 	c.tracePage(p, "free-bound ino=%d ls=%d", ino, s.ls.id)
 	return true
 }
@@ -396,12 +391,9 @@ func (s *Session) removeLocked(ino core.Ino, poolPages []nvm.PageID) error {
 	// even after a recall bounced it and a later lookup re-mapped the
 	// parent read-only, so the caller's current parent permission proves
 	// nothing either way: the cleared-dirent check below is the gate.
-	if fs.writer != 0 && fs.writer != s.ls.id {
-		return fmt.Errorf("%w: ino %d", ErrBusy, ino)
-	}
-	for rid := range fs.readers {
-		if rid != s.ls.id {
-			return fmt.Errorf("%w: ino %d has readers", ErrBusy, ino)
+	for _, m := range fs.holders {
+		if m.ls != s.ls {
+			return fmt.Errorf("%w: ino %d is mapped by LibFS %d", ErrBusy, ino, m.ls.id)
 		}
 	}
 	// The dirent must already be retired (cleared, reused, or on a page
@@ -479,29 +471,23 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 		}
 	}
 	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
-		if fs.writer == 0 {
-			return true
-		}
-		ls := c.libfses[fs.writer]
-		if ls == nil {
-			fs.writer = 0
+		w := fs.writeHolder()
+		if w == nil {
 			return true
 		}
 		checked++
-		rep, err := c.verifyLocked(fs, ls, nil, scopeFullWalk)
+		rep, err := c.verifyLocked(fs, w.ls, nil, scopeFullWalk)
 		if err != nil || !rep.OK() {
 			c.restoreCheckpointLocked(fs)
 			c.stats.Rollbacks.Add(1)
 			rolledBack++
 		} else {
-			c.commitReportLocked(fs, ls, rep)
+			c.commitReportLocked(fs, w.ls, rep)
 		}
-		// Drop the mapping: the "process" died with the crash.
-		if m := ls.mapped[fs.ino]; m != nil {
-			ls.releaseLocked(m)
+		// Drop the mappings: the "processes" died with the crash.
+		for ; w != nil; w = fs.writeHolder() {
+			c.releaseWriteLocked(w)
 		}
-		fs.writer = 0
-		c.dropCheckpointLocked(fs)
 		return true
 	})
 	c.expandGranulesLocked()
@@ -516,7 +502,6 @@ type FileInfo struct {
 	Type   core.FileType
 	Parent core.Ino
 	Pages  int
-	Writer LibFSID
 }
 
 // Files lists the controller's file records.
@@ -527,7 +512,7 @@ func (c *Controller) Files() []FileInfo {
 	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
 		out = append(out, FileInfo{
 			Ino: fs.ino, Loc: fs.loc, Type: fs.ftype, Parent: fs.parent,
-			Pages: runsLen(fs.pages), Writer: fs.writer,
+			Pages: runsLen(fs.pages),
 		})
 		return true
 	})
@@ -555,11 +540,6 @@ func pageNumIn(s string) string {
 // VerifyAll runs the verifier over every known file (the arckfsck
 // "full scan" mode); it returns the numbers of files checked and files
 // with violations.
-func holderOf(c *Controller, ino core.Ino) LibFSID {
-	h, _ := c.allocBy.get(ino)
-	return h
-}
-
 func (c *Controller) VerifyAll() (checked, bad int, firstProblem string) {
 	c.lockAll()
 	defer c.unlockAll()
@@ -571,10 +551,11 @@ func (c *Controller) VerifyAll() (checked, bad int, firstProblem string) {
 		if err != nil || !rep.OK() {
 			if telemetry.TracingOn() {
 				got, _ := core.DirentIno(c.mem, fs.loc.Page, fs.loc.Slot)
+				holder, _ := c.allocBy.get(fs.ino)
 				msg := fmt.Sprintf(
-					"VerifyAll ino=%d loc=%v type=%v parent=%d writer=%d readers=%d reaped=%v allocBy=%d quarantined=%d direntNow=%d err=%v viol=%v",
-					fs.ino, fs.loc, fs.ftype, fs.parent, fs.writer, len(fs.readers),
-					c.reaped.has(fs.ino), holderOf(c, fs.ino), fs.quarantined, got, err, rep.Violations)
+					"VerifyAll ino=%d loc=%v type=%v parent=%d holders=%d reaped=%v allocBy=%d quarantined=%d direntNow=%d err=%v viol=%v",
+					fs.ino, fs.loc, fs.ftype, fs.parent, len(fs.holders),
+					c.reaped.has(fs.ino), holder, fs.quarantined, got, err, rep.Violations)
 				for _, v := range rep.Violations {
 					var pg uint64
 					if _, serr := fmt.Sscanf(pageNumIn(v.String()), "%d", &pg); serr == nil {

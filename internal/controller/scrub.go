@@ -385,11 +385,7 @@ func (c *Controller) quarantinePageLocked(p nvm.PageID) {
 	}
 	fs.corrupt = true
 	c.tracePage(p, "scrub-quarantine ino=%d", ino)
-	for id := range fs.readers {
-		if ls := c.libfses[id]; ls != nil {
-			c.revokeLocked(ls, ino)
-		}
-	}
+	c.revokeReadersLocked(fs, 0)
 }
 
 // scrubNow runs one budgeted on-demand slice over the global cursor

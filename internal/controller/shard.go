@@ -110,9 +110,11 @@ func (c *Controller) lockAll() {
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
 	}
+	c.allHeld = true
 }
 
 func (c *Controller) unlockAll() {
+	c.allHeld = false
 	for i := len(c.shards) - 1; i >= 0; i-- {
 		c.shards[i].mu.Unlock()
 	}
@@ -539,7 +541,7 @@ func (c *Controller) sweepShard(i int) {
 		}
 	}
 	for ino, fs := range sh.files {
-		if fs.writer != 0 && fs.waiters > 0 {
+		if fs.waiters > 0 && fs.writeHolder() != nil {
 			contended = append(contended, ino)
 		}
 	}
@@ -556,7 +558,7 @@ func (c *Controller) sweepShard(i int) {
 		// convoys the others.
 		sh.mu.Lock()
 		force := false
-		if fs, _ := c.files.get(ino); fs != nil && fs.writer != 0 && fs.waiters > 0 {
+		if fs, _ := c.files.get(ino); fs != nil && fs.waiters > 0 && fs.writeHolder() != nil {
 			_, err := c.escalateLeaseFastLocked(fs)
 			force = err != nil
 		}
@@ -565,7 +567,7 @@ func (c *Controller) sweepShard(i int) {
 			continue
 		}
 		c.lockAll()
-		if fs, _ := c.files.get(ino); fs != nil && fs.writer != 0 && fs.waiters > 0 {
+		if fs, _ := c.files.get(ino); fs != nil && fs.waiters > 0 && fs.writeHolder() != nil {
 			c.escalateLeaseLocked(fs)
 		}
 		c.unlockAll()
@@ -638,7 +640,7 @@ func (c *Controller) scrubShard(i int) {
 			break
 		}
 		sh.scrubIno = fs.ino
-		if fs.corrupt || fs.quarantined != 0 || fs.writer != 0 {
+		if fs.corrupt || fs.quarantined != 0 || fs.writeHolder() != nil {
 			continue
 		}
 		c.settleGranulesLocked(fs.pages)

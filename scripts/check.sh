@@ -29,8 +29,10 @@
 #      more to the controller's write references at two sizes: per
 #      granule and per page, they must count what the per-page table
 #      counted. Ten more to the grant rule: under any maps, unmaps,
-#      index stores, frees and allocations by sessions in two trust
-#      groups, no page a session reaches lies beyond its group's reach.
+#      index stores, frees, allocations and closes by sessions in two
+#      trust groups — a contended map revoking every write holder after
+#      a short lease — no page a session reaches lies beyond its group's
+#      reach, and no two groups write-map one file.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
 #      must stream one page, read no index page, act on at most 160
@@ -241,9 +243,11 @@ go test -run='^$' -fuzz='^FuzzChecksumOpenModel$' -fuzztime=10s -fuzzminimizetim
 # leave every page's count, and the scrub, seal and open decisions it
 # makes, as the per-page table had them.
 go test -run='^$' -fuzz='^FuzzControllerTablesModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
-# The one grant rule, from the outside: after every map, unmap, index
-# store, free or allocation, each page a session reaches is its files'
-# dirent or owned page, or in its own trust group's pool or parked sets.
+# The one grant rule, from the outside: after every map (a contended one
+# waits out a short lease and revokes every write holder), unmap, index
+# store, free, allocation or close, each page a session reaches is its
+# files' dirent or owned page, or in its own trust group's pool or
+# parked sets, and no two trust groups write-map one file.
 go test -run='^$' -fuzz='^FuzzGrantOwnership$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
