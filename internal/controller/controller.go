@@ -174,6 +174,16 @@ type fileState struct {
 	corrupt bool
 }
 
+// writeHolderBut reports whether a write holder other than m holds the file.
+func (fs *fileState) writeHolderBut(m *mapping) bool {
+	for _, o := range fs.holders {
+		if o.write && o != m {
+			return true
+		}
+	}
+	return false
+}
+
 // writeHolder returns a write holder of the file, nil when there is none.
 func (fs *fileState) writeHolder() *mapping {
 	for _, m := range fs.holders {
@@ -345,7 +355,6 @@ type Controller struct {
 
 	files   inoTable[*fileState]
 	libfses map[LibFSID]*libfsState
-	allHeld bool // lockAll holds every shard: a section under fewer never sees it set
 
 	// tabMu (leaf lock, ordered after every shard mutex) guards the
 	// global tables below for the fast paths; lockAll sections may

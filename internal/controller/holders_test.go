@@ -132,3 +132,28 @@ func TestParkedPageTeardown(t *testing.T) {
 		t.Fatalf("a2 maps page %d %v, now b's", p, perm)
 	}
 }
+
+// TestWaitOnRetiredFile: a write-maps the file and clears its dirent (an
+// unlink's commit); b's map waits out the lease, whose revocation retires
+// the file. b gets ErrUnknownFile and no mapping, so once a closes and its
+// parked pages go to the allocator, b reaches none of them.
+func TestWaitOnRetiredFile(t *testing.T) {
+	w := newScopedWorld(t)
+	if _, err := w.a.MapFile(w.ino, w.loc, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.CommitDirentIno(w.a.AddressSpace(), w.loc.Page, w.loc.Slot, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.b.MapFile(w.ino, w.loc, true); !errors.Is(err, ErrUnknownFile) {
+		t.Fatalf("b's map of the retired file: %v, want ErrUnknownFile", err)
+	}
+	if err := w.a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range w.targets[1:] {
+		if perm := w.b.AddressSpace().PermOf(p); perm != mmu.PermNone {
+			t.Errorf("b maps page %d %v of the retired file", p, perm)
+		}
+	}
+}

@@ -477,12 +477,16 @@ const accessPoll = time.Millisecond
 // LeaseTime + RecallTimeout plus scheduling noise. The caller's
 // admission slot is released across each sleep so a sleeping waiter
 // cannot occupy the slot its lease holder needs to comply with the
-// recall; *now is moved to the end of the last sleep.
+// recall; *now is moved to the end of the last sleep. A file forgotten
+// meanwhile (a revoked holder's unlink, a removal) is ErrUnknownFile.
 func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bool, gate *admitGate, now *int64) error {
 	for {
 		if ls.dead {
 			// The waiter itself was reaped while sleeping.
 			return ErrSessionDead
+		}
+		if cur, _ := c.files.get(fs.ino); cur != fs {
+			return fmt.Errorf("%w: ino %d was removed", ErrUnknownFile, fs.ino)
 		}
 		if w := fs.writeHolder(); w == nil || w.ls.group == ls.group {
 			if write {
@@ -625,8 +629,8 @@ func (s *Session) UnmapFile(ino core.Ino) error {
 // unmapFast is UnmapFile under only the involved shards' locks. Reader
 // detaches always qualify; writer detaches qualify when the file is a
 // clean regular file whose pages are owned within the file and its
-// parent — corruption handling, directory child adoption and a page in a
-// co-holder's pool (PageAllocated) escalate.
+// parent — corruption handling, directory child adoption and a write
+// co-holder, whose pool the verification must see (PageAllocated), escalate.
 // sp is the caller's unmap span (inert when tracing is off).
 func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	c := s.c
@@ -639,7 +643,7 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	if m == nil {
 		return err
 	}
-	if fs.ftype != core.TypeReg || fs.quarantined != 0 || fs.corrupt {
+	if fs.ftype != core.TypeReg || fs.quarantined != 0 || fs.corrupt || fs.writeHolderBut(m) {
 		return errEscalate
 	}
 	rep, err := c.verifyReleaseLocked(fs, s.ls, acc)
@@ -1215,10 +1219,10 @@ func (e *envImpl) IndexUnchanged(head nvm.PageID) bool {
 func (e *envImpl) TotalPages() uint64           { return uint64(e.c.dev.NumPages()) }
 func (e *envImpl) PageInFile(p nvm.PageID) bool { return runsFind(e.fs.pages, p) >= 0 }
 
-// PageAllocated attributes to the session's pool and, under lockAll, to
-// every write holder's: a co-holder's pool is guarded by its own shard.
+// PageAllocated attributes to the session's pool and to every write
+// holder's (unmapFast escalates a release with a write co-holder).
 func (e *envImpl) PageAllocated(p nvm.PageID) bool {
-	if e.ls.pooled(p) || e.c.allHeld && e.c.adderLocked(e.fs, nil, p) != nil {
+	if e.ls.pooled(p) || e.c.adderLocked(e.fs, nil, p) != nil {
 		return true
 	}
 	if e.sys {

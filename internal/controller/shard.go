@@ -110,11 +110,9 @@ func (c *Controller) lockAll() {
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
 	}
-	c.allHeld = true
 }
 
 func (c *Controller) unlockAll() {
-	c.allHeld = false
 	for i := len(c.shards) - 1; i >= 0; i-- {
 		c.shards[i].mu.Unlock()
 	}
