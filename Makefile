@@ -17,6 +17,7 @@ test:
 # conformance suite's parallel cases, the LibFS they drive, the
 # controller, page table and verifier under it (the store path's
 # dirty-bit CAS races the controller's unmap, harvest and granule split),
+# the directory hash table whose lock-free readers race its writers,
 # the telemetry
 # registry/ring everything records into, and the wire-serving front-end
 # (pipelined connections, out-of-order workers). The workload package's
@@ -25,7 +26,7 @@ test:
 # fault storm) and the small-op driver's two arms. scripts/check.sh
 # runs this target, so the package list lives here only.
 race:
-	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
+	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/index/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
 	$(GO) test -race -run '^TestNet|^TestSmallOps' ./internal/workload/
 
 vet:
@@ -42,6 +43,7 @@ vet:
 # the page table's two page sizes against the per-page model, the
 # checksum region's two levels against the per-page opener, the
 # controller's write references at two sizes against the per-page counts,
+# the directory hash table against a Go map across its grows,
 # and the one grant rule: whatever sessions map, store, free, allocate
 # and close — a contended map sitting out the lease and revoking every
 # write holder — no page a session reaches lies beyond its trust group's
@@ -57,6 +59,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzChecksumOpenModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 	$(GO) test -run='^$$' -fuzz='^FuzzControllerTablesModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 	$(GO) test -run='^$$' -fuzz='^FuzzGrantOwnership$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+	$(GO) test -run='^$$' -fuzz='^FuzzMapModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index/
 
 # Data-path regression harness: per-op software overhead (cost model
 # off) across workloads × FS, rewritten into BENCH_trio.json so PRs

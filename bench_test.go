@@ -362,36 +362,59 @@ func BenchmarkAblationDelegation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDirLock — the per-bucket-locked hash table against a
-// single-mutex map under concurrent directory-style churn.
+// BenchmarkAblationDirLock — the directory hash table (lock-free
+// readers, striped writers) against a single-mutex map under concurrent
+// directory-style churn, at two mixes: put-get alternates the two, and
+// read-mostly issues 9 Gets to each Put, the mix the LibFS's lookups,
+// stats and opens put on a directory. The 4,096 names are made before
+// the clock starts, so the loop times the maps, not the allocator.
 func BenchmarkAblationDirLock(b *testing.B) {
-	b.Run("striped-hash", func(b *testing.B) {
-		m := index.NewMap[int]()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				k := fmt.Sprintf("f%d", i%4096)
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("f%d", i)
+	}
+	for _, mix := range []struct {
+		name string
+		gets int // Gets per Put
+	}{{"put-get", 1}, {"read-mostly", 9}} {
+		b.Run("hash/"+mix.name, func(b *testing.B) {
+			m := index.NewMap[int]()
+			for i, k := range keys {
 				m.Put(k, i)
-				m.Get(k)
-				i++
 			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					k := keys[i%len(keys)]
+					if i%(mix.gets+1) == 0 {
+						m.Put(k, i)
+					} else {
+						m.Get(k)
+					}
+				}
+			})
 		})
-	})
-	b.Run("single-mutex-map", func(b *testing.B) {
-		var mu sync.Mutex
-		m := map[string]int{}
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				k := fmt.Sprintf("f%d", i%4096)
-				mu.Lock()
+		b.Run("single-mutex-map/"+mix.name, func(b *testing.B) {
+			var mu sync.Mutex
+			m := make(map[string]int, len(keys))
+			for i, k := range keys {
 				m[k] = i
-				_ = m[k]
-				mu.Unlock()
-				i++
 			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					k := keys[i%len(keys)]
+					mu.Lock()
+					if i%(mix.gets+1) == 0 {
+						m[k] = i
+					} else {
+						_ = m[k]
+					}
+					mu.Unlock()
+				}
+			})
 		})
-	})
+	}
 }
 
 // BenchmarkAblationIndex — the KVFS bet: fixed array vs radix tree for

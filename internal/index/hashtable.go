@@ -5,34 +5,40 @@ import (
 	"sync/atomic"
 )
 
-// stripe count for the per-bucket lock array. Locks are striped rather
-// than literally per-bucket so resizing does not have to reallocate
-// locks; with 64 stripes two operations collide on a lock only when
-// their buckets are congruent mod 64, which matches the paper's
-// "per-bucket readers-writer locks" contention behaviour.
+// hashStripes is the number of writer locks. Writers of different
+// buckets serialize only when their buckets are congruent mod 64; the
+// locks are striped rather than per bucket so a grow does not have to
+// reallocate them.
 const hashStripes = 64
 
 // Map is the resizable chained hash table ArckFS keeps per directory
-// (and FPFS keeps globally, keyed by full path). It maps a string name
-// to a value of type V.
+// (FPFS keeps one globally keyed by full path, KVFS one of its values).
+// It maps a string name to a value of type V.
 //
-// Reads take one striped RLock; writes take one striped Lock; the table
-// doubles when the load factor exceeds 4 (taking all stripes).
+// Readers take no lock. Bucket heads and next links are atomic pointers
+// to entries whose hash, key and value never change once published;
+// a writer links, unlinks or swaps entries under its bucket's stripe
+// mutex, so a reader walking a chain concurrently sees each key either
+// before or after the write, never a torn entry. A Put of an existing
+// key publishes a replacement entry in the old one's place. The table
+// doubles, under every stripe, once there are more entries than
+// buckets; a reader still on the old table walks its frozen chains.
 type Map[V any] struct {
-	locks [hashStripes]sync.RWMutex
+	locks [hashStripes]sync.Mutex
 	tab   atomic.Pointer[hashTable[V]]
 	size  atomic.Int64
 }
 
 type hashTable[V any] struct {
-	buckets []*hashEntry[V]
+	buckets []atomic.Pointer[hashEntry[V]]
 	mask    uint64
 }
 
 type hashEntry[V any] struct {
+	hash uint64
 	key  string
 	val  V
-	next *hashEntry[V]
+	next atomic.Pointer[hashEntry[V]]
 }
 
 // NewMap returns an empty table with a small initial bucket count.
@@ -43,7 +49,7 @@ func NewMap[V any]() *Map[V] {
 }
 
 func newHashTable[V any](n int) *hashTable[V] {
-	return &hashTable[V]{buckets: make([]*hashEntry[V], n), mask: uint64(n - 1)}
+	return &hashTable[V]{buckets: make([]atomic.Pointer[hashEntry[V]], n), mask: uint64(n - 1)}
 }
 
 // fnv1a hashes the key; inlined to avoid the hash/fnv allocation.
@@ -64,12 +70,9 @@ func (m *Map[V]) Len() int { return int(m.size.Load()) }
 // Get returns the value stored under key.
 func (m *Map[V]) Get(key string) (V, bool) {
 	h := fnv1a(key)
-	l := &m.locks[h%hashStripes]
-	l.RLock()
-	defer l.RUnlock()
 	t := m.tab.Load()
-	for e := t.buckets[h&t.mask]; e != nil; e = e.next {
-		if e.key == key {
+	for e := t.buckets[h&t.mask].Load(); e != nil; e = e.next.Load() {
+		if e.hash == h && e.key == key {
 			return e.val, true
 		}
 	}
@@ -79,78 +82,68 @@ func (m *Map[V]) Get(key string) (V, bool) {
 
 // Put stores val under key, replacing any existing value. It reports
 // whether the key was newly inserted.
-func (m *Map[V]) Put(key string, val V) bool {
-	h := fnv1a(key)
-	l := &m.locks[h%hashStripes]
-	l.Lock()
-	t := m.tab.Load()
-	b := h & t.mask
-	for e := t.buckets[b]; e != nil; e = e.next {
-		if e.key == key {
-			e.val = val
-			l.Unlock()
-			return false
-		}
-	}
-	t.buckets[b] = &hashEntry[V]{key: key, val: val, next: t.buckets[b]}
-	n := m.size.Add(1)
-	l.Unlock()
-	if n > int64(len(t.buckets))*4 {
-		m.grow(t)
-	}
-	return true
-}
+func (m *Map[V]) Put(key string, val V) bool { return m.put(key, val, true) }
 
 // PutIfAbsent stores val under key only when absent; it reports whether
 // the store happened. This is the insert path for create(2), where "no
 // file shares the same name under one directory" must hold atomically.
-func (m *Map[V]) PutIfAbsent(key string, val V) bool {
+func (m *Map[V]) PutIfAbsent(key string, val V) bool { return m.put(key, val, false) }
+
+// put inserts key, or replaces its entry when replace is set; it
+// reports whether the key was newly inserted.
+func (m *Map[V]) put(key string, val V, replace bool) bool {
 	h := fnv1a(key)
 	l := &m.locks[h%hashStripes]
 	l.Lock()
-	t := m.tab.Load()
-	b := h & t.mask
-	for e := t.buckets[b]; e != nil; e = e.next {
-		if e.key == key {
+	t := m.tab.Load() // current: a grow holds every stripe
+	head := &t.buckets[h&t.mask]
+	link := head
+	for e := link.Load(); e != nil; e = link.Load() {
+		if e.hash == h && e.key == key {
+			if replace {
+				ne := &hashEntry[V]{hash: h, key: key, val: val}
+				ne.next.Store(e.next.Load())
+				link.Store(ne)
+			}
 			l.Unlock()
 			return false
 		}
+		link = &e.next
 	}
-	t.buckets[b] = &hashEntry[V]{key: key, val: val, next: t.buckets[b]}
+	ne := &hashEntry[V]{hash: h, key: key, val: val}
+	ne.next.Store(head.Load())
+	head.Store(ne)
 	n := m.size.Add(1)
 	l.Unlock()
-	if n > int64(len(t.buckets))*4 {
+	if n > int64(len(t.buckets)) {
 		m.grow(t)
 	}
 	return true
 }
 
-// Delete removes key and reports whether it was present.
+// Delete removes key and reports whether it was present. The unlinked
+// entry keeps its next link, so a reader standing on it walks on.
 func (m *Map[V]) Delete(key string) bool {
 	h := fnv1a(key)
 	l := &m.locks[h%hashStripes]
 	l.Lock()
 	defer l.Unlock()
 	t := m.tab.Load()
-	b := h & t.mask
-	var prev *hashEntry[V]
-	for e := t.buckets[b]; e != nil; e = e.next {
-		if e.key == key {
-			if prev == nil {
-				t.buckets[b] = e.next
-			} else {
-				prev.next = e.next
-			}
+	link := &t.buckets[h&t.mask]
+	for e := link.Load(); e != nil; e = link.Load() {
+		if e.hash == h && e.key == key {
+			link.Store(e.next.Load())
 			m.size.Add(-1)
 			return true
 		}
-		prev = e
+		link = &e.next
 	}
 	return false
 }
 
-// grow doubles the bucket array. It takes every stripe lock, so it
-// fully excludes concurrent operations; growth is rare (amortized).
+// grow doubles the bucket array. It takes every stripe lock, so no
+// writer runs while it copies; the old table's chains are left as they
+// are for the readers still walking them.
 func (m *Map[V]) grow(old *hashTable[V]) {
 	for i := range m.locks {
 		m.locks[i].Lock()
@@ -165,43 +158,28 @@ func (m *Map[V]) grow(old *hashTable[V]) {
 		return // someone else already grew it
 	}
 	nt := newHashTable[V](len(t.buckets) * 2)
-	for _, head := range t.buckets {
-		for e := head; e != nil; e = e.next {
-			h := fnv1a(e.key)
-			b := h & nt.mask
-			nt.buckets[b] = &hashEntry[V]{key: e.key, val: e.val, next: nt.buckets[b]}
+	for i := range t.buckets {
+		for e := t.buckets[i].Load(); e != nil; e = e.next.Load() {
+			b := &nt.buckets[e.hash&nt.mask]
+			ne := &hashEntry[V]{hash: e.hash, key: e.key, val: e.val}
+			ne.next.Store(b.Load())
+			b.Store(ne)
 		}
 	}
 	m.tab.Store(nt)
 }
 
-// Range calls fn for every entry until fn returns false. Each bucket is
-// visited under its stripe read lock; the snapshot is best-effort under
-// concurrent mutation. Entries are visited in unspecified order. fn must
-// not call mutating methods of the same Map (self-deadlock).
-//
-// The stripe of bucket i is i%hashStripes: buckets are indexed by
-// h&mask and stripes by h%hashStripes, and since the bucket count is
-// always a multiple of hashStripes the low bits agree.
+// Range calls fn for every entry until fn returns false, in unspecified
+// order. It walks the table current at the call, taking no lock, so fn
+// may call any method of the Map. Each key is visited at most once; a
+// key stored or deleted during the walk may or may not be visited.
 func (m *Map[V]) Range(fn func(key string, val V) bool) {
 	t := m.tab.Load()
 	for i := range t.buckets {
-		l := &m.locks[i%hashStripes]
-		l.RLock()
-		// The table may have been swapped by a concurrent grow; chase
-		// the current one for this bucket's stripe.
-		cur := m.tab.Load()
-		if cur != t {
-			l.RUnlock()
-			m.Range(fn) // restart on the new table
-			return
-		}
-		for e := t.buckets[i]; e != nil; e = e.next {
+		for e := t.buckets[i].Load(); e != nil; e = e.next.Load() {
 			if !fn(e.key, e.val) {
-				l.RUnlock()
 				return
 			}
 		}
-		l.RUnlock()
 	}
 }

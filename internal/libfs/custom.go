@@ -116,13 +116,7 @@ func (h Hooks) RemoveEntry(cpu int, d *DirRef, name string) error {
 		victim := h.fs.nodeFor(e)
 		victim.ilock.Lock()
 		defer victim.ilock.Unlock()
-		pages, perr := h.fs.filePages(victim)
-		if perr != nil && isFault(perr) {
-			if err := h.fs.ensureMapped(victim, false); err != nil {
-				return err
-			}
-			pages, perr = h.fs.filePages(victim)
-		}
+		pages, perr := h.fs.victimPages(victim)
 		if perr != nil {
 			return perr
 		}

@@ -233,7 +233,8 @@ func (c *Client) Mkdir(path string, mode uint16) error {
 }
 
 // filePages collects the index and data pages of a node by walking the
-// core state; used by unlink to hand the page list to the controller.
+// core state: the list an unlink hands the controller when the node's
+// own aux cannot give it (auxPages), and rename's for a replaced target.
 func (fs *FS) filePages(n *node) ([]nvm.PageID, error) {
 	in, err := fs.readDirentInode(n.loc())
 	if err != nil {
@@ -247,6 +248,65 @@ func (fs *FS) filePages(n *node) ([]nvm.PageID, error) {
 		func(p nvm.PageID) bool { pages = append(pages, p); return true },
 		func(_ uint64, p nvm.PageID) bool { pages = append(pages, p); return true })
 	return pages, err
+}
+
+// victimPages is filePages for an unlink victim whose pages may not be
+// mapped in our address space (a file created elsewhere, never opened):
+// on a fault it maps the victim read-only and walks again.
+func (fs *FS) victimPages(victim *node) ([]nvm.PageID, error) {
+	pages, err := fs.filePages(victim)
+	if err == nil || !isFault(err) {
+		return pages, err
+	}
+	if err := fs.ensureMapped(victim, false); err != nil {
+		return nil, err
+	}
+	return fs.filePages(victim)
+}
+
+// auxPages lists a regular file's index and data pages from its aux —
+// the chain, then every page the radix maps — without reading NVM. It
+// answers only when the aux is built and the file write-mapped, and
+// otherwise reports false and the caller walks; the caller holds the
+// inode lock exclusively, so no writer moves the aux under it.
+//
+// The list is exact where it matters. The controller reads an unlink's
+// list only for a file it never verified (RemoveFiles' !c.files.has
+// branch, removeLocked's !ok one), and recycles the listed pages of the
+// caller's pool; a verified file is released from the controller's own
+// record and the list is ignored. A file the controller never verified
+// lives in this LibFS's pool, so only this LibFS can have stored to its
+// index pages and inode head, and every such store — linkRun, growChain,
+// Truncate — is mirrored in the aux once it lands. (An operation cut
+// short by a failed store can leave one unmirrored; the pages the two
+// lists then disagree on are this file's alone, so the difference
+// recycles or strands a page of the caller's own pool, never one
+// another file holds.) The customization hooks let a LibFS built on
+// them store to core state behind this aux, so Hooks.RemoveEntry keeps
+// the walk.
+func (n *node) auxPages() ([]nvm.PageID, bool) {
+	if n.ftype() != core.TypeReg || n.mapState.Load() != 2 {
+		return nil, false
+	}
+	// A rebuild waiting on auxMu would deadlock against an operation
+	// holding the read side and waiting for our inode lock: do not queue.
+	if !n.auxMu.TryRLock() {
+		return nil, false
+	}
+	defer n.auxMu.RUnlock()
+	if n.radix == nil {
+		return nil, false
+	}
+	pages := make([]nvm.PageID, 0, len(n.chain)+n.radix.Len())
+	pages = append(pages, n.chain...)
+	for it := n.radix.Extents(0, int(n.radix.MaxKey())+1); it.Next(); {
+		if e := it.Ext; e.Page != 0 {
+			for i := 0; i < e.Count; i++ {
+				pages = append(pages, nvm.PageID(e.Page)+nvm.PageID(i))
+			}
+		}
+	}
+	return pages, true
 }
 
 // unlinkCommon removes a dirent after type checking.
@@ -274,19 +334,10 @@ func (c *Client) unlinkCommon(path string, wantDir bool) error {
 		victim.ilock.Lock()
 		defer victim.ilock.Unlock()
 
-		// Gather the victim's pages. Its pages may not be mapped in our
-		// address space (file created elsewhere, never opened) — map it
-		// read-only in that case.
-		pages, perr := fs.filePages(victim)
-		if perr != nil {
-			if !isFault(perr) {
-				return perr
-			}
-			if err := fs.ensureMapped(victim, false); err != nil {
-				return err
-			}
-			pages, perr = fs.filePages(victim)
-			if perr != nil {
+		pages, ok := victim.auxPages()
+		if !ok {
+			var perr error
+			if pages, perr = fs.victimPages(victim); perr != nil {
 				return perr
 			}
 		}

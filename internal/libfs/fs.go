@@ -341,7 +341,11 @@ func (fs *FS) nodeFor(e dirEntry) *node {
 	fs.nodeMu.Lock()
 	defer fs.nodeMu.Unlock()
 	if n, ok := fs.nodes[e.ino]; ok {
-		n.setLoc(e.loc) // refresh (rename may have moved the dirent)
+		// Refresh (rename may have moved the dirent); an unchanged
+		// location, every other lookup, stores nothing to the node.
+		if b := locToBits(e.loc); n.locBits.Load() != b {
+			n.locBits.Store(b)
+		}
 		return n
 	}
 	n := newNode(e.ino)

@@ -32,7 +32,9 @@
 #      index stores, frees, allocations and closes by sessions in two
 #      trust groups — a contended map revoking every write holder after
 #      a short lease — no page a session reaches lies beyond its group's
-#      reach, and no two groups write-map one file.
+#      reach, and no two groups write-map one file. Ten more to the
+#      directory hash table: any puts, deletes, gets, ranges and
+#      lengths across its grows must agree with a Go map.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
 #      must stream one page, read no index page, act on at most 160
@@ -219,7 +221,7 @@ go test ./...
 echo "== go test -race (concurrency-bearing packages)"
 make race
 
-echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table, checksum-opener and write-reference models, grant reach, 10s each; wire parsers, 5s each)"
+echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table, checksum-opener, write-reference and hash-table models, grant reach, 10s each; wire parsers, 5s each)"
 go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzVerifyDirectory$' -fuzztime=10s ./internal/verifier/
 go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
@@ -249,6 +251,10 @@ go test -run='^$' -fuzz='^FuzzControllerTablesModel$' -fuzztime=10s -fuzzminimiz
 # files' dirent or owned page, or in its own trust group's pool or
 # parked sets, and no two trust groups write-map one file.
 go test -run='^$' -fuzz='^FuzzGrantOwnership$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# The directory hash table against a Go map: any put, putIfAbsent,
+# delete, get, range and len sequence, across its grow boundaries, with
+# deletes from inside a Range.
+go test -run='^$' -fuzz='^FuzzMapModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index/
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
 go test -race -run='^TestScrubSmoke$' -count=1 ./internal/fstest/
