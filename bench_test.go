@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"trio/internal/alloc"
@@ -364,57 +365,108 @@ func BenchmarkAblationDelegation(b *testing.B) {
 
 // BenchmarkAblationDirLock — the directory hash table (lock-free
 // readers, striped writers) against a single-mutex map under concurrent
-// directory-style churn, at two mixes: put-get alternates the two, and
-// read-mostly issues 9 Gets to each Put, the mix the LibFS's lookups,
-// stats and opens put on a directory. The 4,096 names are made before
-// the clock starts, so the loop times the maps, not the allocator.
+// directory-style churn, at two mixes over 4,096 resident names:
+// put-get alternates a Put that replaces a name's value with a Get, and
+// lifecycle is the calls one meta-churn file lifecycle makes on its
+// directories, counted (EXPERIMENTS.md): 10 Gets that hit, 2 that miss,
+// 2 inserts and 2 deletes, here halved to 5, 1, 1 and 1 with each
+// goroutine inserting and deleting names of its own. Every name is made
+// before the clock starts, so the loop times the maps, not the
+// allocator.
 func BenchmarkAblationDirLock(b *testing.B) {
 	keys := make([]string, 4096)
+	transient := make([]string, 64*64) // 64 per goroutine
 	for i := range keys {
 		keys[i] = fmt.Sprintf("f%d", i)
+		transient[i] = fmt.Sprintf("t%d", i)
 	}
-	for _, mix := range []struct {
+	mixes := []struct {
 		name string
-		gets int // Gets per Put
-	}{{"put-get", 1}, {"read-mostly", 9}} {
-		b.Run("hash/"+mix.name, func(b *testing.B) {
-			m := index.NewMap[int]()
-			for i, k := range keys {
+		op   func(m dirMap, i int, own []string)
+	}{
+		{"put-get", func(m dirMap, i int, _ []string) {
+			if k := keys[i%len(keys)]; i%2 == 0 {
 				m.Put(k, i)
+			} else {
+				m.Get(k)
 			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for i := 0; pb.Next(); i++ {
-					k := keys[i%len(keys)]
-					if i%(mix.gets+1) == 0 {
-						m.Put(k, i)
-					} else {
-						m.Get(k)
-					}
-				}
-			})
-		})
-		b.Run("single-mutex-map/"+mix.name, func(b *testing.B) {
-			var mu sync.Mutex
-			m := make(map[string]int, len(keys))
-			for i, k := range keys {
-				m[k] = i
+		}},
+		{"lifecycle", func(m dirMap, i int, own []string) {
+			t := own[i/8%len(own)]
+			switch i % 8 {
+			case 5:
+				m.Get(t) // absent: deleted at step 7 of its last round
+			case 6:
+				m.Put(t, i)
+			case 7:
+				m.Delete(t)
+			default:
+				m.Get(keys[i%len(keys)])
 			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for i := 0; pb.Next(); i++ {
-					k := keys[i%len(keys)]
-					mu.Lock()
-					if i%(mix.gets+1) == 0 {
-						m[k] = i
-					} else {
-						_ = m[k]
-					}
-					mu.Unlock()
-				}
-			})
-		})
+		}},
 	}
+	arms := []struct {
+		name string
+		make func() dirMap
+	}{
+		{"hash", func() dirMap { return index.NewMap[int]() }},
+		{"single-mutex-map", func() dirMap { return &mutexMap{m: make(map[string]int, len(keys))} }},
+	}
+	for _, mix := range mixes {
+		for _, arm := range arms {
+			b.Run(arm.name+"/"+mix.name, func(b *testing.B) {
+				m := arm.make()
+				for i, k := range keys {
+					m.Put(k, i)
+				}
+				var goroutines atomic.Int32
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					g := int(goroutines.Add(1)-1) % 64
+					own := transient[g*64 : g*64+64]
+					for i := 0; pb.Next(); i++ {
+						mix.op(m, i, own)
+					}
+				})
+			})
+		}
+	}
+}
+
+// dirMap is what BenchmarkAblationDirLock's arms drive.
+type dirMap interface {
+	Get(key string) (int, bool)
+	Put(key string, val int) bool
+	Delete(key string) bool
+}
+
+// mutexMap is a Go map under one mutex: the one-lock directory.
+type mutexMap struct {
+	mu sync.Mutex
+	m  map[string]int
+}
+
+func (d *mutexMap) Get(key string) (int, bool) {
+	d.mu.Lock()
+	v, ok := d.m[key]
+	d.mu.Unlock()
+	return v, ok
+}
+
+func (d *mutexMap) Put(key string, val int) bool {
+	d.mu.Lock()
+	_, had := d.m[key]
+	d.m[key] = val
+	d.mu.Unlock()
+	return !had
+}
+
+func (d *mutexMap) Delete(key string) bool {
+	d.mu.Lock()
+	_, had := d.m[key]
+	delete(d.m, key)
+	d.mu.Unlock()
+	return had
 }
 
 // BenchmarkAblationIndex — the KVFS bet: fixed array vs radix tree for

@@ -1,12 +1,11 @@
 // Package index provides the two auxiliary-state index structures of
 // ArckFS's LibFS (paper §4.2): a per-file radix tree mapping file block
-// numbers to NVM pages, and a resizable chained hash table with striped
-// readers-writer locks mapping directory-entry names to their location.
+// numbers to NVM pages, and a resizable chained hash table with
+// striped writer locks mapping directory-entry names to their location.
 //
 // Both structures live in DRAM (they are auxiliary state: discarded on
 // unmap, rebuilt from core state on map) and are designed for
-// read-mostly scalability: radix lookups are lock-free, hash lookups
-// take one striped read lock.
+// read-mostly scalability: radix and hash lookups take no lock.
 package index
 
 import (

@@ -229,7 +229,13 @@ func (n *node) setFtype(t core.FileType) { n.ftypeBits.Store(uint32(t)) }
 func (n *node) loc() core.FileLoc { return bitsToLoc(n.locBits.Load()) }
 
 // setLoc updates the node's dirent location (rename, map refresh).
-func (n *node) setLoc(l core.FileLoc) { n.locBits.Store(locToBits(l)) }
+func (n *node) setLoc(l core.FileLoc) {
+	// Most calls (every lookup's refresh) find the location unchanged:
+	// store nothing then, so the node's line is not written.
+	if b := locToBits(l); n.locBits.Load() != b {
+		n.locBits.Store(b)
+	}
+}
 
 // dirEntry is the hash-table value: where a child's dirent lives.
 type dirEntry struct {
@@ -341,11 +347,7 @@ func (fs *FS) nodeFor(e dirEntry) *node {
 	fs.nodeMu.Lock()
 	defer fs.nodeMu.Unlock()
 	if n, ok := fs.nodes[e.ino]; ok {
-		// Refresh (rename may have moved the dirent); an unchanged
-		// location, every other lookup, stores nothing to the node.
-		if b := locToBits(e.loc); n.locBits.Load() != b {
-			n.locBits.Store(b)
-		}
+		n.setLoc(e.loc) // refresh (rename may have moved the dirent)
 		return n
 	}
 	n := newNode(e.ino)
