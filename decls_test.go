@@ -1,0 +1,88 @@
+package trio
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// stdInterfaceMethods are method names the standard library calls
+// through its own interfaces (sort, heap, error, fmt, io, net/http): a
+// method so named may be live with its name appearing nowhere else.
+var stdInterfaceMethods = map[string]bool{
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Error": true, "String": true, "Unwrap": true, "Is": true, "As": true,
+	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
+}
+
+// TestNoUnreferencedDeclarations fails on dead code the compiler lets
+// through: a top-level func, method, type, var or const of a non-test
+// file outside benchmark/ whose name appears as an identifier nowhere
+// else in the module (test files and benchmark/ count as uses). Names
+// are matched alone, not by package or receiver, so the check only ever
+// misses dead code, never flags live code.
+func TestNoUnreferencedDeclarations(t *testing.T) {
+	fset := token.NewFileSet()
+	uses := map[string]int{}
+	var decls []*ast.Ident
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(filepath.ToSlash(path), "benchmark/") {
+			return nil
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv == nil && (name == "main" || name == "init") ||
+					d.Recv != nil && stdInterfaceMethods[name] {
+					continue
+				}
+				decls = append(decls, d.Name)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						decls = append(decls, s.Name)
+					case *ast.ValueSpec:
+						decls = append(decls, s.Names...)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range decls {
+		if id.Name != "_" && uses[id.Name] == 1 {
+			t.Errorf("%s: %s is declared and never named anywhere else", fset.Position(id.Pos()), id.Name)
+		}
+	}
+}

@@ -369,7 +369,7 @@ type Controller struct {
 	shadow    inoTable[verifier.ShadowInfo]
 	// reaped records inos the reaper retired on behalf of a dead
 	// session (orphan GC, pool release), so that a surviving LibFS
-	// whose batched RemoveFile for one of them arrives late gets an
+	// whose batched RemoveFiles for one of them arrives late gets an
 	// idempotent success instead of ErrUnknownFile.
 	reaped inoTable[bool]
 	// writeRefs and granWrite count the sessions holding write permission
@@ -418,10 +418,9 @@ type Controller struct {
 	pageAlloc *alloc.PageAlloc
 	inoAlloc  *alloc.InoAlloc
 
-	// scrubber audits pages against the checksum table; scrubCursor is
-	// where the next background sweep resumes its incremental walk.
-	scrubber    *verifier.Scrubber
-	scrubCursor nvm.PageID
+	// scrubber audits pages against the checksum table under lockAll
+	// (ScrubAll, and the sweepers' mismatch re-checks).
+	scrubber *verifier.Scrubber
 
 	nextLibFS LibFSID
 	nextGroup GroupID

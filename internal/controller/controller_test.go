@@ -365,14 +365,14 @@ func TestRemoveFileReleasesResources(t *testing.T) {
 	if err := a.UnmapFile(ino); err != nil {
 		t.Fatal(err)
 	}
-	// Unlink: write-map parent, clear dirent, call RemoveFile.
+	// Unlink: write-map parent, clear dirent, call RemoveFiles.
 	if _, err := a.MapFile(core.RootIno, core.RootLoc(), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := core.CommitDirentIno(a.AddressSpace(), loc.Page, loc.Slot, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RemoveFile(ino, nil); err != nil {
+	if _, err := a.RemoveFiles([]Removal{{Ino: ino}}); err != nil {
 		t.Fatal(err)
 	}
 	// The file is gone immediately.
@@ -403,8 +403,8 @@ func TestRemoveFileRequiresClearedDirent(t *testing.T) {
 	if _, err := a.MapFile(core.RootIno, core.RootLoc(), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RemoveFile(ino, nil); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("RemoveFile with live dirent: %v", err)
+	if _, err := a.RemoveFiles([]Removal{{Ino: ino}}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("RemoveFiles with live dirent: %v", err)
 	}
 }
 

@@ -1147,17 +1147,20 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState) *veri
 		}
 	}
 
-	// Roll back to the checkpoint.
+	return c.rollbackLocked(fs, ls)
+}
+
+// rollbackLocked restores fs to its checkpoint and re-verifies the
+// restored state, which passed when the checkpoint was cut. It returns
+// the clean report, or — the restore failed — quarantines the file as
+// private to ls and returns nil.
+func (c *Controller) rollbackLocked(fs *fileState, ls *libfsState) *verifier.Report {
 	c.restoreCheckpointLocked(fs)
 	c.stats.Rollbacks.Add(1)
-
-	// Re-verify the restored state; it must pass (it did when the
-	// checkpoint was cut).
-	rep2, err := c.verifyLocked(fs, ls, nil, scopeFullWalk)
-	if err == nil && rep2.OK() {
-		return rep2
+	rep, err := c.verifyLocked(fs, ls, nil, scopeFullWalk)
+	if err == nil && rep.OK() {
+		return rep
 	}
-	// Last resort: quarantine the file as private to the guilty LibFS.
 	fs.quarantined = ls.id
 	return nil
 }

@@ -69,7 +69,7 @@ func (c *Controller) reapLocked(ls *libfsState) {
 
 	// Directories the session had write-mapped are remembered for the
 	// orphan sweep below: the session may have died between clearing a
-	// dirent and the (batched, deferred) RemoveFile call.
+	// dirent and the (batched, deferred) RemoveFiles call.
 	var deadDirs []*fileState
 	for _, m := range ls.mapped {
 		if m.write && m.fs.ftype == core.TypeDir {
@@ -119,7 +119,7 @@ func (c *Controller) reapLocked(ls *libfsState) {
 }
 
 // reapOrphansLocked garbage-collects files a dead session unlinked but
-// never retired: LibFSes batch RemoveFile calls (§4.5), so a process
+// never retired: LibFSes batch RemoveFiles calls (§4.5), so a process
 // that died mid-unlink leaves a cleared dirent with the controller's
 // file record — and its pages — still live. A record is a candidate
 // when nobody currently maps it and its dirent slot no longer names it,
@@ -212,7 +212,7 @@ func (c *Controller) direntGoneLocked(fs *fileState) bool {
 func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 	// A gone dirent means the holder had committed an unlink of this
 	// file (the atomic dirent clear IS the unlink's commit point) and
-	// the batched RemoveFile never arrived — or a rollback of the
+	// the batched RemoveFiles never arrived — or a rollback of the
 	// parent restored a state from before the file existed. The file
 	// is not corrupt — it is deleted. Retire it; "repairing" it would
 	// resurrect the dead inode over whatever owns the slot now. The
@@ -230,13 +230,9 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 		c.commitReportLocked(fs, ls, rep)
 	} else {
 		c.stats.Corruptions.Add(1)
-		c.restoreCheckpointLocked(fs)
-		c.stats.Rollbacks.Add(1)
-		rep2, err2 := c.verifyLocked(fs, ls, nil, scopeFullWalk)
-		if err2 == nil && rep2.OK() {
-			c.commitReportLocked(fs, ls, rep2)
+		if rep := c.rollbackLocked(fs, ls); rep != nil {
+			c.commitReportLocked(fs, ls, rep)
 		} else {
-			fs.quarantined = ls.id
 			c.stats.ReapQuarantines.Add(1)
 		}
 	}
@@ -250,7 +246,7 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 // committed but never reported: release every mapping of the file — a
 // co-holder's is revoked, as the file's pages are parked for teardown —
 // park the file's bound pages and drop the record. The tombstone makes
-// the holder's own batched RemoveFile — or a surviving trust-group
+// the holder's own batched RemoveFiles — or a surviving trust-group
 // sibling's — an idempotent no-op.
 func (c *Controller) retireFileLocked(ls *libfsState, fs *fileState) {
 	for len(fs.holders) > 0 {

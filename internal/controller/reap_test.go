@@ -146,6 +146,44 @@ func TestReapQuarantinesUnrestorableFile(t *testing.T) {
 	}
 }
 
+// TestRecoverQuarantinesFailedRollback: a crash leaves a write-mapped
+// file corrupt and the rollback's restore of its index page fails, so
+// the restored state does not verify. Recovery must quarantine the file
+// rather than leave it mappable by another trust domain.
+func TestRecoverQuarantinesFailedRollback(t *testing.T) {
+	c, dev := newCtl(t, smallCfg())
+	a := c.Register(1000, 1000, 0, 0)
+	ino, loc := mkFile(t, a, "torn", []byte("data"))
+	if err := a.UnmapFile(core.RootIno); err != nil {
+		t.Fatal(err)
+	}
+	info, err := a.MapFile(ino, loc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := info.Inode.Head
+	if err := core.SetIndexEntry(a.AddressSpace(), head, 5, 1); err != nil {
+		t.Fatal(err)
+	}
+	// The next store to the index page — the restore's — fails.
+	fp := nvm.NewFaultPlan()
+	fp.InjectWriteFault(head, 0, 1)
+	dev.SetFaultPlan(fp)
+	t.Cleanup(func() { dev.SetFaultPlan(nil) })
+
+	_, rolledBack, err := c.Recover(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rolledBack != 1 {
+		t.Fatalf("Recover rolled back %d files, want 1", rolledBack)
+	}
+	b := c.Register(2000, 2000, 0, 0)
+	if _, err := b.MapFile(ino, loc, false); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("map after a failed rollback: %v", err)
+	}
+}
+
 // TestLeaseExpiryRevocation (the deterministic lease story): A holds a
 // write mapping past its lease with no recall handler; B's write map
 // must succeed within a bounded wait; A's next access on the file fails

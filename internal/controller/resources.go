@@ -272,35 +272,19 @@ func (s *Session) changePerm(ino core.Ino, patch func(*shadowPatch)) error {
 	return nil
 }
 
-// RemoveFile finalizes an unlink/rmdir: after the LibFS has cleared the
-// dirent slot (the atomic commit), the controller releases the file's
-// resources. The caller must hold write access to the parent directory;
-// directories must be empty and the file must not be mapped elsewhere.
-//
-// poolPages names the victim's pages when the file was never verified
-// (it then lives entirely in the caller's allocation pool, invisible to
-// the controller); they are validated against the pool and freed.
-func (s *Session) RemoveFile(ino core.Ino, poolPages []nvm.PageID) error {
-	s.c.trap()
-	c := s.c
-	c.lockAll()
-	defer c.unlockAll()
-	if err := s.aliveLocked(); err != nil {
-		return err
-	}
-	return s.removeLocked(ino, poolPages)
-}
-
 // Removal is one entry of a batched RemoveFiles call.
 type Removal struct {
 	Ino   core.Ino
 	Pages []nvm.PageID
 }
 
-// RemoveFiles retires a batch of unlinked regular files in one kernel
+// RemoveFiles finalizes a batch of unlinks and rmdirs in one kernel
 // crossing — the unlink-side analogue of the batched page/ino
-// allocations (§4.5). Each entry is validated independently; the first
-// error is returned after the rest of the batch has been processed.
+// allocations (§4.5): after the LibFS has cleared each dirent slot (the
+// atomic commit), the controller releases the file's resources. A
+// directory must be empty and no file may be mapped by another LibFS.
+// Each entry is validated independently; the first error is returned
+// after the rest of the batch has been processed.
 //
 // Files the controller never verified still live entirely inside the
 // caller's allocation pool; their pages stay allocated to the LibFS and
@@ -325,7 +309,8 @@ func (s *Session) RemoveFiles(items []Removal) (recycled []nvm.PageID, err error
 	recycled = make([]nvm.PageID, 0, total)
 	tracing := telemetry.TracingOn()
 	for _, it := range items {
-		if !c.files.has(it.Ino) {
+		fs, ok := c.files.get(it.Ino)
+		if !ok {
 			// Not a verified file: one that still lives in the caller's
 			// pool, or one the reaper already retired on behalf of a dead
 			// session (the removal is then a no-op). Either way the
@@ -350,41 +335,17 @@ func (s *Session) RemoveFiles(items []Removal) (recycled []nvm.PageID, err error
 			}
 			continue
 		}
-		if rerr := s.removeLocked(it.Ino, it.Pages); rerr != nil && err == nil {
+		if rerr := s.removeLocked(fs); rerr != nil && err == nil {
 			err = rerr
 		}
 	}
 	return recycled, err
 }
 
-func (s *Session) removeLocked(ino core.Ino, poolPages []nvm.PageID) error {
+// removeLocked retires the verified file fs.
+func (s *Session) removeLocked(fs *fileState) error {
 	c := s.c
-	fs, ok := c.files.get(ino)
-	if !ok {
-		if !c.reaped.has(ino) {
-			// Never verified: the file lived entirely inside the
-			// creator's allocation pool.
-			if holder, _ := c.allocBy.get(ino); holder != s.ls.id {
-				return fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
-			}
-			c.allocBy.del(ino)
-			delete(s.ls.allocInos, ino)
-		}
-		// Otherwise the reaper already retired it (dead-session orphan
-		// GC) and removal is idempotent. Either way the caller's own
-		// pool pages are freed.
-		var freed []nvm.PageID
-		for _, p := range poolPages {
-			if s.ls.allocPages[p] {
-				delete(s.ls.allocPages, p)
-				s.ls.unrefPageLocked(p)
-				freed = append(freed, p)
-				c.tracePage(p, "free-rm-pool ino=%d ls=%d", ino, s.ls.id)
-			}
-		}
-		c.pageAlloc.FreePages(freed)
-		return nil
-	}
+	ino := fs.ino
 	// Retiring the dirent needed write access to the parent directory at
 	// the time it was cleared — the MMU enforced that. A batched
 	// (deferred) removal may arrive after that mapping was dropped, or
@@ -448,7 +409,8 @@ func (s *Session) Commit(ino core.Ino) error {
 
 // Recover is the crash-recovery entry point (§4.4): after a simulated
 // power failure, every file that was write-mapped is re-verified; files
-// failing verification roll back to their checkpoint. LibFS-provided
+// failing verification roll back to their checkpoint, and one whose
+// restored state fails too is quarantined. LibFS-provided
 // recovery programs run first (they are untrusted, which is exactly why
 // the verifier pass follows). Last, the granules the crash left open
 // reseal from their content (expandGranulesLocked). A device this build
@@ -478,10 +440,10 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 		checked++
 		rep, err := c.verifyLocked(fs, w.ls, nil, scopeFullWalk)
 		if err != nil || !rep.OK() {
-			c.restoreCheckpointLocked(fs)
-			c.stats.Rollbacks.Add(1)
+			rep = c.rollbackLocked(fs, w.ls)
 			rolledBack++
-		} else {
+		}
+		if rep != nil {
 			c.commitReportLocked(fs, w.ls, rep)
 		}
 		// Drop the mappings: the "processes" died with the crash.

@@ -1,9 +1,17 @@
-// The controller side of the online integrity scrubber (ISSUE 5): the
-// background sweeper audits a rate-limited batch of pages per period
-// against the per-page CRC32C table (internal/core checksums), and on a
-// mismatch either repairs the page from redundant metadata or
-// quarantines the owning file so readers get ErrCorrupt instead of
-// garbage.
+// The controller side of the online integrity scrubber: one audit
+// (auditLocked) checks a file's quiescent pages against the per-page
+// CRC32C table (internal/core checksums), sealing the records still
+// open and collecting the pages whose sealed CRC disagrees with the
+// media; under lockAll each mismatch is then either repaired from
+// redundant metadata or its file quarantined so readers get ErrCorrupt
+// instead of garbage (fixMismatchLocked). The audit has two callers:
+// each shard's background sweeper runs it over its own files within a
+// rate-limited page budget (scrubShard), and ScrubAll runs it with no
+// budget over every file, the superblock and the root inode page. Both
+// follow one skip rule (fileState.scrubSkipped): a corrupt, quarantined
+// or write-held file is left alone — the sweeper holds one shard lock and
+// drains no shootdown barrier, so it must not judge a file anyone may be
+// writing; a write-held file's pages are sealed at its release.
 //
 // Checksum lifecycle, controller's half:
 //
@@ -16,11 +24,10 @@
 //     with the durable content's CRC, provided no other session still
 //     write-maps them: a granule's stored-to pages when its last holder
 //     goes, every other page by its record;
-//   - scrub  — the sweeper seals stragglers (crashed writers, adopted
+//   - scrub  — the audit seals stragglers (crashed writers, adopted
 //     files, granules a teardown left open) and cross-checks every
-//     sealed record the controller's own tables do not mark busy, under
-//     each mapping session's MMU shootdown barrier so no in-flight store
-//     races the audit.
+//     sealed record of a file nobody write-holds that the controller's
+//     own tables do not mark busy.
 //
 // Repair is candidate-based and CRC-gated: a candidate image (the zero
 // page for holes, a dirent-page rebuild from the controller's verified
@@ -31,7 +38,6 @@ package controller
 
 import (
 	"errors"
-	"time"
 
 	"trio/internal/core"
 	"trio/internal/mmu"
@@ -72,29 +78,49 @@ type ScrubReport struct {
 	Mismatches  int // sealed records that disagreed with the media
 	Repaired    int // mismatches healed from redundant metadata
 	Quarantined int // mismatches that poisoned their file
-	Skipped     int // candidate pages skipped (write-mapped or errors)
+	Skipped     int // pages left alone: busy, unreadable, or of a skipped file
 
 	// Coverage of the live page set after the pass.
 	Candidates int // pages the scrubber is responsible for
 	Covered    int // of those, how many have a sealed record
 }
 
-// ScrubAll audits every page the controller is responsible for — the
-// superblock, the root inode page and every verified file page — in one
-// pass, sealing unknown/open records of quiescent pages and repairing
-// or quarantining mismatches. It is the on-demand form of the
-// background scrub (arckfsck -scrub, recovery checks, tests).
+// ScrubAll is the sweeper's audit without a budget: every file, plus the
+// superblock and the root inode page, in one pass under lockAll, then
+// the coverage of every page the scrubber is responsible for (arckfsck
+// -scrub, recovery checks, tests).
 func (c *Controller) ScrubAll() ScrubReport {
 	c.lockAll()
 	defer c.unlockAll()
 	total := c.dev.NumPages()
-	all := []pageRun{{start: 0, n: int(core.ChecksumBase(total))}}
-	c.settleGranulesLocked(all)
+	limit := core.ChecksumBase(total)
+	c.settleGranulesLocked([]pageRun{{start: 0, n: int(limit)}})
 	c.clearPendingGranules()
-	pass := c.scrubPassLocked(0, core.ChecksumBase(total), -1)
-	rep := pass.ScrubReport
-	// Coverage: re-read the records — and open bits — of every candidate.
-	for _, p := range c.scrubCandidatesLocked(0, core.ChecksumBase(total)) {
+	// Drain every session's shootdown barrier once: any store that
+	// passed its permission check before this point has landed on the
+	// device (mmu accessors hold the barrier shared across check+store),
+	// so the write-permission snapshot below is trustworthy.
+	for _, ls := range c.libfses {
+		ls.as.WithShootdownBarrier(func() {})
+	}
+	var files []*fileState
+	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
+		files = append(files, fs)
+		return true
+	})
+	a := scrubAudit{sc: c.scrubber, busy: c.scrubBusy, budget: -1}
+	c.auditLocked(&a, true, files)
+	for _, p := range a.mismatches {
+		c.fixMismatchLocked(p, &a.rep)
+	}
+	// Coverage: re-read the records — and open bits — of every candidate:
+	// the superblock, the root inode page and every page bound into a
+	// verified file (pool and parked pages carry no committed content).
+	rep := a.rep
+	for p := nvm.PageID(0); p < limit; p++ {
+		if p != 0 && p != core.RootInodePage && c.pageOwner[p] == 0 {
+			continue
+		}
 		rep.Candidates++
 		if _, trusted, err := core.LoadChecksumTrusted(c.mem, total, p); err == nil && trusted {
 			rep.Covered++
@@ -103,112 +129,112 @@ func (c *Controller) ScrubAll() ScrubReport {
 	return rep
 }
 
-// scrubSweepLocked is the background sweeper's slice: audit up to
-// budget pages starting at the cursor, wrapping at the region base.
-func (c *Controller) scrubSweepLocked(budget int) {
-	limit := core.ChecksumBase(c.dev.NumPages())
-	if c.scrubCursor >= limit {
-		c.scrubCursor = 0
-	}
-	c.settleGranulesLocked([]pageRun{{start: 0, n: int(limit)}})
-	c.clearPendingGranules()
-	rep := c.scrubPassLocked(c.scrubCursor, limit, budget)
-	c.scrubCursor = rep.cursor
-	c.stats.ScrubPasses.Add(1)
+// scrubAudit is one run of the audit: the scrubber and the busy test of
+// the locks it runs under, its page budget (negative: none), what it
+// found so far and the mismatched pages it leaves to fixMismatchLocked.
+type scrubAudit struct {
+	sc         *verifier.Scrubber
+	busy       func(nvm.PageID) bool
+	budget     int
+	rep        ScrubReport
+	mismatches []nvm.PageID
 }
 
-// scrubCandidatesLocked lists the pages in [from, to) the scrubber is
-// responsible for: the superblock, the root inode page, and every page
-// bound into a verified file. Pool/parked pages are excluded — they are
-// write-mapped by their holder and (for pool pages) carry no committed
-// content to audit.
-func (c *Controller) scrubCandidatesLocked(from, to nvm.PageID) []nvm.PageID {
-	var out []nvm.PageID
-	for p := from; p < to; p++ {
-		if p == 0 || p == core.RootInodePage {
-			out = append(out, p)
-			continue
+func (a *scrubAudit) spent() bool { return a.budget >= 0 && a.rep.Checked >= a.budget }
+
+// scrubSkipped is the audit's one skip rule: a corrupt or quarantined
+// file was acted on already, and a write-held one is left to its
+// release's seal — a sweeper holds one shard lock and drains no barrier,
+// so it must not judge a file anyone may be writing.
+func (fs *fileState) scrubSkipped() bool {
+	return fs.corrupt || fs.quarantined != 0 || fs.writeHolder() != nil
+}
+
+// auditLocked is the one scrub audit: the superblock and the root inode
+// page when fixed is set, then the pages of files in order, until the
+// budget is spent. It seals the unsealed records of quiescent pages and
+// collects the sealed ones that disagree with the media. The caller holds
+// the home shard lock of every file (of the root, for the fixed pages).
+// It returns the last file it reached, 0 when none.
+func (c *Controller) auditLocked(a *scrubAudit, fixed bool, files []*fileState) (last core.Ino) {
+	if fixed {
+		for _, p := range []nvm.PageID{0, core.RootInodePage} {
+			if !a.spent() {
+				c.auditPageLocked(a, c.shardIdxIno(core.RootIno), p)
+			}
 		}
-		if c.pageOwner[p] != 0 {
-			out = append(out, p)
-		}
 	}
-	return out
-}
-
-// scrubReportCursor carries the resume cursor alongside the public
-// report fields.
-type scrubReportCursor = nvm.PageID
-
-type scrubPassReport struct {
-	ScrubReport
-	cursor scrubReportCursor
-}
-
-// scrubPassLocked audits candidate pages in [from, to), stopping after
-// budget audited pages (budget < 0 = unlimited). Callers hold every
-// shard lock (lockAll), which serializes the pass against every grant,
-// unmap and verification — no page can change hands mid-audit.
-func (c *Controller) scrubPassLocked(from, to nvm.PageID, budget int) scrubPassReport {
-	rep := scrubPassReport{cursor: to}
-
-	// Drain every session's shootdown barrier once: any store that
-	// passed its permission check before this point has landed on the
-	// device (mmu accessors hold the barrier shared across check+store),
-	// so the write-permission snapshot below is trustworthy.
-	for _, ls := range c.libfses {
-		ls.as.WithShootdownBarrier(func() {})
-	}
-
-	for p := from; p < to; p++ {
-		if budget >= 0 && rep.Checked >= budget {
-			rep.cursor = p
+	for _, fs := range files {
+		if a.spent() {
 			break
 		}
-		if p != 0 && p != core.RootInodePage {
-			ino := c.pageOwner[p]
-			if ino == 0 {
-				continue
-			}
-			// An already-quarantined file is poisoned until remount:
-			// re-auditing its pages every pass would only inflate the
-			// detection counters for corruption already acted on.
-			if fs, _ := c.files.get(ino); fs != nil && fs.corrupt {
-				rep.Skipped++
-				continue
-			}
-		}
-		if c.scrubBusy(p) {
-			rep.Skipped++
+		last = fs.ino
+		if fs.scrubSkipped() {
+			a.rep.Skipped += runsLen(fs.pages)
 			continue
 		}
-		verdict, want, _, err := c.scrubber.ScrubPage(p, true)
-		if err != nil {
-			rep.Skipped++
-			continue
-		}
-		rep.Checked++
-		c.stats.ScrubPages.Add(1)
-		switch verdict {
-		case verifier.ScrubSealed:
-			rep.Sealed++
-			c.stats.ScrubSealed.Add(1)
-			c.tracePage(p, "scrub-seal")
-		case verifier.ScrubMismatch:
-			rep.Mismatches++
-			c.stats.ScrubDetected.Add(1)
-			c.tracePage(p, "scrub-mismatch want=%08x", want)
-			if c.repairPageLocked(p, want) {
-				rep.Repaired++
-				c.stats.ScrubRepaired.Add(1)
-			} else {
-				c.quarantinePageLocked(p)
-				rep.Quarantined++
-				c.stats.ScrubQuarantined.Add(1)
+		c.settleGranulesLocked(fs.pages)
+		i := c.shardIdxIno(fs.ino)
+		for _, r := range fs.pages {
+			for p := r.start; p < r.end() && !a.spent(); p++ {
+				c.auditPageLocked(a, i, p)
 			}
 		}
 	}
-	return rep
+	return last
+}
+
+// auditPageLocked audits page p for shard i: seal its record when open,
+// note it when its sealed CRC disagrees with the media.
+func (c *Controller) auditPageLocked(a *scrubAudit, i int, p nvm.PageID) {
+	if a.busy(p) {
+		a.rep.Skipped++
+		return
+	}
+	verdict, want, _, err := a.sc.ScrubPage(p, true)
+	if err != nil {
+		a.rep.Skipped++
+		return
+	}
+	a.rep.Checked++
+	c.stats.ScrubPages.Add(1)
+	c.stats.shard(i).ScrubPages.Add(1)
+	switch verdict {
+	case verifier.ScrubSealed:
+		a.rep.Sealed++
+		c.stats.ScrubSealed.Add(1)
+		c.tracePage(p, "scrub-seal shard=%d", i)
+	case verifier.ScrubMismatch:
+		c.tracePage(p, "scrub-mismatch shard=%d want=%08x", i, want)
+		a.mismatches = append(a.mismatches, p)
+	}
+}
+
+// fixMismatchLocked (lockAll held) acts on a page the audit found
+// mismatched, once it still is with every lock held — the page may have
+// been granted again, or its file quarantined, since: it is repaired
+// from redundant metadata, or its file is quarantined.
+func (c *Controller) fixMismatchLocked(p nvm.PageID, rep *ScrubReport) {
+	if c.scrubBusy(p) {
+		return
+	}
+	if fs, _ := c.files.get(c.pageOwner[p]); fs != nil && fs.scrubSkipped() {
+		return
+	}
+	v, want, _, err := c.scrubber.ScrubPage(p, false)
+	if err != nil || v != verifier.ScrubMismatch {
+		return
+	}
+	rep.Mismatches++
+	c.stats.ScrubDetected.Add(1)
+	if c.repairPageLocked(p, want) {
+		rep.Repaired++
+		c.stats.ScrubRepaired.Add(1)
+	} else {
+		c.quarantinePageLocked(p)
+		rep.Quarantined++
+		c.stats.ScrubQuarantined.Add(1)
+	}
 }
 
 // sealQuiescentLocked and openGrantedLocked live in bulkio.go: the
@@ -386,18 +412,4 @@ func (c *Controller) quarantinePageLocked(p nvm.PageID) {
 	fs.corrupt = true
 	c.tracePage(p, "scrub-quarantine ino=%d", ino)
 	c.revokeReadersLocked(fs, 0)
-}
-
-// scrubNow runs one budgeted on-demand slice over the global cursor
-// (tests and tools; the background sweepers run scrubShard instead).
-func (c *Controller) scrubNow() {
-	budget := c.scrubBudget()
-	if budget <= 0 {
-		return
-	}
-	c.lockAll()
-	defer c.unlockAll()
-	start := time.Now()
-	c.scrubSweepLocked(budget)
-	c.stats.ScrubNS.Add(int64(time.Since(start)))
 }

@@ -231,6 +231,65 @@ func TestScrubSkipsWriteMappedPages(t *testing.T) {
 	}
 }
 
+// TestScrubSweeperAgreesWithScrubAll: the sweepers and ScrubAll run one
+// audit. Two controllers built by the same steps get the same two flips —
+// a hole the zero page repairs, a data page nothing can — and one is
+// scrubbed by ScrubAll, the other by every shard's sweep with a budget
+// that covers the device. Both must count the same and poison the same
+// file.
+func TestScrubSweeperAgreesWithScrubAll(t *testing.T) {
+	type result struct {
+		detected, repaired, quarantined int64
+		corrupt                         [2]bool
+	}
+	run := func(sweep bool) result {
+		c, dev := newCtl(t, smallCfg())
+		s := c.Register(1000, 1000, 0, 0)
+		holeIno, holeLoc := mkFile(t, s, "hole", make([]byte, nvm.PageSize))
+		rotIno, rotLoc := mkFile(t, s, "rot", bytes.Repeat([]byte("irreplaceable"), 300))
+		if err := s.UnmapFile(core.RootIno); err != nil {
+			t.Fatal(err)
+		}
+		c.ScrubAll() // seal everything
+		fp := nvm.NewFaultPlan()
+		dev.SetFaultPlan(fp)
+		for _, loc := range []core.FileLoc{holeLoc, rotLoc} {
+			_, data := filePages(t, c, loc)
+			if err := fp.FlipBits(data[0], 99, 0x04); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		st0 := c.Stats().Snapshot()
+		if sweep {
+			c.opts.ScrubPagesPerSweep = int(dev.NumPages()) * len(c.shards)
+			for i := range c.shards {
+				c.scrubShard(i)
+			}
+		} else {
+			c.ScrubAll()
+		}
+		st := c.Stats().Snapshot().Sub(st0)
+		r := result{detected: st.ScrubDetected, repaired: st.ScrubRepaired, quarantined: st.ScrubQuarantined}
+		reader := c.Register(1000, 1000, 0, 0)
+		for i, f := range []struct {
+			ino core.Ino
+			loc core.FileLoc
+		}{{holeIno, holeLoc}, {rotIno, rotLoc}} {
+			_, err := reader.MapFile(f.ino, f.loc, false)
+			r.corrupt[i] = errors.Is(err, ErrCorrupt)
+		}
+		return r
+	}
+	all, swept := run(false), run(true)
+	if all != swept {
+		t.Fatalf("ScrubAll %+v, sweepers %+v", all, swept)
+	}
+	if want := (result{detected: 2, repaired: 1, quarantined: 1, corrupt: [2]bool{false, true}}); all != want {
+		t.Fatalf("ScrubAll %+v, want %+v", all, want)
+	}
+}
+
 func TestScrubBackgroundSweepConverges(t *testing.T) {
 	dev := nvm.MustNewDevice(smallCfg())
 	c, err := New(dev, Options{

@@ -572,23 +572,20 @@ func (c *Controller) sweepShard(i int) {
 	}
 }
 
-// scrubShard runs one budgeted scrub slice over the files homed on
-// shard i, using the shard's private scrubber. Clean audits and seals
-// happen under the shard lock alone; a mismatch escalates to lockAll
-// for the repair/quarantine machinery.
+// scrubShard runs one budgeted slice of the audit (auditLocked) over the
+// files homed on shard i, using the shard's private scrubber. Clean
+// audits and seals happen under the shard lock alone; a mismatch
+// escalates to lockAll for the repair/quarantine machinery.
 func (c *Controller) scrubShard(i int) {
 	budget := c.scrubBudget()
 	if budget <= 0 {
 		return
 	}
-	budget = budget/len(c.shards) + 1
 	start := time.Now()
 	sh := &c.shards[i]
-
-	var mismatches []nvm.PageID
 	sh.mu.Lock()
 	// Resume after the cursor ino; collect this slice's files first so
-	// the audit loop below can stop on budget without losing its place.
+	// the audit can stop on budget without losing its place.
 	var slice []*fileState
 	for ino, fs := range sh.files {
 		if ino > sh.scrubIno {
@@ -599,77 +596,24 @@ func (c *Controller) scrubShard(i int) {
 	if len(slice) == 0 {
 		sh.scrubIno = 0 // wrap; next tick restarts the slice
 	}
-	checked := 0
-	audit := func(p nvm.PageID) {
-		if c.scrubBusyTry(p) {
-			return
-		}
-		verdict, want, _, err := sh.scrubber.ScrubPage(p, true)
-		if err != nil {
-			return
-		}
-		checked++
-		c.stats.ScrubPages.Add(1)
-		c.stats.shard(i).ScrubPages.Add(1)
-		switch verdict {
-		case verifier.ScrubSealed:
-			c.stats.ScrubSealed.Add(1)
-			c.tracePage(p, "scrub-seal shard=%d", i)
-		case verifier.ScrubMismatch:
-			c.tracePage(p, "scrub-mismatch shard=%d want=%08x", i, want)
-			mismatches = append(mismatches, p)
-		}
-	}
+	a := scrubAudit{sc: sh.scrubber, busy: c.scrubBusyTry, budget: budget/len(c.shards) + 1}
 	// The fixed metadata pages — the superblock and the root inode page
-	// — belong to no registered file, so the file walk below never
-	// reaches them. The root's home shard owns their audit: the root
-	// inode page's record RMWs already serialize under this shard (root
-	// write grants), and the superblock is quiescent after format.
-	if i == c.shardIdxIno(core.RootIno) {
-		for _, p := range []nvm.PageID{0, core.RootInodePage} {
-			if checked >= budget {
-				break
-			}
-			audit(p)
-		}
+	// — belong to no registered file. The root's home shard owns their
+	// audit: the root inode page's record RMWs already serialize under
+	// this shard (root write grants), and the superblock is quiescent
+	// after format.
+	if last := c.auditLocked(&a, i == c.shardIdxIno(core.RootIno), slice); last != 0 {
+		sh.scrubIno = last
 	}
-	for _, fs := range slice {
-		if checked >= budget {
-			break
-		}
-		sh.scrubIno = fs.ino
-		if fs.corrupt || fs.quarantined != 0 || fs.writeHolder() != nil {
-			continue
-		}
-		c.settleGranulesLocked(fs.pages)
-		for _, r := range fs.pages {
-			for p := r.start; p < r.end() && checked < budget; p++ {
-				audit(p)
-			}
-		}
-	}
-	if checked > 0 {
+	if a.rep.Checked > 0 {
 		c.stats.ScrubPasses.Add(1)
 	}
 	c.clearPendingGranules()
 	sh.mu.Unlock()
 
-	// Mismatches go through the full repair path with everything held.
-	for _, p := range mismatches {
+	for _, p := range a.mismatches {
 		c.lockAll()
-		if c.scrubBusy(p) { // granted again while no lock was held
-			c.unlockAll()
-			continue
-		}
-		if v, want, _, err := c.scrubber.ScrubPage(p, false); err == nil && v == verifier.ScrubMismatch {
-			c.stats.ScrubDetected.Add(1)
-			if c.repairPageLocked(p, want) {
-				c.stats.ScrubRepaired.Add(1)
-			} else {
-				c.quarantinePageLocked(p)
-				c.stats.ScrubQuarantined.Add(1)
-			}
-		}
+		c.fixMismatchLocked(p, &a.rep)
 		c.unlockAll()
 	}
 	c.stats.ScrubNS.Add(int64(time.Since(start)))

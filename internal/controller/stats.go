@@ -110,7 +110,7 @@ type ShardCounters struct {
 	Allocs     *telemetry.Counter // page/ino allocation calls by sessions homed here
 	Reaps      *telemetry.Counter // sessions homed here forcibly torn down
 	Recalls    *telemetry.Counter // lease recalls for files homed here
-	ScrubPages *telemetry.Counter // pages audited by this shard's scrub slice
+	ScrubPages *telemetry.Counter // pages of files homed here audited (CRC computed)
 	Admitted   *telemetry.Counter // calls admitted through this shard's gate
 	AdmitWaits *telemetry.Counter // admissions that had to queue
 }

@@ -383,23 +383,16 @@ func ReadDirentInode(m Mem, p nvm.PageID, slot int) (Inode, error) {
 }
 
 // ErrBadNameLen reports a dirent whose stored name length exceeds the
-// format maximum. ReadDirent still returns the decoded inode alongside
-// it — the name bytes are corrupt, the inode area may not be.
+// format maximum. ReadDirentInto still returns the decoded inode
+// alongside it — the name bytes are corrupt, the inode area may not be.
 var ErrBadNameLen = errors.New("core: dirent name length exceeds max")
 
-// ReadDirent reads a whole dirent slot — embedded inode plus name — in
-// a single media access. The per-access latency of NVM reads dominates
-// their bandwidth at this size, so paths that need both fields (the
-// verifier checks every mapping twice) pay one charge instead of three.
-func ReadDirent(m Mem, p nvm.PageID, slot int) (Inode, string, error) {
-	var b [DirentSize]byte
-	in, nb, err := ReadDirentInto(m, p, slot, &b)
-	return in, string(nb), err
-}
-
-// ReadDirentInto is ReadDirent reading through a caller-owned buffer;
-// the returned name aliases b (no copy). Hot paths that only validate
-// the name use this form to keep the per-read buffer off the heap.
+// ReadDirentInto reads a whole dirent slot — embedded inode plus name —
+// in a single media access, through a caller-owned buffer. The
+// per-access latency of NVM reads dominates their bandwidth at this
+// size, so paths that need both fields (the verifier checks every
+// mapping twice) pay one charge instead of three. The returned name
+// aliases b (no copy), which keeps the per-read buffer off the heap.
 func ReadDirentInto(m Mem, p nvm.PageID, slot int, b *[DirentSize]byte) (Inode, []byte, error) {
 	if err := m.Read(p, SlotOffset(slot), b[:]); err != nil {
 		return Inode{}, nil, err

@@ -102,9 +102,6 @@ func (h Hooks) CreateEntry(cpu int, d *DirRef, name string, mode uint16) (Entry,
 
 // RemoveEntry unlinks a regular file by name.
 func (h Hooks) RemoveEntry(cpu int, d *DirRef, name string) error {
-	// Reuse the generic path via a synthetic client bound to cpu.
-	c := &Client{fs: h.fs, cpu: cpu % h.fs.cfg.CPUs}
-	_ = c
 	return h.fs.withMapped(d.n, true, func() error {
 		e, ok := d.n.ht.Get(name)
 		if !ok {

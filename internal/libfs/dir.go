@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trio/internal/controller"
 	"trio/internal/core"
 	"trio/internal/fsapi"
 	"trio/internal/mmu"
@@ -272,11 +273,11 @@ func (fs *FS) victimPages(victim *node) ([]nvm.PageID, error) {
 //
 // The list is exact where it matters. The controller reads an unlink's
 // list only for a file it never verified (RemoveFiles' !c.files.has
-// branch, removeLocked's !ok one), and recycles the listed pages of the
-// caller's pool; a verified file is released from the controller's own
-// record and the list is ignored. A file the controller never verified
-// lives in this LibFS's pool, so only this LibFS can have stored to its
-// index pages and inode head, and every such store — linkRun, growChain,
+// branch), and recycles the listed pages of the caller's pool; a
+// verified file is released from the controller's own record and the
+// list is ignored. A file the controller never verified lives in this
+// LibFS's pool, so only this LibFS can have stored to its index pages
+// and inode head, and every such store — linkRun, growChain,
 // Truncate — is mirrored in the aux once it lands. (An operation cut
 // short by a failed store can leave one unmirrored; the pages the two
 // lists then disagree on are this file's alone, so the difference
@@ -368,7 +369,7 @@ func (c *Client) unlinkCommon(path string, wantDir bool) error {
 		if wantDir {
 			// Directory removal stays synchronous: the controller must
 			// confirm emptiness (I3) before resources are reclaimed.
-			if err := fs.sess.RemoveFile(e.ino, pages); err != nil {
+			if err := fs.removeFiles(c.cpu, []controller.Removal{{Ino: e.ino, Pages: pages}}); err != nil {
 				return mapControllerErr(err)
 			}
 		} else if err := fs.deferRemove(c.cpu, e.ino, pages); err != nil {

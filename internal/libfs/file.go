@@ -194,7 +194,7 @@ func (h *Handle) WriteAt(b []byte, off int64) (int, error) {
 		r := rl.LockRange(off, int64(len(b)))
 		defer rl.UnlockRange(r)
 		// Writes into holes of a sparse file allocate pages here; the
-		// range lock serializes same-block writers and linkBlock's
+		// range lock serializes same-block writers and linkRun's
 		// index-tail lock protects chain growth.
 		if err := fs.ensureBlocks(h.c.cpu, n, off, end, sp); err != nil {
 			return err
@@ -364,17 +364,11 @@ func (fs *FS) zeroPageEdges(cpu int, page nvm.PageID, block uint64, off, end int
 	return nil
 }
 
-// linkBlock wires a data page into the index chain at the given block,
-// growing the chain as needed. The index-tail lock (§4.2) protects the
-// chain against concurrent growth by range-locked hole fillers.
-func (fs *FS) linkBlock(cpu int, n *node, block uint64, page nvm.PageID) error {
-	n.idxTail.Lock()
-	defer n.idxTail.Unlock()
-	return fs.linkBlockLocked(cpu, n, block, page)
-}
-
-// linkBlockLocked is linkBlock with the index-tail lock already held
-// (the directory slot-claim path holds it across a larger section).
+// linkBlockLocked wires a data page into the index chain at the given
+// block, growing the chain as needed. The caller holds the index-tail
+// lock (§4.2), which protects the chain against concurrent growth by
+// range-locked hole fillers; the directory slot-claim path holds it
+// across a larger section.
 func (fs *FS) linkBlockLocked(cpu int, n *node, block uint64, page nvm.PageID) error {
 	chainIdx := int(block / core.IndexEntriesPerPage)
 	entry := int(block % core.IndexEntriesPerPage)

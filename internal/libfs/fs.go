@@ -48,9 +48,8 @@ type Config struct {
 	// Stripe spreads file data pages across NUMA nodes (only sensible
 	// together with Pool).
 	Stripe bool
-	// PageBatch / InoBatch size the per-CPU allocation caches.
+	// PageBatch sizes the per-CPU page caches.
 	PageBatch int
-	InoBatch  int
 	// VerifyReads cross-checks every fully-covered page of a ReadAt
 	// against its sealed per-page CRC record before returning the bytes
 	// (fsapi.ErrCorrupt on mismatch). Off by default, gated like
@@ -64,9 +63,6 @@ func (c *Config) fill() {
 	}
 	if c.PageBatch <= 0 {
 		c.PageBatch = 128
-	}
-	if c.InoBatch <= 0 {
-		c.InoBatch = 32
 	}
 }
 
@@ -129,13 +125,19 @@ func (fs *FS) deferRemove(cpu int, ino core.Ino, pages []nvm.PageID) error {
 	}
 	cl.mu.Unlock()
 	if flush != nil {
-		recycled, err := fs.sess.RemoveFiles(flush)
-		if ferr := fs.freePages(cpu, recycled); err == nil {
-			err = ferr
-		}
-		return err
+		return fs.removeFiles(cpu, flush)
 	}
 	return nil
+}
+
+// removeFiles retires items through the controller and takes the pool
+// pages it recycles back into the CPU's cache.
+func (fs *FS) removeFiles(cpu int, items []controller.Removal) error {
+	recycled, err := fs.sess.RemoveFiles(items)
+	if ferr := fs.freePages(cpu, recycled); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // flushRemovals drains every CPU's deferred unlinks (unmount, tests).
@@ -815,13 +817,17 @@ func (fs *FS) freePages(cpu int, pages []nvm.PageID) error {
 	return nil
 }
 
+// inoBatch is how many inode numbers one AllocInos call fills a CPU's
+// cache with.
+const inoBatch = 32
+
 // allocIno takes one inode number from the CPU cache.
 func (fs *FS) allocIno(cpu int) (core.Ino, error) {
 	cl := &fs.percpu[cpu]
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if len(cl.inos) == 0 {
-		inos, err := fs.sess.AllocInos(cpu, fs.cfg.InoBatch)
+		inos, err := fs.sess.AllocInos(cpu, inoBatch)
 		if err != nil {
 			return 0, err
 		}

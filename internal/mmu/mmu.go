@@ -199,9 +199,6 @@ func (as *AddressSpace) Device() *nvm.Device { return as.dev }
 // Node reports the NUMA node of the owning process.
 func (as *AddressSpace) Node() int { return as.node }
 
-// SetNode migrates the process to another NUMA node (test hook).
-func (as *AddressSpace) SetNode(n int) { as.node = n }
-
 // clip bounds the run [p, p+count) to the device: pages beyond it are
 // ignored by every mapping call (they can never check as mapped).
 func (as *AddressSpace) clip(p nvm.PageID, count int) (lo, hi uint64) {

@@ -77,9 +77,6 @@ func (r *Registry) Enable() { r.enabled.Store(true) }
 // Disable turns recording off. Instrument values are retained.
 func (r *Registry) Disable() { r.enabled.Store(false) }
 
-// Enabled reports the gate.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
 // Counter is a monotonically growing (well-behaved callers only add
 // non-negative deltas) sharded counter. The zero-value pointer is safe:
 // every method nil-checks.

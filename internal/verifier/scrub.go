@@ -119,9 +119,6 @@ func (s *Scrubber) ScrubPage(p nvm.PageID, seal bool) (ScrubVerdict, uint32, uin
 	return ScrubSealed, got, got, nil
 }
 
-// Total reports the page count the scrubber was built for.
-func (s *Scrubber) Total() nvm.PageID { return s.total }
-
 // NoteSealedRun records n pages audited-and-sealed by a bulk seal path
 // outside the Scrubber (the controller's extent-coalesced unmap-time
 // seal), keeping the package telemetry consistent with per-page scrubs.
