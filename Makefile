@@ -18,7 +18,9 @@ test:
 # controller, page table and verifier under it (the store path's
 # dirty-bit CAS races the controller's unmap, harvest and granule split),
 # the directory hash table whose lock-free readers race its writers,
-# the telemetry
+# the device (a busy persist retries inside it, on any goroutine, and
+# every retry draws from one shared jitter stream) and the delegation
+# workers that persist through it, the telemetry
 # registry/ring everything records into, and the wire-serving front-end
 # (pipelined connections, out-of-order workers). The workload package's
 # tenancy sweeps are too heavy for the race detector's ~20x slowdown;
@@ -26,7 +28,7 @@ test:
 # fault storm) and the small-op driver's two arms. scripts/check.sh
 # runs this target, so the package list lives here only.
 race:
-	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/index/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/verifier/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
+	$(GO) test -race ./internal/fstest/... ./internal/libfs/... ./internal/index/... ./internal/telemetry/... ./internal/controller/... ./internal/mmu/... ./internal/nvm/... ./internal/delegation/... ./internal/verifier/... ./internal/ring/... ./internal/serve/... ./internal/netsim/...
 	$(GO) test -race -run '^TestNet|^TestSmallOps' ./internal/workload/
 
 vet:

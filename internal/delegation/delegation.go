@@ -199,37 +199,34 @@ func (p *Pool) workerExit(node int) {
 	}
 }
 
-// exec runs the request's segments through its view, with bounded
-// retry-with-backoff on transient device faults, and signals completion.
-// Workers never die mid-request: once claimed, a request always
-// completes (possibly with an error), so done is a reliable signal.
+// exec runs the request's segments through its view and signals
+// completion. Workers never die mid-request: once claimed, a request
+// always completes (possibly with an error), so done is a reliable
+// signal.
 //
 // Each segment is a contiguous span served by one range operation —
-// one permission check, one cost-model charge, one coalesced persist —
-// instead of a per-4KiB-page loop.
+// one permission check, one cost-model charge, one coalesced persist
+// (the device retries a busy one itself) — instead of a per-4KiB-page
+// loop.
 func (r *request) exec() {
 	defer close(r.done)
 	for _, sg := range r.segs {
-		sg := sg
-		var err error
 		if r.write {
-			err = nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-				return r.view.WriteRange(sg.page, sg.off, sg.buf)
-			})
-			if err == nil && r.persist {
-				err = nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-					return r.view.PersistRange(sg.page, sg.off, len(sg.buf))
-				})
-			}
+			r.err.set(writeRange(r.view, sg.page, sg.off, sg.buf, r.persist))
 		} else {
-			err = nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-				return r.view.ReadRange(sg.page, sg.off, sg.buf)
-			})
-		}
-		if err != nil {
-			r.err.set(err)
+			r.err.set(r.view.ReadRange(sg.page, sg.off, sg.buf))
 		}
 	}
+}
+
+// writeRange stores data at (p, off) through v and, when persist is
+// set, flushes it.
+func writeRange(v *mmu.View, p nvm.PageID, off int, data []byte, persist bool) error {
+	err := v.WriteRange(p, off, data)
+	if err == nil && persist {
+		err = v.PersistRange(p, off, len(data))
+	}
+	return err
 }
 
 // Batch accumulates the page-granular segments of one logical file
@@ -237,7 +234,7 @@ func (r *request) exec() {
 type Batch struct {
 	pool     *Pool
 	as       *mmu.AddressSpace
-	inline   *mmu.View   // non-delegated accesses; nil = the AS itself
+	inline   *mmu.View   // non-delegated accesses; the AS's home view by default
 	views    []*mmu.View // per-node views, lazily created
 	pending  [][]seg     // per-node segments accumulated until Wait
 	write    bool
@@ -274,7 +271,7 @@ const maxRecycledSegs = 1024
 func (p *Pool) NewBatch(as *mmu.AddressSpace, n int, write, persist bool) *Batch {
 	b := batchPool.Get().(*Batch)
 	b.pool, b.as, b.write, b.persist = p, as, write, persist
-	b.inline = nil
+	b.inline = as.View(as.Node())
 	b.delegate = false
 	b.released = false
 	b.err.err = nil
@@ -334,11 +331,7 @@ func (b *Batch) Release() {
 // Read queues a read of page p at off into buf.
 func (b *Batch) Read(p nvm.PageID, off int, buf []byte) {
 	if !b.delegate {
-		if b.inline != nil {
-			b.err.set(b.inline.Read(p, off, buf))
-			return
-		}
-		b.err.set(b.as.Read(p, off, buf))
+		b.err.set(b.inline.Read(p, off, buf))
 		return
 	}
 	node := b.pool.dev.NodeOf(p)
@@ -349,27 +342,11 @@ func (b *Batch) Read(p nvm.PageID, off int, buf []byte) {
 // batch was created with persist=true).
 func (b *Batch) Write(p nvm.PageID, off int, data []byte) {
 	if !b.delegate {
-		if b.inline != nil {
-			if err := b.inline.Write(p, off, data); err != nil {
-				b.err.set(err)
-				return
-			}
-			if b.persist {
-				b.err.set(nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-					return b.inline.Persist(p, off, len(data))
-				}))
-			}
-			return
+		err := b.inline.Write(p, off, data)
+		if err == nil && b.persist {
+			err = b.inline.Persist(p, off, len(data))
 		}
-		if err := b.as.Write(p, off, data); err != nil {
-			b.err.set(err)
-			return
-		}
-		if b.persist {
-			b.err.set(nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-				return b.as.Persist(p, off, len(data))
-			}))
-		}
+		b.err.set(err)
 		return
 	}
 	node := b.pool.dev.NodeOf(p)
@@ -382,56 +359,25 @@ func (b *Batch) Write(p nvm.PageID, off int, data []byte) {
 // the span at NUMA-node boundaries so each worker only touches its own
 // node, exactly as OdinFS's range requests do.
 func (b *Batch) ReadRange(p nvm.PageID, off int, buf []byte) {
-	if len(buf) == 0 {
-		return
+	switch {
+	case len(buf) == 0:
+	case !b.delegate:
+		b.err.set(b.inline.ReadRange(p, off, buf))
+	default:
+		b.queueSpan(p, off, buf)
 	}
-	if !b.delegate {
-		if b.inline != nil {
-			b.err.set(b.inline.ReadRange(p, off, buf))
-			return
-		}
-		b.err.set(b.as.ReadRange(p, off, buf))
-		return
-	}
-	b.queueSpan(p, off, buf)
 }
 
 // WriteRange queues a write of a contiguous page span (persisted with
 // one coalesced flush when the batch was created with persist=true).
 func (b *Batch) WriteRange(p nvm.PageID, off int, data []byte) {
-	if len(data) == 0 {
-		return
+	switch {
+	case len(data) == 0:
+	case !b.delegate:
+		b.err.set(writeRange(b.inline, p, off, data, b.persist))
+	default:
+		b.queueSpan(p, off, data)
 	}
-	if !b.delegate {
-		if err := b.writeRangeInline(p, off, data); err != nil {
-			b.err.set(err)
-		}
-		return
-	}
-	b.queueSpan(p, off, data)
-}
-
-func (b *Batch) writeRangeInline(p nvm.PageID, off int, data []byte) error {
-	if b.inline != nil {
-		if err := b.inline.WriteRange(p, off, data); err != nil {
-			return err
-		}
-		if b.persist {
-			return nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-				return b.inline.PersistRange(p, off, len(data))
-			})
-		}
-		return nil
-	}
-	if err := b.as.WriteRange(p, off, data); err != nil {
-		return err
-	}
-	if b.persist {
-		return nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-			return b.as.PersistRange(p, off, len(data))
-		})
-	}
-	return nil
 }
 
 // queueSpan splits a contiguous page span at NUMA-node boundaries and

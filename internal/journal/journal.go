@@ -43,23 +43,10 @@ type Journal struct {
 	page nvm.PageID
 }
 
-// retryMem wraps a Mem so every Persist rides the bounded
-// transient-fault retry policy: a delayed-persistence window
-// (nvm.ErrDeviceBusy) is retried with exponential backoff, and only
-// surfaces as an error once the budget is exhausted. Hard media errors
-// pass through untouched.
-type retryMem struct {
-	core.Mem
-}
-
-func (m retryMem) Persist(p nvm.PageID, off, n int) error {
-	return nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error { return m.Mem.Persist(p, off, n) })
-}
-
 // New creates a journal over the given (LibFS-owned) NVM page and
 // resets it to idle.
 func New(mem core.Mem, page nvm.PageID) (*Journal, error) {
-	j := &Journal{mem: retryMem{mem}, page: page}
+	j := &Journal{mem: mem, page: page}
 	if err := j.reset(); err != nil {
 		return nil, err
 	}
@@ -69,7 +56,7 @@ func New(mem core.Mem, page nvm.PageID) (*Journal, error) {
 // Attach opens an existing journal page without resetting it, so that
 // Recover can inspect a post-crash image.
 func Attach(mem core.Mem, page nvm.PageID) *Journal {
-	return &Journal{mem: retryMem{mem}, page: page}
+	return &Journal{mem: mem, page: page}
 }
 
 // Page returns the backing page.

@@ -177,9 +177,7 @@ func (fs *FS) setLocked(cpu int, n *kvnode, val []byte) error {
 		if err := as.Write(ip, 0, zeros[:]); err != nil {
 			return err
 		}
-		if err := nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-			return as.Persist(ip, 0, nvm.PageSize)
-		}); err != nil {
+		if err := as.Persist(ip, 0, nvm.PageSize); err != nil {
 			return err
 		}
 		if err := fs.hooks.SetInodeHead(n.entry, ip); err != nil {
@@ -195,7 +193,7 @@ func (fs *FS) setLocked(cpu int, n *kvnode, val []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := core.SetIndexEntry(fs.hooks.CoreMem(), n.idx, i, p); err != nil {
+		if err := core.SetIndexEntry(as, n.idx, i, p); err != nil {
 			return err
 		}
 		n.pages[i] = p
@@ -209,9 +207,7 @@ func (fs *FS) setLocked(cpu int, n *kvnode, val []byte) error {
 		if err := mem.Write(n.pages[i], 0, val[lo:hi]); err != nil {
 			return err
 		}
-		if err := nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error {
-			return mem.Persist(n.pages[i], 0, hi-lo)
-		}); err != nil {
+		if err := mem.Persist(n.pages[i], 0, hi-lo); err != nil {
 			return err
 		}
 	}

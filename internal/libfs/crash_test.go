@@ -202,11 +202,13 @@ func TestRenameCrashPointSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		dev.FailAfterWrites(k)
+		fp := nvm.NewFaultPlan()
+		fp.InjectWriteFault(nvm.AllPages, k, -1)
+		dev.SetFaultPlan(fp)
 		renameErr := c.Rename("/old", "/new")
-		dev.FailAfterWrites(-1)
+		dev.SetFaultPlan(nil)
 		if renameErr == nil && k > 0 {
-			// The rename completed before the budget ran out: the sweep
+			// The rename completed before the store fault fired: the sweep
 			// has covered every store boundary.
 			t.Logf("sweep covered %d crash points", k)
 			return

@@ -40,12 +40,6 @@ type DirRef struct {
 // AddressSpace exposes the MMU-checked view of NVM.
 func (h Hooks) AddressSpace() *mmu.AddressSpace { return h.fs.as }
 
-// CoreMem exposes the MMU-checked accessor with the LibFS's bounded
-// transient-retry persist policy; customized LibFSes should route their
-// core-state metadata persists through it so delayed-persistence faults
-// degrade the same way ArckFS's own paths do.
-func (h Hooks) CoreMem() core.Mem { return h.fs.cmem }
-
 // IOErr translates device-level faults into fsapi.ErrIO the same way
 // ArckFS's client boundary does; customized LibFSes apply it at their
 // own API boundaries.
@@ -120,7 +114,7 @@ func (h Hooks) RemoveEntry(cpu int, d *DirRef, name string) error {
 		if !d.n.ht.Delete(name) {
 			return fsapi.ErrNotExist
 		}
-		if err := core.CommitDirentIno(h.fs.cmem, e.loc.Page, e.loc.Slot, 0); err != nil {
+		if err := core.CommitDirentIno(h.fs.as, e.loc.Page, e.loc.Slot, 0); err != nil {
 			d.n.ht.Put(name, e)
 			return err
 		}
@@ -156,12 +150,12 @@ func (h Hooks) ReadInode(e Entry) (core.Inode, error) {
 
 // SetInodeSize commits a new size for the file at e.
 func (h Hooks) SetInodeSize(e Entry, size, mtime uint64) error {
-	return core.UpdateInodeSizeMtime(h.fs.cmem, e.Loc, size, mtime)
+	return core.UpdateInodeSizeMtime(h.fs.as, e.Loc, size, mtime)
 }
 
 // SetInodeHead commits a new head index page for the file at e.
 func (h Hooks) SetInodeHead(e Entry, head nvm.PageID) error {
-	return core.UpdateInodeHead(h.fs.cmem, e.Loc, head)
+	return core.UpdateInodeHead(h.fs.as, e.Loc, head)
 }
 
 // OpenCreated opens a handle on a file this LibFS just created through

@@ -79,14 +79,14 @@ func (fs *FS) claimSlot(cpu int, dir *node) (nvm.PageID, int, error) {
 	if err := fs.as.Write(page, 0, zeros[:]); err != nil {
 		return 0, 0, err
 	}
-	if err := fs.persist(page, 0, nvm.PageSize); err != nil {
+	if err := fs.as.Persist(page, 0, nvm.PageSize); err != nil {
 		return 0, 0, err
 	}
 	if err := fs.linkBlockLocked(cpu, dir, uint64(dir.dirBlocks), page); err != nil {
 		return 0, 0, err
 	}
 	dir.dirBlocks++
-	if err := core.UpdateInodeSizeMtime(fs.cmem, dir.loc(),
+	if err := core.UpdateInodeSizeMtime(fs.as, dir.loc(),
 		uint64(dir.dirBlocks)*nvm.PageSize, uint64(time.Now().UnixNano())); err != nil {
 		return 0, 0, err
 	}
@@ -160,7 +160,7 @@ func (fs *FS) createEntry(cpu int, parent *node, name string, ftype core.FileTyp
 			parent.releaseSlot(page, slot)
 			return fsapi.ErrExist
 		}
-		if err := core.CommitDirentIno(fs.cmem, page, slot, ino); err != nil {
+		if err := core.CommitDirentIno(fs.as, page, slot, ino); err != nil {
 			parent.ht.Delete(name)
 			parent.releaseSlot(page, slot)
 			return err
@@ -361,7 +361,7 @@ func (c *Client) unlinkCommon(path string, wantDir bool) error {
 		if !parent.ht.Delete(name) {
 			return fsapi.ErrNotExist
 		}
-		if err := core.CommitDirentIno(fs.cmem, e.loc.Page, e.loc.Slot, 0); err != nil {
+		if err := core.CommitDirentIno(fs.as, e.loc.Page, e.loc.Slot, 0); err != nil {
 			parent.ht.Put(name, e)
 			return err
 		}
@@ -493,7 +493,7 @@ func (c *Client) Rename(oldPath, newPath string) error {
 		if err := fs.as.Write(dstPage, core.SlotOffset(dstSlot)+8, slotImg[8:]); err != nil {
 			return err
 		}
-		if err := fs.persist(dstPage, core.SlotOffset(dstSlot)+8, core.DirentSize-8); err != nil {
+		if err := fs.as.Persist(dstPage, core.SlotOffset(dstSlot)+8, core.DirentSize-8); err != nil {
 			return err
 		}
 		// New name overwrites the copied one.
@@ -501,17 +501,17 @@ func (c *Client) Rename(oldPath, newPath string) error {
 			return err
 		}
 		fs.as.Fence()
-		if err := core.CommitDirentIno(fs.cmem, dstPage, dstSlot, oldE.ino); err != nil {
+		if err := core.CommitDirentIno(fs.as, dstPage, dstSlot, oldE.ino); err != nil {
 			return err
 		}
-		if err := core.CommitDirentIno(fs.cmem, oldE.loc.Page, oldE.loc.Slot, 0); err != nil {
+		if err := core.CommitDirentIno(fs.as, oldE.loc.Page, oldE.loc.Slot, 0); err != nil {
 			return err
 		}
 		var targetPages []nvm.PageID
 		if target != nil {
 			tn := fs.nodeFor(*target)
 			targetPages, _ = fs.filePages(tn)
-			if err := core.CommitDirentIno(fs.cmem, target.loc.Page, target.loc.Slot, 0); err != nil {
+			if err := core.CommitDirentIno(fs.as, target.loc.Page, target.loc.Slot, 0); err != nil {
 				return err
 			}
 		}

@@ -257,7 +257,7 @@ func (fs *FS) extendLocked(cpu int, n *node, b []byte, off int64, sp telemetry.S
 	}
 	// 3. Commit the new size.
 	if end > atomic.LoadInt64(&n.size) {
-		if err := core.UpdateInodeSizeMtime(fs.cmem, n.loc(), uint64(end), uint64(time.Now().UnixNano())); err != nil {
+		if err := core.UpdateInodeSizeMtime(fs.as, n.loc(), uint64(end), uint64(time.Now().UnixNano())); err != nil {
 			return err
 		}
 		atomic.StoreInt64(&n.size, end)
@@ -375,7 +375,7 @@ func (fs *FS) linkBlockLocked(cpu int, n *node, block uint64, page nvm.PageID) e
 	if err := fs.growChain(cpu, n, chainIdx); err != nil {
 		return err
 	}
-	if err := core.SetIndexEntry(fs.cmem, n.chain[chainIdx], entry, page); err != nil {
+	if err := core.SetIndexEntry(fs.as, n.chain[chainIdx], entry, page); err != nil {
 		return err
 	}
 	fs.as.Fence()
@@ -398,7 +398,7 @@ func (fs *FS) linkRun(cpu int, n *node, block uint64, pages []nvm.PageID) error 
 		if err := fs.growChain(cpu, n, chainIdx); err != nil {
 			return err
 		}
-		if err := core.SetIndexEntry(fs.cmem, n.chain[chainIdx], int(blk%core.IndexEntriesPerPage), page); err != nil {
+		if err := core.SetIndexEntry(fs.as, n.chain[chainIdx], int(blk%core.IndexEntriesPerPage), page); err != nil {
 			return err
 		}
 	}
@@ -418,15 +418,15 @@ func (fs *FS) growChain(cpu int, n *node, chainIdx int) error {
 		if err := fs.as.Write(ip, 0, zeros[:]); err != nil {
 			return err
 		}
-		if err := fs.persist(ip, 0, nvm.PageSize); err != nil {
+		if err := fs.as.Persist(ip, 0, nvm.PageSize); err != nil {
 			return err
 		}
 		if len(n.chain) == 0 {
-			if err := core.UpdateInodeHead(fs.cmem, n.loc(), ip); err != nil {
+			if err := core.UpdateInodeHead(fs.as, n.loc(), ip); err != nil {
 				return err
 			}
 		} else {
-			if err := core.SetNextIndexPage(fs.cmem, n.chain[len(n.chain)-1], ip); err != nil {
+			if err := core.SetNextIndexPage(fs.as, n.chain[len(n.chain)-1], ip); err != nil {
 				return err
 			}
 			fs.as.Fence()
@@ -507,7 +507,7 @@ func (h *Handle) Truncate(size int64) error {
 					dead = append(dead, nvm.PageID(p))
 					chainIdx := int(block / core.IndexEntriesPerPage)
 					if chainIdx < len(n.chain) {
-						if err := core.SetIndexEntry(fs.cmem, n.chain[chainIdx], int(block%core.IndexEntriesPerPage), nvm.NilPage); err != nil {
+						if err := core.SetIndexEntry(fs.as, n.chain[chainIdx], int(block%core.IndexEntriesPerPage), nvm.NilPage); err != nil {
 							return err
 						}
 					}
@@ -515,7 +515,7 @@ func (h *Handle) Truncate(size int64) error {
 				}
 			}
 			fs.as.Fence()
-			if err := core.UpdateInodeSizeMtime(fs.cmem, n.loc(), uint64(size), uint64(time.Now().UnixNano())); err != nil {
+			if err := core.UpdateInodeSizeMtime(fs.as, n.loc(), uint64(size), uint64(time.Now().UnixNano())); err != nil {
 				return err
 			}
 			atomic.StoreInt64(&n.size, size)
@@ -530,7 +530,7 @@ func (h *Handle) Truncate(size int64) error {
 			}
 			return nil
 		}
-		if err := core.UpdateInodeSizeMtime(fs.cmem, n.loc(), uint64(size), uint64(time.Now().UnixNano())); err != nil {
+		if err := core.UpdateInodeSizeMtime(fs.as, n.loc(), uint64(size), uint64(time.Now().UnixNano())); err != nil {
 			return err
 		}
 		atomic.StoreInt64(&n.size, size)

@@ -71,9 +71,6 @@ func (c *Config) fill() {
 type FS struct {
 	sess *controller.Session
 	as   *mmu.AddressSpace
-	// cmem is the address space behind the transient-fault retry policy;
-	// every core-state metadata persist goes through it.
-	cmem core.Mem
 	pool *delegation.Pool
 	cfg  Config
 
@@ -267,7 +264,6 @@ func New(sess *controller.Session, cfg Config) (*FS, error) {
 		percpu: make([]cpuLocal, cfg.CPUs),
 		dev:    sess.AddressSpace().Device(),
 	}
-	fs.cmem = retryMem{fs.as}
 	fs.views = make([]*mmu.View, fs.dev.Nodes())
 	for n := range fs.views {
 		fs.views[n] = fs.as.View(n)
@@ -577,25 +573,6 @@ func (fs *FS) resolveParent(path string) (*node, string, error) {
 	return parent, name, nil
 }
 
-// retryMem wraps the address space so core-state persists ride the
-// bounded transient-retry policy: a delayed-persistence window on the
-// device (nvm.ErrDeviceBusy) is retried with exponential backoff and
-// only surfaces once the budget is exhausted. Hard faults pass through.
-type retryMem struct {
-	*mmu.AddressSpace
-}
-
-func (m retryMem) Persist(p nvm.PageID, off, n int) error {
-	return nvm.RetryTransient(nvm.DefaultRetryPolicy(), func() error { return m.AddressSpace.Persist(p, off, n) })
-}
-
-// persist is the retrying counterpart of fs.as.Persist for the few
-// sites that flush raw page ranges rather than going through a core
-// helper.
-func (fs *FS) persist(p nvm.PageID, off, n int) error {
-	return fs.cmem.Persist(p, off, n)
-}
-
 // The three helpers below are core.ReadDirentInode, core.WriteInodeBody
 // and core.WriteDirentName issued through the LibFS's concrete address
 // space instead of the core.Mem interface: a buffer handed to an
@@ -617,7 +594,7 @@ func (fs *FS) writeInodeBody(p nvm.PageID, off int, in *core.Inode) error {
 	if err := fs.as.Write(p, off+8, b[8:]); err != nil {
 		return err
 	}
-	return fs.persist(p, off+8, core.InodeSize-8)
+	return fs.as.Persist(p, off+8, core.InodeSize-8)
 }
 
 func (fs *FS) writeDirentName(p nvm.PageID, slot int, name string) error {
@@ -630,7 +607,7 @@ func (fs *FS) writeDirentName(p nvm.PageID, slot int, name string) error {
 	if err := fs.as.Write(p, off, b[:n]); err != nil {
 		return err
 	}
-	return fs.persist(p, off, n)
+	return fs.as.Persist(p, off, n)
 }
 
 // ioErr translates device-level faults — injected media errors, a busy

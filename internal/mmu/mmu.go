@@ -173,22 +173,24 @@ type AddressSpace struct {
 	// same guarantee from the shootdown IPIs.
 	shoot sync.RWMutex
 
-	// node is the NUMA node of the CPU this address space's process is
-	// running on; it feeds the cost model's remote-access penalty.
-	node int
+	// home is the view from the NUMA node of the CPU this address space's
+	// process is running on (the node feeds the cost model's
+	// remote-access penalty); the address space's own accessors are its.
+	home View
 }
 
 // NewAddressSpace creates an empty address space for a process whose
 // CPUs live on the given NUMA node.
 func NewAddressSpace(dev *nvm.Device, node int) *AddressSpace {
 	granules := (dev.NumPages() + granulePages - 1) >> granuleShift
-	return &AddressSpace{
+	as := &AddressSpace{
 		dev:   dev,
-		node:  node,
 		perms: make([]atomic.Uint32, dev.NumPages()),
 		large: make([]atomic.Uint64, granules),
 		small: make([]uint8, granules),
 	}
+	as.home = View{as: as, node: node}
+	return as
 }
 
 // Device exposes the underlying device; used by trusted components that
@@ -197,7 +199,7 @@ func NewAddressSpace(dev *nvm.Device, node int) *AddressSpace {
 func (as *AddressSpace) Device() *nvm.Device { return as.dev }
 
 // Node reports the NUMA node of the owning process.
-func (as *AddressSpace) Node() int { return as.node }
+func (as *AddressSpace) Node() int { return as.home.node }
 
 // clip bounds the run [p, p+count) to the device: pages beyond it are
 // ignored by every mapping call (they can never check as mapped).
@@ -626,7 +628,13 @@ func (as *AddressSpace) WithShootdownBarrier(fn func()) {
 	fn()
 }
 
-func (as *AddressSpace) check(p nvm.PageID, need Perm) error {
+// check is the permission check of one access: permission need on every
+// page of [p, last], with the access faulting on the first page that
+// lacks it. Callers hold the shootdown barrier shared across the check
+// and the device operation. A one-page access is one page walk (touch);
+// a store spanning pages checks them all before it marks any dirty, so a
+// span that faults on a later page leaves the earlier ones clean.
+func (as *AddressSpace) check(p, last nvm.PageID, need Perm) error {
 	if telemetry.On() {
 		mChecks.IncOn(int(p))
 	}
@@ -634,9 +642,19 @@ func (as *AddressSpace) check(p nvm.PageID, need Perm) error {
 		mFaults.IncOn(int(p))
 		return &Fault{Page: p, Revoked: true}
 	}
-	if got, ok := as.touch(p, need); !ok {
-		mFaults.IncOn(int(p))
-		return &Fault{Page: p, Need: need, Got: got}
+	if need == PermWrite && last != p {
+		for q := p; q <= last; q++ {
+			if got := as.PermOf(q); got < need {
+				mFaults.IncOn(int(q))
+				return &Fault{Page: q, Need: need, Got: got}
+			}
+		}
+	}
+	for q := p; q <= last; q++ {
+		if got, ok := as.touch(q, need); !ok {
+			mFaults.IncOn(int(q))
+			return &Fault{Page: q, Need: need, Got: got}
+		}
 	}
 	return nil
 }
@@ -673,94 +691,30 @@ func (as *AddressSpace) touch(p nvm.PageID, need Perm) (Perm, bool) {
 
 // Read copies from page p at off into buf.
 func (as *AddressSpace) Read(p nvm.PageID, off int, buf []byte) error {
-	as.shoot.RLock()
-	defer as.shoot.RUnlock()
-	if err := as.check(p, PermRead); err != nil {
-		return err
-	}
-	return as.dev.ReadAt(as.node, p, off, buf)
+	return as.home.Read(p, off, buf)
 }
 
 // Write copies data into page p at off.
 func (as *AddressSpace) Write(p nvm.PageID, off int, data []byte) error {
-	as.shoot.RLock()
-	defer as.shoot.RUnlock()
-	if err := as.check(p, PermWrite); err != nil {
-		return err
-	}
-	return as.dev.WriteAt(as.node, p, off, data)
+	return as.home.Write(p, off, data)
 }
 
-// checkSpan verifies permission `need` on every page a range access
-// starting at (p, off) with n bytes touches. Callers hold the shootdown
-// barrier shared across the check and the device operation.
-func (as *AddressSpace) checkSpan(p nvm.PageID, off, n int, need Perm) error {
-	if telemetry.On() {
-		mChecks.IncOn(int(p))
-	}
-	if as.revoked.Load() {
-		mFaults.IncOn(int(p))
-		return &Fault{Page: p, Revoked: true}
-	}
-	last := p
-	if n > 0 {
-		last = p + nvm.PageID(uint64(off+n-1)/nvm.PageSize)
-	}
-	if uint64(last) >= uint64(len(as.perms)) {
-		mFaults.IncOn(int(p))
-		return fmt.Errorf("%w: page %d beyond device", ErrFault, last)
-	}
-	// Two passes for a store: a span that faults on a later page must not
-	// have marked the earlier ones dirty.
-	for q := p; q <= last; q++ {
-		if got := as.PermOf(q); got < need {
-			mFaults.IncOn(int(q))
-			return &Fault{Page: q, Need: need, Got: got}
-		}
-	}
-	if need == PermWrite {
-		for q := p; q <= last; q++ {
-			if got, ok := as.touch(q, need); !ok {
-				mFaults.IncOn(int(q))
-				return &Fault{Page: q, Need: need, Got: got}
-			}
-		}
-	}
-	return nil
-}
+// Persist flushes the cachelines covering [off, off+n) of page p.
+func (as *AddressSpace) Persist(p nvm.PageID, off, n int) error { return as.home.Persist(p, off, n) }
 
-// ReadRange copies a span of physically contiguous pages starting at
-// (p, off) into buf. Permissions are checked on every page of the span;
-// the device charges the run as one streamed access.
+// ReadRange copies a contiguous multi-page span at (p, off) into buf.
 func (as *AddressSpace) ReadRange(p nvm.PageID, off int, buf []byte) error {
-	as.shoot.RLock()
-	defer as.shoot.RUnlock()
-	if err := as.checkSpan(p, off, len(buf), PermRead); err != nil {
-		return err
-	}
-	return as.dev.ReadRange(as.node, p, off, buf)
+	return as.home.ReadRange(p, off, buf)
 }
 
-// WriteRange copies data into a span of physically contiguous pages
-// starting at (p, off).
+// WriteRange copies data into a contiguous multi-page span at (p, off).
 func (as *AddressSpace) WriteRange(p nvm.PageID, off int, data []byte) error {
-	as.shoot.RLock()
-	defer as.shoot.RUnlock()
-	if err := as.checkSpan(p, off, len(data), PermWrite); err != nil {
-		return err
-	}
-	return as.dev.WriteRange(as.node, p, off, data)
+	return as.home.WriteRange(p, off, data)
 }
 
-// PersistRange flushes the cachelines of a contiguous multi-page span,
-// coalescing the flush into one cost-model charge.
+// PersistRange flushes the cachelines of a contiguous multi-page span.
 func (as *AddressSpace) PersistRange(p nvm.PageID, off, n int) error {
-	as.shoot.RLock()
-	defer as.shoot.RUnlock()
-	if err := as.checkSpan(p, off, n, PermRead); err != nil {
-		return err
-	}
-	return as.dev.PersistRange(p, off, n)
+	return as.home.PersistRange(p, off, n)
 }
 
 // ReadU64 loads a little-endian uint64 at (p, off).
@@ -791,91 +745,97 @@ func (as *AddressSpace) WriteU128(p nvm.PageID, off int, b [16]byte) error {
 }
 
 // View returns an accessor that enforces this address space's
-// permissions but issues device accesses from a different NUMA node.
+// permissions but issues device accesses from the given NUMA node.
 // Delegation workers use it: they act on behalf of the application (so
 // its permissions apply) while running on the node that owns the page —
-// which is the whole point of delegation (§4.5).
-func (as *AddressSpace) View(node int) *View { return &View{as: as, node: node} }
+// which is the whole point of delegation (§4.5). The owning process's
+// own node is the home view, returned without allocating.
+func (as *AddressSpace) View(node int) *View {
+	if node == as.home.node {
+		return &as.home
+	}
+	return &View{as: as, node: node}
+}
 
-// View is a node-pinned accessor over an AddressSpace.
+// View is a node-pinned accessor over an AddressSpace, and the one
+// checked path from untrusted code to the device: each access takes the
+// shootdown barrier shared, checks the pages it touches (check) and
+// issues the device operation from the view's node, all under the
+// barrier. The one-page forms stay inside their page (the device
+// refuses the rest); the range forms check every page of their span.
 type View struct {
 	as   *AddressSpace
 	node int
 }
 
-// Read copies from page p at off into buf, charged from the view's node.
+// Read copies from page p at off into buf.
 func (v *View) Read(p nvm.PageID, off int, buf []byte) error {
-	v.as.shoot.RLock()
-	defer v.as.shoot.RUnlock()
-	if err := v.as.check(p, PermRead); err != nil {
+	as := v.as
+	as.shoot.RLock()
+	defer as.shoot.RUnlock()
+	if err := as.check(p, p, PermRead); err != nil {
 		return err
 	}
-	return v.as.dev.ReadAt(v.node, p, off, buf)
+	return as.dev.ReadAt(v.node, p, off, buf)
 }
 
-// Write copies data into page p at off, charged from the view's node.
+// Write copies data into page p at off.
 func (v *View) Write(p nvm.PageID, off int, data []byte) error {
-	v.as.shoot.RLock()
-	defer v.as.shoot.RUnlock()
-	if err := v.as.check(p, PermWrite); err != nil {
+	as := v.as
+	as.shoot.RLock()
+	defer as.shoot.RUnlock()
+	if err := as.check(p, p, PermWrite); err != nil {
 		return err
 	}
-	return v.as.dev.WriteAt(v.node, p, off, data)
-}
-
-// ReadRange copies a contiguous multi-page span, charged from the
-// view's node.
-func (v *View) ReadRange(p nvm.PageID, off int, buf []byte) error {
-	v.as.shoot.RLock()
-	defer v.as.shoot.RUnlock()
-	if err := v.as.checkSpan(p, off, len(buf), PermRead); err != nil {
-		return err
-	}
-	return v.as.dev.ReadRange(v.node, p, off, buf)
-}
-
-// WriteRange copies data into a contiguous multi-page span, charged from
-// the view's node.
-func (v *View) WriteRange(p nvm.PageID, off int, data []byte) error {
-	v.as.shoot.RLock()
-	defer v.as.shoot.RUnlock()
-	if err := v.as.checkSpan(p, off, len(data), PermWrite); err != nil {
-		return err
-	}
-	return v.as.dev.WriteRange(v.node, p, off, data)
-}
-
-// PersistRange flushes the cachelines of a contiguous multi-page span as
-// one coalesced CLWB batch.
-func (v *View) PersistRange(p nvm.PageID, off, n int) error {
-	v.as.shoot.RLock()
-	defer v.as.shoot.RUnlock()
-	if err := v.as.checkSpan(p, off, n, PermRead); err != nil {
-		return err
-	}
-	return v.as.dev.PersistRange(p, off, n)
-}
-
-// Persist flushes lines from the view's node.
-func (v *View) Persist(p nvm.PageID, off, n int) error {
-	v.as.shoot.RLock()
-	defer v.as.shoot.RUnlock()
-	if err := v.as.check(p, PermRead); err != nil {
-		return err
-	}
-	return v.as.dev.Persist(p, off, n)
+	return as.dev.WriteAt(v.node, p, off, data)
 }
 
 // Persist flushes the cachelines covering [off, off+n) of page p.
 // Persist itself needs no permission (CLWB works on any mapped line);
 // requiring read keeps the simulation honest about unmapped pages.
-func (as *AddressSpace) Persist(p nvm.PageID, off, n int) error {
+func (v *View) Persist(p nvm.PageID, off, n int) error {
+	as := v.as
 	as.shoot.RLock()
 	defer as.shoot.RUnlock()
-	if err := as.check(p, PermRead); err != nil {
+	if err := as.check(p, p, PermRead); err != nil {
 		return err
 	}
 	return as.dev.Persist(p, off, n)
+}
+
+// ReadRange copies a contiguous multi-page span into buf; the device
+// charges the run as one streamed access.
+func (v *View) ReadRange(p nvm.PageID, off int, buf []byte) error {
+	as := v.as
+	as.shoot.RLock()
+	defer as.shoot.RUnlock()
+	if err := as.check(p, nvm.LastPage(p, off, len(buf)), PermRead); err != nil {
+		return err
+	}
+	return as.dev.ReadRange(v.node, p, off, buf)
+}
+
+// WriteRange copies data into a contiguous multi-page span.
+func (v *View) WriteRange(p nvm.PageID, off int, data []byte) error {
+	as := v.as
+	as.shoot.RLock()
+	defer as.shoot.RUnlock()
+	if err := as.check(p, nvm.LastPage(p, off, len(data)), PermWrite); err != nil {
+		return err
+	}
+	return as.dev.WriteRange(v.node, p, off, data)
+}
+
+// PersistRange flushes the cachelines of a contiguous multi-page span as
+// one coalesced CLWB batch.
+func (v *View) PersistRange(p nvm.PageID, off, n int) error {
+	as := v.as
+	as.shoot.RLock()
+	defer as.shoot.RUnlock()
+	if err := as.check(p, nvm.LastPage(p, off, n), PermRead); err != nil {
+		return err
+	}
+	return as.dev.PersistRange(p, off, n)
 }
 
 // Fence issues a store fence.

@@ -86,3 +86,36 @@ func TestRangeRevokedFaults(t *testing.T) {
 		t.Fatalf("persist range after revoke: err = %v, want ErrFault", err)
 	}
 }
+
+// TestPersistStaysInPage: a one-page access is checked against its one
+// page, so it must not run on into the next. A session that maps only
+// page 3 persisting [4032, 4160) of it would flush page 4's first line —
+// a line of a page it cannot reach. The persist is refused and page 4's
+// line stays dirty; the View it goes through refuses the same.
+func TestPersistStaysInPage(t *testing.T) {
+	dev := nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: 16, TrackPersistence: true})
+	if err := dev.WriteAt(0, 4, 0, []byte("another file's bytes")); err != nil {
+		t.Fatal(err)
+	}
+	as := NewAddressSpace(dev, 0)
+	as.Map(3, 1, PermWrite)
+	if err := as.Persist(3, 4032, 128); err == nil {
+		t.Fatal("Persist(3, 4032, 128) through a page-3-only mapping succeeded")
+	}
+	if err := as.View(0).Persist(3, 4032, 128); err == nil {
+		t.Fatal("the home view's Persist(3, 4032, 128) succeeded")
+	}
+	buf := make([]byte, 128)
+	if err := as.Read(3, 4032, buf); err == nil {
+		t.Fatal("Read(3, 4032, 128) through a page-3-only mapping succeeded")
+	}
+	if err := as.Write(3, 4032, buf); err == nil {
+		t.Fatal("Write(3, 4032, 128) through a page-3-only mapping succeeded")
+	}
+	if got := dev.Tracker().DirtyLines(); got != 1 {
+		t.Fatalf("%d dirty lines, want page 4's one", got)
+	}
+	if as.View(as.Node()) != as.View(as.Node()) {
+		t.Fatal("the home view is not one view")
+	}
+}

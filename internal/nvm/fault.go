@@ -7,17 +7,18 @@ import (
 	"time"
 )
 
-// Fault-injection errors. ErrDeviceBusy is the only transient one:
-// consumers are expected to retry it with bounded backoff (see
-// RetryTransient); everything else is a hard fault that must surface to
-// the caller as an I/O error.
+// Fault-injection errors. ErrDeviceBusy is the only transient one, and
+// the device retries it itself (Device.PersistRange), so a caller sees
+// it only once the bounded retry budget is spent. Whichever of them
+// reaches a caller is a hard fault that must surface as an I/O error.
 var (
 	// ErrMediaRead models an uncorrectable media error on a load.
 	ErrMediaRead = errors.New("nvm: injected media read error")
 	// ErrMediaWrite models a media error on a store.
 	ErrMediaWrite = errors.New("nvm: injected media write error")
 	// ErrDeviceBusy models a delayed-persistence window: the CLWB did
-	// not complete and the line is still volatile. Transient.
+	// not complete and the line is still volatile. Transient: a persist
+	// returns it only after its in-device retries ran out.
 	ErrDeviceBusy = errors.New("nvm: persist delayed (device busy, transient)")
 	// ErrCrashPoint is returned once an armed crash point has fired:
 	// the device is frozen and no further stores or persists land.
@@ -28,138 +29,51 @@ var (
 // every page of the device.
 const AllPages PageID = ^PageID(0)
 
-// IsInjected reports whether err originates from fault injection
-// (including the legacy FailAfterWrites budget). Consumers use it to
-// translate device faults into their own I/O error space.
+// IsInjected reports whether err originates from fault injection.
+// Consumers use it to translate device faults into their own I/O error
+// space.
 func IsInjected(err error) bool {
 	return errors.Is(err, ErrMediaRead) ||
 		errors.Is(err, ErrMediaWrite) ||
 		errors.Is(err, ErrDeviceBusy) ||
-		errors.Is(err, ErrCrashPoint) ||
-		errors.Is(err, ErrInjectedFailure)
+		errors.Is(err, ErrCrashPoint)
 }
 
-// RetryPolicy bounds a transient-fault retry loop: how many times the
-// op may run, how the backoff between attempts grows, and how much
-// total backoff the loop may spend before giving up. The zero value of
-// any field falls back to the defaults below, so RetryPolicy{} behaves
-// like DefaultRetryPolicy().
-//
-// The backoff schedule is deterministic under a seeded jitter stream
-// (SetRetrySeed): Deadline is accounted against the *planned* sleeps,
-// not the wall clock, so two runs with the same seed retry — and give
-// up — at exactly the same attempts.
-type RetryPolicy struct {
-	// Attempts is the maximum number of op invocations.
-	Attempts int
-	// Base is the first backoff step; attempt k backs off Base<<k,
-	// jittered, up to Cap.
-	Base time.Duration
-	// Cap bounds one backoff step so a long busy window never balloons
-	// a single op's latency.
-	Cap time.Duration
-	// Deadline, when positive, bounds the cumulative backoff across all
-	// attempts: the loop gives up early rather than start a sleep that
-	// would exceed it.
-	Deadline time.Duration
-}
+// The device's retry of a busy persist (see persistRetry): at most
+// retryAttempts tries per page, the k-th backoff (0-based) drawn from
+// [c/2, c] for c = min(retryBase<<k, retryCap). The schedule is a
+// function of the jitter stream alone, so a seeded run (SetRetrySeed)
+// retries — and gives up — at the same attempts every time.
+const (
+	retryAttempts = 8
+	retryBase     = time.Microsecond
+	retryCap      = 64 * time.Microsecond
+)
 
-// DefaultRetryPolicy is the policy the NVM persist paths use: 8
-// attempts, 1µs base, 64µs cap, no deadline.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: 8, Base: time.Microsecond, Cap: 64 * time.Microsecond}
-}
-
-// norm fills zero fields with the defaults.
-func (pol RetryPolicy) norm() RetryPolicy {
-	def := DefaultRetryPolicy()
-	if pol.Attempts <= 0 {
-		pol.Attempts = def.Attempts
-	}
-	if pol.Base <= 0 {
-		pol.Base = def.Base
-	}
-	if pol.Cap <= 0 {
-		pol.Cap = def.Cap
-	}
-	return pol
-}
-
-// retryRNG is the deterministic jitter source shared by every
-// RetryTransient call: a splitmix64 stream whose state advances one
-// step per jittered sleep. Seeding it (SetRetrySeed) makes fail-over
-// schedules reproducible across runs — two executions of the same
-// single-threaded workload draw the identical jitter sequence.
+// retryRNG is the deterministic jitter source shared by every busy
+// retry on every device: a splitmix64 stream whose state advances one
+// step per jittered sleep. Full jitter keeps concurrent retriers from
+// thundering in lockstep while the seedable stream keeps tests
+// reproducible.
 var retryRNG atomic.Uint64
 
 // SetRetrySeed reseeds the backoff jitter stream. Tests seed it so
-// delegation fail-over timing is reproducible; production code never
-// needs to call it (the zero seed is as good as any).
+// fail-over timing is reproducible; production code never needs to call
+// it (the zero seed is as good as any).
 func SetRetrySeed(seed uint64) { retryRNG.Store(seed) }
 
-// nextRetryJitter draws the next value of the splitmix64 stream.
-func nextRetryJitter() uint64 {
+// retryDelay draws the sleep before retry `attempt` (0-based): half the
+// capped exponential term plus jitter over the other half.
+func retryDelay(attempt int) time.Duration {
+	half := min(retryBase<<attempt, retryCap) / 2
 	z := retryRNG.Add(0x9e3779b97f4a7c15)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// delay computes the sleep before retry `attempt` (0-based): the
-// capped exponential term, halved, plus deterministic jitter drawn
-// from j over the other half — full jitter keeps concurrent retriers
-// from thundering in lockstep while the seedable stream keeps tests
-// reproducible.
-func (pol RetryPolicy) delay(attempt int, j uint64) time.Duration {
-	d := pol.Base << attempt
-	if d > pol.Cap || d <= 0 {
-		d = pol.Cap
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(j%uint64(half+1))
+	return half + time.Duration((z^(z>>31))%uint64(half+1))
 }
 
 // retrySleep is swapped out by tests that assert on the delay schedule.
 var retrySleep = time.Sleep
-
-// Retry runs op under pol, retrying with capped exponential backoff and
-// deterministic (seedable) jitter as long as op fails with an error the
-// transient predicate accepts. Any other result (success or a hard
-// fault) is returned immediately; once the attempt or deadline budget
-// is exhausted the last transient error is returned — and counted in
-// nvm.retry_giveup — so the caller surfaces it as an I/O error instead
-// of spinning forever.
-func Retry(pol RetryPolicy, transient func(error) bool, op func() error) error {
-	pol = pol.norm()
-	var slept time.Duration
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = op(); err == nil || !transient(err) {
-			return err
-		}
-		if attempt+1 >= pol.Attempts {
-			break
-		}
-		d := pol.delay(attempt, nextRetryJitter())
-		if pol.Deadline > 0 && slept+d > pol.Deadline {
-			break
-		}
-		slept += d
-		mRetries.Inc()
-		retrySleep(d)
-	}
-	mRetryGiveup.Inc()
-	return err
-}
-
-// RetryTransient is Retry specialized to the device's one transient
-// fault, the delayed-persistence window (ErrDeviceBusy).
-func RetryTransient(pol RetryPolicy, op func() error) error {
-	return Retry(pol, func(err error) bool { return errors.Is(err, ErrDeviceBusy) }, op)
-}
 
 // faultRule is one read- or write-error injection: the next `skip`
 // matching accesses pass, the following `count` fail (count < 0: every
@@ -186,12 +100,13 @@ func (r *faultRule) take() bool {
 
 // FaultPlan is the fault-injection hook point of a Device (installed
 // with Device.SetFaultPlan). A plan can inject media read/write errors
-// on chosen pages, delay persistence (transient busy windows), tear a
-// cacheline at its next persist, and — the piece the crash-enumeration
-// tests are built on — fire a deterministic crash at the k-th persist
-// point of a workload.
+// on chosen pages, delay persistence (transient busy windows, which the
+// device retries itself — nobody above it does), tear a cacheline at its
+// next persist, and — the piece the crash-enumeration tests are built on
+// — fire a deterministic crash at the k-th persist point of a workload.
 //
-// A persist point is one Persist or Fence call on the device. A
+// A persist point is one page of a persist that is not busy, or one
+// Fence call on the device. A
 // single-threaded workload issues an identical point sequence on every
 // run, so a test can dry-run once to count N points and then replay the
 // workload N times, arming the crash at k = 1..N to enumerate every
@@ -289,9 +204,15 @@ func (fp *FaultPlan) InjectWriteFault(p PageID, skip, count int64) {
 }
 
 // DelayPersists opens a delayed-persistence window on page p (or
-// AllPages): the next count Persist calls touching p fail with the
-// transient ErrDeviceBusy and do not persist anything. Busy persists do
-// not count as persist points — the CLWB never completed.
+// AllPages): the next count persist attempts touching p are busy — they
+// persist nothing and count no persist point, the CLWB never completed.
+// The device retries a busy page in place with bounded backoff, so a
+// window shorter than the budget (retryAttempts tries per page) costs
+// the persist some microseconds and nothing else; a longer one fails it
+// with ErrDeviceBusy. The retry sleeps wherever the persist was issued —
+// inside an address space's shootdown barrier, under the controller's
+// locks — for at most one budget (127 µs of planned backoff per page),
+// and only while a window is armed.
 func (fp *FaultPlan) DelayPersists(p PageID, count int64) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -337,7 +258,7 @@ func (fp *FaultPlan) FlipBits(p PageID, off int, mask byte) error {
 	if mask == 0 {
 		return errors.New("nvm: FlipBits: zero mask flips nothing")
 	}
-	if err := dev.checkRange(p, off, 1); err != nil {
+	if _, err := dev.checkRange(p, off, 1, PageSize); err != nil {
 		return err
 	}
 	dev.lockPage(p)
@@ -411,10 +332,30 @@ func (fp *FaultPlan) writeFault(p PageID) error {
 	return nil
 }
 
-// persistFault consults the plan for a Persist of page p: busy windows
-// reject the CLWB without counting a point; otherwise the point counter
-// advances and may fire the armed crash, in which case this persist is
-// lost (the device freezes before the tracker marks anything durable).
+// persistRetry is persistFault with the device's busy retry: a busy
+// page is tried again after a jittered backoff, up to retryAttempts
+// tries, each retry counted in nvm.retries; a page still busy after the
+// last one fails with ErrDeviceBusy and counts in nvm.retry_giveup.
+func (fp *FaultPlan) persistRetry(p PageID) error {
+	for attempt := 0; ; attempt++ {
+		err := fp.persistFault(p)
+		if err != ErrDeviceBusy {
+			return err
+		}
+		if attempt+1 == retryAttempts {
+			mRetryGiveup.Inc()
+			return err
+		}
+		mRetries.Inc()
+		retrySleep(retryDelay(attempt))
+	}
+}
+
+// persistFault consults the plan for one persist attempt of page p: busy
+// windows reject the CLWB without counting a point; otherwise the point
+// counter advances and may fire the armed crash, in which case this
+// persist is lost (the device freezes before the tracker marks anything
+// durable).
 func (fp *FaultPlan) persistFault(p PageID) error {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()

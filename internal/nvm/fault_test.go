@@ -3,6 +3,7 @@ package nvm
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -66,59 +67,78 @@ func TestMediaWriteFaultWildcard(t *testing.T) {
 	}
 }
 
+// TestDelayedPersistWindow: a busy window shorter than the device's
+// retry budget is absorbed inside Persist — it returns nil, the line is
+// durable, and the persist is one persist point however many busy
+// attempts it took.
 func TestDelayedPersistWindow(t *testing.T) {
 	d := faultDevice(t, true)
 	fp := NewFaultPlan()
 	fp.DelayPersists(7, 2)
 	d.SetFaultPlan(fp)
+	noSleep(t)
 
 	if err := d.WriteAt(0, 7, 0, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := d.Persist(7, 0, 5); !errors.Is(err, ErrDeviceBusy) {
-			t.Fatalf("persist %d: got %v, want ErrDeviceBusy", i, err)
-		}
-	}
-	if got := d.Tracker().DirtyLines(); got != 1 {
-		t.Fatalf("busy persists must not persist: %d dirty lines, want 1", got)
-	}
-	// Busy persists are not persist points: the CLWB never completed.
-	if got := fp.PersistPoints(); got != 0 {
-		t.Fatalf("PersistPoints() = %d, want 0", got)
-	}
 	if err := d.Persist(7, 0, 5); err != nil {
-		t.Fatalf("persist after window closed: %v", err)
+		t.Fatalf("a 2-attempt busy window was not absorbed: %v", err)
+	}
+	if got := fp.Faults(); got != 2 {
+		t.Fatalf("Faults() = %d, want the 2 busy attempts", got)
+	}
+	// Busy attempts are not persist points: the CLWB never completed.
+	if got := fp.PersistPoints(); got != 1 {
+		t.Fatalf("PersistPoints() = %d, want 1", got)
 	}
 	if got := d.Tracker().DirtyLines(); got != 0 {
-		t.Fatalf("line still dirty after successful persist: %d", got)
+		t.Fatalf("line still dirty after an absorbed window: %d", got)
 	}
 }
 
+// noSleep makes the device's busy retries skip their backoff sleeps for
+// the rest of the test.
+func noSleep(t *testing.T) {
+	old := retrySleep
+	retrySleep = func(time.Duration) {}
+	t.Cleanup(func() { retrySleep = old })
+}
+
+// TestRetryTransientAbsorbsBoundedBusy: the in-device retry absorbs a
+// window up to one attempt short of its budget; a window as long as the
+// budget fails the persist with ErrDeviceBusy after exactly
+// retryAttempts attempts, persists nothing and counts no point.
 func TestRetryTransientAbsorbsBoundedBusy(t *testing.T) {
 	d := faultDevice(t, true)
 	fp := NewFaultPlan()
-	fp.DelayPersists(AllPages, 3)
 	d.SetFaultPlan(fp)
+	noSleep(t)
 	if err := d.WriteAt(0, 2, 0, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if err := RetryTransient(DefaultRetryPolicy(), func() error { return d.Persist(2, 0, 1) }); err != nil {
-		t.Fatalf("RetryTransient should absorb a short busy window: %v", err)
+	fp.DelayPersists(AllPages, retryAttempts)
+	if err := d.Persist(2, 0, 1); !errors.Is(err, ErrDeviceBusy) {
+		t.Fatalf("a window as long as the budget: got %v, want ErrDeviceBusy", err)
+	}
+	if got := fp.Faults(); got != retryAttempts {
+		t.Fatalf("%d busy attempts, want %d (bounded)", got, retryAttempts)
+	}
+	if got := fp.PersistPoints(); got != 0 {
+		t.Fatalf("a failed persist counted %d points, want 0", got)
+	}
+	if got := d.Tracker().DirtyLines(); got != 1 {
+		t.Fatalf("a failed persist left %d dirty lines, want 1", got)
 	}
 
-	// A window longer than the retry budget surfaces ErrDeviceBusy.
-	fp.DelayPersists(AllPages, 1000)
-	attempts := 0
-	err := RetryTransient(DefaultRetryPolicy(), func() error {
-		attempts++
-		return d.Persist(2, 0, 1)
-	})
-	if !errors.Is(err, ErrDeviceBusy) {
-		t.Fatalf("got %v, want ErrDeviceBusy", err)
+	fp.DelayPersists(AllPages, retryAttempts-1)
+	if err := d.Persist(2, 0, 1); err != nil {
+		t.Fatalf("a window one short of the budget was not absorbed: %v", err)
 	}
-	if attempts != DefaultRetryPolicy().Attempts {
-		t.Fatalf("attempts = %d, want %d (bounded)", attempts, DefaultRetryPolicy().Attempts)
+	if got := fp.PersistPoints(); got != 1 {
+		t.Fatalf("PersistPoints() = %d, want 1", got)
+	}
+	if got := d.Tracker().DirtyLines(); got != 0 {
+		t.Fatalf("line still dirty after an absorbed window: %d", got)
 	}
 }
 
@@ -322,15 +342,21 @@ func TestFlipBitsSilentCorruption(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffDeterministicJitter: the backoff a busy persist
+// sleeps through is a function of the jitter seed alone, and every step
+// lies in [c/2, c] of its capped exponential term c.
 func TestRetryBackoffDeterministicJitter(t *testing.T) {
+	d := faultDevice(t, false)
+	fp := NewFaultPlan()
+	d.SetFaultPlan(fp)
 	collect := func(seed uint64) []time.Duration {
 		SetRetrySeed(seed)
 		var delays []time.Duration
 		old := retrySleep
 		retrySleep = func(d time.Duration) { delays = append(delays, d) }
 		defer func() { retrySleep = old }()
-		err := RetryTransient(DefaultRetryPolicy(), func() error { return ErrDeviceBusy })
-		if !errors.Is(err, ErrDeviceBusy) {
+		fp.DelayPersists(AllPages, 1<<30)
+		if err := d.Persist(3, 0, 8); !errors.Is(err, ErrDeviceBusy) {
 			t.Fatalf("exhausted retry returned %v", err)
 		}
 		return delays
@@ -338,41 +364,22 @@ func TestRetryBackoffDeterministicJitter(t *testing.T) {
 
 	a := collect(42)
 	b := collect(42)
-	// The final attempt returns without sleeping, so an exhausted loop
-	// records Attempts-1 backoffs.
-	if len(a) != DefaultRetryPolicy().Attempts-1 {
-		t.Fatalf("%d delays, want %d", len(a), DefaultRetryPolicy().Attempts-1)
+	// The final attempt returns without sleeping, so an exhausted retry
+	// records retryAttempts-1 backoffs.
+	if len(a) != retryAttempts-1 {
+		t.Fatalf("%d delays, want %d", len(a), retryAttempts-1)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at attempt %d: %v vs %v", i, a[i], b[i])
-		}
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed diverged: %v vs %v", a, b)
 	}
-	c := collect(7)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
+	if slices.Equal(a, collect(7)) {
 		t.Fatal("different seeds produced an identical jitter schedule")
 	}
-
 	// Every delay respects the cap and stays positive; the exponential
 	// floor (half the capped term) keeps later attempts from collapsing.
-	maxDelay := DefaultRetryPolicy().Cap
-	for i, d := range a {
-		if d <= 0 || d > maxDelay {
-			t.Fatalf("attempt %d: delay %v outside (0, %v]", i, d, maxDelay)
-		}
-	}
-	for _, seed := range []uint64{0, 1, 99} {
+	for _, seed := range []uint64{0, 1, 42, 99} {
 		for i, d := range collect(seed) {
-			exp := time.Microsecond << i
-			if exp > maxDelay {
-				exp = maxDelay
-			}
+			exp := min(retryBase<<i, retryCap)
 			if d < exp/2 || d > exp {
 				t.Fatalf("seed %d attempt %d: delay %v outside [%v, %v]", seed, i, d, exp/2, exp)
 			}
@@ -380,79 +387,37 @@ func TestRetryBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyBounds(t *testing.T) {
-	// A custom attempt budget is respected exactly.
-	attempts := 0
-	pol := RetryPolicy{Attempts: 3, Base: time.Microsecond, Cap: 8 * time.Microsecond}
-	old := retrySleep
-	retrySleep = func(time.Duration) {}
-	defer func() { retrySleep = old }()
-	err := RetryTransient(pol, func() error {
-		attempts++
-		return ErrDeviceBusy
-	})
-	if !errors.Is(err, ErrDeviceBusy) || attempts != 3 {
-		t.Fatalf("attempts = %d err = %v, want 3 attempts ending in ErrDeviceBusy", attempts, err)
-	}
-
-	// A deadline cuts the loop before the attempt budget: with every
-	// backoff at least Base/2, a deadline below Base/2 permits no sleep
-	// at all, so exactly one attempt runs... plus the one that failed.
-	attempts = 0
-	pol = RetryPolicy{Attempts: 100, Base: 16 * time.Microsecond, Cap: 16 * time.Microsecond,
-		Deadline: time.Microsecond}
-	err = RetryTransient(pol, func() error {
-		attempts++
-		return ErrDeviceBusy
-	})
-	if !errors.Is(err, ErrDeviceBusy) {
-		t.Fatalf("got %v, want ErrDeviceBusy", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("deadline-bounded loop ran %d attempts, want 1", attempts)
-	}
-
-	// The deadline is accounted against planned sleeps, so the same
-	// seed gives up at the same attempt on every run.
-	counts := [2]int{}
-	for i := range counts {
-		SetRetrySeed(99)
-		RetryTransient(RetryPolicy{Attempts: 50, Base: 4 * time.Microsecond,
-			Cap: 64 * time.Microsecond, Deadline: 200 * time.Microsecond},
-			func() error { counts[i]++; return ErrDeviceBusy })
-	}
-	if counts[0] != counts[1] || counts[0] >= 50 {
-		t.Fatalf("seeded deadline schedules diverged: %d vs %d", counts[0], counts[1])
-	}
-}
-
+// TestRetryGiveupCounter: a busy window the retry absorbs ticks
+// nvm.retries and not nvm.retry_giveup; one that outlasts the budget
+// ticks giveup once per failed persist.
 func TestRetryGiveupCounter(t *testing.T) {
 	telemetry.Default().Enable()
 	defer telemetry.Default().Disable()
-	old := retrySleep
-	retrySleep = func(time.Duration) {}
-	defer func() { retrySleep = old }()
+	d := faultDevice(t, false)
+	fp := NewFaultPlan()
+	d.SetFaultPlan(fp)
+	noSleep(t)
 
 	before := telemetry.Default().Snapshot()
-	// A transient error that clears on the second attempt: retries tick,
-	// giveup does not.
-	n := 0
-	if err := RetryTransient(RetryPolicy{}, func() error {
-		if n++; n == 1 {
-			return ErrDeviceBusy
-		}
-		return nil
-	}); err != nil {
+	fp.DelayPersists(AllPages, 2)
+	if err := d.Persist(4, 0, 8); err != nil {
 		t.Fatal(err)
 	}
-	// An everlasting transient error exhausts the budget: giveup ticks.
-	RetryTransient(RetryPolicy{Attempts: 4}, func() error { return ErrDeviceBusy })
-	d := telemetry.Default().Snapshot().Sub(before)
-	if d.Get("nvm.retries") < 2 {
-		t.Fatalf("nvm.retries = %d, want >= 2", d.Get("nvm.retries"))
+	mid := telemetry.Default().Snapshot().Sub(before)
+	if mid.Get("nvm.retries") != 2 || mid.Get("nvm.retry_giveup") != 0 {
+		t.Fatalf("absorbed window: retries = %d, giveup = %d; want 2, 0",
+			mid.Get("nvm.retries"), mid.Get("nvm.retry_giveup"))
 	}
-	if d.Get("nvm.retry_giveup") != 1 {
-		t.Fatalf("nvm.retry_giveup = %d, want 1", d.Get("nvm.retry_giveup"))
+	fp.DelayPersists(AllPages, 1<<30)
+	if err := d.Persist(4, 0, 8); !errors.Is(err, ErrDeviceBusy) {
+		t.Fatalf("got %v, want ErrDeviceBusy", err)
+	}
+	delta := telemetry.Default().Snapshot().Sub(before)
+	if delta.Get("nvm.retries") != 2+retryAttempts-1 {
+		t.Fatalf("nvm.retries = %d, want %d", delta.Get("nvm.retries"), 2+retryAttempts-1)
+	}
+	if delta.Get("nvm.retry_giveup") != 1 {
+		t.Fatalf("nvm.retry_giveup = %d, want 1", delta.Get("nvm.retry_giveup"))
 	}
 }
 

@@ -26,17 +26,12 @@
 package nvm
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"trio/internal/telemetry"
 )
-
-// ErrInjectedFailure is returned by WriteAt once an injected write
-// budget (FailAfterWrites) is exhausted — the systematic crash-point
-// sweep in the crash-consistency tests drives it.
-var ErrInjectedFailure = errors.New("nvm: injected write failure")
 
 // PageSize is the size of one NVM page in bytes.
 const PageSize = 4096
@@ -98,10 +93,6 @@ type Device struct {
 	tracker      *Tracker
 	sealed       atomic.Bool // set while a crash is being simulated
 
-	// failBudget counts remaining allowed stores while injection is
-	// armed; failDisarmed is the sentinel for "no injection".
-	failBudget atomic.Int64
-
 	// plan is the installed fault-injection plan, nil when none.
 	plan atomic.Pointer[FaultPlan]
 }
@@ -117,21 +108,6 @@ func (d *Device) SetFaultPlan(fp *FaultPlan) {
 
 // FaultPlan returns the installed plan, or nil.
 func (d *Device) FaultPlan() *FaultPlan { return d.plan.Load() }
-
-// failDisarmed marks injection off; exhausted armed budgets go negative
-// but stay far above it.
-const failDisarmed = int64(-1) << 62
-
-// FailAfterWrites arms write-failure injection: the next n stores
-// succeed, everything after fails with ErrInjectedFailure. Pass a
-// negative n to disarm.
-func (d *Device) FailAfterWrites(n int64) {
-	if n < 0 {
-		d.failBudget.Store(failDisarmed)
-		return
-	}
-	d.failBudget.Store(n)
-}
 
 // paddedCounter avoids false sharing between per-node counters.
 type paddedCounter struct {
@@ -154,7 +130,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		cost:         cfg.Cost,
 		inflight:     make([]paddedCounter, cfg.Nodes),
 	}
-	d.failBudget.Store(failDisarmed)
 	if cfg.TrackPersistence {
 		d.tracker = newTracker(d)
 	}
@@ -196,14 +171,28 @@ func (d *Device) Cost() *CostModel { return d.cost }
 // Tracker returns the persistence tracker, or nil when tracking is off.
 func (d *Device) Tracker() *Tracker { return d.tracker }
 
-func (d *Device) checkRange(p PageID, off, n int) error {
-	if p >= d.NumPages() {
-		return fmt.Errorf("nvm: page %d out of range (device has %d pages)", p, d.NumPages())
+// checkRange is the bounds check of every access: n bytes starting
+// inside page p at off, running on for at most limit bytes from the
+// page's start (PageSize for the one-page forms; a range access may run
+// into the physically contiguous pages after p), and on the device. It
+// returns the last page the access touches.
+func (d *Device) checkRange(p PageID, off, n, limit int) (last PageID, err error) {
+	last = LastPage(p, off, n)
+	starts := off >= 0 && n >= 0 && (off < PageSize || off == PageSize && n == 0)
+	if !starts || off+n > limit || last >= d.NumPages() || last < p {
+		return p, fmt.Errorf("nvm: access of %d bytes at page %d offset %d outside its bounds (limit %d, device has %d pages)",
+			n, p, off, limit, d.NumPages())
 	}
-	if off < 0 || n < 0 || off+n > PageSize {
-		return fmt.Errorf("nvm: access [%d,%d) outside page bounds", off, off+n)
+	return last, nil
+}
+
+// LastPage reports the last page an access of n bytes at (p, off) runs
+// into: p itself for an empty access.
+func LastPage(p PageID, off, n int) PageID {
+	if n <= 0 || off < 0 {
+		return p
 	}
-	return nil
+	return p + PageID(uint64(off+n-1)/PageSize)
 }
 
 // Page returns the raw backing bytes of page p. Trusted callers only.
@@ -214,101 +203,69 @@ func (d *Device) Page(p PageID) []byte {
 
 // ReadAt copies from page p at off into buf, charging the cost model.
 // fromNode is the NUMA node of the accessing CPU (used for the remote
-// access penalty); pass 0 when cost modeling is off.
+// access penalty); pass 0 when cost modeling is off. It is ReadRange
+// held to page p.
 func (d *Device) ReadAt(fromNode int, p PageID, off int, buf []byte) error {
-	if err := d.checkRange(p, off, len(buf)); err != nil {
-		return err
-	}
-	if fp := d.plan.Load(); fp != nil {
-		if err := fp.readFault(p); err != nil {
-			return err
-		}
-		fp.sleepOpDelay(p)
-	}
-	d.charge(fromNode, p, len(buf), false)
-	if telemetry.On() {
-		mReads.IncOn(fromNode)
-		mReadBytes.AddOn(fromNode, int64(len(buf)))
-	}
-	base := int(p)*PageSize + off
-	d.lockPage(p)
-	copy(buf, d.arena[base:base+len(buf)])
-	d.unlockPage(p)
-	return nil
+	return d.read(fromNode, p, off, buf, PageSize)
 }
 
-// WriteAt copies data into page p at off, charging the cost model.
+// WriteAt copies data into page p at off, charging the cost model. It is
+// WriteRange held to page p.
 func (d *Device) WriteAt(fromNode int, p PageID, off int, data []byte) error {
-	if err := d.checkRange(p, off, len(data)); err != nil {
-		return err
-	}
-	if d.sealed.Load() {
-		return fmt.Errorf("nvm: device sealed (crash in progress)")
-	}
-	if d.failBudget.Load() != failDisarmed && d.failBudget.Add(-1) < 0 {
-		return ErrInjectedFailure
-	}
-	if fp := d.plan.Load(); fp != nil {
-		if err := fp.writeFault(p); err != nil {
-			return err
-		}
-		fp.sleepOpDelay(p)
-	}
-	d.charge(fromNode, p, len(data), true)
-	if telemetry.On() {
-		mWrites.IncOn(fromNode)
-		mWriteBytes.AddOn(fromNode, int64(len(data)))
-	}
-	base := int(p)*PageSize + off
-	d.lockPage(p)
-	if d.tracker != nil {
-		d.tracker.recordStore(p, off, len(data))
-	}
-	copy(d.arena[base:base+len(data)], data)
-	d.unlockPage(p)
-	return nil
+	return d.write(fromNode, p, off, data, PageSize)
 }
 
-// checkSpan validates a multi-page range access starting at (p, off)
-// covering n bytes of physically contiguous pages.
-func (d *Device) checkSpan(p PageID, off, n int) error {
-	if off < 0 || off >= PageSize || n < 0 {
-		return fmt.Errorf("nvm: range access offset %d (len %d) outside page bounds", off, n)
-	}
-	if n == 0 {
-		return d.checkRange(p, off, 0)
-	}
-	last := uint64(p) + uint64(off+n-1)/PageSize
-	if last >= uint64(d.NumPages()) {
-		return fmt.Errorf("nvm: range access [%d+%d, +%d) beyond device (last page %d, device has %d pages)",
-			p, off, n, last, d.NumPages())
-	}
-	return nil
-}
-
-// spanLastPage reports the last page a range access touches.
-func spanLastPage(p PageID, off, n int) PageID {
-	if n <= 0 {
-		return p
-	}
-	return p + PageID(uint64(off+n-1)/PageSize)
+// Persist marks the cachelines covering [off, off+n) of page p durable.
+// It models CLWB of each touched line; a following Fence orders it. It
+// is PersistRange held to page p.
+func (d *Device) Persist(p PageID, off, n int) error {
+	return d.persist(p, off, n, PageSize)
 }
 
 // ReadRange copies n bytes starting at (p, off) into buf, spanning
-// physically contiguous pages. It is the extent-coalesced counterpart of
-// ReadAt: the cost model is charged once per touched NUMA node — the run
-// streams as a single access instead of paying per-page latency — while
-// fault injection still consults every page, so an armed media error on
-// any page of the run surfaces exactly as it would block by block.
+// physically contiguous pages. The cost model is charged once per
+// touched NUMA node — the run streams as a single access instead of
+// paying per-page latency — while fault injection still consults every
+// page, so an armed media error on any page of the run surfaces exactly
+// as it would block by block.
 func (d *Device) ReadRange(fromNode int, p PageID, off int, buf []byte) error {
-	if err := d.checkSpan(p, off, len(buf)); err != nil {
+	return d.read(fromNode, p, off, buf, math.MaxInt)
+}
+
+// WriteRange copies data into the contiguous pages starting at (p, off).
+// Cost is charged once per touched NUMA node; the fault plan and the
+// persistence tracker are still consulted page by page, in address
+// order, so a fault mid-run leaves exactly the prefix written — the same
+// crash surface as a per-block path.
+func (d *Device) WriteRange(fromNode int, p PageID, off int, data []byte) error {
+	return d.write(fromNode, p, off, data, math.MaxInt)
+}
+
+// PersistRange marks the cachelines covering the n-byte span at (p, off)
+// durable across contiguous pages. The fault plan and tracker see each
+// page individually — every per-page persist point still exists for the
+// crash-point scheduler — but the cost model charges a single CLWB
+// batch: adjacent dirty-line flushes merge into one charge.
+//
+// With a fault plan installed a page's persist can meet a busy window
+// (ErrDeviceBusy). The device retries it in place, so every caller —
+// LibFS, delegation worker or the trusted controller — gets the same
+// bounded backoff; ErrDeviceBusy surfaces only once the budget is spent
+// (see FaultPlan.DelayPersists). An armed crash point fails the persist
+// with ErrCrashPoint. Either way the failing page and the pages after it
+// were not persisted.
+func (d *Device) PersistRange(p PageID, off, n int) error {
+	return d.persist(p, off, n, math.MaxInt)
+}
+
+// read is the one body of ReadAt and ReadRange; limit is checkRange's.
+func (d *Device) read(fromNode int, p PageID, off int, buf []byte, limit int) error {
+	last, err := d.checkRange(p, off, len(buf), limit)
+	if err != nil || len(buf) == 0 {
 		return err
 	}
-	if len(buf) == 0 {
-		return nil
-	}
 	if fp := d.plan.Load(); fp != nil {
-		for q, last := p, spanLastPage(p, off, len(buf)); q <= last; q++ {
+		for q := p; q <= last; q++ {
 			if err := fp.readFault(q); err != nil {
 				return err
 			}
@@ -322,34 +279,22 @@ func (d *Device) ReadRange(fromNode int, p PageID, off int, buf []byte) error {
 		mReads.IncOn(fromNode)
 		mReadBytes.AddOn(fromNode, int64(len(buf)))
 	}
-	pos, q, pgOff := 0, p, off
-	for pos < len(buf) {
-		chunk := PageSize - pgOff
-		if rem := len(buf) - pos; chunk > rem {
-			chunk = rem
-		}
+	for q, pgOff, pos := p, off, 0; q <= last; q, pgOff = q+1, 0 {
+		chunk := min(PageSize-pgOff, len(buf)-pos)
 		base := int(q)*PageSize + pgOff
 		d.lockPage(q)
 		copy(buf[pos:pos+chunk], d.arena[base:base+chunk])
 		d.unlockPage(q)
 		pos += chunk
-		q++
-		pgOff = 0
 	}
 	return nil
 }
 
-// WriteRange copies data into the contiguous pages starting at (p, off).
-// Cost is charged once per touched NUMA node; the write-failure budget,
-// fault plan and persistence tracker are still consulted page by page,
-// in address order, so a fault mid-run leaves exactly the prefix written
-// — the same crash surface as the per-block path it replaces.
-func (d *Device) WriteRange(fromNode int, p PageID, off int, data []byte) error {
-	if err := d.checkSpan(p, off, len(data)); err != nil {
+// write is the one body of WriteAt and WriteRange.
+func (d *Device) write(fromNode int, p PageID, off int, data []byte, limit int) error {
+	last, err := d.checkRange(p, off, len(data), limit)
+	if err != nil || len(data) == 0 {
 		return err
-	}
-	if len(data) == 0 {
-		return nil
 	}
 	if d.sealed.Load() {
 		return fmt.Errorf("nvm: device sealed (crash in progress)")
@@ -363,15 +308,8 @@ func (d *Device) WriteRange(fromNode int, p PageID, off int, data []byte) error 
 	if fp != nil {
 		fp.sleepOpDelay(p) // one slow-I/O consult per coalesced run
 	}
-	pos, q, pgOff := 0, p, off
-	for pos < len(data) {
-		chunk := PageSize - pgOff
-		if rem := len(data) - pos; chunk > rem {
-			chunk = rem
-		}
-		if d.failBudget.Load() != failDisarmed && d.failBudget.Add(-1) < 0 {
-			return ErrInjectedFailure
-		}
+	for q, pgOff, pos := p, off, 0; q <= last; q, pgOff = q+1, 0 {
+		chunk := min(PageSize-pgOff, len(data)-pos)
 		if fp != nil {
 			if err := fp.writeFault(q); err != nil {
 				return err
@@ -385,46 +323,33 @@ func (d *Device) WriteRange(fromNode int, p PageID, off int, data []byte) error 
 		copy(d.arena[base:base+chunk], data[pos:pos+chunk])
 		d.unlockPage(q)
 		pos += chunk
-		q++
-		pgOff = 0
 	}
 	return nil
 }
 
-// PersistRange marks the cachelines covering the n-byte span at (p, off)
-// durable across contiguous pages. The fault plan and tracker see each
-// page individually — every per-page persist point of the uncoalesced
-// path still exists for the crash-point scheduler — but the cost model
-// charges a single CLWB batch: adjacent dirty-line flushes merge into
-// one charge (persist coalescing).
-func (d *Device) PersistRange(p PageID, off, n int) error {
-	if err := d.checkSpan(p, off, n); err != nil {
+// persist is the one body of Persist and PersistRange.
+func (d *Device) persist(p PageID, off, n, limit int) error {
+	last, err := d.checkRange(p, off, n, limit)
+	if err != nil || n == 0 {
 		return err
-	}
-	if n <= 0 {
-		return nil
 	}
 	if telemetry.On() {
 		mPersists.IncOn(d.NodeOf(p))
 	}
-	fp := d.plan.Load()
-	pos, q, pgOff := 0, p, off
-	for pos < n {
-		chunk := PageSize - pgOff
-		if rem := n - pos; chunk > rem {
-			chunk = rem
-		}
-		if fp != nil {
-			if err := fp.persistFault(q); err != nil {
-				return err
+	// The per-page work is the fault plan's and the tracker's.
+	if fp := d.plan.Load(); fp != nil || d.tracker != nil {
+		for q, pgOff, pos := p, off, 0; q <= last; q, pgOff = q+1, 0 {
+			chunk := min(PageSize-pgOff, n-pos)
+			if fp != nil {
+				if err := fp.persistRetry(q); err != nil {
+					return err
+				}
 			}
+			if d.tracker != nil {
+				d.tracker.persist(q, pgOff, chunk, fp)
+			}
+			pos += chunk
 		}
-		if d.tracker != nil {
-			d.tracker.persist(q, pgOff, chunk, fp)
-		}
-		pos += chunk
-		q++
-		pgOff = 0
 	}
 	if d.cost != nil {
 		d.cost.delay(d.cost.PersistLatency)
@@ -449,32 +374,6 @@ func (d *Device) chargeSpan(fromNode int, p PageID, off, n int, write bool) {
 		d.charge(fromNode, PageID(start/PageSize), int(segEnd-start), write)
 		start = segEnd
 	}
-}
-
-// Persist marks the cachelines covering [off, off+n) of page p durable.
-// It models CLWB of each touched line. A following Fence orders it.
-//
-// With a fault plan installed a Persist can fail: transiently with
-// ErrDeviceBusy (a delayed-persistence window — callers retry with
-// bounded backoff, see RetryTransient) or terminally with ErrCrashPoint
-// once the armed crash point fires; either way nothing was persisted.
-func (d *Device) Persist(p PageID, off, n int) error {
-	if telemetry.On() {
-		mPersists.IncOn(d.NodeOf(p))
-	}
-	fp := d.plan.Load()
-	if fp != nil {
-		if err := fp.persistFault(p); err != nil {
-			return err
-		}
-	}
-	if d.tracker != nil {
-		d.tracker.persist(p, off, n, fp)
-	}
-	if d.cost != nil {
-		d.cost.delay(d.cost.PersistLatency)
-	}
-	return nil
 }
 
 // Fence models SFENCE: it orders previously issued Persist calls. In the

@@ -74,6 +74,44 @@ func TestRangeBounds(t *testing.T) {
 	}
 }
 
+// TestOnePageAccessorsStayInPage: ReadAt, WriteAt and Persist are the
+// span bodies held to one page — an access running past its page or a
+// page past the device is refused, and a refused persist makes no line
+// durable — while the span forms cross the same boundary.
+func TestOnePageAccessorsStayInPage(t *testing.T) {
+	d := MustNewDevice(Config{Nodes: 1, PagesPerNode: 4, TrackPersistence: true})
+	buf := make([]byte, 128)
+	if err := d.WriteRange(0, 1, PageSize-64, buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		p   PageID
+		off int
+	}{{1, PageSize - 64}, {1, PageSize}, {4, 0}, {1 << 40, 0}} {
+		if err := d.ReadAt(0, c.p, c.off, buf); err == nil {
+			t.Errorf("ReadAt(%d, %d, %d bytes) accepted", c.p, c.off, len(buf))
+		}
+		if err := d.WriteAt(0, c.p, c.off, buf); err == nil {
+			t.Errorf("WriteAt(%d, %d, %d bytes) accepted", c.p, c.off, len(buf))
+		}
+		if err := d.Persist(c.p, c.off, len(buf)); err == nil {
+			t.Errorf("Persist(%d, %d, %d) accepted", c.p, c.off, len(buf))
+		}
+	}
+	if got := d.Tracker().DirtyLines(); got != 2 {
+		t.Fatalf("refused persists changed the dirty lines: %d, want 2", got)
+	}
+	if err := d.ReadRange(0, 1, PageSize-64, buf); err != nil {
+		t.Fatalf("ReadRange across a page boundary: %v", err)
+	}
+	if err := d.PersistRange(1, PageSize-64, len(buf)); err != nil {
+		t.Fatalf("PersistRange across a page boundary: %v", err)
+	}
+	if got := d.Tracker().DirtyLines(); got != 0 {
+		t.Fatalf("%d lines dirty after the span persist, want 0", got)
+	}
+}
+
 // TestWriteRangeFaultLeavesPrefix checks the crash surface: a media
 // fault on a middle page of a run must leave exactly the pages before
 // it written, as the per-block loop would have.
