@@ -34,33 +34,51 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Adversarial fuzzing of the trusted verifier: random core-state
-# corruption must always terminate in a Report, never a panic/hang —
-# and of the scrubber: any nonzero bit flip in a sealed page must be
-# detected, and sealing must round-trip — and of the two parsers of
-# untrusted wire bytes: an arbitrary client stream into the server, an
-# arbitrary server stream into a session with a call pending — and of
-# the scoping of verification by dirty metadata: for any stores through
-# a session's address space, scoped and full verification agree — and of
-# the page table's two page sizes against the per-page model, the
-# checksum region's two levels against the per-page opener, the
-# controller's write references at two sizes against the per-page counts,
-# the directory hash table against a Go map across its grows,
-# and the one grant rule: whatever sessions map, store, free, allocate
-# and close — a contended map sitting out the lease and revoking every
-# write holder — no page a session reaches lies beyond its trust group's
-# reach, and no two groups write-map one file.
+# The fuzz smoke, ten seconds per target. scripts/check.sh runs this
+# target, so the list lives here only. Targets that mount a controller
+# or run goroutines cap minimising at a second (-fuzzminimizetime):
+# their coverage differs a little from run to run, and without the cap
+# the engine spends its budget minimising "new" inputs, not executing.
 fuzz:
+# The trusted verifier: random core-state corruption must always
+# terminate in a Report, never a panic or a hang.
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRegular$$' -fuzztime=10s ./internal/verifier/
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyDirectory$$' -fuzztime=10s ./internal/verifier/
+# The scrubber: a sealed page with any nonzero bit flip must scrub as
+# a mismatch, and sealing must round-trip.
 	$(GO) test -run='^$$' -fuzz='^FuzzScrubPage$$' -fuzztime=10s ./internal/verifier/
+# The two parsers of untrusted wire bytes: an arbitrary client stream
+# into the server, an arbitrary server stream into a session with a
+# call pending.
 	$(GO) test -run='^$$' -fuzz='^FuzzServeFrame$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSessionDemux$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
+# Scoped vs full verification: whatever a session stores through its
+# address space, the release's scoped verification and a full walk of
+# the same image agree on the verdict and the page set.
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyScopedAgrees$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# The two-size page table against the per-page model it replaced: any
+# sequence of mapping calls and stores, same permissions, same reports.
 	$(GO) test -run='^$$' -fuzz='^FuzzPageTableModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mmu/
+# The checksum region's two levels against the per-page opener: any
+# grants, stores, releases, revokes, scrubs and crashes leave every
+# page open while it may be written, sealed with its content's CRC
+# otherwise.
 	$(GO) test -run='^$$' -fuzz='^FuzzChecksumOpenModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# Write references at two sizes against the per-page counts: any whole
+# and ragged grants, releases, pool references, stores and revocations
+# leave every page's count, and the scrub, seal and open decisions it
+# makes, as the per-page table had them.
 	$(GO) test -run='^$$' -fuzz='^FuzzControllerTablesModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# The one grant rule, from the outside: after every map (a contended
+# one waits out a short lease and revokes every write holder), unmap,
+# index store, free, allocation or close by sessions in two trust
+# groups, each page a session reaches is its files' dirent or owned
+# page, or in its own trust group's pool or parked sets, and no two
+# trust groups write-map one file.
 	$(GO) test -run='^$$' -fuzz='^FuzzGrantOwnership$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# The directory hash table against a Go map: any put, putIfAbsent,
+# delete, get, range and len sequence, across its grow boundaries,
+# with deletes from inside a Range.
 	$(GO) test -run='^$$' -fuzz='^FuzzMapModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index/
 
 # Data-path regression harness: per-op software overhead (cost model
@@ -120,6 +138,7 @@ benchmark:
 	bash benchmark/run.sh
 
 # Non-test Go lines per package and in total — the number every PR
-# reports (ROADMAP, quality aim).
+# reports (ROADMAP, quality aim). make loc BASE=<git ref> prints each
+# package at the ref, now, and the net change.
 loc:
-	sh scripts/loc.sh
+	BASE='$(BASE)' sh scripts/loc.sh

@@ -593,6 +593,30 @@ func runBatchDifferential(t *testing.T, seed int64) {
 		granted, refused, released, stores, st.VerifyCount, st.Checkpoints)
 }
 
+// TestBatchVerificationsTimed: every verification is counted and timed,
+// whichever way its IPC is charged — an UnmapFiles of n write mappings
+// adds n to controller.verify_count and time to controller.verify_ns.
+func TestBatchVerificationsTimed(t *testing.T) {
+	c, _ := newCtl(t, smallCfg())
+	s := c.Register(1000, 1000, 0, 0)
+	files := asWrite(mkFiles(t, s, "v", 4))
+	unmapRoot(t, s)
+	out := make([]MapRes, len(files))
+	if err := s.MapFiles(files, out); err != nil {
+		t.Fatal(err)
+	}
+	wantErrs(t, "map", mapErrs(out), make([]error, len(files))...)
+	st0 := c.Stats().Snapshot()
+	errs := make([]error, len(files))
+	if err := s.UnmapFiles(inosOf(files), errs); err != nil {
+		t.Fatal(err)
+	}
+	wantErrs(t, "unmap", errs, make([]error, len(files))...)
+	if st := c.Stats().Snapshot().Sub(st0); st.VerifyCount != int64(len(files)) || st.VerifyTime <= 0 {
+		t.Fatalf("UnmapFiles of %d writers: verify_count +%d, verify_ns +%d", len(files), st.VerifyCount, st.VerifyTime)
+	}
+}
+
 // TestBatchReapMidBatch: the session dies while its batch sleeps on a
 // lease between two entries. The entry granted before the death is
 // reclaimed by the reap like any mapping, the waiting entry and every

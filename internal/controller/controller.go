@@ -155,8 +155,8 @@ type fileState struct {
 	// the write holders (zero = none outstanding); after RecallTimeout the
 	// escalation proceeds to forcible revocation.
 	recallAt int64
-	// waiters counts sessions sleeping in waitForAccessLocked for this
-	// file; the lease sweeper only escalates contended files.
+	// waiters counts map entries sleeping out this file's lease
+	// (mapEntry); the lease sweeper only escalates contended files.
 	waiters int
 
 	checkpoint *checkpoint
@@ -310,7 +310,7 @@ type libfsState struct {
 	// lock, so one report and one env per session is race-free and saves
 	// four allocations per verification. One report means the next
 	// verification of the session overwrites the last: a caller copies
-	// out whatever it needs past that point (mapSlowLocked the adopted
+	// out whatever it needs past that point (mapWideLocked the adopted
 	// inode; handleCorruptionLocked re-verifies and keeps nothing of the
 	// failed report).
 	verifyRep verifier.Report
@@ -701,7 +701,9 @@ func (s *Session) aliveLocked() error {
 }
 
 // Close releases every mapping and resource of the session. Writer
-// mappings go through the usual unmap-verify path first.
+// mappings go through the usual unmap-verify path first, fix-handler
+// grace included; then the session is torn down as a reap ends
+// (teardownLocked).
 func (s *Session) Close() error {
 	// Collect mapped inos first (UnmapFiles takes the locks itself).
 	s.c.lockAll()
@@ -723,25 +725,7 @@ func (s *Session) Close() error {
 	}
 	s.c.lockAll()
 	defer s.c.unlockAll()
-	// Bind pool pages a binding walk missed mid-append (see
-	// bindStrayPoolPagesLocked), then return unbound resources.
-	s.c.bindStrayPoolPagesLocked(s.ls)
-	s.c.freePoolLocked(s.ls, "close")
-	for ino := range s.ls.allocInos {
-		s.c.allocBy.del(ino)
-		delete(s.ls.allocInos, ino)
-	}
-	// Global and home-shard membership move together (see shard.go) —
-	// a bare delete from c.libfses would leave a dead tombstone in the
-	// home shard's session map, and its sweeper would re-Reap the
-	// no-op corpse (through lockAll) on every tick from then on.
-	s.c.unregisterSessionLocked(s.ls.id)
-	s.ls.dead = true
-	// Revoke rather than merely unmap (it also drops the freed pool and
-	// parked pages' references): a delegation batch still in flight over
-	// this address space must fail deterministically (ErrRevoked,
-	// wrapping the MMU fault), not race the teardown.
-	s.c.revokeSpaceLocked(s.ls)
+	s.c.teardownLocked(s.ls, "close")
 	return firstErr
 }
 

@@ -541,18 +541,56 @@ func TestVerifyAllClean(t *testing.T) {
 	}
 }
 
+// TestSessionCloseReturnsResources: Close and a reap end in one
+// teardown. Twins hold the same pool pages, pool inos and write-mapped
+// adopted file; one closes, the other dies and is reaped. Each returns
+// every pool page, tombstones the pool inos no file took, leaves nothing
+// mapped and leaves its home shard.
 func TestSessionCloseReturnsResources(t *testing.T) {
-	c, _ := newCtl(t, smallCfg())
-	free0 := c.FreePagesCount()
-	a := c.Register(1000, 1000, 0, 0)
-	if _, err := a.AllocPages(0, 32); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.FreePagesCount(); got != free0 {
-		t.Fatalf("pages leaked on close: %d vs %d", got, free0)
+	for _, how := range []string{"close", "reap"} {
+		t.Run(how, func(t *testing.T) {
+			c, _ := newCtl(t, smallCfg())
+			a := c.Register(1000, 1000, 0, 0)
+			ino, loc := mkFile(t, a, "kept", []byte("adopted"))
+			unmapRoot(t, a)
+			if _, err := a.MapFile(ino, loc, true); err != nil {
+				t.Fatal(err)
+			}
+			free0 := c.FreePagesCount()
+			if _, err := a.AllocPages(0, 32); err != nil {
+				t.Fatal(err)
+			}
+			pool, err := a.AllocInos(0, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if how == "close" {
+				err = a.Close()
+			} else {
+				a.Abandon()
+				err = c.Reap(a.ID())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.FreePagesCount(); got != free0 {
+				t.Errorf("free pages after %s: %d, want %d", how, got, free0)
+			}
+			for _, ino := range pool {
+				if !c.reaped.has(ino) {
+					t.Errorf("pool ino %d has no tombstone", ino)
+				}
+			}
+			if n := a.AddressSpace().Mapped(); n != 0 {
+				t.Errorf("torn-down address space still maps %d pages", n)
+			}
+			if _, ok := c.shards[c.shardIdxSession(a.ID())].sessions[a.ID()]; ok || c.libfses[a.ID()] != nil {
+				t.Error("the session is still registered")
+			}
+			if _, err := c.Register(2000, 2000, 0, 0).MapFile(ino, loc, false); err != nil {
+				t.Errorf("the adopted file after %s: %v", how, err)
+			}
+		})
 	}
 }
 

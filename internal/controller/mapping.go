@@ -38,50 +38,36 @@ type MapInfo struct {
 //
 // Sharing policy (§3.2): concurrent read mappings are allowed; write
 // mapping is exclusive per trust group. A conflicting request waits for
-// the holder's lease to expire and then revokes it.
+// the holder's lease to expire and then revokes it. MapFile is a
+// one-entry MapFiles.
 func (s *Session) MapFile(ino core.Ino, loc core.FileLoc, write bool) (*MapInfo, error) {
-	s.c.trap()
-	start := telemetry.Now()
-	defer func() { s.c.stats.addMapN(1, since(start)) }()
-
-	c := s.c
-	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.map", "controller")
-	defer sp.End()
-	c.stats.shard(c.shardIdxIno(ino)).Maps.Add(1)
-	gate := c.admit(s.ls.id)
-	defer gate.exit(s.ls.id)
-
-	// Common case: the file is known and self-contained — only the
-	// involved shards' locks are taken, and even lease contention is
-	// waited out under them. Everything wider (adoption, upgrades,
-	// forcible revocation, corruption) escalates.
-	info, err := s.mapFileFast(ino, loc, write, gate, start)
-	if err == errEscalate {
-		c.stats.MapEscalations.Add(1)
-		c.lockAll()
-		defer c.unlockAll()
-		info, err = s.mapSlowLocked(ino, loc, write, gate, nil, start)
+	var out [1]MapRes
+	s.MapFiles([]MapReq{{ino, loc, write}}, out[:]) // one entry: never refused
+	if out[0].Err != nil {
+		return nil, out[0].Err
 	}
-	if err != nil {
-		return nil, err
-	}
+	info := out[0].Info
 	return &info, nil
 }
 
-// mapSlowLocked is the lockAll half of MapFile: adoption, upgrades,
-// reader revocation, lease waits. acc, when non-nil, counts verifier
-// round trips for a batch to charge as one IPCN instead of paying the
-// IPC cost inline. now is when the call started (telemetry.Now): a write
-// grant's lease runs from it, or from the end of a lease wait.
-func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate, acc *int, now int64) (MapInfo, error) {
+// mapWideLocked is one map attempt under lockAll, for what the narrow
+// attempt escalates: adoption, a read→write upgrade, a write grant past
+// foreign readers — revoked: their next access faults and they re-map
+// (paper §4.2: "a LibFS can preserve the auxiliary state of a file until
+// another application requests to write") — and the lease steps only
+// lockAll can take, reaping a dead holder and revoking a group's write
+// holders (escalateLeaseLocked). A non-zero wait is what a foreign
+// group's lease still asks for: mapEntry sleeps it out and tries again.
+// acc counts verifier round trips for the batch to charge as one IPCN.
+// now is when a write grant's lease runs from.
+func (s *Session) mapWideLocked(r MapReq, acc *int, now int64) (MapInfo, time.Duration, error) {
 	c := s.c
 	if err := s.aliveLocked(); err != nil {
-		return MapInfo{}, err
+		return MapInfo{}, 0, err
 	}
-
-	fs, adopted, err := c.lookupOrAdoptLocked(ino, loc, acc)
+	fs, adopted, err := c.lookupOrAdoptLocked(r.Ino, r.Loc, acc)
 	if err != nil {
-		return MapInfo{}, err
+		return MapInfo{}, 0, err
 	}
 	// Fresh adoption: the verifier read this dirent an instant ago under
 	// these same locks — reuse it rather than paying another media
@@ -91,32 +77,38 @@ func (s *Session) mapSlowLocked(ino core.Ino, loc core.FileLoc, write bool, gate
 	if adopted != nil {
 		in, s.ls.direntBuf = adopted.Inode, *adopted.Dirent()
 	}
-	if info, up, grant, err := s.admitLocked(fs, write); !grant {
-		return info, err
+	if info, up, grant, err := s.admitLocked(fs, r.Write); !grant {
+		return info, 0, err
 	} else if up != nil {
 		// A permitted upgrade (read→write) releases the old grant first.
 		if err := c.unmapLocked(s.ls, fs.ino, acc, telemetry.Span{}); err != nil {
-			return MapInfo{}, err
+			return MapInfo{}, 0, err
 		}
 	}
-
-	// Enforce concurrent-reads-or-exclusive-write across trust groups.
-	if err := c.waitForAccessLocked(s.ls, fs, write, gate, &now); err != nil {
-		return MapInfo{}, err
+	// Concurrent reads or one group's writes: a foreign group's write
+	// holders drive the lease state machine. When it reaped or revoked
+	// them, or retired the file (a revoked holder had committed its
+	// unlink: ErrUnknownFile from the lookup), look again from the top.
+	if w := fs.writeHolder(); w != nil && w.ls.group != s.ls.group {
+		if wait := c.escalateLeaseLocked(fs); wait > 0 {
+			return MapInfo{}, wait, nil
+		}
+		return s.mapWideLocked(r, acc, now)
 	}
-
+	if r.Write {
+		c.revokeReadersLocked(fs, s.ls.group)
+	}
 	if adopted == nil {
 		if in, err = s.readDirentLocked(fs); err != nil {
-			return MapInfo{}, err
+			return MapInfo{}, 0, err
 		}
 	}
-
 	runs, gen, err := c.grantRuns(fs, &in)
 	if err != nil {
-		return MapInfo{}, err
+		return MapInfo{}, 0, err
 	}
 	runs, _ = c.clipGrantLocked(runs, fs, s.ls)
-	return s.grantLocked(fs, &in, runs, write, gen, now), nil
+	return s.grantLocked(fs, &in, runs, r.Write, gen, now), 0, nil
 }
 
 // admitLocked makes the checks every map path makes before it changes
@@ -329,52 +321,6 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, wri
 	return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: *in, Write: write, Gen: gen}
 }
 
-// mapFileFast is MapFile's common case under only the involved shards'
-// locks: the session's, the file's and (for writes, which open dirent
-// checksum records) the parent's. Lease contention against a
-// foreign-group writer is handled here too — the lease clock and the
-// cooperative recall run under the file's home shard, and the waiter
-// sleeps with no locks held, so a convoy of hot-file waiters never
-// touches the other shards (the old escalate-to-lockAll wait glued
-// every shard to the contended one). Only the transitions that mutate
-// foreign-shard state return errEscalate for the lockAll path. now is as
-// for mapSlowLocked.
-func (s *Session) mapFileFast(ino core.Ino, loc core.FileLoc, write bool, gate *admitGate, now int64) (MapInfo, error) {
-	c := s.c
-	var waited *fileState
-	for {
-		set, fs := c.lockForFile(c.shardIdxSession(s.ls.id), ino, write)
-		if waited != nil {
-			// Drop the waiter mark from the previous iteration; the
-			// pointer comparison guards against the file having been
-			// retired (and the ino reused) while nothing was held.
-			if fs, _ := c.files.get(ino); fs == waited {
-				waited.waiters--
-			}
-			waited = nil
-		}
-		info, wait, err := s.mapFileOnceLocked(fs, write, now)
-		if wait <= 0 {
-			c.unlockShards(&set)
-			return info, err
-		}
-		// Contended: poll like waitForAccessLocked, but under the
-		// narrow set. The admission slot is released across the sleep
-		// so a sleeping waiter cannot occupy the slot its lease holder
-		// needs to comply with the recall.
-		if wait > accessPoll {
-			wait = accessPoll
-		}
-		fs.waiters++
-		waited = fs
-		gate.exit(s.ls.id)
-		c.unlockShards(&set)
-		time.Sleep(wait)
-		gate.enter(s.ls.id)
-		now = telemetry.Now()
-	}
-}
-
 // mapFileOnceLocked runs one attempt at the fast map under the held
 // set. A non-zero wait means the caller should release the locks,
 // sleep, and retry; otherwise (info, err) is the result, with
@@ -465,61 +411,9 @@ func (c *Controller) permitted(ls *libfsState, ino core.Ino, write bool) bool {
 	return sh.Mode&(bit<<shift) != 0
 }
 
-// accessPoll caps one sleep inside waitForAccessLocked, so a waiter
+// accessPoll caps one sleep of a lease wait (mapEntry), so a waiter
 // re-checks for cooperative releases well before any escalation deadline.
 const accessPoll = time.Millisecond
-
-// waitForAccessLocked blocks (releasing the locks while sleeping) until
-// the requested access is compatible, driving the lease-escalation
-// state machine against a conflicting writer: lease remainder →
-// cooperative recall → recall deadline → forcible revocation
-// (escalateLeaseLocked). The wait is therefore bounded by
-// LeaseTime + RecallTimeout plus scheduling noise. The caller's
-// admission slot is released across each sleep so a sleeping waiter
-// cannot occupy the slot its lease holder needs to comply with the
-// recall; *now is moved to the end of the last sleep. A file forgotten
-// meanwhile (a revoked holder's unlink, a removal) is ErrUnknownFile.
-func (c *Controller) waitForAccessLocked(ls *libfsState, fs *fileState, write bool, gate *admitGate, now *int64) error {
-	for {
-		if ls.dead {
-			// The waiter itself was reaped while sleeping.
-			return ErrSessionDead
-		}
-		if cur, _ := c.files.get(fs.ino); cur != fs {
-			return fmt.Errorf("%w: ino %d was removed", ErrUnknownFile, fs.ino)
-		}
-		if w := fs.writeHolder(); w == nil || w.ls.group == ls.group {
-			if write {
-				// Foreign readers are revoked immediately: their next
-				// access faults and they re-map (paper §4.2: "a LibFS can
-				// preserve the auxiliary state of a file until another
-				// application requests to write").
-				c.revokeReadersLocked(fs, ls.group)
-			}
-			return nil
-		}
-		wait := c.escalateLeaseLocked(fs)
-		if wait <= 0 {
-			continue
-		}
-		// Poll rather than sleeping out the whole deadline: a holder that
-		// honours a recall (or closes) frees the file long before its
-		// escalation deadline, and the waiter should notice promptly.
-		if wait > accessPoll {
-			wait = accessPoll
-		}
-		fs.waiters++
-		gate.exit(ls.id)
-		c.unlockAll()
-		time.Sleep(wait)
-		// Re-enter the gate before the locks: enter can block on a free
-		// slot, and slot holders may themselves be waiting on the locks.
-		gate.enter(ls.id)
-		c.lockAll()
-		fs.waiters--
-		*now = telemetry.Now()
-	}
-}
 
 // revokeReadersLocked force-unmaps the read mappings of fs held outside
 // trust group keep (no verification needed); keep 0 revokes them all.
@@ -603,30 +497,12 @@ func (c *Controller) direntPageParentLocked(p nvm.PageID, creator LibFSID) (core
 // When the mapping was writable, the integrity verifier checks the
 // file's core state before the pages become shareable again (steps 6–8).
 func (s *Session) UnmapFile(ino core.Ino) error {
-	s.c.trap()
-	start := telemetry.Now()
-	defer func() { s.c.stats.addUnmapN(1, since(start)) }()
-
-	c := s.c
-	sp := telemetry.StartSpan(c.shardIdxIno(ino), "controller.unmap", "controller")
-	defer sp.End()
-	c.stats.shard(c.shardIdxIno(ino)).Unmaps.Add(1)
-	gate := c.admit(s.ls.id)
-	defer gate.exit(s.ls.id)
-
-	err := s.unmapFast(ino, nil, sp)
-	if err != errEscalate {
-		return err
-	}
-	c.lockAll()
-	defer c.unlockAll()
-	if err := s.aliveLocked(); err != nil {
-		return err
-	}
-	return c.unmapLocked(s.ls, ino, nil, sp)
+	var errs [1]error
+	s.UnmapFiles([]core.Ino{ino}, errs[:]) // one entry: never refused
+	return errs[0]
 }
 
-// unmapFast is UnmapFile under only the involved shards' locks. Reader
+// unmapFast is one unmap under only the involved shards' locks. Reader
 // detaches always qualify; writer detaches qualify when the file is a
 // clean regular file whose pages are owned within the file and its
 // parent — corruption handling, directory child adoption and a write
@@ -810,24 +686,18 @@ func (c *Controller) verifyReleaseLocked(fs *fileState, ls *libfsState, acc *int
 // emitted as a "verify.failure" trace event (Arg = ino) whenever
 // tracing is armed.
 //
-// acc, when non-nil, is a batch's verify accumulator: instead of paying
-// the IPC round trip inline, the call is counted and the batch charges
-// one IPCN for all its verifications (the crossing cost is per batch,
-// not per verification).
+// Every verification is counted and timed (controller.verify_count,
+// verify_ns). acc only decides where its IPC is charged: when non-nil it
+// is a batch's accumulator, and the batch charges one IPCN for all its
+// verifications (the crossing cost is per batch, not per verification).
 func (c *Controller) verifyLocked(fs *fileState, ls *libfsState, acc *int, scope verifyScope) (*verifier.Report, error) {
 	if acc != nil {
 		*acc++
 	} else if c.cost != nil {
 		c.cost.IPC()
 	}
-	if acc == nil {
-		start := telemetry.Now()
-		defer func() { c.stats.addVerify(since(start)) }()
-	} else {
-		// Batch path: count the verification but skip the per-call clock
-		// pair — the batch keeps one clock for all its entries.
-		c.stats.VerifyCnt.Add(1)
-	}
+	start := telemetry.Now()
+	defer func() { c.stats.addVerify(since(start)) }()
 	env := &ls.verifyEnv
 	*env = envImpl{c: c, fs: fs, ls: ls, scope: scope}
 	// The session's scratch report: VerifyFileInto detaches Children,

@@ -95,27 +95,37 @@ func (c *Controller) reapLocked(ls *libfsState) {
 
 	c.reapOrphansLocked(ls, deadDirs)
 
-	c.bindStrayPoolPagesLocked(ls)
+	// Only now tear down: verification above needed the pool intact to
+	// attribute the dead session's freshly bound pages
+	// (envImpl.PageAllocated).
+	c.teardownLocked(ls, "reap")
+	// Counted last: whoever sees the reap counted sees its frees landed.
+	c.stats.Reaps.Add(1)
+	c.stats.shard(c.shardIdxSession(ls.id)).Reaps.Add(1)
+}
 
-	// Only now release the allocation pool: verification above needed
-	// it intact to attribute the dead session's freshly bound pages
-	// (envImpl.PageAllocated). Whatever commitReportLocked absorbed
-	// into files is gone from the pool; the rest returns to the
-	// allocator.
-	c.freePoolLocked(ls, "reap")
+// teardownLocked retires session ls once its mappings are settled: the
+// one ending of Session.Close and of a reap. Pool resources the live core
+// state references bind into their files; the rest of the pool and the
+// parked pages return to the allocator (how names the path in the trace);
+// issued inos no file took get a tombstone, so a surviving LibFS's
+// batched removal of one is a no-op. The session then leaves both
+// registries, is marked dead, and its address space is revoked — not
+// merely unmapped — so a delegation batch still in flight over it fails
+// (ErrRevoked) instead of racing the teardown.
+func (c *Controller) teardownLocked(ls *libfsState, how string) {
+	c.bindStrayPoolPagesLocked(ls)
+	c.freePoolLocked(ls, how)
 	for ino := range ls.allocInos {
 		c.allocBy.del(ino)
-		delete(ls.allocInos, ino)
-		// A surviving LibFS may hold a batched removal for a pool file
-		// of the dead session (shared directory); make it idempotent.
 		if !c.files.has(ino) {
 			c.reaped.set(ino, true)
 		}
 	}
+	clear(ls.allocInos)
 	c.unregisterSessionLocked(ls.id)
-	// Counted last: whoever sees the reap counted sees its frees landed.
-	c.stats.Reaps.Add(1)
-	c.stats.shard(c.shardIdxSession(ls.id)).Reaps.Add(1)
+	ls.dead = true
+	c.revokeSpaceLocked(ls)
 }
 
 // reapOrphansLocked garbage-collects files a dead session unlinked but
@@ -205,11 +215,12 @@ func (c *Controller) direntGoneLocked(fs *fileState) bool {
 }
 
 // reapFileLocked forcibly revokes ls's write mapping of fs: verify the
-// file's core state and, when the dead or unresponsive holder left it
-// corrupt, roll back to the checkpoint — there is no fix-handler grace
-// here, the process is gone (or out of grace). A file that cannot be
-// restored to a verified state is quarantined.
-func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
+// file's core state and, when the dead, crashed or unresponsive holder
+// left it corrupt, roll back to the checkpoint — there is no fix-handler
+// grace here, the process is gone (or out of grace). A file that cannot
+// be restored to a verified state is quarantined. It reports whether it
+// rolled the file back.
+func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) (rolledBack bool) {
 	// A gone dirent means the holder had committed an unlink of this
 	// file (the atomic dirent clear IS the unlink's commit point) and
 	// the batched RemoveFiles never arrived — or a rollback of the
@@ -221,7 +232,7 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 	if c.direntGoneLocked(fs) {
 		if pfs, _ := c.files.get(fs.parent); pfs == nil || pfs.quarantined == 0 {
 			c.retireFileLocked(ls, fs)
-			return
+			return false
 		}
 	}
 	c.stats.ReapVerifies.Add(1)
@@ -229,6 +240,7 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 	if err == nil && rep.OK() {
 		c.commitReportLocked(fs, ls, rep)
 	} else {
+		rolledBack = true
 		c.stats.Corruptions.Add(1)
 		if rep := c.rollbackLocked(fs, ls); rep != nil {
 			c.commitReportLocked(fs, ls, rep)
@@ -240,6 +252,7 @@ func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) {
 		c.releaseWriteLocked(m)
 	}
 	ls.revoked[fs.ino] = true
+	return rolledBack
 }
 
 // retireFileLocked finishes an unlink the (dead or revoked) holder

@@ -184,6 +184,51 @@ func TestRecoverQuarantinesFailedRollback(t *testing.T) {
 	}
 }
 
+// TestRecoverKeepsCommittedUnlink: clearing a dirent is an unlink's
+// commit point. A writer that cleared one and crashed before its batched
+// RemoveFiles left a deleted file, not a corrupt one, and Recover retires
+// it as a reap would: it neither brings the dead inode back to life nor
+// writes it over a fresh file that took the slot since.
+func TestRecoverKeepsCommittedUnlink(t *testing.T) {
+	for _, reuse := range []bool{false, true} {
+		t.Run(map[bool]string{false: "cleared", true: "reused"}[reuse], func(t *testing.T) {
+			c, _ := newCtl(t, smallCfg())
+			a := c.Register(1000, 1000, 0, 0)
+			ino, loc := mkFile(t, a, "gone", []byte("unlinked before the crash"))
+			unmapRoot(t, a) // adopts the file
+			if _, err := a.MapFile(core.RootIno, core.RootLoc(), true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.MapFile(ino, loc, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := core.CommitDirentIno(a.AddressSpace(), loc.Page, loc.Slot, 0); err != nil {
+				t.Fatal(err)
+			}
+			want := core.Ino(0)
+			if reuse {
+				var at core.FileLoc
+				if want, at = mkFile(t, a, "fresh", []byte("took the slot")); at != loc {
+					t.Fatalf("the fresh file went to %v, not the unlinked slot %v", at, loc)
+				}
+			}
+			checked, rolledBack, err := c.Recover(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rolledBack != 0 {
+				t.Errorf("checked %d, rolled back %d: a committed unlink is not corruption", checked, rolledBack)
+			}
+			if got, err := core.DirentIno(c.mem, loc.Page, loc.Slot); err != nil || got != want {
+				t.Errorf("the slot names ino %d (%v), want %d", got, err, want)
+			}
+			if checked, bad, first := c.VerifyAll(); bad != 0 {
+				t.Fatalf("VerifyAll: %d of %d bad: %s", bad, checked, first)
+			}
+		})
+	}
+}
+
 // TestRollbackDurableThroughBusyWindow: the controller's own persists
 // ride the device's busy retry like everyone else's. A write-mapped
 // file's index page holds a scribbled entry; Recover rolls it back while

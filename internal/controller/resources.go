@@ -408,14 +408,20 @@ func (s *Session) Commit(ino core.Ino) error {
 }
 
 // Recover is the crash-recovery entry point (§4.4): after a simulated
-// power failure, every file that was write-mapped is re-verified; files
-// failing verification roll back to their checkpoint, and one whose
-// restored state fails too is quarantined. LibFS-provided
-// recovery programs run first (they are untrusted, which is exactly why
-// the verifier pass follows). Last, the granules the crash left open
-// reseal from their content (expandGranulesLocked). A device this build
-// cannot read — another format version — is refused with
-// core.ErrFormatVersion before anything is touched.
+// power failure, every write mapping is settled as a reap settles it
+// (reapFileLocked), directories first: a file whose dirent its holder
+// had cleared — an unlink's commit point — is retired, not resurrected;
+// any other is re-verified, rolled back to its checkpoint when it fails,
+// and quarantined when its restored state fails too. The verifications
+// count as controller.reap_verifies, and the crashed sessions'
+// mappings are released and marked revoked: their next use of one is
+// ErrRevoked. LibFS-provided recovery programs run first (they are
+// untrusted, which is exactly why the verifier pass follows). Last, the
+// granules the crash left open reseal from their content
+// (expandGranulesLocked). checked counts the files settled, rolledBack
+// those rolled back. A device this build cannot read — another format
+// version — is refused with core.ErrFormatVersion before anything is
+// touched.
 func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked, rolledBack int, err error) {
 	c.lockAll()
 	defer c.unlockAll()
@@ -432,26 +438,28 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 			_ = fn()
 		}
 	}
+	var held []*fileState // settling may retire a file: not inside forEach
 	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
-		w := fs.writeHolder()
-		if w == nil {
-			return true
-		}
-		checked++
-		rep, err := c.verifyLocked(fs, w.ls, nil, scopeFullWalk)
-		if err != nil || !rep.OK() {
-			rep = c.rollbackLocked(fs, w.ls)
-			rolledBack++
-		}
-		if rep != nil {
-			c.commitReportLocked(fs, w.ls, rep)
-		}
-		// Drop the mappings: the "processes" died with the crash.
-		for ; w != nil; w = fs.writeHolder() {
-			c.releaseWriteLocked(w)
+		if fs.writeHolder() != nil {
+			held = append(held, fs)
 		}
 		return true
 	})
+	for pass := 0; pass < 2; pass++ {
+		for _, fs := range held {
+			if (fs.ftype == core.TypeDir) != (pass == 0) {
+				continue
+			}
+			checked++
+			rolled := false
+			for w := fs.writeHolder(); w != nil; w = fs.writeHolder() {
+				rolled = c.reapFileLocked(w.ls, fs) || rolled
+			}
+			if rolled {
+				rolledBack++
+			}
+		}
+	}
 	c.expandGranulesLocked()
 	return checked, rolledBack, nil
 }

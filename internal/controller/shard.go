@@ -18,10 +18,11 @@
 //     insert/delete can be concurrent) and to touch the fields of
 //     entries homed on the held shards.
 //
-// Fast paths (MapFile/UnmapFile of regular files, the allocators) lock
-// only the shards they need — the session's home shard, the file's,
-// and for writes the parent directory's (dirent-page checksum records
-// are serialized by the parent's shard). Shard mutexes are always
+// Fast paths (a map or unmap entry's narrow attempt — MapFile and
+// UnmapFile are one-entry batches — and the allocators) lock only the
+// shards they need: the session's home shard, the file's, and for
+// writes the parent directory's (dirent-page checksum records are
+// serialized by the parent's shard). Shard mutexes are always
 // acquired in ascending index order; cross-shard operations that turn
 // out to need more context (adoption, upgrades, conflicts, rename-
 // style dirent moves, corruption handling) bail out with errEscalate

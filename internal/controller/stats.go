@@ -105,8 +105,8 @@ type Stats struct {
 // plain telemetry counters (atomic adds), so concurrent shards never
 // contend on them.
 type ShardCounters struct {
-	Maps       *telemetry.Counter // MapFile calls routed to files of this shard
-	Unmaps     *telemetry.Counter // UnmapFile calls likewise
+	Maps       *telemetry.Counter // map entries routed to files of this shard
+	Unmaps     *telemetry.Counter // unmap entries likewise
 	Allocs     *telemetry.Counter // page/ino allocation calls by sessions homed here
 	Reaps      *telemetry.Counter // sessions homed here forcibly torn down
 	Recalls    *telemetry.Counter // lease recalls for files homed here

@@ -7,34 +7,16 @@
 #   3. the full test suite (includes the crash-point conformance sweeps)
 #   4. the race detector over the packages with real concurrency
 #      (the Makefile's race target owns the list).
-#   5. a fuzz smoke pass over the verifier's adversarial targets —
-#      ten seconds per target of randomly corrupted core state, which
-#      must always terminate in a Report, never a panic or a hang —
-#      plus the scrub-page target (a sealed page with any nonzero bit
-#      flip must scrub as a mismatch), and a race-enabled end-to-end
-#      scrub smoke: one injected flip in a cold file must be detected
-#      by a single pass and quarantined with a typed read error. The two
-#      parsers of untrusted wire bytes get five seconds each: an
-#      arbitrary client stream into the server, an arbitrary server
-#      stream into a session with a call pending. Ten seconds go to the
-#      scoped-verification target: whatever a session stores through
-#      its address space, the release's scoped verification and a full
-#      walk of the same image must agree on the verdict and the page set.
-#      Ten more to the page table: under any sequence of mapping calls
-#      and stores, the two-size table and the per-page reference model
-#      must agree on every permission, count and report. Ten more to the
-#      checksum region's open bits: under any grants, stores, releases,
-#      revokes, scrubs and crashes, every page is open while it may be
-#      written and sealed with its content's CRC once it may not. Ten
-#      more to the controller's write references at two sizes: per
-#      granule and per page, they must count what the per-page table
-#      counted. Ten more to the grant rule: under any maps, unmaps,
-#      index stores, frees, allocations and closes by sessions in two
-#      trust groups — a contended map revoking every write holder after
-#      a short lease — no page a session reaches lies beyond its group's
-#      reach, and no two groups write-map one file. Ten more to the
-#      directory hash table: any puts, deletes, gets, ranges and
-#      lengths across its grows must agree with a Go map.
+#   5. a fuzz smoke pass (make fuzz; the Makefile owns the list and
+#      says what each target checks): ten seconds per target — the
+#      verifier's adversarial targets (randomly corrupted core state
+#      must always terminate in a Report, never a panic or a hang), the
+#      scrub page, the two parsers of untrusted wire bytes, scoped
+#      against full verification, the page table, the checksum region's
+#      open bits, the controller's write references, the grant rule and
+#      the directory hash table — plus a race-enabled end-to-end scrub
+#      smoke: one injected flip in a cold file must be detected by a
+#      single pass and quarantined with a typed read error.
 #   6. a bench smoke: every Benchmark* target compiles and the
 #      data-path families run once, the cross-domain handover benchmark
 #      must stream one page, read no index page, act on at most 160
@@ -221,40 +203,8 @@ go test ./...
 echo "== go test -race (concurrency-bearing packages)"
 make race
 
-echo "== fuzz smoke (verifier adversarial targets, scoped-vs-full agreement, page-table, checksum-opener, write-reference and hash-table models, grant reach, 10s each; wire parsers, 5s each)"
-go test -run='^$' -fuzz='^FuzzVerifyRegular$' -fuzztime=10s ./internal/verifier/
-go test -run='^$' -fuzz='^FuzzVerifyDirectory$' -fuzztime=10s ./internal/verifier/
-go test -run='^$' -fuzz='^FuzzScrubPage$' -fuzztime=10s ./internal/verifier/
-# The wire targets run goroutines, so coverage differs a little from run
-# to run and the engine keeps finding "new" inputs to minimise; cap that
-# at a second so the budget goes to executions.
-go test -run='^$' -fuzz='^FuzzServeFrame$' -fuzztime=5s -fuzzminimizetime=1s ./internal/serve/
-go test -run='^$' -fuzz='^FuzzSessionDemux$' -fuzztime=5s -fuzzminimizetime=1s ./internal/serve/
-# Scoped vs full verification of whatever a session stored (each input
-# mounts a controller, so minimising is capped the same way).
-go test -run='^$' -fuzz='^FuzzVerifyScopedAgrees$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
-# The two-size page table against the per-page model it replaced: any
-# sequence of mapping calls and stores, same permissions, same reports.
-go test -run='^$' -fuzz='^FuzzPageTableModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mmu/
-# The checksum region's two levels against the per-page opener: any
-# grants, stores, releases, revokes, scrubs and crashes leave every page
-# open while it may be written, sealed with its content's CRC otherwise.
-go test -run='^$' -fuzz='^FuzzChecksumOpenModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
-# Write references at two sizes against the per-page counts: any whole
-# and ragged grants, releases, pool references, stores and revocations
-# leave every page's count, and the scrub, seal and open decisions it
-# makes, as the per-page table had them.
-go test -run='^$' -fuzz='^FuzzControllerTablesModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
-# The one grant rule, from the outside: after every map (a contended one
-# waits out a short lease and revokes every write holder), unmap, index
-# store, free, allocation or close, each page a session reaches is its
-# files' dirent or owned page, or in its own trust group's pool or
-# parked sets, and no two trust groups write-map one file.
-go test -run='^$' -fuzz='^FuzzGrantOwnership$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
-# The directory hash table against a Go map: any put, putIfAbsent,
-# delete, get, range and len sequence, across its grow boundaries, with
-# deletes from inside a Range.
-go test -run='^$' -fuzz='^FuzzMapModel$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index/
+echo "== fuzz smoke (make fuzz: the verifier, scrubber, wire parsers, scoped verification, page-table, checksum-opener, write-reference and hash-table models and the grant rule, 10s each)"
+make fuzz
 
 echo "== scrub smoke (one injected bit flip: detected, quarantined, typed error)"
 go test -race -run='^TestScrubSmoke$' -count=1 ./internal/fstest/
