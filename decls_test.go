@@ -86,3 +86,50 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 		}
 	}
 }
+
+// TestNoSleepInController fails on a time.Sleep in the controller's
+// non-test code. Every wait there is an event: a lease waiter parks on
+// its file until a release, a death or its own deadline timer, and the
+// sweeper's ticker and the fix handler's time.After are deadlines. A
+// sleep is a poll, which can neither be woken nor counted where it ends.
+func TestNoSleepInController(t *testing.T) {
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob(filepath.Join("internal", "controller", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		timePkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				timePkg = "time"
+				if imp.Name != nil {
+					timePkg = imp.Name.Name
+				}
+			}
+		}
+		if timePkg == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == timePkg {
+					t.Errorf("%s: time.Sleep in the controller: wait on an event or a deadline instead", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if checked == 0 {
+		t.Fatal("found no controller source to check")
+	}
+}

@@ -94,31 +94,22 @@ func (s *Session) MapFiles(reqs []MapReq, out []MapRes) error {
 }
 
 // mapEntry runs one entry to its verdict; its loop is the map path's one
-// lease wait. An attempt never sleeps: the narrow one
+// lease wait. An attempt never blocks: the narrow one
 // (mapFileOnceLocked, under the session's, the file's and for a write the
 // parent's shard) or the wide one (mapWideLocked, under the batch's
-// lockAll) returns how long a foreign group's lease still runs. Here the
-// locks and the admission slot are dropped — a sleeping waiter must not
-// occupy the slot its lease holder needs to comply with a recall — for
-// at most accessPoll, so a holder that releases early is noticed
-// promptly. The gate is re-entered before the locks (enter can block on
-// a free slot, and slot holders may be waiting on the locks), and the
-// grant's lease runs from the end of the last sleep. fs.waiters marks
-// the file contended for its shard's sweeper meanwhile. The wait is
-// bounded by LeaseTime + RecallTimeout plus scheduling noise.
+// lockAll) returns how long a foreign group's lease still runs. The entry
+// parks on the file and drops its locks and admission slot (its lease
+// holder may need the slot to comply with a recall) until a release
+// (releaseLocked), a holder's or its own death (markDeadLocked) or the
+// end of the wait, when the next attempt recalls or revokes. It is the
+// lease's one driver. The gate is re-entered before the locks (enter can
+// block, and slot holders may be waiting on the locks), and the grant's
+// lease runs from the wake: LeaseTime + RecallTimeout bounds the wait.
 func (s *Session) mapEntry(r MapReq, wide bool, gate *admitGate, acc *int, now int64) (MapInfo, error) {
 	c := s.c
-	var set lockSet
-	var waited *fileState
 	for {
+		var set lockSet
 		var fs *fileState
-		if !wide {
-			set, fs = c.lockForFile(c.shardIdxSession(s.ls.id), r.Ino, r.Write)
-		}
-		if waited != nil {
-			waited.waiters-- // its home shard is held, retired or not
-			waited = nil
-		}
 		var info MapInfo
 		var wait time.Duration
 		var err error
@@ -126,6 +117,7 @@ func (s *Session) mapEntry(r MapReq, wide bool, gate *admitGate, acc *int, now i
 			info, wait, err = s.mapWideLocked(r, acc, now)
 			fs, _ = c.files.get(r.Ino)
 		} else {
+			set, fs = c.lockForFile(c.shardIdxSession(s.ls.id), r.Ino, r.Write)
 			info, wait, err = s.mapFileOnceLocked(fs, r.Write, now)
 		}
 		if wait <= 0 {
@@ -134,15 +126,20 @@ func (s *Session) mapEntry(r MapReq, wide bool, gate *admitGate, acc *int, now i
 			}
 			return info, err
 		}
-		fs.waiters++
-		waited = fs
+		woken := fs.parkLocked()
 		gate.exit(s.ls.id)
 		if wide {
 			c.unlockAll()
 		} else {
 			c.unlockShards(&set)
 		}
-		time.Sleep(min(wait, accessPoll))
+		deadline := time.NewTimer(wait)
+		select {
+		case <-woken:
+		case <-s.ls.gone:
+		case <-deadline.C:
+		}
+		deadline.Stop()
 		gate.enter(s.ls.id)
 		if wide {
 			c.lockAll()

@@ -617,7 +617,7 @@ func TestBatchVerificationsTimed(t *testing.T) {
 	}
 }
 
-// TestBatchReapMidBatch: the session dies while its batch sleeps on a
+// TestBatchReapMidBatch: the session dies while its batch is parked on a
 // lease between two entries. The entry granted before the death is
 // reclaimed by the reap like any mapping, the waiting entry and every
 // later one get ErrSessionDead, and no reference outlives the session.
@@ -640,24 +640,18 @@ func TestBatchReapMidBatch(t *testing.T) {
 	out := make([]MapRes, len(reqs))
 	done := make(chan error, 1)
 	go func() { done <- victim.MapFiles(reqs, out) }()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		c.lockAll()
-		fs, _ := c.files.get(held.Ino)
-		waiting := fs.waiters > 0
-		c.unlockAll()
-		if waiting {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the batch never reached the lease wait")
-		}
-	}
+	awaitParked(t, c, held.Ino)
 	victim.Abandon()
 	if err := c.Reap(victim.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second): // the lease runs an hour
+		t.Fatal("the parked batch never woke to its session's death")
 	}
 	wantErrs(t, "map", mapErrs(out), nil, ErrSessionDead, ErrSessionDead)
 
@@ -726,6 +720,121 @@ func TestBatchLeaseWait(t *testing.T) {
 			}
 			if err := a.UnmapFile(reqs[1].Ino); !errors.Is(err, ErrRevoked) {
 				t.Fatalf("holder unmap after revocation: %v", err)
+			}
+		})
+	}
+}
+
+// awaitParked returns once a map entry is parked on ino's lease (the
+// file's wake channel exists), and fails the test after 5 s.
+func awaitParked(t *testing.T, c *Controller, ino core.Ino) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		c.lockAll()
+		fs, _ := c.files.get(ino)
+		parked := fs != nil && fs.wake != nil
+		c.unlockAll()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no map entry parked on ino %d's lease", ino)
+		}
+	}
+}
+
+// TestLeaseWaitWakes: a write map waiting out a foreign group's lease
+// wakes on each event that can end the wait before its deadline. The
+// lease and the recall run for an hour and no sweeper runs, so a missed
+// wake hangs the waiter and fails the case after 5 s.
+func TestLeaseWaitWakes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		holders int // write holders of the file, all of one trust group
+		end     func(t *testing.T, c *Controller, holders []*Session, f MapReq, done <-chan error)
+		want    error
+	}{
+		{"unmap", 1, func(t *testing.T, _ *Controller, h []*Session, f MapReq, _ <-chan error) {
+			if err := h[0].UnmapFile(f.Ino); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		{"abandon", 1, func(t *testing.T, _ *Controller, h []*Session, _ MapReq, _ <-chan error) {
+			h[0].Abandon() // the waiter reaps it: no sweeper, no Reap
+		}, nil},
+		{"remove", 1, func(t *testing.T, _ *Controller, h []*Session, f MapReq, _ <-chan error) {
+			if _, err := h[0].MapFile(core.RootIno, core.RootLoc(), true); err != nil {
+				t.Fatal(err)
+			}
+			if err := core.CommitDirentIno(h[0].AddressSpace(), f.Loc.Page, f.Loc.Slot, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h[0].RemoveFiles([]Removal{{Ino: f.Ino}}); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrUnknownFile},
+		{"last-of-group", 2, func(t *testing.T, c *Controller, h []*Session, f MapReq, done <-chan error) {
+			if err := h[0].UnmapFile(f.Ino); err != nil {
+				t.Fatal(err)
+			}
+			awaitParked(t, c, f.Ino) // woken by the first release, parked again
+			select {
+			case err := <-done:
+				t.Fatalf("map returned %v while h[1] still write-holds the file", err)
+			default:
+			}
+			if err := h[1].UnmapFile(f.Ino); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := nvm.MustNewDevice(smallCfg())
+			c, err := New(dev, Options{LeaseTime: time.Hour, RecallTimeout: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := c.Register(1000, 1000, 0, 1)
+			holders := []*Session{a}
+			for len(holders) < tc.holders {
+				holders = append(holders, c.Register(1000, 1000, 0, 1))
+			}
+			f := asWrite(mkFiles(t, a, "f", 1))[0]
+			unmapRoot(t, a)
+			for _, h := range holders {
+				if _, err := h.MapFile(f.Ino, f.Loc, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waiter := c.Register(1000, 1000, 0, 2)
+			var info *MapInfo
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				info, err = waiter.MapFile(f.Ino, f.Loc, true)
+				done <- err
+			}()
+			awaitParked(t, c, f.Ino)
+			tc.end(t, c, holders, f, done)
+			select {
+			case err := <-done:
+				if (tc.want == nil) != (err == nil) || !errors.Is(err, tc.want) {
+					t.Fatalf("waiter's map: %v, want %v", err, tc.want)
+				}
+				if err == nil && !info.Write {
+					t.Fatalf("waiter granted %+v, want a write mapping", info)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the waiter was never woken")
+			}
+			if st := c.Stats().Snapshot(); st.LeaseRecalls+st.LeaseExpiries != 0 {
+				t.Fatalf("the wait ran into its deadline: %d recalls, %d expiries", st.LeaseRecalls, st.LeaseExpiries)
+			}
+			if err := waiter.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if checked, bad, first := c.VerifyAll(); bad != 0 {
+				t.Fatalf("VerifyAll: %d of %d bad: %s", bad, checked, first)
 			}
 		})
 	}

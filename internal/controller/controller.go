@@ -72,10 +72,9 @@ type Options struct {
 	// honour a cooperative recall request before the controller forcibly
 	// revokes the file (lease escalation, §4.5). Defaults to 10ms.
 	RecallTimeout time.Duration
-	// LeaseSweep, when positive, starts a background sweeper that reaps
-	// abandoned sessions and escalates expired leases at this period
-	// even when no Map call is contending. Zero (the default) keeps
-	// enforcement purely on-demand; Controller.Close stops the sweeper.
+	// LeaseSweep, when positive, starts one sweeper per shard that reaps
+	// abandoned sessions and scrubs at this period. Leases need none: a
+	// map waiting on one drives it (mapEntry). Close stops the sweepers.
 	LeaseSweep time.Duration
 	// ScrubPagesPerSweep rate-limits the online integrity scrubber: how
 	// many pages each background sweep audits against the checksum
@@ -155,9 +154,8 @@ type fileState struct {
 	// the write holders (zero = none outstanding); after RecallTimeout the
 	// escalation proceeds to forcible revocation.
 	recallAt int64
-	// waiters counts map entries sleeping out this file's lease
-	// (mapEntry); the lease sweeper only escalates contended files.
-	waiters int
+	// wake is what map entries waiting out the lease park on (nil: none).
+	wake chan struct{}
 
 	checkpoint *checkpoint
 	// kept is the last checkpoint when its index-page images were cut at a
@@ -172,6 +170,23 @@ type fileState struct {
 	// rebuilds the state (and the next scrub pass re-quarantines it if
 	// the damage persists).
 	corrupt bool
+}
+
+// parkLocked returns the channel a lease waiter parks on and wakeLocked
+// closes. Both run under the file's home shard, so no wake falls between
+// a waiter's last look at the holders and its park.
+func (fs *fileState) parkLocked() <-chan struct{} {
+	if fs.wake == nil {
+		fs.wake = make(chan struct{})
+	}
+	return fs.wake
+}
+
+func (fs *fileState) wakeLocked() {
+	if fs.wake != nil {
+		close(fs.wake)
+		fs.wake = nil
+	}
 }
 
 // writeHolderBut reports whether a write holder other than m holds the file.
@@ -298,7 +313,9 @@ type libfsState struct {
 
 	// dead marks a session whose process died (Abandon) or that the
 	// controller reaped; every further syscall returns ErrSessionDead.
+	// gone closes with it (markDeadLocked, the one writer of both).
 	dead bool
+	gone chan struct{}
 
 	// revoked records inos whose write mapping the controller forcibly
 	// revoked from this session, so its next Unmap/Commit gets
@@ -489,9 +506,8 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 	c.expandGranulesLocked()
 	c.inoAlloc = alloc.NewInoAlloc(maxIno+1, opts.CPUs)
 	if opts.LeaseSweep > 0 {
-		// One sweeper per shard (ISSUE 6): each reaps its own dead
-		// sessions, escalates its own contended leases and runs its own
-		// scrub slice on an independent budget.
+		// One sweeper per shard: each reaps its own dead sessions and
+		// runs its own scrub slice on an independent budget.
 		c.sweepStop = make(chan struct{})
 		c.sweepWG.Add(len(c.shards))
 		for i := range c.shards {
@@ -651,6 +667,7 @@ func (c *Controller) Register(uid, gid uint32, node int, group GroupID) *Session
 		parked:     make(map[nvm.PageID]core.Ino),
 		mapped:     make(map[core.Ino]*mapping),
 		revoked:    make(map[core.Ino]bool),
+		gone:       make(chan struct{}),
 	}
 	// Every LibFS can read the superblock (§4.1) and the checksum table
 	// (read-only: records are maintained by the controller and the
@@ -720,7 +737,14 @@ func (s *Session) Close() error {
 	errs := make([]error, MaxBatch)
 	for len(inos) > 0 {
 		n := min(len(inos), MaxBatch)
-		firstErr = cmp.Or(firstErr, s.UnmapFiles(inos[:n], errs), cmp.Or(errs[:n]...))
+		firstErr = cmp.Or(firstErr, s.UnmapFiles(inos[:n], errs))
+		for _, err := range errs[:n] {
+			// Not mapped: another group's write grant revoked a read
+			// mapping after the collection. It is released already.
+			if !errors.Is(err, ErrBadRequest) {
+				firstErr = cmp.Or(firstErr, err)
+			}
+		}
 		inos = inos[n:]
 	}
 	s.c.lockAll()
@@ -838,7 +862,7 @@ func (c *Controller) dropGranWriteLocked(g nvm.PageID) {
 
 // releaseLocked drops mapping m, its page references and — after their
 // dirty bits are in — its hold on the granules its grant opened whole,
-// all under one tabMu hold.
+// all under one tabMu hold: the one place holders shrink, so it wakes.
 func (ls *libfsState) releaseLocked(m *mapping) {
 	ls.c.tabMu.Lock()
 	ls.unrefTabLocked(m.runs)
@@ -847,6 +871,7 @@ func (ls *libfsState) releaseLocked(m *mapping) {
 	delete(ls.mapped, m.fs.ino)
 	i := slices.Index(m.fs.holders, m)
 	m.fs.holders = slices.Delete(m.fs.holders, i, i+1)
+	m.fs.wakeLocked()
 }
 
 // freePoolLocked returns the pool and parked pages of ls to the allocator

@@ -57,7 +57,7 @@ func (s *Session) MapFile(ino core.Ino, loc core.FileLoc, write bool) (*MapInfo,
 // another application requests to write") — and the lease steps only
 // lockAll can take, reaping a dead holder and revoking a group's write
 // holders (escalateLeaseLocked). A non-zero wait is what a foreign
-// group's lease still asks for: mapEntry sleeps it out and tries again.
+// group's lease still asks for: mapEntry parks for it and tries again.
 // acc counts verifier round trips for the batch to charge as one IPCN.
 // now is when a write grant's lease runs from.
 func (s *Session) mapWideLocked(r MapReq, acc *int, now int64) (MapInfo, time.Duration, error) {
@@ -323,7 +323,7 @@ func (s *Session) grantLocked(fs *fileState, in *core.Inode, runs []pageRun, wri
 
 // mapFileOnceLocked runs one attempt at the fast map under the held
 // set. A non-zero wait means the caller should release the locks,
-// sleep, and retry; otherwise (info, err) is the result, with
+// park, and retry; otherwise (info, err) is the result, with
 // errEscalate sending the request to the lockAll path. It mutates
 // nothing before deciding.
 func (s *Session) mapFileOnceLocked(fs *fileState, write bool, now int64) (MapInfo, time.Duration, error) {
@@ -410,10 +410,6 @@ func (c *Controller) permitted(ls *libfsState, ino core.Ino, write bool) bool {
 	}
 	return sh.Mode&(bit<<shift) != 0
 }
-
-// accessPoll caps one sleep of a lease wait (mapEntry), so a waiter
-// re-checks for cooperative releases well before any escalation deadline.
-const accessPoll = time.Millisecond
 
 // revokeReadersLocked force-unmaps the read mappings of fs held outside
 // trust group keep (no verification needed); keep 0 revokes them all.

@@ -21,12 +21,26 @@ import (
 // mappings stay installed, allocated resources stay charged, and the
 // file's core state may be half-written. From this point every syscall
 // on the session returns ErrSessionDead; the state is reclaimed only
-// when the controller reaps the session (explicitly via Reap, or by the
-// lease sweeper).
+// when the controller reaps the session: explicitly via Reap, by a map
+// that waits on one of its files, or by the sweeper.
 func (s *Session) Abandon() {
 	s.c.lockAll()
 	defer s.c.unlockAll()
-	s.ls.dead = true
+	s.ls.markDeadLocked()
+}
+
+// markDeadLocked declares the session dead (lockAll held), once. Its own
+// parked map entries wake to ErrSessionDead; those parked on its files
+// wake to reap it.
+func (ls *libfsState) markDeadLocked() {
+	if ls.dead {
+		return
+	}
+	ls.dead = true
+	close(ls.gone)
+	for _, m := range ls.mapped {
+		m.fs.wakeLocked()
+	}
 }
 
 // SetRecallHandler registers the LibFS's cooperative lease-recall
@@ -45,7 +59,7 @@ func (s *Session) SetRecallHandler(fn func(ino core.Ino)) {
 // releases its page and inode allocations, and unregisters it. Files it
 // held become immediately mappable by other trust domains. Reaping an
 // unknown (already reaped or closed) session is a no-op, so explicit
-// reaps and the background sweeper can race benignly.
+// reaps, lease waiters and the background sweeper can race benignly.
 func (c *Controller) Reap(id LibFSID) error {
 	c.lockAll()
 	defer c.unlockAll()
@@ -58,7 +72,7 @@ func (c *Controller) Reap(id LibFSID) error {
 }
 
 func (c *Controller) reapLocked(ls *libfsState) {
-	ls.dead = true
+	ls.markDeadLocked()
 
 	// Revoke the MMU first: from this instant the dead process — and
 	// any delegation worker still acting on its behalf — faults on
@@ -124,7 +138,7 @@ func (c *Controller) teardownLocked(ls *libfsState, how string) {
 	}
 	clear(ls.allocInos)
 	c.unregisterSessionLocked(ls.id)
-	ls.dead = true
+	ls.markDeadLocked()
 	c.revokeSpaceLocked(ls)
 }
 
@@ -436,26 +450,12 @@ func (c *Controller) escalateLeaseLocked(fs *fileState) time.Duration {
 	return 0
 }
 
-// The background enforcement loop is per-shard since ISSUE 6: see
-// Controller.shardSweeper in shard.go. Each shard reaps the abandoned
-// sessions homed on it, escalates its own contended leases, and runs
-// its slice of the scrub budget, so one tenant's churn cannot consume
-// another shard's sweeper period.
-
 // ReapAbandoned reaps every abandoned-but-unreaped session right now
-// (the on-demand form of the sweepers' first half). It returns how many
-// sessions were reaped.
+// (what the sweepers do each tick), and returns how many it found.
 func (c *Controller) ReapAbandoned() int {
-	c.lockAll()
-	defer c.unlockAll()
-	var dead []*libfsState
-	for _, ls := range c.libfses {
-		if ls.dead {
-			dead = append(dead, ls)
-		}
+	n := 0
+	for i := range c.shards {
+		n += c.sweepShard(i)
 	}
-	for _, ls := range dead {
-		c.reapLocked(ls)
-	}
-	return len(dead)
+	return n
 }

@@ -508,9 +508,9 @@ func (c *Controller) admit(id LibFSID) *admitGate {
 // Per-shard background sweepers
 // ---------------------------------------------------------------------
 
-// sweeper is one shard's background enforcement loop: reap abandoned
-// sessions homed here, escalate contended leases of files homed here,
-// and run this shard's scrub slice on its own budget.
+// shardSweeper is one shard's background loop: reap the abandoned
+// sessions homed here and run this shard's scrub slice on its own
+// budget. It drives no lease: a map waiting on one does (mapEntry).
 func (c *Controller) shardSweeper(i int) {
 	defer c.sweepWG.Done()
 	t := time.NewTicker(c.opts.LeaseSweep)
@@ -526,51 +526,23 @@ func (c *Controller) shardSweeper(i int) {
 	}
 }
 
-// sweepShard reaps this shard's dead sessions and escalates its
-// contended files. Candidate discovery runs under the shard lock only;
-// the actions re-check under lockAll.
-func (c *Controller) sweepShard(i int) {
+// sweepShard reaps this shard's dead sessions and returns how many it
+// found. Discovery runs under the shard lock only; Reap re-checks under
+// lockAll.
+func (c *Controller) sweepShard(i int) int {
 	sh := &c.shards[i]
 	var dead []LibFSID
-	var contended []core.Ino
 	sh.mu.Lock()
 	for id, ls := range sh.sessions {
 		if ls.dead {
 			dead = append(dead, id)
 		}
 	}
-	for ino, fs := range sh.files {
-		if fs.waiters > 0 && fs.writeHolder() != nil {
-			contended = append(contended, ino)
-		}
-	}
 	sh.mu.Unlock()
-
 	for _, id := range dead {
-		c.Reap(id) // lockAll inside; no-op when someone else won the race
+		c.Reap(id) // no-op when someone else won the race
 	}
-	for _, ino := range contended {
-		// Cooperative escalation (clock, recall) runs under this
-		// shard's own lock — the contended ino is homed here. Only the
-		// forcible transitions (holder reap, revocation) pay for
-		// lockAll, so a shard full of politely-contended files never
-		// convoys the others.
-		sh.mu.Lock()
-		force := false
-		if fs, _ := c.files.get(ino); fs != nil && fs.waiters > 0 && fs.writeHolder() != nil {
-			_, err := c.escalateLeaseFastLocked(fs)
-			force = err != nil
-		}
-		sh.mu.Unlock()
-		if !force {
-			continue
-		}
-		c.lockAll()
-		if fs, _ := c.files.get(ino); fs != nil && fs.waiters > 0 && fs.writeHolder() != nil {
-			c.escalateLeaseLocked(fs)
-		}
-		c.unlockAll()
-	}
+	return len(dead)
 }
 
 // scrubShard runs one budgeted slice of the audit (auditLocked) over the

@@ -246,45 +246,41 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 	}
 	states := make([]clientState, spec.Clients)
 
-	// Chaos controller: one fault per ~ChaosEveryOps completed ops,
-	// random victim, kill or partition+heal. Progress-clocked so a
-	// fully partitioned fleet stops accumulating faults.
+	// Chaos controller: one fault per ChaosEveryOps completed ops,
+	// random victim, kill or partition+heal. The client whose op
+	// completes a multiple hands it over (due) and resumes once the fault
+	// is in, so even a short storm gets every fault it earned.
 	var completed atomic.Int64
+	due, injected := make(chan struct{}), make(chan struct{})
 	ctlDone := make(chan struct{})
 	var ctlWG, healWG sync.WaitGroup
 	ctlWG.Add(1)
 	go func() {
 		defer ctlWG.Done()
 		rng := rand.New(rand.NewSource(spec.Seed * 7919))
-		fired := int64(0)
-		tick := time.NewTicker(500 * time.Microsecond)
-		defer tick.Stop()
 		for {
 			select {
 			case <-ctlDone:
 				return
-			case <-tick.C:
+			case <-due:
 			}
-			for completed.Load()/int64(spec.ChaosEveryOps) > fired {
-				fired++
-				cc := conns[rng.Intn(spec.Clients)]
-				cc.mu.Lock()
-				victim := cc.cur
-				cc.mu.Unlock()
-				if victim == nil {
-					continue
-				}
-				if rng.Intn(2) == 0 {
-					victim.Kill()
-				} else {
-					victim.Partition()
-					healWG.Add(1)
-					time.AfterFunc(spec.PartitionFor, func() {
-						victim.Heal()
-						healWG.Done()
-					})
-				}
+			cc := conns[rng.Intn(spec.Clients)]
+			cc.mu.Lock()
+			victim := cc.cur
+			cc.mu.Unlock()
+			switch {
+			case victim == nil:
+			case rng.Intn(2) == 0:
+				victim.Kill()
+			default:
+				victim.Partition()
+				healWG.Add(1)
+				time.AfterFunc(spec.PartitionFor, func() {
+					victim.Heal()
+					healWG.Done()
+				})
 			}
+			injected <- struct{}{}
 		}
 	}()
 
@@ -321,7 +317,10 @@ func RunNetChaos(srv *serve.Server, spec NetChaosSpec) (NetChaosResult, error) {
 				h := handles[int(zipf.Uint64())]
 				t0 := time.Now()
 				_, err := sess.Append(ctx, h, []byte(rec))
-				completed.Add(1)
+				if completed.Add(1)%int64(spec.ChaosEveryOps) == 0 {
+					due <- struct{}{}
+					<-injected
+				}
 				switch {
 				case err == nil:
 					st.acked[rec] = true
