@@ -8,10 +8,10 @@ import (
 // BenchmarkWireRPC16K is one serial RPC at a time over Server.Loopback:
 // a 16 KiB READ, a 16 KiB WRITE, a GETATTR. With -benchmem it reports
 // what a whole RPC allocates, both sides of the wire. check.sh
-// (gate_wire_rpc) holds READ under 1 KiB/op — its payload lands in the
-// caller's buffer, so no payload-sized buffer may be allocated anywhere
-// on its path — and WRITE under 24 KiB/op: the retransmit unit and
-// nothing else payload-sized.
+// (gate_wire_rpc) holds READ and WRITE under 1 KiB/op: a READ's payload
+// lands in the caller's buffer and a WRITE's frame is put together in
+// the session's reused scratch frame, so no payload-sized buffer may be
+// allocated anywhere on either path.
 func BenchmarkWireRPC16K(b *testing.B) {
 	lb := mountLoopback(b, "arckfs", Options{Workers: 2})
 	defer lb.Close()

@@ -61,7 +61,9 @@ func TestReadShortThroughRecycledBuffer(t *testing.T) {
 		if st, body := rc.rpc(100+2*round, ProcRead, readReq(secretH, 0, block)); st != StatusOK || len(body) != 4+block {
 			t.Fatalf("secret read: status %d, %d body bytes", st, len(body))
 		}
-		putBuf(append(getBuf(), secret...))
+		spare := getBuf()
+		*spare = append(*spare, secret...)
+		putBuf(spare)
 
 		st, body := rc.rpc(101+2*round, ProcRead, readReq(publicH, 50, block))
 		if st != StatusOK {

@@ -24,6 +24,15 @@ func allocated() uint64 {
 	return ms.TotalAlloc
 }
 
+// newReq returns an empty request frame, its header reserved.
+func newReq() []byte { return make([]byte, reqHeader) }
+
+// wholeReq seals a request whose body f ends before payload and returns
+// the contiguous frame the wire carries: f, then payload.
+func wholeReq(f, payload []byte, xid uint32, proc Proc) []byte {
+	return append(sealReq(f, len(payload), xid, proc), payload...)
+}
+
 // FuzzServeFrame feeds ServeConn an arbitrary client byte stream over a
 // duplex. Whatever arrives, the server never panics, every frame it
 // emits is well formed and within MaxFrame, it hangs up rather than
@@ -33,25 +42,25 @@ func FuzzServeFrame(f *testing.F) {
 	root := fsapi.Handle{Ino: 1}
 	file := fsapi.Handle{Ino: 2} // what the first CREATE in a fresh FS is likely to mint
 	stream := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
-	hello := sealReq(encHello(7), 1, ProcHello)
+	hello := wholeReq(encHello(newReq(), 7), nil, 1, ProcHello)
 	f.Add(hello)
 	f.Add(stream(hello,
-		sealReq(encHandle(root), 2, ProcGetattr),
-		sealReq(encMakeNode(root, 0o644, "f"), 3, ProcCreate),
-		sealReq(encWrite(file, 0, bytes.Repeat([]byte{7}, 300)), 4, ProcWrite),
-		sealReq(encRead(file, 0, 16<<10), 5, ProcRead),
-		sealReq(encRead(file, 100, MaxFrame-64), 6, ProcRead),
-		sealReq(encAppend(file, []byte("tail")), 7, ProcAppend),
-		sealReq(encReaddir(root, 0), 8, ProcReaddir),
-		sealReq(encRename(root, root, "f", "g"), 9, ProcRename),
-		sealReq(encSetattr(file, 10), 10, ProcSetattr),
-		sealReq(encRemoveNode(root, "g"), 11, ProcRemove)))
-	f.Add(stream(hello, sealReq(encLookup(root, "../x"), 2, ProcLookup), sealReq(newReq(0), 3, Proc(200))))
-	f.Add(stream(hello, sealReq(encWrite(file, 0, make([]byte, 64)), 2, ProcWrite)[:40])) // truncated payload
-	f.Add(stream(hello, []byte{0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 4}))                   // 4 GiB length claim
-	f.Add(stream(hello, []byte{0, 0, 64, 0, 1, 0, 0, 0, 4}))                              // 4 MiB claim, nothing behind it
-	f.Add(sealReq(encHandle(root), 2, ProcGetattr))                                       // request before HELLO
-	f.Add(stream(hello, hello, sealReq(encRead(root, 1<<62, 0xFFFFFFFF), 2, ProcRead)))
+		wholeReq(AppendHandle(newReq(), root), nil, 2, ProcGetattr),
+		wholeReq(encMakeNode(newReq(), root, 0o644, "f"), nil, 3, ProcCreate),
+		wholeReq(encIO(newReq(), file, 0, 300), bytes.Repeat([]byte{7}, 300), 4, ProcWrite),
+		wholeReq(encIO(newReq(), file, 0, 16<<10), nil, 5, ProcRead),
+		wholeReq(encIO(newReq(), file, 100, MaxFrame-64), nil, 6, ProcRead),
+		wholeReq(encAppend(newReq(), file, 4), []byte("tail"), 7, ProcAppend),
+		wholeReq(encReaddir(newReq(), root, 0), nil, 8, ProcReaddir),
+		wholeReq(encRename(newReq(), root, root, "f", "g"), nil, 9, ProcRename),
+		wholeReq(encSetattr(newReq(), file, 10), nil, 10, ProcSetattr),
+		wholeReq(encDirName(newReq(), root, "g"), nil, 11, ProcRemove)))
+	f.Add(stream(hello, wholeReq(encDirName(newReq(), root, "../x"), nil, 2, ProcLookup), wholeReq(newReq(), nil, 3, Proc(200))))
+	f.Add(stream(hello, wholeReq(encIO(newReq(), file, 0, 64), make([]byte, 64), 2, ProcWrite)[:40])) // truncated payload
+	f.Add(stream(hello, []byte{0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 4}))                               // 4 GiB length claim
+	f.Add(stream(hello, []byte{0, 0, 64, 0, 1, 0, 0, 0, 4}))                                          // 4 MiB claim, nothing behind it
+	f.Add(wholeReq(AppendHandle(newReq(), root), nil, 2, ProcGetattr))                                // request before HELLO
+	f.Add(stream(hello, hello, wholeReq(encIO(newReq(), root, 1<<62, 0xFFFFFFFF), nil, 2, ProcRead)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst, err := fsfactory.New("arckfs", fsfactory.Config{Nodes: 1, PagesPerNode: 2048, CPUs: 2})

@@ -481,7 +481,8 @@ func TestHelloRequired(t *testing.T) {
 }
 
 // TestDuplexPipe covers the loopback transport itself: buffered
-// writes complete without a reader, data survives, close drains.
+// writes complete without a reader, data survives, close drains, and a
+// close mid-write returns the bytes written.
 func TestDuplexPipe(t *testing.T) {
 	a, b := NewDuplex(64)
 	msg := []byte("0123456789")
@@ -523,5 +524,24 @@ func TestDuplexPipe(t *testing.T) {
 	}
 	if _, err := b.Write([]byte{1}); err == nil {
 		t.Fatal("write after close succeeded")
+	}
+
+	// A close mid-write returns the bytes written and an error.
+	a, b = NewDuplex(64)
+	type result struct {
+		n   int
+		err error
+	}
+	res := make(chan result, 1)
+	go func() {
+		n, err := a.Write(big)
+		res <- result{n, err}
+	}()
+	if !eventually(func() bool { return occupied(b.(*half).rd) == 64 }) {
+		t.Fatal("close mid-write: the ring never filled")
+	}
+	b.Close()
+	if r := <-res; r.n != 64 || !errors.Is(r.err, io.ErrClosedPipe) {
+		t.Fatalf("write closed mid-frame = (%d, %v), want (64, ErrClosedPipe)", r.n, r.err)
 	}
 }

@@ -18,7 +18,8 @@
 // one transport write (reply batching); xids, not arrival order, tell
 // the client which request each reply answers.
 //
-// Buffers change owner instead of being copied. The reader hands the
+// Buffers change owner instead of being copied, as the pool's own
+// pointers, so handing one back allocates nothing. The reader hands the
 // pooled buffer it read a frame into to the worker and takes a fresh
 // one; the worker decodes views into it (the FS consumes a WRITE's
 // payload from where it landed) and returns it to the pool. A reply is
@@ -26,7 +27,9 @@
 // that is the worker's until sendReply and the flusher's after, and a
 // payload frame goes to the transport from that buffer. So this side
 // copies a READ NVM → reply frame → transport and a WRITE transport →
-// request buffer → NVM.
+// request buffer → NVM; with the client's copies (rpc.go: one for a
+// READ, two for a WRITE), a READ is three copies end to end and a WRITE
+// four.
 //
 // The server holds no per-client open-file state the protocol depends
 // on: worker file caches are a pure performance cache, invalidated
@@ -259,9 +262,10 @@ func (s *Server) quiesced() bool {
 // read it into, the worker's to return to the pool once it has
 // executed; body is the view of it past the xid and op bytes.
 type request struct {
-	xid       uint32
-	proc      Proc
-	buf, body []byte
+	xid  uint32
+	proc Proc
+	buf  *[]byte
+	body []byte
 }
 
 type srvConn struct {
@@ -280,7 +284,7 @@ type srvConn struct {
 	// their in-flight slots, the reader) instead of growing the queue.
 	wmu      sync.Mutex
 	room     sync.Cond // signalled when the flusher takes the queue
-	queue    [][]byte
+	queue    []*[]byte
 	flushing bool
 
 	// unflushed counts replies queued but not yet handed to the
@@ -293,7 +297,7 @@ type srvConn struct {
 	wd interface{ SetWriteDeadline(time.Time) error }
 
 	// The flusher's own: spare queue slice, coalescing buffer, write failed.
-	spare  [][]byte
+	spare  []*[]byte
 	out    []byte
 	broken bool
 
@@ -304,7 +308,7 @@ type srvConn struct {
 // sendReply queues one complete reply frame, keeping the unflushed
 // count Drain polls in step, and flushes the queue itself unless
 // somebody already is. Every reply path must come through here.
-func (c *srvConn) sendReply(frame []byte) {
+func (c *srvConn) sendReply(frame *[]byte) {
 	c.unflushed.Add(1)
 	c.wmu.Lock()
 	for c.flushing && len(c.queue) > c.srv.opts.MaxInflight {
@@ -329,11 +333,26 @@ func (c *srvConn) sendReply(frame []byte) {
 	c.wmu.Unlock()
 }
 
-// bufPool recycles request frames and reply frames.
+// sendStatus replies with a bare status frame.
+func (c *srvConn) sendStatus(xid uint32, st Status) {
+	b := getBuf()
+	*b = EndFrame(BeginFrame(*b, xid, uint8(st)), 0)
+	c.sendReply(b)
+}
+
+// bufPool recycles request frames and reply frames. A buffer travels as
+// the pool's own pointer — reader to worker, worker to flusher — so
+// returning it allocates nothing.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-func getBuf() []byte  { return (*(bufPool.Get().(*[]byte)))[:0] }
-func putBuf(b []byte) { bufPool.Put(&b) }
+// getBuf returns an empty pooled buffer.
+func getBuf() *[]byte {
+	b := bufPool.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+func putBuf(b *[]byte) { bufPool.Put(b) }
 
 // ServeConn runs one connection to completion. It is the entry point
 // shared by the TCP accept loop and the in-process loopback transport.
@@ -396,8 +415,8 @@ func (c *srvConn) readLoop() error {
 		if c.rd != nil {
 			c.rd.SetReadDeadline(time.Now().Add(c.srv.opts.ReadTimeout))
 		}
-		fr, nbuf, err := ReadFrame(c.rw, buf)
-		buf = nbuf
+		fr, nbuf, err := ReadFrame(c.rw, *buf)
+		*buf = nbuf
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -424,8 +443,7 @@ func (c *srvConn) readLoop() error {
 			// The op byte is attacker-controlled and downstream paths
 			// index fixed-size per-proc tables with it.
 			mBadFrame.Inc()
-			reply := BeginFrame(getBuf(), fr.Xid, uint8(StatusBadProc))
-			c.sendReply(EndFrame(reply, 0))
+			c.sendStatus(fr.Xid, StatusBadProc)
 			continue
 		}
 		if c.srv.draining.Load() || !c.srv.admit() {
@@ -434,8 +452,7 @@ func (c *srvConn) readLoop() error {
 			// execute and nothing was cached, so a same-xid retry after
 			// the client's backoff is always safe.
 			mShed.Inc()
-			reply := BeginFrame(getBuf(), fr.Xid, uint8(StatusBusy))
-			c.sendReply(EndFrame(reply, 0))
+			c.sendStatus(fr.Xid, StatusBusy)
 			continue
 		}
 		c.sem <- struct{}{} // backpressure: cap in-flight
@@ -450,17 +467,17 @@ func (c *srvConn) readLoop() error {
 func (c *srvConn) hello(fr Frame) error {
 	d := NewDec(fr.Body)
 	magic, ver, id := d.U32(), d.U16(), d.U64()
-	reply := getBuf()
 	if d.Err() != nil || magic != Magic || ver != ProtoVersion || id == 0 {
-		reply = BeginFrame(reply, fr.Xid, uint8(StatusInval))
-		c.sendReply(EndFrame(reply, 0))
+		c.sendStatus(fr.Xid, StatusInval)
 		return fmt.Errorf("%w: bad HELLO", ErrBadFrame)
 	}
 	c.clientID.Store(id)
-	reply = BeginFrame(reply, fr.Xid, uint8(StatusOK))
-	reply = AppendHandle(reply, c.srv.root)
-	reply = AppendAttr(reply, c.srv.rootAttr)
-	c.sendReply(EndFrame(reply, 0))
+	reply := getBuf()
+	*reply = BeginFrame(*reply, fr.Xid, uint8(StatusOK))
+	*reply = AppendHandle(*reply, c.srv.root)
+	*reply = AppendAttr(*reply, c.srv.rootAttr)
+	*reply = EndFrame(*reply, 0)
+	c.sendReply(reply)
 	mRPCs.Inc()
 	mProcs[ProcHello].Inc()
 	return nil
@@ -473,10 +490,10 @@ const coalesceMax = 1024
 // flush hands a batch of reply frames to the transport in order and
 // returns them to the pool: small frames coalesced into one write, a
 // payload frame (or a lone frame) written as it is, never re-copied.
-func (c *srvConn) flush(batch [][]byte) {
+func (c *srvConn) flush(batch []*[]byte) {
 	out, held := c.out[:0], int64(0)
-	for _, f := range batch {
-		if len(batch) > 1 && len(f) <= coalesceMax {
+	for _, fp := range batch {
+		if f := *fp; len(batch) > 1 && len(f) <= coalesceMax {
 			out, held = append(out, f...), held+1
 		} else {
 			if held > 0 {
@@ -485,7 +502,7 @@ func (c *srvConn) flush(batch [][]byte) {
 			}
 			c.write(f, 1)
 		}
-		putBuf(f)
+		putBuf(fp)
 	}
 	if held > 0 {
 		c.write(out, held)
@@ -532,20 +549,20 @@ func (c *srvConn) handle(client fsapi.Client, fc *fileCache, id int, req request
 	if telemetry.On() {
 		start = time.Now()
 	}
-	var reply []byte
+	reply := getBuf()
 	if nonIdempotent(req.proc) {
 		key := drcKey{client: c.clientID.Load(), xid: req.xid}
 		entry, dup := c.srv.drc.claim(key, reqFingerprint(req.proc, req.body))
 		if dup {
 			<-entry.done
 			mDRCHits.Inc()
-			reply = append(getBuf(), entry.reply...)
+			*reply = append(*reply, entry.reply...)
 		} else {
-			reply = c.exec(client, fc, req)
-			c.srv.drc.record(key, entry, reply)
+			*reply = c.exec(client, fc, req, *reply)
+			c.srv.drc.record(key, entry, *reply)
 		}
 	} else {
-		reply = c.exec(client, fc, req)
+		*reply = c.exec(client, fc, req, *reply)
 	}
 	putBuf(req.buf)
 	c.sendReply(reply)
@@ -582,12 +599,11 @@ func errReply(buf []byte, xid uint32, err error) []byte {
 	return EndFrame(buf, 0)
 }
 
-// exec runs one request and returns its encoded reply frame (in a
-// pooled buffer the writer releases).
-func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
+// exec runs one request and returns its encoded reply frame, built in
+// buf (empty, pooled: the flusher releases it).
+func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request, buf []byte) []byte {
 	s := c.srv
 	d := NewDec(req.body)
-	buf := getBuf()
 	ok := func() []byte { return EndFrame(buf, 0) }
 
 	switch req.proc {

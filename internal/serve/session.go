@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,30 +113,51 @@ type SessionStats struct {
 	Deadlines   int64 // calls failed by their context deadline
 }
 
-// scall is one in-flight session call. frame is the retransmit unit:
-// the whole request frame an enc* helper (rpc.go) built for this call,
-// header patched once before the first transmission. It is GC-owned,
-// never pooled — a reconnect snapshot may still reference it after the
-// call has returned — and never written again, so every transmission is
-// one Write of the bytes the DRC fingerprinted first.
+// scall is one in-flight session call. frame is the request up to its
+// payload: the header and what an enc* helper (rpc.go) appended, in
+// head unless a name outgrew it, patched once before the first
+// transmission and never written again. payload is a WRITE's or an
+// APPEND's p, the caller's, read only while the call is pending — and a
+// pending call's caller is blocked in call. Every transmission is one
+// transport write of frame then payload (send), so each carries the
+// bytes the DRC fingerprinted first; a reconnect snapshot, which may
+// outlive the call, sends a copy of both (connectLoop).
 //
 // A call is in exactly one place at a time: in Session.pending (where
 // call, Close, fail and the reconnect snapshot reach it), or claimed by
 // the one demux that read its reply header, which alone touches
-// dst/small and owes ch exactly one verdict. call never returns while
-// claimed, so demux never writes a buffer the caller has taken back.
+// dst/small/rep and owes ch exactly one verdict. call never returns
+// while claimed, so demux never writes a buffer the caller has taken
+// back.
 type scall struct {
-	frame []byte
-	dst   []byte     // READ: the caller's p, where a StatusOK payload lands
-	ch    chan reply // buffered 1; closed only on terminal session death
+	frame   []byte
+	payload []byte
+	dst     []byte        // READ: the caller's p, where a StatusOK payload lands
+	rep     reply         // the verdict, published by the send on ch
+	ch      chan struct{} // buffered 1; closed only on terminal session death
 
 	// landing: claimed and the body not yet read. A deadline that finds
 	// it set closes the transport — the peer may have gone silent.
 	landing atomic.Bool
-	small   [24]byte // bodies up to handle+attr land here, not in garbage
+	small   [24]byte                    // bodies up to handle+attr land here, not in garbage
+	head    [reqHeader + reqInline]byte // frame's storage unless a name outgrows it
 }
 
-// reply is what demux hands a call over scall.ch.
+// newCall returns a call whose frame is its own head with the header
+// reserved, for an enc* helper to append the body to.
+func newCall(dst, payload []byte) *scall {
+	sc := &scall{dst: dst, payload: payload, ch: make(chan struct{}, 1)}
+	sc.frame = sc.head[:reqHeader]
+	return sc
+}
+
+// deliver hands the call its verdict: the claiming demux's one send.
+func (sc *scall) deliver(rep reply) {
+	sc.rep = rep
+	sc.ch <- struct{}{}
+}
+
+// reply is what demux hands a call (scall.deliver).
 type reply struct {
 	status Status
 	body   []byte // scall.small or a slice made for this reply
@@ -155,6 +177,9 @@ type Session struct {
 	opts   SessionOptions
 
 	wmu sync.Mutex // serializes frame writes on the current transport
+	// scratch is send's contiguous frame of a call with a payload, under
+	// wmu; it keeps the capacity of the largest one sent (≤ MaxFrame).
+	scratch []byte
 
 	mu         sync.Mutex
 	nextXid    uint32
@@ -394,9 +419,13 @@ func (s *Session) connectLoop() {
 				s.cur = rw
 				s.root, s.rootAttr = root, rattr
 				s.connecting = false
+				// A copy of each frame: a pending call's caller is blocked,
+				// so its payload holds the bytes it sent first, but the call
+				// may return — and its caller rewrite p — before the copy
+				// goes out below.
 				snap := make([][]byte, 0, len(s.pending))
 				for _, sc := range s.pending {
-					snap = append(snap, sc.frame)
+					snap = append(snap, slices.Concat(sc.frame, sc.payload))
 				}
 				s.mu.Unlock()
 				if gen > 1 {
@@ -407,7 +436,7 @@ func (s *Session) connectLoop() {
 					// Counted before the write: the reply may complete the
 					// call, and its caller read Stats, before send returns.
 					s.retransmits.Add(1)
-					if s.send(rw, frame) != nil {
+					if s.send(rw, frame, nil) != nil {
 						break // demux's error path reconnects and re-snapshots
 					}
 				}
@@ -442,7 +471,8 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 	timer := time.AfterFunc(s.opts.CallTimeout, func() { rw.Close() })
 	defer timer.Stop()
 
-	if werr := s.send(rw, sealReq(encHello(s.opts.ClientID), xid, ProcHello)); werr != nil {
+	hello := sealReq(encHello(make([]byte, reqHeader), s.opts.ClientID), 0, xid, ProcHello)
+	if werr := s.send(rw, hello, nil); werr != nil {
 		return fsapi.Handle{}, Attr{}, fmt.Errorf("%w: hello write: %v", fsapi.ErrIO, werr)
 	}
 	fr, _, err := ReadFrame(rw, nil)
@@ -461,24 +491,31 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 }
 
 // sealReq patches the header an enc* helper reserved, once, before the
-// first transmission: other goroutines may retransmit the frame later.
-func sealReq(frame []byte, xid uint32, proc Proc) []byte {
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+// first transmission: the length covers the payload bytes that follow
+// frame on the wire.
+func sealReq(frame []byte, payload int, xid uint32, proc Proc) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)+payload-4))
 	binary.LittleEndian.PutUint32(frame[4:], xid)
 	frame[8] = uint8(proc)
 	return frame
 }
 
-// send transmits one sealed request frame — first transmissions,
-// retransmissions and HELLO alike — as ONE transport write (a separate
-// header write would wake the server's reader only to park it again).
-// Errors are deliberately soft for calls: a failed write means the
-// transport is dying, and the demux error path will reconnect and
-// retransmit the still-pending call.
-func (s *Session) send(rw io.ReadWriteCloser, frame []byte) error {
+// send transmits one sealed request, frame then payload — first
+// transmissions, retransmissions and HELLO alike — as ONE transport
+// write (a separate header write would wake the server's reader only to
+// park it again): a WRITE's or an APPEND's pair is first concatenated
+// into the session's scratch frame, reused under wmu, so no frame-sized
+// buffer is allocated per call. Errors are deliberately soft for calls:
+// a failed write means the transport is dying, and the demux error path
+// will reconnect and retransmit the still-pending call.
+func (s *Session) send(rw io.ReadWriteCloser, frame, payload []byte) error {
 	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if len(payload) > 0 {
+		s.scratch = append(append(s.scratch[:0], frame...), payload...)
+		frame = s.scratch
+	}
 	_, err := rw.Write(frame)
-	s.wmu.Unlock()
 	return err
 }
 
@@ -524,10 +561,10 @@ func (s *Session) demux(rw io.ReadWriteCloser, gen int) {
 			// is then retransmitted once, by the install's snapshot or
 			// by itself on the new transport.
 			s.transportBroken(gen)
-			sc.ch <- reply{err: errTorn}
+			sc.deliver(reply{err: errTorn})
 			return
 		}
-		sc.ch <- rep
+		sc.deliver(rep)
 	}
 }
 
@@ -579,11 +616,10 @@ func discard(r io.Reader, n int) error {
 // callTimers recycles the timers that bound deadline-less calls.
 var callTimers sync.Pool
 
-// call runs one request to completion across any number of transports.
-// It keeps frame (see scall), so callers hand over a slice they built
-// for this call and do not touch again — which is what every enc*
-// helper returns. dst, when non-nil, is where a READ's payload lands.
-func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply, error) {
+// call runs one request to completion across any number of transports:
+// sc from newCall, whose frame is what an enc* helper appended to
+// sc.frame (see scall).
+func (s *Session) call(ctx context.Context, proc Proc, sc *scall, frame []byte) (reply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -607,7 +643,7 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 		}()
 		timeout = t.C
 	}
-	sc := &scall{frame: frame, dst: dst, ch: make(chan reply, 1)}
+	sc.frame = frame
 
 	s.mu.Lock()
 	if err := s.deadLocked(); err != nil {
@@ -617,7 +653,7 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 	s.nextXid++
 	xid := s.nextXid
 	s.mu.Unlock()
-	sealReq(frame, xid, proc)
+	sealReq(frame, len(sc.payload), xid, proc)
 
 	torn := false
 	for attempt := 0; ; attempt++ {
@@ -638,14 +674,13 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 			}
 			// A write error is ignored on purpose: the call stays
 			// pending and the reconnect retransmits it.
-			_ = s.send(rw, frame)
+			_ = s.send(rw, frame, sc.payload)
 		}
 		torn = false
 
-		var rep reply
 		ok, expired := false, false
 		select {
-		case rep, ok = <-sc.ch:
+		case _, ok = <-sc.ch:
 		case <-ctx.Done():
 			expired = true
 		case <-timeout:
@@ -673,19 +708,20 @@ func (s *Session) call(ctx context.Context, proc Proc, frame, dst []byte) (reply
 			if sc.landing.Load() {
 				s.suspect()
 			}
-			if rep, ok = <-sc.ch; !ok {
+			if _, ok = <-sc.ch; !ok {
 				return reply{}, s.terminalErr()
 			}
 			switch {
-			case rep.err == errTorn:
+			case sc.rep.err == errTorn:
 				return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, proc)
-			case rep.status == StatusBusy:
+			case sc.rep.status == StatusBusy:
 				// Busy at the deadline: definitely not applied.
 				return reply{}, fmt.Errorf("%w: %v", ErrBusy, ErrDeadline)
 			}
 			// The reply beat the deadline by a hair: take it.
 		}
 
+		rep := sc.rep
 		switch {
 		case !ok:
 			return reply{}, s.terminalErr()
@@ -734,7 +770,8 @@ func (s *Session) deadLocked() error {
 
 // Getattr stats a handle.
 func (s *Session) Getattr(ctx context.Context, h fsapi.Handle) (Attr, error) {
-	rep, err := s.call(ctx, ProcGetattr, encHandle(h), nil)
+	sc := newCall(nil, nil)
+	rep, err := s.call(ctx, ProcGetattr, sc, AppendHandle(sc.frame, h))
 	if err != nil {
 		return Attr{}, err
 	}
@@ -743,7 +780,8 @@ func (s *Session) Getattr(ctx context.Context, h fsapi.Handle) (Attr, error) {
 
 // Lookup resolves name under dir.
 func (s *Session) Lookup(ctx context.Context, dir fsapi.Handle, name string) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcLookup, encLookup(dir, name), nil)
+	sc := newCall(nil, nil)
+	rep, err := s.call(ctx, ProcLookup, sc, encDirName(sc.frame, dir, name))
 	if err != nil {
 		return fsapi.Handle{}, Attr{}, err
 	}
@@ -752,13 +790,15 @@ func (s *Session) Lookup(ctx context.Context, dir fsapi.Handle, name string) (fs
 
 // Read reads up to len(p) bytes at off into p.
 func (s *Session) Read(ctx context.Context, h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := s.call(ctx, ProcRead, encRead(h, off, len(p)), p)
+	sc := newCall(p, nil)
+	rep, err := s.call(ctx, ProcRead, sc, encIO(sc.frame, h, off, len(p)))
 	return rep.n, err
 }
 
 // Write writes p at off.
 func (s *Session) Write(ctx context.Context, h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := s.call(ctx, ProcWrite, encWrite(h, off, p), nil)
+	sc := newCall(nil, p)
+	rep, err := s.call(ctx, ProcWrite, sc, encIO(sc.frame, h, off, len(p)))
 	if err != nil {
 		return 0, err
 	}
@@ -767,7 +807,8 @@ func (s *Session) Write(ctx context.Context, h fsapi.Handle, off int64, p []byte
 
 // Append appends p, returning the offset it landed at.
 func (s *Session) Append(ctx context.Context, h fsapi.Handle, p []byte) (int64, error) {
-	rep, err := s.call(ctx, ProcAppend, encAppend(h, p), nil)
+	sc := newCall(nil, p)
+	rep, err := s.call(ctx, ProcAppend, sc, encAppend(sc.frame, h, len(p)))
 	if err != nil {
 		return 0, err
 	}
@@ -776,7 +817,8 @@ func (s *Session) Append(ctx context.Context, h fsapi.Handle, p []byte) (int64, 
 
 // Create creates (or truncates) name under dir.
 func (s *Session) Create(ctx context.Context, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcCreate, encMakeNode(dir, mode, name), nil)
+	sc := newCall(nil, nil)
+	rep, err := s.call(ctx, ProcCreate, sc, encMakeNode(sc.frame, dir, mode, name))
 	if err != nil {
 		return fsapi.Handle{}, Attr{}, err
 	}
@@ -785,7 +827,8 @@ func (s *Session) Create(ctx context.Context, dir fsapi.Handle, name string, mod
 
 // Mkdir creates a directory under dir.
 func (s *Session) Mkdir(ctx context.Context, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcMkdir, encMakeNode(dir, mode, name), nil)
+	sc := newCall(nil, nil)
+	rep, err := s.call(ctx, ProcMkdir, sc, encMakeNode(sc.frame, dir, mode, name))
 	if err != nil {
 		return fsapi.Handle{}, Attr{}, err
 	}
@@ -794,19 +837,22 @@ func (s *Session) Mkdir(ctx context.Context, dir fsapi.Handle, name string, mode
 
 // Remove unlinks a file name under dir.
 func (s *Session) Remove(ctx context.Context, dir fsapi.Handle, name string) error {
-	_, err := s.call(ctx, ProcRemove, encRemoveNode(dir, name), nil)
+	sc := newCall(nil, nil)
+	_, err := s.call(ctx, ProcRemove, sc, encDirName(sc.frame, dir, name))
 	return err
 }
 
 // Rmdir removes an empty directory name under dir.
 func (s *Session) Rmdir(ctx context.Context, dir fsapi.Handle, name string) error {
-	_, err := s.call(ctx, ProcRmdir, encRemoveNode(dir, name), nil)
+	sc := newCall(nil, nil)
+	_, err := s.call(ctx, ProcRmdir, sc, encDirName(sc.frame, dir, name))
 	return err
 }
 
 // Rename moves fromName under fromDir to toName under toDir.
 func (s *Session) Rename(ctx context.Context, fromDir fsapi.Handle, fromName string, toDir fsapi.Handle, toName string) error {
-	_, err := s.call(ctx, ProcRename, encRename(fromDir, toDir, fromName, toName), nil)
+	sc := newCall(nil, nil)
+	_, err := s.call(ctx, ProcRename, sc, encRename(sc.frame, fromDir, toDir, fromName, toName))
 	return err
 }
 
@@ -818,7 +864,8 @@ func (s *Session) Readdir(ctx context.Context, h fsapi.Handle) ([]string, error)
 	var names []string
 	cookie := uint32(0)
 	for {
-		rep, err := s.call(ctx, ProcReaddir, encReaddir(h, cookie), nil)
+		sc := newCall(nil, nil)
+		rep, err := s.call(ctx, ProcReaddir, sc, encReaddir(sc.frame, h, cookie))
 		if err != nil {
 			return nil, err
 		}
@@ -838,12 +885,14 @@ func (s *Session) Readdir(ctx context.Context, h fsapi.Handle) ([]string, error)
 
 // Setattr truncates the file a handle names.
 func (s *Session) Setattr(ctx context.Context, h fsapi.Handle, size int64) error {
-	_, err := s.call(ctx, ProcSetattr, encSetattr(h, size), nil)
+	sc := newCall(nil, nil)
+	_, err := s.call(ctx, ProcSetattr, sc, encSetattr(sc.frame, h, size))
 	return err
 }
 
 // Commit syncs the file a handle names.
 func (s *Session) Commit(ctx context.Context, h fsapi.Handle) error {
-	_, err := s.call(ctx, ProcCommit, encHandle(h), nil)
+	sc := newCall(nil, nil)
+	_, err := s.call(ctx, ProcCommit, sc, AppendHandle(sc.frame, h))
 	return err
 }

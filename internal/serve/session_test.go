@@ -199,6 +199,252 @@ func TestSessionRetransmitExactlyOnce(t *testing.T) {
 	t.Logf("acked=%d maybe=%d stats=%+v", len(acked), len(maybe), st)
 }
 
+// TestSessionRetransmitReusedBuffer: a WRITE or APPEND sends the
+// caller's p itself, so p must never be read after the call returns —
+// callers reuse it at once. A reconnect retransmits a copy of each
+// pending request; a snapshot that kept a reference to p would send
+// whatever the caller wrote there next under the old xid.
+func TestSessionRetransmitReusedBuffer(t *testing.T) {
+	// The kill storm of TestSessionRetransmitExactlyOnce, with WRITEs and
+	// APPENDs from one buffer rewritten with the next record as each call
+	// returns. Exactly-once by content: every acked record is applied
+	// once, where it was aimed, and nothing appears that was not issued.
+	t.Run("storm", func(t *testing.T) {
+		lb := mountLoopback(t, "arckfs", Options{})
+		defer lb.Close()
+		seed := atomic.Int64{}
+		redial := func() (io.ReadWriteCloser, error) {
+			a, b := NewDuplex(loopbackBuf)
+			go lb.Server().ServeConn(a)
+			p := &netsim.Plan{Seed: seed.Add(1), KillAfterOps: 15, TruncateOnKill: true, MaxChunk: 64}
+			return netsim.Wrap(b, p), nil
+		}
+		o := testSessionOptions(103)
+		o.BackoffMax, o.RedialBudget = 10*time.Millisecond, 64
+		sess, err := NewSession(redial, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		ctx := context.Background()
+		ha, _, err := sess.Create(ctx, sess.Root(), "appended", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw, _, err := sess.Create(ctx, sess.Root(), "written", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		const recLen, ops = 16, 150
+		buf := make([]byte, recLen)
+		acked, maybe := make(map[string]bool), make(map[string]bool)
+		wrote := make(map[int]bool) // acked WRITE records by index
+		for i := 0; i < ops; i++ {
+			var err error
+			if i%2 == 0 {
+				copy(buf, fmt.Sprintf("app-%06d-----\n", i))
+				_, err = sess.Append(ctx, ha, buf)
+			} else {
+				copy(buf, fmt.Sprintf("wrt-%06d-----\n", i))
+				_, err = sess.Write(ctx, hw, int64(i/2)*recLen, buf)
+			}
+			switch {
+			case err == nil && i%2 == 0:
+				acked[string(buf)] = true
+			case err == nil:
+				wrote[i/2] = true
+			case errors.Is(err, ErrDeadline):
+				maybe[string(buf)] = true
+			default:
+				t.Fatalf("op %d: unexpected error %v", i, err)
+			}
+		}
+
+		counts := countRecords(t, readWholeFile(t, lb.inner, "/appended"), recLen)
+		for rec := range acked {
+			if counts[rec] != 1 {
+				t.Fatalf("acked record %q applied %d times", rec, counts[rec])
+			}
+		}
+		for rec, n := range counts {
+			if !acked[rec] && !maybe[rec] {
+				t.Fatalf("record %q appended but never issued", rec)
+			}
+			if n > 1 {
+				t.Fatalf("record %q appended %d times", rec, n)
+			}
+		}
+		written := readWholeFile(t, lb.inner, "/written")
+		zero := make([]byte, recLen)
+		for k := 0; k < ops/2; k++ {
+			want := fmt.Sprintf("wrt-%06d-----\n", 2*k+1)
+			var got []byte
+			if (k+1)*recLen <= len(written) {
+				got = written[k*recLen : (k+1)*recLen]
+			}
+			switch {
+			case string(got) == want:
+			case wrote[k]:
+				t.Fatalf("acked write %d reads %q, want %q", k, got, want)
+			case got != nil && !bytes.Equal(got, zero):
+				t.Fatalf("block %d holds %q: never issued for it", k, got)
+			}
+		}
+		if st := sess.Stats(); st.Reconnects < 1 {
+			t.Fatalf("stats %+v: the fault plan kills every ~15-30 ops, want reconnects", st)
+		}
+	})
+
+	// A deterministic schedule for the one way a call can return while a
+	// reconnect still holds its request: the old transport's reader
+	// drains a reply buffered before the close. Transport 0 answers two
+	// APPENDs, but the session's reader is held before it sees the
+	// replies; a third call's deadline replaces the transport. Transport
+	// 1's ring is smaller than a retransmitted frame, so the first
+	// retransmit blocks mid-payload with the second still to go out; only
+	// then does the held reader deliver the replies, both callers return
+	// and each p takes its next record. Transport 1 must still receive,
+	// byte for byte, the frames transport 0 got — whichever of the two
+	// the reconnect sends first.
+	t.Run("drained-reply", func(t *testing.T) {
+		const payload = 64
+		var (
+			first    = make(map[uint32][]byte) // the APPENDs as transport 0 received them
+			gotFirst = make(chan struct{})
+			release  = make(chan struct{}) // lets transport 0's reader on
+			resend   = make(chan struct{}) // lets transport 1's peer read on
+			second   = make(chan map[uint32][]byte, 1)
+			t1       = make(chan *pipeBuf, 1) // what transport 1's peer reads
+			dials    atomic.Int64
+		)
+		hello := func(srv io.ReadWriter) {
+			fr, _, err := ReadFrame(srv, nil)
+			if err != nil || Proc(fr.Op) != ProcHello {
+				t.Errorf("peer: want HELLO, got op %d err %v", fr.Op, err)
+				return
+			}
+			rep := BeginFrame(nil, fr.Xid, uint8(StatusOK))
+			srv.Write(EndFrame(AppendAttr(AppendHandle(rep, fsapi.Handle{Ino: 1}), Attr{IsDir: true}), 0))
+		}
+		redial := func() (io.ReadWriteCloser, error) {
+			switch dials.Add(1) {
+			case 1:
+				srv, cli := NewDuplex(1 << 16)
+				go func() {
+					defer srv.Close()
+					hello(srv)
+					for range 2 {
+						xid, _, raw := nextReq(t, srv)
+						first[xid] = raw
+					}
+					close(gotFirst)
+					for xid := range first {
+						srv.Write(EndFrame(appendU64(BeginFrame(nil, xid, uint8(StatusOK)), 0), 0))
+					}
+					nextReq(t, srv) // the GETATTR that never gets an answer
+					io.Copy(io.Discard, srv)
+				}()
+				// 28 bytes: the HELLO reply; the reader stops after it.
+				return &heldReader{ReadWriteCloser: cli, free: 28, release: release}, nil
+			case 2:
+				srv, cli := NewDuplex(32)
+				t1 <- srv.(*half).rd
+				go func() {
+					defer srv.Close()
+					hello(srv)
+					<-resend
+					got := make(map[uint32][]byte)
+					for range 2 {
+						xid, _, raw := nextReq(t, srv)
+						got[xid] = raw
+					}
+					second <- got
+					io.Copy(io.Discard, srv)
+				}()
+				return cli, nil
+			}
+			return nil, errors.New("no more transports")
+		}
+		sess, err := NewSession(redial, testSessionOptions(104))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+
+		ps := [][]byte{bytes.Repeat([]byte{'A'}, payload), bytes.Repeat([]byte{'C'}, payload)}
+		done := make(chan error, len(ps))
+		for _, p := range ps {
+			go func() {
+				_, err := sess.Append(context.Background(), fsapi.Handle{Ino: 2}, p)
+				done <- err
+			}()
+		}
+		<-gotFirst
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if _, err := sess.Getattr(ctx, fsapi.Handle{Ino: 2}); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("getattr on the silent transport: %v, want ErrDeadline", err)
+		}
+		// The first retransmit fills transport 1's ring and blocks there.
+		ring := <-t1
+		if !eventually(func() bool { return occupied(ring) == 32 }) {
+			t.Fatal("the retransmit never filled transport 1's ring")
+		}
+		close(release)
+		for range ps {
+			if err := <-done; err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		for _, p := range ps {
+			copy(p, bytes.Repeat([]byte{'B'}, payload)) // the callers' next records
+		}
+		close(resend)
+		got := <-second
+		for xid, want := range first {
+			if !bytes.Equal(got[xid], want) {
+				t.Fatalf("xid %d retransmitted\n%q\nbut the first transmission was\n%q", xid, got[xid], want)
+			}
+		}
+	})
+}
+
+// occupied reports how many bytes wait in a ring.
+func occupied(p *pipeBuf) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.n
+}
+
+// eventually polls cond for up to 5 s.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// heldReader passes the first free bytes read through, then holds every
+// read until release is closed.
+type heldReader struct {
+	io.ReadWriteCloser
+	free    int
+	release chan struct{}
+}
+
+func (h *heldReader) Read(p []byte) (int, error) {
+	if h.free == 0 {
+		<-h.release
+		return h.ReadWriteCloser.Read(p)
+	}
+	n, err := h.ReadWriteCloser.Read(p[:min(len(p), h.free)])
+	h.free -= n
+	return n, err
+}
+
 // TestSessionDeadlinePartition: a silent black-hole produces no
 // transport error, so only the per-call deadline can fail the call —
 // typed, retryable, fast — and it must also un-wedge the session by
