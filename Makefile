@@ -34,7 +34,8 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The fuzz smoke, ten seconds per target. scripts/check.sh runs this
+# The fuzz smoke, ten seconds per target and forty for the controller
+# model, which stands for four drivers. scripts/check.sh runs this
 # target, so the list lives here only. Targets that mount a controller
 # or run goroutines cap minimising at a second (-fuzzminimizetime):
 # their coverage differs a little from run to run, and without the cap
@@ -52,30 +53,22 @@ fuzz:
 # call pending.
 	$(GO) test -run='^$$' -fuzz='^FuzzServeFrame$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSessionDemux$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve/
-# Scoped vs full verification: whatever a session stores through its
-# address space, the release's scoped verification and a full walk of
-# the same image agree on the verdict and the page set.
-	$(GO) test -run='^$$' -fuzz='^FuzzVerifyScopedAgrees$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
+# The controller against its model, from the outside: three sessions
+# in two trust groups map (a contended map waits out a short lease and
+# revokes every write holder), unmap, store, scribble index entries,
+# mutate metadata, free, allocate, die, close, scrub and crash over
+# three files. After every step: each page a session reaches is its
+# files' dirent or owned page or its own trust group's pool or parked
+# page, and no two groups write-map one file; write references equal
+# the sessions the MMU lets store; a page is in at most one file's set
+# and its owner is that file; every page is open while it may be
+# written and sealed with its content's CRC otherwise; and every write
+# release's scoped verification agrees with a full walk of the same
+# image, and VerifyAll finds the tree clean once nothing is write-held.
+	$(GO) test -run='^$$' -fuzz='^FuzzControllerModel$$' -fuzztime=40s -fuzzminimizetime=1s ./internal/controller/
 # The two-size page table against the per-page model it replaced: any
 # sequence of mapping calls and stores, same permissions, same reports.
 	$(GO) test -run='^$$' -fuzz='^FuzzPageTableModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mmu/
-# The checksum region's two levels against the per-page opener: any
-# grants, stores, releases, revokes, scrubs and crashes leave every
-# page open while it may be written, sealed with its content's CRC
-# otherwise.
-	$(GO) test -run='^$$' -fuzz='^FuzzChecksumOpenModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
-# Write references at two sizes against the per-page counts: any whole
-# and ragged grants, releases, pool references, stores and revocations
-# leave every page's count, and the scrub, seal and open decisions it
-# makes, as the per-page table had them.
-	$(GO) test -run='^$$' -fuzz='^FuzzControllerTablesModel$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
-# The one grant rule, from the outside: after every map (a contended
-# one waits out a short lease and revokes every write holder), unmap,
-# index store, free, allocation or close by sessions in two trust
-# groups, each page a session reaches is its files' dirent or owned
-# page, or in its own trust group's pool or parked sets, and no two
-# trust groups write-map one file.
-	$(GO) test -run='^$$' -fuzz='^FuzzGrantOwnership$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/controller/
 # The directory hash table against a Go map: any put, putIfAbsent,
 # delete, get, range and len sequence, across its grow boundaries,
 # with deletes from inside a Range.

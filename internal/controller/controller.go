@@ -555,11 +555,21 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 		if fs.pages, err = c.walkRuns(in.Head); err != nil {
 			return 0, fmt.Errorf("file %d: %w", fs.ino, err)
 		}
+		// The first file the scan reaches keeps a page two files claim;
+		// the later one's set leaves it out, and its verification says so.
+		var taken []pageRun
 		for _, r := range fs.pages {
 			for p := r.start; p < r.end(); p++ {
+				if c.pageOwner[p] != 0 {
+					taken = appendPage(taken, p)
+					continue
+				}
 				c.pageOwner[p] = fs.ino
 				c.pageAlloc.Reserve(p)
 			}
+		}
+		if taken != nil {
+			fs.pages = runsDiff(nil, fs.pages, taken)
 		}
 		if fs.ftype != core.TypeDir {
 			continue

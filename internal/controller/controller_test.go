@@ -2,6 +2,8 @@ package controller
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -523,6 +525,98 @@ func TestRemountScanRebuildsState(t *testing.T) {
 	s.AddressSpace().Read(dp, 0, buf)
 	if string(buf) != "survives remount" {
 		t.Fatalf("content after remount: %q", buf)
+	}
+}
+
+// remountWith builds a device holding one file per name (one data page
+// each, adopted and sealed), lets edit change the image behind the
+// controller's back, and mounts it afresh.
+func remountWith(t *testing.T, names []string, edit func(mem core.Mem, total nvm.PageID, heads []nvm.PageID)) (*Controller, []core.Ino, []core.FileLoc) {
+	t.Helper()
+	dev := nvm.MustNewDevice(smallCfg())
+	c1, err := New(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := c1.Register(1000, 1000, 0, 0)
+	inos, locs, heads := make([]core.Ino, len(names)), make([]core.FileLoc, len(names)), make([]nvm.PageID, len(names))
+	for i, name := range names {
+		inos[i], locs[i] = mkFile(t, a, name, []byte(name+" data"))
+	}
+	unmapRoot(t, a)
+	for i := range names {
+		in, err := core.ReadDirentInode(c1.mem, locs[i].Page, locs[i].Slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads[i] = in.Head
+	}
+	edit(c1.mem, dev.NumPages(), heads)
+	c2, err := New(dev, Options{LeaseTime: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c2, inos, locs
+}
+
+// TestMountDropsReservedPages: a regular file whose index names the root
+// inode page and the checksum region's first page mounts without them —
+// a write grant maps neither writable — and VerifyAll reports the
+// reference.
+func TestMountDropsReservedPages(t *testing.T) {
+	var base nvm.PageID
+	c, inos, locs := remountWith(t, []string{"victim"}, func(mem core.Mem, total nvm.PageID, heads []nvm.PageID) {
+		base = core.ChecksumBase(total)
+		for i, p := range []nvm.PageID{core.RootInodePage, base} {
+			if err := core.SetIndexEntry(mem, heads[0], 1+i, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	s := c.Register(1000, 1000, 0, 0)
+	if _, err := s.MapFile(inos[0], locs[0], true); err != nil {
+		t.Fatal(err)
+	}
+	if perm := s.AddressSpace().PermOf(core.RootInodePage); perm != mmu.PermNone {
+		t.Fatalf("root inode page mapped %v", perm)
+	}
+	if perm := s.AddressSpace().PermOf(base); perm != mmu.PermRead {
+		t.Fatalf("checksum region's first page mapped %v, want read (every session's)", perm)
+	}
+	if _, bad, first := c.VerifyAll(); bad != 1 || !strings.Contains(first, "reserved") {
+		t.Fatalf("VerifyAll: %d bad, first %q; want the reserved-page reference", bad, first)
+	}
+}
+
+// TestMountPageClaimedTwice: when file b's index names file a's data page,
+// the mount gives the page to a, the file the scan reaches first: b's
+// verification reports it, and a session of another trust group that
+// write-maps b does not reach it.
+func TestMountPageClaimedTwice(t *testing.T) {
+	var stolen nvm.PageID
+	c, inos, locs := remountWith(t, []string{"a", "b"}, func(mem core.Mem, _ nvm.PageID, heads []nvm.PageID) {
+		var err error
+		if stolen, err = core.IndexEntry(mem, heads[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.SetIndexEntry(mem, heads[1], 1, stolen); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if owner := c.pageOwnerAt(stolen); owner != inos[0] {
+		t.Fatalf("page %d owned by ino %d, want a's %d", stolen, owner, inos[0])
+	}
+	if _, bad, first := c.VerifyAll(); bad != 1 || !strings.Contains(first, fmt.Sprintf("belongs to file %d", inos[0])) {
+		t.Fatalf("VerifyAll: %d bad, first %q; want b's claim on a's page", bad, first)
+	}
+	sa, sb := c.Register(1000, 1000, 0, 1), c.Register(1000, 1000, 0, 2)
+	for i, s := range []*Session{sa, sb} {
+		if _, err := s.MapFile(inos[i], locs[i], true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pa, pb := sa.AddressSpace().PermOf(stolen), sb.AddressSpace().PermOf(stolen); pa != mmu.PermWrite || pb != mmu.PermNone {
+		t.Fatalf("page %d: a's writer maps it %v, b's (another group) %v; want write and none", stolen, pa, pb)
 	}
 }
 

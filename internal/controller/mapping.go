@@ -236,12 +236,15 @@ func (c *Controller) grantRuns(fs *fileState, in *core.Inode) ([]pageRun, uint64
 
 // walkRuns collects the index and data pages of the file whose chain
 // starts at head as normal-form runs. The chain is untrusted core state:
-// page ids beyond the device are dropped here and never reach a table.
+// only file pages, [FirstFilePage, ChecksumBase), are kept — an id naming
+// the superblock, the root inode, the checksum region or a page past the
+// device never reaches a table or a grant.
 func (c *Controller) walkRuns(head nvm.PageID) ([]pageRun, error) {
 	total := c.dev.NumPages()
+	base := core.ChecksumBase(total)
 	var runs []pageRun
 	add := func(p nvm.PageID) bool {
-		if p < total {
+		if p >= core.FirstFilePage && p < base {
 			runs = appendPage(runs, p)
 		}
 		return true

@@ -2,14 +2,12 @@ package controller
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
 
 	"trio/internal/core"
 	"trio/internal/nvm"
-	"trio/internal/verifier"
 )
 
 // Coverage for verification scoped by dirty metadata (ISSUE 23,
@@ -251,46 +249,78 @@ func newScopedWorld(t testing.TB) *scopedWorld {
 	}
 	t.Cleanup(c.Close)
 	w := &scopedWorld{c: c, a: c.Register(1000, 1000, 0, 1), b: c.Register(1000, 1000, 0, 2)}
+	w.ino, w.loc, w.targets = mkSparseFile(t, w.a)
+	if _, err := w.b.MapFile(w.ino, w.loc, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.b.UnmapFile(w.ino); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// mkSparseFile installs, through s, a sparse regular file under the root —
+// two index pages, two blocks under each — and returns its pages: the
+// dirent page, the index pages, the data pages. It gives the root an index
+// and a dirent page when it has none. Root is unmapped on return.
+func mkSparseFile(t testing.TB, s *Session) (core.Ino, core.FileLoc, []nvm.PageID) {
+	t.Helper()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	as := w.a.AddressSpace()
-	_, err = w.a.MapFile(core.RootIno, core.RootLoc(), true)
+	as := s.AddressSpace()
+	info, err := s.MapFile(core.RootIno, core.RootLoc(), true)
 	must(err)
-	pages, err := w.a.AllocPages(0, 8)
+	fresh := 6
+	if info.Inode.Head == nvm.NilPage {
+		fresh += 2
+	}
+	pages, err := s.AllocPages(0, fresh)
 	must(err)
 	zero := make([]byte, nvm.PageSize)
 	for _, p := range pages {
 		must(as.Write(p, 0, zero))
 		must(as.Persist(p, 0, nvm.PageSize))
 	}
-	rootIdx, direntPage, index, data := pages[0], pages[1], pages[2:4], pages[4:8]
-	must(core.SetIndexEntry(as, rootIdx, 0, direntPage))
-	must(core.UpdateInodeHead(as, core.RootLoc(), rootIdx))
+	if info.Inode.Head == nvm.NilPage {
+		must(core.SetIndexEntry(as, pages[0], 0, pages[1]))
+		must(core.UpdateInodeHead(as, core.RootLoc(), pages[0]))
+		info.Inode.Head, pages = pages[0], pages[1:]
+	} else {
+		direntPage, err := core.IndexEntry(as, info.Inode.Head, 0)
+		must(err)
+		pages = append([]nvm.PageID{direntPage}, pages...)
+	}
+	direntPage, index, data := pages[0], pages[1:3], pages[3:7]
+	slot := -1
+	for i := 0; i < core.SlotsPerDirPage && slot < 0; i++ {
+		if ino, err := core.DirentIno(as, direntPage, i); err == nil && ino == 0 {
+			slot = i
+		}
+	}
+	if slot < 0 {
+		t.Fatal("root dirent page full")
+	}
 	// A sparse file: two blocks under each index page.
 	must(core.SetIndexEntry(as, index[0], 0, data[0]))
 	must(core.SetIndexEntry(as, index[0], 7, data[1]))
 	must(core.SetNextIndexPage(as, index[0], index[1]))
 	must(core.SetIndexEntry(as, index[1], 1, data[2]))
 	must(core.SetIndexEntry(as, index[1], 2, data[3]))
-	inos, err := w.a.AllocInos(0, 1)
+	inos, err := s.AllocInos(0, 1)
 	must(err)
 	in := core.Inode{Ino: inos[0], Type: core.TypeReg, Mode: 0o666, UID: 1000, GID: 1000,
 		Size: 8 * nvm.PageSize, Head: index[0]} // sparse; the verifier bounds size by the device only
-	w.ino, w.loc = in.Ino, core.FileLoc{Page: direntPage, Slot: 2}
-	must(core.WriteInodeBody(as, direntPage, core.SlotOffset(w.loc.Slot), &in))
-	must(core.WriteDirentName(as, direntPage, w.loc.Slot, "data.bin"))
+	loc := core.FileLoc{Page: direntPage, Slot: slot}
+	must(core.WriteInodeBody(as, direntPage, core.SlotOffset(slot), &in))
+	must(core.WriteDirentName(as, direntPage, slot, "data.bin"))
 	as.Fence()
-	must(core.CommitDirentIno(as, direntPage, w.loc.Slot, in.Ino))
-	must(w.a.UnmapFile(core.RootIno))
-	_, err = w.b.MapFile(w.ino, w.loc, true)
-	must(err)
-	must(w.b.UnmapFile(w.ino))
-	w.targets = append(append([]nvm.PageID{direntPage}, index...), data...)
-	return w
+	must(core.CommitDirentIno(as, direntPage, slot, in.Ino))
+	must(s.UnmapFile(core.RootIno))
+	return in.Ino, loc, pages
 }
 
 // TestKeptImagesLevel: Stats.KeptPages is the number of index-page
@@ -405,144 +435,4 @@ func TestFreeBoundPageVoidsFacts(t *testing.T) {
 			}
 		})
 	}
-}
-
-// scopedMutRec is one fuzz mutation record, verifier.FuzzVerifyRegular's
-// shape: a page selector, a big-endian offset, eight bytes to store.
-const scopedMutRec = 11
-
-func scopedMutation(sel byte, off int, val uint64) []byte {
-	rec := make([]byte, scopedMutRec)
-	rec[0] = sel
-	binary.BigEndian.PutUint16(rec[1:3], uint16(off))
-	binary.LittleEndian.PutUint64(rec[3:11], val)
-	return rec
-}
-
-// scopedFree is a record that frees the selected page (FreePages: the one
-// way a writer changes the file with no store) instead of storing to it.
-func scopedFree(sel byte) []byte { return scopedMutation(sel|0x80, 0, 0) }
-
-// FuzzVerifyScopedAgrees: whatever a session stores through its address
-// space — so the dirty bits are the MMU's own — and whichever of the
-// file's pages it frees, the scoped verification of its release and a
-// full walk of the same image give the same verdict, and when that is
-// "clean", the same page set. Stores to the dirent page stay inside the
-// file's own slot (the rest of that page is the parent directory's
-// business).
-func FuzzVerifyScopedAgrees(f *testing.F) {
-	seed := newScopedWorld(f)
-	dirent := func(off int) int { return core.SlotOffset(seed.loc.Slot) + off }
-	idx0, idx1, d0 := uint64(seed.targets[1]), uint64(seed.targets[2]), uint64(seed.targets[3])
-	nextOff := core.IndexEntriesPerPage * 8
-	// FuzzVerifyRegular's corpus (the §6.5 attack classes), re-aimed at
-	// this file's pages, plus the stores only the scoping can get wrong.
-	for _, s := range [][]byte{
-		{},                                       // clean handover
-		scopedMutation(3, 100, 42),               // data store only: scoped
-		scopedMutation(0, dirent(24), 4096),      // size only: scoped
-		scopedMutation(1, nextOff, idx0),         // index-chain cycle onto itself
-		scopedMutation(1, 0, 99999),              // extent beyond the device
-		scopedMutation(1, 0, 1),                  // extent into reserved pages
-		scopedMutation(1, 3*8, d0),               // same data page referenced twice
-		scopedMutation(1, nextOff, d0),           // index chain through a data page
-		scopedMutation(0, dirent(0), ^uint64(0)), // trashed ino field
-		append(scopedMutation(1, nextOff, idx1), scopedMutation(2, nextOff, idx0)...), // cycle via the second index page
-		scopedMutation(0, dirent(32), uint64(seed.loc.Page)),                          // head points at the dirent page itself
-		scopedMutation(0, dirent(32), idx1),                                           // head moved down the chain
-		scopedMutation(2, 8, d0),                                                      // second index page steals a block
-		scopedMutation(1, 0, d0),                                                      // a store that changes nothing
-		scopedMutation(0, dirent(core.DirentNameLenOff), 0x622f610003),                // own name "a/b"
-		scopedFree(3), // a data page freed, its index entry left in place
-		append(scopedMutation(1, 0, 0), scopedFree(3)...), // an honest truncate: entry cleared, page freed
-		scopedFree(2), // the second index page freed under the chain
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		w := newScopedWorld(t)
-		c, b := w.c, w.b
-		if info, err := b.MapFile(w.ino, w.loc, true); err != nil || info.Gen == 0 {
-			t.Fatalf("write grant: %v, %+v; want a vouched-for generation", err, info)
-		}
-		freed := map[nvm.PageID]bool{}
-		for ; len(data) >= scopedMutRec; data = data[scopedMutRec:] {
-			p := w.targets[int(data[0]&0x7f)%len(w.targets)]
-			if data[0]&0x80 != 0 {
-				// The dirent page is the parent's: that free is refused.
-				if err := b.FreePages([]nvm.PageID{p}); err == nil {
-					freed[p] = true
-				}
-				continue
-			}
-			if freed[p] {
-				continue // no longer mapped: the store would fault
-			}
-			off := int(binary.BigEndian.Uint16(data[1:3]))
-			if p == w.loc.Page {
-				off = core.SlotOffset(w.loc.Slot) + off%(core.DirentSize-8)
-			} else {
-				off %= nvm.PageSize - 8
-			}
-			if err := b.AddressSpace().Write(p, off, data[3:11]); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		type verdict struct {
-			ok    bool
-			pages []pageRun
-		}
-		read := func(rep *verifier.Report, err error, fs *fileState) verdict {
-			if err != nil {
-				t.Fatal(err)
-			}
-			v := verdict{ok: rep.OK(), pages: slices.Clone(fs.pages)}
-			if !rep.Scoped {
-				v.pages = nil
-				for _, p := range rep.Pages {
-					v.pages = appendPage(v.pages, p)
-				}
-				v.pages = normalizeRuns(v.pages)
-			}
-			return v
-		}
-		c.lockAll()
-		fs, _ := c.files.get(w.ino)
-		rep, err := c.verifyReleaseLocked(fs, b.ls, nil)
-		scoped, wasScoped := read(rep, err, fs), rep.Scoped
-		rep, err = c.verifyLocked(fs, b.ls, nil, scopeFullWalk)
-		full := read(rep, err, fs)
-		c.unlockAll()
-		if rep.Scoped {
-			t.Fatal("scopeFullWalk skipped the walk")
-		}
-		if scoped.ok != full.ok {
-			t.Fatalf("scoped (really scoped: %v) says ok=%v, the full walk says ok=%v: %v", wasScoped, scoped.ok, full.ok, rep.Violations)
-		}
-		if full.ok && !slices.Equal(scoped.pages, full.pages) {
-			t.Fatalf("scoped (really scoped: %v) page set %v, full walk %v", wasScoped, scoped.pages, full.pages)
-		}
-
-		// And the release itself ends well whatever was stored: detected
-		// and rolled back, or committed, never a broken tree.
-		if err := b.UnmapFile(w.ino); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("unmap: %v", err)
-		}
-		// One exception, as old as FreePages: a freed page the file still
-		// names is the allocator's, no checkpoint holds it, and the file
-		// ends private to the session that freed it.
-		c.lockAll()
-		quarantined := fs.quarantined
-		c.unlockAll()
-		if quarantined != 0 {
-			if len(freed) == 0 || quarantined != b.ID() || full.ok {
-				t.Fatalf("file quarantined to %d (freed %v, full walk ok=%v)", quarantined, freed, full.ok)
-			}
-			return
-		}
-		if checked, bad, first := c.VerifyAll(); bad != 0 {
-			t.Fatalf("VerifyAll after the release: %d of %d bad: %s", bad, checked, first)
-		}
-	})
 }

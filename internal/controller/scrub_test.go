@@ -12,7 +12,7 @@ import (
 
 // filePages walks a file's core state through the controller's trusted
 // accessor, returning its index and data pages.
-func filePages(t *testing.T, c *Controller, loc core.FileLoc) (index, data []nvm.PageID) {
+func filePages(t testing.TB, c *Controller, loc core.FileLoc) (index, data []nvm.PageID) {
 	t.Helper()
 	in, err := core.ReadDirentInode(c.mem, loc.Page, loc.Slot)
 	if err != nil {

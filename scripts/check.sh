@@ -11,10 +11,11 @@
 #      says what each target checks): ten seconds per target — the
 #      verifier's adversarial targets (randomly corrupted core state
 #      must always terminate in a Report, never a panic or a hang), the
-#      scrub page, the two parsers of untrusted wire bytes, scoped
-#      against full verification, the page table, the checksum region's
-#      open bits, the controller's write references, the grant rule and
-#      the directory hash table — plus a race-enabled end-to-end scrub
+#      scrub page, the two parsers of untrusted wire bytes, the page
+#      table and the directory hash table — and forty for the one
+#      controller model fuzzer (grant rule, write references, page
+#      ownership, checksum records and scoped against full
+#      verification, after every step) — plus a race-enabled end-to-end scrub
 #      smoke: one injected flip in a cold file must be detected by a
 #      single pass and quarantined with a typed read error.
 #   6. a bench smoke: every Benchmark* target compiles and the
