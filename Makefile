@@ -56,12 +56,13 @@ fuzz:
 # The controller against its model, from the outside: three sessions
 # in two trust groups map (a contended map waits out a short lease and
 # revokes every write holder), unmap, store, scribble index entries,
-# mutate metadata, free, allocate, die, close, scrub and crash over
-# three files. After every step: each page a session reaches is its
-# files' dirent or owned page or its own trust group's pool or parked
-# page, and no two groups write-map one file; write references equal
-# the sessions the MMU lets store; a page is in at most one file's set
-# and its owner is that file; every page is open while it may be
+# mutate metadata, free, allocate, die, close, scrub, crash and publish
+# root dirents naming any page over three files. After every step: each
+# page a session reaches is its files' dirent or owned page or its own
+# trust group's pool or parked page, and no two groups write-map one
+# file; write references equal the sessions the MMU lets store; a page
+# is in at most one file's set and its owner is that file, and a pool or
+# parked page is one session's and in no file's set; every page is open while it may be
 # written and sealed with its content's CRC otherwise; and every write
 # release's scoped verification agrees with a full walk of the same
 # image, and VerifyAll finds the tree clean once nothing is write-held.

@@ -93,21 +93,8 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 // sweeper's ticker and the fix handler's time.After are deadlines. A
 // sleep is a poll, which can neither be woken nor counted where it ends.
 func TestNoSleepInController(t *testing.T) {
-	fset := token.NewFileSet()
-	paths, err := filepath.Glob(filepath.Join("internal", "controller", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checked++
+	fset, files := controllerSources(t)
+	for _, f := range files {
 		timePkg := ""
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"time"` {
@@ -129,7 +116,76 @@ func TestNoSleepInController(t *testing.T) {
 			return true
 		})
 	}
-	if checked == 0 {
+}
+
+// TestPageLedgerOnly fails on a write to the page ledger's tables outside
+// internal/controller/pages.go: an index assignment (or ++, --) to
+// pageOwner, allocPages or parked, or a delete or clear of one. Every move
+// of a page between the allocator, a pool, a file and the parked set is a
+// function of the ledger, and binds under its one rule (DESIGN.md §5a).
+func TestPageLedgerOnly(t *testing.T) {
+	ledger := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "pageOwner" || sel.Sel.Name == "allocPages" || sel.Sel.Name == "parked")
+	}
+	indexed := func(e ast.Expr) bool {
+		ix, ok := e.(*ast.IndexExpr)
+		return ok && ledger(ix.X)
+	}
+	fset, files := controllerSources(t)
+	if files[filepath.Join("internal", "controller", "pages.go")] == nil {
+		t.Fatal("no internal/controller/pages.go")
+	}
+	for path, f := range files {
+		if filepath.Base(path) == "pages.go" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var write ast.Node
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if indexed(l) {
+						write = l
+					}
+				}
+			case *ast.IncDecStmt:
+				if indexed(n.X) {
+					write = n
+				}
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 && ledger(n.Args[0]) {
+					write = n
+				}
+			}
+			if write != nil {
+				t.Errorf("%s: a page ledger table written outside pages.go: move the page with a ledger function", fset.Position(write.Pos()))
+			}
+			return true
+		})
+	}
+}
+
+// controllerSources parses the non-test Go files of internal/controller,
+// keyed by path.
+func controllerSources(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob(filepath.Join("internal", "controller", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]*ast.File{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		if files[path], err = parser.ParseFile(fset, path, nil, parser.SkipObjectResolution); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(files) == 0 {
 		t.Fatal("found no controller source to check")
 	}
+	return fset, files
 }

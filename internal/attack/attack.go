@@ -565,3 +565,122 @@ func GroupCollusion() []Scenario {
 		mk("G3-co-writer-grows-file", true, true),
 	}
 }
+
+// Adoption returns the attacks on a directory's adoption of the files its
+// dirents name. A session of another trust group that may write the root
+// publishes a file whose Head names the victim file's index page (A12) or
+// a page that is free until the victim allocates it (A13), write-maps the
+// file and stores through it. A directory's release binds a new file only
+// the pages its writers allocated, so the store faults, the file's release
+// is caught (I2), the victim's pages are as it left them, and once the
+// attacker unlinks its file the tree verifies clean.
+func Adoption() []Scenario {
+	mk := func(name string, free bool) Scenario {
+		return Scenario{Name: name, body: func(w *world) Outcome {
+			out := Outcome{Name: name}
+			mem := core.Direct(w.dev, 0)
+			var victim []nvm.PageID
+			in, err := core.ReadDirentInode(mem, w.fileLoc.Page, w.fileLoc.Slot)
+			if err == nil {
+				err = core.WalkFile(mem, in.Head, int(w.dev.NumPages()),
+					func(p nvm.PageID) bool { victim = append(victim, p); return true },
+					func(_ uint64, p nvm.PageID) bool { victim = append(victim, p); return true })
+			}
+			head, target := in.Head, victim[len(victim)-1]
+			if free && err == nil {
+				var got []nvm.PageID
+				if got, err = w.sess.AllocPages(0, 1); err == nil {
+					head, target, err = got[0], got[0], w.sess.FreePages(got)
+				}
+			}
+			a := w.ctl.Register(2000, 2000, 0, 0)
+			var evil core.Ino
+			var loc core.FileLoc
+			if err == nil {
+				evil, loc, err = w.publish(a, head)
+			}
+			for tries := 0; free && err == nil; tries++ {
+				var got []nvm.PageID
+				if got, err = w.sess.AllocPages(0, 1); tries == 256 {
+					err = fmt.Errorf("page %d did not come back out of the allocator", head)
+				} else if err == nil && got[0] == head {
+					victim = append(victim, head)
+					break
+				}
+			}
+			if err == nil {
+				_, err = a.MapFile(evil, loc, true)
+			}
+			if err != nil {
+				out.Err = err
+				return out
+			}
+			if err := a.AddressSpace().Write(target, 0, []byte("PWNED")); !errors.Is(err, mmu.ErrFault) {
+				out.Err = fmt.Errorf("the attacker's store to page %d through its file: %v, want a fault", target, err)
+				return out
+			}
+			before := make([][]byte, len(victim))
+			for i, p := range victim {
+				before[i] = append([]byte(nil), w.dev.Page(p)...)
+			}
+			st := w.ctl.Stats().Snapshot()
+			_ = a.UnmapFile(evil)
+			out.Detected = w.ctl.Stats().Snapshot().Sub(st).Corruptions > 0
+			for i, p := range victim {
+				if string(w.dev.Page(p)) != string(before[i]) {
+					out.Err = fmt.Errorf("victim page %d changed by the attacker's release", p)
+					return out
+				}
+			}
+			if _, err = a.MapFile(core.RootIno, core.RootLoc(), true); err == nil {
+				err = core.CommitDirentIno(a.AddressSpace(), loc.Page, loc.Slot, 0)
+				err = errors.Join(err, a.UnmapFile(core.RootIno))
+				_, rerr := a.RemoveFiles([]controller.Removal{{Ino: evil}})
+				err = errors.Join(err, rerr)
+			}
+			_, bad, _ := w.ctl.VerifyAll()
+			out.Recovered, out.Err = bad == 0, err
+			return out
+		}}
+	}
+	return []Scenario{
+		mk("A12-adopt-victim-pages", false),
+		mk("A13-adopt-free-page", true),
+	}
+}
+
+// publish write-maps the root through s, names in its first free dirent
+// slot a regular file of s whose chain starts at head, and releases the
+// root, whose verification adopts the file.
+func (w *world) publish(s *controller.Session, head nvm.PageID) (core.Ino, core.FileLoc, error) {
+	info, err := s.MapFile(core.RootIno, core.RootLoc(), true)
+	if err != nil {
+		return 0, core.FileLoc{}, err
+	}
+	as := s.AddressSpace()
+	loc := core.FileLoc{Slot: -1}
+	if loc.Page, err = core.IndexEntry(as, info.Inode.Head, 0); err == nil {
+		for i := 0; i < core.SlotsPerDirPage && loc.Slot < 0; i++ {
+			if ino, err := core.DirentIno(as, loc.Page, i); err == nil && ino == 0 {
+				loc.Slot = i
+			}
+		}
+		if loc.Slot < 0 {
+			err = fmt.Errorf("no free root dirent slot")
+		}
+	}
+	var inos []core.Ino
+	if err == nil {
+		inos, err = s.AllocInos(0, 1)
+	}
+	if err != nil {
+		return 0, loc, errors.Join(err, s.UnmapFile(core.RootIno))
+	}
+	uid, gid := s.Cred()
+	in := core.Inode{Ino: inos[0], Type: core.TypeReg, Mode: 0o644, UID: uid, GID: gid, Head: head}
+	err = errors.Join(core.WriteInodeBody(as, loc.Page, core.SlotOffset(loc.Slot), &in),
+		core.WriteDirentName(as, loc.Page, loc.Slot, "evil"))
+	as.Fence()
+	err = errors.Join(err, core.CommitDirentIno(as, loc.Page, loc.Slot, in.Ino), s.UnmapFile(core.RootIno))
+	return in.Ino, loc, err
+}

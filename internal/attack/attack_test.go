@@ -101,13 +101,21 @@ func TestGroupCollusionAttack(t *testing.T) {
 	}
 }
 
+// TestAdoptionAttack: another trust group's file whose Head names the
+// victim's pages, or a page the victim allocates later, reaches neither.
+func TestAdoptionAttack(t *testing.T) {
+	for _, s := range Adoption() {
+		t.Run(s.Name, func(t *testing.T) { requireCaught(t, s.Run()) })
+	}
+}
+
 // TestScenariosFromColdController replays every scenario against a
 // freshly mounted controller — no cached facts, every verification a
 // full walk — where the tests above run them after a scoped-clean
 // handover of the victim file (Scenario.Run): the verdicts must not
 // depend on which.
 func TestScenariosFromColdController(t *testing.T) {
-	for _, s := range slices.Concat(All(), OwnDirent(), DanglingFree(), GroupCollusion()) {
+	for _, s := range slices.Concat(All(), OwnDirent(), DanglingFree(), GroupCollusion(), Adoption()) {
 		t.Run(s.Name, func(t *testing.T) { requireCaught(t, s.RunCold()) })
 	}
 }

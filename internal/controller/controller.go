@@ -281,8 +281,8 @@ type libfsState struct {
 	as       *mmu.AddressSpace
 	c        *Controller
 
-	// allocPages are pages handed to the LibFS that are not yet bound
-	// into a verified file. allocInos likewise for inode numbers.
+	// allocPages is the session's pool: pages handed to the LibFS that are
+	// bound to no file (pages.go). allocInos likewise for inode numbers.
 	allocPages map[nvm.PageID]bool
 	allocInos  map[core.Ino]bool
 
@@ -291,12 +291,12 @@ type libfsState struct {
 	// freed yet: the walk that decided they departed may have raced the
 	// LibFS's own in-flight userspace stores, so some other file of this
 	// LibFS may still reference them. A pool page a grant took into a
-	// mapping is parked too (clipGrantLocked); each records the file it
-	// left or was lent to. Parked pages stay attributed to the LibFS for
+	// mapping is parked too (lendLocked); each records the file it left or
+	// was lent to. Parked pages stay attributed to the LibFS for
 	// verification purposes and are settled at session teardown —
 	// rebound if the quiescent core state references them
-	// (bindStrayPoolPagesLocked), freed otherwise (freePoolLocked). They
-	// are never handed out by the allocator in between.
+	// (bindStrayPoolPagesLocked), freed otherwise. They are never handed
+	// out by the allocator in between.
 	parked map[nvm.PageID]core.Ino
 
 	// mapped tracks which files this LibFS currently has mapped.
@@ -552,24 +552,16 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 		if err != nil {
 			return 0, err
 		}
-		if fs.pages, err = c.walkRuns(in.Head); err != nil {
+		runs, err := c.walkRuns(in.Head)
+		if err != nil {
 			return 0, fmt.Errorf("file %d: %w", fs.ino, err)
 		}
 		// The first file the scan reaches keeps a page two files claim;
 		// the later one's set leaves it out, and its verification says so.
-		var taken []pageRun
-		for _, r := range fs.pages {
+		for _, r := range runs {
 			for p := r.start; p < r.end(); p++ {
-				if c.pageOwner[p] != 0 {
-					taken = appendPage(taken, p)
-					continue
-				}
-				c.pageOwner[p] = fs.ino
-				c.pageAlloc.Reserve(p)
+				c.bindLocked(fs, nil, p, true)
 			}
-		}
-		if taken != nil {
-			fs.pages = runsDiff(nil, fs.pages, taken)
 		}
 		if fs.ftype != core.TypeDir {
 			continue
@@ -759,7 +751,7 @@ func (s *Session) Close() error {
 	}
 	s.c.lockAll()
 	defer s.c.unlockAll()
-	s.c.teardownLocked(s.ls, "close")
+	s.c.teardownLocked(s.ls)
 	return firstErr
 }
 
@@ -789,15 +781,8 @@ func (ls *libfsState) refRunsLocked(runs []pageRun, perm mmu.Perm) {
 	c.tabMu.Unlock()
 }
 
-// unrefRunsLocked drops one reference from every page of runs,
-// unmapping those whose last it was.
-func (ls *libfsState) unrefRunsLocked(runs []pageRun) {
-	ls.c.tabMu.Lock()
-	ls.unrefTabLocked(runs)
-	ls.c.tabMu.Unlock()
-}
-
-// unrefTabLocked is unrefRunsLocked with tabMu held.
+// unrefTabLocked (tabMu held) drops one reference from every page of
+// runs, unmapping those whose last it was.
 func (ls *libfsState) unrefTabLocked(runs []pageRun) {
 	settle := ls.c.unmappedLocked
 	for _, r := range runs {
@@ -884,31 +869,6 @@ func (ls *libfsState) releaseLocked(m *mapping) {
 	m.fs.wakeLocked()
 }
 
-// freePoolLocked returns the pool and parked pages of ls to the allocator
-// at its teardown (how names it in the trace). A parked page first leaves
-// every mapping of the file it left or was lent to — a co-member may
-// still map it — as a truncated page does (unbindLocked).
-func (c *Controller) freePoolLocked(ls *libfsState, how string) {
-	var pages []nvm.PageID
-	for p := range ls.allocPages {
-		pages = append(pages, p)
-		c.tracePage(p, "free-%s-pool ls=%d", how, ls.id)
-	}
-	for p, ino := range ls.parked {
-		if fs, _ := c.files.get(ino); fs != nil {
-			c.dropFromHoldersLocked(fs, p, nil)
-		}
-		// Not always a no-op: a commit parks a page that left its file
-		// outside the session's mapping with a fresh reference.
-		ls.unrefPageLocked(p)
-		pages = append(pages, p)
-		c.tracePage(p, "free-%s-parked ls=%d", how, ls.id)
-	}
-	clear(ls.allocPages)
-	clear(ls.parked)
-	c.pageAlloc.FreePages(pages)
-}
-
 // dropFromHoldersLocked takes page p out of every mapping of fs but
 // skip's, before the allocator can hand it to anybody else.
 func (c *Controller) dropFromHoldersLocked(fs *fileState, p nvm.PageID, skip *libfsState) {
@@ -920,14 +880,11 @@ func (c *Controller) dropFromHoldersLocked(fs *fileState, p nvm.PageID, skip *li
 	}
 }
 
-// refPageLocked and unrefPageLocked are the one-page case, for pool and
-// parked pages.
-func (ls *libfsState) refPageLocked(p nvm.PageID, perm mmu.Perm) {
-	ls.refRunsLocked([]pageRun{{start: p, n: 1}}, perm)
-}
-
+// unrefPageLocked drops one reference from page p.
 func (ls *libfsState) unrefPageLocked(p nvm.PageID) {
-	ls.unrefRunsLocked([]pageRun{{start: p, n: 1}})
+	ls.c.tabMu.Lock()
+	ls.unrefTabLocked([]pageRun{{start: p, n: 1}})
+	ls.c.tabMu.Unlock()
 }
 
 // revokeSpaceLocked tears down the session's whole address space. No

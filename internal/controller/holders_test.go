@@ -133,14 +133,17 @@ func TestParkedPageTeardown(t *testing.T) {
 	}
 }
 
-// TestWaitOnRetiredFile: a write-maps the file and clears its dirent (an
-// unlink's commit); b's map waits out the lease, whose revocation retires
-// the file. b gets ErrUnknownFile and no mapping, so once a closes and its
-// parked pages go to the allocator, b reaches none of them.
+// TestWaitOnRetiredFile: a write-maps the file and the root and clears
+// the file's dirent (an unlink's commit); b's map waits out the lease,
+// whose revocation retires the file. b gets ErrUnknownFile and no mapping,
+// so once a closes and its parked pages go to the allocator, b reaches
+// none of them.
 func TestWaitOnRetiredFile(t *testing.T) {
 	w := newScopedWorld(t)
-	if _, err := w.a.MapFile(w.ino, w.loc, true); err != nil {
-		t.Fatal(err)
+	for _, r := range []MapReq{{w.ino, w.loc, true}, {core.RootIno, core.RootLoc(), true}} {
+		if _, err := w.a.MapFile(r.Ino, r.Loc, r.Write); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := core.CommitDirentIno(w.a.AddressSpace(), w.loc.Page, w.loc.Slot, 0); err != nil {
 		t.Fatal(err)

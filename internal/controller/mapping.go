@@ -176,8 +176,7 @@ func (c *Controller) clipGrantLocked(runs []pageRun, fs *fileState, grantee *lib
 				continue
 			}
 			if o := c.adderLocked(fs, grantee, p); o != nil && (o.parked[p] == 0 || o.parked[p] == fs.ino) {
-				delete(o.allocPages, p)
-				o.parked[p] = fs.ino
+				c.lendLocked(o, p, fs)
 			} else {
 				cut = appendPage(cut, p)
 			}
@@ -504,8 +503,9 @@ func (s *Session) UnmapFile(ino core.Ino) error {
 // unmapFast is one unmap under only the involved shards' locks. Reader
 // detaches always qualify; writer detaches qualify when the file is a
 // clean regular file whose pages are owned within the file and its
-// parent — corruption handling, directory child adoption and a write
-// co-holder, whose pool the verification must see (PageAllocated), escalate.
+// parent — corruption handling, directory child adoption, a write
+// co-holder, whose pool the verification must see (PageAllocated), and a
+// bind of a page parked on another file, whose holders it changes, escalate.
 // sp is the caller's unmap span (inert when tracing is off).
 func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	c := s.c
@@ -528,8 +528,7 @@ func (s *Session) unmapFast(ino core.Ino, acc *int, sp telemetry.Span) error {
 	if !rep.OK() {
 		return errEscalate // the fix/rollback machinery needs everything
 	}
-	if !c.pagesOwnedWithin(rep.Pages, fs.ino, fs.parent) || // none when scoped
-		!c.runsOwnedWithin(m.runs, fs) {
+	if !c.releaseLocalLocked(m, rep.Pages) { // rep.Pages is empty when scoped
 		return errEscalate
 	}
 	c.commitReportLocked(fs, s.ls, rep)
@@ -730,8 +729,8 @@ func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *veri
 }
 
 // commitPagesLocked records what a clean full walk found: its facts, and
-// the page set — consuming newly bound pages from the pool they were
-// attributed to (adderLocked) and parking pages that left the file.
+// the page set — binding new pages from the pool they are attributed to
+// (adderLocked) and parking pages that left the file on ls.
 func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verifier.Report) {
 	if rep.Inode.Type == core.TypeReg {
 		// The facts go in before any reference below is dropped: a drop
@@ -762,25 +761,10 @@ func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verif
 	if slices.Equal(newSet, fs.pages) {
 		return // unchanged page set (the overwrite handover): nothing to bind, park or transfer
 	}
-	// Pool references of consumed pages either transfer onto the pool
-	// owner's still-open mapping of this file or are dropped.
-	m := ls.mapped[fs.ino]
 	var buf [4]pageRun
 	for _, r := range runsDiff(buf[:0], newSet, fs.pages) {
 		for p := r.start; p < r.end(); p++ {
-			c.tracePage(p, "bind-commit ino=%d ls=%d pool=%v parked=%v", fs.ino, ls.id, ls.allocPages[p], ls.parked[p] != 0)
-			if o := c.adderLocked(fs, ls, p); o != nil {
-				delete(o.allocPages, p)
-				delete(o.parked, p)
-				if om := o.mapped[fs.ino]; om != nil && runsFind(om.runs, p) < 0 {
-					om.runs = runsAdd(om.runs, p) // transfer the pool ref
-				} else {
-					// No open mapping to transfer to (adopt path), or the
-					// page was double-counted at grant time.
-					o.unrefPageLocked(p)
-				}
-			}
-			c.setPageOwner(p, fs.ino)
+			c.bindLocked(fs, c.adderLocked(fs, ls, p), p, false)
 		}
 	}
 	// Pages that left the file are parked on the verified LibFS rather
@@ -794,20 +778,9 @@ func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verif
 	// good; only then does a truly departed page become free.
 	for _, r := range runsDiff(buf[:0], fs.pages, newSet) {
 		for p := r.start; p < r.end(); p++ {
-			c.clearPageOwner(p)
-			if m != nil && runsFind(m.runs, p) >= 0 {
-				// Move from the file mapping to the parked set; its
-				// reference becomes the parked reference, so an alive
-				// holder mid-append keeps its MMU access.
-				m.runs = runsRemove(m.runs, p)
-			} else {
-				ls.refPageLocked(p, mmu.PermWrite)
-			}
-			ls.parked[p] = fs.ino
-			c.tracePage(p, "park-depart ino=%d ls=%d", fs.ino, ls.id)
+			c.parkLocked(fs, ls, p)
 		}
 	}
-	fs.pages = slices.Clone(newSet)
 }
 
 // commitReportTailLocked is the page-set-independent half of
@@ -845,25 +818,14 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 		return
 	}
 	cfs := &fileState{ino: ch.Ino, loc: ch.Loc, ftype: ch.Inode.Type, parent: parent.ino}
-	// Bind the child's own pages by walking it (they are consumed from
-	// the creator's pool). What a walk that fails part-way found is bound.
-	cfs.pages, _ = c.walkRuns(ch.Inode.Head)
-	cm := ls.mapped[ch.Ino]
-	for _, r := range cfs.pages {
+	// Bind the child's own pages by walking it: a page joins from the pool
+	// of a session that could have written the dirent (adderLocked on the
+	// directory) — so no file's page and no free page, whatever the dirent
+	// names. What a walk that fails part-way found is bound.
+	runs, _ := c.walkRuns(ch.Inode.Head)
+	for _, r := range runs {
 		for p := r.start; p < r.end(); p++ {
-			c.tracePage(p, "bind-adopt ino=%d ls=%d pool=%v parked=%v", ch.Ino, ls.id, ls.allocPages[p], ls.parked[p] != 0)
-			if ls.pooled(p) {
-				delete(ls.allocPages, p)
-				delete(ls.parked, p)
-				if cm != nil {
-					cm.runs = runsAdd(cm.runs, p) // transfer the pool ref
-				} else {
-					// The creator loses its implicit pool mapping; its
-					// next access faults and it re-maps through MapFile.
-					ls.unrefPageLocked(p)
-				}
-			}
-			c.pageOwner[p] = ch.Ino
+			c.bindLocked(cfs, c.adderLocked(parent, ls, p), p, false)
 		}
 	}
 	// Adoption is the moment the creator's implicit pool write access
@@ -890,31 +852,30 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	if ch.Inode.Type != core.TypeDir {
 		return
 	}
-	// Recurse into a freshly adopted directory: enumerate its dirents
-	// from the core state and adopt the grandchildren.
-	var dirPages []nvm.PageID
-	core.WalkFile(c.mem, ch.Inode.Head, int(c.dev.NumPages()), nil,
-		func(_ uint64, p nvm.PageID) bool { dirPages = append(dirPages, p); return true })
-	for _, p := range dirPages {
-		dpage, err := core.ReadDirPage(c.mem, p)
+	// Recurse into a freshly adopted directory: adopt the grandchildren.
+	c.adoptDirentsLocked(cfs, ls, ch.Inode.Head, func(core.Ino) bool { return true })
+}
+
+// adoptDirentsLocked adopts every live dirent of directory dir, whose
+// chain starts at head, that want accepts, as ls's verification of dir
+// would (adoptChildLocked). A slot that does not decode is left to dir's
+// own verification.
+func (c *Controller) adoptDirentsLocked(dir *fileState, ls *libfsState, head nvm.PageID, want func(core.Ino) bool) {
+	var pages []nvm.PageID
+	core.WalkFile(c.mem, head, int(c.dev.NumPages()), nil,
+		func(_ uint64, p nvm.PageID) bool { pages = append(pages, p); return true })
+	for _, p := range pages {
+		dp, err := core.ReadDirPage(c.mem, p)
 		if err != nil {
 			continue
 		}
 		for slot := 0; slot < core.SlotsPerDirPage; slot++ {
-			if dpage.SlotIno(slot) == 0 {
-				continue
+			in := dp.SlotInode(slot)
+			if name, err := dp.SlotName(slot); in.Ino != 0 && err == nil && want(in.Ino) {
+				ref := verifier.ChildRef{Ino: in.Ino, Name: name, Loc: core.FileLoc{Page: p, Slot: slot}, Inode: in}
+				dir.children = append(dir.children, ref)
+				c.adoptChildLocked(dir, ls, &ref)
 			}
-			gc := dpage.SlotInode(slot)
-			name, err := dpage.SlotName(slot)
-			if err != nil {
-				continue
-			}
-			ref := verifier.ChildRef{
-				Ino: gc.Ino, Name: name,
-				Loc: core.FileLoc{Page: p, Slot: slot}, Inode: gc,
-			}
-			cfs.children = append(cfs.children, ref)
-			c.adoptChildLocked(cfs, ls, &ref)
 		}
 	}
 }
@@ -925,7 +886,10 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 // generation the grant vouches for (grantRuns), zero when none: with
 // it, the images kept from the last such grant of the same generation
 // are still the media's content, and failing those the pages to copy
-// are the recorded chain — no walk either way.
+// are the recorded chain — no walk either way. Only the file's pages and
+// its write holders' pool and parked pages are imaged: a rollback
+// restores nothing the group could not store to, such as another file's
+// page or a free one that a forged chain names.
 func (c *Controller) checkpointLocked(fs *fileState, slot *[core.DirentSize]byte, gen uint64) {
 	c.dropCheckpointLocked(fs) // Commit re-baselines over a live one
 	cp := c.swapKeptLocked(fs, nil)
@@ -936,6 +900,9 @@ func (c *Controller) checkpointLocked(fs *fileState, slot *[core.DirentSize]byte
 		// runs on every write map); the restore/preserve paths range over
 		// it, which a nil map supports.
 		snap := func(p nvm.PageID) bool {
+			if runsFind(fs.pages, p) < 0 && c.adderLocked(fs, nil, p) == nil {
+				return true
+			}
 			img := cpBufPool.Get().(*[nvm.PageSize]byte)
 			if err := c.mem.Read(p, 0, img[:]); err != nil {
 				cpBufPool.Put(img)
@@ -1000,6 +967,7 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState) *veri
 	// to its allocation pool, so no data is lost (§4.3).
 	if fs.checkpoint != nil {
 		if copies, err := c.pageAlloc.AllocPages(0, len(fs.checkpoint.pages)); err == nil {
+			c.poolLocked(ls, copies) // records open before the copies are written
 			i := 0
 			for p := range fs.checkpoint.pages {
 				buf := make([]byte, nvm.PageSize)
@@ -1008,9 +976,6 @@ func (c *Controller) handleCorruptionLocked(fs *fileState, ls *libfsState) *veri
 					c.mem.Write(copies[i], 0, buf)
 					c.mem.Persist(copies[i], 0, nvm.PageSize)
 				}
-				ls.allocPages[copies[i]] = true
-				ls.refPageLocked(copies[i], mmu.PermWrite)
-				c.tracePage(copies[i], "grant-preserve ls=%d", ls.id)
 				i++
 			}
 		}

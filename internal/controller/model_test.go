@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,6 +34,7 @@ const (
 	mdClose           // Close; a fresh session takes the place, same group
 	mdScrub           // ScrubAll
 	mdCrash           // crash 1+v%12 persists into a release or a grant and store, remount
+	mdCreate          // publish a root dirent whose Head is pick(v), release root
 	mdOps
 )
 
@@ -79,7 +81,8 @@ type modelWorld struct {
 	// meta: a step stored to an index page or a dirent or freed a page;
 	// tainted: a crash came after one, so the image may hold it unverified.
 	meta, tainted bool
-	refs          []int32 // the census of the last check
+	refs          []int32    // the census of the last check
+	created       []core.Ino // the files create steps published
 }
 
 func newModelWorld(t testing.TB, shape [4]byte) *modelWorld {
@@ -297,6 +300,11 @@ func (w *modelWorld) step(step int, rec []byte) bool {
 			return false
 		}
 		before = nil
+	case mdCreate:
+		w.meta = true
+		if ino, _, _ := publishDirent(s, fmt.Sprintf("c%d", step), w.pick(f, v)); ino != 0 {
+			w.created = append(w.created, ino)
+		}
 	}
 	w.check(step, before, resealed, f)
 	return true
@@ -353,11 +361,35 @@ func (w *modelWorld) release(s *Session, f *modelFile) []pageRun {
 		t.Fatalf("ino %d quarantined to session %d at session %d's release (full walk clean: %v)", f.ino, q, s.ID(), clean)
 	}
 	if m != nil && m.write && w.quiet() {
-		if checked, bad, first := c.VerifyAll(); bad != 0 {
-			t.Fatalf("VerifyAll after session %d released ino %d: %d of %d bad: %s", s.ID(), f.ino, bad, checked, first)
+		if bad, first := w.verifyAll(); bad != 0 {
+			t.Fatalf("VerifyAll after session %d released ino %d: %d bad: %s", s.ID(), f.ino, bad, first)
 		}
 	}
 	return runs
+}
+
+// verifyAll is VerifyAll over every file but those create steps published,
+// whose Head is whatever pick named: such a file fails I2 until it is
+// unlinked, which no step does.
+func (w *modelWorld) verifyAll() (bad int, first string) {
+	c := w.c
+	c.lockAll()
+	defer c.unlockAll()
+	sys := &libfsState{}
+	c.files.forEach(func(ino core.Ino, fs *fileState) bool {
+		if slices.Contains(w.created, ino) {
+			return true
+		}
+		if rep, err := c.verifier.VerifyFile(&envImpl{c: c, fs: fs, ls: sys, sys: true}, ino, fs.loc, ino == core.RootIno); err != nil || !rep.OK() {
+			bad++
+			if err == nil {
+				err = errors.New(rep.Violations[0].String())
+			}
+			first = cmp.Or(first, fmt.Sprintf("ino %d: %v", ino, err))
+		}
+		return true
+	})
+	return bad, first
 }
 
 // checkScoped holds the release of fs by ls (lockAll held) to a full walk
@@ -535,6 +567,20 @@ func (w *modelWorld) check(step int, before []int32, resealed []pageRun, f *mode
 			t.Fatalf("step %d: pageOwnerAt(%d) = %d, the page is in the set of ino %d", step, p, got, owner[p])
 		}
 	}
+	// The ledger's four states are exclusive: a pool or parked page is in
+	// one session's sets and bound to no file.
+	held := map[nvm.PageID]LibFSID{}
+	for _, ls := range c.libfses {
+		for p := range total {
+			if !ls.pooled(p) {
+				continue
+			}
+			if held[p] != 0 || owner[p] != 0 {
+				t.Fatalf("step %d: page %d in the pool or parked set of session %d is session %d's too or bound to ino %d", step, p, ls.id, held[p], owner[p])
+			}
+			held[p] = ls.id
+		}
+	}
 
 	checkGrantReach(t, c, step)
 
@@ -653,6 +699,7 @@ func FuzzControllerModel(f *testing.F) {
 	free := func(s, file int, v uint64) step { return mdStep(mdFree, s, file, 0, 0, v) }
 	alloc := func(s int) step { return do(mdAlloc, s, 0) }
 	crash := func(s, file int, v uint64) step { return mdStep(mdCrash, s, file, 0, 0, v) }
+	create := func(s, file int, v uint64) step { return mdStep(mdCreate, s, file, 0, 0, v) }
 	repeat := func(n int, s step) (out step) {
 		for ; n > 0; n-- {
 			out = append(out, s...)
@@ -739,8 +786,8 @@ func FuzzControllerModel(f *testing.F) {
 		unmap(s2, f0), mapW(s1, f0), unmap(s1, f0))
 
 	// A lease-revoked holder whose own dirent slot names a foreign ino: the
-	// revocation retires the file as a committed unlink (a release would
-	// roll the store back), and the waiter's map finds it gone.
+	// revocation rolls the store back, as a release does — it is no unlink,
+	// the holder does not write-hold the root.
 	seed(small, mapW(s0, f0), mutate(s0, f0, 0, 0, 12345), mapR(s2, f0), mapW(s2, f0))
 
 	// Scoped vs full verification: a write release by s2 after the stores
@@ -772,6 +819,25 @@ func FuzzControllerModel(f *testing.F) {
 	} {
 		seed(small, append(append([]step{mapW(s2, fsp)}, steps...), unmap(s2, fsp))...)
 	}
+
+	// The one bind rule. A create by another trust group whose Head names
+	// f0's index page (pick 1 on a small file) binds none of f0's pages; one
+	// whose Head names a page freed by then binds it neither, so when the
+	// allocator hands the page to s1 and f1's release binds it, it is f1's
+	// alone.
+	seed(small, create(s2, f0, 1), mapW(s2, f0), unmap(s2, f0))
+	seed(small, alloc(s0), free(s0, fsp, 7), create(s2, fsp, 7), repeat(22, alloc(s1)), mapW(s1, f1),
+		scribble(s1, f1, 1, 3), unmap(s1, f1))
+	// A pool page the clip lent to the sparse file's grants (parked on s0 for
+	// it) and then bound into f0 by s0's release leaves s1's mapping of the
+	// sparse file.
+	seed(small, mapW(s0, fsp), mapW(s0, f0), alloc(s0), scribble(s0, fsp, 9, 7), mapW(s1, fsp),
+		scribble(s0, f0, 1, 3), unmap(s0, f0), mapW(s2, f0), store(s1, fsp, 0))
+	// Preserve copies are pool pages: dangling frees of pages 56 and 75
+	// (f0's targets[19] and [38]) are caught at s0's release, a preserve
+	// copy lands on page 75, which the checkpoint still names, and its
+	// record must open before the copy is written into it.
+	seed(whole, mapW(s0, f0), free(s0, f0, 19), free(s0, f0, 38), unmap(s0, f0), mapR(s2, f0), mapW(s0, f0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {

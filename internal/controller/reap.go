@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"time"
 
 	"trio/internal/core"
@@ -102,7 +103,7 @@ func (c *Controller) reapLocked(ls *libfsState) {
 			if !m.write {
 				ls.releaseLocked(m)
 			} else if (m.fs.ftype == core.TypeDir) == (pass == 0) {
-				c.reapFileLocked(ls, m.fs)
+				c.reapFileLocked(ls, m.fs, deadDirs)
 			}
 		}
 	}
@@ -112,7 +113,7 @@ func (c *Controller) reapLocked(ls *libfsState) {
 	// Only now tear down: verification above needed the pool intact to
 	// attribute the dead session's freshly bound pages
 	// (envImpl.PageAllocated).
-	c.teardownLocked(ls, "reap")
+	c.teardownLocked(ls)
 	// Counted last: whoever sees the reap counted sees its frees landed.
 	c.stats.Reaps.Add(1)
 	c.stats.shard(c.shardIdxSession(ls.id)).Reaps.Add(1)
@@ -121,15 +122,24 @@ func (c *Controller) reapLocked(ls *libfsState) {
 // teardownLocked retires session ls once its mappings are settled: the
 // one ending of Session.Close and of a reap. Pool resources the live core
 // state references bind into their files; the rest of the pool and the
-// parked pages return to the allocator (how names the path in the trace);
-// issued inos no file took get a tombstone, so a surviving LibFS's
-// batched removal of one is a no-op. The session then leaves both
+// parked pages return to the allocator; issued inos no file took get a
+// tombstone, so a surviving LibFS's batched removal of one is a no-op. The session then leaves both
 // registries, is marked dead, and its address space is revoked — not
 // merely unmapped — so a delegation batch still in flight over it fails
 // (ErrRevoked) instead of racing the teardown.
-func (c *Controller) teardownLocked(ls *libfsState, how string) {
+func (c *Controller) teardownLocked(ls *libfsState) {
 	c.bindStrayPoolPagesLocked(ls)
-	c.freePoolLocked(ls, how)
+	pages := make([]nvm.PageID, 0, len(ls.allocPages)+len(ls.parked))
+	for p := range ls.allocPages {
+		pages = append(pages, p)
+	}
+	for p := range ls.parked {
+		pages = append(pages, p)
+	}
+	for _, p := range pages {
+		c.freeLocked(ls, p)
+	}
+	c.pageAlloc.FreePages(pages)
 	for ino := range ls.allocInos {
 		c.allocBy.del(ino)
 		if !c.files.has(ino) {
@@ -188,7 +198,7 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 	for _, fs := range orphans {
 		// The stray sweep that follows rebinds the parked pages a
 		// surviving file references; the pool release frees the rest.
-		c.forgetFileLocked(ls, fs, "park-orphan ino=%d ls=%d")
+		c.forgetFileLocked(ls, fs)
 		c.reaped.set(fs.ino, true)
 	}
 }
@@ -197,13 +207,9 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 // on ls, not freed: the binding walk that attributed them may have
 // raced ls's own stores, so another of its files may reference one of
 // them (see libfsState.parked). Teardown settles the set.
-func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState, trace string) {
-	for _, r := range fs.pages {
-		for p := r.start; p < r.end(); p++ {
-			c.clearPageOwner(p)
-			ls.parked[p] = fs.ino
-			c.tracePage(p, trace, fs.ino, ls.id)
-		}
+func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState) {
+	for len(fs.pages) > 0 {
+		c.parkLocked(fs, ls, fs.pages[0].start)
 	}
 	c.swapKeptLocked(fs, nil).free()
 	c.unregisterFileLocked(fs.ino)
@@ -228,26 +234,49 @@ func (c *Controller) direntGoneLocked(fs *fileState) bool {
 	return err == nil && got != fs.ino
 }
 
+// unlinkedLocked reports whether fs's dirent is gone by its parent's
+// change — the slot's page left the parent's set, the parent's last
+// verified child list no longer names fs, ls's trust group write-holds
+// the parent or ls held it when it died (dirs), or the slot names no file
+// or one the controller issued and ls may write the parent, so it could
+// have made the change through the parent's own grant. Otherwise it is a
+// store of the file's own write holder, whose grant maps the slot, and is
+// settled as UnmapFile settles it. A quarantined parent proves nothing.
+func (c *Controller) unlinkedLocked(fs *fileState, ls *libfsState, dirs []*fileState) bool {
+	pfs, _ := c.files.get(fs.parent)
+	switch {
+	case !c.direntGoneLocked(fs):
+		return false
+	case pfs == nil:
+		return true
+	case pfs.quarantined != 0:
+		return false
+	case len(pfs.pages) > 0 && runsFind(pfs.pages, fs.loc.Page) < 0,
+		!slices.ContainsFunc(pfs.children, func(ch verifier.ChildRef) bool { return ch.Ino == fs.ino }),
+		slices.Contains(dirs, pfs):
+		return true
+	}
+	w := pfs.writeHolder()
+	got, _ := core.DirentIno(c.mem, fs.loc.Page, fs.loc.Slot)
+	return w != nil && w.ls.group == ls.group ||
+		(got == 0 || c.allocBy.has(got) || c.files.has(got)) && c.permitted(ls, pfs.ino, true)
+}
+
 // reapFileLocked forcibly revokes ls's write mapping of fs: verify the
 // file's core state and, when the dead, crashed or unresponsive holder
 // left it corrupt, roll back to the checkpoint — there is no fix-handler
 // grace here, the process is gone (or out of grace). A file that cannot
-// be restored to a verified state is quarantined. It reports whether it
-// rolled the file back.
-func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState) (rolledBack bool) {
-	// A gone dirent means the holder had committed an unlink of this
-	// file (the atomic dirent clear IS the unlink's commit point) and
-	// the batched RemoveFiles never arrived — or a rollback of the
-	// parent restored a state from before the file existed. The file
-	// is not corrupt — it is deleted. Retire it; "repairing" it would
-	// resurrect the dead inode over whatever owns the slot now. The
-	// dirent is only trusted when the parent directory is not
-	// quarantined.
-	if c.direntGoneLocked(fs) {
-		if pfs, _ := c.files.get(fs.parent); pfs == nil || pfs.quarantined == 0 {
-			c.retireFileLocked(ls, fs)
-			return false
-		}
+// be restored to a verified state is quarantined. dirs are the
+// directories ls write-held when it died. It reports whether it rolled
+// the file back.
+func (c *Controller) reapFileLocked(ls *libfsState, fs *fileState, dirs []*fileState) (rolledBack bool) {
+	// A committed unlink whose batched RemoveFiles never arrived, or a
+	// rollback of the parent to a state from before the file existed: the
+	// file is deleted, not corrupt. Retire it; "repairing" it would
+	// resurrect the dead inode over whatever owns the slot now.
+	if c.unlinkedLocked(fs, ls, dirs) {
+		c.retireFileLocked(ls, fs)
+		return false
 	}
 	c.stats.ReapVerifies.Add(1)
 	rep, err := c.verifyLocked(fs, ls, nil, scopeFullWalk)
@@ -283,7 +312,7 @@ func (c *Controller) retireFileLocked(ls *libfsState, fs *fileState) {
 		}
 		m.ls.releaseLocked(m)
 	}
-	c.forgetFileLocked(ls, fs, "park-retire ino=%d ls=%d")
+	c.forgetFileLocked(ls, fs)
 	c.reaped.set(fs.ino, true)
 }
 
@@ -324,53 +353,22 @@ func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState) {
 		if err != nil {
 			continue
 		}
-		fsRef := fs
+		var bound []pageRun
 		bind := func(p nvm.PageID) bool {
-			if ls.pooled(p) {
-				delete(ls.allocPages, p)
-				delete(ls.parked, p)
-				ls.unrefPageLocked(p)
-				fsRef.pages = runsAdd(fsRef.pages, p)
-				c.pageOwner[p] = fsRef.ino
-				c.tracePage(p, "bind-stray ino=%d ls=%d", fsRef.ino, ls.id)
+			if ls.pooled(p) && c.bindLocked(fs, ls, p, false) {
+				bound = appendPage(bound, p)
 			}
 			return true
 		}
-		var dirPages []nvm.PageID
 		core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()), bind,
-			func(_ uint64, p nvm.PageID) bool {
-				if in.Type == core.TypeDir {
-					dirPages = append(dirPages, p)
-				}
-				return bind(p)
-			})
-		if len(ls.allocInos) == 0 {
-			continue
-		}
-		// Dirents naming still-pooled inos: the create's verification
-		// walk was outrun the same way. Adopt them like any other
-		// freshly discovered child.
-		for _, p := range dirPages {
-			dp, derr := core.ReadDirPage(c.mem, p)
-			if derr != nil {
-				continue
-			}
-			for slot := 0; slot < core.SlotsPerDirPage; slot++ {
-				child := dp.SlotInode(slot)
-				if child.Ino == 0 || !ls.allocInos[child.Ino] {
-					continue
-				}
-				name, nerr := dp.SlotName(slot)
-				if nerr != nil {
-					continue
-				}
-				ref := verifier.ChildRef{
-					Ino: child.Ino, Name: name,
-					Loc: core.FileLoc{Page: p, Slot: slot}, Inode: child,
-				}
-				fs.children = append(fs.children, ref)
-				c.adoptChildLocked(fs, ls, &ref)
-			}
+			func(_ uint64, p nvm.PageID) bool { return bind(p) })
+		// The pool's write access ends here, as at an adoption: seal what joined.
+		c.sealQuiescentLocked(normalizeRuns(bound), nil, telemetry.Span{})
+		if in.Type == core.TypeDir && len(ls.allocInos) > 0 {
+			// Dirents naming still-pooled inos: the create's verification
+			// walk was outrun the same way. Adopt them like any other
+			// freshly discovered child.
+			c.adoptDirentsLocked(fs, ls, in.Head, func(ino core.Ino) bool { return ls.allocInos[ino] })
 		}
 	}
 }
@@ -445,7 +443,7 @@ func (c *Controller) escalateLeaseLocked(fs *fileState) time.Duration {
 	// holder of the group.
 	c.stats.LeaseExpiries.Add(1)
 	for m := fs.writeHolder(); m != nil; m = fs.writeHolder() {
-		c.reapFileLocked(m.ls, fs)
+		c.reapFileLocked(m.ls, fs, nil)
 	}
 	return 0
 }

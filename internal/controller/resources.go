@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"trio/internal/core"
-	"trio/internal/mmu"
 	"trio/internal/nvm"
 	"trio/internal/telemetry"
 )
@@ -19,7 +18,7 @@ import (
 // race their checksum-record opens), and the accounting touched is the
 // session's own plus the tabMu tables.
 func (s *Session) AllocPages(cpu, n int) ([]nvm.PageID, error) {
-	return s.allocPages("grant ls=%d", func() ([]nvm.PageID, error) {
+	return s.allocPages(func() ([]nvm.PageID, error) {
 		return s.c.pageAlloc.AllocPages(cpu, n)
 	})
 }
@@ -27,12 +26,12 @@ func (s *Session) AllocPages(cpu, n int) ([]nvm.PageID, error) {
 // AllocPagesOnNode is AllocPages with NUMA placement, used by the
 // striping datapath (§4.5).
 func (s *Session) AllocPagesOnNode(cpu, n, node int) ([]nvm.PageID, error) {
-	return s.allocPages("grant-node ls=%d", func() ([]nvm.PageID, error) {
+	return s.allocPages(func() ([]nvm.PageID, error) {
 		return s.c.pageAlloc.AllocPagesOnNode(s.c.dev, cpu, n, node)
 	})
 }
 
-func (s *Session) allocPages(trace string, alloc func() ([]nvm.PageID, error)) ([]nvm.PageID, error) {
+func (s *Session) allocPages(alloc func() ([]nvm.PageID, error)) ([]nvm.PageID, error) {
 	s.c.trap()
 	c := s.c
 	gate := c.admit(s.ls.id)
@@ -48,18 +47,7 @@ func (s *Session) allocPages(trace string, alloc func() ([]nvm.PageID, error)) (
 	if err != nil {
 		return nil, err
 	}
-	var buf [8]pageRun // a batch is a handful of runs: off the heap
-	runs := buf[:0]
-	for _, p := range pages {
-		runs = appendPage(runs, p)
-	}
-	runs = normalizeRuns(runs)
-	c.openGrantedLocked(runs, nil, nil)
-	s.ls.refRunsLocked(runs, mmu.PermWrite)
-	for _, p := range pages {
-		s.ls.allocPages[p] = true
-		c.tracePage(p, trace, s.ls.id)
-	}
+	c.poolLocked(s.ls, pages)
 	return pages, nil
 }
 
@@ -103,8 +91,11 @@ func (s *Session) freePagesFast(pages []nvm.PageID) error {
 }
 
 // freePagesLocked frees pool pages and, when bound is set (lockAll
-// held), pages of files the session write-maps; it stops at the first
-// page that is neither.
+// held), pages of files the session write-maps (freeLocked); it stops at
+// the first page that is neither. The free of a parked page is a no-op:
+// it is in post-departure limbo (see libfsState.parked) and settles at
+// teardown, rather than risk releasing a page a racy walk unbound while
+// the LibFS still references it.
 func (s *Session) freePagesLocked(pages []nvm.PageID, bound bool) error {
 	c := s.c
 	freeable := make([]nvm.PageID, 0, len(pages))
@@ -112,46 +103,13 @@ func (s *Session) freePagesLocked(pages []nvm.PageID, bound bool) error {
 	for _, p := range pages {
 		switch {
 		case s.ls.parked[p] != 0:
-			// Already in post-departure limbo (see libfsState.parked);
-			// it settles at teardown. Accept the free as a no-op rather
-			// than risk releasing a page a racy walk unbound while the
-			// LibFS still references it.
-			c.tracePage(p, "free-noop-parked ls=%d", s.ls.id)
 			continue
-		case s.ls.allocPages[p]:
-			delete(s.ls.allocPages, p)
-			c.tracePage(p, "free-pool ls=%d", s.ls.id)
-		case bound && s.unbindLocked(p):
-		default:
+		case !bound && !s.ls.allocPages[p] || !c.freeLocked(s.ls, p):
 			return fmt.Errorf("%w: page %d is not freeable by this LibFS", ErrPermission, p)
 		}
-		s.ls.unrefPageLocked(p)
 		freeable = append(freeable, p)
 	}
 	return nil
-}
-
-// unbindLocked takes page p out of the file that owns it, provided the
-// session write-maps that file (truncate). The recorded set shrinks here
-// with no store to an index page — nothing says the LibFS cleared the
-// entry naming p first — so the facts of the file's last walk go with it:
-// the release walks, and finds a reference the free left behind. The page
-// leaves a same-group co-holder's mapping of the file too, before the
-// allocator can hand it to anybody else; the freer's own reference is
-// its caller's to drop.
-func (s *Session) unbindLocked(p nvm.PageID) bool {
-	c := s.c
-	ino := c.pageOwnerAt(p)
-	m := s.ls.mapped[ino]
-	if ino == 0 || m == nil || !m.write {
-		return false
-	}
-	m.fs.pages = runsRemove(m.fs.pages, p)
-	c.voidFactsLocked(m.fs)
-	c.clearPageOwner(p)
-	c.dropFromHoldersLocked(m.fs, p, s.ls)
-	c.tracePage(p, "free-bound ino=%d ls=%d", ino, s.ls.id)
-	return true
 }
 
 // AllocInos issues a batch of fresh inode numbers to the LibFS.
@@ -372,7 +330,7 @@ func (s *Session) removeLocked(fs *fileState) error {
 	if m := s.ls.mapped[ino]; m != nil {
 		s.ls.releaseLocked(m)
 	}
-	c.forgetFileLocked(s.ls, fs, "park-rm ino=%d ls=%d")
+	c.forgetFileLocked(s.ls, fs)
 	return nil
 }
 
@@ -453,7 +411,7 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 			checked++
 			rolled := false
 			for w := fs.writeHolder(); w != nil; w = fs.writeHolder() {
-				rolled = c.reapFileLocked(w.ls, fs) || rolled
+				rolled = c.reapFileLocked(w.ls, fs, nil) || rolled
 			}
 			if rolled {
 				rolledBack++

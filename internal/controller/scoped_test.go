@@ -354,7 +354,7 @@ func TestKeptImagesLevel(t *testing.T) {
 	}
 	c.lockAll()
 	fs, _ := c.files.get(w.ino)
-	c.forgetFileLocked(w.a.ls, fs, "test-forget ino=%d ls=%d")
+	c.forgetFileLocked(w.a.ls, fs)
 	c.unlockAll()
 	if kept() != 0 {
 		t.Fatalf("kept = %d for a forgotten file", kept())

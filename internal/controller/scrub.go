@@ -118,7 +118,7 @@ func (c *Controller) ScrubAll() ScrubReport {
 	// verified file (pool and parked pages carry no committed content).
 	rep := a.rep
 	for p := nvm.PageID(0); p < limit; p++ {
-		if p != 0 && p != core.RootInodePage && c.pageOwner[p] == 0 {
+		if p != 0 && p != core.RootInodePage && c.pageOwnerAt(p) == 0 {
 			continue
 		}
 		rep.Candidates++
@@ -218,7 +218,7 @@ func (c *Controller) fixMismatchLocked(p nvm.PageID, rep *ScrubReport) {
 	if c.scrubBusy(p) {
 		return
 	}
-	if fs, _ := c.files.get(c.pageOwner[p]); fs != nil && fs.scrubSkipped() {
+	if fs, _ := c.files.get(c.pageOwnerAt(p)); fs != nil && fs.scrubSkipped() {
 		return
 	}
 	v, want, _, err := c.scrubber.ScrubPage(p, false)
@@ -247,7 +247,7 @@ func (c *Controller) fixMismatchLocked(p nvm.PageID, rep *ScrubReport) {
 // CRC before being installed; on success the repaired image is written
 // under the mapping sessions' shootdown barriers and persisted.
 func (c *Controller) repairPageLocked(p nvm.PageID, want uint32) bool {
-	ino := c.pageOwner[p]
+	ino := c.pageOwnerAt(p)
 	var fs *fileState
 	if ino != 0 {
 		fs, _ = c.files.get(ino)
@@ -400,7 +400,7 @@ func (m *pageMem) Fence()                                 {}
 // superblock, the root inode page with no rebuild source) has no file
 // to poison; the mismatch stays counted and re-detected each pass.
 func (c *Controller) quarantinePageLocked(p nvm.PageID) {
-	ino := c.pageOwner[p]
+	ino := c.pageOwnerAt(p)
 	if ino == 0 {
 		c.tracePage(p, "scrub-quarantine unowned")
 		return

@@ -239,89 +239,11 @@ func (c *Controller) lockForFile(sIdx int, ino core.Ino, withParent bool) (set l
 // tabMu accessors — the global tables fast paths may touch.
 // ---------------------------------------------------------------------
 
-// pageOwnerAt reads pageOwner (0 = unowned) with bounds checking, for
-// call sites whose page comes from an untrusted location hint. The
-// caller supplies the locking (tabMu or an exclusive lock set).
-func (c *Controller) pageOwnerAt(p nvm.PageID) core.Ino {
-	if int(p) >= len(c.pageOwner) {
-		return 0
-	}
-	return c.pageOwner[p]
-}
-
-// ownerOf reads the verified owner of page p. Bounds-checked: p may
-// come from an untrusted location hint.
-func (c *Controller) ownerOf(p nvm.PageID) (core.Ino, bool) {
-	if int(p) >= len(c.pageOwner) {
-		return 0, false
-	}
-	c.tabMu.Lock()
-	ino := c.pageOwner[p]
-	c.tabMu.Unlock()
-	return ino, ino != 0
-}
-
-// setPageOwner binds page p to ino (fast-path commitReport; lockAll
-// sections may keep writing the map directly).
-func (c *Controller) setPageOwner(p nvm.PageID, ino core.Ino) {
-	c.tabMu.Lock()
-	c.pageOwner[p] = ino
-	c.tabMu.Unlock()
-}
-
-// clearPageOwner unbinds page p; the facts of the file it leaves go
-// with it, and so does its granule's open bit, if the file's grants
-// opened the granule by it: an open granule stays whole in its file
-// (splitGranule). The caller holds the lock the file's records
-// serialize under.
-func (c *Controller) clearPageOwner(p nvm.PageID) {
-	c.tabMu.Lock()
-	c.pageOwner[p] = 0
-	c.facts[p] = false
-	c.tabMu.Unlock()
-	c.splitGranule(p >> nvm.GranuleShift)
-}
-
 // setShadow records ino's shadow entry.
 func (c *Controller) setShadow(ino core.Ino, sh verifier.ShadowInfo) {
 	c.tabMu.Lock()
 	c.shadow.set(ino, sh)
 	c.tabMu.Unlock()
-}
-
-// pagesOwnedWithin reports whether every given page is either unowned
-// or owned by one of the two inos (a file and its parent). Fast paths
-// use it as their escape hatch: a page with a surprising owner means
-// cross-file state is involved, so the operation reruns under lockAll.
-func (c *Controller) pagesOwnedWithin(pages []nvm.PageID, a, b core.Ino) bool {
-	c.tabMu.Lock()
-	defer c.tabMu.Unlock()
-	for _, p := range pages {
-		// pageOwnerAt, not a direct index: the pages were collected by
-		// walking untrusted core state, which may name impossible ids.
-		if own := c.pageOwnerAt(p); own != 0 && own != a && own != b {
-			return false
-		}
-	}
-	return true
-}
-
-// runsOwnedWithin is pagesOwnedWithin for the runs of a mapping of fs,
-// whose pages grantRuns already bounded to the device. The pages of
-// fs.pages are the file's own, so only the rest — the dirent page, pages
-// a grant-time walk found ahead of their verification — are looked up.
-func (c *Controller) runsOwnedWithin(runs []pageRun, fs *fileState) bool {
-	var buf [4]pageRun
-	c.tabMu.Lock()
-	defer c.tabMu.Unlock()
-	for _, r := range runsDiff(buf[:0], runs, fs.pages) {
-		for _, own := range c.pageOwner[r.start:r.end()] {
-			if own != 0 && own != fs.ino && own != fs.parent {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // shadowOf reads the shadow entry for ino.
