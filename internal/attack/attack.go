@@ -572,8 +572,9 @@ func GroupCollusion() []Scenario {
 // a page that is free until the victim allocates it (A13), write-maps the
 // file and stores through it. A directory's release binds a new file only
 // the pages its writers allocated, so the store faults, the file's release
-// is caught (I2), the victim's pages are as it left them, and once the
-// attacker unlinks its file the tree verifies clean.
+// is caught (I2), the victim's pages are as it left them — though it grew
+// its file or wrote its page meanwhile, and the attacker's file names
+// them — and once the attacker unlinks its file the tree verifies clean.
 func Adoption() []Scenario {
 	mk := func(name string, free bool) Scenario {
 		return Scenario{Name: name, body: func(w *world) Outcome {
@@ -617,6 +618,23 @@ func Adoption() []Scenario {
 			}
 			if err := a.AddressSpace().Write(target, 0, []byte("PWNED")); !errors.Is(err, mmu.ErrFault) {
 				out.Err = fmt.Errorf("the attacker's store to page %d through its file: %v, want a fault", target, err)
+				return out
+			}
+			// Meanwhile the victim writes the page it got back, or grows its
+			// file by a page named in the index the attacker's Head names.
+			if free {
+				err = w.sess.AddressSpace().Write(head, 0, []byte("victim data"))
+			} else if _, err = w.sess.MapFile(w.fileIno, w.fileLoc, true); err == nil {
+				var got []nvm.PageID
+				if got, err = w.sess.AllocPages(0, 1); err == nil {
+					victim = append(victim, got[0])
+					err = errors.Join(w.sess.AddressSpace().Write(got[0], 0, []byte("grown")),
+						core.SetIndexEntry(w.sess.AddressSpace(), head, 2, got[0]))
+				}
+				err = errors.Join(err, w.sess.UnmapFile(w.fileIno))
+			}
+			if err != nil {
+				out.Err = err
 				return out
 			}
 			before := make([][]byte, len(victim))

@@ -558,11 +558,7 @@ func (c *Controller) scanTree() (maxIno uint64, err error) {
 		}
 		// The first file the scan reaches keeps a page two files claim;
 		// the later one's set leaves it out, and its verification says so.
-		for _, r := range runs {
-			for p := r.start; p < r.end(); p++ {
-				c.bindLocked(fs, nil, p, true)
-			}
-		}
+		c.bindLocked(fs, runs, nil)
 		if fs.ftype != core.TypeDir {
 			continue
 		}

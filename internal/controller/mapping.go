@@ -762,24 +762,19 @@ func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verif
 		return // unchanged page set (the overwrite handover): nothing to bind, park or transfer
 	}
 	var buf [4]pageRun
-	for _, r := range runsDiff(buf[:0], newSet, fs.pages) {
-		for p := r.start; p < r.end(); p++ {
-			c.bindLocked(fs, c.adderLocked(fs, ls, p), p, false)
-		}
-	}
+	c.bindLocked(fs, runsDiff(buf[:0], newSet, fs.pages),
+		func(p nvm.PageID) *libfsState { return c.adderLocked(fs, ls, p) })
 	// Pages that left the file are parked on the verified LibFS rather
-	// than freed. The walk behind this report can race the holder's
-	// last in-flight append when the verification was forced on it
-	// (lease revocation, reap of a dying process): a page the walk did
-	// not reach may still be referenced by an index entry whose store
-	// landed an instant later. Parked it stays attributed — later
+	// than freed, and stay writable to it. The walk behind this report can
+	// race the holder's last in-flight append when the verification was
+	// forced on it (lease revocation, reap of a dying process): a page the
+	// walk did not reach may still be referenced by an index entry whose
+	// store landed an instant later. Parked it stays attributed — later
 	// verifications accept it (PageAllocated) and rebind it if it is
 	// referenced — and the session-teardown stray sweep settles it for
 	// good; only then does a truly departed page become free.
-	for _, r := range runsDiff(buf[:0], fs.pages, newSet) {
-		for p := r.start; p < r.end(); p++ {
-			c.parkLocked(fs, ls, p)
-		}
+	if departed := runsDiff(buf[:0], fs.pages, newSet); len(departed) > 0 {
+		c.writableLocked(ls, c.parkLocked(fs, ls, departed))
 	}
 }
 
@@ -823,11 +818,7 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	// directory) — so no file's page and no free page, whatever the dirent
 	// names. What a walk that fails part-way found is bound.
 	runs, _ := c.walkRuns(ch.Inode.Head)
-	for _, r := range runs {
-		for p := r.start; p < r.end(); p++ {
-			c.bindLocked(cfs, c.adderLocked(parent, ls, p), p, false)
-		}
-	}
+	c.bindLocked(cfs, runs, func(p nvm.PageID) *libfsState { return c.adderLocked(parent, ls, p) })
 	// Adoption is the moment the creator's implicit pool write access
 	// ends: seal the child's now-quiescent pages so the scrubber (and
 	// VerifyReads readers) can vouch for them. Pages a session still

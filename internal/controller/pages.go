@@ -20,22 +20,24 @@ import (
 // binder — the mount scan, a commit, an adoption, teardown's stray sweep —
 // binds under bindLocked's one rule.
 
-// poolLocked (free → pooled) hands pages to ls: their checksum records
-// open before ls can store to them (openGrantedLocked), and ls takes a
-// write reference on each.
+// poolLocked (free → pooled) puts pages in ls's pool, writable to it
+// (writableLocked).
 func (c *Controller) poolLocked(ls *libfsState, pages []nvm.PageID) {
 	var buf [8]pageRun // a batch is a handful of runs: off the heap
 	runs := buf[:0]
 	for _, p := range pages {
 		runs = appendPage(runs, p)
-	}
-	runs = normalizeRuns(runs)
-	c.openGrantedLocked(runs, nil, nil)
-	ls.refRunsLocked(runs, mmu.PermWrite)
-	for _, p := range pages {
 		ls.allocPages[p] = true
 		c.tracePage(p, "pool ls=%d", ls.id)
 	}
+	c.writableLocked(ls, normalizeRuns(runs))
+}
+
+// writableLocked gives ls a write reference on the pages of runs, their
+// checksum records opened first (openGrantedLocked).
+func (c *Controller) writableLocked(ls *libfsState, runs []pageRun) {
+	c.openGrantedLocked(runs, nil, nil)
+	ls.refRunsLocked(runs, mmu.PermWrite)
 }
 
 // lendLocked (pooled → parked) parks pool page p of o on fs, whose grant
@@ -47,56 +49,69 @@ func (c *Controller) lendLocked(o *libfsState, p nvm.PageID, fs *fileState) {
 	c.tracePage(p, "lend ino=%d ls=%d", fs.ino, o.id)
 }
 
-// bindLocked (pooled or parked → bound) is the one bind rule: page p joins
-// fs only when no file owns it and either the mount scan reached it (scan)
-// or it sits in the pool or parked set of o, the session it is attributed
-// to (adderLocked — the verifier's I2 rule, envImpl.PageAllocated). A page
-// parked on another file first leaves that file's holders; its pool
-// reference moves to o's open mapping of fs, or is dropped. A refused page
-// stays out of fs.pages, and the file's next full walk reports it (I2).
-func (c *Controller) bindLocked(fs *fileState, o *libfsState, p nvm.PageID, scan bool) bool {
-	if _, owned := c.ownerOf(p); owned {
-		return false
-	}
-	switch {
-	case scan:
-		c.pageAlloc.Reserve(p)
-	case o == nil || !o.pooled(p):
-		return false
-	default:
-		if from, _ := c.files.get(o.parked[p]); from != nil && from != fs {
-			c.dropFromHoldersLocked(from, p, nil)
+// bindLocked (pooled or parked → bound) is the one bind rule, over the
+// pages of runs: a page joins fs only when no file owns it and either the
+// mount scan reached it (attr nil) or it sits in the pool or parked set of
+// attr(p), the session it is attributed to (adderLocked — the verifier's
+// I2 rule, envImpl.PageAllocated). A page parked on another file first
+// leaves that file's holders; its pool reference moves to the session's
+// open mapping of fs, or is dropped. A refused page stays out of fs.pages
+// and the file's next full walk reports it (I2). fs.pages takes the bound
+// pages in one merge, into a new slice.
+func (c *Controller) bindLocked(fs *fileState, runs []pageRun, attr func(nvm.PageID) *libfsState) {
+	var buf [4]pageRun
+	bound := buf[:0]
+	for _, r := range runs {
+		for p := r.start; p < r.end(); p++ {
+			if _, owned := c.ownerOf(p); owned {
+				continue
+			}
+			if attr == nil {
+				c.pageAlloc.Reserve(p)
+			} else if o := attr(p); o == nil || !o.pooled(p) {
+				continue
+			} else {
+				if left, _ := c.files.get(o.parked[p]); left != nil && left != fs {
+					c.dropFromHoldersLocked(left, p, nil)
+				}
+				delete(o.allocPages, p)
+				delete(o.parked, p)
+				if om := o.mapped[fs.ino]; om != nil && runsFind(om.runs, p) < 0 {
+					om.runs = runsAdd(om.runs, p)
+				} else {
+					o.unrefPageLocked(p) // no mapping to move to, or it holds the page already
+				}
+			}
+			c.tabMu.Lock()
+			c.pageOwner[p] = fs.ino
+			c.tabMu.Unlock()
+			bound = appendPage(bound, p)
+			c.tracePage(p, "bind ino=%d", fs.ino)
 		}
-		delete(o.allocPages, p)
-		delete(o.parked, p)
-		if om := o.mapped[fs.ino]; om != nil && runsFind(om.runs, p) < 0 {
-			om.runs = runsAdd(om.runs, p)
-		} else {
-			o.unrefPageLocked(p) // no mapping to move to, or it holds the page already
-		}
 	}
-	c.tabMu.Lock()
-	c.pageOwner[p] = fs.ino
-	c.tabMu.Unlock()
-	fs.pages = runsAdd(fs.pages, p)
-	c.tracePage(p, "bind ino=%d", fs.ino)
-	return true
+	if len(bound) > 0 {
+		fs.pages = normalizeRuns(append(fs.pages[:len(fs.pages):len(fs.pages)], bound...))
+	}
 }
 
-// parkLocked (bound → parked) takes page p out of fs and parks it on ls:
-// the walk that saw it leave may have raced ls's own stores, so ls keeps
-// it, writable — its mapping's reference moves, or it takes a new one —
-// until its teardown (libfsState.parked).
-func (c *Controller) parkLocked(fs *fileState, ls *libfsState, p nvm.PageID) {
-	fs.pages = runsRemove(fs.pages, p)
-	c.clearPageOwner(p)
-	if m := ls.mapped[fs.ino]; m != nil && runsFind(m.runs, p) >= 0 {
-		m.runs = runsRemove(m.runs, p)
-	} else {
-		ls.refRunsLocked([]pageRun{{start: p, n: 1}}, mmu.PermWrite)
+// parkLocked (bound → parked) takes the pages of runs (normal form, in
+// fs.pages) out of fs and parks them on ls until its teardown
+// (libfsState.parked). A reference ls's mapping of fs holds moves with its
+// page; no other is taken. It returns the pages the mapping did not hold,
+// for a caller that must keep ls able to store to them (commitPagesLocked).
+func (c *Controller) parkLocked(fs *fileState, ls *libfsState, runs []pageRun) (unheld []pageRun) {
+	for _, r := range runs {
+		for p := r.start; p < r.end(); p++ {
+			c.clearPageOwner(p)
+			ls.parked[p] = fs.ino
+			c.tracePage(p, "park ino=%d ls=%d", fs.ino, ls.id)
+		}
 	}
-	ls.parked[p] = fs.ino
-	c.tracePage(p, "park ino=%d ls=%d", fs.ino, ls.id)
+	fs.pages, unheld = runsDiff(nil, fs.pages, runs), runs
+	if m := ls.mapped[fs.ino]; m != nil {
+		unheld, m.runs = runsDiff(nil, runs, m.runs), runsDiff(nil, m.runs, runs)
+	}
+	return unheld
 }
 
 // freeLocked (pooled, parked or bound → free) takes page p of ls out of

@@ -132,11 +132,10 @@ func (c *Controller) teardownLocked(ls *libfsState) {
 	pages := make([]nvm.PageID, 0, len(ls.allocPages)+len(ls.parked))
 	for p := range ls.allocPages {
 		pages = append(pages, p)
+		c.freeLocked(ls, p)
 	}
 	for p := range ls.parked {
 		pages = append(pages, p)
-	}
-	for _, p := range pages {
 		c.freeLocked(ls, p)
 	}
 	c.pageAlloc.FreePages(pages)
@@ -208,9 +207,7 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 // raced ls's own stores, so another of its files may reference one of
 // them (see libfsState.parked). Teardown settles the set.
 func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState) {
-	for len(fs.pages) > 0 {
-		c.parkLocked(fs, ls, fs.pages[0].start)
-	}
+	c.parkLocked(fs, ls, fs.pages)
 	c.swapKeptLocked(fs, nil).free()
 	c.unregisterFileLocked(fs.ino)
 	c.shadow.del(fs.ino)
@@ -237,8 +234,8 @@ func (c *Controller) direntGoneLocked(fs *fileState) bool {
 // unlinkedLocked reports whether fs's dirent is gone by its parent's
 // change — the slot's page left the parent's set, the parent's last
 // verified child list no longer names fs, ls's trust group write-holds
-// the parent or ls held it when it died (dirs), or the slot names no file
-// or one the controller issued and ls may write the parent, so it could
+// the parent or ls held it when it died (dirs), or the slot reads 0 or an
+// issued ino no file has yet and ls may write the parent, so it could
 // have made the change through the parent's own grant. Otherwise it is a
 // store of the file's own write holder, whose grant maps the slot, and is
 // settled as UnmapFile settles it. A quarantined parent proves nothing.
@@ -259,7 +256,7 @@ func (c *Controller) unlinkedLocked(fs *fileState, ls *libfsState, dirs []*fileS
 	w := pfs.writeHolder()
 	got, _ := core.DirentIno(c.mem, fs.loc.Page, fs.loc.Slot)
 	return w != nil && w.ls.group == ls.group ||
-		(got == 0 || c.allocBy.has(got) || c.files.has(got)) && c.permitted(ls, pfs.ino, true)
+		(got == 0 || c.allocBy.has(got) && !c.files.has(got)) && c.permitted(ls, pfs.ino, true)
 }
 
 // reapFileLocked forcibly revokes ls's write mapping of fs: verify the
@@ -353,17 +350,19 @@ func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState) {
 		if err != nil {
 			continue
 		}
-		var bound []pageRun
-		bind := func(p nvm.PageID) bool {
-			if ls.pooled(p) && c.bindLocked(fs, ls, p, false) {
-				bound = appendPage(bound, p)
+		var pooled []pageRun
+		reach := func(p nvm.PageID) bool {
+			if ls.pooled(p) {
+				pooled = appendPage(pooled, p)
 			}
 			return true
 		}
-		core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()), bind,
-			func(_ uint64, p nvm.PageID) bool { return bind(p) })
+		core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()), reach,
+			func(_ uint64, p nvm.PageID) bool { return reach(p) })
+		before := fs.pages
+		c.bindLocked(fs, normalizeRuns(pooled), func(nvm.PageID) *libfsState { return ls })
 		// The pool's write access ends here, as at an adoption: seal what joined.
-		c.sealQuiescentLocked(normalizeRuns(bound), nil, telemetry.Span{})
+		c.sealQuiescentLocked(runsDiff(nil, fs.pages, before), nil, telemetry.Span{})
 		if in.Type == core.TypeDir && len(ls.allocInos) > 0 {
 			// Dirents naming still-pooled inos: the create's verification
 			// walk was outrun the same way. Adopt them like any other

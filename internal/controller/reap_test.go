@@ -230,52 +230,59 @@ func TestRecoverKeepsCommittedUnlink(t *testing.T) {
 }
 
 // TestForeignInoStoreSettledAlike: a write holder of a file stores a
-// foreign ino into the file's own dirent slot — its grant maps the slot,
-// though it does not write-hold the directory, so this is no unlink. Its
-// release, a lease revocation by a contended map and a reap settle the
-// store alike: one corruption, one rollback, the file kept under its
-// name, and the tree clean.
+// foreign ino — one the controller never issued, or another live file's —
+// into the file's own dirent slot: its grant maps the slot, though it
+// does not write-hold the directory, so this is no unlink. Its release, a
+// lease revocation by a contended map and a reap settle the store alike:
+// one corruption, one rollback, the file kept under its name, and the
+// tree clean.
 func TestForeignInoStoreSettledAlike(t *testing.T) {
 	for _, how := range []string{"unmap", "revoke", "reap"} {
-		t.Run(how, func(t *testing.T) {
-			c, _ := newCtl(t, smallCfg())
-			owner := c.Register(1000, 1000, 0, 0)
-			ino, loc := mkFile(t, owner, "kept", []byte("not unlinked"))
-			unmapRoot(t, owner)
-			w, other := c.Register(1000, 1000, 0, 0), c.Register(1000, 1000, 0, 0)
-			if _, err := w.MapFile(ino, loc, true); err != nil {
-				t.Fatal(err)
-			}
-			if err := core.CommitDirentIno(w.AddressSpace(), loc.Page, loc.Slot, 12345); err != nil {
-				t.Fatal(err)
-			}
-			before := c.Stats().Snapshot()
-			var err error
-			switch how {
-			case "unmap":
-				err = w.UnmapFile(ino)
-			case "revoke":
-				_, err = other.MapFile(ino, loc, true) // waits out the lease; no recall handler
-			case "reap":
-				w.Abandon()
-				err = c.Reap(w.ID())
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := c.Stats().Snapshot().Sub(before); d.Corruptions != 1 || d.Rollbacks != 1 {
-				t.Fatalf("%d corruptions, %d rollbacks; want 1 and 1", d.Corruptions, d.Rollbacks)
-			}
-			if got, err := core.DirentIno(c.mem, loc.Page, loc.Slot); err != nil || got != ino {
-				t.Fatalf("the slot names ino %d (%v), want %d", got, err, ino)
-			}
-			if _, err := other.MapFile(ino, loc, false); err != nil {
-				t.Fatalf("the file is gone: %v", err)
-			}
-			if checked, bad, first := c.VerifyAll(); bad != 0 {
-				t.Fatalf("VerifyAll: %d of %d bad: %s", bad, checked, first)
-			}
-		})
+		for _, foreign := range []string{"unissued", "live"} {
+			t.Run(how+"/"+foreign, func(t *testing.T) {
+				c, _ := newCtl(t, smallCfg())
+				owner := c.Register(1000, 1000, 0, 0)
+				ino, loc := mkFile(t, owner, "kept", []byte("not unlinked"))
+				got := core.Ino(12345)
+				if foreign == "live" {
+					got, _ = mkFile(t, owner, "other", []byte("another file"))
+				}
+				unmapRoot(t, owner)
+				w, other := c.Register(1000, 1000, 0, 0), c.Register(1000, 1000, 0, 0)
+				if _, err := w.MapFile(ino, loc, true); err != nil {
+					t.Fatal(err)
+				}
+				if err := core.CommitDirentIno(w.AddressSpace(), loc.Page, loc.Slot, got); err != nil {
+					t.Fatal(err)
+				}
+				before := c.Stats().Snapshot()
+				var err error
+				switch how {
+				case "unmap":
+					err = w.UnmapFile(ino)
+				case "revoke":
+					_, err = other.MapFile(ino, loc, true) // waits out the lease; no recall handler
+				case "reap":
+					w.Abandon()
+					err = c.Reap(w.ID())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := c.Stats().Snapshot().Sub(before); d.Corruptions != 1 || d.Rollbacks != 1 {
+					t.Fatalf("%d corruptions, %d rollbacks; want 1 and 1", d.Corruptions, d.Rollbacks)
+				}
+				if got, err := core.DirentIno(c.mem, loc.Page, loc.Slot); err != nil || got != ino {
+					t.Fatalf("the slot names ino %d (%v), want %d", got, err, ino)
+				}
+				if _, err := other.MapFile(ino, loc, false); err != nil {
+					t.Fatalf("the file is gone: %v", err)
+				}
+				if checked, bad, first := c.VerifyAll(); bad != 0 {
+					t.Fatalf("VerifyAll: %d of %d bad: %s", bad, checked, first)
+				}
+			})
+		}
 	}
 }
 

@@ -50,8 +50,12 @@ func normalizeRuns(runs []pageRun) []pageRun {
 	return out
 }
 
-// runsAdd adds page p to normal-form runs.
+// runsAdd adds page p to normal-form runs; a page at or past the last
+// run's end, a growing file's, costs no pass over the runs.
 func runsAdd(runs []pageRun, p nvm.PageID) []pageRun {
+	if n := len(runs); n == 0 || runs[n-1].end() <= p {
+		return appendPage(runs, p)
+	}
 	return normalizeRuns(appendPage(runs, p))
 }
 
