@@ -51,6 +51,10 @@ type granState struct {
 	// stored to since the bit was set, or opened by record by a release
 	// that left the granule to another holder.
 	stored uint32
+	// split: splitGranule opened every record since the last close, so
+	// the close hands all 32 to their records rather than vouching for the
+	// ones nobody stored to by the bit.
+	split bool
 }
 
 // granuleMask is the bit of page p in its granule's masks.
@@ -341,7 +345,10 @@ func (c *Controller) sealQuiescentLocked(runs []pageRun, m *mapping, sp telemetr
 			// Nobody holds the granule: close it. The pages stored to stream;
 			// the mapping's own records decide as any per-page record does.
 			stored := st.stored
-			st.stored = 0
+			if st.split {
+				mine = ^uint32(0)
+			}
+			st.stored, st.split = 0, false
 			for todo := stored | mine; todo != 0; todo &= todo - 1 {
 				q := a + nvm.PageID(bits.TrailingZeros32(todo))
 				if c.writeRefsAt(q) == 0 { // else a grant that opened its record still holds it, and seals it

@@ -497,14 +497,25 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 	c.pageAlloc = alloc.NewPageAlloc(core.FirstFilePage, core.ChecksumBase(total), opts.CPUs)
 	c.scrubber = verifier.NewScrubber(dev)
 
-	maxIno, err := c.scanTree()
+	// The mount is the adoption walk with no session (adoptChildLocked):
+	// the first claim on a page or an ino wins, and a file whose chain or
+	// dirents cannot be read whole keeps what could be read, for its
+	// verification to report. The root is a directory whatever its type
+	// byte says.
+	rootLoc := core.RootLoc()
+	root, err := core.ReadDirentInode(c.mem, rootLoc.Page, rootLoc.Slot)
 	if err != nil {
-		return nil, fmt.Errorf("controller: scanning existing tree: %w", err)
+		return nil, fmt.Errorf("controller: reading the root inode: %w", err)
 	}
+	root.Type = core.TypeDir
+	c.adoptChildLocked(nil, nil, &verifier.ChildRef{Ino: core.RootIno, Loc: rootLoc, Inode: root})
+	c.pageAlloc.Reserve(core.RootInodePage)
+	maxIno := core.RootIno
+	c.files.forEach(func(ino core.Ino, _ *fileState) bool { maxIno = ino; return true }) // in ino order
 	// Granules a write grant held open when the device went down reseal
 	// from their content before anyone may trust their records.
 	c.expandGranulesLocked()
-	c.inoAlloc = alloc.NewInoAlloc(maxIno+1, opts.CPUs)
+	c.inoAlloc = alloc.NewInoAlloc(uint64(maxIno)+1, opts.CPUs)
 	if opts.LeaseSweep > 0 {
 		// One sweeper per shard: each reaps its own dead sessions and
 		// runs its own scrub slice on an independent budget.
@@ -526,84 +537,6 @@ func (c *Controller) Close() {
 			c.sweepWG.Wait()
 		}
 	})
-}
-
-// scanTree walks the populated device from the root (the trusted mount-
-// time equivalent of fsck's reachability pass), building fileStates,
-// the page-owner map and the shadow table, and reserving used pages.
-func (c *Controller) scanTree() (maxIno uint64, err error) {
-	root := &fileState{ino: core.RootIno, loc: core.RootLoc(), ftype: core.TypeDir}
-	c.registerFileLocked(root)
-	rootInode, err := core.ReadDirentInode(c.mem, root.loc.Page, root.loc.Slot)
-	if err != nil {
-		return 0, err
-	}
-	c.shadow.set(core.RootIno, verifier.ShadowInfo{
-		Mode: rootInode.Mode, UID: rootInode.UID, GID: rootInode.GID, Type: core.TypeDir,
-	})
-	maxIno = uint64(core.RootIno)
-
-	queue := []*fileState{root}
-	visited := map[core.Ino]bool{core.RootIno: true}
-	for len(queue) > 0 {
-		fs := queue[0]
-		queue = queue[1:]
-		in, err := core.ReadDirentInode(c.mem, fs.loc.Page, fs.loc.Slot)
-		if err != nil {
-			return 0, err
-		}
-		runs, err := c.walkRuns(in.Head)
-		if err != nil {
-			return 0, fmt.Errorf("file %d: %w", fs.ino, err)
-		}
-		// The first file the scan reaches keeps a page two files claim;
-		// the later one's set leaves it out, and its verification says so.
-		c.bindLocked(fs, runs, nil)
-		if fs.ftype != core.TypeDir {
-			continue
-		}
-		var blocks []nvm.PageID
-		core.WalkFile(c.mem, in.Head, int(c.dev.NumPages()), nil,
-			func(_ uint64, p nvm.PageID) bool { blocks = append(blocks, p); return true })
-		for _, p := range blocks {
-			for slot := 0; slot < core.SlotsPerDirPage; slot++ {
-				ino, err := core.DirentIno(c.mem, p, slot)
-				if err != nil || ino == 0 {
-					continue
-				}
-				child, err := core.ReadDirentInode(c.mem, p, slot)
-				if err != nil {
-					return 0, err
-				}
-				name, err := core.ReadDirentName(c.mem, p, slot)
-				if err != nil {
-					return 0, err
-				}
-				if visited[child.Ino] {
-					return 0, fmt.Errorf("inode %d reachable twice (corrupt tree)", child.Ino)
-				}
-				visited[child.Ino] = true
-				if uint64(child.Ino) > maxIno {
-					maxIno = uint64(child.Ino)
-				}
-				loc := core.FileLoc{Page: p, Slot: slot}
-				cfs := &fileState{ino: child.Ino, loc: loc, ftype: child.Type, parent: fs.ino}
-				c.registerFileLocked(cfs)
-				c.shadow.set(child.Ino, verifier.ShadowInfo{
-					Mode: child.Mode, UID: child.UID, GID: child.GID, Type: child.Type,
-				})
-				fs.children = append(fs.children, verifier.ChildRef{
-					Ino: child.Ino, Name: name, Loc: loc, Inode: child,
-				})
-				// Both file types are enqueued: directories to scan their
-				// entries, regular files to reserve their index/data pages.
-				queue = append(queue, cfs)
-			}
-		}
-	}
-	// Reserve the root inode page itself.
-	c.pageAlloc.Reserve(core.RootInodePage)
-	return maxIno, nil
 }
 
 // tracePage records one page-accounting transition as a telemetry

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -617,6 +618,158 @@ func TestMountPageClaimedTwice(t *testing.T) {
 	}
 	if pa, pb := sa.AddressSpace().PermOf(stolen), sb.AddressSpace().PermOf(stolen); pa != mmu.PermWrite || pb != mmu.PermNone {
 		t.Fatalf("page %d: a's writer maps it %v, b's (another group) %v; want write and none", stolen, pa, pb)
+	}
+}
+
+// TestMountIsolatesBadFile: one bad file fails itself, not the mount.
+// Each image holds three files in the root (and, in the subdirectory
+// case, a directory with two more) and one corruption made behind the
+// controller's back. The mount succeeds, every untouched file maps and
+// reads back its content, VerifyAll reports the one bad file — a dirent
+// whose name does not decode is reported by its directory and its file
+// both — no ino a dirent names is issued again, and an ino two dirents
+// name keeps the first one's location. A grant of a file whose chain
+// leaves the device answers ErrCorrupt; a device error on a good file's
+// chain stays untyped.
+func TestMountIsolatesBadFile(t *testing.T) {
+	type file struct {
+		ino core.Ino
+		loc core.FileLoc
+	}
+	content := func(name string) []byte { return bytes.Repeat([]byte(name), nvm.PageSize+100) }
+	head := func(t *testing.T, mem core.Mem, f file) nvm.PageID {
+		in, err := core.ReadDirentInode(mem, f.loc.Page, f.loc.Slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.Head
+	}
+	pastDevice := func(name string) func(*testing.T, core.Mem, map[string]file) {
+		return func(t *testing.T, mem core.Mem, files map[string]file) {
+			if err := mem.WriteU64(head(t, mem, files[name]), core.IndexEntriesPerPage*8, 1<<30); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		subdir bool   // directory d holds files x and y
+		bad    string // the file whose chain leaves the device
+		lost   string // the file whose dirent now names a's ino
+		why    string // what VerifyAll reports
+		nbad   int    // how many files VerifyAll reports
+		edit   func(*testing.T, core.Mem, map[string]file)
+	}{
+		{name: "chain past the device", bad: "b", why: "beyond device", nbad: 1, edit: pastDevice("b")},
+		{name: "chain past the device in a subdirectory", subdir: true, bad: "x", why: "beyond device", nbad: 1, edit: pastDevice("x")},
+		{name: "ino named twice", lost: "c", why: "referenced by two entries", nbad: 1, edit: func(t *testing.T, mem core.Mem, files map[string]file) {
+			if err := core.CommitDirentIno(mem, files["c"].loc.Page, files["c"].loc.Slot, files["a"].ino); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "name past the maximum", why: "unreadable dirent name", nbad: 2, edit: func(t *testing.T, mem core.Mem, files map[string]file) {
+			if err := mem.WriteU64(files["c"].loc.Page, core.SlotOffset(files["c"].loc.Slot)+core.DirentNameLenOff, 0xffff); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := nvm.MustNewDevice(smallCfg())
+			c1, err := New(dev, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := c1.Register(1000, 1000, 0, 0)
+			files := map[string]file{}
+			for _, name := range []string{"a", "b", "c"} {
+				ino, loc := mkFile(t, s, name, content(name))
+				files[name] = file{ino, loc}
+			}
+			if tc.subdir {
+				ino, loc, dp := mkSubdir(t, s, "d")
+				unmapRoot(t, s)
+				if _, err := s.MapFile(ino, loc, true); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range []string{"x", "y"} {
+					ino, loc := mkFileInDir(t, s, dp, name, content(name))
+					files[name] = file{ino, loc}
+				}
+				if err := s.UnmapFile(ino); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				unmapRoot(t, s)
+			}
+			c1.Close()
+			mem := core.Direct(dev, 0)
+			goodHead := head(t, mem, files["a"])
+			tc.edit(t, mem, files)
+
+			c, err := New(dev, Options{})
+			if err != nil {
+				t.Fatalf("mount: %v", err)
+			}
+			defer c.Close()
+			if _, bad, first := c.VerifyAll(); bad != tc.nbad || !strings.Contains(first, tc.why) {
+				t.Fatalf("VerifyAll: %d bad, first %q; want %d (%s)", bad, first, tc.nbad, tc.why)
+			}
+			c.lockAll()
+			fa, _ := c.files.get(files["a"].ino)
+			c.unlockAll()
+			if fa == nil || fa.loc != files["a"].loc {
+				t.Fatalf("ino %d: mounted at %+v, want its first dirent %v", files["a"].ino, fa, files["a"].loc)
+			}
+			s = c.Register(1000, 1000, 0, 0)
+			inos, err := s.AllocInos(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, f := range files {
+				if f.ino == inos[0] && name != tc.lost {
+					t.Fatalf("the mount issues ino %d again, which %s's dirent names", f.ino, name)
+				}
+			}
+			fp := nvm.NewFaultPlan()
+			fp.InjectReadFault(goodHead, 0, 1000)
+			dev.SetFaultPlan(fp)
+			_, err = s.MapFile(files["a"].ino, files["a"].loc, false)
+			dev.SetFaultPlan(nil)
+			if err == nil || errors.Is(err, ErrCorrupt) {
+				t.Fatalf("map of a with its index page unreadable: %v, want an untyped device error", err)
+			}
+			if tc.bad != "" {
+				if _, err := s.MapFile(files[tc.bad].ino, files[tc.bad].loc, false); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("map of %s, whose chain leaves the device: %v, want ErrCorrupt", tc.bad, err)
+				}
+			}
+			for name, f := range files {
+				if name == tc.bad || name == tc.lost {
+					continue
+				}
+				info, err := s.MapFile(f.ino, f.loc, false)
+				if err != nil {
+					t.Fatalf("map of untouched %s: %v", name, err)
+				}
+				want, as := content(name), s.AddressSpace()
+				got := make([]byte, len(want))
+				for i := 0; i*nvm.PageSize < len(want); i++ {
+					p, err := core.IndexEntry(as, info.Inode.Head, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := as.Read(p, 0, got[i*nvm.PageSize:min(len(want), (i+1)*nvm.PageSize)]); err != nil {
+						t.Fatalf("read of untouched %s: %v", name, err)
+					}
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("untouched %s reads back other content", name)
+				}
+				if err := s.UnmapFile(f.ino); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -137,8 +137,9 @@ func (c *Controller) closeGranules(closed []nvm.PageID) {
 // splitGranule turns open granule g back into per-page records — each
 // opened durably, so ahead of the fence the bit's clear needs — and pends
 // the bit: a page is leaving the file the bit was set for. The grants
-// that held the granule whole drain per page. The caller holds the lock
-// its file's records serialize under.
+// that held the granule whole drain per page; a grant that opens it by
+// its bit again leaves its records to the close (granState.split). The
+// caller holds the lock its file's records serialize under.
 func (c *Controller) splitGranule(g nvm.PageID) {
 	c.tabMu.Lock()
 	active := c.gran[g].ino != 0
@@ -148,7 +149,7 @@ func (c *Controller) splitGranule(g nvm.PageID) {
 	}
 	c.openSegment(c.dev.NumPages(), pageRun{start: granuleStart(g), n: nvm.GranulePages})
 	c.tabMu.Lock()
-	c.gran[g].ino, c.gran[g].stored = 0, 0
+	c.gran[g].ino, c.gran[g].stored, c.gran[g].split = 0, 0, true
 	c.tabMu.Unlock()
 	c.pendGranules([]nvm.PageID{g})
 }

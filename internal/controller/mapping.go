@@ -237,7 +237,8 @@ func (c *Controller) grantRuns(fs *fileState, in *core.Inode) ([]pageRun, uint64
 // starts at head as normal-form runs. The chain is untrusted core state:
 // only file pages, [FirstFilePage, ChecksumBase), are kept — an id naming
 // the superblock, the root inode, the checksum region or a page past the
-// device never reaches a table or a grant.
+// device never reaches a table or a grant — and a chain whose next index
+// page is not one ends there, with ErrCorrupt and the runs read so far.
 func (c *Controller) walkRuns(head nvm.PageID) ([]pageRun, error) {
 	total := c.dev.NumPages()
 	base := core.ChecksumBase(total)
@@ -245,12 +246,23 @@ func (c *Controller) walkRuns(head nvm.PageID) ([]pageRun, error) {
 	add := func(p nvm.PageID) bool {
 		if p >= core.FirstFilePage && p < base {
 			runs = appendPage(runs, p)
+			return true
 		}
-		return true
+		return false
 	}
+	var left error
 	err := core.WalkFile(c.mem, head, int(total),
-		func(p nvm.PageID) bool { c.stats.IndexReads.Add(1); return add(p) },
-		func(_ uint64, p nvm.PageID) bool { return add(p) })
+		func(p nvm.PageID) bool {
+			c.stats.IndexReads.Add(1)
+			if !add(p) {
+				left = fmt.Errorf("%w: index chain leaves the file pages at page %d", ErrCorrupt, p)
+			}
+			return left == nil
+		},
+		func(_ uint64, p nvm.PageID) bool { add(p); return true })
+	if left != nil {
+		err = left
+	}
 	return normalizeRuns(runs), err
 }
 
@@ -805,40 +817,55 @@ func (c *Controller) commitReportTailLocked(fs *fileState, ls *libfsState, rep *
 }
 
 // adoptChildLocked records one dirent's file (and, for directories, its
-// whole unverified subtree) into the controller's global information.
+// whole unverified subtree) into the controller's global information. ls
+// nil is the mount, whose walk starts at the root (parent nil): a file it
+// reaches a second time keeps its first dirent, pages bind under the mount
+// rule, credentials are the inode's, and nothing is sealed — the mount
+// settles every record (expandGranulesLocked).
 func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *verifier.ChildRef) {
+	var pino core.Ino
+	if parent != nil {
+		pino = parent.ino
+	}
 	if cfs, ok := c.files.get(ch.Ino); ok {
-		cfs.loc = ch.Loc
-		cfs.parent = parent.ino
+		if ls != nil {
+			cfs.loc = ch.Loc
+			cfs.parent = pino
+		}
 		return
 	}
-	cfs := &fileState{ino: ch.Ino, loc: ch.Loc, ftype: ch.Inode.Type, parent: parent.ino}
+	cfs := &fileState{ino: ch.Ino, loc: ch.Loc, ftype: ch.Inode.Type, parent: pino}
 	// Bind the child's own pages by walking it: a page joins from the pool
 	// of a session that could have written the dirent (adderLocked on the
 	// directory) — so no file's page and no free page, whatever the dirent
 	// names. What a walk that fails part-way found is bound.
 	runs, _ := c.walkRuns(ch.Inode.Head)
-	c.bindLocked(cfs, runs, func(p nvm.PageID) *libfsState { return c.adderLocked(parent, ls, p) })
-	// Adoption is the moment the creator's implicit pool write access
-	// ends: seal the child's now-quiescent pages so the scrubber (and
-	// VerifyReads readers) can vouch for them. Pages a session still
-	// write-maps are skipped inside sealQuiescentLocked.
-	c.sealQuiescentLocked(cfs.pages, nil, telemetry.Span{})
-	c.registerFileLocked(cfs)
-	if !c.shadow.has(ch.Ino) {
+	uid, gid := ch.Inode.UID, ch.Inode.GID
+	if ls == nil {
+		c.bindLocked(cfs, runs, nil)
+	} else {
+		c.bindLocked(cfs, runs, func(p nvm.PageID) *libfsState { return c.adderLocked(parent, ls, p) })
+		// Adoption is the moment the creator's implicit pool write access
+		// ends: seal the child's now-quiescent pages so the scrubber (and
+		// VerifyReads readers) can vouch for them. Pages a session still
+		// write-maps are skipped inside sealQuiescentLocked.
+		c.sealQuiescentLocked(cfs.pages, nil, telemetry.Span{})
+		delete(ls.allocInos, ch.Ino)
 		// Credentials: the LibFS the ino was issued to (it may differ
 		// from the LibFS under verification within a trust group).
-		uid, gid := ls.uid, ls.gid
+		uid, gid = ls.uid, ls.gid
 		if holder, ok := c.allocBy.get(ch.Ino); ok {
 			if hls := c.libfses[holder]; hls != nil {
 				uid, gid = hls.uid, hls.gid
 			}
 		}
+	}
+	c.registerFileLocked(cfs)
+	if !c.shadow.has(ch.Ino) {
 		c.shadow.set(ch.Ino, verifier.ShadowInfo{
 			Mode: ch.Inode.Mode, UID: uid, GID: gid, Type: ch.Inode.Type,
 		})
 	}
-	delete(ls.allocInos, ch.Ino)
 
 	if ch.Inode.Type != core.TypeDir {
 		return
@@ -849,8 +876,9 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 
 // adoptDirentsLocked adopts every live dirent of directory dir, whose
 // chain starts at head, that want accepts, as ls's verification of dir
-// would (adoptChildLocked). A slot that does not decode is left to dir's
-// own verification.
+// would (adoptChildLocked). A slot whose name does not decode is left to
+// dir's own verification — but the mount adopts it: its pages and its ino
+// must not go back to the allocators while a dirent names them.
 func (c *Controller) adoptDirentsLocked(dir *fileState, ls *libfsState, head nvm.PageID, want func(core.Ino) bool) {
 	var pages []nvm.PageID
 	core.WalkFile(c.mem, head, int(c.dev.NumPages()), nil,
@@ -862,7 +890,7 @@ func (c *Controller) adoptDirentsLocked(dir *fileState, ls *libfsState, head nvm
 		}
 		for slot := 0; slot < core.SlotsPerDirPage; slot++ {
 			in := dp.SlotInode(slot)
-			if name, err := dp.SlotName(slot); in.Ino != 0 && err == nil && want(in.Ino) {
+			if name, err := dp.SlotName(slot); in.Ino != 0 && (err == nil || ls == nil) && want(in.Ino) {
 				ref := verifier.ChildRef{Ino: in.Ino, Name: name, Loc: core.FileLoc{Page: p, Slot: slot}, Inode: in}
 				dir.children = append(dir.children, ref)
 				c.adoptChildLocked(dir, ls, &ref)

@@ -484,10 +484,11 @@ func (w *modelWorld) scrub(full bool) {
 
 // crash arms a crash point k persist points ahead, runs one release — or
 // a write grant and a store — into it, pulls the power and mounts the
-// device afresh; a full scrub then covers every page. It reports false,
-// ending the input, when a persisted metadata store left an image the
-// mount scan cannot take yet (ROADMAP item 1): a dirent whose ino or type
-// changed — the scan does not bound inos — or one it fails on whole.
+// device afresh; a full scrub then covers every page. The mount takes
+// any image; it reports false, ending the input, only when a persisted
+// metadata store named an ino the dense ino tables cannot take yet
+// (ROADMAP item 1): a world dirent whose ino changed, or whose type
+// became a directory, whose data pages the mount then reads as dirents.
 func (w *modelWorld) crash(s *Session, f *modelFile, k int64) bool {
 	fp := nvm.NewFaultPlan()
 	fp.ArmCrashPoint(k)
@@ -506,16 +507,12 @@ func (w *modelWorld) crash(s *Session, f *modelFile, k int64) bool {
 	w.tainted = w.tainted || w.meta
 	mem := core.Direct(w.dev, 0)
 	for _, f := range w.files {
-		in, err := core.ReadDirentInode(mem, f.loc.Page, f.loc.Slot)
-		if _, nerr := core.ReadDirentName(mem, f.loc.Page, f.loc.Slot); err != nil || nerr != nil || in.Ino != f.ino || in.Type != core.TypeReg {
+		if in, err := core.ReadDirentInode(mem, f.loc.Page, f.loc.Slot); err == nil && (in.Ino != f.ino || in.Type == core.TypeDir) {
 			return false
 		}
 	}
 	if err := w.mount(); err != nil {
-		if !w.meta {
-			w.t.Fatalf("remount after the crash: %v", err)
-		}
-		return false
+		w.t.Fatalf("remount after the crash: %v", err)
 	}
 	clear(w.stored)
 	w.scrub(true)

@@ -2,11 +2,13 @@ package libfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"trio/internal/controller"
 	"trio/internal/core"
+	"trio/internal/fsapi"
 	"trio/internal/nvm"
 )
 
@@ -254,5 +256,84 @@ func TestRenameCrashPointSweep(t *testing.T) {
 		if k > 200 {
 			t.Fatal("sweep did not terminate; rename issues >200 stores?")
 		}
+	}
+}
+
+// TestRemountBadChainIsCorrupt: a file whose index chain was made to
+// leave the device while the file system was down fails alone. The
+// remount succeeds, the file answers fsapi.ErrCorrupt, and its sibling
+// reads back.
+func TestRemountBadChainIsCorrupt(t *testing.T) {
+	dev := nvm.MustNewDevice(nvm.Config{Nodes: 1, PagesPerNode: 4096})
+	ctl, err := controller.New(dev, controller.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _ := New(ctl.Register(1000, 1000, 0, 0), Config{CPUs: 2})
+	c := fs.NewClient(0)
+	payload := bytes.Repeat([]byte("isolated "), 1000) // three data pages
+	for _, name := range []string{"/good", "/bad"} {
+		f, err := c.Create(name, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctl.Close()
+
+	// The bad file's first index page links to a page past the device.
+	mem := core.Direct(dev, 0)
+	root := core.RootLoc()
+	rin, err := core.ReadDirentInode(mem, root.Page, root.Slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := core.IndexEntry(mem, rin.Head, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := false
+	for slot := 0; slot < core.SlotsPerDirPage && !linked; slot++ {
+		if name, err := core.ReadDirentName(mem, dp, slot); err != nil || name != "bad" {
+			continue
+		}
+		in, err := core.ReadDirentInode(mem, dp, slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		linked = mem.WriteU64(in.Head, core.IndexEntriesPerPage*8, 1<<30) == nil
+	}
+	if !linked {
+		t.Fatal("no dirent named bad in the root's first dirent page")
+	}
+
+	ctl2, err := controller.New(dev, controller.Options{})
+	if err != nil {
+		t.Fatalf("remount: %v", err)
+	}
+	defer ctl2.Close()
+	fs2, _ := New(ctl2.Register(1000, 1000, 0, 0), Config{CPUs: 2})
+	c2 := fs2.NewClient(0)
+	got := make([]byte, len(payload))
+	if f, err := c2.Open("/bad", false); err == nil {
+		_, err = f.ReadAt(got, 0)
+		if !errors.Is(err, fsapi.ErrCorrupt) {
+			t.Fatalf("read of /bad: %v, want fsapi.ErrCorrupt", err)
+		}
+	} else if !errors.Is(err, fsapi.ErrCorrupt) {
+		t.Fatalf("open of /bad: %v, want fsapi.ErrCorrupt", err)
+	}
+	f, err := c2.Open("/good", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read of /good: %v (content equal: %v)", err, bytes.Equal(got, payload))
 	}
 }
