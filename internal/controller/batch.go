@@ -115,7 +115,7 @@ func (s *Session) mapEntry(r MapReq, wide bool, gate *admitGate, acc *int, now i
 		var err error
 		if wide {
 			info, wait, err = s.mapWideLocked(r, acc, now)
-			fs, _ = c.files.get(r.Ino)
+			fs = c.fileOf(r.Ino)
 		} else {
 			set, fs = c.lockForFile(c.shardIdxSession(s.ls.id), r.Ino, r.Write)
 			info, wait, err = s.mapFileOnceLocked(fs, r.Write, now)

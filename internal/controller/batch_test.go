@@ -230,7 +230,7 @@ func TestBatchContract(t *testing.T) {
 				if out[i].Info.Ino != q.Ino || out[i].Info.Write != q.Write {
 					t.Fatalf("entry %d: verdict %+v for request %+v", i, out[i].Info, q)
 				}
-				if !r.c.files.has(q.Ino) {
+				if r.c.fileOf(q.Ino) == nil {
 					t.Fatalf("entry %d: ino %d not adopted", i, q.Ino)
 				}
 			}
@@ -441,7 +441,7 @@ func (w *batchTwin) cleanClaimsHold(t *testing.T, step int) {
 func (w *batchTwin) wouldWait(si int, ino core.Ino) bool {
 	w.c.lockAll()
 	defer w.c.unlockAll()
-	if fs, _ := w.c.files.get(ino); fs != nil {
+	if fs := w.c.fileOf(ino); fs != nil {
 		m := fs.writeHolder()
 		return m != nil && m.ls.group != w.sess[si].ls.group
 	}
@@ -663,7 +663,7 @@ func TestBatchReapMidBatch(t *testing.T) {
 	if got := victim.ls.as.Mapped(); got != 0 {
 		t.Errorf("reaped address space still maps %d pages", got)
 	}
-	if fs, _ := c.files.get(files[0].Ino); len(fs.holders) != 0 {
+	if fs := c.fileOf(files[0].Ino); len(fs.holders) != 0 {
 		t.Errorf("the dead session still holds entry 0's file")
 	}
 	if err := holder.Close(); err != nil {
@@ -731,7 +731,7 @@ func awaitParked(t *testing.T, c *Controller, ino core.Ino) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		c.lockAll()
-		fs, _ := c.files.get(ino)
+		fs := c.fileOf(ino)
 		parked := fs != nil && fs.wake != nil
 		c.unlockAll()
 		if parked {

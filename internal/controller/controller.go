@@ -3,7 +3,7 @@
 // system resources — NVM pages and inodes — each LibFS can access. It
 // owns the device, programs the (simulated) MMU, maintains the global
 // file-system information the integrity verifier needs for invariant I2,
-// keeps the shadow inode table for I4, checkpoints files when granting
+// keeps a shadow of each file's inode for I4, checkpoints files when granting
 // write access, and orchestrates verification and corruption handling
 // when write access to a file transfers between trust domains (§4.3).
 //
@@ -119,6 +119,15 @@ type fileState struct {
 	loc    core.FileLoc
 	ftype  core.FileType
 	parent core.Ino
+	// creator is the session the ino was issued to (0: none, as for a
+	// file the mount found). Registration moves it here from allocBy.
+	creator LibFSID
+
+	// shadow is the controller's own copy of the inode's permission
+	// fields, the ground truth for I4 (§4.3). It is set when the file is
+	// registered and changed only by Chmod and Chown, both under lockAll,
+	// so any shard lock suffices to read it.
+	shadow verifier.ShadowInfo
 
 	// pages is the verified core-state page set (index + data pages) as
 	// normal-form runs (runs.go). A page is in it exactly while pageOwner
@@ -282,9 +291,9 @@ type libfsState struct {
 	c        *Controller
 
 	// allocPages is the session's pool: pages handed to the LibFS that are
-	// bound to no file (pages.go). allocInos likewise for inode numbers.
+	// bound to no file (pages.go). Its inos are the ones Controller.allocBy
+	// names it for.
 	allocPages map[nvm.PageID]bool
-	allocInos  map[core.Ino]bool
 
 	// parked holds pages that left a file of this LibFS (a verification
 	// saw them depart, or the file was removed) but cannot safely be
@@ -365,30 +374,24 @@ type Controller struct {
 
 	verifier *verifier.Verifier
 
-	// shards carry the controller's lock space (ISSUE 6): an entry of
-	// files/libfses is guarded by its home shard's mutex, the maps
-	// themselves mutate only under lockAll. See shard.go.
+	// shards carry the controller's lock space and its two registries,
+	// files and sessions: each entry is in its home shard's map only
+	// (fileOf, sessionOf). See shard.go.
 	shards []ctlShard
-
-	files   inoTable[*fileState]
-	libfses map[LibFSID]*libfsState
 
 	// tabMu (leaf lock, ordered after every shard mutex) guards the
 	// global tables below for the fast paths; lockAll sections may
-	// access them directly.
-	// The ino- and page-keyed tables are dense direct-indexed arrays,
-	// not hash maps: inos are issued by a monotone counter and pages
-	// are bounded by the device, and the adoption/unmap fast paths hit
-	// these tables once or more per operation (see inotab.go).
+	// access them directly. The page-keyed tables are slices the size of
+	// the device; the ino-keyed ones are maps, since an ino is whatever a
+	// dirent on the media says.
 	tabMu     sync.Mutex
-	pageOwner []core.Ino        // page -> verified owning file (0 = none)
-	allocBy   inoTable[LibFSID] // ino -> LibFS it was issued to
-	shadow    inoTable[verifier.ShadowInfo]
+	pageOwner []core.Ino           // page -> verified owning file (0 = none)
+	allocBy   map[core.Ino]LibFSID // issued ino no file has yet -> LibFS it was issued to
 	// reaped records inos the reaper retired on behalf of a dead
 	// session (orphan GC, pool release), so that a surviving LibFS
 	// whose batched RemoveFiles for one of them arrives late gets an
 	// idempotent success instead of ErrUnknownFile.
-	reaped inoTable[bool]
+	reaped map[core.Ino]bool
 	// writeRefs and granWrite count the sessions holding write permission
 	// at the page table's two sizes: per page, and per granule for what
 	// the MMU reports whole. writeRefsAt, the sum, is how a count is read.
@@ -464,7 +467,8 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 		verifier:  verifier.New(dev),
 		shards:    make([]ctlShard, opts.Shards),
 		pageOwner: make([]core.Ino, total),
-		libfses:   make(map[LibFSID]*libfsState),
+		allocBy:   make(map[core.Ino]LibFSID),
+		reaped:    make(map[core.Ino]bool),
 		writeRefs: make([]int32, total),
 		granWrite: make([]int32, granules),
 		cleanOpen: make([]bool, total),
@@ -501,7 +505,9 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 	// the first claim on a page or an ino wins, and a file whose chain or
 	// dirents cannot be read whole keeps what could be read, for its
 	// verification to report. The root is a directory whatever its type
-	// byte says.
+	// byte says. The ino allocator starts past the largest registered ino
+	// below 2^63; a file whose dirent names one at or above that is
+	// adopted all the same, and no allocator run reaches its ino.
 	rootLoc := core.RootLoc()
 	root, err := core.ReadDirentInode(c.mem, rootLoc.Page, rootLoc.Slot)
 	if err != nil {
@@ -511,7 +517,13 @@ func New(dev *nvm.Device, opts Options) (*Controller, error) {
 	c.adoptChildLocked(nil, nil, &verifier.ChildRef{Ino: core.RootIno, Loc: rootLoc, Inode: root})
 	c.pageAlloc.Reserve(core.RootInodePage)
 	maxIno := core.RootIno
-	c.files.forEach(func(ino core.Ino, _ *fileState) bool { maxIno = ino; return true }) // in ino order
+	for i := range c.shards {
+		for ino := range c.shards[i].files {
+			if ino > maxIno && ino < 1<<63 {
+				maxIno = ino
+			}
+		}
+	}
 	// Granules a write grant held open when the device went down reseal
 	// from their content before anyone may trust their records.
 	c.expandGranulesLocked()
@@ -594,7 +606,6 @@ func (c *Controller) Register(uid, gid uint32, node int, group GroupID) *Session
 		id: id, uid: uid, gid: gid, group: group,
 		as: as, c: c,
 		allocPages: make(map[nvm.PageID]bool),
-		allocInos:  make(map[core.Ino]bool),
 		parked:     make(map[nvm.PageID]core.Ino),
 		mapped:     make(map[core.Ino]*mapping),
 		revoked:    make(map[core.Ino]bool),

@@ -630,7 +630,10 @@ func TestMountPageClaimedTwice(t *testing.T) {
 // both — no ino a dirent names is issued again, and an ino two dirents
 // name keeps the first one's location. A grant of a file whose chain
 // leaves the device answers ErrCorrupt; a device error on a good file's
-// chain stays untyped.
+// chain stays untyped. A dirent that names a hostile ino — negative as an
+// int, the largest, or one a dense table would need terabytes for — is an
+// otherwise consistent image: nothing is reported, the file maps under
+// its new ino, and the allocator issues neither it nor 0 nor the root's.
 func TestMountIsolatesBadFile(t *testing.T) {
 	type file struct {
 		ino core.Ino
@@ -649,6 +652,14 @@ func TestMountIsolatesBadFile(t *testing.T) {
 			if err := mem.WriteU64(head(t, mem, files[name]), core.IndexEntriesPerPage*8, 1<<30); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	hostile := func(ino core.Ino) func(*testing.T, core.Mem, map[string]file) {
+		return func(t *testing.T, mem core.Mem, files map[string]file) {
+			if err := core.CommitDirentIno(mem, files["c"].loc.Page, files["c"].loc.Slot, ino); err != nil {
+				t.Fatal(err)
+			}
+			files["c"] = file{ino, files["c"].loc}
 		}
 	}
 	for _, tc := range []struct {
@@ -672,6 +683,9 @@ func TestMountIsolatesBadFile(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{name: "ino 2^63", edit: hostile(1 << 63)},
+		{name: "ino 2^64-1", edit: hostile(1<<64 - 1)},
+		{name: "ino 0x9a00000000", edit: hostile(0x9a00000000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := nvm.MustNewDevice(smallCfg())
@@ -715,19 +729,24 @@ func TestMountIsolatesBadFile(t *testing.T) {
 				t.Fatalf("VerifyAll: %d bad, first %q; want %d (%s)", bad, first, tc.nbad, tc.why)
 			}
 			c.lockAll()
-			fa, _ := c.files.get(files["a"].ino)
+			fa := c.fileOf(files["a"].ino)
 			c.unlockAll()
 			if fa == nil || fa.loc != files["a"].loc {
 				t.Fatalf("ino %d: mounted at %+v, want its first dirent %v", files["a"].ino, fa, files["a"].loc)
 			}
 			s = c.Register(1000, 1000, 0, 0)
-			inos, err := s.AllocInos(0, 1)
+			inos, err := s.AllocInos(0, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, f := range files {
-				if f.ino == inos[0] && name != tc.lost {
-					t.Fatalf("the mount issues ino %d again, which %s's dirent names", f.ino, name)
+			for _, ino := range inos {
+				if ino == 0 || ino == core.RootIno {
+					t.Fatalf("the mount issues ino %d", ino)
+				}
+				for _, fi := range c.Files() {
+					if fi.Ino == ino && ino != files[tc.lost].ino {
+						t.Fatalf("the mount issues ino %d again, which a dirent names", ino)
+					}
 				}
 			}
 			fp := nvm.NewFaultPlan()
@@ -824,14 +843,14 @@ func TestSessionCloseReturnsResources(t *testing.T) {
 				t.Errorf("free pages after %s: %d, want %d", how, got, free0)
 			}
 			for _, ino := range pool {
-				if !c.reaped.has(ino) {
+				if !c.reaped[ino] {
 					t.Errorf("pool ino %d has no tombstone", ino)
 				}
 			}
 			if n := a.AddressSpace().Mapped(); n != 0 {
 				t.Errorf("torn-down address space still maps %d pages", n)
 			}
-			if _, ok := c.shards[c.shardIdxSession(a.ID())].sessions[a.ID()]; ok || c.libfses[a.ID()] != nil {
+			if c.sessionOf(a.ID()) != nil {
 				t.Error("the session is still registered")
 			}
 			if _, err := c.Register(2000, 2000, 0, 0).MapFile(ino, loc, false); err != nil {

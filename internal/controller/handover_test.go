@@ -251,7 +251,7 @@ func TestCleanCloseKeepsPreGrantCRC(t *testing.T) {
 		t.Fatalf("scrub after unmap: %+v; want exactly one mismatch (the rotted page)", rep)
 	}
 	// The mismatch is the flipped page: its file is the one poisoned.
-	if fs, _ := c.files.get(ino); fs == nil || !fs.corrupt {
+	if fs := c.fileOf(ino); fs == nil || !fs.corrupt {
 		t.Fatal("the rotted file was not quarantined")
 	}
 	rec, err := core.LoadChecksum(c.mem, dev.NumPages(), data[3])

@@ -117,7 +117,8 @@ func (s *Session) mapWideLocked(r MapReq, acc *int, now int64) (MapInfo, time.Du
 // and so is one the scrubber found latently corrupt and could not repair
 // (never silently served). A mapping the session holds that already
 // satisfies the request is the answer: grant is false, info describes
-// it. Last, the shadow table (ground truth, I4) must permit the access.
+// it. Last, the file's shadow inode (ground truth, I4) must permit the
+// access.
 // When grant is true, up is the read mapping a read→write upgrade
 // replaces, nil for a fresh grant.
 func (s *Session) admitLocked(fs *fileState, write bool) (info MapInfo, up *mapping, grant bool, err error) {
@@ -136,7 +137,7 @@ func (s *Session) admitLocked(fs *fileState, write bool) (info MapInfo, up *mapp
 		}
 		return MapInfo{Ino: fs.ino, Loc: fs.loc, Inode: in, Write: m.write}, nil, false, nil
 	}
-	if !c.permitted(s.ls, fs.ino, write) {
+	if !permitted(s.ls, fs, write) {
 		return MapInfo{}, nil, false, fmt.Errorf("%w: ino %d write=%v for uid %d", ErrPermission, fs.ino, write, s.ls.uid)
 	}
 	return MapInfo{}, m, true, nil
@@ -397,15 +398,9 @@ func (s *Session) mapFileOnceLocked(fs *fileState, write bool, now int64) (MapIn
 }
 
 // permitted evaluates classic owner/group/other permission bits from
-// the shadow table (tabMu accessors: both fast paths and lockAll
-// sections call it).
-func (c *Controller) permitted(ls *libfsState, ino core.Ino, write bool) bool {
-	sh, ok := c.shadowOf(ino)
-	if !ok {
-		// Unknown to the controller: only its creator may touch it.
-		holder, _ := c.allocHolderOf(ino)
-		return holder == ls.id
-	}
+// the file's shadow inode.
+func permitted(ls *libfsState, fs *fileState, write bool) bool {
+	sh := &fs.shadow
 	if ls.uid == 0 {
 		return true
 	}
@@ -442,14 +437,14 @@ func (c *Controller) revokeReadersLocked(fs *fileState, keep GroupID) {
 // returned too, so the caller need not pay a second media access for the
 // dirent it just read.
 func (c *Controller) lookupOrAdoptLocked(ino core.Ino, loc core.FileLoc, acc *int) (*fileState, *verifier.Report, error) {
-	if fs, ok := c.files.get(ino); ok {
+	if fs := c.fileOf(ino); fs != nil {
 		return fs, nil, nil
 	}
-	creator, ok := c.allocBy.get(ino)
+	creator, ok := c.allocBy[ino]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
 	}
-	ls := c.libfses[creator]
+	ls := c.sessionOf(creator)
 	if ls == nil {
 		return nil, nil, fmt.Errorf("%w: ino %d (creator gone)", ErrUnknownFile, ino)
 	}
@@ -478,6 +473,7 @@ func (c *Controller) lookupOrAdoptLocked(ino core.Ino, loc core.FileLoc, acc *in
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, rep.Violations)
 	}
 	fs.ftype = rep.Inode.Type
+	fs.shadow = verifier.ShadowInfo{Mode: rep.Inode.Mode, UID: ls.uid, GID: ls.gid, Type: rep.Inode.Type}
 	c.commitReportLocked(fs, ls, rep)
 	c.registerFileLocked(fs)
 	return fs, rep, nil
@@ -492,12 +488,12 @@ func (c *Controller) direntPageParentLocked(p nvm.PageID, creator LibFSID) (core
 		return 0, true
 	}
 	if ino := c.pageOwnerAt(p); ino != 0 {
-		if fs, _ := c.files.get(ino); fs != nil && fs.ftype == core.TypeDir {
+		if fs := c.fileOf(ino); fs != nil && fs.ftype == core.TypeDir {
 			return ino, true
 		}
 		return 0, false
 	}
-	if ls := c.libfses[creator]; ls != nil && ls.pooled(p) {
+	if ls := c.sessionOf(creator); ls != nil && ls.pooled(p) {
 		return 0, true
 	}
 	return 0, false
@@ -730,14 +726,25 @@ func (c *Controller) verifyLocked(fs *fileState, ls *libfsState, acc *int, scope
 }
 
 // commitReportLocked records a clean verification outcome: the file's
-// new page set, ino bindings and shadow adoptions for new children. A
+// new page set, and for a directory its children, new ones adopted. A
 // scoped report walked nothing: the recorded set, facts and generation
 // stand as they are.
 func (c *Controller) commitReportLocked(fs *fileState, ls *libfsState, rep *verifier.Report) {
 	if !rep.Scoped {
 		c.commitPagesLocked(fs, ls, rep)
 	}
-	c.commitReportTailLocked(fs, ls, rep)
+	if rep.Inode.Type != core.TypeDir {
+		return
+	}
+	// Children: refresh locations, adopt new files — recursively, so
+	// that an entire freshly created subtree becomes "existing files"
+	// in the global information the moment its top is verified. Without
+	// this, the next writer's verification of this directory would see
+	// the subtree's inos as unattributed (I2 false positives).
+	fs.children = rep.Children
+	for i := range rep.Children {
+		c.adoptChildLocked(fs, ls, &rep.Children[i])
+	}
 }
 
 // commitPagesLocked records what a clean full walk found: its facts, and
@@ -790,32 +797,6 @@ func (c *Controller) commitPagesLocked(fs *fileState, ls *libfsState, rep *verif
 	}
 }
 
-// commitReportTailLocked is the page-set-independent half of
-// commitReportLocked: shadow adoption and child bookkeeping.
-func (c *Controller) commitReportTailLocked(fs *fileState, ls *libfsState, rep *verifier.Report) {
-	// Shadow adoption / refresh.
-	if _, ok := c.shadowOf(fs.ino); !ok {
-		c.setShadow(fs.ino, verifier.ShadowInfo{
-			Mode: rep.Inode.Mode, UID: ls.uid, GID: ls.gid, Type: rep.Inode.Type,
-		})
-		delete(ls.allocInos, fs.ino)
-	}
-
-	if rep.Inode.Type != core.TypeDir {
-		return
-	}
-	// Children: refresh locations, adopt new files — recursively, so
-	// that an entire freshly created subtree becomes "existing files"
-	// in the global information the moment its top is verified. Without
-	// this, the next writer's verification of this directory would see
-	// the subtree's inos as unattributed (I2 false positives).
-	fs.children = rep.Children
-	for i := range rep.Children {
-		ch := &rep.Children[i]
-		c.adoptChildLocked(fs, ls, ch)
-	}
-}
-
 // adoptChildLocked records one dirent's file (and, for directories, its
 // whole unverified subtree) into the controller's global information. ls
 // nil is the mount, whose walk starts at the root (parent nil): a file it
@@ -827,7 +808,7 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 	if parent != nil {
 		pino = parent.ino
 	}
-	if cfs, ok := c.files.get(ch.Ino); ok {
+	if cfs := c.fileOf(ch.Ino); cfs != nil {
 		if ls != nil {
 			cfs.loc = ch.Loc
 			cfs.parent = pino
@@ -850,22 +831,15 @@ func (c *Controller) adoptChildLocked(parent *fileState, ls *libfsState, ch *ver
 		// VerifyReads readers) can vouch for them. Pages a session still
 		// write-maps are skipped inside sealQuiescentLocked.
 		c.sealQuiescentLocked(cfs.pages, nil, telemetry.Span{})
-		delete(ls.allocInos, ch.Ino)
 		// Credentials: the LibFS the ino was issued to (it may differ
 		// from the LibFS under verification within a trust group).
 		uid, gid = ls.uid, ls.gid
-		if holder, ok := c.allocBy.get(ch.Ino); ok {
-			if hls := c.libfses[holder]; hls != nil {
-				uid, gid = hls.uid, hls.gid
-			}
+		if hls := c.sessionOf(c.allocBy[ch.Ino]); hls != nil {
+			uid, gid = hls.uid, hls.gid
 		}
 	}
+	cfs.shadow = verifier.ShadowInfo{Mode: ch.Inode.Mode, UID: uid, GID: gid, Type: ch.Inode.Type}
 	c.registerFileLocked(cfs)
-	if !c.shadow.has(ch.Ino) {
-		c.shadow.set(ch.Ino, verifier.ShadowInfo{
-			Mode: ch.Inode.Mode, UID: uid, GID: gid, Type: ch.Inode.Type,
-		})
-	}
 
 	if ch.Inode.Type != core.TypeDir {
 		return
@@ -1081,14 +1055,11 @@ func (e *envImpl) PageAllocated(p nvm.PageID) bool {
 	if e.ls.pooled(p) || e.c.adderLocked(e.fs, nil, p) != nil {
 		return true
 	}
+	found := false
 	if e.sys {
-		for _, ls := range e.c.libfses {
-			if ls.pooled(p) {
-				return true
-			}
-		}
+		e.c.eachSession(func(ls *libfsState) { found = found || ls.pooled(p) })
 	}
-	return false
+	return found
 }
 func (e *envImpl) PageOwner(p nvm.PageID) (core.Ino, bool) {
 	ino, ok := e.c.ownerOf(p)
@@ -1097,34 +1068,28 @@ func (e *envImpl) PageOwner(p nvm.PageID) (core.Ino, bool) {
 	}
 	return ino, ok
 }
-func (e *envImpl) InoKnown(ino core.Ino) bool { return e.c.files.has(ino) }
+func (e *envImpl) InoKnown(ino core.Ino) bool { return e.c.fileOf(ino) != nil }
 func (e *envImpl) InoAllocated(ino core.Ino) bool {
-	if e.sys {
-		ok := e.c.allocBy.has(ino)
-		return ok
+	holder := e.c.allocHolderOf(ino)
+	if e.sys || holder == e.ls.id {
+		return holder != 0
 	}
 	// Inos issued to any LibFS in the same trust group count: group
 	// members share a LibFS in practice, but the bookkeeping is per
 	// session.
-	holder, ok := e.c.allocHolderOf(ino)
-	if !ok {
-		return false
-	}
-	if holder == e.ls.id {
-		return true
-	}
-	h := e.c.libfses[holder]
+	h := e.c.sessionOf(holder)
 	return h != nil && h.group == e.ls.group
 }
 func (e *envImpl) Shadow(ino core.Ino) (verifier.ShadowInfo, bool) {
-	return e.c.shadowOf(ino)
+	if fs := e.c.fileOf(ino); fs != nil {
+		return fs.shadow, true
+	}
+	return verifier.ShadowInfo{}, false
 }
 func (e *envImpl) CredFor(ino core.Ino) (uint32, uint32) {
 	if e.sys {
-		if holder, ok := e.c.allocBy.get(ino); ok {
-			if ls := e.c.libfses[holder]; ls != nil {
-				return ls.uid, ls.gid
-			}
+		if ls := e.c.sessionOf(e.c.allocBy[ino]); ls != nil {
+			return ls.uid, ls.gid
 		}
 	}
 	return e.ls.uid, e.ls.gid
@@ -1139,8 +1104,8 @@ func (e *envImpl) CheckpointChildren() ([]verifier.ChildRef, bool) {
 	return nil, false
 }
 func (e *envImpl) DirDeletedOK(child core.Ino) bool {
-	cfs, ok := e.c.files.get(child)
-	if !ok {
+	cfs := e.c.fileOf(child)
+	if cfs == nil {
 		// Never verified: created and removed by the same LibFS.
 		return true
 	}

@@ -152,20 +152,19 @@ func (w *modelWorld) writeMaps(s *Session, f *modelFile) bool {
 func (w *modelWorld) groupWrites(s *Session, f *modelFile) bool {
 	w.c.lockAll()
 	defer w.c.unlockAll()
-	for _, ls := range w.c.libfses {
-		if m := ls.mapped[f.ino]; m != nil && m.write && ls.group == s.Group() {
-			return true
-		}
-	}
-	return false
+	found := false
+	w.c.eachSession(func(ls *libfsState) {
+		m := ls.mapped[f.ino]
+		found = found || m != nil && m.write && ls.group == s.Group()
+	})
+	return found
 }
 
 // registered reports whether the controller still knows f.
 func (w *modelWorld) registered(f *modelFile) bool {
 	w.c.lockAll()
 	defer w.c.unlockAll()
-	_, ok := w.c.files.get(f.ino)
-	return ok
+	return w.c.fileOf(f.ino) != nil
 }
 
 // census counts, page by page, the sessions whose MMU lets them store.
@@ -174,13 +173,13 @@ func (w *modelWorld) census() []int32 {
 	out := make([]int32, c.dev.NumPages())
 	c.lockAll()
 	defer c.unlockAll()
-	for _, ls := range c.libfses {
+	c.eachSession(func(ls *libfsState) {
 		for p := range out {
 			if ls.as.PermOf(nvm.PageID(p)) == mmu.PermWrite {
 				out[p]++
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -190,9 +189,7 @@ func (w *modelWorld) run(data []byte) {
 	defer func() { w.c.Close() }()
 	w.check(-1, nil, nil, nil)
 	for step := 0; len(data) >= mdRec && step < 200; step, data = step+1, data[mdRec:] {
-		if !w.step(step, data[:mdRec]) {
-			return
-		}
+		w.step(step, data[:mdRec])
 	}
 	for i, s := range w.sess {
 		for _, f := range w.files {
@@ -225,8 +222,8 @@ func (w *modelWorld) run(data []byte) {
 	w.check(-4, nil, nil, nil)
 }
 
-// step runs one record and the oracles; false ends the input.
-func (w *modelWorld) step(step int, rec []byte) bool {
+// step runs one record and the oracles.
+func (w *modelWorld) step(step int, rec []byte) {
 	t := w.t
 	op, a := rec[0]%mdOps, int(rec[1])
 	s, f := w.sess[a%3], w.files[a/3%3]
@@ -295,9 +292,7 @@ func (w *modelWorld) step(step int, rec []byte) bool {
 	case mdScrub:
 		w.scrub(false)
 	case mdCrash:
-		if !w.crash(s, f, 1+int64(v%12)) {
-			return false
-		}
+		w.crash(s, f, 1+int64(v%12))
 		before = nil
 	case mdCreate:
 		w.meta = true
@@ -306,7 +301,6 @@ func (w *modelWorld) step(step int, rec []byte) bool {
 		}
 	}
 	w.check(step, before, resealed, f)
-	return true
 }
 
 // publishDirent write-maps the root through s, writes into its first free
@@ -368,7 +362,7 @@ func (w *modelWorld) store(s *Session, f *modelFile, i int, v uint64) error {
 func (w *modelWorld) release(s *Session, f *modelFile) []pageRun {
 	t, c := w.t, w.c
 	c.lockAll()
-	fs, _ := c.files.get(f.ino)
+	fs := c.fileOf(f.ino)
 	m := s.ls.mapped[f.ino]
 	if fs == nil { // retired, with every mapping of it
 		c.unlockAll()
@@ -389,7 +383,7 @@ func (w *modelWorld) release(s *Session, f *modelFile) []pageRun {
 	}
 	c.lockAll()
 	q := fs.quarantined
-	qs := c.libfses[q]
+	qs := c.sessionOf(q)
 	c.unlockAll()
 	if q != was && (clean || m == nil || qs == nil || qs.group != s.Group()) {
 		t.Fatalf("ino %d quarantined to session %d at session %d's release (full walk clean: %v)", f.ino, q, s.ID(), clean)
@@ -451,13 +445,11 @@ func (w *modelWorld) quiet() bool {
 	defer c.unlockAll()
 	ok := !w.tainted
 	for _, f := range w.files {
-		_, known := c.files.get(f.ino)
-		ok = ok && known
+		ok = ok && c.fileOf(f.ino) != nil
 	}
-	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
+	for _, fs := range c.filesByIno() {
 		ok = ok && fs.quarantined == 0 && !fs.corrupt && fs.writeHolder() == nil
-		return ok
-	})
+	}
 	return ok
 }
 
@@ -476,7 +468,7 @@ func (w *modelWorld) scrub(full bool) {
 	w.c.lockAll()
 	defer w.c.unlockAll()
 	for p := range w.stored {
-		if fs, _ := w.c.files.get(w.c.pageOwnerAt(p)); n[p] == 0 && (fs == nil || !fs.scrubSkipped()) {
+		if fs := w.c.fileOf(w.c.pageOwnerAt(p)); n[p] == 0 && (fs == nil || !fs.scrubSkipped()) {
 			delete(w.stored, p)
 		}
 	}
@@ -485,11 +477,9 @@ func (w *modelWorld) scrub(full bool) {
 // crash arms a crash point k persist points ahead, runs one release — or
 // a write grant and a store — into it, pulls the power and mounts the
 // device afresh; a full scrub then covers every page. The mount takes
-// any image; it reports false, ending the input, only when a persisted
-// metadata store named an ino the dense ino tables cannot take yet
-// (ROADMAP item 1): a world dirent whose ino changed, or whose type
-// became a directory, whose data pages the mount then reads as dirents.
-func (w *modelWorld) crash(s *Session, f *modelFile, k int64) bool {
+// any image, a world dirent whose persisted metadata store changed its
+// ino or made it a directory included: a remount error fails the input.
+func (w *modelWorld) crash(s *Session, f *modelFile, k int64) {
 	fp := nvm.NewFaultPlan()
 	fp.ArmCrashPoint(k)
 	w.dev.SetFaultPlan(fp)
@@ -505,18 +495,11 @@ func (w *modelWorld) crash(s *Session, f *modelFile, k int64) bool {
 	w.dev.SetFaultPlan(nil)
 	w.c.Close()
 	w.tainted = w.tainted || w.meta
-	mem := core.Direct(w.dev, 0)
-	for _, f := range w.files {
-		if in, err := core.ReadDirentInode(mem, f.loc.Page, f.loc.Slot); err == nil && (in.Ino != f.ino || in.Type == core.TypeDir) {
-			return false
-		}
-	}
 	if err := w.mount(); err != nil {
 		w.t.Fatalf("remount after the crash: %v", err)
 	}
 	clear(w.stored)
 	w.scrub(true)
-	return true
 }
 
 // check runs the oracles. before is the census ahead of the step (nil: a
@@ -557,7 +540,8 @@ func (w *modelWorld) check(step int, before []int32, resealed []pageRun, f *mode
 	// Ownership: a page is in at most one file's set, a file page, and
 	// pageOwnerAt names exactly that file.
 	owner := make([]core.Ino, total)
-	c.files.forEach(func(ino core.Ino, fs *fileState) bool {
+	for _, fs := range c.filesByIno() {
+		ino := fs.ino
 		for _, r := range fs.pages {
 			for p := r.start; p < r.end(); p++ {
 				if p < core.FirstFilePage || p >= core.ChecksumBase(total) {
@@ -569,8 +553,7 @@ func (w *modelWorld) check(step int, before []int32, resealed []pageRun, f *mode
 				owner[p] = ino
 			}
 		}
-		return true
-	})
+	}
 	for p := range owner {
 		if got := c.pageOwnerAt(nvm.PageID(p)); got != owner[p] {
 			t.Fatalf("step %d: pageOwnerAt(%d) = %d, the page is in the set of ino %d", step, p, got, owner[p])
@@ -579,7 +562,7 @@ func (w *modelWorld) check(step int, before []int32, resealed []pageRun, f *mode
 	// The ledger's four states are exclusive: a pool or parked page is in
 	// one session's sets and bound to no file.
 	held := map[nvm.PageID]LibFSID{}
-	for _, ls := range c.libfses {
+	c.eachSession(func(ls *libfsState) {
 		for p := range total {
 			if !ls.pooled(p) {
 				continue
@@ -589,7 +572,7 @@ func (w *modelWorld) check(step int, before []int32, resealed []pageRun, f *mode
 			}
 			held[p] = ls.id
 		}
-	}
+	})
 
 	checkGrantReach(t, c, step)
 
@@ -637,14 +620,15 @@ func (w *modelWorld) check(step int, before []int32, resealed []pageRun, f *mode
 // are outside it.
 func checkGrantReach(t testing.TB, c *Controller, step int) {
 	t.Helper()
-	c.files.forEach(func(ino core.Ino, fs *fileState) bool {
+	for _, fs := range c.filesByIno() {
+		ino := fs.ino
 		var writers GroupID
 		n := 0
-		for _, o := range c.libfses {
+		c.eachSession(func(o *libfsState) {
 			m := o.mapped[ino]
 			switch {
 			case m == nil:
-				continue
+				return
 			case !slices.Contains(fs.holders, m):
 				t.Fatalf("step %d: session %d maps ino %d outside its holder set", step, o.id, ino)
 			case m.write && writers != 0 && writers != o.group:
@@ -653,13 +637,12 @@ func checkGrantReach(t testing.TB, c *Controller, step int) {
 				writers = o.group
 			}
 			n++
-		}
+		})
 		if n != len(fs.holders) {
 			t.Fatalf("step %d: ino %d has %d holders, %d sessions map it", step, ino, len(fs.holders), n)
 		}
-		return true
-	})
-	for _, ls := range c.libfses {
+	}
+	c.eachSession(func(ls *libfsState) {
 		for p := nvm.PageID(1); p < core.ChecksumBase(c.dev.NumPages()); p++ {
 			perm := ls.as.PermOf(p)
 			if perm == mmu.PermNone {
@@ -667,19 +650,17 @@ func checkGrantReach(t testing.TB, c *Controller, step int) {
 			}
 			ok := false
 			for ino := range ls.mapped {
-				if fs, _ := c.files.get(ino); fs != nil && (fs.loc.Page == p || c.pageOwnerAt(p) == ino) {
+				if fs := c.fileOf(ino); fs != nil && (fs.loc.Page == p || c.pageOwnerAt(p) == ino) {
 					ok = true
 				}
 			}
-			for _, o := range c.libfses {
-				ok = ok || (o.group == ls.group && o.pooled(p))
-			}
+			c.eachSession(func(o *libfsState) { ok = ok || (o.group == ls.group && o.pooled(p)) })
 			if !ok {
 				t.Fatalf("step %d: session %d (group %d) maps page %d %v: not its files', not its group's (owner ino %d)",
 					step, ls.id, ls.group, p, perm, c.pageOwnerAt(p))
 			}
 		}
-	}
+	})
 }
 
 // FuzzControllerModel: no sequence of steps leaves the controller out of

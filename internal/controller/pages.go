@@ -71,7 +71,7 @@ func (c *Controller) bindLocked(fs *fileState, runs []pageRun, attr func(nvm.Pag
 			} else if o := attr(p); o == nil || !o.pooled(p) {
 				continue
 			} else {
-				if left, _ := c.files.get(o.parked[p]); left != nil && left != fs {
+				if left := c.fileOf(o.parked[p]); left != nil && left != fs {
 					c.dropFromHoldersLocked(left, p, nil)
 				}
 				delete(o.allocPages, p)
@@ -126,7 +126,7 @@ func (c *Controller) freeLocked(ls *libfsState, p nvm.PageID) bool {
 	case ls.allocPages[p]:
 		delete(ls.allocPages, p)
 	case ls.parked[p] != 0:
-		if fs, _ := c.files.get(ls.parked[p]); fs != nil {
+		if fs := c.fileOf(ls.parked[p]); fs != nil {
 			c.dropFromHoldersLocked(fs, p, nil)
 		}
 		delete(ls.parked, p)

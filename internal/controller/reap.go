@@ -64,7 +64,7 @@ func (s *Session) SetRecallHandler(fn func(ino core.Ino)) {
 func (c *Controller) Reap(id LibFSID) error {
 	c.lockAll()
 	defer c.unlockAll()
-	ls := c.libfses[id]
+	ls := c.sessionOf(id)
 	if ls == nil {
 		return nil
 	}
@@ -123,12 +123,18 @@ func (c *Controller) reapLocked(ls *libfsState) {
 // one ending of Session.Close and of a reap. Pool resources the live core
 // state references bind into their files; the rest of the pool and the
 // parked pages return to the allocator; issued inos no file took get a
-// tombstone, so a surviving LibFS's batched removal of one is a no-op. The session then leaves both
-// registries, is marked dead, and its address space is revoked — not
-// merely unmapped — so a delegation batch still in flight over it fails
-// (ErrRevoked) instead of racing the teardown.
+// tombstone, so a surviving LibFS's batched removal of one is a no-op.
+// The session then leaves the registry, is marked dead, and its address
+// space is revoked — not merely unmapped — so a delegation batch still in
+// flight over it fails (ErrRevoked) instead of racing the teardown.
 func (c *Controller) teardownLocked(ls *libfsState) {
-	c.bindStrayPoolPagesLocked(ls)
+	var inos []core.Ino // the pool's inos
+	for ino, id := range c.allocBy {
+		if id == ls.id {
+			inos = append(inos, ino)
+		}
+	}
+	c.bindStrayPoolPagesLocked(ls, len(inos) > 0)
 	pages := make([]nvm.PageID, 0, len(ls.allocPages)+len(ls.parked))
 	for p := range ls.allocPages {
 		pages = append(pages, p)
@@ -139,13 +145,12 @@ func (c *Controller) teardownLocked(ls *libfsState) {
 		c.freeLocked(ls, p)
 	}
 	c.pageAlloc.FreePages(pages)
-	for ino := range ls.allocInos {
-		c.allocBy.del(ino)
-		if !c.files.has(ino) {
-			c.reaped.set(ino, true)
+	for _, ino := range inos {
+		if c.allocBy[ino] == ls.id { // not adopted by the stray sweep
+			delete(c.allocBy, ino)
+			c.reaped[ino] = true
 		}
 	}
-	clear(ls.allocInos)
 	c.unregisterSessionLocked(ls.id)
 	ls.markDeadLocked()
 	c.revokeSpaceLocked(ls)
@@ -177,28 +182,15 @@ func (c *Controller) reapOrphansLocked(ls *libfsState, deadDirs []*fileState) {
 			}
 		}
 	}
-	var orphans []*fileState
-	c.files.forEach(func(ino core.Ino, fs *fileState) bool {
-		if ino == core.RootIno {
-			return true
+	for _, fs := range c.filesByIno() {
+		if fs.ino == core.RootIno || !direntPages[fs.loc.Page] && fs.creator != ls.id ||
+			len(fs.holders) > 0 || !c.direntGoneLocked(fs) {
+			continue
 		}
-		if holder, _ := c.allocBy.get(ino); !direntPages[fs.loc.Page] && holder != ls.id {
-			return true
-		}
-		if len(fs.holders) > 0 {
-			return true
-		}
-		if !c.direntGoneLocked(fs) {
-			return true
-		}
-		orphans = append(orphans, fs)
-		return true
-	})
-	for _, fs := range orphans {
 		// The stray sweep that follows rebinds the parked pages a
 		// surviving file references; the pool release frees the rest.
 		c.forgetFileLocked(ls, fs)
-		c.reaped.set(fs.ino, true)
+		c.reaped[fs.ino] = true
 	}
 }
 
@@ -210,8 +202,6 @@ func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState) {
 	c.parkLocked(fs, ls, fs.pages)
 	c.swapKeptLocked(fs, nil).free()
 	c.unregisterFileLocked(fs.ino)
-	c.shadow.del(fs.ino)
-	c.allocBy.del(fs.ino)
 }
 
 // direntGoneLocked reports whether the dirent recorded for fs no longer
@@ -223,7 +213,7 @@ func (c *Controller) forgetFileLocked(ls *libfsState, fs *fileState) {
 // what they spell. The parent's page set is only consulted when the
 // parent has a trusted, non-empty one.
 func (c *Controller) direntGoneLocked(fs *fileState) bool {
-	if pfs, _ := c.files.get(fs.parent); pfs != nil && pfs.quarantined == 0 &&
+	if pfs := c.fileOf(fs.parent); pfs != nil && pfs.quarantined == 0 &&
 		len(pfs.pages) > 0 && runsFind(pfs.pages, fs.loc.Page) < 0 {
 		return true
 	}
@@ -240,7 +230,7 @@ func (c *Controller) direntGoneLocked(fs *fileState) bool {
 // store of the file's own write holder, whose grant maps the slot, and is
 // settled as UnmapFile settles it. A quarantined parent proves nothing.
 func (c *Controller) unlinkedLocked(fs *fileState, ls *libfsState, dirs []*fileState) bool {
-	pfs, _ := c.files.get(fs.parent)
+	pfs := c.fileOf(fs.parent)
 	switch {
 	case !c.direntGoneLocked(fs):
 		return false
@@ -256,7 +246,7 @@ func (c *Controller) unlinkedLocked(fs *fileState, ls *libfsState, dirs []*fileS
 	w := pfs.writeHolder()
 	got, _ := core.DirentIno(c.mem, fs.loc.Page, fs.loc.Slot)
 	return w != nil && w.ls.group == ls.group ||
-		(got == 0 || c.allocBy.has(got) && !c.files.has(got)) && c.permitted(ls, pfs.ino, true)
+		(got == 0 || c.allocBy[got] != 0) && permitted(ls, pfs, true)
 }
 
 // reapFileLocked forcibly revokes ls's write mapping of fs: verify the
@@ -310,7 +300,7 @@ func (c *Controller) retireFileLocked(ls *libfsState, fs *fileState) {
 		m.ls.releaseLocked(m)
 	}
 	c.forgetFileLocked(ls, fs)
-	c.reaped.set(fs.ino, true)
+	c.reaped[fs.ino] = true
 }
 
 // bindStrayPoolPagesLocked transfers resources of ls's allocation pool
@@ -328,18 +318,13 @@ func (c *Controller) retireFileLocked(ls *libfsState, fs *fileState) {
 // quiescent at teardown (closed or revoked), so this sweep sees its
 // final stores. Resources referenced only by files whose dirent no
 // longer names them (committed unlinks) are left in the pool and freed
-// with it.
-func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState) {
-	if len(ls.allocPages) == 0 && len(ls.parked) == 0 && len(ls.allocInos) == 0 {
+// with it. pooledInos says whether ls holds issued inos no file has.
+func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState, pooledInos bool) {
+	if len(ls.allocPages) == 0 && len(ls.parked) == 0 && !pooledInos {
 		return
 	}
-	// Snapshot: adoptChildLocked below inserts into c.files.
-	known := make([]*fileState, 0, c.files.count())
-	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
-		known = append(known, fs)
-		return true
-	})
-	for _, fs := range known {
+	// A snapshot: adoptChildLocked below registers files.
+	for _, fs := range c.filesByIno() {
 		if fs.quarantined != 0 {
 			continue
 		}
@@ -363,11 +348,13 @@ func (c *Controller) bindStrayPoolPagesLocked(ls *libfsState) {
 		c.bindLocked(fs, normalizeRuns(pooled), func(nvm.PageID) *libfsState { return ls })
 		// The pool's write access ends here, as at an adoption: seal what joined.
 		c.sealQuiescentLocked(runsDiff(nil, fs.pages, before), nil, telemetry.Span{})
-		if in.Type == core.TypeDir && len(ls.allocInos) > 0 {
+		if in.Type == core.TypeDir && pooledInos {
 			// Dirents naming still-pooled inos: the create's verification
 			// walk was outrun the same way. Adopt them like any other
 			// freshly discovered child.
-			c.adoptDirentsLocked(fs, ls, in.Head, func(ino core.Ino) bool { return ls.allocInos[ino] })
+			c.adoptDirentsLocked(fs, ls, in.Head, func(ino core.Ino) bool {
+				return c.allocBy[ino] == ls.id
+			})
 		}
 	}
 }

@@ -127,22 +127,20 @@ func (s *Session) AllocInos(cpu, n int) ([]core.Ino, error) {
 	}
 	out := make([]core.Ino, n)
 	for i := range out {
-		ino := core.Ino(c.inoAlloc.Alloc(cpu))
-		out[i] = ino
-		s.ls.allocInos[ino] = true
+		out[i] = core.Ino(c.inoAlloc.Alloc(cpu))
 	}
 	c.tabMu.Lock()
 	for _, ino := range out {
-		c.allocBy.set(ino, s.ls.id)
+		c.allocBy[ino] = s.ls.id
 	}
 	c.tabMu.Unlock()
 	return out, nil
 }
 
 // Chmod changes a file's permission bits. It goes through the
-// controller because the shadow inode table is the ground truth for
-// permissions (§4.3, I4); the controller updates both the shadow entry
-// and the cached bits in the core-state inode.
+// controller because the file's shadow inode is the ground truth for
+// permissions (§4.3, I4); the controller updates both the shadow and the
+// cached bits in the core-state inode.
 func (s *Session) Chmod(ino core.Ino, mode uint16) error {
 	s.c.trap()
 	return s.changePerm(ino, func(sh *shadowPatch) { sh.mode = &mode })
@@ -169,14 +167,11 @@ func (s *Session) changePerm(ino core.Ino, patch func(*shadowPatch)) error {
 	if err := s.aliveLocked(); err != nil {
 		return err
 	}
-	fs, ok := c.files.get(ino)
-	if !ok {
+	fs := c.fileOf(ino)
+	if fs == nil {
 		return fmt.Errorf("%w: ino %d", ErrUnknownFile, ino)
 	}
-	sh, ok := c.shadow.get(ino)
-	if !ok {
-		return fmt.Errorf("%w: ino %d has no shadow entry", ErrUnknownFile, ino)
-	}
+	sh := fs.shadow
 	if s.ls.uid != 0 && s.ls.uid != sh.UID {
 		return fmt.Errorf("%w: not the owner", ErrPermission)
 	}
@@ -194,7 +189,7 @@ func (s *Session) changePerm(ino core.Ino, patch func(*shadowPatch)) error {
 	if p.gid != nil {
 		sh.GID = *p.gid
 	}
-	c.shadow.set(ino, sh)
+	fs.shadow = sh
 
 	// Refresh the cached fields in the core-state inode so readers see
 	// the change; the shadow stays authoritative either way.
@@ -267,21 +262,20 @@ func (s *Session) RemoveFiles(items []Removal) (recycled []nvm.PageID, err error
 	recycled = make([]nvm.PageID, 0, total)
 	tracing := telemetry.TracingOn()
 	for _, it := range items {
-		fs, ok := c.files.get(it.Ino)
-		if !ok {
+		fs := c.fileOf(it.Ino)
+		if fs == nil {
 			// Not a verified file: one that still lives in the caller's
 			// pool, or one the reaper already retired on behalf of a dead
 			// session (the removal is then a no-op). Either way the
 			// caller's own pool pages are recyclable.
-			if !c.reaped.has(it.Ino) {
-				if holder, _ := c.allocBy.get(it.Ino); holder != s.ls.id {
+			if !c.reaped[it.Ino] {
+				if c.allocBy[it.Ino] != s.ls.id {
 					if err == nil {
 						err = fmt.Errorf("%w: ino %d", ErrUnknownFile, it.Ino)
 					}
 					continue
 				}
-				c.allocBy.del(it.Ino)
-				delete(s.ls.allocInos, it.Ino)
+				delete(c.allocBy, it.Ino)
 			}
 			for _, p := range it.Pages {
 				if s.ls.allocPages[p] {
@@ -352,7 +346,7 @@ func (s *Session) Commit(ino core.Ino) error {
 		}
 		return fmt.Errorf("%w: ino %d is not write-mapped", ErrBadRequest, ino)
 	}
-	fs, _ := c.files.get(ino)
+	fs := c.fileOf(ino)
 	rep, err := c.verifyLocked(fs, s.ls, nil, scopeFullWalk)
 	if err != nil {
 		return err
@@ -392,17 +386,16 @@ func (c *Controller) Recover(recoveryPrograms map[LibFSID]func() error) (checked
 	clear(c.cleanOpen)
 	clear(c.facts)
 	for id, fn := range recoveryPrograms {
-		if c.libfses[id] != nil && fn != nil {
+		if c.sessionOf(id) != nil && fn != nil {
 			_ = fn()
 		}
 	}
-	var held []*fileState // settling may retire a file: not inside forEach
-	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
+	var held []*fileState
+	for _, fs := range c.filesByIno() {
 		if fs.writeHolder() != nil {
 			held = append(held, fs)
 		}
-		return true
-	})
+	}
 	for pass := 0; pass < 2; pass++ {
 		for _, fs := range held {
 			if (fs.ftype == core.TypeDir) != (pass == 0) {
@@ -436,14 +429,14 @@ type FileInfo struct {
 func (c *Controller) Files() []FileInfo {
 	c.lockAll()
 	defer c.unlockAll()
-	out := make([]FileInfo, 0, c.files.count())
-	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
+	files := c.filesByIno()
+	out := make([]FileInfo, 0, len(files))
+	for _, fs := range files {
 		out = append(out, FileInfo{
 			Ino: fs.ino, Loc: fs.loc, Type: fs.ftype, Parent: fs.parent,
 			Pages: runsLen(fs.pages),
 		})
-		return true
-	})
+	}
 	return out
 }
 
@@ -471,19 +464,18 @@ func pageNumIn(s string) string {
 func (c *Controller) VerifyAll() (checked, bad int, firstProblem string) {
 	c.lockAll()
 	defer c.unlockAll()
-	sys := &libfsState{uid: 0, gid: 0, allocPages: map[nvm.PageID]bool{}, allocInos: map[core.Ino]bool{}}
-	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
+	sys := &libfsState{uid: 0, gid: 0, allocPages: map[nvm.PageID]bool{}}
+	for _, fs := range c.filesByIno() {
 		env := &envImpl{c: c, fs: fs, ls: sys, sys: true}
 		rep, err := c.verifier.VerifyFile(env, fs.ino, fs.loc, fs.ino == core.RootIno)
 		checked++
 		if err != nil || !rep.OK() {
 			if telemetry.TracingOn() {
 				got, _ := core.DirentIno(c.mem, fs.loc.Page, fs.loc.Slot)
-				holder, _ := c.allocBy.get(fs.ino)
 				msg := fmt.Sprintf(
-					"VerifyAll ino=%d loc=%v type=%v parent=%d holders=%d reaped=%v allocBy=%d quarantined=%d direntNow=%d err=%v viol=%v",
+					"VerifyAll ino=%d loc=%v type=%v parent=%d holders=%d reaped=%v creator=%d quarantined=%d direntNow=%d err=%v viol=%v",
 					fs.ino, fs.loc, fs.ftype, fs.parent, len(fs.holders),
-					c.reaped.has(fs.ino), holder, fs.quarantined, got, err, rep.Violations)
+					c.reaped[fs.ino], fs.creator, fs.quarantined, got, err, rep.Violations)
 				for _, v := range rep.Violations {
 					var pg uint64
 					if _, serr := fmt.Sscanf(pageNumIn(v.String()), "%d", &pg); serr == nil {
@@ -501,7 +493,6 @@ func (c *Controller) VerifyAll() (checked, bad int, firstProblem string) {
 				}
 			}
 		}
-		return true
-	})
+	}
 	return checked, bad, firstProblem
 }

@@ -353,7 +353,7 @@ func TestKeptImagesLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.lockAll()
-	fs, _ := c.files.get(w.ino)
+	fs := c.fileOf(w.ino)
 	c.forgetFileLocked(w.a.ls, fs)
 	c.unlockAll()
 	if kept() != 0 {
@@ -397,7 +397,7 @@ func TestFreeBoundPageVoidsFacts(t *testing.T) {
 				t.Fatalf("release after FreePages of a bound page did not walk: %+v", st)
 			}
 			c.lockAll()
-			fs, _ := c.files.get(w.ino)
+			fs := c.fileOf(w.ino)
 			quarantined, inSet := fs.quarantined, runsFind(fs.pages, victim) >= 0
 			c.unlockAll()
 			if honest {

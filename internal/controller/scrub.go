@@ -100,16 +100,9 @@ func (c *Controller) ScrubAll() ScrubReport {
 	// passed its permission check before this point has landed on the
 	// device (mmu accessors hold the barrier shared across check+store),
 	// so the write-permission snapshot below is trustworthy.
-	for _, ls := range c.libfses {
-		ls.as.WithShootdownBarrier(func() {})
-	}
-	var files []*fileState
-	c.files.forEach(func(_ core.Ino, fs *fileState) bool {
-		files = append(files, fs)
-		return true
-	})
+	c.eachSession(func(ls *libfsState) { ls.as.WithShootdownBarrier(func() {}) })
 	a := scrubAudit{sc: c.scrubber, busy: c.scrubBusy, budget: -1}
-	c.auditLocked(&a, true, files)
+	c.auditLocked(&a, true, c.filesByIno())
 	for _, p := range a.mismatches {
 		c.fixMismatchLocked(p, &a.rep)
 	}
@@ -218,7 +211,7 @@ func (c *Controller) fixMismatchLocked(p nvm.PageID, rep *ScrubReport) {
 	if c.scrubBusy(p) {
 		return
 	}
-	if fs, _ := c.files.get(c.pageOwnerAt(p)); fs != nil && fs.scrubSkipped() {
+	if fs := c.fileOf(c.pageOwnerAt(p)); fs != nil && fs.scrubSkipped() {
 		return
 	}
 	v, want, _, err := c.scrubber.ScrubPage(p, false)
@@ -250,7 +243,7 @@ func (c *Controller) repairPageLocked(p nvm.PageID, want uint32) bool {
 	ino := c.pageOwnerAt(p)
 	var fs *fileState
 	if ino != 0 {
-		fs, _ = c.files.get(ino)
+		fs = c.fileOf(ino)
 	}
 
 	var img []byte
@@ -282,11 +275,11 @@ func (c *Controller) repairPageLocked(p nvm.PageID, want uint32) bool {
 	// barriers is deadlock-free: lockAll serializes every multi-barrier
 	// holder, and mmu accessors only ever hold their own session's.
 	var holders []*libfsState
-	for _, ls := range c.libfses {
+	c.eachSession(func(ls *libfsState) {
 		if !ls.dead && ls.as.PermOf(p) != mmu.PermNone {
 			holders = append(holders, ls)
 		}
-	}
+	})
 	var install func(i int)
 	install = func(i int) {
 		if i == len(holders) {
@@ -405,7 +398,7 @@ func (c *Controller) quarantinePageLocked(p nvm.PageID) {
 		c.tracePage(p, "scrub-quarantine unowned")
 		return
 	}
-	fs, _ := c.files.get(ino)
+	fs := c.fileOf(ino)
 	if fs == nil {
 		return
 	}

@@ -5,18 +5,18 @@
 //
 // # Locking model
 //
-// Every inode and every session hashes to one of N shards. State is
-// partitioned by *lock*, not by map: the registries (c.files,
-// c.libfses) stay global, but an entry's mutable fields are guarded by
-// its home shard's mutex, and the registries themselves are only
-// inserted into or deleted from under lockAll (all shard mutexes held,
-// in index order). That asymmetry gives a cheap invariant:
+// Every inode and every session hashes to one of N shards, and each
+// shard's maps hold the files and sessions homed on it: the registries
+// are those maps and nothing else (fileOf, sessionOf route by hash). An
+// entry's mutable fields are guarded by its home shard's mutex, and the
+// maps are only inserted into or deleted from under lockAll (all shard
+// mutexes held, in index order). That asymmetry gives a cheap invariant:
 //
 //   - holding ALL shard locks ⇒ exclusive access to everything; the
 //     pre-shard controller code runs unchanged in such sections;
-//   - holding ANY shard lock ⇒ safe to *read* both registries (no
-//     insert/delete can be concurrent) and to touch the fields of
-//     entries homed on the held shards.
+//   - holding ANY shard lock ⇒ safe to *read* both registries, on any
+//     shard (no insert/delete can be concurrent), and to touch the
+//     fields of entries homed on the held shards.
 //
 // Fast paths (a map or unmap entry's narrow attempt — MapFile and
 // UnmapFile are one-entry batches — and the allocators) lock only the
@@ -28,8 +28,8 @@
 // style dirent moves, corruption handling) bail out with errEscalate
 // before mutating anything and rerun under lockAll.
 //
-// A handful of truly global tables — pageOwner, shadow, allocBy,
-// reaped, and the write-mapped refcounts — are guarded by tabMu, a
+// A handful of truly global tables — pageOwner, allocBy, reaped, and
+// the write-mapped refcounts — are guarded by tabMu, a
 // leaf mutex ordered after every shard mutex. Fast paths go through
 // the tabMu accessors; lockAll sections may keep touching the maps
 // directly (they exclude every fast path by construction, and the
@@ -37,7 +37,9 @@
 package controller
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,11 +69,10 @@ type ctlShard struct {
 	// tenant storm saturates its own shard's slots, not the controller.
 	admit admitGate
 
-	// files and sessions are this shard's slices of the global
-	// registries — the same pointers, keyed by home shard, maintained
-	// at every registry insert/delete (all under lockAll). The shard's
-	// sweeper scans only these, so the per-tick sweep cost is the
-	// shard's own population, not N scans of the whole controller.
+	// files and sessions are the registries' entries homed on this
+	// shard, inserted and deleted under lockAll. The shard's sweeper
+	// scans only these, so the per-tick sweep cost is the shard's own
+	// population, not N scans of the whole controller.
 	files    map[core.Ino]*fileState
 	sessions map[LibFSID]*libfsState
 
@@ -176,26 +177,64 @@ func (c *Controller) downgradeToShard(s *lockSet, keep int) {
 	s.n = 1
 }
 
-// Registry insert/delete (lockAll held): the global map and the home
-// shard's membership map move together.
+// Registry reads (any shard lock held) and inserts and deletes (lockAll
+// held).
 
+// fileOf returns the registered file ino, nil when there is none.
+func (c *Controller) fileOf(ino core.Ino) *fileState {
+	return c.shards[c.shardIdxIno(ino)].files[ino]
+}
+
+// sessionOf returns the registered session id, nil when there is none.
+func (c *Controller) sessionOf(id LibFSID) *libfsState {
+	return c.shards[c.shardIdxSession(id)].sessions[id]
+}
+
+// filesByIno lists every registered file in ino order, so a walk whose
+// order reaches the media — its persists, a crash sweep's points, the
+// first problem VerifyAll reports — is the same on every run.
+func (c *Controller) filesByIno() []*fileState {
+	n := 0
+	for i := range c.shards {
+		n += len(c.shards[i].files)
+	}
+	out := make([]*fileState, 0, n)
+	for i := range c.shards {
+		for _, fs := range c.shards[i].files {
+			out = append(out, fs)
+		}
+	}
+	slices.SortFunc(out, func(a, b *fileState) int { return cmp.Compare(a.ino, b.ino) })
+	return out
+}
+
+// eachSession calls f on every registered session.
+func (c *Controller) eachSession(f func(*libfsState)) {
+	for i := range c.shards {
+		for _, ls := range c.shards[i].sessions {
+			f(ls)
+		}
+	}
+}
+
+// registerFileLocked records fs. Its ino leaves the pool of the session
+// it was issued to for the file's record (fileState.creator), so an ino
+// is in allocBy or in a file, never both.
 func (c *Controller) registerFileLocked(fs *fileState) {
-	c.files.set(fs.ino, fs)
+	fs.creator = c.allocBy[fs.ino]
+	delete(c.allocBy, fs.ino)
 	c.shards[c.shardIdxIno(fs.ino)].files[fs.ino] = fs
 }
 
 func (c *Controller) unregisterFileLocked(ino core.Ino) {
-	c.files.del(ino)
 	delete(c.shards[c.shardIdxIno(ino)].files, ino)
 }
 
 func (c *Controller) registerSessionLocked(ls *libfsState) {
-	c.libfses[ls.id] = ls
 	c.shards[c.shardIdxSession(ls.id)].sessions[ls.id] = ls
 }
 
 func (c *Controller) unregisterSessionLocked(id LibFSID) {
-	delete(c.libfses, id)
 	delete(c.shards[c.shardIdxSession(id)].sessions, id)
 }
 
@@ -209,7 +248,7 @@ func (c *Controller) lockForFile(sIdx int, ino core.Ino, withParent bool) (set l
 	set.add(sIdx)
 	set.add(c.shardIdxIno(ino))
 	c.lockShards(&set)
-	fs, _ = c.files.get(ino) // registry reads are safe under any shard lock
+	fs = c.fileOf(ino) // registry reads are safe under any shard lock
 	if fs == nil || !withParent {
 		return set, fs
 	}
@@ -224,7 +263,7 @@ func (c *Controller) lockForFile(sIdx int, ino core.Ino, withParent bool) (set l
 		c.unlockShards(&set)
 		set.add(pIdx)
 		c.lockShards(&set)
-		fs2, _ := c.files.get(ino)
+		fs2 := c.fileOf(ino)
 		if fs2 == nil {
 			return set, nil
 		}
@@ -239,27 +278,12 @@ func (c *Controller) lockForFile(sIdx int, ino core.Ino, withParent bool) (set l
 // tabMu accessors — the global tables fast paths may touch.
 // ---------------------------------------------------------------------
 
-// setShadow records ino's shadow entry.
-func (c *Controller) setShadow(ino core.Ino, sh verifier.ShadowInfo) {
+// allocHolderOf reads which session the ino was issued to (0: none).
+func (c *Controller) allocHolderOf(ino core.Ino) LibFSID {
 	c.tabMu.Lock()
-	c.shadow.set(ino, sh)
+	id := c.allocBy[ino]
 	c.tabMu.Unlock()
-}
-
-// shadowOf reads the shadow entry for ino.
-func (c *Controller) shadowOf(ino core.Ino) (verifier.ShadowInfo, bool) {
-	c.tabMu.Lock()
-	sh, ok := c.shadow.get(ino)
-	c.tabMu.Unlock()
-	return sh, ok
-}
-
-// allocHolderOf reads which session the ino was issued to.
-func (c *Controller) allocHolderOf(ino core.Ino) (LibFSID, bool) {
-	c.tabMu.Lock()
-	id, ok := c.allocBy.get(ino)
-	c.tabMu.Unlock()
-	return id, ok
+	return id
 }
 
 // scrubBusy is scrubBusyLocked (granule.go) taking tabMu.

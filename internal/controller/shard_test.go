@@ -200,9 +200,9 @@ func TestLockForFileSet(t *testing.T) {
 
 // TestCloseUnregistersFromHomeShard pins the membership invariant the
 // fairness test flushed out: Session.Close must remove the session from
-// its home shard's map along with the global registry. A bare global
-// delete leaves a dead tombstone the shard's sweeper re-Reaps — a no-op
-// through lockAll — on every tick, permanently convoying all shards.
+// its home shard's map. A tombstone left there is a dead session the
+// shard's sweeper re-Reaps — a no-op through lockAll — on every tick,
+// permanently convoying all shards.
 func TestCloseUnregistersFromHomeShard(t *testing.T) {
 	c := newShardedCtl(t, 8)
 	s := c.Register(1000, 1000, 0, 0)
@@ -212,12 +212,8 @@ func TestCloseUnregistersFromHomeShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.lockAll()
-	_, inGlobal := c.libfses[id]
 	_, inShard := c.shards[home].sessions[id]
 	c.unlockAll()
-	if inGlobal {
-		t.Fatal("closed session still in the global registry")
-	}
 	if inShard {
 		t.Fatal("closed session left a tombstone in its home shard's map")
 	}

@@ -19,11 +19,11 @@ import (
 	"trio/internal/nvm"
 )
 
-// TestChaosTenantDeathMultiShard is the sharded-controller variant of
-// TestChaosTenantDeath (ISSUE 6): tenants and pure-controller ballast
-// sessions spread across all 8 lock shards, and sessions die on every
-// shard — half the tenants mid-syscall plus a wave of abandoned
-// ballast sessions holding raw pool pages. Convergence is asserted
+// TestChaosTenantDeathMultiShard adds three things to
+// TestChaosTenantDeath, which runs on the same default 8 lock shards:
+// pure-controller ballast sessions — a wave of them abandoned while
+// holding raw pool pages, beside the tenants that die mid-syscall — the
+// scrub drain, and the page-leak check. Convergence is asserted
 // per-shard, not just globally:
 //
 //   - every dead session is reaped (the per-shard sweepers each find

@@ -272,8 +272,8 @@ func (fs *FS) victimPages(victim *node) ([]nvm.PageID, error) {
 // inode lock exclusively, so no writer moves the aux under it.
 //
 // The list is exact where it matters. The controller reads an unlink's
-// list only for a file it never verified (RemoveFiles' !c.files.has
-// branch), and recycles the listed pages of the caller's pool; a
+// list only for a file it never verified (RemoveFiles' branch for an
+// unregistered ino), and recycles the listed pages of the caller's pool; a
 // verified file is released from the controller's own record and the
 // list is ignored. A file the controller never verified lives in this
 // LibFS's pool, so only this LibFS can have stored to its index pages

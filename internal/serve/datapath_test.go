@@ -380,7 +380,9 @@ func TestReadLandsOnlyWhatItShould(t *testing.T) {
 // cannot simply withdraw it: it closes the transport, waits for demux
 // to let go of p, and fails with ErrDeadline in bounded time; the next
 // call rides the reconnect. Both the caller's context and CallTimeout
-// bound it.
+// bound it. The reconnect runs on its own, and the next call starts once
+// it has landed, so a 30 ms CallTimeout covers that call's round trip and
+// not a redial and a HELLO on a loaded host.
 func TestDeadlineDuringLanding(t *testing.T) {
 	for _, viaCtx := range []bool{true, false} {
 		t.Run(fmt.Sprintf("ctx=%v", viaCtx), func(t *testing.T) {
@@ -421,6 +423,9 @@ func TestDeadlineDuringLanding(t *testing.T) {
 			// on a demux still landing into it.
 			for i := range p {
 				p[i] = 0
+			}
+			if !eventually(func() bool { return sess.Stats().Reconnects == 1 }) {
+				t.Fatalf("stats %+v: no reconnect 5 s after the deadline", sess.Stats())
 			}
 			if err := sess.Commit(context.Background(), sess.Root()); err != nil {
 				t.Fatalf("call after the deadline: %v", err)

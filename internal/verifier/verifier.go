@@ -57,7 +57,7 @@ type ShadowInfo struct {
 
 // ChildRef describes one live directory entry found during a directory
 // check. The controller uses the list to refresh its ino→location map
-// and to adopt newly created files into the shadow table.
+// and to adopt newly created files, each with its shadow inode.
 type ChildRef struct {
 	Ino   core.Ino
 	Name  string
@@ -253,7 +253,7 @@ func (v *Verifier) VerifyFileInto(r *Report, env Env, ino core.Ino, loc core.Fil
 		r.addf("I1", "size %d exceeds device capacity", in.Size)
 	}
 
-	// ---- I4: permission fields vs shadow table ------------------------
+	// ---- I4: permission fields vs the shadow inode --------------------
 	v.checkShadow(env, r, &in, "file")
 
 	// ---- I2: page validity of the index chain -------------------------
